@@ -308,7 +308,7 @@ let violations_cmd =
     if Conddep_cleaning.Report.count report = 0 then exit_ok
     else if repair then begin
       let repaired = Conddep_cleaning.Repair.repair ~max_rounds:8 doc.Parser.schema nf db in
-      let left = List.length (Conddep_cleaning.Detect.detect repaired nf) in
+      let left = List.length (Conddep_cleaning.Fast_detect.detect repaired nf) in
       Fmt.pr "after repair: %d violation(s) left@." left;
       Fmt.pr "%a@." Database.pp repaired;
       if left = 0 then exit_ok else exit_negative

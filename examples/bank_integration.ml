@@ -57,5 +57,5 @@ let () =
   let repaired = Conddep_cleaning.Repair.repair ~max_rounds:8 B.schema nf B.dirty_db in
   Fmt.pr "=== After repair ===@.";
   Fmt.pr "violations left: %d@."
-    (List.length (Conddep_cleaning.Detect.detect repaired nf));
+    (List.length (Conddep_cleaning.Fast_detect.detect repaired nf));
   Fmt.pr "interest after repair:@.%a@." Relation.pp (Database.relation repaired "interest")

@@ -50,11 +50,11 @@ let () =
   Fmt.pr "@.=== After repair ===@.";
   Fmt.pr "violations remaining: %d (database now %d tuples)@." (Report.count after)
     (Database.total_tuples repaired);
-  Fmt.pr "clean: %b@." (Detect.is_clean repaired sigma);
+  Fmt.pr "clean: %b@." (Fast_detect.is_clean repaired sigma);
 
   (* Show a few concrete repair suggestions on the original dirty data. *)
   Fmt.pr "@.=== Sample repair suggestions ===@.";
-  let violations = Detect.detect dirty sigma in
+  let violations = Fast_detect.detect dirty sigma in
   List.iteri
     (fun i v ->
       if i < 5 then

@@ -31,7 +31,7 @@ let default_field attr =
 
 let suggest schema violation =
   match violation with
-  | Detect.Cfd_violation { rel; nf; t1; t2; _ } -> (
+  | Violation.Cfd_violation { rel; nf; t1; t2; _ } -> (
       let r = Db_schema.find schema rel in
       let apos = Schema.position r nf.Cfd.nf_a in
       match nf.nf_ta with
@@ -41,7 +41,7 @@ let suggest schema violation =
       | Pattern.Wildcard ->
           (* equate the pair on A by copying the first tuple's value *)
           [ Update { rel; tuple = t2; attr = nf.nf_a; value = Tuple.get t1 apos } ])
-  | Detect.Cind_violation { rhs; nf; tuple; _ } ->
+  | Violation.Cind_violation { rhs; nf; tuple; _ } ->
       let r1 = Db_schema.find schema nf.Cind.nf_lhs in
       let r2 = Db_schema.find schema rhs in
       let fields =
@@ -75,20 +75,20 @@ let apply db action =
       let without = Relation.filter (fun t -> not (Tuple.equal t tuple)) r in
       Database.set_relation db (Relation.add without updated)
 
-(* One repair round: suggest and apply a fix for every current violation.
-   Iterating rounds may be needed (fixes can surface new violations); the
-   caller bounds the iteration. *)
-let repair_round schema sigma db =
-  let violations = Detect.detect db sigma in
-  List.fold_left
-    (fun db v -> List.fold_left apply db (suggest schema v))
-    db violations
+(* One repair round: suggest and apply a fix for every violation, in
+   detection order (a fix may touch a tuple an earlier fix already rewrote,
+   so order matters).  Fixes can surface new violations, hence rounds. *)
+let fix_all schema db violations =
+  List.fold_left (fun db v -> List.fold_left apply db (suggest schema v)) db violations
 
+(* Each round detects once: an empty violation list ends the loop. *)
 let repair ?(max_rounds = 5) schema sigma db =
   let rec go db round =
     if round >= max_rounds then db
-    else if Detect.is_clean db sigma then db
-    else go (repair_round schema sigma db) (round + 1)
+    else
+      match Fast_detect.detect db sigma with
+      | [] -> db
+      | violations -> go (fix_all schema db violations) (round + 1)
   in
   go db 0
 
@@ -117,7 +117,7 @@ let plan_cost model plan = List.fold_left (fun acc a -> acc + cost model a) 0 pl
 (* Alternative plans for one violation, each resolving it. *)
 let alternatives schema violation =
   match violation with
-  | Detect.Cfd_violation { rel; nf; t1; t2; _ } -> (
+  | Violation.Cfd_violation { rel; nf; t1; t2; _ } -> (
       let r = Db_schema.find schema rel in
       let apos = Schema.position r nf.Cfd.nf_a in
       match nf.nf_ta with
@@ -136,12 +136,11 @@ let alternatives schema violation =
             [ Delete { rel; tuple = t1 } ];
             [ Delete { rel; tuple = t2 } ];
           ])
-  | Detect.Cind_violation { lhs; tuple; _ } ->
+  | Violation.Cind_violation { lhs; tuple; _ } ->
       [ suggest schema violation; [ Delete { rel = lhs; tuple } ] ]
 
-(* One cost-minimizing round: cheapest plan per current violation. *)
-let repair_round_min_cost model schema sigma db =
-  let violations = Detect.detect db sigma in
+(* Cheapest plan per violation, in detection order; returns the cost spent. *)
+let fix_all_min_cost model schema db violations =
   List.fold_left
     (fun (db, total) v ->
       match
@@ -155,9 +154,12 @@ let repair_round_min_cost model schema sigma db =
 
 let repair_min_cost ?(max_rounds = 5) ?(costs = default_costs) schema sigma db =
   let rec go db total round =
-    if round >= max_rounds || Detect.is_clean db sigma then (db, total)
+    if round >= max_rounds then (db, total)
     else
-      let db, spent = repair_round_min_cost costs schema sigma db in
-      go db (total + spent) (round + 1)
+      match Fast_detect.detect db sigma with
+      | [] -> (db, total)
+      | violations ->
+          let db, spent = fix_all_min_cost costs schema db violations in
+          go db (total + spent) (round + 1)
   in
   go db 0 0

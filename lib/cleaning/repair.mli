@@ -12,17 +12,15 @@ type action =
 
 val pp_action : action Fmt.t
 
-val suggest : Db_schema.t -> Detect.violation -> action list
+val suggest : Db_schema.t -> Violation.t -> action list
 (** Candidate fixes for one violation. *)
 
 val apply : Database.t -> action -> Database.t
 
-val repair_round : Db_schema.t -> Sigma.nf -> Database.t -> Database.t
-(** Suggest-and-apply one fix per current violation. *)
-
 val repair : ?max_rounds:int -> Db_schema.t -> Sigma.nf -> Database.t -> Database.t
-(** Iterate {!repair_round} until clean or [max_rounds] (default 5) —
-    fixes may surface new violations. *)
+(** Rounds of suggest-and-apply, one fix per current violation in
+    detection order, until clean or [max_rounds] (default 5) — fixes may
+    surface new violations.  Each round runs the detector once. *)
 
 (** {1 Cost-based repair}
 
@@ -40,7 +38,7 @@ val default_costs : cost_model
 
 val cost : cost_model -> action -> int
 
-val alternatives : Db_schema.t -> Detect.violation -> action list list
+val alternatives : Db_schema.t -> Violation.t -> action list list
 (** Alternative repair plans for one violation, each resolving it. *)
 
 val repair_min_cost :

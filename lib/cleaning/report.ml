@@ -2,13 +2,13 @@
 
 type t = {
   total_tuples : int;
-  violations : Detect.violation list;
+  violations : Violation.t list;
 }
 
 let build db sigma =
   {
     total_tuples = Conddep_relational.Database.total_tuples db;
-    violations = Detect.detect db sigma;
+    violations = Fast_detect.detect db sigma;
   }
 
 let count t = List.length t.violations
@@ -18,7 +18,7 @@ let by_constraint t =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun v ->
-      let key = Detect.violation_constraint v in
+      let key = Violation.constraint_name v in
       Hashtbl.replace tbl key (v :: Option.value ~default:[] (Hashtbl.find_opt tbl key)))
     t.violations;
   Hashtbl.fold (fun k vs acc -> (k, List.rev vs) :: acc) tbl []
@@ -29,7 +29,7 @@ let pp ppf t =
   List.iter
     (fun (name, vs) ->
       Fmt.pf ppf "@[<v2>%s: %d violation(s)@,%a@]@," name (List.length vs)
-        Fmt.(list ~sep:cut Detect.pp_violation)
+        Fmt.(list ~sep:cut Violation.pp)
         vs)
     (by_constraint t);
   Fmt.pf ppf "@]"

@@ -5,13 +5,13 @@ open Conddep_core
 
 type t = {
   total_tuples : int;
-  violations : Detect.violation list;
+  violations : Violation.t list;
 }
 
 val build : Database.t -> Sigma.nf -> t
 val count : t -> int
 
-val by_constraint : t -> (string * Detect.violation list) list
+val by_constraint : t -> (string * Violation.t list) list
 (** Violations grouped per constraint name, sorted. *)
 
 val pp : t Fmt.t

@@ -14,22 +14,22 @@ let sigma_nf = Sigma.normalize B.sigma
 (* --- cleaning ------------------------------------------------------------ *)
 
 let test_detect_dirty_bank () =
-  let violations = Detect.detect B.dirty_db sigma_nf in
+  let violations = Fast_detect.detect B.dirty_db sigma_nf in
   check_bool "dirty db has violations" true (violations <> []);
-  let names = List.map Detect.violation_constraint violations in
+  let names = List.map Violation.constraint_name violations in
   check_bool "psi6 flagged" true (List.mem "psi6" names);
   check_bool "phi3 flagged" true (List.mem "phi3" names);
   check_bool "psi5 not flagged" false (List.mem "psi5" names)
 
 let test_clean_bank_is_clean () =
-  check_bool "clean db is clean" true (Detect.is_clean B.clean_db sigma_nf)
+  check_bool "clean db is clean" true (Fast_detect.is_clean B.clean_db sigma_nf)
 
 let test_detect_cind_provenance () =
-  let violations = Detect.detect B.dirty_db sigma_nf in
+  let violations = Fast_detect.detect B.dirty_db sigma_nf in
   let cind_violators =
     List.filter_map
       (function
-        | Detect.Cind_violation { constraint_name = "psi6"; tuple; _ } -> Some tuple
+        | Violation.Cind_violation { constraint_name = "psi6"; tuple; _ } -> Some tuple
         | _ -> None)
       violations
   in
@@ -40,13 +40,13 @@ let test_repair_fixes_phi3 () =
   (* Repairing ϕ3 alone rewrites t12's rate to 1.5%. *)
   let phi3_nf = { Sigma.ncfds = Cfd.normalize B.phi3; ncinds = [] } in
   let repaired = Repair.repair B.schema phi3_nf B.dirty_db in
-  check_bool "phi3 clean after repair" true (Detect.is_clean repaired phi3_nf);
+  check_bool "phi3 clean after repair" true (Detect_oracle.is_clean repaired phi3_nf);
   let interest = Database.relation repaired "interest" in
   check_bool "t12 now carries 1.5%" true (Relation.mem interest B.t12_clean)
 
 let test_repair_whole_sigma () =
   let repaired = Repair.repair ~max_rounds:8 B.schema sigma_nf B.dirty_db in
-  check_bool "no violations left" true (Detect.is_clean repaired sigma_nf)
+  check_bool "no violations left" true (Detect_oracle.is_clean repaired sigma_nf)
 
 let test_repair_cind_insertion () =
   (* A missing interest row is repaired by inserting it. *)
@@ -57,9 +57,9 @@ let test_repair_cind_insertion () =
          (Database.relation B.clean_db "interest"))
   in
   let psi5_nf = { Sigma.ncfds = []; ncinds = Cind.normalize B.psi5 } in
-  check_bool "broken after delete" false (Detect.is_clean db psi5_nf);
+  check_bool "broken after delete" false (Detect_oracle.is_clean db psi5_nf);
   let repaired = Repair.repair B.schema psi5_nf db in
-  check_bool "repaired by insertion" true (Detect.is_clean repaired psi5_nf)
+  check_bool "repaired by insertion" true (Detect_oracle.is_clean repaired psi5_nf)
 
 let test_report () =
   let report = Report.build B.dirty_db sigma_nf in
@@ -72,7 +72,7 @@ let test_report () =
 let test_cost_based_repair () =
   (* default costs: the dirty bank is fixed by updates/inserts, not deletes *)
   let repaired, spent = Repair.repair_min_cost ~max_rounds:8 B.schema sigma_nf B.dirty_db in
-  check_bool "clean" true (Detect.is_clean repaired sigma_nf);
+  check_bool "clean" true (Detect_oracle.is_clean repaired sigma_nf);
   check_bool "positive cost" true (spent > 0);
   check_bool "no tuples lost" true
     (Database.total_tuples repaired >= Database.total_tuples B.dirty_db);
@@ -82,14 +82,14 @@ let test_cost_based_repair () =
     Repair.repair_min_cost ~max_rounds:8 ~costs:cheap_delete B.schema sigma_nf
       B.dirty_db
   in
-  check_bool "clean via deletion" true (Detect.is_clean deleted sigma_nf);
+  check_bool "clean via deletion" true (Detect_oracle.is_clean deleted sigma_nf);
   check_bool "tuples removed" true
     (Database.total_tuples deleted < Database.total_tuples B.dirty_db)
 
 let test_alternatives_resolve () =
   (* every alternative plan for the phi3 violation resolves it *)
   let phi3_sigma = { Sigma.ncfds = Cfd.normalize B.phi3; ncinds = [] } in
-  let violations = Detect.detect B.dirty_db phi3_sigma in
+  let violations = Fast_detect.detect B.dirty_db phi3_sigma in
   check_int "one violation" 1 (List.length violations);
   let v = List.hd violations in
   let plans = Repair.alternatives B.schema v in
@@ -97,16 +97,10 @@ let test_alternatives_resolve () =
   List.iter
     (fun plan ->
       let db = List.fold_left Repair.apply B.dirty_db plan in
-      check_bool "plan resolves the violation" true (Detect.is_clean db phi3_sigma))
+      check_bool "plan resolves the violation" true (Detect_oracle.is_clean db phi3_sigma))
     (List.filter (fun p -> p <> []) plans)
 
-(* --- fast detection -------------------------------------------------------- *)
-
-let sort_pairs l =
-  List.sort
-    (fun (a1, b1) (a2, b2) ->
-      match Tuple.compare a1 a2 with 0 -> Tuple.compare b1 b2 | c -> c)
-    l
+(* --- fast detection against the pairwise oracle, order included -------------- *)
 
 let test_fast_detect_agrees_on_bank () =
   List.iter
@@ -115,32 +109,34 @@ let test_fast_detect_agrees_on_bank () =
         (fun cfd ->
           List.iter
             (fun nf ->
-              let naive = sort_pairs (Cfd.nf_violations db nf) in
-              let fast = sort_pairs (Fast_detect.cfd_violations db nf) in
               check_bool
                 (Printf.sprintf "fast CFD detection agrees on %s" nf.Cfd.nf_name)
                 true
-                (List.equal (fun (a1, b1) (a2, b2) -> Tuple.equal a1 a2 && Tuple.equal b1 b2) naive fast))
+                (List.equal
+                   (fun (a1, b1) (a2, b2) -> Tuple.equal a1 a2 && Tuple.equal b1 b2)
+                   (Cfd.nf_violations db nf)
+                   (Fast_detect.cfd_violations db nf)))
             (Cfd.normalize cfd))
         B.all_cfds;
       List.iter
         (fun cind ->
           List.iter
             (fun nf ->
-              let naive = List.sort Tuple.compare (Detect.cind_violations db nf) in
-              let fast = List.sort Tuple.compare (Fast_detect.cind_violations db nf) in
               check_bool
                 (Printf.sprintf "fast CIND detection agrees on %s" nf.Cind.nf_name)
                 true
-                (List.equal Tuple.equal naive fast))
+                (List.equal Tuple.equal
+                   (Detect_oracle.cind_violations db nf)
+                   (Fast_detect.cind_violations db nf)))
             (Cind.normalize cind))
         B.all_cinds)
     [ B.clean_db; B.dirty_db ]
 
 let test_fast_detect_whole_sigma () =
-  check_int "same violation count on the dirty bank"
-    (List.length (Detect.detect B.dirty_db sigma_nf))
-    (List.length (Fast_detect.detect B.dirty_db sigma_nf));
+  check_bool "same violations in the same order on the dirty bank" true
+    (Detect_oracle.same_violations
+       (Detect_oracle.detect B.dirty_db sigma_nf)
+       (Fast_detect.detect B.dirty_db sigma_nf));
   check_bool "clean db is clean (fast)" true (Fast_detect.is_clean B.clean_db sigma_nf)
 
 (* --- weak acyclicity -------------------------------------------------------- *)

@@ -22,10 +22,10 @@ let test_parse_check_clean_repair () =
   | Checking.Inconsistent -> Alcotest.fail "bank constraints are consistent"
   | Checking.Unknown _ -> Alcotest.fail "Checking should close the bank file");
   let db = ok_or_fail (Parser.database doc) in
-  let before = Detect.detect db nf in
+  let before = Fast_detect.detect db nf in
   check_int "two planted errors" 2 (List.length before);
   let repaired = Repair.repair ~max_rounds:8 doc.Parser.schema nf db in
-  check_bool "clean after repair" true (Detect.is_clean repaired nf)
+  check_bool "clean after repair" true (Detect_oracle.is_clean repaired nf)
 
 (* Flow 2: generate a workload, print it through the DSL, re-parse it, and
    confirm the round-tripped constraints behave identically. *)
@@ -137,7 +137,7 @@ let test_witness_is_clean () =
   let sigma = List.concat_map Cind.normalize B.all_cinds in
   let db = Witness.database B.schema sigma in
   check_bool "no CIND violations in the witness" true
-    (Detect.is_clean db { Sigma.ncfds = []; ncinds = sigma })
+    (Fast_detect.is_clean db { Sigma.ncfds = []; ncinds = sigma })
 
 (* Flow 6: CSV round-trip into violation detection. *)
 let test_csv_to_detection () =
@@ -147,7 +147,7 @@ let test_csv_to_detection () =
   let db = Database.set_relation (Database.empty B.schema) reparsed in
   let phi3 = { Sigma.ncfds = Cfd.normalize B.phi3; ncinds = [] } in
   check_int "t12's error survives the CSV round-trip" 1
-    (List.length (Detect.detect db phi3))
+    (List.length (Fast_detect.detect db phi3))
 
 let () =
   Alcotest.run "integration"

@@ -229,34 +229,38 @@ let prop_proof_search_complete seed =
       | Implication.Implied, None | Implication.Not_implied, Some _ -> false)
     sigma
 
-(* Fast detection must agree with the reference implementation on random
-   dirty databases. *)
+(* Dirty databases for the detection properties: small and very dirty, and
+   larger with a tenth of the fields corrupted (bigger X-groups). *)
+let dirty_databases seed schema =
+  List.map
+    (fun (tuples_per_rel, error_rate) ->
+      Workload.dirty_database (Rng.make (seed + 8)) schema ~tuples_per_rel ~error_rate)
+    [ (6, 0.3); (40, 0.1) ]
+
+(* Fast detection must return exactly the pairwise oracle's violation list,
+   order included: repair applies fixes in that order. *)
 let prop_fast_detect_agrees seed =
   let schema, sigma = make_workload ~consistent:false seed in
-  let db =
-    Workload.dirty_database (Rng.make (seed + 8)) schema ~tuples_per_rel:6
-      ~error_rate:0.3
-  in
   List.for_all
-    (fun nf ->
-      let norm l =
-        List.sort
-          (fun (a1, b1) (a2, b2) ->
-            match Conddep_relational.Tuple.compare a1 a2 with
-            | 0 -> Conddep_relational.Tuple.compare b1 b2
-            | c -> c)
-          l
-      in
-      norm (Cfd.nf_violations db nf)
-      = norm (Conddep_cleaning.Fast_detect.cfd_violations db nf))
-    sigma.Sigma.ncfds
-  && List.for_all
-       (fun nf ->
-         List.sort Conddep_relational.Tuple.compare
-           (Conddep_cleaning.Detect.cind_violations db nf)
-         = List.sort Conddep_relational.Tuple.compare
-             (Conddep_cleaning.Fast_detect.cind_violations db nf))
-       sigma.Sigma.ncinds
+    (fun db ->
+      Detect_oracle.same_violations (Detect_oracle.detect db sigma)
+        (Conddep_cleaning.Fast_detect.detect db sigma))
+    (dirty_databases seed schema)
+
+(* Repair driven by the grouped detector (one detection per round) must give
+   the database, and cost, of the same loop driven by the oracle. *)
+let prop_repair_matches_oracle seed =
+  let schema, sigma = make_workload ~consistent:false seed in
+  let printed db = Fmt.str "%a" Database.pp db in
+  List.for_all
+    (fun db ->
+      let repaired = Conddep_cleaning.Repair.repair schema sigma db in
+      let cheapest, cost = Conddep_cleaning.Repair.repair_min_cost schema sigma db in
+      let cheapest', cost' = Detect_oracle.repair_min_cost schema sigma db in
+      printed repaired = printed (Detect_oracle.repair schema sigma db)
+      && printed cheapest = printed cheapest'
+      && cost = cost')
+    (dirty_databases seed schema)
 
 (* View propagation is sound: when the base satisfies Σ, materialized views
    satisfy the propagated constraints. *)
@@ -337,6 +341,8 @@ let () =
             prop_chase_cfd_checking_sound;
           qtest ~count:40 "fast detection agrees with reference" seed_gen
             prop_fast_detect_agrees;
+          qtest ~count:20 "repair matches the oracle-driven loop" seed_gen
+            prop_repair_matches_oracle;
         ] );
       ( "normalization",
         [

@@ -670,9 +670,8 @@ let test_disabled_path_allocation_free () =
 
 let test_instrumented_counters_registered () =
   (* registration happens at module initialisation, so the module must be
-     linked — reference the detectors explicitly (nothing else here uses
-     them, and dune links only reachable modules) *)
-  ignore Conddep_cleaning.Detect.is_clean;
+     linked — reference the detector explicitly (nothing else here uses it,
+     and dune links only reachable modules) *)
   ignore Conddep_cleaning.Fast_detect.is_clean;
   let names = List.map fst (Telemetry.counter_snapshot ()) in
   List.iter
@@ -690,7 +689,7 @@ let test_instrumented_counters_registered () =
       "checking.preprocess.sccs";
       "checking.preprocess.pruned_indegree0";
       "checking.random.runs";
-      "detect.naive.tuples_scanned";
+      "detect.fast.tuples_scanned";
       "detect.fast.index_probes";
     ]
 
