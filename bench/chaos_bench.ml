@@ -1,9 +1,9 @@
 (* Supervision-under-chaos section: sweep fault schedules over the probe
    registry and write BENCH_chaos.json — rounds survived, retries spent,
-   degradations taken, and the supervision overhead on the 0-fault hot
-   path (supervised vs historical unsupervised run of the same check). *)
+   and the supervision overhead on the 0-fault hot path (supervised vs
+   unsupervised run of the same check). *)
 
-let supervised = { Supervise.Policy.retries = 2; degrade = true }
+let supervised = { Supervise.Policy.retries = 2 }
 
 (* Interleaved min-of-n for two rivals: alternating samples cancel slow
    drift (frequency scaling, GC debt) that back-to-back blocks pick up. *)
@@ -33,21 +33,18 @@ let fault_free =
 let run () =
   Util.header "Supervision under chaos (BENCH_chaos.json)";
   let m_retries = Telemetry.counter "supervise.retries" in
-  let m_degraded = Telemetry.counter "supervise.degraded" in
   let seed = 2026 and rounds = 25 in
-  let r0 = Telemetry.count m_retries and d0 = Telemetry.count m_degraded in
+  let r0 = Telemetry.count m_retries in
   let report = ref None in
   Util.with_series_metrics "chaos/sweep" (fun () ->
       report := Some (Chaos.sweep ~jobs:1 ~policy:supervised ~seed ~rounds ()));
   let report = Option.get !report in
   let retries = Telemetry.count m_retries - r0 in
-  let degradations = Telemetry.count m_degraded - d0 in
   let failures = List.length report.Chaos.failures in
   Util.row
     "sweep: %d round(s): %d identical, %d degraded-to-unknown, %d \
-     failure(s); retries=%d degradations=%d@."
-    rounds report.Chaos.survived report.Chaos.unknowns failures retries
-    degradations;
+     failure(s); retries=%d@."
+    rounds report.Chaos.survived report.Chaos.unknowns failures retries;
   let baseline () =
     ignore
       (Chaos.baseline_verdict ~jobs:1 ~policy:Supervise.Policy.default
@@ -75,7 +72,6 @@ let run () =
   j oc "  \"degraded_to_unknown\": %d,\n" report.Chaos.unknowns;
   j oc "  \"failures\": %d,\n" failures;
   j oc "  \"retries\": %d,\n" retries;
-  j oc "  \"degradations\": %d,\n" degradations;
   j oc "  \"zero_fault_unsupervised_s\": %.6f,\n" off;
   j oc "  \"zero_fault_supervised_s\": %.6f,\n" on_;
   j oc "  \"zero_fault_overhead\": %.4f,\n" overhead;

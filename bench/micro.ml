@@ -246,8 +246,8 @@ let parallel_section () =
   in
   Util.row "verdicts bit-identical across jobs counts: %b@." identical;
   (* batch facade overhead: [check_many] at jobs=1 must track N singleton
-     [check] calls (the cost model keeps jobs=1 and tiny batches off the
-     pool entirely), and its verdicts must be bit-identical to theirs *)
+     [check] calls (at jobs=1 the fan-out is a plain loop with no domain),
+     and its verdicts must be bit-identical to theirs *)
   let bschema, bsigma = needle_workload ~seed:5 ~relations:4 ~cinds:8 in
   let n_batch = 8 in
   let sigmas = List.init n_batch (fun _ -> bsigma) in
@@ -335,8 +335,7 @@ let parallel_section () =
 
    The needle RandomChecking workload of [parallel_section], run under the
    profiler at jobs 1 and 4: a per-span (calls, total, self) breakdown per
-   jobs count, the artifact that tells the parallel-batching and CDCL work
-   where the 0.42x fan-out actually goes (task bodies vs pool waits vs
+   jobs count: where the fan-out's time goes (run bodies vs
    preprocessing).  Coverage is the profiled self-time sum over wall
    clock; above 1.0 under --jobs it reads as average active domains. *)
 

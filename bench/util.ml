@@ -84,20 +84,19 @@ let series points f =
   let jobs = !bench_jobs in
   if jobs <= 1 then List.iter f points
   else
-    Parallel.with_pool ~jobs (fun pool ->
-        Parallel.map pool
-          (fun p ->
-            let buf = Buffer.create 1024 in
-            let bppf = Format.formatter_of_buffer buf in
-            let saved = Domain.DLS.get out_key in
-            Domain.DLS.set out_key bppf;
-            Fun.protect
-              ~finally:(fun () ->
-                Format.pp_print_flush bppf ();
-                Domain.DLS.set out_key saved)
-              (fun () -> f p);
-            buf)
-          points)
+    Parallel.map ~jobs
+      (fun p ->
+        let buf = Buffer.create 1024 in
+        let bppf = Format.formatter_of_buffer buf in
+        let saved = Domain.DLS.get out_key in
+        Domain.DLS.set out_key bppf;
+        Fun.protect
+          ~finally:(fun () ->
+            Format.pp_print_flush bppf ();
+            Domain.DLS.set out_key saved)
+          (fun () -> f p);
+        buf)
+      points
     |> List.iter (fun buf ->
            print_string (Buffer.contents buf);
            flush stdout)

@@ -167,20 +167,10 @@ let batch_arg =
           "Additional constraint file to check in the same batch \
            (repeatable).  All files must declare the same schema.  The \
            batch shares one seed split, one interner warm-up and one \
-           work-stealing domain pool across files; each file's verdict \
+           fan-out across files; each file's verdict \
            is identical to a standalone $(b,check) of that file with its \
            split of the seed, and the exit code is the worst per-file \
            code.")
-
-let chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Batch items per work-stealing task (default: chosen by the \
-           cost model from the batch size and $(b,--jobs)).  Only \
-           meaningful with $(b,--batch).")
 
 let print_check_verdict = function
   | Cind_api.Yes (Some db) ->
@@ -202,7 +192,7 @@ let print_check_verdict = function
       print_exhaustion_forensics ();
       exit_undetermined
 
-let check_run path batch chunk seed k backend =
+let check_run path batch seed k backend =
   let paths = path :: batch in
   let docs = List.map load paths in
   let doc0 = List.hd docs in
@@ -225,7 +215,7 @@ let check_run path batch chunk seed k backend =
         (Cind_api.check ~backend ~k ~rng:(Rng.make seed) schema nf)
   | nfs ->
       let verdicts =
-        Cind_api.check_many ~backend ?chunk ~k ~rng:(Rng.make seed) schema nfs
+        Cind_api.check_many ~backend ~k ~rng:(Rng.make seed) schema nfs
       in
       List.fold_left2
         (fun code p v ->
@@ -235,8 +225,7 @@ let check_run path batch chunk seed k backend =
 
 let check_term =
   Term.(
-    const check_run $ file_arg $ batch_arg $ chunk_arg $ seed_arg $ k_arg
-    $ backend_arg)
+    const check_run $ file_arg $ batch_arg $ seed_arg $ k_arg $ backend_arg)
 
 let check_doc = "Check the consistency of the constraint set (Checking, Fig 9)."
 
@@ -961,10 +950,9 @@ let chaos_cmd =
               check with 1-3 probe sites armed to fail after a random number \
               of hits, a random number of times (transient faults retries \
               can get past, or permanent ones).  The supervised run must \
-              return the bit-identical verdict or degrade to a typed \
-              unknown; a $(i,different) definitive answer fails the round.  \
-              The sweep honours the global $(b,--retries), \
-              $(b,--no-degrade) and $(b,--jobs) flags.";
+              return the bit-identical verdict or a typed unknown; a \
+              $(i,different) definitive answer fails the round.  The sweep \
+              honours the global $(b,--retries) and $(b,--jobs) flags.";
          ])
     Term.(
       const run $ seed_arg
@@ -1030,7 +1018,6 @@ type globals = {
   g_fuel : int option;
   g_jobs : int option;
   g_retries : int option;
-  g_no_degrade : bool;
 }
 
 (* The global --profile takes an output FILE whose extension picks the
@@ -1089,7 +1076,6 @@ let extract_globals argv =
         match jobs_of n with
         | Ok j -> go { g with g_jobs = j } rest
         | Error _ as e -> e)
-    | "--no-degrade" :: rest -> go { g with g_no_degrade = true } rest
     | [ "--retries" ] -> Error "option --retries needs an argument"
     | "--retries" :: n :: rest -> (
         match retries_of n with
@@ -1139,7 +1125,6 @@ let extract_globals argv =
       g_fuel = None;
       g_jobs = None;
       g_retries = None;
-      g_no_degrade = false;
     }
     argv
 
@@ -1203,26 +1188,14 @@ let setup_jobs ~jobs =
   | Some j -> Parallel.set_default_jobs j
   | None -> ()
 
-(* Unlike the library (whose default keeps supervision off so embedded
-   callers see historical behaviour), the tool defaults to the supervised
-   policy: transient faults are retried and the fallback ladder may step
-   to slower verdict-identical paths.  --retries 0 --no-degrade restores
-   the unsupervised library behaviour. *)
-let setup_supervision ~retries ~no_degrade =
-  let base = Supervise.Policy.supervised in
+(* Unlike the library (whose default never retries), the tool defaults to
+   the supervised policy: transient faults are retried once.  --retries 0
+   restores the library behaviour. *)
+let setup_supervision ~retries =
   Supervise.Policy.set_ambient
-    {
-      Supervise.Policy.retries =
-        Option.value ~default:base.Supervise.Policy.retries retries;
-      degrade = (not no_degrade) && base.Supervise.Policy.degrade;
-    }
-
-(* Every ladder step taken anywhere in the run, reported once at exit so
-   a degraded-but-answered invocation is visible, not silent. *)
-let report_degradations () =
-  List.iter
-    (fun d -> Fmt.epr "cindtool: degraded: %a@." Supervise.pp_degradation d)
-    (Supervise.degradation_trail ())
+    (match retries with
+    | Some retries -> { Supervise.Policy.retries }
+    | None -> Supervise.Policy.supervised)
 
 (* --- main --------------------------------------------------------------------- *)
 
@@ -1252,8 +1225,8 @@ let () =
         "$(b,--jobs) $(i,N) (anywhere on the command line) sets the \
          process-wide domain count for the randomized consistency \
          heuristics (default 1, or the $(b,JOBS) environment variable): \
-         $(b,check-consistency) fans its K random runs across the domains \
-         and races the chase and SAT backends; $(b,gen) accepts the flag \
+         $(b,check-consistency) fans its K random runs across the \
+         domains, and $(b,check --batch) its files; $(b,gen) accepts the flag \
          like every global so generated-then-checked pipelines can pass it \
          uniformly (generation itself is deterministic from $(b,--seed)).  \
          Verdicts, witnesses and exit codes are identical to $(b,--jobs 1) \
@@ -1262,7 +1235,7 @@ let () =
         "$(b,--profile) $(i,FILE) (anywhere on the command line) enables the \
          profiler and writes $(i,FILE) at exit: with a $(b,.json) extension, \
          a Chrome Trace Event file (open in chrome://tracing or Perfetto; \
-         one track per worker domain under $(b,--jobs)); with $(b,.folded), \
+         one track per domain under $(b,--jobs)); with $(b,.folded), \
          folded stacks for $(b,flamegraph.pl)/$(b,inferno).  The extension \
          is required — it selects the format (and keeps the flag distinct \
          from $(b,gen)'s own $(b,--profile) option).  See also the \
@@ -1270,19 +1243,12 @@ let () =
       `P
         "$(b,--retries) $(i,N) (anywhere on the command line) allows up to \
          $(i,N) supervised re-runs of an operation that failed transiently \
-         (an injected fault, a local allocation ceiling) before the \
-         fallback ladder steps down.  Each re-run replays the same random \
+         (an injected fault, a local allocation ceiling) before it answers \
+         undetermined (exit 3).  Each re-run replays the same random \
          seed, so a successful retry returns the bit-identical verdict the \
          fault-free run would have produced.  Default 1; $(b,--retries 0) \
          disables retrying.  Definitive verdicts and deterministic budget \
          give-ups are never retried.";
-      `P
-        "$(b,--no-degrade) (anywhere on the command line) disables the \
-         degradation ladder (parallel to sequential, SAT to chase).  By \
-         default, when retries are exhausted the tool steps down to the \
-         next slower verdict-identical path and reports each step at exit as $(b,cindtool: degraded: ...) on stderr; with \
-         this flag the failure surfaces immediately as an undetermined \
-         answer (exit 3).";
     ]
   in
   let info =
@@ -1305,7 +1271,7 @@ let () =
       setup_profiling ~profile:g.g_profile ~table:profile_table;
       setup_guard ~timeout:g.g_timeout ~fuel:g.g_fuel;
       setup_jobs ~jobs:g.g_jobs;
-      setup_supervision ~retries:g.g_retries ~no_degrade:g.g_no_degrade;
+      setup_supervision ~retries:g.g_retries;
       let argv = Array.of_list (Sys.argv.(0) :: g.g_rest) in
       let group =
         Cmd.group info
@@ -1346,6 +1312,5 @@ let () =
             Fmt.epr "cindtool: internal error: %s@." (Printexc.to_string e);
             exit_usage
       in
-      report_degradations ();
       (* cmdliner's CLI-error code is 124; fold it into the uniform scheme *)
       exit (if code = 124 || code = 123 || code = 125 then exit_usage else code)

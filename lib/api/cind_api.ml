@@ -18,11 +18,6 @@ let pp_verdict ppf = function
 
 type backend = Cfd_checking.backend = Chase_backend | Sat_backend
 
-(* Layers that don't take an explicit [?policy] still honour the ambient
-   one; scoping it here gives the facade its uniform option. *)
-let with_policy policy f =
-  match policy with None -> f () | Some p -> Supervise.Policy.with_ambient p f
-
 let of_checking = function
   | Checking.Consistent db -> Yes (Some db)
   | Checking.Inconsistent -> No
@@ -34,15 +29,14 @@ let check ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd ?recorder
     (Checking.check ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd
        ?recorder ~rng schema sigma)
 
-let check_many ?backend ?budget ?policy ?jobs ?chunk ?config ?k ?k_cfd
-    ~rng schema sigmas =
+let check_many ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd ~rng schema
+    sigmas =
   List.map of_checking
-    (Checking.check_many ?backend ?budget ?policy ?jobs ?chunk ?config
-       ?k ?k_cfd ~rng schema sigmas)
+    (Checking.check_many ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd
+       ~rng schema sigmas)
 
-let random_check ?budget ?policy ?jobs ?config ?k ?k_cfd ?seed_rels
-    ~rng schema sigma =
-  with_policy policy @@ fun () ->
+let random_check ?budget ?jobs ?config ?k ?k_cfd ?seed_rels ~rng schema
+    sigma =
   match
     Random_checking.check ?budget ?config ?k ?k_cfd ?seed_rels ?jobs
       ~rng schema sigma
@@ -68,20 +62,20 @@ let of_consistent_rel ?avoid schema ~rel = function
          exhaustion lands here. *)
       Unknown Guard.Fuel
 
-let consistent ?(backend = Chase_backend) ?budget ?policy ?avoid ?k_cfd ?recorder
-    ~rng schema cfds ~rel =
+let consistent ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ?recorder ~rng
+    schema cfds ~rel =
   match
-    Cfd_checking.consistent_rel ~backend ?policy ?budget ?avoid ?k_cfd
-      ?recorder ~rng schema cfds ~rel
+    Cfd_checking.consistent_rel ~backend ?budget ?avoid ?k_cfd ?recorder ~rng
+      schema cfds ~rel
   with
   | r -> of_consistent_rel ?avoid schema ~rel r
   | exception Guard.Exhausted r -> Unknown r
 
-let consistent_many ?(backend = Chase_backend) ?budget ?policy ?jobs ?chunk
-    ?avoid ?k_cfd ~rng schema cfds ~rels =
+let consistent_many ?(backend = Chase_backend) ?budget ?jobs ?avoid ?k_cfd
+    ~rng schema cfds ~rels =
   let results =
-    Cfd_checking.consistent_many ~backend ?policy ?budget ?avoid
-      ?k_cfd ?jobs ?chunk ~rng schema cfds ~rels
+    Cfd_checking.consistent_many ~backend ?budget ?avoid ?k_cfd ?jobs ~rng
+      schema cfds ~rels
   in
   List.map2
     (fun rel -> function
@@ -94,22 +88,17 @@ let of_outcome = function
   | Implication.Not_implied -> No
   | Implication.Undetermined r -> Unknown r
 
-let implies ?budget ?policy ?max_states ?recorder schema ~sigma psi =
-  with_policy policy @@ fun () ->
+let implies ?budget ?max_states ?recorder schema ~sigma psi =
   of_outcome (Implication.decide ?budget ?max_states ?recorder schema ~sigma psi)
 
-let implies_many ?budget ?policy ?jobs ?chunk ?max_states schema ~sigma goals =
-  with_policy policy @@ fun () ->
+let implies_many ?budget ?jobs ?max_states schema ~sigma goals =
   List.map of_outcome
-    (Implication.implies_many ?budget ?max_states ?jobs ?chunk schema ~sigma
-       goals)
+    (Implication.implies_many ?budget ?max_states ?jobs schema ~sigma goals)
 
-let implies_cfd ?budget ?policy ?max_nodes schema ~sigma phi =
-  with_policy policy @@ fun () ->
+let implies_cfd ?budget ?max_nodes schema ~sigma phi =
   of_outcome (Cfd_implication.decide ?budget ?max_nodes schema ~sigma phi)
 
-let preprocess ?backend ?budget ?policy ?k_cfd ~rng schema sigma =
-  with_policy policy @@ fun () ->
+let preprocess ?backend ?budget ?k_cfd ~rng schema sigma =
   match Preprocessing.run ?backend ?budget ?k_cfd ~rng schema sigma with
   | Preprocessing.Consistent db -> Yes (Some db)
   | Preprocessing.Inconsistent -> No

@@ -6,11 +6,13 @@ open Conddep_consistency
 (** The single stable entry point for drivers ([bin/], [bench/],
     external users).  Every decision procedure in the library is exposed
     here as a three-valued {!verdict} with a uniform option set —
-    [?budget] (shared {!Guard} budget, default ambient), [?policy]
-    (supervision, default ambient), [?jobs] (domains for the
-    work-stealing runtime, default {!Parallel.default_jobs}, wherever a
-    call fans out) — plus a [_many] batch form wherever the underlying
-    layer offers one.
+    [?budget] (shared {!Guard} budget, default ambient) everywhere,
+    [?jobs] (domains for the {!Parallel} fork-join, default
+    {!Parallel.default_jobs}) wherever a call fans out, and [?policy]
+    (supervised retry, default ambient) on the two Checking entry points,
+    the only layer that reads it — plus a [_many] batch form wherever the
+    underlying layer offers one.  Options a layer would ignore are not
+    offered.
 
     The facade never changes answers: every function is a thin,
     documented mapping onto the corresponding [lib/core] /
@@ -62,9 +64,8 @@ val check :
 (** Full pipeline (Fig 9): preProcessing + per-component RandomChecking.
     [Yes (Some db)] carries the verified witness; [No] is definitive
     (the Fig 7 reduction emptied the dependency graph); [Unknown r]
-    found no witness within the budgets.  [jobs >= 2] additionally races
-    the chase and SAT backends as a portfolio when no [backend] is
-    forced.  [recorder] collects the read set for incremental callers
+    found no witness within the budgets.  [jobs] fans out RandomChecking's
+    K runs; the answer is the same at any jobs count.  [recorder] collects the read set for incremental callers
     (see {!Read_set}).  Maps {!Checking.check}. *)
 
 val check_many :
@@ -72,7 +73,6 @@ val check_many :
   ?budget:Guard.t ->
   ?policy:Supervise.Policy.t ->
   ?jobs:int ->
-  ?chunk:int ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -84,13 +84,12 @@ val check_many :
     bit-identical (including the witness) to
     [check ~rng:(List.nth (Rng.split_n rng N) i) ... (List.nth sigmas i)]
     at any jobs count; the batch shares one policy/budget resolution, one
-    interner warm-up and one work-stealing pool ([chunk] items per task).
+    interner warm-up and one {!Parallel.map} fan-out over the items.
     Maps {!Checking.check_many}; see there for the shared-budget
     caveat. *)
 
 val random_check :
   ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
   ?jobs:int ->
   ?config:Chase.config ->
   ?k:int ->
@@ -109,7 +108,6 @@ val random_check :
 val consistent :
   ?backend:backend ->
   ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   ?recorder:Read_set.t ->
@@ -130,9 +128,7 @@ val consistent :
 val consistent_many :
   ?backend:backend ->
   ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
   ?jobs:int ->
-  ?chunk:int ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   rng:Rng.t ->
@@ -149,7 +145,6 @@ val consistent_many :
 
 val implies :
   ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
   ?max_states:int ->
   ?recorder:Read_set.t ->
   Db_schema.t ->
@@ -164,9 +159,7 @@ val implies :
 
 val implies_many :
   ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
   ?jobs:int ->
-  ?chunk:int ->
   ?max_states:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
@@ -174,12 +167,11 @@ val implies_many :
   verdict list
 (** Batch {!implies} of many goals against one Σ, compiling Σ once and
     fanning the (rng-free, hence trivially deterministic) per-goal
-    searches over the work-stealing pool.  Maps
+    searches out with {!Parallel.map}.  Maps
     {!Implication.implies_many}. *)
 
 val implies_cfd :
   ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
   ?max_nodes:int ->
   Db_schema.t ->
   sigma:Cfd.nf list ->
@@ -193,7 +185,6 @@ val implies_cfd :
 val preprocess :
   ?backend:backend ->
   ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
   ?k_cfd:int ->
   rng:Rng.t ->
   Db_schema.t ->

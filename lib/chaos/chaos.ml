@@ -24,7 +24,6 @@ type round_report = {
   r_faulty : string;
   r_ok : bool;
   r_retries : int;
-  r_degradations : int;
 }
 
 type report = {
@@ -63,7 +62,7 @@ let workload sched =
   in
   (schema, sigma)
 
-let default_policy = { Supervise.Policy.retries = 2; degrade = true }
+let default_policy = { Supervise.Policy.retries = 2 }
 
 let run_check ?jobs ?policy sched =
   let policy = Option.value ~default:default_policy policy in
@@ -99,7 +98,6 @@ let round ?jobs ?policy sched =
   Telemetry.incr m_rounds;
   let baseline = baseline_verdict ?jobs ?policy sched in
   let retries0 = Telemetry.count m_retries in
-  let trail0 = List.length (Supervise.degradation_trail ()) in
   let faulty = run_verdict ?jobs ?policy sched in
   let ok = String.equal faulty baseline || is_unknown faulty in
   if not ok then Telemetry.incr m_failures;
@@ -109,7 +107,6 @@ let round ?jobs ?policy sched =
     r_faulty = faulty;
     r_ok = ok;
     r_retries = Telemetry.count m_retries - retries0;
-    r_degradations = List.length (Supervise.degradation_trail ()) - trail0;
   }
 
 (* --- the sweep --- *)
@@ -364,11 +361,11 @@ let pp_round ppf r =
     else if r.r_ok then "degraded-to-unknown"
     else "VERDICT CHANGED"
   in
-  Format.fprintf ppf "round %d [%s]: %s (retries=%d degradations=%d arms=%s)"
+  Format.fprintf ppf "round %d [%s]: %s (retries=%d arms=%s)"
     r.r_schedule.s_round status
     (if r.r_ok then abbreviate r.r_faulty
      else abbreviate r.r_baseline ^ " -> " ^ abbreviate r.r_faulty)
-    r.r_retries r.r_degradations
+    r.r_retries
     (String.concat ","
        (List.map
           (fun a -> Printf.sprintf "%s@%d/%d" a.site a.after a.times)

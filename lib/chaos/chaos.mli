@@ -40,7 +40,6 @@ type round_report = {
   r_faulty : string;  (** verdict under the armed schedule *)
   r_ok : bool;  (** baseline-identical, or a typed Unknown *)
   r_retries : int;  (** supervise.retries delta (needs telemetry enabled) *)
-  r_degradations : int;  (** degradation-trail entries appended *)
 }
 
 type report = {
@@ -72,10 +71,9 @@ val sweep :
   unit ->
   report
 (** [rounds] randomized schedules drawn from [seed]: per round a fresh
-    workload, a random probe subset of {!Guard.all_probes} (pool-teardown
-    sites included), random countdowns and fire counts.  Deterministic:
-    the same seed yields the same schedules and, at any [jobs] count, the
-    same verdicts. *)
+    workload, a random probe subset of {!Guard.all_probes}, random
+    countdowns and fire counts.  Deterministic: the same seed yields the
+    same schedules and, at any [jobs] count, the same verdicts. *)
 
 val shrink_with : fails:(schedule -> bool) -> schedule -> schedule
 (** Minimise a failing schedule while [fails] still holds: drop arms one

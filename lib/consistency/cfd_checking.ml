@@ -222,55 +222,41 @@ type witness =
   | No_tuple
   | Gave_up
 
-let consistent_rel ?(backend = Chase_backend) ?policy ?budget ?avoid ?k_cfd
-    ?recorder ~rng schema cfds ~rel =
+let consistent_rel ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ?recorder
+    ~rng schema cfds ~rel =
   let cfds_on_rel = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) cfds in
   Read_set.record_rel recorder rel;
   List.iter (Read_set.record_cfd recorder) cfds_on_rel;
-  let via_chase () =
-    Telemetry.incr m_chase_calls;
-    let compiled = List.map (Chase.compile_cfd schema) cfds_on_rel in
-    match
-      check_template_outcome ?budget ?k_cfd ?avoid ~rng compiled
-        (Chase.seed_tuple schema ~rel)
-    with
-    | Contradiction -> No_tuple
-    | Exhausted_k -> Gave_up
-    | Instantiated db -> (
-        match Template.tuples db rel with [ t ] -> Tuple t | _ -> assert false)
-  in
   match backend with
-  | Chase_backend -> via_chase ()
+  | Chase_backend -> (
+      Telemetry.incr m_chase_calls;
+      let compiled = List.map (Chase.compile_cfd schema) cfds_on_rel in
+      match
+        check_template_outcome ?budget ?k_cfd ?avoid ~rng compiled
+          (Chase.seed_tuple schema ~rel)
+      with
+      | Contradiction -> No_tuple
+      | Exhausted_k -> Gave_up
+      | Instantiated db -> (
+          match Template.tuples db rel with [ t ] -> Tuple t | _ -> assert false))
   | Sat_backend -> (
       Telemetry.incr m_sat_calls;
       match consistent_rel_sat ?budget ?avoid schema cfds ~rel with
       | None -> No_tuple
       | Some tuple ->
           Tuple
-            (Array.map (fun v -> Template.C v) (Array.of_list (Tuple.to_list tuple)))
-      | exception Guard.Exhausted (Guard.Fault _ as r)
-        when (Supervise.Policy.resolve policy).Supervise.Policy.degrade
-             && Guard.state (Guard.resolve budget) = None ->
-          (* SAT -> chase ladder rung: the solver faulted but the shared
-             budget is intact, so fall back to the (slower, heuristic but
-             verdict-compatible) chase backend.  The SAT path consumed no
-             randomness, so the fallback sees exactly the rng stream the
-             chase backend would have. *)
-          Supervise.record_degradation ~stage:"cfd_checking" ~from_:"sat"
-            ~to_:"chase" ~reason:(Guard.reason_to_string r);
-          via_chase ())
+            (Array.map (fun v -> Template.C v) (Array.of_list (Tuple.to_list tuple))))
 
 (* Batch entry point: many relations against one Σ.  The batch shares a
    single grouping pass of the CFDs by relation (instead of one
-   [List.filter] over all of Σ per relation) and, when the cost model
-   says the batch is big enough, one domain pool whose work-stealing
-   deques balance the per-relation checks.  Item i is bit-identical to
+   [List.filter] over all of Σ per relation) and one {!Parallel.map}
+   fan-out over the per-relation checks.  Item i is bit-identical to
    [consistent_rel] on generator i of [Rng.split_n rng N]; a per-item
    [Guard.Exhausted] is caught into [Error reason] so one exhausted item
    (or a shared budget running dry mid-batch) cannot discard its
    siblings' finished answers. *)
-let consistent_many ?backend ?policy ?budget ?avoid ?k_cfd ?jobs ?chunk
-    ~rng schema cfds ~rels =
+let consistent_many ?backend ?budget ?avoid ?k_cfd ?jobs ~rng schema cfds
+    ~rels =
   let budget = Guard.resolve budget in
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
@@ -283,18 +269,12 @@ let consistent_many ?backend ?policy ?budget ?avoid ?k_cfd ?jobs ?chunk
         (nf :: Option.value ~default:[] (Hashtbl.find_opt by_rel nf.Cfd.nf_rel)))
     (List.rev cfds);
   let group rel = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
-  let n = List.length rels in
-  let items = List.combine (Rng.split_n rng n) rels in
-  let run_one (rng_i, rel) =
-    match
-      consistent_rel ?backend ?policy ~budget ?avoid ?k_cfd
-        ~rng:(Rng.copy rng_i) schema (group rel) ~rel
-    with
-    | t -> Ok t
-    | exception Guard.Exhausted r -> Error r
-  in
-  let plan = Parallel.estimate ?chunk ~tasks:n ~jobs () in
-  if not plan.Parallel.use_pool then List.map run_one items
-  else
-    Parallel.with_pool ~jobs (fun pool ->
-        Parallel.chunked_map pool ~chunk:plan.Parallel.chunk run_one items)
+  Parallel.map ~jobs
+    (fun (rng_i, rel) ->
+      match
+        consistent_rel ?backend ~budget ?avoid ?k_cfd ~rng:rng_i schema
+          (group rel) ~rel
+      with
+      | t -> Ok t
+      | exception Guard.Exhausted r -> Error r)
+    (List.combine (Rng.split_n rng (List.length rels)) rels)

@@ -5,7 +5,8 @@ open Conddep_chase
 (** Procedure CFD_Checking (Sections 5.2–5.3), in its two implementations
     compared in Fig 10(a): chase-based (heuristic, bounded by K_CFD random
     valuations of finite-domain variables) and SAT-based (complete, via the
-    DPLL solver standing in for SAT4j). *)
+    CDCL solver standing in for SAT4j).  There is no fallback between
+    them: a SAT fault surfaces as a fault. *)
 
 type backend =
   | Chase_backend
@@ -82,7 +83,6 @@ type witness =
 
 val consistent_rel :
   ?backend:backend ->
-  ?policy:Supervise.Policy.t ->
   ?budget:Guard.t ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
@@ -95,21 +95,17 @@ val consistent_rel :
 (** Uniform front-end: the instantiated tuple template τ(rel) satisfying
     CFD(rel), a definitive [No_tuple], or [Gave_up] (chase backend only —
     the SAT backend is complete).  A [recorder] notes [rel] and the CFDs
-    on [rel] (the only dependencies the verdict can depend on).  When
-    [policy] (default: the ambient {!Supervise.Policy}) allows
-    degradation and the SAT backend raises an injected fault while the
-    shared [budget] is intact, the call falls back to the chase backend
-    (the SAT -> chase ladder rung) and records the step on the
-    degradation trail. *)
+    on [rel] (the only dependencies the verdict can depend on).
+    @raise Guard.Exhausted when the shared [budget] runs dry, or an armed
+    fault fires — the SAT backend's included, which never falls back to
+    the chase backend. *)
 
 val consistent_many :
   ?backend:backend ->
-  ?policy:Supervise.Policy.t ->
   ?budget:Guard.t ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   ?jobs:int ->
-  ?chunk:int ->
   rng:Rng.t ->
   Db_schema.t ->
   Cfd.nf list ->
@@ -119,6 +115,5 @@ val consistent_many :
     to [consistent_rel ~rng:(List.nth (Rng.split_n rng N) i) ... ~rel]
     at any [jobs] count; a per-item [Guard.Exhausted] becomes [Error r]
     instead of discarding finished siblings.  The batch shares one
-    grouping of [cfds] by relation and, when {!Parallel.estimate}
-    justifies domains, one pool balancing the items ([chunk] per task)
-    via work stealing; otherwise it is a plain sequential loop. *)
+    grouping of [cfds] by relation and one {!Parallel.map} fan-out over
+    the items ([jobs], default {!Parallel.default_jobs}). *)

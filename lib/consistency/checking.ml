@@ -21,8 +21,8 @@ let m_inconsistent = Telemetry.counter "checking.results_inconsistent" ~doc:"Che
 let m_unknown = Telemetry.counter "checking.results_unknown" ~doc:"Checking answers: budgets exhausted"
 let m_components_tried = Telemetry.counter "checking.components_tried" ~doc:"weakly connected components run through RandomChecking"
 
-(* One full pipeline (preProcessing + per-component RandomChecking) with a
-   fixed backend. *)
+(* One full pipeline: preProcessing (with [backend], chase by default)
+   and per-component RandomChecking. *)
 let pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
     (sigma : Sigma.nf) =
   try
@@ -55,99 +55,19 @@ let pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
         try_components Guard.Fuel components
   with Guard.Exhausted r -> Unknown r
 
-(* Race the chase-based and SAT-based pipelines (Fig 10a's two backends as
-   a portfolio).  Soundness of the merge:
-   - [Consistent] is verified against Σ by either pipeline, so whichever
-     arrives is correct — a winner cancels the sibling;
-   - SAT-pipeline [Inconsistent] is definitive (the SAT backend is a
-     complete decision procedure for the single-tuple CFD problem, and
-     raises rather than answer under exhaustion), so it too cancels;
-   - chase-pipeline [Inconsistent] is heuristic (its CFD_Checking is
-     K_CFD-bounded, Fig 10b): it is held as provisional and reported only
-     if the SAT pipeline ends [Unknown].
-   The two verdicts cannot contradict: a verified witness proves Σ
-   consistent, which a sound SAT [Inconsistent] would refute. *)
-let check_race ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma =
-  (* Fixed split order: chase first, SAT second. *)
-  let rng_chase = Rng.split rng in
-  let rng_sat = Rng.split rng in
-  let inner_jobs = max 1 (jobs / 2) in
-  let recorded : result option array = [| None; None |] in
-  let arm i backend rng tok =
-    let child = Guard.child ~cancel:tok budget in
-    let r =
-      pipeline ~backend ~budget:child ?config ?k ?k_cfd ~jobs:inner_jobs
-        ~rng schema sigma
-    in
-    recorded.(i) <- Some r;
-    r
-  in
-  (* Only results the merge below reports *regardless of the sibling* may
-     cancel it: the chase witness (always preferred) and a SAT
-     [Inconsistent] (definitive, and a chase witness cannot contradict
-     it).  A SAT witness must NOT cancel the chase arm: the merge prefers
-     the chase witness when both pipelines produce one, so cancelling
-     chase would make the reported witness depend on which arm finished
-     first — jobs-count determinism requires waiting the chase arm out
-     and falling back to the SAT witness only when chase ends otherwise
-     (that fallback is deterministic too: chase's own outcome does not
-     depend on the race). *)
-  let definitive i =
-    match recorded.(i) with
-    | Some (Consistent _) -> i = 0
-    | Some Inconsistent -> i = 1 (* SAT only; chase Inconsistent is provisional *)
-    | _ -> false
-  in
-  let outcomes =
-    Parallel.with_pool ~jobs:2 (fun pool ->
-        Parallel.run_race pool ~cancel_rest:definitive
-          [
-            (fun tok -> arm 0 Cfd_checking.Chase_backend rng_chase tok);
-            (fun tok -> arm 1 Cfd_checking.Sat_backend rng_sat tok);
-          ])
-  in
-  let norm = function
-    | Ok r -> r
-    | Error (Guard.Exhausted r) -> Unknown r
-    | Error e -> raise e
-  in
-  match List.map norm outcomes with
-  | [ chase_r; sat_r ] -> (
-      match (chase_r, sat_r) with
-      (* Injected faults are never swallowed, not even by a verified
-         witness from the sibling — same invariant as [Guard.recoverable]. *)
-      | Unknown (Guard.Fault _ as f), _ | _, Unknown (Guard.Fault _ as f) ->
-          Unknown f
-      | Consistent db, _ -> Consistent db
-      | _, Consistent db -> Consistent db
-      | _, Inconsistent -> Inconsistent
-      | Inconsistent, Unknown _ -> Inconsistent
-      | Unknown r1, Unknown r2 ->
-          Unknown (match r1 with Guard.Fuel -> r2 | _ -> r1))
-  | _ -> assert false
-
-(* The degradation ladder, driven by [Supervise.Policy].  Rungs, fastest
-   first; every rung is verdict-identical to the one below it (the race
-   merge is deterministic):
-
-     parallel race (jobs >= 2)  ->  sequential pipeline
-
-   Within a rung, transient failures (injected faults, a local allocation
-   ceiling — never deterministic heuristic give-ups, which re-run
-   identically) are retried by [Supervise.with_retry]; each attempt
-   replays a snapshot of the entry rng, so a fault-free re-run yields the
-   bit-identical verdict the fault-free run would have produced at any
-   jobs count.  When retries run out, the ladder steps down one rung and
-   records the step on the degradation trail; the last rung's answer is
-   final.  The SAT -> chase rung lives below, in
-   [Cfd_checking.consistent_rel]. *)
+(* One path: [Supervise.with_retry] around one pipeline run.  Transient
+   failures (injected faults, a local allocation ceiling — never
+   deterministic heuristic give-ups, which re-run identically) are
+   retried; every attempt replays a copy of the entry generator, so a
+   fault-free re-run yields the bit-identical verdict the fault-free run
+   would have produced. *)
 let check ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ?recorder
     ~rng schema (sigma : Sigma.nf) =
   Telemetry.incr m_calls;
   (* Checking consults all of Σ (preProcessing walks the full dependency
      graph), so the read set is Σ itself plus every relation it mentions
-     — recorded up front, before the race arms spawn, so no recorder is
-     ever touched from a pool domain. *)
+     — recorded up front, so no recorder is ever touched from a spawned
+     domain. *)
   (match recorder with
   | None -> ()
   | Some _ ->
@@ -163,70 +83,24 @@ let check ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ?recorder
           Read_set.record_rel recorder f.Cfd.nf_rel)
         sigma.Sigma.ncfds);
   let budget = Guard.resolve budget in
-  let policy = Supervise.Policy.resolve policy in
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
   in
   Telemetry.with_span "checking.check" @@ fun () ->
-  let run_once ~jobs rng =
-    match backend with
-    | None when jobs >= 2 ->
-        check_race ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma
-    | _ -> pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma
-  in
+  let rng0 = Rng.copy rng in
   let result =
-    if policy.Supervise.Policy.retries = 0 && not policy.Supervise.Policy.degrade
-    then
-      (* Supervision off: exactly the historical path (and rng use), so
-         unsupervised callers and the 0-fault hot path pay nothing. *)
-      run_once ~jobs rng
-    else begin
-      (* Snapshot before anything else touches the stream: every attempt
-         on every rung replays the same generator state. *)
-      let rng0 = Rng.copy rng in
-      let transient r =
-        match r with
-        | Guard.Fault _ | Guard.Memory -> Guard.state budget = None
-        | Guard.Deadline | Guard.Fuel | Guard.Cancelled -> false
-      in
-      let rungs =
-        (if backend = None && jobs >= 2 then [ (jobs, "parallel") ] else [])
-        @ [ (1, "sequential") ]
-      in
-      let rec walk = function
-        | [] -> assert false
-        | (rung_jobs, name) :: rest -> (
-            let degrade_to reason =
-              match rest with
-              | (_, next) :: _ when policy.Supervise.Policy.degrade ->
-                  Supervise.record_degradation ~stage:"checking" ~from_:name
-                    ~to_:next ~reason;
-                  Some (walk rest)
-              | _ -> None
-            in
-            match
-              Supervise.with_retry ~policy ~rng ~budget (fun ~attempt:_ ->
-                  match run_once ~jobs:rung_jobs (Rng.copy rng0) with
-                  | (Consistent _ | Inconsistent) as v -> Supervise.Done v
-                  | Unknown r when transient r -> Supervise.Transient r
-                  | Unknown _ as v -> Supervise.Done v)
-            with
-            | Ok v -> v
-            | Error r -> (
-                match degrade_to (Guard.reason_to_string r) with
-                | Some v -> v
-                | None -> Unknown r)
-            | exception e -> (
-                (* A non-Exhausted exception out of a rung (e.g. a pool
-                   failure the rescue path could not absorb) degrades
-                   like a fault; on the last rung it propagates as the
-                   internal error it is. *)
-                match degrade_to (Printexc.to_string e) with
-                | Some v -> v
-                | None -> raise e))
-      in
-      walk rungs
-    end
+    match
+      Supervise.with_retry ?policy ~rng ~budget (fun ~attempt:_ ->
+          match
+            pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs
+              ~rng:(Rng.copy rng0) schema sigma
+          with
+          | Unknown r when Supervise.transient ~shared:budget r ->
+              Supervise.Transient r
+          | v -> Supervise.Done v)
+    with
+    | Ok v -> v
+    | Error r -> Unknown r
   in
   (match result with
   | Consistent _ -> Telemetry.incr m_consistent
@@ -249,44 +123,23 @@ let intern_schema schema =
         (Schema.attr_names (Db_schema.find schema rel)))
     (Db_schema.rel_names schema)
 
-(* Batch entry point: one schema, N dependency sets.  Item i behaves
-   bit-identically to [check ~jobs:1] on generator i of
-   [Rng.split_n rng N] — and [check] is jobs-invariant, so batch results
-   are bit-identical to N independent [check] calls at any jobs count.
-   What the batch shares: the policy/budget resolution, the interner
-   warm-up above, and one pool whose domain spawns are amortised over
-   every item (items are the coarse work units the work-stealing deques
-   balance; each item runs its own pipeline sequentially). *)
-let check_many ?backend ?budget ?config ?k ?k_cfd ?jobs ?chunk ?policy
-    ~rng schema (sigmas : Sigma.nf list) =
+(* Batch entry point: one schema, N dependency sets.  Item i is [check
+   ~jobs:1] on generator i of [Rng.split_n rng N] — and [check] is
+   jobs-invariant, so batch results are bit-identical to N independent
+   [check] calls at any jobs count.  What the batch shares: the
+   policy/budget resolution, the interner warm-up above, and one fan-out
+   whose items each run their own pipeline sequentially. *)
+let check_many ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ~rng schema
+    (sigmas : Sigma.nf list) =
   let budget = Guard.resolve budget in
   let policy = Supervise.Policy.resolve policy in
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
   in
   Telemetry.with_span "checking.check_many" @@ fun () ->
-  let n = List.length sigmas in
   intern_schema schema;
-  let items = List.combine (Rng.split_n rng n) sigmas in
-  (* Every attempt runs from a copy of the item's generator, so a batch
-     rung that partially consumed a stream can be replayed sequentially
-     with bit-identical results. *)
-  let run_one (rng_i, sigma_i) =
-    check ?backend ~budget ?config ?k ?k_cfd ~jobs:1 ~policy
-      ~rng:(Rng.copy rng_i) schema sigma_i
-  in
-  let plan = Parallel.estimate ?chunk ~tasks:n ~jobs () in
-  if not plan.Parallel.use_pool then List.map run_one items
-  else
-    try
-      Parallel.with_pool ~jobs (fun pool ->
-          Parallel.chunked_map pool ~chunk:plan.Parallel.chunk run_one items)
-    with
-    | Guard.Exhausted _ as e -> raise e
-    | e when policy.Supervise.Policy.degrade ->
-        (* The ladder's batch rung: a pool failure the rescue path could
-           not absorb degrades the whole batch to the sequential loop —
-           items re-run from their pristine generator copies. *)
-        Supervise.record_degradation ~stage:"checking.check_many"
-          ~from_:"pool" ~to_:"sequential" ~reason:(Printexc.to_string e);
-        List.map run_one items
+  Parallel.map ~jobs
+    (fun (rng_i, sigma_i) ->
+      check ?backend ~budget ?config ?k ?k_cfd ~jobs:1 ~policy ~rng:rng_i
+        schema sigma_i)
+    (List.combine (Rng.split_n rng (List.length sigmas)) sigmas)

@@ -35,27 +35,21 @@ val check :
     front, never from a pool domain — see {!Read_set} for the
     over-approximation contract).
 
-    [jobs] (default {!Parallel.default_jobs}): with [jobs >= 2] and no
-    forced [backend], the chase-based and SAT-based pipelines race as a
-    portfolio — a verified witness from either, or a definitive SAT
-    [Inconsistent], cancels the sibling; a chase [Inconsistent] (heuristic,
-    K_CFD-bounded) is reported only when the SAT side ends [Unknown].  The
-    remaining jobs fan each pipeline's RandomChecking runs.  With a forced
-    [backend], [jobs] only parallelises RandomChecking (whose verdict is
-    seed-deterministic at any jobs count).
+    [jobs] (default {!Parallel.default_jobs}) fans out RandomChecking's K
+    runs; the verdict and witness are identical at any [jobs] count.
+    Without a forced [backend], preProcessing uses the chase backend.
 
     [policy] (default: the ambient {!Supervise.Policy}, itself off unless
-    the caller — e.g. [cindtool] — enables it) supervises the run.
-    Transient failures (injected faults, a local allocation ceiling) are
-    retried with the same rng snapshot, so a fault-free re-run yields the
-    bit-identical fault-free verdict; when retries run out the ladder
-    degrades [parallel -> sequential] (each rung
-    verdict-identical, each step recorded on the
-    {!Supervise.degradation_trail}).  Deterministic give-ups — [Unknown
-    Fuel] from the paper's K / K_CFD caps, shared deadline or fuel
-    exhaustion — are never retried: re-running them is wasted work that
-    cannot change the answer.  With supervision off, the historical
-    behaviour (and rng consumption) is preserved exactly. *)
+    the caller — e.g. [cindtool] — enables it) supervises the run: one
+    pipeline run under {!Supervise.with_retry}.  Transient failures
+    (injected faults, a local allocation ceiling) are retried, each
+    attempt on a copy of the entry [rng], so a fault-free re-run yields
+    the bit-identical fault-free verdict; when retries run out the answer
+    is [Unknown] with the fault's reason.  Deterministic give-ups —
+    [Unknown Fuel] from the paper's K / K_CFD caps, shared deadline or
+    fuel exhaustion — are never retried: re-running them is wasted work
+    that cannot change the answer.  [rng] itself is only drawn from for
+    retry backoff jitter. *)
 
 val check_many :
   ?backend:Cfd_checking.backend ->
@@ -64,7 +58,6 @@ val check_many :
   ?k:int ->
   ?k_cfd:int ->
   ?jobs:int ->
-  ?chunk:int ->
   ?policy:Supervise.Policy.t ->
   rng:Rng.t ->
   Db_schema.t ->
@@ -75,20 +68,13 @@ val check_many :
     [check ~rng:(List.nth (Rng.split_n rng N) i) schema (List.nth sigmas
     i)] at any jobs count — the batch form changes wall-clock, never
     answers.  The batch shares one policy/budget resolution, one interner
-    warm-up over the schema, and one domain pool across all items; items
-    are the coarse tasks the work-stealing runtime balances ([chunk]
-    items per task, default {!Parallel.estimate}-chosen), and each item's
-    own pipeline runs sequentially.  With [jobs = 1] — or a batch too
-    small for {!Parallel.estimate} to justify domains — no pool is
-    created at all.
+    warm-up over the schema, and one {!Parallel.map} fan-out across the
+    items; each item's own pipeline runs sequentially.
 
     A shared [budget] is drained by all items jointly (exhaustion is
     sticky, so items after the cut answer [Unknown] quickly); pass
     per-item budgets via N singleton calls when strict sequential
-    budget-equivalence matters.  If the pool itself fails (beyond what
-    crash isolation absorbs) and [policy] allows degradation, the batch
-    re-runs sequentially — recorded on the degradation trail as
-    [checking.check_many: pool -> sequential]. *)
+    budget-equivalence matters. *)
 
 val to_bool : result -> bool
 (** The paper's boolean answer: [true] only for [Consistent]. *)

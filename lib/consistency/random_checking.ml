@@ -82,13 +82,13 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
     in
     if seed_rels = [] then Unknown Guard.Fuel
     else begin
-      (* One run.  In first-success terms (least submission index wins):
+      (* One run.  In first-success terms (least run index wins):
          - [Some (Ok db)]   — verified witness: stop, answer Consistent;
          - [Some (Error r)] — the child budget's deadline / fuel pool /
            parent cancellation ran dry, or a fault fired: these are the
            shared limits, so stop and answer Unknown;
          - [None]           — the run failed on its own local limits (or
-           was cancelled as a racing loser): keep trying. *)
+           was cancelled because a lower run stopped): keep trying. *)
       let attempt run_rng tok =
         let child = Guard.child ~cancel:tok budget in
         Telemetry.incr m_runs;
@@ -113,54 +113,22 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
             None
         | exception Guard.Exhausted r -> Some (Error r)
       in
-      (* The cost model decides up front whether this fan-out is worth a
-         pool at all: at jobs = 1 — or for a K too small to amortise
-         domain spawns — the runs execute as a plain sequential loop with
-         no pool, no tokens plumbing and no task traffic, so the small
-         case pays exactly the single-threaded cost.  Either way the
-         generator stream is split one run at a time in submission order:
-         splitting wave by wave (or run by run) from the same stream
-         yields exactly the per-run generators one big [split_n] would,
-         so run i is reproducible at any jobs count and any chunk size;
-         least-index selection within a wave composes with the sequential
-         wave order into global least-index selection. *)
-      let plan = Parallel.estimate ~tasks:k ~jobs () in
+      (* Run i draws the i-th split of a copy of [rng], pulled lazily in
+         run order, and the least-indexed stopping run wins — so the
+         verdict and witness are the sequential loop's at any jobs
+         count.  Afterwards [rng] is left where that loop leaves it: one
+         split per run, through the stopping one. *)
+      let runs = Rng.copy rng in
       let outcome =
-        if not plan.Parallel.use_pool then
-          let rec go remaining =
-            if remaining <= 0 then None
-            else
-              match Rng.split_n rng 1 with
-              | [ run_rng ] -> (
-                  match attempt run_rng (Guard.token ()) with
-                  | Some _ as stop -> stop
-                  | None -> go (remaining - 1))
-              | _ -> assert false
-          in
-          go k
-        else
-          (* Fan the K runs out in chunked waves of a few chunk-loads per
-             runner rather than materialising K generators (and tokens) up
-             front — K can be set very large when the caller governs by
-             deadline instead. *)
-          let wave = min k (plan.Parallel.chunk * jobs * 4) in
-          Parallel.with_pool ~jobs (fun pool ->
-              let rec waves remaining =
-                if remaining <= 0 then None
-                else
-                  let c = min wave remaining in
-                  match
-                    Parallel.chunked_first_success pool
-                      ~chunk:plan.Parallel.chunk attempt (Rng.split_n rng c)
-                  with
-                  | Some _ as stop -> stop
-                  | None -> waves (remaining - c)
-              in
-              waves k)
+        Parallel.first_success ~jobs k (fun () -> Rng.split runs) attempt
       in
+      let used = match outcome with Some (i, _) -> i + 1 | None -> k in
+      for _ = 1 to used do
+        ignore (Rng.split rng)
+      done;
       match outcome with
-      | Some (Ok db) -> Consistent db
-      | Some (Error r) -> Unknown r
+      | Some (_, Ok db) -> Consistent db
+      | Some (_, Error r) -> Unknown r
       | None ->
           (* K exhausted: the heuristic gave up on its own step budget. *)
           Guard.reraise_if_spent budget;

@@ -31,12 +31,14 @@ val check :
     restricts the starting relation (used per component by Checking);
     [budget] (default: ambient) bounds the whole search.
 
-    [jobs] (default {!Parallel.default_jobs}) fans the K runs across a
-    domain pool; the first verified witness (in run order) cancels the
-    rest.  Each run draws from its own {!Rng.split_n} generator and the
-    winner is selected by least run index, so the verdict — and the
-    witness — for a fixed seed is identical at any [jobs] count (telemetry
-    counts are not: losers do a hardware-dependent amount of work before
-    observing cancellation). *)
+    [jobs] (default {!Parallel.default_jobs}) fans the K runs out with
+    {!Parallel.first_success}; a stopping run cancels the runs above it.
+    Run i draws the i-th {!Rng.split} of [rng] and the winner is selected
+    by least run index, so the verdict — and the witness — for a fixed
+    seed is identical at any [jobs] count, and [rng] is left where the
+    sequential loop leaves it: one split per run, through the stopping
+    run, or K splits.  (Telemetry counts are not jobs-invariant: runs
+    above the winner do a hardware-dependent amount of work before
+    observing cancellation.) *)
 
 val to_bool : result -> bool

@@ -311,7 +311,7 @@ let decide ?budget ?(max_states = 50_000) ?recorder schema ~sigma psi =
   | compiled ->
       decide_compiled_core ~budget ~max_states ~recorder schema compiled psi
 
-let implies_many ?budget ?(max_states = 50_000) ?jobs ?chunk schema ~sigma goals =
+let implies_many ?budget ?(max_states = 50_000) ?jobs schema ~sigma goals =
   Telemetry.with_span "implication.implies_many" @@ fun () ->
   let budget = Guard.resolve budget in
   let jobs =
@@ -326,16 +326,9 @@ let implies_many ?budget ?(max_states = 50_000) ?jobs ?chunk schema ~sigma goals
   with
   | exception Guard.Exhausted r -> List.map (fun _ -> Undetermined r) goals
   | compiled ->
-      let run_one psi =
-        decide_compiled_core ~budget ~max_states ~recorder:None schema compiled
-          psi
-      in
-      let n = List.length goals in
-      let plan = Parallel.estimate ?chunk ~tasks:n ~jobs () in
-      if not plan.Parallel.use_pool then List.map run_one goals
-      else
-        Parallel.with_pool ~jobs (fun pool ->
-            Parallel.chunked_map pool ~chunk:plan.Parallel.chunk run_one goals)
+      Parallel.map ~jobs
+        (decide_compiled_core ~budget ~max_states ~recorder:None schema compiled)
+        goals
 
 (* --- finite-domain-free restriction ---------------------------------------- *)
 

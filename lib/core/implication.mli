@@ -79,15 +79,13 @@ val implies_many :
   ?budget:Guard.t ->
   ?max_states:int ->
   ?jobs:int ->
-  ?chunk:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
   Cind.nf list ->
   outcome list
 (** Batch {!decide} over many goals against one Σ.  The batch
     canonicalises and compiles Σ exactly once (the genuinely shared half
-    of each call) and — when {!Parallel.estimate} justifies domains for
-    [jobs] (default {!Parallel.default_jobs}) and the goal count — fans
-    the per-goal searches out over a work-stealing pool, [chunk] goals
-    per task.  The procedure is rng-free, so outcome i is identical to
+    of each call) and fans the per-goal searches out with {!Parallel.map}
+    over [jobs] domains (default {!Parallel.default_jobs}).  The
+    procedure is rng-free, so outcome i is identical to
     [decide schema ~sigma (List.nth goals i)] at any jobs count. *)

@@ -35,8 +35,7 @@
     fuel), and the result is three-valued — under limits the solver
     degrades to [Unknown] with a structured reason, never to a wrong
     [Sat]/[Unsat].  Branching is fully deterministic (activity with
-    variable-index tie-break); the solver consumes no randomness, which the
-    supervision ladder's SAT-to-chase degradation relies on.
+    variable-index tie-break); the solver consumes no randomness.
 
     Observability: beyond the pre-existing counters ([sat.solve_calls],
     [sat.decisions], [sat.propagations], [sat.conflicts], [sat.restarts],

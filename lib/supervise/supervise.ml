@@ -1,6 +1,6 @@
 (* Resilience layer between Guard and the engines: retry with
-   deterministic fuel-slice backoff, the process supervision policy, and
-   the degradation trail.  See supervise.mli for the contract. *)
+   deterministic fuel-slice backoff and the process supervision policy.
+   See supervise.mli for the contract. *)
 
 let m_retries =
   Telemetry.counter "supervise.retries"
@@ -10,62 +10,20 @@ let m_gave_up =
   Telemetry.counter "supervise.gave_up"
     ~doc:"supervised operations that exhausted their retry allowance"
 
-let m_degraded =
-  Telemetry.counter "supervise.degraded"
-    ~doc:"ladder fallbacks to a slower verdict-identical path"
-
 module Policy = struct
-  type t = { retries : int; degrade : bool }
+  type t = { retries : int }
 
-  let default = { retries = 0; degrade = false }
-  let supervised = { retries = 1; degrade = true }
+  let default = { retries = 0 }
+  let supervised = { retries = 1 }
 
   (* Process-global, not domain-local: the CLI sets it once before any
-     fan-out, and pool workers must see the same policy as the
-     submitting caller. *)
+     fan-out, and spawned domains must see the same policy as the
+     caller. *)
   let cell = Atomic.make default
   let ambient () = Atomic.get cell
   let set_ambient p = Atomic.set cell p
-
-  let with_ambient p f =
-    let saved = Atomic.get cell in
-    Atomic.set cell p;
-    Fun.protect ~finally:(fun () -> Atomic.set cell saved) f
-
   let resolve = function Some p -> p | None -> ambient ()
 end
-
-(* --- degradation trail --- *)
-
-type degradation = {
-  d_stage : string;
-  d_from : string;
-  d_to : string;
-  d_reason : string;
-}
-
-let trail_mutex = Mutex.create ()
-let trail_rev : degradation list ref = ref []
-
-let record_degradation ~stage ~from_ ~to_ ~reason =
-  Telemetry.incr m_degraded;
-  Mutex.lock trail_mutex;
-  trail_rev := { d_stage = stage; d_from = from_; d_to = to_; d_reason = reason } :: !trail_rev;
-  Mutex.unlock trail_mutex
-
-let degradation_trail () =
-  Mutex.lock trail_mutex;
-  let t = List.rev !trail_rev in
-  Mutex.unlock trail_mutex;
-  t
-
-let clear_trail () =
-  Mutex.lock trail_mutex;
-  trail_rev := [];
-  Mutex.unlock trail_mutex
-
-let pp_degradation ppf d =
-  Format.fprintf ppf "%s: %s -> %s (%s)" d.d_stage d.d_from d.d_to d.d_reason
 
 (* --- retry --- *)
 
@@ -78,32 +36,19 @@ let transient ~shared r =
   | Guard.Fault _ | Guard.Memory -> Guard.state shared = None
   | Guard.Deadline | Guard.Fuel | Guard.Cancelled -> false
 
-type backoff = {
-  base_cost : int;
-  multiplier : int;
-  max_cost : int;
-  jitter : int;
-}
+(* Backoff slice before re-attempt [attempt + 1], in fuel: 64 doubling
+   per attempt, capped at 4096, plus 0..16 of jitter from [rng]. *)
+let base_cost = 64
+let max_cost = 4096
+let jitter = 16
 
-let default_backoff = { base_cost = 64; multiplier = 2; max_cost = 4096; jitter = 16 }
-
-let with_retry ?policy ?(backoff = default_backoff) ?rng ~budget f =
+let with_retry ?policy ?rng ~budget f =
   let policy = Policy.resolve policy in
   let slice attempt =
-    (* Capped exponential in the attempt number, plus deterministic
-       rng-seeded jitter — fuel, not wall clock, so tests stay fast and
-       a near-dry budget turns the backoff into the give-up it is. *)
-    let rec grow c n =
-      if n <= 0 || c >= backoff.max_cost then min c backoff.max_cost
-      else grow (c * max 1 backoff.multiplier) (n - 1)
-    in
-    let base = grow (max 1 backoff.base_cost) attempt in
-    let jit =
-      match rng with
-      | Some rng when backoff.jitter > 0 -> Rng.int rng (backoff.jitter + 1)
-      | _ -> 0
-    in
-    base + jit
+    (* Fuel, not wall clock, so tests stay fast and a near-dry budget
+       turns the backoff into the give-up it is. *)
+    let base = min max_cost (base_cost lsl min attempt 16) in
+    base + match rng with Some rng -> Rng.int rng (jitter + 1) | None -> 0
   in
   let run attempt =
     let body () = try f ~attempt with Guard.Exhausted r -> Transient r in

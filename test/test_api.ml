@@ -7,7 +7,7 @@ module B = Conddep_fixtures.Bank
 
 (* Batch facade equivalence: every [_many] entry point must be
    bit-identical — verdicts AND witnesses — to the corresponding sequence
-   of singleton calls, at any jobs count and chunking.  Witnesses are
+   of singleton calls, at any jobs count.  Witnesses are
    compared through their full printed databases.  All runs use unlimited
    ambient budgets, so the GUARD_FAULTS sweep (whose armed faults fire at
    governed probes) leaves the equalities intact. *)
@@ -63,20 +63,13 @@ let test_check_many_equivalence () =
           (Cind_api.check_many ~jobs ~k:6 ~rng:(Rng.make 77) schema sigmas)
       in
       check_shows (Printf.sprintf "check_many jobs=%d" jobs) singles got)
-    [ 1; 4 ];
-  (* forced fine-grained chunking must not change anything either *)
-  let chunked =
-    List.map show
-      (Cind_api.check_many ~jobs:4 ~chunk:1 ~k:6 ~rng:(Rng.make 77) schema
-         sigmas)
-  in
-  check_shows "chunk=1 identical" singles chunked
+    [ 1; 2; 4 ]
 
 (* --- implies_many ------------------------------------------------------- *)
 
 let test_implies_many_equivalence () =
   let sigma = B.implication_sigma in
-  (* members + the composed goal, doubled to cross the pool threshold *)
+  (* members + the composed goal, doubled *)
   let goals = B.implication_goal :: sigma in
   let goals = goals @ goals in
   let singles =
@@ -104,7 +97,7 @@ let test_consistent_many_equivalence () =
   in
   let cfds = sigma.Sigma.ncfds in
   let rels = Db_schema.rel_names schema in
-  let rels = rels @ rels (* past the pool threshold at jobs=4 *) in
+  let rels = rels @ rels in
   let singles =
     List.map2
       (fun rng rel -> show (Cind_api.consistent ~k_cfd:8 ~rng schema cfds ~rel))

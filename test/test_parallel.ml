@@ -3,50 +3,75 @@ open Conddep_consistency
 open Conddep_generator
 open Helpers
 
-(* The domain pool and the parallel checking paths: deterministic fork-join
-   and racing combinators, cooperative cancellation of race losers, pool
-   shutdown under fault injection, and — the property the whole design
-   hangs on — bit-identical verdicts and witnesses at any [jobs] count. *)
+(* The fork-join runtime and the parallel checking paths: results by
+   index, least-index failure selection, cooperative cancellation above a
+   stopping run, real failures raised inside items, and — the property
+   the whole design hangs on — bit-identical verdicts and witnesses (and
+   generator positions) at any [jobs] count. *)
 
-(* --- pool combinators -------------------------------------------------------- *)
+(* --- combinators -------------------------------------------------------------- *)
 
 let test_map_order () =
-  let xs = List.init 40 Fun.id in
-  let expect = List.map (fun i -> i * i) xs in
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check (list int))
-        "submission order" expect
-        (Parallel.map pool (fun i -> i * i) xs));
-  (* jobs = 1 runs inline on the caller; same contract *)
-  Parallel.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check (list int))
-        "inline pool" expect
-        (Parallel.map pool (fun i -> i * i) xs))
+  (* empty, single-item (no domain), and more items than runners *)
+  List.iter
+    (fun n ->
+      let xs = List.init n Fun.id in
+      let expect = List.map (fun i -> i * 3) xs in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "n=%d jobs=%d" n jobs)
+            expect
+            (Parallel.map ~jobs (fun i -> i * 3) xs))
+        [ 1; 2; 4 ])
+    [ 0; 1; 2; 7 ]
 
 let test_map_least_exception () =
-  (* several tasks raise; map must surface the least-indexed failure *)
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      match
-        Parallel.map pool
-          (fun i -> if i mod 2 = 1 then failwith (string_of_int i) else i)
-          (List.init 8 Fun.id)
-      with
-      | (_ : int list) -> Alcotest.fail "odd tasks raise"
-      | exception Failure s -> check_string "least index" "1" s)
+  (* several items raise; map must surface the least-indexed failure *)
+  List.iter
+    (fun (n, fails, least) ->
+      List.iter
+        (fun jobs ->
+          match
+            Parallel.map ~jobs
+              (fun i -> if fails i then failwith (string_of_int i) else i)
+              (List.init n Fun.id)
+          with
+          | (_ : int list) -> Alcotest.fail "some items raise"
+          | exception Failure s ->
+              check_string (Printf.sprintf "n=%d jobs=%d" n jobs) least s)
+        [ 1; 4 ])
+    [ (8, (fun i -> i mod 2 = 1), "1") ]
+
+let counter () =
+  let calls = ref 0 in
+  ( calls,
+    fun () ->
+      let i = !calls in
+      incr calls;
+      i )
 
 let test_first_success_least_index () =
-  Parallel.with_pool ~jobs:4 (fun pool ->
+  List.iter
+    (fun jobs ->
+      (* later items also succeed, but the sequential loop would have
+         stopped at 4 — the least-index rule must select exactly that *)
+      let calls, next = counter () in
       let r =
-        Parallel.first_success pool
-          (fun i _tok -> if i >= 1 then Some i else None)
-          [ 0; 1; 2; 3 ]
+        Parallel.first_success ~jobs 8 next (fun i _tok ->
+            if i >= 4 then Some (i * 10) else None)
       in
-      (* 2 and 3 also succeed, but the sequential loop would have stopped
-         at 1 — the least-index rule must select exactly that *)
-      Alcotest.(check (option int)) "least Some wins" (Some 1) r;
-      Alcotest.(check (option int))
-        "all None is None" None
-        (Parallel.first_success pool (fun _ _ -> None) [ 0; 1; 2 ]))
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "jobs=%d least Some wins" jobs)
+        (Some (4, 40)) r;
+      if jobs = 1 then
+        check_int "jobs=1 pulls through the winner only" 5 !calls;
+      let _, next = counter () in
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "jobs=%d all None is None" jobs)
+        None
+        (Parallel.first_success ~jobs 3 next (fun _ _ -> None)))
+    [ 1; 2; 4 ]
 
 let test_default_jobs_clamped () =
   let saved = Parallel.default_jobs () in
@@ -56,142 +81,115 @@ let test_default_jobs_clamped () =
   Parallel.set_default_jobs 3;
   check_int "override visible" 3 (Parallel.default_jobs ())
 
-(* --- cancellation: race losers terminate via Guard.Cancelled ----------------- *)
+(* --- many items per runner ----------------------------------------------------- *)
+
+(* These cases keep the names they had when the pool split a batch into
+   chunks; each runner now pulls one index at a time, and the same
+   contracts must hold when every runner pulls many items. *)
+
+let test_many_items_map_order () =
+  let xs = List.init 97 Fun.id in
+  let expect = List.map (fun i -> i * 3) xs in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d" jobs)
+        expect
+        (Parallel.map ~jobs (fun i -> i * 3) xs))
+    [ 1; 2; 3; 4 ]
+
+let test_many_items_map_least_exception () =
+  (* every item from 3 on raises: the least submission index still wins *)
+  List.iter
+    (fun jobs ->
+      match
+        Parallel.map ~jobs
+          (fun i -> if i >= 3 then failwith (string_of_int i) else i)
+          (List.init 20 Fun.id)
+      with
+      | (_ : int list) -> Alcotest.fail "items >= 3 raise"
+      | exception Failure s ->
+          check_string (Printf.sprintf "jobs=%d least index" jobs) "3" s)
+    [ 1; 2; 4 ]
+
+let test_many_items_first_success () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "jobs=%d least success" jobs)
+        (Some (4, 4))
+        (Parallel.first_success ~jobs 64 (counter () |> snd) (fun i _tok ->
+             if i >= 4 then Some i else None)))
+    [ 1; 2; 3; 4 ]
+
+(* --- cancellation: runs above the winner terminate via Guard.Cancelled ------- *)
 
 let test_race_losers_cancelled () =
-  (* Task 0 returns promptly; the losers spin on a cancellable budget.
-     They can only exit through cooperative cancellation — the 10s
-     deadline is a safety net that turns a broken cancel path into a
+  (* Item 0 stops once items 1-3 are running; those spin on a cancellable
+     budget and can only exit through cooperative cancellation — the 10s
+     deadlines are a safety net that turns a broken cancel path into a
      visible wrong-reason failure rather than a hung test. *)
-  let loser tok =
-    let b = Guard.make ~cancel:tok ~timeout_s:10. () in
-    let rec spin () =
-      Guard.check b;
-      spin ()
-    in
-    spin ()
+  let started = Atomic.make 0 and cancelled = Atomic.make 0 in
+  let r =
+    Parallel.first_success ~jobs:4 4 (counter () |> snd) (fun i tok ->
+        let b = Guard.make ~cancel:tok ~timeout_s:10. () in
+        if i = 0 then begin
+          while Atomic.get started < 3 do
+            Guard.check b;
+            Stdlib.Domain.cpu_relax ()
+          done;
+          Some "winner"
+        end
+        else begin
+          Atomic.incr started;
+          try
+            while true do
+              Guard.check b
+            done;
+            None
+          with Guard.Exhausted Guard.Cancelled as e ->
+            Atomic.incr cancelled;
+            raise e
+        end)
   in
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      let results =
-        Parallel.run_race pool
-          ~cancel_rest:(fun i -> i = 0)
-          ((fun _tok -> "winner") :: List.init 3 (fun _ -> loser))
-      in
-      match results with
-      | [ Ok w; l1; l2; l3 ] ->
-          check_string "winner result" "winner" w;
-          List.iteri
-            (fun i l ->
-              match l with
-              | Error (Guard.Exhausted Guard.Cancelled) -> ()
-              | Error e ->
-                  Alcotest.failf "loser %d: expected Cancelled, got %s" (i + 1)
-                    (Printexc.to_string e)
-              | Ok _ -> Alcotest.failf "loser %d cannot finish" (i + 1))
-            [ l1; l2; l3 ]
-      | _ -> Alcotest.fail "four results in submission order")
+  Alcotest.(check (option (pair int string)))
+    "winner selected" (Some (0, "winner")) r;
+  check_int "every loser unwound through Cancelled" 3 (Atomic.get cancelled)
 
-(* --- shutdown: idempotent, also mid-fault ------------------------------------ *)
+(* --- real failures inside items, without GUARD_FAULTS ------------------------ *)
 
-let test_shutdown_idempotent () =
-  let pool = Parallel.create ~jobs:3 () in
-  ignore (Parallel.map pool Fun.id [ 1; 2; 3 ]);
-  Parallel.shutdown pool;
-  Parallel.shutdown pool;
-  (* second call is a no-op *)
-  Parallel.shutdown pool
-
-let test_shutdown_fault_injection () =
-  (* A fault armed at the shutdown probe must not leak worker domains or
-     break idempotence: the raise surfaces, the finaliser still joins the
-     workers, and a repeat call is a clean no-op. *)
-  let pool = Parallel.create ~jobs:3 () in
-  Guard.arm ~site:"parallel.pool.shutdown" Guard.Raise;
-  (Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-   match Parallel.shutdown pool with
-   | () -> Alcotest.fail "armed shutdown fault must fire"
-   | exception Guard.Exhausted (Guard.Fault s) ->
-       check_string "site" "parallel.pool.shutdown" s);
-  (* disarmed now: repeats are no-ops, no hang, no double-join *)
-  Parallel.shutdown pool;
-  Parallel.shutdown pool
-
-let test_with_pool_fault_preserves_failure () =
-  (* with_pool must not let a shutdown fault mask the body's own failure *)
-  Guard.arm ~site:"parallel.pool.shutdown" Guard.Raise;
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  match Parallel.with_pool ~jobs:2 (fun _ -> failwith "body") with
-  | (_ : unit) -> Alcotest.fail "body raises"
-  | exception Failure s -> check_string "original failure wins" "body" s
-
-(* --- crash isolation: rescue, breaker, respawn ------------------------------- *)
-
-let test_crashed_tasks_rescued_and_breaker_trips () =
-  (* every worker-level wrapper faults: each slot is rescued inline on the
-     caller, results stay complete and ordered, and the run of consecutive
-     faults trips the breaker to inline execution *)
-  Supervise.clear_trail ();
-  let pool = Parallel.create ~jobs:4 ~breaker_after:2 () in
-  Fun.protect ~finally:(fun () -> Guard.disarm_all (); Parallel.shutdown pool)
-  @@ fun () ->
-  Guard.arm ~site:"parallel.worker" Guard.Raise;
-  let xs = List.init 12 Fun.id in
-  let expect = List.map (fun i -> i * 7) xs in
-  Alcotest.(check (list int))
-    "all tasks complete despite crashing workers" expect
-    (Parallel.map pool (fun i -> i * 7) xs);
-  check_bool "breaker tripped" true (Parallel.breaker_tripped pool);
-  check_bool "pool degradation recorded" true
-    (List.exists
-       (fun d -> d.Supervise.d_stage = "parallel.pool")
-       (Supervise.degradation_trail ()));
-  (* post-breaker batches run inline: correct without any rescue *)
-  Alcotest.(check (list int))
-    "post-breaker map still correct" expect
-    (Parallel.map pool (fun i -> i * 7) xs);
-  (match Parallel.last_exhaustion pool with
-  | Some (Guard.Fault s) -> check_string "exhaustion site" "parallel.worker" s
-  | other ->
-      Alcotest.failf "expected Fault, got %s"
-        (match other with
-        | None -> "none"
-        | Some r -> Guard.reason_to_string r))
-
-let test_exhaustion_survives_shutdown () =
-  (* the sticky reason must not be lost when the pool is torn down with
-     the fault still in flight — the bug class this accessor exists for *)
-  let pool = Parallel.create ~jobs:2 () in
-  Guard.arm ~site:"parallel.worker" ~after:0 ~times:1 Guard.Raise;
-  (Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-   ignore (Parallel.map pool Fun.id (List.init 8 Fun.id)));
-  Parallel.shutdown pool;
-  match Parallel.last_exhaustion pool with
-  | Some (Guard.Fault s) ->
-      check_string "reason preserved across shutdown" "parallel.worker" s
-  | _ -> Alcotest.fail "exhaustion reason lost in teardown"
-
-let test_dead_workers_respawn () =
-  (* two fires at the worker-loop probe kill two domains between tasks;
-     the supervisor must respawn both and the pool keeps working *)
-  Guard.arm ~site:"parallel.worker.loop" ~after:0 ~times:2 Guard.Raise;
-  let pool = Parallel.create ~jobs:3 () in
-  Fun.protect ~finally:(fun () -> Guard.disarm_all (); Parallel.shutdown pool)
-  @@ fun () ->
-  (* deaths happen asynchronously in the dying domains' exit handlers;
-     poll briefly (bounded at ~5s so a broken supervisor fails, not hangs) *)
-  let rec await n =
-    if Parallel.respawn_count pool < 2 && n > 0 then begin
-      Unix.sleepf 0.001;
-      await (n - 1)
-    end
+let test_real_failures_least_index () =
+  (* Items raise Out_of_memory / Stack_overflow themselves: the caller
+     gets the least-indexed one, after every domain is joined, and the
+     next fan-out works normally. *)
+  let raise_at failures i =
+    match List.assoc_opt i failures with Some e -> raise e | None -> i
   in
-  await 5_000;
-  check_int "both deaths respawned" 2 (Parallel.respawn_count pool);
-  check_bool "no breaker trip for respawned deaths" false
-    (Parallel.breaker_tripped pool);
-  let xs = List.init 10 Fun.id in
-  Alcotest.(check (list int))
-    "pool still correct after respawns" xs (Parallel.map pool Fun.id xs)
+  let expect_exn what want f =
+    match f () with
+    | _ -> Alcotest.failf "%s: must raise" what
+    | exception e ->
+        check_string what (Printexc.to_string want) (Printexc.to_string e)
+  in
+  List.iter
+    (fun (failures, want) ->
+      expect_exn "map" want (fun () ->
+          Parallel.map ~jobs:4 (raise_at failures) (List.init 12 Fun.id));
+      expect_exn "first_success" want (fun () ->
+          Parallel.first_success ~jobs:4 12 (counter () |> snd) (fun i _ ->
+              ignore (raise_at failures i);
+              None));
+      Alcotest.(check (list int))
+        "the next map is correct" (List.init 12 Fun.id)
+        (Parallel.map ~jobs:4 Fun.id (List.init 12 Fun.id));
+      Alcotest.(check (option (pair int int)))
+        "the next first_success is correct" (Some (5, 5))
+        (Parallel.first_success ~jobs:4 12 (counter () |> snd) (fun i _ ->
+             if i >= 5 then Some i else None)))
+    [
+      ([ (3, Out_of_memory); (7, Stack_overflow) ], Out_of_memory);
+      ([ (2, Stack_overflow); (9, Out_of_memory) ], Stack_overflow);
+    ]
 
 (* --- verdict determinism across jobs counts ---------------------------------- *)
 
@@ -237,98 +235,56 @@ let describe_checking = function
   | Checking.Inconsistent -> "inconsistent"
   | Checking.Unknown r -> Fmt.str "unknown:%s" (Guard.reason_to_string r)
 
-let test_checking_race_identical () =
-  (* the full pipeline, backend racing included: same verdict at any jobs
-     count, for both a satisfiable and an unconstrained random Σ *)
+let test_checking_identical_sweep () =
+  (* the full pipeline with no forced backend: same verdict and witness at
+     jobs 1, 2 and 4 over a sweep of satisfiable and random Σ *)
   List.iter
-    (fun (consistent, seed) ->
-      let schema, sigma = gen_workload ~consistent seed in
-      let run jobs =
-        describe_checking (Checking.check ~jobs ~rng:(Rng.make 4) schema sigma)
-      in
-      let seq = run 1 in
-      check_string
-        (Fmt.str "seed %d jobs=4 identical" seed)
-        seq (run 4))
-    [ (true, 5); (false, 21) ]
+    (fun consistent ->
+      for seed = 1 to 60 do
+        let schema, sigma = gen_workload ~consistent seed in
+        let run jobs =
+          describe_checking
+            (Checking.check ~jobs ~rng:(Rng.make 4) schema sigma)
+        in
+        let seq = run 1 in
+        List.iter
+          (fun jobs ->
+            check_string
+              (Fmt.str "%s seed %d jobs=%d identical"
+                 (if consistent then "consistent" else "random")
+                 seed jobs)
+              seq (run jobs))
+          [ 2; 4 ]
+      done)
+    [ true; false ]
 
-(* --- work stealing: chunked combinators and the cost model ------------------ *)
-
-let test_chunked_map_order () =
-  let xs = List.init 97 Fun.id in
-  let expect = List.map (fun i -> i * 3) xs in
+let test_rng_position_identical () =
+  (* RandomChecking leaves the caller's generator where the sequential
+     loop does — one split per run through the stopping one — so a caller
+     that keeps drawing (Checking, across components) sees the same stream
+     at any jobs count *)
   List.iter
-    (fun chunk ->
-      Parallel.with_pool ~jobs:4 (fun pool ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "chunk=%d" chunk)
-            expect
-            (Parallel.chunked_map pool ~chunk (fun i -> i * 3) xs)))
-    [ 1; 2; 7; 97; 200 ]
-
-let test_chunked_map_least_exception () =
-  (* failures inside a chunk must still surface the least submission index *)
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      match
-        Parallel.chunked_map pool ~chunk:5
-          (fun i -> if i >= 3 then failwith (string_of_int i) else i)
-          (List.init 20 Fun.id)
-      with
-      | (_ : int list) -> Alcotest.fail "tasks >= 3 raise"
-      | exception Failure s -> check_string "least index" "3" s)
-
-let test_chunked_first_success_least_index () =
-  List.iter
-    (fun chunk ->
-      Parallel.with_pool ~jobs:4 (fun pool ->
-          let r =
-            Parallel.chunked_first_success pool ~chunk
-              (fun i _tok -> if i >= 4 then Some i else None)
-              (List.init 64 Fun.id)
-          in
-          Alcotest.(check (option int))
-            (Printf.sprintf "chunk=%d least success" chunk)
-            (Some 4) r))
-    [ 1; 3; 64 ]
-
-let test_estimate_thresholds () =
-  (* jobs=1 and tiny batches must stay off the pool entirely *)
-  check_bool "jobs=1 sequential" false
-    (Parallel.estimate ~tasks:1000 ~jobs:1 ()).Parallel.use_pool;
-  check_bool "tiny batch sequential" false
-    (Parallel.estimate ~tasks:3 ~jobs:4 ()).Parallel.use_pool;
-  check_bool "large batch pooled" true
-    (Parallel.estimate ~tasks:64 ~jobs:4 ()).Parallel.use_pool;
-  (* explicit chunk is respected; default chunk spreads tasks over jobs *)
-  check_int "explicit chunk" 7
-    (Parallel.estimate ~chunk:7 ~tasks:64 ~jobs:4 ()).Parallel.chunk;
-  let plan = Parallel.estimate ~tasks:64 ~jobs:4 () in
-  check_bool "default chunk positive" true (plan.Parallel.chunk >= 1);
-  check_bool "default chunk bounded" true (plan.Parallel.chunk <= 64);
-  (* raising min_tasks forces more workloads sequential *)
-  check_bool "min_tasks honoured" false
-    (Parallel.estimate ~min_tasks:100 ~tasks:64 ~jobs:4 ()).Parallel.use_pool
-
-let test_steals_counted () =
-  (* one long task pins the caller; the pool's other lanes drain the rest,
-     which (with round-robin submission) requires stealing.  The counter
-     is cumulative process state, so only its delta is asserted — and on
-     a 1-core host preemption may still let lane owners drain their own
-     deques, so the assertion is only that stealing never corrupts
-     results (order) while the counter stays monotone. *)
-  let steals () =
-    match List.assoc_opt "parallel.steals" (Telemetry.counter_snapshot ()) with
-    | Some n -> n
-    | None -> 0
-  in
-  let before = steals () in
-  let xs = List.init 48 Fun.id in
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check (list int))
-        "results in order" xs
-        (Parallel.chunked_map pool ~chunk:1 Fun.id xs));
-  let after = steals () in
-  check_bool "steal counter monotone" true (after >= before)
+    (fun (consistent, relations, constraints) ->
+      for seed = 1 to 60 do
+        let rng = Rng.make seed in
+        let schema =
+          Schema_gen.generate rng
+            { Schema_gen.default with num_relations = relations }
+        in
+        let gen = if consistent then Workload.consistent else Workload.random in
+        let sigma =
+          gen rng { Workload.default with num_constraints = constraints } schema
+        in
+        let next_draw jobs =
+          let rng = Rng.make 9 in
+          ignore (Random_checking.check ~jobs ~k:40 ~k_cfd:6 ~rng schema sigma);
+          Rng.int rng 1_000_000_000
+        in
+        check_int
+          (Fmt.str "relations=%d seed %d: next draw at jobs 4" relations seed)
+          (next_draw 1) (next_draw 4)
+      done)
+    [ (true, 4, 24); (false, 4, 24); (true, 8, 48); (false, 8, 48) ]
 
 let () =
   Alcotest.run "parallel"
@@ -347,37 +303,21 @@ let () =
       ( "work stealing",
         [
           Alcotest.test_case "chunked_map order at any chunk" `Quick
-            test_chunked_map_order;
+            test_many_items_map_order;
           Alcotest.test_case "chunked_map re-raises least index" `Quick
-            test_chunked_map_least_exception;
+            test_many_items_map_least_exception;
           Alcotest.test_case "chunked_first_success least index" `Quick
-            test_chunked_first_success_least_index;
-          Alcotest.test_case "estimate thresholds and chunking" `Quick
-            test_estimate_thresholds;
-          Alcotest.test_case "steal counter monotone, results exact" `Quick
-            test_steals_counted;
+            test_many_items_first_success;
         ] );
       ( "cancellation",
         [
           Alcotest.test_case "race losers terminate via Cancelled" `Quick
             test_race_losers_cancelled;
         ] );
-      ( "shutdown",
-        [
-          Alcotest.test_case "idempotent" `Quick test_shutdown_idempotent;
-          Alcotest.test_case "idempotent under fault injection" `Quick
-            test_shutdown_fault_injection;
-          Alcotest.test_case "with_pool preserves body failure" `Quick
-            test_with_pool_fault_preserves_failure;
-        ] );
       ( "crash isolation",
         [
-          Alcotest.test_case "crashed tasks rescued; breaker trips" `Quick
-            test_crashed_tasks_rescued_and_breaker_trips;
-          Alcotest.test_case "exhaustion reason survives shutdown" `Quick
-            test_exhaustion_survives_shutdown;
-          Alcotest.test_case "dead worker domains respawn" `Quick
-            test_dead_workers_respawn;
+          Alcotest.test_case "raised OOM / stack overflow: least index wins"
+            `Quick test_real_failures_least_index;
         ] );
       ( "determinism",
         [
@@ -385,7 +325,9 @@ let () =
             test_jobs_identical_witness;
           Alcotest.test_case "unknown reason identical at any jobs count" `Quick
             test_jobs_identical_unknown;
-          Alcotest.test_case "Checking backend race identical" `Quick
-            test_checking_race_identical;
+          Alcotest.test_case "Checking identical at jobs 1, 2, 4 (sweep)"
+            `Quick test_checking_identical_sweep;
+          Alcotest.test_case "caller rng position identical at jobs 1, 4"
+            `Quick test_rng_position_identical;
         ] );
     ]

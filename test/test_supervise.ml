@@ -3,12 +3,12 @@ open Conddep_consistency
 open Conddep_generator
 open Helpers
 
-(* The supervision layer: retry/backoff mechanics, the degradation
-   ladder, the probe registry, and the property the layer must never
-   violate — a retried or degraded run answers bit-identically to the
+(* The supervision layer: retry/backoff mechanics, faults that surface
+   without a fallback, the probe registry, and the property the layer
+   must never violate — a retried run answers bit-identically to the
    fault-free run, or with a typed Unknown, never differently. *)
 
-let policy ~retries ~degrade = { Supervise.Policy.retries; degrade }
+let policy ~retries = { Supervise.Policy.retries }
 
 let reason = Alcotest.testable Guard.pp_reason (fun a b -> a = b)
 let check_reason = Alcotest.check reason
@@ -19,7 +19,7 @@ let test_done_never_retried () =
   let budget = Guard.make () in
   let calls = ref 0 in
   (match
-     Supervise.with_retry ~policy:(policy ~retries:5 ~degrade:false) ~budget
+     Supervise.with_retry ~policy:(policy ~retries:5) ~budget
        (fun ~attempt ->
          incr calls;
          Supervise.Done (attempt, "verdict"))
@@ -33,7 +33,7 @@ let test_transient_then_done () =
   let budget = Guard.make () in
   let seen = ref [] in
   (match
-     Supervise.with_retry ~policy:(policy ~retries:3 ~degrade:false) ~budget
+     Supervise.with_retry ~policy:(policy ~retries:3) ~budget
        (fun ~attempt ->
          seen := attempt :: !seen;
          if attempt < 2 then Supervise.Transient (Guard.Fault "test.flaky")
@@ -47,7 +47,7 @@ let test_gives_up_after_retries () =
   let budget = Guard.make () in
   let calls = ref 0 in
   (match
-     Supervise.with_retry ~policy:(policy ~retries:2 ~degrade:false) ~budget
+     Supervise.with_retry ~policy:(policy ~retries:2) ~budget
        (fun ~attempt:_ ->
          incr calls;
          Supervise.Transient (Guard.Fault "test.permanent"))
@@ -60,7 +60,7 @@ let test_gives_up_after_retries () =
 let test_exhausted_is_caught_as_transient () =
   let budget = Guard.make () in
   let r =
-    Supervise.with_retry ~policy:(policy ~retries:1 ~degrade:false) ~budget
+    Supervise.with_retry ~policy:(policy ~retries:1) ~budget
       (fun ~attempt ->
         if attempt = 0 then raise (Guard.Exhausted (Guard.Fault "test.raise"))
         else Supervise.Done "recovered")
@@ -76,7 +76,7 @@ let test_backoff_spends_the_budget () =
   let budget = Guard.make ~fuel:100 () in
   let calls = ref 0 in
   (match
-     Supervise.with_retry ~policy:(policy ~retries:5 ~degrade:false) ~budget
+     Supervise.with_retry ~policy:(policy ~retries:5) ~budget
        (fun ~attempt:_ ->
          incr calls;
          Supervise.Transient (Guard.Fault "test.flaky"))
@@ -90,7 +90,7 @@ let test_spent_budget_never_retries () =
   (try Guard.tick ~cost:100 budget with Guard.Exhausted _ -> ());
   let calls = ref 0 in
   (match
-     Supervise.with_retry ~policy:(policy ~retries:5 ~degrade:false) ~budget
+     Supervise.with_retry ~policy:(policy ~retries:5) ~budget
        (fun ~attempt:_ ->
          incr calls;
          Supervise.Transient (Guard.Fault "test.flaky"))
@@ -142,7 +142,7 @@ let test_retry_determinism_across_jobs () =
      supervised retry replays the entry rng, so the recovered verdict is
      bit-identical to the fault-free baseline at jobs = 1 AND jobs = 4 *)
   let schema, sigma = gen_workload ~consistent:true 5 in
-  let p = policy ~retries:2 ~degrade:true in
+  let p = policy ~retries:2 in
   let baseline =
     describe (Checking.check ~jobs:1 ~policy:p ~rng:(Rng.make 2) schema sigma)
   in
@@ -157,12 +157,11 @@ let test_retry_determinism_across_jobs () =
   check_string "jobs=4 recovers the fault-free verdict" baseline (faulted 4)
 
 let test_permanent_fault_never_flips_to_definitive () =
-  (* an unlimited fault at the pipeline entry: every rung and every retry
-     re-faults, so the supervised answer must stay a typed Unknown — a
-     definitive verdict here would be fabricated *)
+  (* an unlimited fault at the pipeline entry: every retry re-faults, so
+     the supervised answer must stay a typed Unknown — a definitive
+     verdict here would be fabricated *)
   let schema, sigma = gen_workload ~consistent:true 5 in
-  let p = policy ~retries:2 ~degrade:true in
-  Supervise.clear_trail ();
+  let p = policy ~retries:2 in
   let v =
     with_arm ~site:"checking.check" (fun () ->
         describe
@@ -171,65 +170,27 @@ let test_permanent_fault_never_flips_to_definitive () =
   check_string "typed unknown, not an invented verdict"
     "unknown:fault:checking.check" v
 
-(* --- the degradation ladder ------------------------------------------------------ *)
+(* --- faults surface: no SAT -> chase fallback ----------------------------------- *)
 
-let test_ladder_records_each_step () =
+let test_sat_fault_surfaces () =
+  (* Without GUARD_FAULTS: an armed [sat.solve] must reach the caller as
+     the fault it is, at the CFD layer and through the whole pipeline *)
   let schema, sigma = gen_workload ~consistent:true 5 in
-  Supervise.clear_trail ();
-  let v =
-    with_arm ~site:"checking.check" (fun () ->
-        describe
-          (Checking.check ~jobs:4
-             ~policy:(policy ~retries:0 ~degrade:true)
-             ~rng:(Rng.make 2) schema sigma))
-  in
-  let steps =
-    List.map
-      (fun d -> (d.Supervise.d_stage, d.Supervise.d_from, d.Supervise.d_to))
-      (Supervise.degradation_trail ())
-  in
-  check_bool "exactly one parallel -> sequential step" true
-    (steps = [ ("checking", "parallel", "sequential") ]);
-  check_string "sequential is the last rung: typed unknown"
-    "unknown:fault:checking.check" v
-
-let test_no_degrade_stops_the_ladder () =
-  let schema, sigma = gen_workload ~consistent:true 5 in
-  Supervise.clear_trail ();
-  let (_ : string) =
-    with_arm ~site:"checking.check" (fun () ->
-        describe
-          (Checking.check ~jobs:4
-             ~policy:(policy ~retries:0 ~degrade:false)
-             ~rng:(Rng.make 2) schema sigma))
-  in
-  check_int "no ladder step without degrade" 0
-    (List.length (Supervise.degradation_trail ()))
-
-let test_sat_to_chase_rung () =
-  let schema, sigma = gen_workload ~consistent:true 5 in
-  let cfds = sigma.Conddep_core.Sigma.ncfds in
   let rel = List.hd (Db_schema.rel_names schema) in
-  let chase_r =
-    Cfd_checking.consistent_rel ~backend:Cfd_checking.Chase_backend
-      ~rng:(Rng.make 3) schema cfds ~rel
-  in
-  Supervise.clear_trail ();
-  let faulted =
-    with_arm ~site:"sat.solve" (fun () ->
-        Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
-          ~policy:(policy ~retries:0 ~degrade:true)
-          ~rng:(Rng.make 3) schema cfds ~rel)
-  in
-  let has_tuple = function Cfd_checking.Tuple _ -> true | _ -> false in
-  check_bool "fallback answers like the chase backend"
-    (has_tuple chase_r) (has_tuple faulted);
-  check_bool "sat -> chase recorded" true
-    (List.exists
-       (fun d ->
-         d.Supervise.d_stage = "cfd_checking" && d.Supervise.d_from = "sat"
-         && d.Supervise.d_to = "chase")
-       (Supervise.degradation_trail ()))
+  with_arm ~site:"sat.solve" (fun () ->
+      (match
+         Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
+           ~rng:(Rng.make 3) schema sigma.Conddep_core.Sigma.ncfds ~rel
+       with
+      | _ -> Alcotest.fail "consistent_rel: armed sat.solve must raise"
+      | exception Guard.Exhausted r ->
+          check_reason "consistent_rel raises the fault"
+            (Guard.Fault "sat.solve") r);
+      check_string "Checking answers the fault"
+        "unknown:fault:sat.solve"
+        (describe
+           (Checking.check ~backend:Cfd_checking.Sat_backend ~jobs:1
+              ~policy:(policy ~retries:2) ~rng:(Rng.make 2) schema sigma)))
 
 (* --- the probe registry ----------------------------------------------------------- *)
 
@@ -283,14 +244,10 @@ let () =
           Alcotest.test_case "permanent fault stays a typed Unknown" `Quick
             test_permanent_fault_never_flips_to_definitive;
         ] );
-      ( "ladder",
+      ( "faults",
         [
-          Alcotest.test_case "each step is recorded on the trail" `Quick
-            test_ladder_records_each_step;
-          Alcotest.test_case "--no-degrade semantics: ladder off" `Quick
-            test_no_degrade_stops_the_ladder;
-          Alcotest.test_case "SAT backend falls back to chase" `Quick
-            test_sat_to_chase_rung;
+          Alcotest.test_case "SAT fault surfaces, no chase fallback" `Quick
+            test_sat_fault_surfaces;
         ] );
       ( "registry",
         [
