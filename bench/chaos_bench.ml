@@ -37,7 +37,7 @@ let run () =
   let r0 = Telemetry.count m_retries in
   let report = ref None in
   Util.with_series_metrics "chaos/sweep" (fun () ->
-      report := Some (Chaos.sweep ~jobs:1 ~policy:supervised ~seed ~rounds ()));
+      report := Some (Chaos.sweep ~policy:supervised ~seed ~rounds ()));
   let report = Option.get !report in
   let retries = Telemetry.count m_retries - r0 in
   let failures = List.length report.Chaos.failures in
@@ -46,12 +46,10 @@ let run () =
      failure(s); retries=%d@."
     rounds report.Chaos.survived report.Chaos.unknowns failures retries;
   let baseline () =
-    ignore
-      (Chaos.baseline_verdict ~jobs:1 ~policy:Supervise.Policy.default
-         fault_free)
+    ignore (Chaos.baseline_verdict ~policy:Supervise.Policy.default fault_free)
   in
   let supervised_run () =
-    ignore (Chaos.baseline_verdict ~jobs:1 ~policy:supervised fault_free)
+    ignore (Chaos.baseline_verdict ~policy:supervised fault_free)
   in
   (* warm the interners and allocator before timing; each sample batches
      50 checks so the ~us timer noise amortizes below the effect size *)

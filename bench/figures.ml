@@ -22,8 +22,8 @@ let fig10a scale =
   let schema = Schema_gen.generate (Rng.make 1000) sconfig in
   let rels = Db_schema.rel_names schema in
   let reps = 3 in
-  series (Workloads.fig10a_cfds_per_relation scale)
-    (fun per_rel ->
+  Workloads.fig10a_cfds_per_relation scale
+  |> List.iter (fun per_rel ->
       with_series_metrics (Printf.sprintf "fig10a/cfds=%d" per_rel) @@ fun () ->
       let rng = Rng.make (1000 + per_rel) in
       let total = per_rel * sconfig.Schema_gen.num_relations in
@@ -68,8 +68,8 @@ let fig10b scale =
         | exception Cfd_consistency.Budget_exceeded -> None)
       rels
   in
-  series (Workloads.fig10b_kcfd scale)
-    (fun k_cfd ->
+  Workloads.fig10b_kcfd scale
+  |> List.iter (fun k_cfd ->
       with_series_metrics (Printf.sprintf "fig10b/kcfd=%d" k_cfd) @@ fun () ->
       let hits =
         List.length
@@ -112,8 +112,8 @@ let fig11_sweep ~consistent ~title ~series:series_name scale =
   row "%-14s %-18s %-18s %-14s %-14s@." "constraints" "random_acc(%)" "checking_acc(%)"
     "random(s)" "checking(s)";
   let trials = Workloads.trials scale in
-  Util.series (Workloads.fig11_num_constraints scale)
-    (fun n ->
+  Workloads.fig11_num_constraints scale
+  |> List.iter (fun n ->
       with_series_metrics (Printf.sprintf "%s/constraints=%d" series_name n) @@ fun () ->
       let results =
         List.init trials (fun i ->
@@ -150,8 +150,8 @@ let fig11d scale =
   let ratio = Workloads.fig11d_ratio scale in
   row "(constraints per relation: %d)@." ratio;
   row "%-12s %-14s %-14s %-14s@." "relations" "constraints" "random(s)" "checking(s)";
-  series (Workloads.fig11d_relations scale)
-    (fun nrels ->
+  Workloads.fig11d_relations scale
+  |> List.iter (fun nrels ->
       with_series_metrics (Printf.sprintf "fig11d/relations=%d" nrels) @@ fun () ->
       let sconfig = Workloads.schema_config ~num_relations:nrels scale in
       let sconfig = { sconfig with Schema_gen.num_relations = nrels } in
@@ -192,8 +192,8 @@ let detection scale =
     | Workloads.Full -> [ 50; 100; 200; 400; 800 ]
     | Workloads.Quick -> [ 20; 40; 80; 160 ]
   in
-  series sizes
-    (fun n ->
+  sizes
+  |> List.iter (fun n ->
       with_series_metrics (Printf.sprintf "detection/tuples=%d" n) @@ fun () ->
       let db = Workload.dirty_database (Rng.make n) schema ~tuples_per_rel:n ~error_rate:0.1 in
       let fast, fast_s = time (fun () -> Conddep_cleaning.Fast_detect.detect db sigma) in
@@ -212,8 +212,8 @@ let ablation_pool_size scale =
   row "%-6s %-16s %-12s@." "N" "accuracy(%)" "checking(s)";
   let trials = Workloads.trials scale in
   let n_constraints = List.hd (List.rev (Workloads.fig11_num_constraints scale)) in
-  series [ 1; 2; 4; 8 ]
-    (fun pool_size ->
+  [ 1; 2; 4; 8 ]
+  |> List.iter (fun pool_size ->
       with_series_metrics (Printf.sprintf "ablation-n/N=%d" pool_size) @@ fun () ->
       let config = { Conddep_chase.Chase.default_config with pool_size } in
       let results =
@@ -239,8 +239,8 @@ let ablation_backend scale =
   row "%-10s %-16s %-12s@." "backend" "accuracy(%)" "checking(s)";
   let trials = Workloads.trials scale in
   let n_constraints = List.hd (List.rev (Workloads.fig11_num_constraints scale)) in
-  series [ ("chase", Cind_api.Chase_backend); ("sat", Cind_api.Sat_backend) ]
-    (fun (name, backend) ->
+  [ ("chase", Cind_api.Chase_backend); ("sat", Cind_api.Sat_backend) ]
+  |> List.iter (fun (name, backend) ->
       with_series_metrics (Printf.sprintf "ablation-backend/%s" name) @@ fun () ->
       let results =
         List.init trials (fun i ->

@@ -6,17 +6,13 @@
      dune exec bench/main.exe -- --full       # paper-scale sweeps
      dune exec bench/main.exe -- fig10a micro # selected sections only
      dune exec bench/main.exe -- --timeout 30 # per-series deadline (secs)
-     dune exec bench/main.exe -- --jobs 4     # series points in parallel
 
    Sections: fig10a fig10b fig11a fig11c fig11d table1 table2
              ablation-n ablation-backend micro sat incremental chaos
 
    With --timeout, a series point that exceeds the deadline stops early
    and emits a `"timeout": true` metrics row instead of silently skewed
-   numbers.  With --jobs N, each section's series points run concurrently
-   on N domains with output buffered back into submission order; every
-   point still gets the full per-series timeout (the deadline starts when
-   the point starts running, not when it is queued). *)
+   numbers. *)
 
 let sections =
   [
@@ -52,17 +48,6 @@ let () =
             strip_opts rest
         | _ ->
             Fmt.epr "--timeout expects a positive number of seconds, got %S@." secs;
-            exit 2)
-    | [ "--jobs" ] ->
-        Fmt.epr "--jobs needs an argument (domain count)@.";
-        exit 2
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 ->
-            Util.bench_jobs := j;
-            strip_opts rest
-        | _ ->
-            Fmt.epr "--jobs expects a positive domain count, got %S@." n;
             exit 2)
     | [ "--profile" ] ->
         Fmt.epr "--profile needs an argument (FILE.json | FILE.folded)@.";

@@ -128,23 +128,21 @@ let tests () =
       (Staged.stage (fun () -> Sigma.holds B.dirty_db B.sigma));
   ]
 
-(* --- parallel execution + hot-path indexing micro section -------------------
+(* --- RandomChecking, batch and hot-path indexing micro section ---------------
 
    Measures the PR-tracked perf trajectory and writes it to
-   BENCH_parallel.json:
+   BENCH_parallel.json (the file keeps its historical name):
 
    - RandomChecking on the Fig 10(b) needle profile (per-relation secrets,
-     pattern-free CINDs — random search must grind through K runs) at
-     1 / 2 / 4 domains, same seed.  The K runs are independent, so on
-     multicore hardware wall-clock scales with the domain count; the
-     verdict is asserted bit-identical across jobs counts.  The JSON
-     records the machine's [recommended_domain_count] so a 1-core CI
-     container's flat numbers read as what they are.
-   - The indexed chase, single-threaded: an IND chase over a growing
-     relation whose witness checks go through the memoized projection
-     index.  The per-step O(|R|) witness scans it replaced are gone from
-     the library; their column repeats the time BENCH_parallel.json
-     recorded at rev 20ce52c, not a live run. *)
+     pattern-free CINDs — random search must grind through K runs).
+   - The batch facade: [check_many] over N copies of a needle Σ against N
+     singleton [check] calls on the same seed splits; verdicts must be
+     bit-identical and the batch must not cost more.
+   - The indexed chase: an IND chase over a growing relation whose
+     witness checks go through the memoized projection index.  The
+     per-step O(|R|) witness scans it replaced are gone from the library;
+     their column repeats the time BENCH_parallel.json recorded at rev
+     20ce52c, not a live run. *)
 
 let needle_schema_config relations =
   {
@@ -211,43 +209,27 @@ let indexing_workload ~n =
 
 let recorded_unindexed_s = 0.071474
 
-let parallel_section () =
-  Util.header "Parallel execution + hot-path indexing (BENCH_parallel.json)";
+let checking_section () =
+  Util.header "RandomChecking, batch and hot-path indexing (BENCH_parallel.json)";
   let schema, sigma = needle_workload ~seed:3 ~relations:8 ~cinds:20 in
   let k = 96 in
-  let check jobs =
-    Cind_api.random_check ~jobs ~k ~k_cfd:40 ~rng:(Rng.make 7) schema sigma
-  in
-  let verdict = function
-    | Cind_api.Yes (Some db) -> Fmt.str "consistent:%a" Database.pp db
-    | Cind_api.Yes None -> "consistent"
-    | Cind_api.No -> "no"
-    | Cind_api.Unknown r -> "unknown:" ^ Guard.reason_to_string r
-  in
-  let timings = ref [] in
   Util.row "%-28s %-12s %-10s@." "benchmark" "time(s)" "verdict";
-  List.iter
-    (fun jobs ->
-      Util.with_series_metrics (Printf.sprintf "micro-parallel/jobs=%d" jobs)
-      @@ fun () ->
-      let r, s = Util.time (fun () -> check jobs) in
-      timings := (Printf.sprintf "random_checking_needle_jobs%d_s" jobs, s) :: !timings;
+  let needle_s = ref 0. in
+  Util.with_series_metrics "micro-parallel/needle" (fun () ->
+      let r, s =
+        Util.time (fun () ->
+            Cind_api.random_check ~k ~k_cfd:40 ~rng:(Rng.make 7) schema sigma)
+      in
+      needle_s := s;
       Util.row "%-28s %-12.4f %-10s@."
-        (Printf.sprintf "needle k=%d jobs=%d" k jobs)
+        (Printf.sprintf "needle k=%d" k)
         s
         (match r with
         | Cind_api.Yes _ -> "consistent"
         | Cind_api.No -> "no"
-        | Cind_api.Unknown _ -> "unknown"))
-    [ 1; 2; 4 ];
-  let identical =
-    let v1 = verdict (check 1) in
-    List.for_all (fun jobs -> String.equal v1 (verdict (check jobs))) [ 2; 4 ]
-  in
-  Util.row "verdicts bit-identical across jobs counts: %b@." identical;
-  (* batch facade overhead: [check_many] at jobs=1 must track N singleton
-     [check] calls (at jobs=1 the fan-out is a plain loop with no domain),
-     and its verdicts must be bit-identical to theirs *)
+        | Cind_api.Unknown _ -> "unknown"));
+  (* batch facade overhead: [check_many] must track N singleton [check]
+     calls, and its verdicts must be bit-identical to theirs *)
   let bschema, bsigma = needle_workload ~seed:5 ~relations:4 ~cinds:8 in
   let n_batch = 8 in
   let sigmas = List.init n_batch (fun _ -> bsigma) in
@@ -257,31 +239,25 @@ let parallel_section () =
     | Cind_api.No -> "no"
     | Cind_api.Unknown r -> "unknown:" ^ Guard.reason_to_string r
   in
-  let batch jobs () =
+  let batch () =
     List.map show_verdict
-      (Cind_api.check_many ~jobs ~k:4 ~k_cfd:10 ~rng:(Rng.make 21) bschema
-         sigmas)
+      (Cind_api.check_many ~k:4 ~k_cfd:10 ~rng:(Rng.make 21) bschema sigmas)
   in
   let singletons () =
     List.map
-      (fun rng ->
-        show_verdict (Cind_api.check ~jobs:1 ~k:4 ~k_cfd:10 ~rng bschema bsigma))
+      (fun rng -> show_verdict (Cind_api.check ~k:4 ~k_cfd:10 ~rng bschema bsigma))
       (Rng.split_n (Rng.make 21) n_batch)
   in
   let vs, single_s = Util.time singletons in
-  let vb1, batch1_s = Util.time (batch 1) in
-  let vb4, batch4_s = Util.time (batch 4) in
-  let batch_identical = List.equal String.equal vs vb1 && List.equal String.equal vb1 vb4 in
-  let batch_overhead = if single_s > 0. then batch1_s /. single_s else Float.nan in
+  let vb, batch_s = Util.time batch in
+  let batch_identical = List.equal String.equal vs vb in
+  let batch_overhead = if single_s > 0. then batch_s /. single_s else Float.nan in
   Util.row "%-28s %-12.4f@."
     (Printf.sprintf "batch n=%d singletons" n_batch)
     single_s;
   Util.row "%-28s %-12.4f (overhead %.3fx)@."
-    (Printf.sprintf "check_many n=%d jobs=1" n_batch)
-    batch1_s batch_overhead;
-  Util.row "%-28s %-12.4f@."
-    (Printf.sprintf "check_many n=%d jobs=4" n_batch)
-    batch4_s;
+    (Printf.sprintf "check_many n=%d" n_batch)
+    batch_s batch_overhead;
   Util.row "batch verdicts bit-identical to singletons: %b@." batch_identical;
   let ischema, icompiled, idb = indexing_workload ~n:300 in
   let index_s = ref 0. in
@@ -300,101 +276,69 @@ let parallel_section () =
   Util.row "%-28s %-12.4f (per-step O(|R|) witness scans, recorded at rev 20ce52c)@."
     "chase unindexed" recorded_unindexed_s;
   Util.row "%-28s %-12.4f (memoized projection index)@." "chase indexed" index_s;
-  let jobs1_s = List.assoc "random_checking_needle_jobs1_s" !timings in
-  let jobs4_s = List.assoc "random_checking_needle_jobs4_s" !timings in
   let oc = open_out "BENCH_parallel.json" in
   let j = Printf.fprintf in
   j oc "{\n";
-  List.iter
-    (fun (key, s) -> j oc "  %S: %.6f,\n" key s)
-    (List.rev !timings);
-  j oc "  \"needle_speedup_jobs4\": %.4f,\n"
-    (if jobs4_s > 0. then jobs1_s /. jobs4_s else Float.nan);
-  j oc "  \"verdicts_identical_across_jobs\": %b,\n" identical;
+  j oc "  \"random_checking_needle_s\": %.6f,\n" !needle_s;
   j oc "  \"chase_indexed_s\": %.6f,\n" index_s;
   j oc "  \"chase_unindexed_s_at_20ce52c\": %.6f,\n" recorded_unindexed_s;
   j oc "  \"batch_singletons_s\": %.6f,\n" single_s;
-  j oc "  \"batch_check_many_jobs1_s\": %.6f,\n" batch1_s;
-  j oc "  \"batch_check_many_jobs4_s\": %.6f,\n" batch4_s;
+  j oc "  \"batch_check_many_jobs1_s\": %.6f,\n" batch_s;
   j oc "  \"batch_overhead_jobs1\": %.4f,\n" batch_overhead;
-  j oc "  \"batch_speedup_jobs4\": %.4f,\n"
-    (if batch4_s > 0. then single_s /. batch4_s else Float.nan);
   j oc "  \"batch_identical_to_singletons\": %b,\n" batch_identical;
-  let cores = Stdlib.Domain.recommended_domain_count () in
-  (* honest reporting: a 1-core host cannot measure multicore speedup, and
-     the speedup numbers above then reflect scheduling overhead only *)
-  j oc "  \"host_cores\": %d,\n" cores;
-  j oc "  \"skipped_multicore\": %b,\n" (cores = 1);
-  j oc "  \"recommended_domain_count\": %d\n" cores;
+  j oc "  \"host_cores\": %d\n" (Stdlib.Domain.recommended_domain_count ());
   j oc "}\n";
   close_out oc;
-  Util.row "wrote BENCH_parallel.json (host_cores=%d%s)@." cores
-    (if cores = 1 then ", skipped_multicore" else "")
+  Util.row "wrote BENCH_parallel.json@."
 
 (* --- per-phase profile breakdown (BENCH_profile.json) ------------------------
 
-   The needle RandomChecking workload of [parallel_section], run under the
-   profiler at jobs 1 and 4: a per-span (calls, total, self) breakdown per
-   jobs count: where the fan-out's time goes (run bodies vs
-   preprocessing).  Coverage is the profiled self-time sum over wall
-   clock; above 1.0 under --jobs it reads as average active domains. *)
+   The needle RandomChecking workload of [checking_section], run under
+   the profiler: a per-span (calls, total, self) breakdown of where its
+   time goes (run bodies vs preprocessing).  Coverage is the profiled
+   self-time sum over wall clock. *)
 
 let profile_section () =
-  Util.header "Per-phase profile: needle at jobs 1 vs 4 (BENCH_profile.json)";
+  Util.header "Per-phase profile: needle (BENCH_profile.json)";
   let schema, sigma = needle_workload ~seed:3 ~relations:8 ~cinds:20 in
   let k = 96 in
   let was_profiling = Telemetry.profiling () in
   Telemetry.enable_profiling ();
-  let runs =
-    List.map
-      (fun jobs ->
-        (* fresh attribution per jobs count; trace buffers (a --profile
-           whole-run trace) are deliberately untouched *)
-        Telemetry.profile_reset ();
-        let _, wall =
-          Util.time (fun () ->
-              Telemetry.with_span "bench.needle" (fun () ->
-                  Cind_api.random_check ~jobs ~k ~k_cfd:40 ~rng:(Rng.make 7)
-                    schema sigma))
-        in
-        let phases = Telemetry.self_time_table () in
-        let sum_self =
-          List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0. phases
-        in
-        (jobs, wall, (if wall > 0. then sum_self /. wall else Float.nan), phases))
-      [ 1; 4 ]
+  (* fresh attribution; trace buffers (a --profile whole-run trace) are
+     deliberately untouched *)
+  Telemetry.profile_reset ();
+  let _, wall =
+    Util.time (fun () ->
+        Telemetry.with_span "bench.needle" (fun () ->
+            Cind_api.random_check ~k ~k_cfd:40 ~rng:(Rng.make 7) schema sigma))
   in
+  let phases = Telemetry.self_time_table () in
+  let sum_self = List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0. phases in
+  let coverage = if wall > 0. then sum_self /. wall else Float.nan in
   if not was_profiling then Telemetry.disable_profiling ();
-  Util.row "%-10s %-12s %-10s %s@." "jobs" "wall(s)" "coverage" "top spans (self)";
-  List.iter
-    (fun (jobs, wall, coverage, phases) ->
-      let top =
-        List.filteri (fun i _ -> i < 3) phases
-        |> List.map (fun (name, _, _, self) ->
-               Printf.sprintf "%s=%s" name (Telemetry.dur_to_string self))
-        |> String.concat " "
-      in
-      Util.row "%-10d %-12.4f %-10.2f %s@." jobs wall coverage top)
-    runs;
+  Util.row "%-12s %-10s %s@." "wall(s)" "coverage" "top spans (self)";
+  let top =
+    List.filteri (fun i _ -> i < 3) phases
+    |> List.map (fun (name, _, _, self) ->
+           Printf.sprintf "%s=%s" name (Telemetry.dur_to_string self))
+    |> String.concat " "
+  in
+  Util.row "%-12.4f %-10.2f %s@." wall coverage top;
   let oc = open_out "BENCH_profile.json" in
   let j = Printf.fprintf in
   j oc "{\n";
   j oc "  \"workload\": \"needle seed=3 relations=8 cinds=20 k=%d k_cfd=40\",\n" k;
-  j oc "  \"jobs\": [\n";
+  j oc "  \"wall_s\": %.6f,\n" wall;
+  j oc "  \"coverage\": %.4f,\n" coverage;
+  j oc "  \"phases\": [\n";
   List.iteri
-    (fun i (jobs, wall, coverage, phases) ->
-      j oc "    {\"jobs\": %d, \"wall_s\": %.6f, \"coverage\": %.4f, \"phases\": [\n"
-        jobs wall coverage;
-      List.iteri
-        (fun pi (name, calls, total, self) ->
-          j oc
-            "      {\"span\": %S, \"calls\": %d, \"total_s\": %.6f, \"self_s\": \
-             %.6f}%s\n"
-            name calls total self
-            (if pi = List.length phases - 1 then "" else ","))
-        phases;
-      j oc "    ]}%s\n" (if i = List.length runs - 1 then "" else ","))
-    runs;
+    (fun pi (name, calls, total, self) ->
+      j oc
+        "    {\"span\": %S, \"calls\": %d, \"total_s\": %.6f, \"self_s\": \
+         %.6f}%s\n"
+        name calls total self
+        (if pi = List.length phases - 1 then "" else ","))
+    phases;
   j oc "  ]\n";
   j oc "}\n";
   close_out oc;
@@ -489,7 +433,7 @@ let chase_section () =
 
 let run () =
   chase_section ();
-  parallel_section ();
+  checking_section ();
   profile_section ();
   Util.header "Bechamel micro-benchmarks (one per table/figure)";
   let ols =

@@ -1,5 +1,5 @@
 (* Shared plumbing for the benchmark harness: wall-clock timing, averaging,
-   row printing, and the (optionally parallel) series driver. *)
+   row printing and per-series counter snapshots. *)
 
 let time f =
   let start = Unix.gettimeofday () in
@@ -10,17 +10,9 @@ let mean = function
   | [] -> 0.
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
-(* --- output routing ---------------------------------------------------------
-   All section output goes through [ppf ()], a domain-local formatter:
-   sequentially it is stdout; under `--jobs N` each concurrent series point
-   redirects it to a private buffer which the driver prints in submission
-   order, so parallel runs read exactly like sequential ones. *)
-let out_key = Domain.DLS.new_key (fun () -> Format.std_formatter)
-let ppf () = Domain.DLS.get out_key
+let header title = Fmt.pr "@.=== %s ===@." title
 
-let header title = Fmt.pf (ppf ()) "@.=== %s ===@." title
-
-let row fmt = Fmt.pf (ppf ()) fmt
+let row fmt = Fmt.pr fmt
 
 (* Run [f] over [trials] seeds; returns (per-trial results, mean seconds). *)
 let timed_trials ~trials f =
@@ -64,39 +56,7 @@ let with_series_metrics label f =
       (match Guard.state b with
       | None -> ()
       | Some r ->
-          Fmt.pf (ppf ()) "  metrics {\"series\": %S, \"timeout\": true, \"reason\": %S}@."
+          Fmt.pr "  metrics {\"series\": %S, \"timeout\": true, \"reason\": %S}@."
             label (Guard.reason_to_string r)));
   let diff = counter_diff before (Telemetry.counter_snapshot ()) in
-  Fmt.pf (ppf ()) "  metrics %s@." (Telemetry.json_of_counters ~label:("series", label) diff)
-
-(* --- series driver -----------------------------------------------------------
-   [series points f] runs one section's series points, concurrently when the
-   harness got `--jobs N`.  Timeout accounting stays correct per point:
-   [with_series_metrics] starts each point's deadline budget when the point
-   begins executing on its domain, not when the section is submitted, so
-   every point gets the full `--timeout` allowance regardless of queueing.
-   Per-point counter diffs, by contrast, are attributed to whichever points
-   happened to run concurrently — wall-clock and verdicts are exact at any
-   jobs count, event counts only at `--jobs 1`. *)
-let bench_jobs = ref 1
-
-let series points f =
-  let jobs = !bench_jobs in
-  if jobs <= 1 then List.iter f points
-  else
-    Parallel.map ~jobs
-      (fun p ->
-        let buf = Buffer.create 1024 in
-        let bppf = Format.formatter_of_buffer buf in
-        let saved = Domain.DLS.get out_key in
-        Domain.DLS.set out_key bppf;
-        Fun.protect
-          ~finally:(fun () ->
-            Format.pp_print_flush bppf ();
-            Domain.DLS.set out_key saved)
-          (fun () -> f p);
-        buf)
-      points
-    |> List.iter (fun buf ->
-           print_string (Buffer.contents buf);
-           flush stdout)
+  Fmt.pr "  metrics %s@." (Telemetry.json_of_counters ~label:("series", label) diff)

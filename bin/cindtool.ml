@@ -166,9 +166,9 @@ let batch_arg =
         ~doc:
           "Additional constraint file to check in the same batch \
            (repeatable).  All files must declare the same schema.  The \
-           batch shares one seed split, one interner warm-up and one \
-           fan-out across files; each file's verdict \
-           is identical to a standalone $(b,check) of that file with its \
+           batch shares one seed split and one interner warm-up, and \
+           checks the files one after another; each file's verdict is \
+           identical to a standalone $(b,check) of that file with its \
            split of the seed, and the exit code is the worst per-file \
            code.")
 
@@ -952,7 +952,7 @@ let chaos_cmd =
               can get past, or permanent ones).  The supervised run must \
               return the bit-identical verdict or a typed unknown; a \
               $(i,different) definitive answer fails the round.  The sweep \
-              honours the global $(b,--retries) and $(b,--jobs) flags.";
+              honours the global $(b,--retries) flag.";
          ])
     Term.(
       const run $ seed_arg
@@ -1016,7 +1016,6 @@ type globals = {
   g_profile : string option;
   g_timeout : float option;
   g_fuel : int option;
-  g_jobs : int option;
   g_retries : int option;
 }
 
@@ -1044,11 +1043,6 @@ let extract_globals argv =
     | Some n when n > 0 -> Ok (Some n)
     | _ -> Error (Printf.sprintf "--fuel expects a positive step count, got %S" s)
   in
-  let jobs_of s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok (Some n)
-    | _ -> Error (Printf.sprintf "--jobs expects a positive domain count, got %S" s)
-  in
   let retries_of s =
     match int_of_string_opt s with
     | Some n when n >= 0 -> Ok (Some n)
@@ -1070,11 +1064,6 @@ let extract_globals argv =
     | "--fuel" :: n :: rest -> (
         match fuel_of n with
         | Ok f -> go { g with g_fuel = f } rest
-        | Error _ as e -> e)
-    | [ "--jobs" ] -> Error "option --jobs needs an argument"
-    | "--jobs" :: n :: rest -> (
-        match jobs_of n with
-        | Ok j -> go { g with g_jobs = j } rest
         | Error _ as e -> e)
     | [ "--retries" ] -> Error "option --retries needs an argument"
     | "--retries" :: n :: rest -> (
@@ -1102,18 +1091,12 @@ let extract_globals argv =
                     | Ok f -> go { g with g_fuel = f } rest
                     | Error _ as e -> e)
                 | None -> (
-                    match split_eq "--jobs=" arg with
+                    match split_eq "--retries=" arg with
                     | Some n -> (
-                        match jobs_of n with
-                        | Ok j -> go { g with g_jobs = j } rest
+                        match retries_of n with
+                        | Ok r -> go { g with g_retries = r } rest
                         | Error _ as e -> e)
-                    | None -> (
-                        match split_eq "--retries=" arg with
-                        | Some n -> (
-                            match retries_of n with
-                            | Ok r -> go { g with g_retries = r } rest
-                            | Error _ as e -> e)
-                        | None -> go { g with g_rest = arg :: g.g_rest } rest)))))
+                    | None -> go { g with g_rest = arg :: g.g_rest } rest))))
   in
   go
     {
@@ -1123,7 +1106,6 @@ let extract_globals argv =
       g_profile = None;
       g_timeout = None;
       g_fuel = None;
-      g_jobs = None;
       g_retries = None;
     }
     argv
@@ -1179,15 +1161,6 @@ let setup_guard ~timeout ~fuel =
   if timeout <> None || fuel <> None then
     Guard.set_ambient (Guard.make ?timeout_s:timeout ?fuel ())
 
-(* --jobs sets the process-wide default that every ?jobs parameter
-   (Checking.check, Random_checking.check, workload generation) inherits;
-   verdicts and exit codes are identical at any jobs count for a fixed
-   seed — only wall-clock changes. *)
-let setup_jobs ~jobs =
-  match jobs with
-  | Some j -> Parallel.set_default_jobs j
-  | None -> ()
-
 (* Unlike the library (whose default never retries), the tool defaults to
    the supervised policy: transient faults are retried once.  --retries 0
    restores the library behaviour. *)
@@ -1222,23 +1195,12 @@ let () =
          steps); exhaustion behaves like $(b,--timeout) but is reproducible \
          across machines.";
       `P
-        "$(b,--jobs) $(i,N) (anywhere on the command line) sets the \
-         process-wide domain count for the randomized consistency \
-         heuristics (default 1, or the $(b,JOBS) environment variable): \
-         $(b,check-consistency) fans its K random runs across the \
-         domains, and $(b,check --batch) its files; $(b,gen) accepts the flag \
-         like every global so generated-then-checked pipelines can pass it \
-         uniformly (generation itself is deterministic from $(b,--seed)).  \
-         Verdicts, witnesses and exit codes are identical to $(b,--jobs 1) \
-         for a fixed seed; only wall-clock time changes.";
-      `P
         "$(b,--profile) $(i,FILE) (anywhere on the command line) enables the \
          profiler and writes $(i,FILE) at exit: with a $(b,.json) extension, \
-         a Chrome Trace Event file (open in chrome://tracing or Perfetto; \
-         one track per domain under $(b,--jobs)); with $(b,.folded), \
-         folded stacks for $(b,flamegraph.pl)/$(b,inferno).  The extension \
-         is required — it selects the format (and keeps the flag distinct \
-         from $(b,gen)'s own $(b,--profile) option).  See also the \
+         a Chrome Trace Event file (open in chrome://tracing or Perfetto); \
+         with $(b,.folded), folded stacks for $(b,flamegraph.pl)/$(b,inferno).  \
+         The extension is required — it selects the format (and keeps the \
+         flag distinct from $(b,gen)'s own $(b,--profile) option).  See also the \
          $(b,profile) subcommand, which prints a self-time table instead.";
       `P
         "$(b,--retries) $(i,N) (anywhere on the command line) allows up to \
@@ -1270,7 +1232,6 @@ let () =
       setup_telemetry ~trace:g.g_trace ~metrics:g.g_metrics;
       setup_profiling ~profile:g.g_profile ~table:profile_table;
       setup_guard ~timeout:g.g_timeout ~fuel:g.g_fuel;
-      setup_jobs ~jobs:g.g_jobs;
       setup_supervision ~retries:g.g_retries;
       let argv = Array.of_list (Sys.argv.(0) :: g.g_rest) in
       let group =

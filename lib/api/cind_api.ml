@@ -23,23 +23,21 @@ let of_checking = function
   | Checking.Inconsistent -> No
   | Checking.Unknown r -> Unknown r
 
-let check ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd ?recorder
-    ~rng schema sigma =
-  of_checking
-    (Checking.check ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd
-       ?recorder ~rng schema sigma)
-
-let check_many ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd ~rng schema
-    sigmas =
-  List.map of_checking
-    (Checking.check_many ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd
-       ~rng schema sigmas)
-
-let random_check ?budget ?jobs ?config ?k ?k_cfd ?seed_rels ~rng schema
+let check ?backend ?budget ?policy ?config ?k ?k_cfd ?recorder ~rng schema
     sigma =
+  of_checking
+    (Checking.check ?backend ?budget ?policy ?config ?k ?k_cfd ?recorder ~rng
+       schema sigma)
+
+let check_many ?backend ?budget ?policy ?config ?k ?k_cfd ~rng schema sigmas =
+  List.map of_checking
+    (Checking.check_many ?backend ?budget ?policy ?config ?k ?k_cfd ~rng
+       schema sigmas)
+
+let random_check ?budget ?config ?k ?k_cfd ?seed_rels ~rng schema sigma =
   match
-    Random_checking.check ?budget ?config ?k ?k_cfd ?seed_rels ?jobs
-      ~rng schema sigma
+    Random_checking.check ?budget ?config ?k ?k_cfd ?seed_rels ~rng schema
+      sigma
   with
   | Random_checking.Consistent db -> Yes (Some db)
   | Random_checking.Unknown r -> Unknown r
@@ -71,11 +69,11 @@ let consistent ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ?recorder ~rng
   | r -> of_consistent_rel ?avoid schema ~rel r
   | exception Guard.Exhausted r -> Unknown r
 
-let consistent_many ?(backend = Chase_backend) ?budget ?jobs ?avoid ?k_cfd
-    ~rng schema cfds ~rels =
+let consistent_many ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ~rng
+    schema cfds ~rels =
   let results =
-    Cfd_checking.consistent_many ~backend ?budget ?avoid ?k_cfd ?jobs ~rng
-      schema cfds ~rels
+    Cfd_checking.consistent_many ~backend ?budget ?avoid ?k_cfd ~rng schema
+      cfds ~rels
   in
   List.map2
     (fun rel -> function
@@ -91,9 +89,9 @@ let of_outcome = function
 let implies ?budget ?max_states ?recorder schema ~sigma psi =
   of_outcome (Implication.decide ?budget ?max_states ?recorder schema ~sigma psi)
 
-let implies_many ?budget ?jobs ?max_states schema ~sigma goals =
+let implies_many ?budget ?max_states schema ~sigma goals =
   List.map of_outcome
-    (Implication.implies_many ?budget ?max_states ?jobs schema ~sigma goals)
+    (Implication.implies_many ?budget ?max_states schema ~sigma goals)
 
 let implies_cfd ?budget ?max_nodes schema ~sigma phi =
   of_outcome (Cfd_implication.decide ?budget ?max_nodes schema ~sigma phi)

@@ -6,10 +6,9 @@ open Conddep_consistency
 (** The single stable entry point for drivers ([bin/], [bench/],
     external users).  Every decision procedure in the library is exposed
     here as a three-valued {!verdict} with a uniform option set —
-    [?budget] (shared {!Guard} budget, default ambient) everywhere,
-    [?jobs] (domains for the {!Parallel} fork-join, default
-    {!Parallel.default_jobs}) wherever a call fans out, and [?policy]
-    (supervised retry, default ambient) on the two Checking entry points,
+    [?budget] (shared {!Guard} budget, default ambient) everywhere, and
+    [?policy] (supervised retry, default ambient) on the two Checking
+    entry points,
     the only layer that reads it — plus a [_many] batch form wherever the
     underlying layer offers one.  Options a layer would ignore are not
     offered.
@@ -18,7 +17,8 @@ open Conddep_consistency
     documented mapping onto the corresponding [lib/core] /
     [lib/consistency] entry point, and each [_many] form is bit-identical
     (verdicts {e and} witnesses) to the corresponding sequence of
-    singleton calls at any jobs count.  Drivers should depend on this
+    singleton calls.  Every call runs on the caller's domain.  Drivers
+    should depend on this
     module only; the underlying modules remain public for library users
     who need engine-level control (templates, deltas, compiled forms). *)
 
@@ -33,8 +33,8 @@ type verdict =
   | No  (** Definitively inconsistent / not implied. *)
   | Unknown of Guard.reason
       (** Undetermined: [Guard.Fuel] for a procedure's own heuristic cap
-          (the paper's K / K_CFD bounds, [max_states]); deadline, memory,
-          cancellation or fault when a shared budget cut the run short. *)
+          (the paper's K / K_CFD bounds, [max_states]); deadline, memory
+          or fault when a shared budget cut the run short. *)
 
 val to_bool : verdict -> bool
 (** The papers' boolean reading: [true] only for [Yes _]. *)
@@ -52,7 +52,6 @@ val check :
   ?backend:backend ->
   ?budget:Guard.t ->
   ?policy:Supervise.Policy.t ->
-  ?jobs:int ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -64,15 +63,14 @@ val check :
 (** Full pipeline (Fig 9): preProcessing + per-component RandomChecking.
     [Yes (Some db)] carries the verified witness; [No] is definitive
     (the Fig 7 reduction emptied the dependency graph); [Unknown r]
-    found no witness within the budgets.  [jobs] fans out RandomChecking's
-    K runs; the answer is the same at any jobs count.  [recorder] collects the read set for incremental callers
-    (see {!Read_set}).  Maps {!Checking.check}. *)
+    found no witness within the budgets.  [recorder] collects the read
+    set for incremental callers (see {!Read_set}).  Maps
+    {!Checking.check}. *)
 
 val check_many :
   ?backend:backend ->
   ?budget:Guard.t ->
   ?policy:Supervise.Policy.t ->
-  ?jobs:int ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -82,15 +80,13 @@ val check_many :
   verdict list
 (** Batch {!check} of N dependency sets against one schema.  Verdict i is
     bit-identical (including the witness) to
-    [check ~rng:(List.nth (Rng.split_n rng N) i) ... (List.nth sigmas i)]
-    at any jobs count; the batch shares one policy/budget resolution, one
-    interner warm-up and one {!Parallel.map} fan-out over the items.
-    Maps {!Checking.check_many}; see there for the shared-budget
-    caveat. *)
+    [check ~rng:(List.nth (Rng.split_n rng N) i) ... (List.nth sigmas i)];
+    the batch shares one policy/budget resolution and one interner
+    warm-up, and runs the items one after another.  Maps
+    {!Checking.check_many}; see there for the shared-budget caveat. *)
 
 val random_check :
   ?budget:Guard.t ->
-  ?jobs:int ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -100,8 +96,9 @@ val random_check :
   Sigma.nf ->
   verdict
 (** Procedure RandomChecking alone (Fig 8), without the preProcessing
-    reduction: K independent chase-and-instantiate runs.  Sound but not
-    complete — never answers [No].  Maps {!Random_checking.check}. *)
+    reduction: up to K chase-and-instantiate runs, one after another
+    under [budget].  Sound but not complete — never answers [No].  Maps
+    {!Random_checking.check}. *)
 
 (** {1 Single-relation CFD consistency (Sections 5.2–5.3)} *)
 
@@ -122,13 +119,11 @@ val consistent :
     forced-propagation contradiction from [Chase_backend].
     [Unknown Guard.Fuel] is reserved for [Chase_backend]'s genuine
     heuristic give-up (its K_CFD-bounded search proves nothing by
-    failing).  A single relation decides sequentially.  Maps
-    {!Cfd_checking.consistent_rel}. *)
+    failing).  Maps {!Cfd_checking.consistent_rel}. *)
 
 val consistent_many :
   ?backend:backend ->
   ?budget:Guard.t ->
-  ?jobs:int ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   rng:Rng.t ->
@@ -138,8 +133,8 @@ val consistent_many :
   verdict list
 (** Batch {!consistent} over many relations against one CFD set, with
     the per-relation filtering done once.  Verdict i is bit-identical to
-    [consistent ~rng:(List.nth (Rng.split_n rng N) i) ... ~rel] at any
-    jobs count.  Maps {!Cfd_checking.consistent_many}. *)
+    [consistent ~rng:(List.nth (Rng.split_n rng N) i) ... ~rel].  Maps
+    {!Cfd_checking.consistent_many}. *)
 
 (** {1 Implication (Sections 3–4, Table 1)} *)
 
@@ -153,21 +148,18 @@ val implies :
   verdict
 (** Exact CIND implication [Σ |= ψ] (Theorems 3.4/3.5).  [Yes None] /
     [No] are exact; [Unknown Guard.Fuel] past [max_states] explored
-    shapes.  A single goal decides sequentially.  [recorder] collects the
-    CINDs found applicable during the search (see {!Read_set}).  Maps
-    {!Implication.decide}. *)
+    shapes.  [recorder] collects the CINDs found applicable during the
+    search (see {!Read_set}).  Maps {!Implication.decide}. *)
 
 val implies_many :
   ?budget:Guard.t ->
-  ?jobs:int ->
   ?max_states:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
   Cind.nf list ->
   verdict list
 (** Batch {!implies} of many goals against one Σ, compiling Σ once and
-    fanning the (rng-free, hence trivially deterministic) per-goal
-    searches out with {!Parallel.map}.  Maps
+    running the (rng-free) per-goal searches one after another.  Maps
     {!Implication.implies_many}. *)
 
 val implies_cfd :

@@ -64,15 +64,15 @@ let workload sched =
 
 let default_policy = { Supervise.Policy.retries = 2 }
 
-let run_check ?jobs ?policy sched =
+let run_check ?policy sched =
   let policy = Option.value ~default:default_policy policy in
   let schema, sigma = workload sched in
   (* A real (governed) budget: rounds stay bounded whatever the schedule
      does, and retry backoff has a fuel pool to tick against. *)
   let budget = Guard.make ~fuel:5_000_000 () in
   describe
-    (Checking.check ~budget ~policy ?jobs ~rng:(Rng.make sched.s_check_seed)
-       schema sigma)
+    (Checking.check ~budget ~policy ~rng:(Rng.make sched.s_check_seed) schema
+       sigma)
 
 let arm_schedule sched =
   List.iter
@@ -86,19 +86,19 @@ let disarm_schedule sched =
      other sites stays in place. *)
   List.iter (fun a -> Guard.disarm ~site:a.site) sched.s_arms
 
-let run_verdict ?jobs ?policy sched =
+let run_verdict ?policy sched =
   arm_schedule sched;
   Fun.protect
     ~finally:(fun () -> disarm_schedule sched)
-    (fun () -> run_check ?jobs ?policy sched)
+    (fun () -> run_check ?policy sched)
 
-let baseline_verdict ?jobs ?policy sched = run_check ?jobs ?policy sched
+let baseline_verdict ?policy sched = run_check ?policy sched
 
-let round ?jobs ?policy sched =
+let round ?policy sched =
   Telemetry.incr m_rounds;
-  let baseline = baseline_verdict ?jobs ?policy sched in
+  let baseline = baseline_verdict ?policy sched in
   let retries0 = Telemetry.count m_retries in
-  let faulty = run_verdict ?jobs ?policy sched in
+  let faulty = run_verdict ?policy sched in
   let ok = String.equal faulty baseline || is_unknown faulty in
   if not ok then Telemetry.incr m_failures;
   {
@@ -138,7 +138,7 @@ let gen_schedule rng ~seed ~round ~relations ~constraints sites =
     s_arms = arms;
   }
 
-let sweep ?jobs ?policy ?(relations = 4) ?(constraints = 24) ~seed ~rounds () =
+let sweep ?policy ?(relations = 4) ?(constraints = 24) ~seed ~rounds () =
   let rng = Rng.make seed in
   let sites = Guard.all_probes () in
   let reports =
@@ -146,7 +146,7 @@ let sweep ?jobs ?policy ?(relations = 4) ?(constraints = 24) ~seed ~rounds () =
         let sched =
           gen_schedule rng ~seed ~round:i ~relations ~constraints sites
         in
-        round ?jobs ?policy sched)
+        round ?policy sched)
   in
   {
     rounds = reports;
@@ -203,8 +203,8 @@ let shrink_with ~fails sched =
   in
   halve_arm (drop sched) 0
 
-let shrink ?jobs ?policy sched =
-  shrink_with ~fails:(fun s -> not (round ?jobs ?policy s).r_ok) sched
+let shrink ?policy sched =
+  shrink_with ~fails:(fun s -> not (round ?policy s).r_ok) sched
 
 (* --- .chaos.json files --- *)
 

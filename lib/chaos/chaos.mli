@@ -49,20 +49,19 @@ type report = {
   failures : round_report list;  (** rounds violating verdict-identity *)
 }
 
-val run_verdict : ?jobs:int -> ?policy:Supervise.Policy.t -> schedule -> string
+val run_verdict : ?policy:Supervise.Policy.t -> schedule -> string
 (** Run the schedule's workload with its arms armed (programmatically, so
     they fire regardless of budget governance) and return the canonical
     verdict string.  The schedule's sites are disarmed on exit, arms of
     other sites are left alone. *)
 
-val baseline_verdict : ?jobs:int -> ?policy:Supervise.Policy.t -> schedule -> string
+val baseline_verdict : ?policy:Supervise.Policy.t -> schedule -> string
 (** The fault-free verdict of the same workload and check seed. *)
 
-val round : ?jobs:int -> ?policy:Supervise.Policy.t -> schedule -> round_report
+val round : ?policy:Supervise.Policy.t -> schedule -> round_report
 (** Baseline, then faulty run, then the identity-or-Unknown verdict. *)
 
 val sweep :
-  ?jobs:int ->
   ?policy:Supervise.Policy.t ->
   ?relations:int ->
   ?constraints:int ->
@@ -73,14 +72,14 @@ val sweep :
 (** [rounds] randomized schedules drawn from [seed]: per round a fresh
     workload, a random probe subset of {!Guard.all_probes}, random
     countdowns and fire counts.  Deterministic: the same seed yields the
-    same schedules and, at any [jobs] count, the same verdicts. *)
+    same schedules and the same verdicts. *)
 
 val shrink_with : fails:(schedule -> bool) -> schedule -> schedule
 (** Minimise a failing schedule while [fails] still holds: drop arms one
     at a time (restarting on success), then repeatedly halve [after]
     counts.  [fails] is re-evaluated at most ~200 times. *)
 
-val shrink : ?jobs:int -> ?policy:Supervise.Policy.t -> schedule -> schedule
+val shrink : ?policy:Supervise.Policy.t -> schedule -> schedule
 (** {!shrink_with} under the real failure predicate ([not (round ...).r_ok]). *)
 
 (** {1 Replayable [.chaos.json] files} *)

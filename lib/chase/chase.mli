@@ -70,7 +70,7 @@ val fd_fixpoint :
 (** Chase with CFDs only, to fixpoint — the core of CFD_Checking.
     [max_steps] is a local fuel bound (exhaustion yields
     [Exhausted Guard.Fuel]); [budget] (default: ambient) is the shared
-    deadline/fuel/cancellation budget. *)
+    deadline/fuel/memory budget. *)
 
 type ind_result =
   | Ind_changed of Template.t

@@ -249,18 +249,13 @@ let consistent_rel ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ?recorder
 
 (* Batch entry point: many relations against one Σ.  The batch shares a
    single grouping pass of the CFDs by relation (instead of one
-   [List.filter] over all of Σ per relation) and one {!Parallel.map}
-   fan-out over the per-relation checks.  Item i is bit-identical to
+   [List.filter] over all of Σ per relation).  Item i is bit-identical to
    [consistent_rel] on generator i of [Rng.split_n rng N]; a per-item
    [Guard.Exhausted] is caught into [Error reason] so one exhausted item
    (or a shared budget running dry mid-batch) cannot discard its
    siblings' finished answers. *)
-let consistent_many ?backend ?budget ?avoid ?k_cfd ?jobs ~rng schema cfds
-    ~rels =
+let consistent_many ?backend ?budget ?avoid ?k_cfd ~rng schema cfds ~rels =
   let budget = Guard.resolve budget in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-  in
   Telemetry.with_span "checking.cfd.consistent_many" @@ fun () ->
   let by_rel = Hashtbl.create 16 in
   List.iter
@@ -269,12 +264,13 @@ let consistent_many ?backend ?budget ?avoid ?k_cfd ?jobs ~rng schema cfds
         (nf :: Option.value ~default:[] (Hashtbl.find_opt by_rel nf.Cfd.nf_rel)))
     (List.rev cfds);
   let group rel = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
-  Parallel.map ~jobs
-    (fun (rng_i, rel) ->
+  List.map2
+    (fun rng_i rel ->
       match
         consistent_rel ?backend ~budget ?avoid ?k_cfd ~rng:rng_i schema
           (group rel) ~rel
       with
       | t -> Ok t
       | exception Guard.Exhausted r -> Error r)
-    (List.combine (Rng.split_n rng (List.length rels)) rels)
+    (Rng.split_n rng (List.length rels))
+    rels

@@ -105,15 +105,13 @@ val consistent_many :
   ?budget:Guard.t ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
-  ?jobs:int ->
   rng:Rng.t ->
   Db_schema.t ->
   Cfd.nf list ->
   rels:string list ->
   (witness, Guard.reason) result list
 (** Batch {!consistent_rel} over many relations.  Item i is bit-identical
-    to [consistent_rel ~rng:(List.nth (Rng.split_n rng N) i) ... ~rel]
-    at any [jobs] count; a per-item [Guard.Exhausted] becomes [Error r]
-    instead of discarding finished siblings.  The batch shares one
-    grouping of [cfds] by relation and one {!Parallel.map} fan-out over
-    the items ([jobs], default {!Parallel.default_jobs}). *)
+    to [consistent_rel ~rng:(List.nth (Rng.split_n rng N) i) ... ~rel];
+    a per-item [Guard.Exhausted] becomes [Error r] instead of discarding
+    finished siblings.  The batch shares one grouping of [cfds] by
+    relation; the items run one after another. *)

@@ -23,7 +23,7 @@ let m_components_tried = Telemetry.counter "checking.components_tried" ~doc:"wea
 
 (* One full pipeline: preProcessing (with [backend], chase by default)
    and per-component RandomChecking. *)
-let pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
+let pipeline ?backend ~budget ?config ?k ?k_cfd ~rng schema
     (sigma : Sigma.nf) =
   try
     Guard.probe ~budget "checking.check";
@@ -41,7 +41,7 @@ let pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
               Telemetry.incr m_components_tried;
               match
                 Random_checking.check ~budget ?config ?k ?k_cfd
-                  ~seed_rels:members ~jobs ~rng schema component_sigma
+                  ~seed_rels:members ~rng schema component_sigma
               with
               | Random_checking.Consistent db when Sigma.nf_holds db sigma ->
                   Consistent db
@@ -61,13 +61,12 @@ let pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
    retried; every attempt replays a copy of the entry generator, so a
    fault-free re-run yields the bit-identical verdict the fault-free run
    would have produced. *)
-let check ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ?recorder
+let check ?backend ?budget ?config ?k ?k_cfd ?policy ?recorder
     ~rng schema (sigma : Sigma.nf) =
   Telemetry.incr m_calls;
   (* Checking consults all of Σ (preProcessing walks the full dependency
-     graph), so the read set is Σ itself plus every relation it mentions
-     — recorded up front, so no recorder is ever touched from a spawned
-     domain. *)
+     graph), so the read set is Σ itself plus every relation it mentions,
+     recorded up front. *)
   (match recorder with
   | None -> ()
   | Some _ ->
@@ -83,17 +82,14 @@ let check ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ?recorder
           Read_set.record_rel recorder f.Cfd.nf_rel)
         sigma.Sigma.ncfds);
   let budget = Guard.resolve budget in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-  in
   Telemetry.with_span "checking.check" @@ fun () ->
   let rng0 = Rng.copy rng in
   let result =
     match
       Supervise.with_retry ?policy ~rng ~budget (fun ~attempt:_ ->
           match
-            pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs
-              ~rng:(Rng.copy rng0) schema sigma
+            pipeline ?backend ~budget ?config ?k ?k_cfd ~rng:(Rng.copy rng0)
+              schema sigma
           with
           | Unknown r when Supervise.transient ~shared:budget r ->
               Supervise.Transient r
@@ -111,9 +107,8 @@ let check ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ?recorder
 let to_bool = function Consistent _ -> true | Inconsistent | Unknown _ -> false
 
 (* Warm the global interner with the schema's symbols once per batch, so
-   the per-item Depgraph / Preprocessing passes — whichever domain they
-   run on — hit a populated table instead of each paying the first-touch
-   insertions. *)
+   the per-item Depgraph / Preprocessing passes hit a populated table
+   instead of each paying the first-touch insertions. *)
 let intern_schema schema =
   List.iter
     (fun rel ->
@@ -123,23 +118,20 @@ let intern_schema schema =
         (Schema.attr_names (Db_schema.find schema rel)))
     (Db_schema.rel_names schema)
 
-(* Batch entry point: one schema, N dependency sets.  Item i is [check
-   ~jobs:1] on generator i of [Rng.split_n rng N] — and [check] is
-   jobs-invariant, so batch results are bit-identical to N independent
-   [check] calls at any jobs count.  What the batch shares: the
-   policy/budget resolution, the interner warm-up above, and one fan-out
-   whose items each run their own pipeline sequentially. *)
-let check_many ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ~rng schema
+(* Batch entry point: one schema, N dependency sets.  Item i is [check]
+   on generator i of [Rng.split_n rng N], so batch results are
+   bit-identical to N independent [check] calls.  What the batch shares:
+   the policy/budget resolution and the interner warm-up above; the items
+   run one after another. *)
+let check_many ?backend ?budget ?config ?k ?k_cfd ?policy ~rng schema
     (sigmas : Sigma.nf list) =
   let budget = Guard.resolve budget in
   let policy = Supervise.Policy.resolve policy in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-  in
   Telemetry.with_span "checking.check_many" @@ fun () ->
   intern_schema schema;
-  Parallel.map ~jobs
-    (fun (rng_i, sigma_i) ->
-      check ?backend ~budget ?config ?k ?k_cfd ~jobs:1 ~policy ~rng:rng_i
-        schema sigma_i)
-    (List.combine (Rng.split_n rng (List.length sigmas)) sigmas)
+  List.map2
+    (fun rng_i sigma_i ->
+      check ?backend ~budget ?config ?k ?k_cfd ~policy ~rng:rng_i schema
+        sigma_i)
+    (Rng.split_n rng (List.length sigmas))
+    sigmas

@@ -7,7 +7,7 @@ open Conddep_chase
     [Inconsistent] is definitive (Fig 7's reduction emptied the graph);
     [Unknown r] means no witness was found within the budgets, with [r]
     saying which budget gave out ([Guard.Fuel] for the paper's own K /
-    K_CFD limits; deadline, cancellation, or fault otherwise).
+    K_CFD limits; deadline, memory or fault otherwise).
     [Guard.Exhausted] never escapes [check]. *)
 
 type result =
@@ -21,7 +21,6 @@ val check :
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
-  ?jobs:int ->
   ?policy:Supervise.Policy.t ->
   ?recorder:Read_set.t ->
   rng:Rng.t ->
@@ -31,12 +30,9 @@ val check :
 (** [budget] defaults to the ambient budget ([Guard.resolve]).
 
     [recorder] collects the read set: Checking consults all of Σ, so the
-    whole of [sigma] and every relation it mentions are recorded (up
-    front, never from a pool domain — see {!Read_set} for the
-    over-approximation contract).
+    whole of [sigma] and every relation it mentions are recorded up
+    front (see {!Read_set} for the over-approximation contract).
 
-    [jobs] (default {!Parallel.default_jobs}) fans out RandomChecking's K
-    runs; the verdict and witness are identical at any [jobs] count.
     Without a forced [backend], preProcessing uses the chase backend.
 
     [policy] (default: the ambient {!Supervise.Policy}, itself off unless
@@ -57,7 +53,6 @@ val check_many :
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
-  ?jobs:int ->
   ?policy:Supervise.Policy.t ->
   rng:Rng.t ->
   Db_schema.t ->
@@ -66,10 +61,9 @@ val check_many :
 (** [check_many ~rng schema sigmas] checks N dependency sets against one
     schema.  Result i is bit-identical (verdict {e and} witness) to
     [check ~rng:(List.nth (Rng.split_n rng N) i) schema (List.nth sigmas
-    i)] at any jobs count — the batch form changes wall-clock, never
-    answers.  The batch shares one policy/budget resolution, one interner
-    warm-up over the schema, and one {!Parallel.map} fan-out across the
-    items; each item's own pipeline runs sequentially.
+    i)] — the batch form changes wall-clock, never answers.  The batch
+    shares one policy/budget resolution and one interner warm-up over the
+    schema; the items run one after another.
 
     A shared [budget] is drained by all items jointly (exhaustion is
     sticky, so items after the cut answer [Unknown] quickly); pass

@@ -35,9 +35,9 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
      restarting from the head of the (shuffled) list, and re-examines only
      tuples enqueued since the CIND was last checked, reseeding its
      worklists whenever CFD_Checking rewrote the template in between.
-     Each run owns its cursor, and with it its witness index (the index
-     is not domain-safe); CFD substitutions between IND steps are caught
-     by the cursor's and the index's physical-identity staleness checks. *)
+     Each run owns its cursor, and with it its witness index; CFD
+     substitutions between IND steps are caught by the cursor's and the
+     index's physical-identity staleness checks. *)
   let cinds = Rng.shuffle rng compiled.Chase.cinds in
   let cursor =
     Chase.Ind_cursor.create ~instantiated:false ~threshold:config.Chase.threshold pool
@@ -65,11 +65,8 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
   loop db 0
 
 let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
-    ?seed_rels ?jobs ~rng schema (sigma : Sigma.nf) =
+    ?seed_rels ~rng schema (sigma : Sigma.nf) =
   let budget = Guard.resolve budget in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-  in
   try
     Guard.probe ~budget "checking.random";
     let compiled = Chase.compile schema sigma in
@@ -82,57 +79,40 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
     in
     if seed_rels = [] then Unknown Guard.Fuel
     else begin
-      (* One run.  In first-success terms (least run index wins):
-         - [Some (Ok db)]   — verified witness: stop, answer Consistent;
-         - [Some (Error r)] — the child budget's deadline / fuel pool /
-           parent cancellation ran dry, or a fault fired: these are the
-           shared limits, so stop and answer Unknown;
-         - [None]           — the run failed on its own local limits (or
-           was cancelled because a lower run stopped): keep trying. *)
-      let attempt run_rng tok =
-        let child = Guard.child ~cancel:tok budget in
+      (* One run on its own split of [rng]: [Some db] for a verified
+         witness, [None] when the run failed on its own local limits.
+         The caller's budget governs every run, so its deadline, fuel,
+         allocation ceiling or an armed fault raises [Guard.Exhausted]
+         out of the loop and answers Unknown. *)
+      let attempt () =
+        let run_rng = Rng.split rng in
         Telemetry.incr m_runs;
         match
           let rel = Rng.pick run_rng seed_rels in
           let db = Chase.seed_tuple schema ~rel in
           Telemetry.with_span "checking.random_run" @@ fun () ->
-          chase_run ~budget:child ~config ~k_cfd ~avoid ~rng:run_rng
-            schema compiled db
+          chase_run ~budget ~config ~k_cfd ~avoid ~rng:run_rng schema
+            compiled db
         with
         | Some terminal ->
             let concrete = Template.to_database ~avoid terminal in
             if (not (Database.is_empty concrete)) && Sigma.nf_holds concrete sigma
             then begin
               Telemetry.incr m_successes;
-              Some (Ok concrete)
+              Some concrete
             end
             else None
         | None -> None
-        | exception Guard.Exhausted Guard.Cancelled when Guard.is_cancelled tok
-          ->
-            None
-        | exception Guard.Exhausted r -> Some (Error r)
       in
-      (* Run i draws the i-th split of a copy of [rng], pulled lazily in
-         run order, and the least-indexed stopping run wins — so the
-         verdict and witness are the sequential loop's at any jobs
-         count.  Afterwards [rng] is left where that loop leaves it: one
-         split per run, through the stopping one. *)
-      let runs = Rng.copy rng in
-      let outcome =
-        Parallel.first_success ~jobs k (fun () -> Rng.split runs) attempt
-      in
-      let used = match outcome with Some (i, _) -> i + 1 | None -> k in
-      for _ = 1 to used do
-        ignore (Rng.split rng)
-      done;
-      match outcome with
-      | Some (_, Ok db) -> Consistent db
-      | Some (_, Error r) -> Unknown r
-      | None ->
+      let rec runs i =
+        if i >= k then begin
           (* K exhausted: the heuristic gave up on its own step budget. *)
           Guard.reraise_if_spent budget;
           Unknown Guard.Fuel
+        end
+        else match attempt () with Some db -> Consistent db | None -> runs (i + 1)
+      in
+      runs 0
     end
   with Guard.Exhausted r -> Unknown r
 

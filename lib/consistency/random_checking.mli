@@ -21,7 +21,6 @@ val check :
   ?k:int ->
   ?k_cfd:int ->
   ?seed_rels:string list ->
-  ?jobs:int ->
   rng:Rng.t ->
   Db_schema.t ->
   Sigma.nf ->
@@ -31,14 +30,11 @@ val check :
     restricts the starting relation (used per component by Checking);
     [budget] (default: ambient) bounds the whole search.
 
-    [jobs] (default {!Parallel.default_jobs}) fans the K runs out with
-    {!Parallel.first_success}; a stopping run cancels the runs above it.
-    Run i draws the i-th {!Rng.split} of [rng] and the winner is selected
-    by least run index, so the verdict — and the witness — for a fixed
-    seed is identical at any [jobs] count, and [rng] is left where the
-    sequential loop leaves it: one split per run, through the stopping
-    run, or K splits.  (Telemetry counts are not jobs-invariant: runs
-    above the winner do a hardware-dependent amount of work before
-    observing cancellation.) *)
+    The K runs are the sequential loop of Fig 5: run i draws the i-th
+    {!Rng.split} of [rng], taken when the run starts, and runs under
+    [budget] itself — its deadline, fuel, allocation ceiling and armed
+    faults included.  The loop stops at the first verified witness or
+    when [budget] runs dry, so [rng] advances by one split per run
+    through the stopping run, or by K splits. *)
 
 val to_bool : result -> bool

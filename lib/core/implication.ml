@@ -124,24 +124,25 @@ let satisfies_requirement rhs req s' =
 
 (* All shapes the builder may create to discharge σ on s: the required
    fields are fixed, free infinite fields are fresh, free finite fields
-   range over their domains. *)
+   range over their domains (the first free field varies slowest).  The
+   product is enumerated lazily: it can be exponential in the number of
+   free fields, and the search must reach its [Guard.tick] and
+   [max_states] checks after each child rather than after building them
+   all. *)
 let children c s =
   let base = Array.make c.c_rhs_arity Anon in
   List.iter (fun (pos, f) -> base.(pos) <- f) (requirement c s);
-  let rec expand acc = function
-    | [] -> acc
+  let rec expand fields = function
+    | [] -> Seq.return { srel = c.c_rhs; fields }
     | (pos, vs) :: rest ->
-        let acc =
-          List.concat_map
-            (fun fields -> List.map (fun v ->
-                 let f = Array.copy fields in
-                 f.(pos) <- Cst v;
-                 f) vs)
-            acc
-        in
-        expand acc rest
+        Seq.flat_map
+          (fun v ->
+            let f = Array.copy fields in
+            f.(pos) <- Cst v;
+            expand f rest)
+          (List.to_seq vs)
   in
-  List.map (fun fields -> { srel = c.c_rhs; fields }) (expand [ base ] c.c_free_finite)
+  expand base c.c_free_finite
 
 (* Enumerate t1's start shapes: marks (or finite-domain choices) on ψ's X,
    ψ's Xp constants, and fresh (or chosen) values elsewhere.  Each start
@@ -232,7 +233,7 @@ let counterexample_from schema compiled psi ~budget ~max_states ~recorder
       (fun c ->
         if applicable c s then begin
           Read_set.record_cind recorder c.c_nf;
-          List.iter push (children c s)
+          Seq.iter push (children c s)
         end)
       compiled
   done;
@@ -311,22 +312,18 @@ let decide ?budget ?(max_states = 50_000) ?recorder schema ~sigma psi =
   | compiled ->
       decide_compiled_core ~budget ~max_states ~recorder schema compiled psi
 
-let implies_many ?budget ?(max_states = 50_000) ?jobs schema ~sigma goals =
+let implies_many ?budget ?(max_states = 50_000) schema ~sigma goals =
   Telemetry.with_span "implication.implies_many" @@ fun () ->
   let budget = Guard.resolve budget in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-  in
   match
     (* The shared pass: Σ is canonicalised and compiled exactly once for
-       the whole batch (the per-goal searches read it concurrently — it
-       is immutable after compilation). *)
+       the whole batch. *)
     Guard.probe ~budget "implication.implies";
     List.map (compile schema) (List.map Cind.canon_nf sigma)
   with
   | exception Guard.Exhausted r -> List.map (fun _ -> Undetermined r) goals
   | compiled ->
-      Parallel.map ~jobs
+      List.map
         (decide_compiled_core ~budget ~max_states ~recorder:None schema compiled)
         goals
 

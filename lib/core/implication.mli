@@ -20,7 +20,7 @@ exception Budget_exceeded
 type outcome = Implied | Not_implied | Undetermined of Guard.reason
 (** The three-valued answer: the exact procedure either decides, or gives
     up for a stated reason ([Guard.Fuel] for its own [max_states] cap;
-    deadline, cancellation or fault from a shared budget otherwise). *)
+    deadline, memory or fault from a shared budget otherwise). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
@@ -78,14 +78,12 @@ val decide_infinite :
 val implies_many :
   ?budget:Guard.t ->
   ?max_states:int ->
-  ?jobs:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
   Cind.nf list ->
   outcome list
 (** Batch {!decide} over many goals against one Σ.  The batch
     canonicalises and compiles Σ exactly once (the genuinely shared half
-    of each call) and fans the per-goal searches out with {!Parallel.map}
-    over [jobs] domains (default {!Parallel.default_jobs}).  The
-    procedure is rng-free, so outcome i is identical to
-    [decide schema ~sigma (List.nth goals i)] at any jobs count. *)
+    of each call), then runs the per-goal searches one after another.
+    The procedure is rng-free, so outcome i is identical to
+    [decide schema ~sigma (List.nth goals i)]. *)

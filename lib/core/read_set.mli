@@ -18,8 +18,7 @@
 
     Not domain-safe: record into one recorder from one domain only.  The
     batch entry points ([check_many], [consistent_many], [implies_many])
-    therefore do not take recorders — sessions record on the singleton
-    paths. *)
+    do not take recorders — sessions record on the singleton paths. *)
 
 type t
 

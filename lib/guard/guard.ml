@@ -1,5 +1,5 @@
 (* Unified resource governance: budgets (deadline / fuel / allocation
-   ceiling / cancellation) with a structured exhaustion reason, an ambient
+   ceiling) with a structured exhaustion reason, an ambient
    budget for CLI- and bench-scoped limits, and deterministic named
    fault-injection probes.  See guard.mli for the full contract. *)
 
@@ -7,7 +7,6 @@ type reason =
   | Deadline
   | Fuel
   | Memory
-  | Cancelled
   | Fault of string
 
 exception Exhausted of reason
@@ -16,7 +15,6 @@ let reason_to_string = function
   | Deadline -> "deadline"
   | Fuel -> "fuel"
   | Memory -> "memory"
-  | Cancelled -> "cancelled"
   | Fault site -> "fault:" ^ site
 
 let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
@@ -24,39 +22,20 @@ let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
 let m_deadline = Telemetry.counter "guard.deadline_hits" ~doc:"budgets exhausted by the wall-clock deadline"
 let m_fuel = Telemetry.counter "guard.fuel_exhausted" ~doc:"budgets exhausted by the step-fuel limit"
 let m_memory = Telemetry.counter "guard.memory_hits" ~doc:"budgets exhausted by the allocation ceiling"
-let m_cancelled = Telemetry.counter "guard.cancellations" ~doc:"budgets exhausted by a cancellation token"
 let m_faults = Telemetry.counter "guard.faults_injected" ~doc:"armed probes that raised Exhausted (Fault _)"
 let m_stalls = Telemetry.counter "guard.stalls_injected" ~doc:"armed probes that stalled (slept) at their site"
 let m_budgets = Telemetry.counter "guard.budgets_created" ~doc:"limited budgets constructed"
-
-(* --- cancellation tokens --- *)
-
-(* Atomic so a cancel on one domain is promptly visible to budget polls on
-   another — the parallel engine's first-success racing depends on it. *)
-type token = { cancelled : bool Atomic.t }
-
-let token () = { cancelled = Atomic.make false }
-let cancel tok = Atomic.set tok.cancelled true
-let is_cancelled tok = Atomic.get tok.cancelled
 
 (* --- budgets --- *)
 
 type t = {
   deadline : float option; (* absolute Unix time *)
   fuel_limited : bool;
-  fuel : int Atomic.t; (* shared with children across domains *)
+  fuel : int Atomic.t;
   max_words : float option;
   words0 : float; (* Gc.minor_words at creation *)
-  cancel : token option;
   mutable poll : int; (* countdown to the next clock/allocator poll *)
   mutable spent : reason option; (* sticky once exhausted *)
-  parent : t option; (* a child observes its parent's sticky exhaustion *)
-  governed : bool;
-      (* caller imposed a real limit (deadline / fuel / words), directly or
-         via a parent — the gate for environment-armed faults.  A budget
-         that exists only to carry a racing cancellation token is NOT
-         governed: racing on top of unbudgeted code must not invite env
-         faults into it. *)
 }
 
 (* How many ticks between clock/allocator polls.  Tick sites sit on
@@ -71,18 +50,15 @@ let unlimited =
     fuel = Atomic.make max_int;
     max_words = None;
     words0 = 0.;
-    cancel = None;
     poll = max_int;
     spent = None;
-    parent = None;
-    governed = false;
   }
 
 let is_unlimited b = b == unlimited
 
-let make ?timeout_s ?fuel ?max_words ?cancel () =
-  match timeout_s, fuel, max_words, cancel with
-  | None, None, None, None -> unlimited
+let make ?timeout_s ?fuel ?max_words () =
+  match timeout_s, fuel, max_words with
+  | None, None, None -> unlimited
   | _ ->
       Telemetry.incr m_budgets;
       {
@@ -91,87 +67,21 @@ let make ?timeout_s ?fuel ?max_words ?cancel () =
         fuel = Atomic.make (Option.value ~default:max_int fuel);
         max_words;
         words0 = (if max_words = None then 0. else Gc.minor_words ());
-        cancel;
         poll = 0;
         spent = None;
-        parent = None;
-        governed = timeout_s <> None || fuel <> None || max_words <> None;
       }
-
-(* A child budget for a worker domain of the parallel engine: it shares the
-   parent's absolute deadline and fuel cell (fuel draws from the same pool,
-   atomically), observes the parent's sticky exhaustion at every poll, and
-   carries its own cancellation token so a racer can stop one sibling
-   without spending the parent.  The allocation ceiling is NOT inherited:
-   [Gc.minor_words] is a per-domain statistic, so a parent-domain baseline
-   would be meaningless on the worker. *)
-let child ?cancel parent =
-  if is_unlimited parent && cancel = None then unlimited
-  else begin
-    Telemetry.incr m_budgets;
-    {
-      deadline = parent.deadline;
-      fuel_limited = parent.fuel_limited;
-      fuel = parent.fuel;
-      max_words = None;
-      words0 = 0.;
-      cancel;
-      poll = 0;
-      spent = None;
-      parent = (if is_unlimited parent then None else Some parent);
-      governed = parent.governed;
-    }
-  end
 
 let exhaust b reason =
   b.spent <- Some reason;
-  (* Shared-state exhaustion is the parent's exhaustion too: a child drains
-     the same fuel pool and carries the same deadline, so the ancestors'
-     sticky flags must be set as well — callers inspect the parent
-     (typically the ambient budget) to tell "the shared limit cut the
-     search" from "the heuristic gave up".  Cancellation stays local: a
-     racing loser's token says nothing about its siblings or parent. *)
-  (match reason with
-  | Cancelled -> ()
-  | Deadline | Fuel | Memory | Fault _ ->
-      let rec mark = function
-        | Some p when p.spent = None ->
-            p.spent <- Some reason;
-            mark p.parent
-        | _ -> ()
-      in
-      mark b.parent);
   (match reason with
   | Deadline -> Telemetry.incr m_deadline
   | Fuel -> Telemetry.incr m_fuel
   | Memory -> Telemetry.incr m_memory
-  | Cancelled -> Telemetry.incr m_cancelled
   | Fault _ -> Telemetry.incr m_faults);
   (* Forensics: a fresh (non-sticky) exhaustion is the moment the budget
-     actually ran out — snapshot the live span stack for the profiler.
-     Cancellation is a racing loser being told to stop, not a cost story. *)
-  (match reason with
-  | Cancelled -> ()
-  | _ -> Telemetry.mark_exhaustion (reason_to_string reason));
+     actually ran out — snapshot the live span stack for the profiler. *)
+  Telemetry.mark_exhaustion (reason_to_string reason);
   raise (Exhausted reason)
-
-(* A child inheriting its parent's exhaustion: sticky locally, but not
-   counted again (the parent already did). *)
-let propagate b reason =
-  b.spent <- Some reason;
-  raise (Exhausted reason)
-
-(* A child polls its parent's sticky flag AND the parent's own token: the
-   parent is typically idle while its fan-out runs, so nobody else would
-   notice the parent being cancelled. *)
-let check_parent b =
-  match b.parent with
-  | Some p -> (
-      (match p.spent with Some r -> propagate b r | None -> ());
-      match p.cancel with
-      | Some tok when Atomic.get tok.cancelled -> exhaust b Cancelled
-      | _ -> ())
-  | None -> ()
 
 (* Poll the expensive limits (clock, allocator). *)
 let poll_slow b =
@@ -186,10 +96,6 @@ let poll_slow b =
 let tick ?(cost = 1) b =
   if not (is_unlimited b) then begin
     (match b.spent with Some r -> raise (Exhausted r) | None -> ());
-    check_parent b;
-    (match b.cancel with
-    | Some tok when Atomic.get tok.cancelled -> exhaust b Cancelled
-    | _ -> ());
     if b.fuel_limited then
       if Atomic.fetch_and_add b.fuel (-cost) - cost < 0 then exhaust b Fuel;
     b.poll <- b.poll - 1;
@@ -199,10 +105,6 @@ let tick ?(cost = 1) b =
 let check b =
   if not (is_unlimited b) then begin
     (match b.spent with Some r -> raise (Exhausted r) | None -> ());
-    check_parent b;
-    (match b.cancel with
-    | Some tok when Atomic.get tok.cancelled -> exhaust b Cancelled
-    | _ -> ());
     poll_slow b
   end
 
@@ -212,7 +114,7 @@ let reraise_if_spent b =
   match b.spent with Some r -> raise (Exhausted r) | None -> ()
 
 let recoverable ~shared r =
-  match r with Fault _ -> false | Deadline | Fuel | Memory | Cancelled -> shared.spent = None
+  match r with Fault _ -> false | Deadline | Fuel | Memory -> shared.spent = None
 
 let run b f =
   match
@@ -224,11 +126,9 @@ let run b f =
 
 (* --- ambient budget --- *)
 
-(* Domain-local, not process-global: the bench harness scopes one budget
-   per series, and with --jobs those series run on different worker
-   domains concurrently — a shared ref would leak one series' deadline
-   into another.  The parallel engine explicitly installs the submitting
-   caller's ambient in each task it runs. *)
+(* Domain-local, not process-global: a library user driving checks from
+   several domains of their own scopes one ambient budget per domain, and
+   a shared ref would leak one domain's deadline into another. *)
 let ambient_key = Domain.DLS.new_key (fun () -> ref unlimited)
 
 let ambient () = !(Domain.DLS.get ambient_key)
@@ -256,7 +156,8 @@ type armed = {
 }
 
 (* site -> armed entry; the wildcard site "*" matches everything.  Probes
-   fire from worker domains, so every table access goes through one mutex
+   may fire from any of a caller's domains, so every table access goes
+   through one mutex
    (the armed-empty fast path reads a length field, which is safe). *)
 let fault_mutex = Mutex.create ()
 
@@ -319,7 +220,7 @@ let known_sites () =
 let probe ?budget site =
   (* Decide the action under the lock, act outside it: a Stall must not
      hold the mutex while it sleeps. *)
-  let governed = (resolve budget).governed in
+  let governed = not (is_unlimited (resolve budget)) in
   let action =
     with_faults @@ fun () ->
     if not (Hashtbl.mem sites_tbl site) then begin

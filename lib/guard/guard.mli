@@ -3,8 +3,8 @@
     The paper's core problems are intrinsically expensive — CIND implication
     is EXPTIME-complete (Thm 3.4) and the heuristic [Checking] pipeline is
     budgeted by design (K / K_CFD, Fig 9) — so every engine in this repo
-    accepts a {!t} ("budget") combining a wall-clock deadline, step fuel, an
-    optional allocation ceiling, and a cooperative cancellation token.
+    accepts a {!t} ("budget") combining a wall-clock deadline, step fuel and
+    an optional allocation ceiling.
     Exhaustion is reported as a structured {!reason} rather than a hang or a
     crash; engines surface it as a typed [Unknown]/[Exhausted] result (or
     let {!Exhausted} propagate from boolean APIs, where the caller maps it
@@ -13,11 +13,8 @@
     Budgets are mutable and *sticky*: once exhausted, every subsequent
     {!tick}/{!check} raises again with the same reason, so a deep search
     unwinds promptly no matter where it is.  A budget is owned by one
-    domain; to govern work fanned out across domains, derive one {!child}
-    per task — children share the parent's absolute deadline and fuel pool
-    and observe its sticky exhaustion, while carrying their own
-    cancellation token (tokens themselves are atomic and safe to cancel
-    from any domain).
+    domain: every engine runs on its caller's domain, and the allocation
+    ceiling reads that domain's [Gc.minor_words].
 
     The module also hosts deterministic {e fault-injection probes}
     ({!probe}): named sites in the engines that tests (or the
@@ -25,9 +22,9 @@
     that degradation is graceful — a fault surfaces as
     [Unknown (Fault site)], never as a crash.
 
-    Every budget/cancel/fault event is counted through the telemetry layer
+    Every budget/fault event is counted through the telemetry layer
     ([guard.deadline_hits], [guard.fuel_exhausted], [guard.memory_hits],
-    [guard.cancellations], [guard.faults_injected], [guard.stalls_injected]). *)
+    [guard.faults_injected], [guard.stalls_injected]). *)
 
 (** {1 Exhaustion reasons} *)
 
@@ -35,24 +32,15 @@ type reason =
   | Deadline  (** the wall-clock deadline passed *)
   | Fuel  (** the step/fuel budget ran dry (also: a capacity limit) *)
   | Memory  (** the allocation ceiling was crossed *)
-  | Cancelled  (** the cancellation token was triggered *)
   | Fault of string  (** an armed fault-injection probe fired at this site *)
 
 exception Exhausted of reason
 (** Raised by {!tick}/{!check}/{!probe} when a budget limit is hit. *)
 
 val reason_to_string : reason -> string
-(** ["deadline"], ["fuel"], ["memory"], ["cancelled"], ["fault:<site>"]. *)
+(** ["deadline"], ["fuel"], ["memory"], ["fault:<site>"]. *)
 
 val pp_reason : Format.formatter -> reason -> unit
-
-(** {1 Cancellation tokens} *)
-
-type token
-
-val token : unit -> token
-val cancel : token -> unit
-val is_cancelled : token -> bool
 
 (** {1 Budgets} *)
 
@@ -62,23 +50,13 @@ val unlimited : t
 (** The no-op budget: {!tick} and {!check} on it never raise and cost one
     physical-equality test. *)
 
-val make :
-  ?timeout_s:float -> ?fuel:int -> ?max_words:float -> ?cancel:token -> unit -> t
+val make : ?timeout_s:float -> ?fuel:int -> ?max_words:float -> unit -> t
 (** [make ()] with no limits is {!unlimited}.  [timeout_s] is a relative
     wall-clock deadline in seconds; [fuel] a number of {!tick}s (cost-
     weighted); [max_words] a ceiling on minor-heap words allocated after
-    creation (polled via [Gc.minor_words]); [cancel] a cooperative token. *)
+    creation (polled via [Gc.minor_words]). *)
 
 val is_unlimited : t -> bool
-
-val child : ?cancel:token -> t -> t
-(** [child ?cancel parent] derives a budget for one task of a parallel
-    fan-out.  It shares [parent]'s absolute deadline and draws fuel from
-    the same (atomic) pool, observes [parent]'s sticky exhaustion at every
-    {!tick}/{!check}, and carries its own [cancel] token so a racer can
-    stop one sibling without spending the others.  The allocation ceiling
-    is not inherited ([Gc.minor_words] is per-domain).  [child unlimited]
-    with no token is {!unlimited}. *)
 
 val tick : ?cost:int -> t -> unit
 (** Consume [cost] (default 1) fuel and poll the cheap limits; the clock
@@ -134,9 +112,7 @@ val resolve : t option -> t
     Arming from the environment ([GUARD_FAULTS=all] or a comma-separated
     site list, with optional [GUARD_FAULT_MODE=raise|stall:SECS],
     [GUARD_FAULT_AFTER=N], [GUARD_FAULT_SEED=N]) fires only at probes
-    running under a *governed* budget — one with a real deadline / fuel /
-    allocation limit, directly or inherited through {!child} (a budget
-    that merely carries a racing cancellation token does not count) — so
+    running under a *governed* budget — any budget but {!unlimited} — so
     an armed process degrades its governed runs without perturbing
     unbudgeted code; programmatic {!arm} fires unconditionally. *)
 

@@ -58,7 +58,6 @@ type t = {
   s_schema : Db_schema.t;
   s_seed : int;
   s_backend : Cind_api.backend;
-  s_jobs : int option;
   s_k : int option;
   s_k_cfd : int option;
   s_max_states : int option;
@@ -87,13 +86,12 @@ type t = {
   mutable s_inval : int;
 }
 
-let create ?(backend = Cind_api.Chase_backend) ?jobs ?k ?k_cfd
-    ?max_states ?(cache = true) ~seed schema =
+let create ?(backend = Cind_api.Chase_backend) ?k ?k_cfd ?max_states
+    ?(cache = true) ~seed schema =
   {
     s_schema = schema;
     s_seed = seed;
     s_backend = backend;
-    s_jobs = jobs;
     s_k = k;
     s_k_cfd = k_cfd;
     s_max_states = max_states;
@@ -200,13 +198,12 @@ let lookup t kind target_fp ~ctx ~same_target =
 
 (* Only verdicts deterministic under replay may be cached: the paper's
    own K / K_CFD / max_states give-ups re-run identically, but a
-   deadline, memory ceiling, cancellation or injected fault would not. *)
+   deadline, memory ceiling or injected fault would not. *)
 let cacheable = function
   | S_verdict (Cind_api.Unknown r) -> (
       match r with
       | Guard.Fuel -> true
-      | Guard.Deadline | Guard.Memory | Guard.Cancelled | Guard.Fault _ ->
-          false)
+      | Guard.Deadline | Guard.Memory | Guard.Fault _ -> false)
   | S_verdict (Cind_api.Yes _ | Cind_api.No) | S_bool _ -> true
 
 let tbl_of_list xs =
@@ -394,8 +391,8 @@ let check t =
       let recorder = if t.s_cache_on then Some (Read_set.create ()) else None in
       let rng = rng_for t kcheck fps fps in
       let v =
-        Cind_api.check ~backend:t.s_backend ?jobs:t.s_jobs
-          ?k:t.s_k ?k_cfd:t.s_k_cfd ?recorder ~rng t.s_schema t.s_sigma
+        Cind_api.check ~backend:t.s_backend ?k:t.s_k ?k_cfd:t.s_k_cfd
+          ?recorder ~rng t.s_schema t.s_sigma
       in
       store t kcheck fps
         (entry_of_recorder ~target:(T_sigma t.s_sigma) ~stored:(S_verdict v)

@@ -34,7 +34,7 @@ open Conddep_core
       and its from-scratch recomputation consume identical rng streams;
     - verdicts are cached only when deterministic under replay:
       [Unknown Guard.Fuel] (the paper's K / K_CFD / max_states caps) is
-      cached, [Unknown] for deadline/memory/cancellation/fault never is.
+      cached, [Unknown] for deadline/memory/fault never is.
 
     Sessions also keep warm-start state across dirtied re-runs: the
     compiled Σ of the implication procedure (keyed by the CIND-set
@@ -43,15 +43,13 @@ open Conddep_core
 
     Edits probe the [incremental.invalidate] fault-injection site; an
     injected fault there flushes the whole cache (always sound) instead
-    of escaping the edit.  Sessions are single-domain objects — queries
-    may fan work out internally ([jobs]), but the session itself must be
-    driven from one domain. *)
+    of escaping the edit.  Sessions are single-domain objects: a session
+    must be driven from one domain. *)
 
 type t
 
 val create :
   ?backend:Cind_api.backend ->
-  ?jobs:int ->
   ?k:int ->
   ?k_cfd:int ->
   ?max_states:int ->

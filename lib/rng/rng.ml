@@ -43,9 +43,8 @@ let shuffle t l =
 
 let split t = make (Int64.to_int (next_int64 t))
 
-(* In submission order, not List.init order: task i of a parallel fan-out
-   must get the same generator whether the tasks run on one domain or
-   eight. *)
+(* In index order, not List.init order: item i of a batch gets the i-th
+   split whatever order the items are later consumed in. *)
 let split_n t n =
   let rec go acc k = if k = 0 then List.rev acc else go (split t :: acc) (k - 1) in
   go [] n

@@ -24,5 +24,5 @@ val split : t -> t
 val split_n : t -> int -> t list
 (** [split_n t n] is [n] independent generators, derived in a fixed order —
     the i-th element is the same generator regardless of how (or where) the
-    list is later consumed, which is what makes parallel fan-outs
+    list is later consumed, which is what makes batch entry points
     reproducible from one seed. *)

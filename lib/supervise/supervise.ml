@@ -16,9 +16,8 @@ module Policy = struct
   let default = { retries = 0 }
   let supervised = { retries = 1 }
 
-  (* Process-global, not domain-local: the CLI sets it once before any
-     fan-out, and spawned domains must see the same policy as the
-     caller. *)
+  (* Process-global, not domain-local: the CLI sets it once at start-up,
+     and every domain of the process sees the same policy. *)
   let cell = Atomic.make default
   let ambient () = Atomic.get cell
   let set_ambient p = Atomic.set cell p
@@ -34,7 +33,7 @@ type 'a attempt =
 let transient ~shared r =
   match r with
   | Guard.Fault _ | Guard.Memory -> Guard.state shared = None
-  | Guard.Deadline | Guard.Fuel | Guard.Cancelled -> false
+  | Guard.Deadline | Guard.Fuel -> false
 
 (* Backoff slice before re-attempt [attempt + 1], in fuel: 64 doubling
    per attempt, capped at 4096, plus 0..16 of jitter from [rng]. *)

@@ -46,7 +46,7 @@ val transient : shared:Guard.t -> Guard.reason -> bool
     ceiling {e and} the [shared] budget is not spent.  Deterministic
     heuristic give-ups ([Fuel] from the paper's K / K_CFD caps) and
     shared-limit exhaustion re-run identically, so retrying them is
-    wasted fuel; cancellation is an order, not a failure. *)
+    wasted fuel. *)
 
 val with_retry :
   ?policy:Policy.t ->

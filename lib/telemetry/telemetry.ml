@@ -13,8 +13,8 @@
    - recording never perturbs the algorithms: no RNG use, no reordering,
      no exceptions (sink I/O errors are the caller's problem at flush
      time, not the instrumented code's);
-   - domain-safe: record sites fire from worker domains of the parallel
-     execution engine.  Counters are [Atomic] (the disabled path is still
+   - domain-safe: the libraries run on their caller's domain, and a
+     caller may drive them from several domains at once.  Counters are [Atomic] (the disabled path is still
      a load and a test); histograms take a per-histogram mutex only when
      enabled; span depth and the profiler's frame stack are domain-local;
      sink emission is serialized so lines never interleave; trace events
@@ -43,7 +43,7 @@ let profiling () = !profiling_flag
 (* --- counters ------------------------------------------------------------ *)
 
 (* Registries are mutated at module-initialisation time in the common case,
-   but lazily-created metrics can race with worker domains; one mutex
+   but lazily-created metrics can race with other domains; one mutex
    serializes registration (never the hot record path). *)
 let registry_mutex = Mutex.create ()
 
@@ -167,18 +167,18 @@ let escape s =
 
 (* --- spans --------------------------------------------------------------- *)
 
-(* Span nesting is a per-domain notion: a worker domain's spans nest among
-   themselves, not into whatever the main domain is timing. *)
+(* Span nesting is a per-domain notion: one domain's spans nest among
+   themselves, not into whatever another domain is timing. *)
 let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let depth () = Domain.DLS.get depth_key
 
 let span_depth () = !(depth ())
 
-(* One emit at a time: concurrent spans from worker domains must not
+(* One emit at a time: concurrent spans from several domains must not
    interleave bytes within a line.  Every span line additionally carries
    the emitting domain's id ([tid]) so a reader can reconstruct one stack
-   per domain — depth alone is ambiguous once pool workers emit. *)
+   per domain — depth alone is ambiguous once two domains emit. *)
 let emit_mutex = Mutex.create ()
 
 let self_tid () = (Domain.self () :> int)
@@ -212,7 +212,7 @@ let record_span name dur err =
 (* Completed (and begun) spans are kept as begin/end events for the Chrome
    Trace Event export, one buffer per domain: the append path is entirely
    domain-local (no lock, no contention with other domains), and buffers
-   outlive their domains so pool workers' tracks survive the join.  The
+   outlive their domains so a joined domain's track survives it.  The
    per-domain cap bounds memory on runaway runs; drops are counted, never
    silent. *)
 
@@ -325,7 +325,7 @@ let profile_root = new_pnode ""
 (* Reason and innermost-first span stack captured by [mark_exhaustion] at
    the instant a budget ran out — the "who ate my budget" forensics.  Only
    the first mark is kept: the initial exhaustion is the interesting one,
-   the sticky re-raises and sibling cancellations that follow are fallout. *)
+   the sticky re-raises that follow are fallout. *)
 let exhaustion_cell : (string * string list) option ref = ref None
 
 let mark_exhaustion reason =

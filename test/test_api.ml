@@ -7,8 +7,8 @@ module B = Conddep_fixtures.Bank
 
 (* Batch facade equivalence: every [_many] entry point must be
    bit-identical — verdicts AND witnesses — to the corresponding sequence
-   of singleton calls, at any jobs count.  Witnesses are
-   compared through their full printed databases.  All runs use unlimited
+   of singleton calls.  Witnesses are compared through their full
+   printed databases.  All runs use unlimited
    ambient budgets, so the GUARD_FAULTS sweep (whose armed faults fire at
    governed probes) leaves the equalities intact. *)
 
@@ -52,18 +52,12 @@ let test_check_many_equivalence () =
   let schema, sigmas = batch_workload 31 n in
   let singles =
     List.map2
-      (fun rng sigma -> show (Cind_api.check ~jobs:1 ~k:6 ~rng schema sigma))
+      (fun rng sigma -> show (Cind_api.check ~k:6 ~rng schema sigma))
       (Rng.split_n (Rng.make 77) n)
       sigmas
   in
-  List.iter
-    (fun jobs ->
-      let got =
-        List.map show
-          (Cind_api.check_many ~jobs ~k:6 ~rng:(Rng.make 77) schema sigmas)
-      in
-      check_shows (Printf.sprintf "check_many jobs=%d" jobs) singles got)
-    [ 1; 2; 4 ]
+  check_shows "check_many" singles
+    (List.map show (Cind_api.check_many ~k:6 ~rng:(Rng.make 77) schema sigmas))
 
 (* --- implies_many ------------------------------------------------------- *)
 
@@ -75,13 +69,8 @@ let test_implies_many_equivalence () =
   let singles =
     List.map (fun g -> show (Cind_api.implies B.schema ~sigma g)) goals
   in
-  List.iter
-    (fun jobs ->
-      let got =
-        List.map show (Cind_api.implies_many ~jobs B.schema ~sigma goals)
-      in
-      check_shows (Printf.sprintf "implies_many jobs=%d" jobs) singles got)
-    [ 1; 4 ]
+  check_shows "implies_many" singles
+    (List.map show (Cind_api.implies_many B.schema ~sigma goals))
 
 (* --- consistent_many ---------------------------------------------------- *)
 
@@ -104,15 +93,9 @@ let test_consistent_many_equivalence () =
       (Rng.split_n (Rng.make 5) (List.length rels))
       rels
   in
-  List.iter
-    (fun jobs ->
-      let got =
-        List.map show
-          (Cind_api.consistent_many ~jobs ~k_cfd:8 ~rng:(Rng.make 5) schema
-             cfds ~rels)
-      in
-      check_shows (Printf.sprintf "consistent_many jobs=%d" jobs) singles got)
-    [ 1; 4 ]
+  check_shows "consistent_many" singles
+    (List.map show
+       (Cind_api.consistent_many ~k_cfd:8 ~rng:(Rng.make 5) schema cfds ~rels))
 
 let () =
   Alcotest.run "api"
@@ -120,8 +103,8 @@ let () =
       ("facade", [ Alcotest.test_case "verdict mapping" `Quick test_verdict_mapping ]);
       ( "batch",
         [
-          Alcotest.test_case "check_many == N singleton checks (jobs 1, 4)"
-            `Quick test_check_many_equivalence;
+          Alcotest.test_case "check_many == N singleton checks" `Quick
+            test_check_many_equivalence;
           Alcotest.test_case "implies_many == N singleton decisions" `Quick
             test_implies_many_equivalence;
           Alcotest.test_case "consistent_many == N singleton decisions" `Quick

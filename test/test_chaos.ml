@@ -60,7 +60,7 @@ let test_save_load () =
 (* --- the sweep ------------------------------------------------------------------ *)
 
 let test_sweep_verdict_identity () =
-  let report = Chaos.sweep ~jobs:1 ~seed:5 ~rounds:6 () in
+  let report = Chaos.sweep ~seed:5 ~rounds:6 () in
   check_int "every round ran" 6 (List.length report.Chaos.rounds);
   check_int "no verdict-identity violations" 0
     (List.length report.Chaos.failures);
@@ -74,11 +74,11 @@ let test_sweep_deterministic () =
   let schedules_of r =
     List.map (fun x -> x.Chaos.r_schedule) r.Chaos.rounds
   in
-  let r1 = Chaos.sweep ~jobs:1 ~seed:11 ~rounds:4 () in
-  let r2 = Chaos.sweep ~jobs:1 ~seed:11 ~rounds:4 () in
+  let r1 = Chaos.sweep ~seed:11 ~rounds:4 () in
+  let r2 = Chaos.sweep ~seed:11 ~rounds:4 () in
   check_bool "same seed draws the same schedules" true
     (schedules_of r1 = schedules_of r2);
-  check_bool "same seed, same verdicts (jobs fixed)" true
+  check_bool "same seed, same verdicts" true
     (List.map (fun x -> x.Chaos.r_faulty) r1.Chaos.rounds
     = List.map (fun x -> x.Chaos.r_faulty) r2.Chaos.rounds)
 

@@ -1,6 +1,7 @@
 open Conddep_relational
 open Conddep_core
 open Conddep_consistency
+open Conddep_generator
 open Helpers
 
 (* The heuristic consistency algorithms of Section 5, against the worked
@@ -201,6 +202,61 @@ let test_random_checking_sound_on_conflict () =
   | Random_checking.Unknown _ -> ()
   | Random_checking.Consistent _ -> Alcotest.fail "Example 4.2 is inconsistent"
 
+let test_random_checking_rng_contract () =
+  (* Run i draws the i-th split of the caller's generator when it starts,
+     so the generator advances one split per run through the stopping
+     run: by K splits after [Unknown Fuel], and by the number of runs
+     counted after [Consistent].  Callers that keep drawing from it
+     (Checking, across components) rely on this. *)
+  let k = 40 in
+  let runs = Telemetry.counter "checking.random.runs" in
+  let next_draw_after splits =
+    let r = Rng.make 9 in
+    for _ = 1 to splits do
+      ignore (Rng.split r)
+    done;
+    Rng.int r 1_000_000_000
+  in
+  let consistent_seen = ref 0 and gave_up_seen = ref 0 in
+  let check_case label schema sigma =
+    let rng = Rng.make 9 in
+    let runs0 = Telemetry.count runs in
+    let result = Random_checking.check ~k ~k_cfd:6 ~rng schema sigma in
+    let used = Telemetry.count runs - runs0 in
+    (match result with
+    | Random_checking.Consistent _ -> incr consistent_seen
+    | Random_checking.Unknown Guard.Fuel ->
+        incr gave_up_seen;
+        check_int (label ^ ": K runs before giving up") k used
+    | Random_checking.Unknown r ->
+        Alcotest.failf "%s: unexpected unknown:%s" label
+          (Guard.reason_to_string r));
+    check_int (label ^ ": one split per run") (next_draw_after used)
+      (Rng.int rng 1_000_000_000)
+  in
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  (* Example 4.2 is inconsistent: every one of the K runs fails *)
+  check_case "Example 4.2" B.ex42_schema
+    (Sigma.normalize (Sigma.make ~cfds:[ B.ex42_cfd ] ~cinds:[ B.ex42_cind ] ()));
+  List.iter
+    (fun (consistent, relations, constraints) ->
+      for seed = 1 to 30 do
+        let g = Rng.make seed in
+        let schema =
+          Schema_gen.generate g
+            { Schema_gen.default with num_relations = relations }
+        in
+        let gen = if consistent then Workload.consistent else Workload.random in
+        let sigma =
+          gen g { Workload.default with num_constraints = constraints } schema
+        in
+        check_case (Fmt.str "relations=%d seed %d" relations seed) schema sigma
+      done)
+    [ (true, 4, 24); (false, 4, 24); (true, 8, 48); (false, 8, 48) ];
+  check_bool "some searches found a witness" true (!consistent_seen > 0);
+  check_bool "some searches gave up" true (!gave_up_seen > 0)
+
 (* --- Checking (Fig 9, Example 5.6) ----------------------------------------- *)
 
 let test_checking_example_5_6 () =
@@ -260,6 +316,8 @@ let () =
             test_random_checking_example_5_3;
           Alcotest.test_case "sound on Example 4.2" `Quick
             test_random_checking_sound_on_conflict;
+          Alcotest.test_case "caller rng advances one split per run" `Quick
+            test_random_checking_rng_contract;
         ] );
       ( "checking",
         [

@@ -65,15 +65,6 @@ let test_deadline () =
       check_reason "deadline reason" Guard.Deadline r;
       check_bool "deadline prompt" true (Unix.gettimeofday () -. t0 < 1.0)
 
-let test_cancellation () =
-  let tok = Guard.token () in
-  let b = Guard.make ~cancel:tok () in
-  Guard.check b;
-  Guard.cancel tok;
-  match Guard.check b with
-  | () -> Alcotest.fail "cancelled budget should raise"
-  | exception Guard.Exhausted r -> check_reason "cancel reason" Guard.Cancelled r
-
 let test_recoverable () =
   let shared = Guard.unlimited in
   check_bool "local fuel is recoverable" true
@@ -211,6 +202,31 @@ let test_implication_deadline () =
           () (* small instances may decide within the fuel *)
       | Implication.Undetermined r -> check_cutoff "fuel surfaced" Guard.Fuel r)
 
+let test_random_checking_memory () =
+  (* RandomChecking's runs go under the caller's budget itself, so a
+     caller's allocation ceiling holds inside every run: with a one-word
+     ceiling no run can finish, and the search answers Unknown Memory on
+     Σ it otherwise finds a witness for *)
+  for seed = 1 to 30 do
+    let rng = Rng.make seed in
+    let schema =
+      Schema_gen.generate rng { Schema_gen.default with num_relations = 4 }
+    in
+    let sigma =
+      Workload.consistent rng { Workload.default with num_constraints = 24 }
+        schema
+    in
+    match
+      Random_checking.check ~budget:(Guard.make ~max_words:1. ())
+        ~rng:(Rng.make 2) schema sigma
+    with
+    | Random_checking.Unknown r ->
+        check_cutoff (Printf.sprintf "seed %d: memory surfaced" seed)
+          Guard.Memory r
+    | Random_checking.Consistent _ ->
+        Alcotest.failf "seed %d: the allocation ceiling was ignored" seed
+  done
+
 (* --- determinism of budgeted degradation ------------------------------------- *)
 
 let describe_result = function
@@ -344,7 +360,6 @@ let () =
           Alcotest.test_case "unlimited" `Quick test_unlimited;
           Alcotest.test_case "fuel exhaustion is sticky" `Quick test_fuel_sticky;
           Alcotest.test_case "deadline" `Quick test_deadline;
-          Alcotest.test_case "cancellation" `Quick test_cancellation;
           Alcotest.test_case "recoverable" `Quick test_recoverable;
           Alcotest.test_case "ambient scoping" `Quick test_ambient_scoping;
         ] );
@@ -361,6 +376,8 @@ let () =
             test_checking_deadline;
           Alcotest.test_case "implication under fuel" `Quick
             test_implication_deadline;
+          Alcotest.test_case "RandomChecking under an allocation ceiling" `Quick
+            test_random_checking_memory;
           Alcotest.test_case "budgeted verdicts are deterministic" `Quick
             test_budgeted_determinism;
           Alcotest.test_case "guards disabled: verdicts unchanged" `Quick

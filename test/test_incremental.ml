@@ -7,7 +7,7 @@ open Helpers
    verdict-bit-identical to recomputing from scratch.  The property test
    replays random seeded edit scripts through a cached session and a
    [~cache:false] oracle side by side and compares every verdict — full
-   printed witnesses included — at jobs 1 and 4.  The chaos test arms the
+   printed witnesses included.  The chaos test arms the
    [incremental.invalidate] probe so every edit degrades to a full cache
    flush, which must leave the equivalence intact.  The regression test
    pins the satellite fix: a forced-propagation contradiction from the
@@ -89,8 +89,8 @@ let battery w s ~deep =
   @ [ string_of_bool (Cind_session.holds s) ]
   @ (if deep then [ show (Cind_session.check s) ] else [])
 
-let replay ?jobs ~seed ~cache w =
-  let s = Cind_session.create ?jobs ~cache ~seed:7 w.w_schema in
+let replay ~seed ~cache w =
+  let s = Cind_session.create ~cache ~seed:7 w.w_schema in
   let rng = Rng.make seed in
   let steps = 18 in
   let out = ref [] in
@@ -106,20 +106,12 @@ let test_incremental_vs_fresh () =
   List.iter
     (fun seed ->
       let w = workload (100 + seed) in
-      let cached1, got1 = replay ~jobs:1 ~seed ~cache:true w in
-      let _, want1 = replay ~jobs:1 ~seed ~cache:false w in
+      let cached, got = replay ~seed ~cache:true w in
+      let _, want = replay ~seed ~cache:false w in
       Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: cached == fresh (jobs 1)" seed)
-        want1 got1;
-      let _, got4 = replay ~jobs:4 ~seed ~cache:true w in
-      let _, want4 = replay ~jobs:4 ~seed ~cache:false w in
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: cached == fresh (jobs 4)" seed)
-        want4 got4;
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: fresh jobs 1 == fresh jobs 4" seed)
-        want1 want4;
-      let st = Cind_session.stats cached1 in
+        (Printf.sprintf "seed %d: cached == fresh" seed)
+        want got;
+      let st = Cind_session.stats cached in
       check_bool
         (Printf.sprintf "seed %d: the cache actually worked (hits > 0)" seed)
         true (st.Cind_session.hits > 0))
@@ -134,12 +126,12 @@ let with_arm ~site ?after ?times f =
 let test_invalidate_fault_degrades_to_flush () =
   let seed = 11 in
   let w = workload 111 in
-  let _, want = replay ~jobs:1 ~seed ~cache:false w in
+  let _, want = replay ~seed ~cache:false w in
   let faulted, got =
     (* every edit's invalidation faults: each one must degrade to a full
        flush (never escape the edit), and verdicts must stay identical *)
     with_arm ~site:"incremental.invalidate" ~after:0 (fun () ->
-        replay ~jobs:1 ~seed ~cache:true w)
+        replay ~seed ~cache:true w)
   in
   Alcotest.(check (list string)) "faulted session == fresh oracle" want got;
   let st = Cind_session.stats faulted in
@@ -244,8 +236,8 @@ let () =
     [
       ( "equivalence",
         [
-          Alcotest.test_case "random edit scripts: cached == fresh (jobs 1, 4)"
-            `Quick test_incremental_vs_fresh;
+          Alcotest.test_case "random edit scripts: cached == fresh" `Quick
+            test_incremental_vs_fresh;
         ] );
       ( "chaos",
         [

@@ -337,6 +337,45 @@ let test_implies_infinite_agrees () =
   check_bool "infinite variant agrees" true
     (implied_inf schema ~sigma (ind "r" "s"))
 
+let test_wide_finite_product_capped () =
+  (* One CIND into a relation with 40 free two-valued attributes: the
+     tuple it creates has 2^40 candidate shapes.  The search must reach
+     its [max_states] cap after the first thousand of them instead of
+     building them all before its first check. *)
+  let flags =
+    List.init 40 (fun i ->
+        Attribute.make (Printf.sprintf "f%d" i) Domain.bool_dom)
+  in
+  let schema =
+    Db_schema.make
+      [
+        Schema.make "r" [ Attribute.make "a" Domain.string_inf ];
+        Schema.make "s" (Attribute.make "k" Domain.string_inf :: flags);
+      ]
+  in
+  let cind ?(yp = []) name =
+    {
+      Cind.nf_name = name;
+      nf_lhs = "r";
+      nf_rhs = "s";
+      nf_x = [ "a" ];
+      nf_y = [ "k" ];
+      nf_xp = [];
+      nf_yp = yp;
+    }
+  in
+  let t0 = Unix.gettimeofday () in
+  let outcome =
+    Implication.decide ~max_states:1000 schema ~sigma:[ cind "sigma" ]
+      (cind ~yp:[ ("f0", Value.Bool true) ] "psi")
+  in
+  check_bool "answers promptly" true (Unix.gettimeofday () -. t0 < 5.0);
+  match outcome with
+  | Implication.Undetermined Guard.Fuel -> ()
+  | o ->
+      Alcotest.failf "expected undetermined (fuel), got %a"
+        Implication.pp_outcome o
+
 (* --- proof search (constructive Thm 3.5) ----------------------------------- *)
 
 let three_rel_schema () =
@@ -632,6 +671,8 @@ let () =
           Alcotest.test_case "implies_infinite guard" `Quick test_implies_infinite_guard;
           Alcotest.test_case "implies_infinite agreement" `Quick
             test_implies_infinite_agrees;
+          Alcotest.test_case "state cap on a 2^40 finite product" `Quick
+            test_wide_finite_product_capped;
         ] );
       ( "proof search (Thm 3.5, constructive)",
         [

@@ -111,14 +111,12 @@ let test_transient_classification () =
     (Supervise.transient ~shared:fresh Guard.Fuel);
   check_bool "deadline is not transient" false
     (Supervise.transient ~shared:fresh Guard.Deadline);
-  check_bool "cancellation is an order, not a failure" false
-    (Supervise.transient ~shared:fresh Guard.Cancelled);
   let spent = Guard.make ~fuel:1 () in
   (try Guard.tick ~cost:10 spent with Guard.Exhausted _ -> ());
   check_bool "nothing is transient once the shared budget is spent" false
     (Supervise.transient ~shared:spent (Guard.Fault "x"))
 
-(* --- retry determinism across jobs counts --------------------------------------- *)
+(* --- retry determinism ------------------------------------------------------------ *)
 
 let describe = function
   | Checking.Consistent db -> Fmt.str "consistent:%a" Database.pp db
@@ -137,24 +135,27 @@ let with_arm ~site ?after ?times f =
   Guard.arm ~site ?after ?times Guard.Raise;
   Fun.protect ~finally:(fun () -> Guard.disarm ~site) f
 
-let test_retry_determinism_across_jobs () =
-  (* a transient fault (one fire) on the RandomChecking entry probe: the
-     supervised retry replays the entry rng, so the recovered verdict is
-     bit-identical to the fault-free baseline at jobs = 1 AND jobs = 4 *)
+let test_retry_determinism () =
+  (* a transient fault (one fire) on the pipeline entry probe or on the
+     RandomChecking entry probe: the supervised retry replays the entry
+     rng, so the recovered verdict is bit-identical to the fault-free
+     baseline *)
   let schema, sigma = gen_workload ~consistent:true 5 in
   let p = policy ~retries:2 in
   let baseline =
-    describe (Checking.check ~jobs:1 ~policy:p ~rng:(Rng.make 2) schema sigma)
+    describe (Checking.check ~policy:p ~rng:(Rng.make 2) schema sigma)
   in
   check_bool "baseline is a witness" true
     (String.length baseline >= 10 && String.sub baseline 0 10 = "consistent");
-  let faulted jobs =
-    with_arm ~site:"checking.random" ~after:0 ~times:1 (fun () ->
-        describe
-          (Checking.check ~jobs ~policy:p ~rng:(Rng.make 2) schema sigma))
-  in
-  check_string "jobs=1 recovers the fault-free verdict" baseline (faulted 1);
-  check_string "jobs=4 recovers the fault-free verdict" baseline (faulted 4)
+  List.iter
+    (fun site ->
+      check_string
+        (site ^ " fault: the retry recovers the fault-free verdict")
+        baseline
+        (with_arm ~site ~after:0 ~times:1 (fun () ->
+             describe
+               (Checking.check ~policy:p ~rng:(Rng.make 2) schema sigma))))
+    [ "checking.check"; "checking.random" ]
 
 let test_permanent_fault_never_flips_to_definitive () =
   (* an unlimited fault at the pipeline entry: every retry re-faults, so
@@ -164,8 +165,7 @@ let test_permanent_fault_never_flips_to_definitive () =
   let p = policy ~retries:2 in
   let v =
     with_arm ~site:"checking.check" (fun () ->
-        describe
-          (Checking.check ~jobs:4 ~policy:p ~rng:(Rng.make 2) schema sigma))
+        describe (Checking.check ~policy:p ~rng:(Rng.make 2) schema sigma))
   in
   check_string "typed unknown, not an invented verdict"
     "unknown:fault:checking.check" v
@@ -189,7 +189,7 @@ let test_sat_fault_surfaces () =
       check_string "Checking answers the fault"
         "unknown:fault:sat.solve"
         (describe
-           (Checking.check ~backend:Cfd_checking.Sat_backend ~jobs:1
+           (Checking.check ~backend:Cfd_checking.Sat_backend
               ~policy:(policy ~retries:2) ~rng:(Rng.make 2) schema sigma)))
 
 (* --- the probe registry ----------------------------------------------------------- *)
@@ -199,7 +199,7 @@ let test_probe_registry_complete () =
      a probe site added without [register_probe] would be invisible to
      the chaos sweep's schedule generator. *)
   let schema, sigma = gen_workload ~consistent:true 5 in
-  ignore (Checking.check ~jobs:4 ~rng:(Rng.make 2) schema sigma);
+  ignore (Checking.check ~rng:(Rng.make 2) schema sigma);
   ignore
     (Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
        ~rng:(Rng.make 3) schema sigma.Conddep_core.Sigma.ncfds
@@ -239,8 +239,8 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "retry recovers identical verdict at jobs 1 and 4"
-            `Quick test_retry_determinism_across_jobs;
+          Alcotest.test_case "retry recovers identical verdict at either probe"
+            `Quick test_retry_determinism;
           Alcotest.test_case "permanent fault stays a typed Unknown" `Quick
             test_permanent_fault_never_flips_to_definitive;
         ] );
