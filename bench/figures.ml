@@ -4,12 +4,12 @@ open Conddep_generator
 open Util
 
 (* Regeneration of the paper's Fig 10 and Fig 11 series (Section 6).
-   Absolute numbers differ from the 2007 testbed; the reported *shapes* are
-   what these sweeps reproduce: Chase scales far better than SAT (10a),
-   accuracy grows with K_CFD (10b), both heuristics stay near 100% accurate
-   on consistent sets (11a), Checking is faster than RandomChecking thanks
-   to preProcessing (11b–11c), and runtime grows with the schema at a fixed
-   constraints-per-relation ratio (11d). *)
+   Absolute numbers differ from the 2007 testbed; the sweeps measure the
+   paper's *shapes*: Chase vs SAT runtime (10a, where the paper's chase
+   lead does not reproduce against a CDCL backend), accuracy growing with
+   K_CFD (10b), both heuristics near 100% accurate on consistent sets
+   (11a), Checking vs RandomChecking runtime (11b–11c), and runtime growth
+   with the schema at a fixed constraints-per-relation ratio (11d). *)
 
 (* --- Fig 10(a): CFD_Checking runtime, Chase vs SAT ----------------------- *)
 

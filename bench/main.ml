@@ -2,13 +2,13 @@
    paper's evaluation (Section 6) plus the complexity-table evidence and
    two ablations.
 
-     dune exec bench/main.exe                 # quick sweeps, everything
-     dune exec bench/main.exe -- --full       # paper-scale sweeps
-     dune exec bench/main.exe -- fig10a micro # selected sections only
-     dune exec bench/main.exe -- --timeout 30 # per-series deadline (secs)
+     dune exec bench/main.exe                  # quick sweeps, everything
+     dune exec bench/main.exe -- --full        # paper-scale sweeps
+     dune exec bench/main.exe -- fig10a table1 # selected sections only
+     dune exec bench/main.exe -- --timeout 30  # per-series deadline (secs)
 
-   Sections: fig10a fig10b fig11a fig11c fig11d table1 table2
-             ablation-n ablation-backend micro sat incremental chaos
+   Sections: table1 table2 fig10a fig10b fig11a fig11c fig11d detection
+             ablation-n ablation-backend
 
    With --timeout, a series point that exceeds the deadline stops early
    and emits a `"timeout": true` metrics row instead of silently skewed
@@ -26,10 +26,6 @@ let sections =
     ("detection", Figures.detection);
     ("ablation-n", Figures.ablation_pool_size);
     ("ablation-backend", Figures.ablation_backend);
-    ("micro", fun scale -> ignore scale; Micro.run ());
-    ("sat", Sat_bench.run);
-    ("incremental", Incremental_bench.run);
-    ("chaos", fun scale -> ignore scale; Chaos_bench.run ());
   ]
 
 let () =
@@ -49,20 +45,6 @@ let () =
         | _ ->
             Fmt.epr "--timeout expects a positive number of seconds, got %S@." secs;
             exit 2)
-    | [ "--profile" ] ->
-        Fmt.epr "--profile needs an argument (FILE.json | FILE.folded)@.";
-        exit 2
-    | "--profile" :: path :: rest ->
-        (* whole-harness profiling: Chrome trace (.json) or folded stacks
-           (.folded) written at exit; sections that reset the profile tree
-           (micro's per-phase breakdown) leave the trace buffers intact *)
-        Telemetry.enable_profiling ();
-        at_exit (fun () ->
-            let oc = open_out path in
-            if Filename.check_suffix path ".folded" then Telemetry.write_folded oc
-            else Telemetry.write_chrome_trace oc;
-            close_out oc);
-        strip_opts rest
     | a :: rest -> a :: strip_opts rest
   in
   let args = strip_opts args in

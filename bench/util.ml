@@ -14,15 +14,6 @@ let header title = Fmt.pr "@.=== %s ===@." title
 
 let row fmt = Fmt.pr fmt
 
-(* Run [f] over [trials] seeds; returns (per-trial results, mean seconds). *)
-let timed_trials ~trials f =
-  let results =
-    List.init trials (fun i ->
-        let r, s = time (fun () -> f i) in
-        (r, s))
-  in
-  (List.map fst results, mean (List.map snd results))
-
 let percentage hits total =
   if total = 0 then 100. else 100. *. float_of_int hits /. float_of_int total
 

@@ -158,20 +158,6 @@ let backend_arg =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:"CFD_Checking backend inside preProcessing: $(b,chase) or $(b,sat).")
 
-let batch_arg =
-  Arg.(
-    value
-    & opt_all file []
-    & info [ "batch" ] ~docv:"FILE"
-        ~doc:
-          "Additional constraint file to check in the same batch \
-           (repeatable).  All files must declare the same schema.  The \
-           batch shares one seed split and one interner warm-up, and \
-           checks the files one after another; each file's verdict is \
-           identical to a standalone $(b,check) of that file with its \
-           split of the seed, and the exit code is the worst per-file \
-           code.")
-
 let print_check_verdict = function
   | Cind_api.Yes (Some db) ->
       Fmt.pr "consistent — witness database:@.%a@." Database.pp db;
@@ -192,40 +178,14 @@ let print_check_verdict = function
       print_exhaustion_forensics ();
       exit_undetermined
 
-let check_run path batch seed k backend =
-  let paths = path :: batch in
-  let docs = List.map load paths in
-  let doc0 = List.hd docs in
-  let schema = doc0.Parser.schema in
-  let schema_repr = Fmt.str "%a" Db_schema.pp in
-  let s0 = schema_repr schema in
-  List.iter2
-    (fun p d ->
-      if not (String.equal (schema_repr d.Parser.schema) s0) then (
-        Fmt.epr "cindtool: --batch: %s declares a different schema than %s@." p
-          path;
-        exit exit_usage))
-    paths docs;
-  let nfs = List.map (fun d -> Sigma.normalize d.Parser.sigma) docs in
-  match nfs with
-  | [ nf ] ->
-      (* standalone call: preserves the historical seed -> verdict mapping
-         exactly (a 1-item batch would consume [Rng.split_n rng 1]) *)
-      print_check_verdict
-        (Cind_api.check ~backend ~k ~rng:(Rng.make seed) schema nf)
-  | nfs ->
-      let verdicts =
-        Cind_api.check_many ~backend ~k ~rng:(Rng.make seed) schema nfs
-      in
-      List.fold_left2
-        (fun code p v ->
-          Fmt.pr "== %s@." p;
-          max code (print_check_verdict v))
-        exit_ok paths verdicts
+let check_run path seed k backend =
+  let doc = load path in
+  print_check_verdict
+    (Cind_api.check ~backend ~k ~rng:(Rng.make seed) doc.Parser.schema
+       (Sigma.normalize doc.Parser.sigma))
 
 let check_term =
-  Term.(
-    const check_run $ file_arg $ batch_arg $ seed_arg $ k_arg $ backend_arg)
+  Term.(const check_run $ file_arg $ seed_arg $ k_arg $ backend_arg)
 
 let check_doc = "Check the consistency of the constraint set (Checking, Fig 9)."
 

@@ -18,21 +18,13 @@ let pp_verdict ppf = function
 
 type backend = Cfd_checking.backend = Chase_backend | Sat_backend
 
-let of_checking = function
+let check ?backend ?budget ?policy ?config ?k ?k_cfd ~rng schema sigma =
+  match
+    Checking.check ?backend ?budget ?policy ?config ?k ?k_cfd ~rng schema sigma
+  with
   | Checking.Consistent db -> Yes (Some db)
   | Checking.Inconsistent -> No
   | Checking.Unknown r -> Unknown r
-
-let check ?backend ?budget ?policy ?config ?k ?k_cfd ?recorder ~rng schema
-    sigma =
-  of_checking
-    (Checking.check ?backend ?budget ?policy ?config ?k ?k_cfd ?recorder ~rng
-       schema sigma)
-
-let check_many ?backend ?budget ?policy ?config ?k ?k_cfd ~rng schema sigmas =
-  List.map of_checking
-    (Checking.check_many ?backend ?budget ?policy ?config ?k ?k_cfd ~rng
-       schema sigmas)
 
 let random_check ?budget ?config ?k ?k_cfd ?seed_rels ~rng schema sigma =
   match
@@ -49,7 +41,12 @@ let random_check ?budget ?config ?k ?k_cfd ?seed_rels ~rng schema sigma =
 let tuple_witness ?avoid schema ~rel tup =
   Template.to_database ?avoid (Template.add (Template.empty schema) rel tup)
 
-let of_consistent_rel ?avoid schema ~rel = function
+let consistent ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ~rng schema
+    cfds ~rel =
+  match
+    Cfd_checking.consistent_rel ~backend ?budget ?avoid ?k_cfd ~rng schema cfds
+      ~rel
+  with
   | Cfd_checking.Tuple tup -> Yes (Some (tuple_witness ?avoid schema ~rel tup))
   | Cfd_checking.No_tuple -> No
   | Cfd_checking.Gave_up ->
@@ -59,35 +56,15 @@ let of_consistent_rel ?avoid schema ~rel = function
          complete SAT backend's Unsat — only genuine heuristic
          exhaustion lands here. *)
       Unknown Guard.Fuel
-
-let consistent ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ?recorder ~rng
-    schema cfds ~rel =
-  match
-    Cfd_checking.consistent_rel ~backend ?budget ?avoid ?k_cfd ?recorder ~rng
-      schema cfds ~rel
-  with
-  | r -> of_consistent_rel ?avoid schema ~rel r
   | exception Guard.Exhausted r -> Unknown r
-
-let consistent_many ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ~rng
-    schema cfds ~rels =
-  let results =
-    Cfd_checking.consistent_many ~backend ?budget ?avoid ?k_cfd ~rng schema
-      cfds ~rels
-  in
-  List.map2
-    (fun rel -> function
-      | Ok r -> of_consistent_rel ?avoid schema ~rel r
-      | Error reason -> Unknown reason)
-    rels results
 
 let of_outcome = function
   | Implication.Implied -> Yes None
   | Implication.Not_implied -> No
   | Implication.Undetermined r -> Unknown r
 
-let implies ?budget ?max_states ?recorder schema ~sigma psi =
-  of_outcome (Implication.decide ?budget ?max_states ?recorder schema ~sigma psi)
+let implies ?budget ?max_states schema ~sigma psi =
+  of_outcome (Implication.decide ?budget ?max_states schema ~sigma psi)
 
 let implies_many ?budget ?max_states schema ~sigma goals =
   List.map of_outcome

@@ -7,20 +7,16 @@ open Conddep_consistency
     external users).  Every decision procedure in the library is exposed
     here as a three-valued {!verdict} with a uniform option set —
     [?budget] (shared {!Guard} budget, default ambient) everywhere, and
-    [?policy] (supervised retry, default ambient) on the two Checking
-    entry points,
-    the only layer that reads it — plus a [_many] batch form wherever the
-    underlying layer offers one.  Options a layer would ignore are not
-    offered.
+    [?policy] (supervised retry, default ambient) on {!check}, the only
+    layer that reads it.  Options a layer would ignore are not offered.
 
     The facade never changes answers: every function is a thin,
     documented mapping onto the corresponding [lib/core] /
-    [lib/consistency] entry point, and each [_many] form is bit-identical
-    (verdicts {e and} witnesses) to the corresponding sequence of
-    singleton calls.  Every call runs on the caller's domain.  Drivers
-    should depend on this
-    module only; the underlying modules remain public for library users
-    who need engine-level control (templates, deltas, compiled forms). *)
+    [lib/consistency] entry point, and {!implies_many} is bit-identical
+    to the corresponding sequence of singleton calls.  Every call runs on
+    the caller's domain.  Drivers should depend on this module only;
+    the underlying modules remain public for library users who need
+    engine-level control (templates, deltas, compiled forms). *)
 
 (** {1 Verdicts} *)
 
@@ -55,7 +51,6 @@ val check :
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
-  ?recorder:Read_set.t ->
   rng:Rng.t ->
   Db_schema.t ->
   Sigma.nf ->
@@ -63,27 +58,7 @@ val check :
 (** Full pipeline (Fig 9): preProcessing + per-component RandomChecking.
     [Yes (Some db)] carries the verified witness; [No] is definitive
     (the Fig 7 reduction emptied the dependency graph); [Unknown r]
-    found no witness within the budgets.  [recorder] collects the read
-    set for incremental callers (see {!Read_set}).  Maps
-    {!Checking.check}. *)
-
-val check_many :
-  ?backend:backend ->
-  ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
-  ?config:Chase.config ->
-  ?k:int ->
-  ?k_cfd:int ->
-  rng:Rng.t ->
-  Db_schema.t ->
-  Sigma.nf list ->
-  verdict list
-(** Batch {!check} of N dependency sets against one schema.  Verdict i is
-    bit-identical (including the witness) to
-    [check ~rng:(List.nth (Rng.split_n rng N) i) ... (List.nth sigmas i)];
-    the batch shares one policy/budget resolution and one interner
-    warm-up, and runs the items one after another.  Maps
-    {!Checking.check_many}; see there for the shared-budget caveat. *)
+    found no witness within the budgets.  Maps {!Checking.check}. *)
 
 val random_check :
   ?budget:Guard.t ->
@@ -107,7 +82,6 @@ val consistent :
   ?budget:Guard.t ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
-  ?recorder:Read_set.t ->
   rng:Rng.t ->
   Db_schema.t ->
   Cfd.nf list ->
@@ -121,35 +95,18 @@ val consistent :
     heuristic give-up (its K_CFD-bounded search proves nothing by
     failing).  Maps {!Cfd_checking.consistent_rel}. *)
 
-val consistent_many :
-  ?backend:backend ->
-  ?budget:Guard.t ->
-  ?avoid:Value.t list ->
-  ?k_cfd:int ->
-  rng:Rng.t ->
-  Db_schema.t ->
-  Cfd.nf list ->
-  rels:string list ->
-  verdict list
-(** Batch {!consistent} over many relations against one CFD set, with
-    the per-relation filtering done once.  Verdict i is bit-identical to
-    [consistent ~rng:(List.nth (Rng.split_n rng N) i) ... ~rel].  Maps
-    {!Cfd_checking.consistent_many}. *)
-
 (** {1 Implication (Sections 3–4, Table 1)} *)
 
 val implies :
   ?budget:Guard.t ->
   ?max_states:int ->
-  ?recorder:Read_set.t ->
   Db_schema.t ->
   sigma:Cind.nf list ->
   Cind.nf ->
   verdict
 (** Exact CIND implication [Σ |= ψ] (Theorems 3.4/3.5).  [Yes None] /
     [No] are exact; [Unknown Guard.Fuel] past [max_states] explored
-    shapes.  [recorder] collects the CINDs found applicable during the
-    search (see {!Read_set}).  Maps {!Implication.decide}. *)
+    shapes.  Maps {!Implication.decide}. *)
 
 val implies_many :
   ?budget:Guard.t ->

@@ -92,11 +92,9 @@ let run_verdict ?policy sched =
     ~finally:(fun () -> disarm_schedule sched)
     (fun () -> run_check ?policy sched)
 
-let baseline_verdict ?policy sched = run_check ?policy sched
-
 let round ?policy sched =
   Telemetry.incr m_rounds;
-  let baseline = baseline_verdict ?policy sched in
+  let baseline = run_check ?policy sched in
   let retries0 = Telemetry.count m_retries in
   let faulty = run_verdict ?policy sched in
   let ok = String.equal faulty baseline || is_unknown faulty in

@@ -55,9 +55,6 @@ val run_verdict : ?policy:Supervise.Policy.t -> schedule -> string
     verdict string.  The schedule's sites are disarmed on exit, arms of
     other sites are left alone. *)
 
-val baseline_verdict : ?policy:Supervise.Policy.t -> schedule -> string
-(** The fault-free verdict of the same workload and check seed. *)
-
 val round : ?policy:Supervise.Policy.t -> schedule -> round_report
 (** Baseline, then faulty run, then the identity-or-Unknown verdict. *)
 

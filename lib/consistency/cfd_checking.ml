@@ -222,11 +222,9 @@ type witness =
   | No_tuple
   | Gave_up
 
-let consistent_rel ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ?recorder
-    ~rng schema cfds ~rel =
+let consistent_rel ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ~rng
+    schema cfds ~rel =
   let cfds_on_rel = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) cfds in
-  Read_set.record_rel recorder rel;
-  List.iter (Read_set.record_cfd recorder) cfds_on_rel;
   match backend with
   | Chase_backend -> (
       Telemetry.incr m_chase_calls;
@@ -246,31 +244,3 @@ let consistent_rel ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ?recorder
       | Some tuple ->
           Tuple
             (Array.map (fun v -> Template.C v) (Array.of_list (Tuple.to_list tuple))))
-
-(* Batch entry point: many relations against one Σ.  The batch shares a
-   single grouping pass of the CFDs by relation (instead of one
-   [List.filter] over all of Σ per relation).  Item i is bit-identical to
-   [consistent_rel] on generator i of [Rng.split_n rng N]; a per-item
-   [Guard.Exhausted] is caught into [Error reason] so one exhausted item
-   (or a shared budget running dry mid-batch) cannot discard its
-   siblings' finished answers. *)
-let consistent_many ?backend ?budget ?avoid ?k_cfd ~rng schema cfds ~rels =
-  let budget = Guard.resolve budget in
-  Telemetry.with_span "checking.cfd.consistent_many" @@ fun () ->
-  let by_rel = Hashtbl.create 16 in
-  List.iter
-    (fun nf ->
-      Hashtbl.replace by_rel nf.Cfd.nf_rel
-        (nf :: Option.value ~default:[] (Hashtbl.find_opt by_rel nf.Cfd.nf_rel)))
-    (List.rev cfds);
-  let group rel = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
-  List.map2
-    (fun rng_i rel ->
-      match
-        consistent_rel ?backend ~budget ?avoid ?k_cfd ~rng:rng_i schema
-          (group rel) ~rel
-      with
-      | t -> Ok t
-      | exception Guard.Exhausted r -> Error r)
-    (Rng.split_n rng (List.length rels))
-    rels

@@ -12,33 +12,6 @@ type backend =
   | Chase_backend
   | Sat_backend
 
-type template_outcome =
-  | Instantiated of Template.t
-      (** A full instantiation: every finite-domain variable holds a
-          constant. *)
-  | Contradiction
-      (** The initial forced-propagation fixpoint derived a contradiction
-          from the input template alone — {e no} instantiation exists.
-          Definitive, like an Unsat from the SAT backend. *)
-  | Exhausted_k
-      (** The heuristic gave up: K_CFD random valuations (or the
-          fixpoint's local step fuel) ran out without finding an
-          instantiation.  One may still exist. *)
-
-val check_template_outcome :
-  ?budget:Guard.t ->
-  ?k_cfd:int ->
-  ?avoid:Value.t list ->
-  rng:Rng.t ->
-  Chase.compiled_cfd list ->
-  Template.t ->
-  template_outcome
-(** Three-way form of {!check_template}, distinguishing the definitive
-    refutation from the heuristic give-up.  Consumes the same rng stream
-    as {!check_template} on the same inputs.
-    @raise Guard.Exhausted when the shared [budget] (default: ambient)
-    runs dry or an armed fault fires. *)
-
 val check_template :
   ?budget:Guard.t ->
   ?k_cfd:int ->
@@ -86,7 +59,6 @@ val consistent_rel :
   ?budget:Guard.t ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
-  ?recorder:Read_set.t ->
   rng:Rng.t ->
   Db_schema.t ->
   Cfd.nf list ->
@@ -94,24 +66,7 @@ val consistent_rel :
   witness
 (** Uniform front-end: the instantiated tuple template τ(rel) satisfying
     CFD(rel), a definitive [No_tuple], or [Gave_up] (chase backend only —
-    the SAT backend is complete).  A [recorder] notes [rel] and the CFDs
-    on [rel] (the only dependencies the verdict can depend on).
+    the SAT backend is complete).
     @raise Guard.Exhausted when the shared [budget] runs dry, or an armed
     fault fires — the SAT backend's included, which never falls back to
     the chase backend. *)
-
-val consistent_many :
-  ?backend:backend ->
-  ?budget:Guard.t ->
-  ?avoid:Value.t list ->
-  ?k_cfd:int ->
-  rng:Rng.t ->
-  Db_schema.t ->
-  Cfd.nf list ->
-  rels:string list ->
-  (witness, Guard.reason) result list
-(** Batch {!consistent_rel} over many relations.  Item i is bit-identical
-    to [consistent_rel ~rng:(List.nth (Rng.split_n rng N) i) ... ~rel];
-    a per-item [Guard.Exhausted] becomes [Error r] instead of discarding
-    finished siblings.  The batch shares one grouping of [cfds] by
-    relation; the items run one after another. *)

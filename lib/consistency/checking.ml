@@ -61,26 +61,9 @@ let pipeline ?backend ~budget ?config ?k ?k_cfd ~rng schema
    retried; every attempt replays a copy of the entry generator, so a
    fault-free re-run yields the bit-identical verdict the fault-free run
    would have produced. *)
-let check ?backend ?budget ?config ?k ?k_cfd ?policy ?recorder
-    ~rng schema (sigma : Sigma.nf) =
+let check ?backend ?budget ?config ?k ?k_cfd ?policy ~rng schema
+    (sigma : Sigma.nf) =
   Telemetry.incr m_calls;
-  (* Checking consults all of Σ (preProcessing walks the full dependency
-     graph), so the read set is Σ itself plus every relation it mentions,
-     recorded up front. *)
-  (match recorder with
-  | None -> ()
-  | Some _ ->
-      List.iter
-        (fun (c : Cind.nf) ->
-          Read_set.record_cind recorder c;
-          Read_set.record_rel recorder c.Cind.nf_lhs;
-          Read_set.record_rel recorder c.Cind.nf_rhs)
-        sigma.Sigma.ncinds;
-      List.iter
-        (fun (f : Cfd.nf) ->
-          Read_set.record_cfd recorder f;
-          Read_set.record_rel recorder f.Cfd.nf_rel)
-        sigma.Sigma.ncfds);
   let budget = Guard.resolve budget in
   Telemetry.with_span "checking.check" @@ fun () ->
   let rng0 = Rng.copy rng in
@@ -105,33 +88,3 @@ let check ?backend ?budget ?config ?k ?k_cfd ?policy ?recorder
   result
 
 let to_bool = function Consistent _ -> true | Inconsistent | Unknown _ -> false
-
-(* Warm the global interner with the schema's symbols once per batch, so
-   the per-item Depgraph / Preprocessing passes hit a populated table
-   instead of each paying the first-touch insertions. *)
-let intern_schema schema =
-  List.iter
-    (fun rel ->
-      ignore (Interner.symbol rel);
-      List.iter
-        (fun a -> ignore (Interner.symbol a))
-        (Schema.attr_names (Db_schema.find schema rel)))
-    (Db_schema.rel_names schema)
-
-(* Batch entry point: one schema, N dependency sets.  Item i is [check]
-   on generator i of [Rng.split_n rng N], so batch results are
-   bit-identical to N independent [check] calls.  What the batch shares:
-   the policy/budget resolution and the interner warm-up above; the items
-   run one after another. *)
-let check_many ?backend ?budget ?config ?k ?k_cfd ?policy ~rng schema
-    (sigmas : Sigma.nf list) =
-  let budget = Guard.resolve budget in
-  let policy = Supervise.Policy.resolve policy in
-  Telemetry.with_span "checking.check_many" @@ fun () ->
-  intern_schema schema;
-  List.map2
-    (fun rng_i sigma_i ->
-      check ?backend ~budget ?config ?k ?k_cfd ~policy ~rng:rng_i schema
-        sigma_i)
-    (Rng.split_n rng (List.length sigmas))
-    sigmas

@@ -22,16 +22,11 @@ val check :
   ?k:int ->
   ?k_cfd:int ->
   ?policy:Supervise.Policy.t ->
-  ?recorder:Read_set.t ->
   rng:Rng.t ->
   Db_schema.t ->
   Sigma.nf ->
   result
 (** [budget] defaults to the ambient budget ([Guard.resolve]).
-
-    [recorder] collects the read set: Checking consults all of Σ, so the
-    whole of [sigma] and every relation it mentions are recorded up
-    front (see {!Read_set} for the over-approximation contract).
 
     Without a forced [backend], preProcessing uses the chase backend.
 
@@ -46,29 +41,6 @@ val check :
     fuel exhaustion — are never retried: re-running them is wasted work
     that cannot change the answer.  [rng] itself is only drawn from for
     retry backoff jitter. *)
-
-val check_many :
-  ?backend:Cfd_checking.backend ->
-  ?budget:Guard.t ->
-  ?config:Chase.config ->
-  ?k:int ->
-  ?k_cfd:int ->
-  ?policy:Supervise.Policy.t ->
-  rng:Rng.t ->
-  Db_schema.t ->
-  Sigma.nf list ->
-  result list
-(** [check_many ~rng schema sigmas] checks N dependency sets against one
-    schema.  Result i is bit-identical (verdict {e and} witness) to
-    [check ~rng:(List.nth (Rng.split_n rng N) i) schema (List.nth sigmas
-    i)] — the batch form changes wall-clock, never answers.  The batch
-    shares one policy/budget resolution and one interner warm-up over the
-    schema; the items run one after another.
-
-    A shared [budget] is drained by all items jointly (exhaustion is
-    sticky, so items after the cut answer [Unknown] quickly); pass
-    per-item budgets via N singleton calls when strict sequential
-    budget-equivalence matters. *)
 
 val to_bool : result -> bool
 (** The paper's boolean answer: [true] only for [Consistent]. *)

@@ -13,7 +13,13 @@ open Conddep_chase
    predecessor Rj, denying the tuples that would require a partner in R;
    affected predecessors are re-queued.  Finally indegree-0 vertices are
    pruned (they may be empty without impact).  An empty graph means every
-   relation is forced empty — Σ is inconsistent. *)
+   relation is forced empty — Σ is inconsistent.
+
+   One departure from Fig 7, which deletes R on any CFD_Checking failure:
+   R is deleted only on a refutation.  When the chase backend gives up
+   (K_CFD valuations ran out), R is settled by the complete SAT encoding
+   instead, so an emptied graph — and the [Inconsistent] answer — always
+   rests on refutations. *)
 
 type result =
   | Consistent of Database.t
@@ -26,6 +32,7 @@ let () = Guard.register_probe "checking.preprocess"
 let m_runs = Telemetry.counter "checking.preprocess.runs" ~doc:"preProcessing invocations"
 let m_sccs = Telemetry.counter "checking.preprocess.sccs" ~doc:"strongly connected components in the dependency graphs processed"
 let m_pruned_inconsistent = Telemetry.counter "checking.preprocess.pruned_inconsistent" ~doc:"vertices deleted because CFD(R) is inconsistent"
+let m_settled_by_sat = Telemetry.counter "checking.preprocess.settled_by_sat" ~doc:"chase give-ups on CFD(R) settled by the SAT encoding"
 let m_pruned_indegree0 = Telemetry.counter "checking.preprocess.pruned_indegree0" ~doc:"vertices pruned by the indegree-0 rule (Fig 7 line 13)"
 let m_bot_cfds = Telemetry.counter "checking.preprocess.nontriggering_cfds" ~doc:"non-triggering CFDs CIND(Rj,R)_bot pushed to predecessors"
 let m_components = Telemetry.counter "checking.preprocess.components" ~doc:"weakly connected components handed to RandomChecking"
@@ -113,31 +120,46 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
     sigma.Sigma.ncinds;
   (* topo order = Tarjan's SCC emission order, flattened *)
   List.iter enqueue (List.concat sccs);
+  (* relations whose non-triggering witness failed verification: not
+     refuted, so the indegree-0 pass must leave them live *)
+  let unverified = Hashtbl.create 4 in
   let outcome = ref None in
   while !outcome = None && not (Queue.is_empty queue) do
     let r = Queue.pop queue in
-    Hashtbl.remove queued (Interner.symbol r);
+    let rid = Interner.symbol r in
+    Hashtbl.remove queued rid;
+    Hashtbl.remove unverified rid;
     Guard.check budget;
     if Depgraph.is_live g r then begin
-      match
-        Cfd_checking.consistent_rel ?backend ~budget ~avoid ?k_cfd ~rng
-          schema (Depgraph.cfd_set g r) ~rel:r
-      with
+      let cfds = Depgraph.cfd_set g r in
+      let witness =
+        match
+          Cfd_checking.consistent_rel ?backend ~budget ~avoid ?k_cfd ~rng
+            schema cfds ~rel:r
+        with
+        | Cfd_checking.Gave_up ->
+            (* the K_CFD valuations ran out, which refutes nothing:
+               settle r with the complete SAT encoding *)
+            Telemetry.incr m_settled_by_sat;
+            Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
+              ~budget ~avoid ~rng schema cfds ~rel:r
+        | w -> w
+      in
+      match witness with
       | Cfd_checking.Tuple tau ->
           let triggering =
-            Option.value ~default:[]
-              (Hashtbl.find_opt cinds_by_lhs (Interner.symbol r))
+            Option.value ~default:[] (Hashtbl.find_opt cinds_by_lhs rid)
             |> List.exists (fun c -> tuple_triggers schema c tau)
           in
           if not triggering then begin
             let db = singleton_db schema ~rel:r ~avoid tau in
             (* sanity: the one-tuple database must satisfy Σ *)
             if Sigma.nf_holds db sigma then outcome := Some (Consistent db)
+            else Hashtbl.replace unverified rid ()
           end
       | Cfd_checking.No_tuple | Cfd_checking.Gave_up ->
-          (* CFD(r) inconsistent — or presumed so after the heuristic
-             gave up (the pre-existing, deliberately aggressive pruning
-             behaviour): r must be empty. *)
+          (* CFD(r) refuted ([Gave_up] never comes back from the SAT
+             backend): r must be empty. *)
           Telemetry.incr m_pruned_inconsistent;
           List.iter
             (fun rj ->
@@ -158,7 +180,13 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
   | Some r -> r
   | None ->
       (* prune indegree-0 vertices (single pass, as in Fig 7 line 13) *)
-      let zero = List.filter (fun r -> Depgraph.indegree g r = 0) (Depgraph.live g) in
+      let zero =
+        List.filter
+          (fun r ->
+            Depgraph.indegree g r = 0
+            && not (Hashtbl.mem unverified (Interner.symbol r)))
+          (Depgraph.live g)
+      in
       Telemetry.add m_pruned_indegree0 (List.length zero);
       List.iter (Depgraph.remove g) zero;
       if Depgraph.live g = [] then Inconsistent

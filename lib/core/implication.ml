@@ -301,7 +301,7 @@ let decide_compiled ?budget ?(max_states = 50_000) ?recorder schema compiled
   | () -> decide_compiled_core ~budget ~max_states ~recorder schema compiled psi
   | exception Guard.Exhausted r -> Undetermined r
 
-let decide ?budget ?(max_states = 50_000) ?recorder schema ~sigma psi =
+let decide ?budget ?(max_states = 50_000) schema ~sigma psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
   let budget = Guard.resolve budget in
   match
@@ -310,7 +310,8 @@ let decide ?budget ?(max_states = 50_000) ?recorder schema ~sigma psi =
   with
   | exception Guard.Exhausted r -> Undetermined r
   | compiled ->
-      decide_compiled_core ~budget ~max_states ~recorder schema compiled psi
+      decide_compiled_core ~budget ~max_states ~recorder:None schema compiled
+        psi
 
 let implies_many ?budget ?(max_states = 50_000) schema ~sigma goals =
   Telemetry.with_span "implication.implies_many" @@ fun () ->

@@ -27,7 +27,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val decide :
   ?budget:Guard.t ->
   ?max_states:int ->
-  ?recorder:Read_set.t ->
   Db_schema.t ->
   sigma:Cind.nf list ->
   Cind.nf ->
@@ -36,10 +35,8 @@ val decide :
     Inputs are assumed validated against [schema].  Never raises on
     resource exhaustion: past [max_states] explored shapes (default
     50,000) the answer is [Undetermined Guard.Fuel], and a dry shared
-    [budget] (default: ambient) yields [Undetermined r].  A [recorder]
-    collects the CINDs found applicable and the relations whose shapes
-    were explored (see {!Read_set}).  Drivers should prefer the [Cind_api]
-    facade. *)
+    [budget] (default: ambient) yields [Undetermined r].  Drivers should
+    prefer the [Cind_api] facade. *)
 
 type compiled
 (** A member of Σ pre-compiled against a schema: the per-call work of
@@ -61,7 +58,9 @@ val decide_compiled :
   outcome
 (** {!decide} against a pre-compiled Σ.  Outcome is identical to
     [decide schema ~sigma psi] for the Σ the list was compiled from,
-    regardless of list order. *)
+    regardless of list order.  A [recorder] collects the CINDs found
+    applicable and the relations whose shapes were explored (see
+    {!Read_set}). *)
 
 val decide_infinite :
   ?budget:Guard.t ->

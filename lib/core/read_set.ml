@@ -4,27 +4,17 @@
 
 type t = {
   r_cinds : (Cind.nf, unit) Hashtbl.t;
-  r_cfds : (Cfd.nf, unit) Hashtbl.t;
   r_rels : (string, unit) Hashtbl.t;
 }
 
-let create () =
-  {
-    r_cinds = Hashtbl.create 16;
-    r_cfds = Hashtbl.create 16;
-    r_rels = Hashtbl.create 16;
-  }
+let create () = { r_cinds = Hashtbl.create 16; r_rels = Hashtbl.create 16 }
 
 let record_cind t nf =
   match t with None -> () | Some t -> Hashtbl.replace t.r_cinds nf ()
-
-let record_cfd t nf =
-  match t with None -> () | Some t -> Hashtbl.replace t.r_cfds nf ()
 
 let record_rel t rel =
   match t with None -> () | Some t -> Hashtbl.replace t.r_rels rel ()
 
 let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl []
 let cinds t = keys t.r_cinds
-let cfds t = keys t.r_cfds
 let rels t = keys t.r_rels

@@ -1,13 +1,13 @@
 (** Read-set recording for incremental re-checking.
 
-    A recorder collects, as a side effect of one decision-procedure run,
-    which dependencies and which relations the derivation actually
-    consulted — the entry's {e read set}.  The incremental session layer
-    ([lib/incremental]) keys its verdict cache on dependency-set
-    fingerprints and uses the recorded read set to invalidate only cache
-    entries whose read set intersects an edit: removing a CIND that no
-    derivation step ever found applicable, or inserting tuples into a
-    relation no derivation read, must be a cache hit.
+    A recorder collects, as a side effect of one implication search
+    ({!Implication.decide_compiled}), which CINDs and which relations the
+    derivation actually consulted — the entry's {e read set}.  The
+    incremental session layer ([lib/incremental]) keys its verdict cache
+    on dependency-set fingerprints and uses the recorded read set to
+    invalidate only the [implies] entries whose read set intersects an
+    edit: removing a CIND that no derivation step ever found applicable
+    must be a cache hit.
 
     Recorders follow the [?budget]-style optional-argument pattern: every
     recording function takes a [t option], so call sites pass their
@@ -17,8 +17,8 @@
     costs cache hits); recording less is a cache-coherence bug.
 
     Not domain-safe: record into one recorder from one domain only.  The
-    batch entry points ([check_many], [consistent_many], [implies_many])
-    do not take recorders — sessions record on the singleton paths. *)
+    batch entry point [implies_many] does not take a recorder — sessions
+    record on the singleton path. *)
 
 type t
 
@@ -28,11 +28,9 @@ val record_cind : t option -> Cind.nf -> unit
 (** Note that the derivation consulted (found applicable, resolved with,
     or otherwise depended on) this CIND.  No-op on [None]. *)
 
-val record_cfd : t option -> Cfd.nf -> unit
 val record_rel : t option -> string -> unit
 
 val cinds : t -> Cind.nf list
 (** The distinct CINDs recorded, in unspecified order (a set). *)
 
-val cfds : t -> Cfd.nf list
 val rels : t -> string list

@@ -235,6 +235,45 @@ let needle_cfds rng schema =
     (Db_schema.relations schema);
   { Sigma.ncfds = !cfds; ncinds = [] }
 
+(* Planted 3-SAT as the CFDs of one relation: n boolean attributes and a
+   hidden assignment; each of round(4.3 n) random 3-clauses is redrawn
+   until the assignment satisfies it.  A literal is "attribute = value",
+   and the clause lx ∨ ly ∨ lz becomes r(ax, ay -> az) with
+   (¬lx, ¬ly || lz): a single tuple satisfies CFD(r) iff it is a model.
+   Satisfiable by construction, yet near the 3-SAT phase transition
+   bounded random valuation search rarely finds a model. *)
+let planted_3sat rng ~n =
+  let attr i = Printf.sprintf "a%d" i in
+  let schema =
+    Db_schema.make
+      [ Schema.make "r" (List.init n (fun i -> Attribute.make (attr i) Domain.bool_dom)) ]
+  in
+  let planted = Array.init n (fun _ -> Rng.bool rng) in
+  let rec clause () =
+    let rec distinct acc k =
+      if k = 0 then acc
+      else
+        let v = Rng.int rng n in
+        if List.mem v acc then distinct acc k else distinct (v :: acc) (k - 1)
+    in
+    let lits = List.map (fun v -> (v, Rng.bool rng)) (distinct [] 3) in
+    if List.exists (fun (v, b) -> planted.(v) = b) lits then lits else clause ()
+  in
+  let m = int_of_float (Float.round (4.3 *. float_of_int n)) in
+  let cfd idx = function
+    | [ (x, bx); (y, by); (z, bz) ] ->
+        {
+          Cfd.nf_name = Printf.sprintf "c%d" idx;
+          nf_rel = "r";
+          nf_x = [ attr x; attr y ];
+          nf_a = attr z;
+          nf_tx = [ Pattern.Const (Value.Bool (not bx)); Pattern.Const (Value.Bool (not by)) ];
+          nf_ta = Pattern.Const (Value.Bool bz);
+        }
+    | _ -> assert false
+  in
+  (schema, { Sigma.ncfds = List.init m (fun idx -> cfd idx (clause ())); ncinds = [] })
+
 (* A dirty-data generator for the cleaning examples: start from clean
    tuples derived from the witness, then corrupt a fraction of fields. *)
 let dirty_database rng schema ~tuples_per_rel ~error_rate =

@@ -44,6 +44,14 @@ val needle_cfds : Rng.t -> Db_schema.t -> Sigma.nf
     assignment of the finite-domain attributes exists, so bounded-K random
     valuation search fails with probability ≈ (1 - p)^K. *)
 
+val planted_3sat : Rng.t -> n:int -> Db_schema.t * Sigma.nf
+(** Planted 3-SAT as CFDs: one relation [r] of [n] boolean attributes
+    and round(4.3 n) CFDs [r(ax, ay -> az) with (¬lx, ¬ly || lz)], one per
+    random 3-clause [lx ∨ ly ∨ lz] over literals "attribute = value",
+    each redrawn until a hidden assignment satisfies it.  Consistent by
+    construction; near the phase transition the chase backend's K_CFD
+    random valuations rarely find the model. *)
+
 val dirty_database :
   Rng.t -> Db_schema.t -> tuples_per_rel:int -> error_rate:float -> Database.t
 (** Clean-ish rows with a fraction of corrupted fields, for the cleaning

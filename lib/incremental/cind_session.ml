@@ -1,7 +1,5 @@
 open Conddep_relational
 open Conddep_core
-open Conddep_chase
-open Conddep_consistency
 
 (* Cache coherence in one sentence: a hit must be verdict-bit-identical
    to recomputing against the current session state.  Everything below —
@@ -80,7 +78,6 @@ type t = {
      compiles by looking up every surviving CIND and compiling only the
      delta.  Keyed by content fingerprint, guarded structurally. *)
   s_imp_units : (Fingerprint.t, Cind.nf * Implication.compiled) Hashtbl.t;
-  s_cfds_compiled : (string, Fingerprint.t * Chase.compiled_cfd list) Hashtbl.t;
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_inval : int;
@@ -105,7 +102,6 @@ let create ?(backend = Cind_api.Chase_backend) ?k ?k_cfd ?max_states
     s_cache = Hashtbl.create 64;
     s_imp = None;
     s_imp_units = Hashtbl.create 64;
-    s_cfds_compiled = Hashtbl.create 16;
     s_hits = 0;
     s_misses = 0;
     s_inval = 0;
@@ -219,17 +215,17 @@ let store t kind target_fp e =
   end
 
 let entry_of_recorder ~target ~stored ~ctx recorder =
-  let cinds, cfds, rels =
+  let cinds, rels =
     match recorder with
-    | None -> ([], [], [])
-    | Some r -> (Read_set.cinds r, Read_set.cfds r, Read_set.rels r)
+    | None -> ([], [])
+    | Some r -> (Read_set.cinds r, Read_set.rels r)
   in
   {
     e_target = target;
     e_stored = stored;
     e_context = ctx;
     e_read_cinds = tbl_of_list (List.map Fingerprint.cind cinds);
-    e_read_cfds = tbl_of_list (List.map Fingerprint.cfd cfds);
+    e_read_cfds = tbl_of_list [];
     e_read_rels = tbl_of_list rels;
   }
 
@@ -246,8 +242,7 @@ let flush t =
   note_dropped t (Hashtbl.length t.s_cache);
   Hashtbl.reset t.s_cache;
   t.s_imp <- None;
-  Hashtbl.reset t.s_imp_units;
-  Hashtbl.reset t.s_cfds_compiled
+  Hashtbl.reset t.s_imp_units
 
 let drop_where t pred =
   let doomed =
@@ -330,7 +325,6 @@ let add_cfd t nf =
     t.s_sigma <- { t.s_sigma with Sigma.ncfds = t.s_sigma.Sigma.ncfds @ [ nf ] };
     dirty_cfd_fps t nf.Cfd.nf_rel;
     invalidating t (fun () ->
-        Hashtbl.remove t.s_cfds_compiled nf.Cfd.nf_rel;
         drop_where t (fun kind e ->
             kind = kcheck
             || (kind = kconsistent && Hashtbl.mem e.e_read_rels nf.Cfd.nf_rel)))
@@ -355,7 +349,6 @@ let remove_cfd t nf =
     dirty_cfd_fps t nf.Cfd.nf_rel;
     let fp = Fingerprint.cfd nf in
     invalidating t (fun () ->
-        Hashtbl.remove t.s_cfds_compiled nf.Cfd.nf_rel;
         drop_where t (fun kind e ->
             kind = kcheck
             || (kind = kconsistent && Hashtbl.mem e.e_read_cfds fp)))
@@ -388,27 +381,17 @@ let check t =
   match lookup t kcheck fps ~ctx:fps ~same_target with
   | Some s -> as_verdict s
   | None ->
-      let recorder = if t.s_cache_on then Some (Read_set.create ()) else None in
       let rng = rng_for t kcheck fps fps in
       let v =
-        Cind_api.check ~backend:t.s_backend ?k:t.s_k ?k_cfd:t.s_k_cfd
-          ?recorder ~rng t.s_schema t.s_sigma
+        Cind_api.check ~backend:t.s_backend ?k:t.s_k ?k_cfd:t.s_k_cfd ~rng
+          t.s_schema t.s_sigma
       in
+      (* no read set: every Σ edit drops [check] entries unconditionally,
+         and inserts drop only [holds] entries *)
       store t kcheck fps
         (entry_of_recorder ~target:(T_sigma t.s_sigma) ~stored:(S_verdict v)
-           ~ctx:fps recorder);
+           ~ctx:fps None);
       v
-
-(* Warm-started compiled CFDs for the chase backend, keyed by the
-   relation's CFD-set fingerprint. *)
-let warm_cfds t rel cfds ctx =
-  match Hashtbl.find_opt t.s_cfds_compiled rel with
-  | Some (fp, compiled) when t.s_cache_on && Fingerprint.equal fp ctx ->
-      compiled
-  | _ ->
-      let compiled = List.map (Chase.compile_cfd t.s_schema) cfds in
-      if t.s_cache_on then Hashtbl.replace t.s_cfds_compiled rel (ctx, compiled);
-      compiled
 
 let consistent t ~rel =
   let cfds = Sigma.cfds_on t.s_sigma rel in
@@ -420,32 +403,8 @@ let consistent t ~rel =
   | None ->
       let rng = rng_for t kconsistent tfp ctx in
       let v =
-        match t.s_backend with
-        | Cind_api.Sat_backend ->
-            Cind_api.consistent ~backend:Cind_api.Sat_backend
-              ?k_cfd:t.s_k_cfd ~rng t.s_schema
-              t.s_sigma.Sigma.ncfds ~rel
-        | Cind_api.Chase_backend -> (
-            (* The facade path modulo the warm-started compile: same
-               seed template, same rng stream, same witness realisation
-               — verdict-bit-identical to [Cind_api.consistent]. *)
-            let compiled = warm_cfds t rel cfds ctx in
-            match
-              Cfd_checking.check_template_outcome
-                ?k_cfd:t.s_k_cfd ~rng compiled
-                (Chase.seed_tuple t.s_schema ~rel)
-            with
-            | Cfd_checking.Contradiction -> Cind_api.No
-            | Cfd_checking.Exhausted_k -> Cind_api.Unknown Guard.Fuel
-            | Cfd_checking.Instantiated db -> (
-                match Template.tuples db rel with
-                | [ tup ] ->
-                    Cind_api.Yes
-                      (Some
-                         (Template.to_database
-                            (Template.add (Template.empty t.s_schema) rel tup)))
-                | _ -> assert false)
-            | exception Guard.Exhausted r -> Cind_api.Unknown r)
+        Cind_api.consistent ~backend:t.s_backend ?k_cfd:t.s_k_cfd ~rng
+          t.s_schema cfds ~rel
       in
       (* [consistent] reads exactly [rel] and CFD(rel) — no recorder
          needed, the read set is syntactic. *)

@@ -8,9 +8,11 @@ open Conddep_core
     A session holds a schema, a dependency set Σ and a database D, and
     answers the {!Cind_api} queries ([check] / [consistent] / [implies],
     plus [holds] over D).  Every query verdict is cached under
-    [(kind, target fingerprint)] together with the {e read set} the
-    derivation reported through {!Read_set} — which dependencies it
-    consulted and which relations it touched.  An edit dirties only the
+    [(kind, target fingerprint)] together with its {e read set} — which
+    dependencies it consulted and which relations it touched.  An
+    [implies] entry's read set is what the search reported through
+    {!Read_set}; [consistent] and [holds] read a syntactic set; [check]
+    reads all of Σ, so every Σ edit drops it.  An edit dirties only the
     entries whose read set intersects the delta: removing a CIND no
     implication search ever found applicable, or inserting tuples into a
     relation no cached [holds] read, is a cache hit.
@@ -37,9 +39,8 @@ open Conddep_core
       cached, [Unknown] for deadline/memory/fault never is.
 
     Sessions also keep warm-start state across dirtied re-runs: the
-    compiled Σ of the implication procedure (keyed by the CIND-set
-    fingerprint) and the per-relation compiled CFDs of the chase backend
-    (keyed by the relation's CFD-set fingerprint).
+    compiled Σ of the implication procedure, keyed by the CIND-set
+    fingerprint.
 
     Edits probe the [incremental.invalidate] fault-injection site; an
     injected fault there flushes the whole cache (always sound) instead

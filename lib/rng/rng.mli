@@ -20,9 +20,3 @@ val shuffle : t -> 'a list -> 'a list
 
 val split : t -> t
 (** An independent generator derived from this one. *)
-
-val split_n : t -> int -> t list
-(** [split_n t n] is [n] independent generators, derived in a fixed order —
-    the i-th element is the same generator regardless of how (or where) the
-    list is later consumed, which is what makes batch entry points
-    reproducible from one seed. *)

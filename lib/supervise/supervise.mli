@@ -29,9 +29,6 @@ module Policy : sig
   (** The process-wide policy, {!default} until set. *)
 
   val set_ambient : t -> unit
-
-  val resolve : t option -> t
-  (** [resolve (Some p)] is [p]; [resolve None] is [ambient ()]. *)
 end
 
 (** {1 Retry with backoff} *)

@@ -113,11 +113,6 @@ val self_time_table : unit -> (string * int * float * float) list
     sorted by self time descending.  Self times never double-count, so
     they sum to at most the profiled wall time. *)
 
-val profile_reset : unit -> unit
-(** Clear the profile tree and the exhaustion mark.  Trace buffers are
-    left intact (cleared only by {!reset}), so bench sections can reset
-    attribution between series without clobbering a whole-run trace. *)
-
 val instant : string -> unit
 (** Record an instant event on the calling domain's trace track (a thin
     vertical marker in the Chrome trace).  No-op unless profiling. *)

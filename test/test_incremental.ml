@@ -9,9 +9,11 @@ open Helpers
    [~cache:false] oracle side by side and compares every verdict — full
    printed witnesses included.  The chaos test arms the
    [incremental.invalidate] probe so every edit degrades to a full cache
-   flush, which must leave the equivalence intact.  The regression test
-   pins the satellite fix: a forced-propagation contradiction from the
-   chase backend is a definitive [No], not [Unknown Fuel]. *)
+   flush, which must leave the equivalence intact.  The re-check test
+   times single-CIND edits against the oracle: identical verdicts, and
+   the cache must pay at least 2x.  The regression test pins that a
+   forced-propagation contradiction from the chase backend is a
+   definitive [No], not [Unknown Fuel]. *)
 
 let show = function
   | Cind_api.Yes (Some db) -> Fmt.str "yes:%a" Database.pp db
@@ -116,6 +118,93 @@ let test_incremental_vs_fresh () =
         (Printf.sprintf "seed %d: the cache actually worked (hits > 0)" seed)
         true (st.Cind_session.hits > 0))
     [ 1; 2; 3 ]
+
+(* --- single-CIND edit re-check: cache vs from-scratch oracle -------------- *)
+
+(* A cached session and a [~cache:false] oracle over the same Fig 11-style
+   Σ (|Σ| = 200, 10 relations), database and seed.  Each round applies one
+   CIND edit (alternately removing and restoring the first CIND of Σ) to
+   both and re-runs the suite: [consistent] on every relation, [implies]
+   on 8 goals drawn apart from Σ, and [holds].  A single-CIND edit leaves
+   the [consistent] entries valid and dirties only the [implies] entries
+   whose read set saw the edited CIND, so the cached re-check must beat
+   the oracle by at least 2x, with pointwise identical verdicts.  Each
+   rep replays the same even-length remove/restore cycle (state returns
+   to the start); times are minima over reps, verdicts are compared on
+   every rep. *)
+let test_single_edit_recheck_speedup () =
+  let n = 200 in
+  let schema =
+    Schema_gen.generate (Rng.make 2000)
+      {
+        Schema_gen.num_relations = 10;
+        min_arity = 3;
+        max_arity = 8;
+        finite_ratio = 0.2;
+        finite_dom_min = 2;
+        finite_dom_max = 10;
+      }
+  in
+  let rels = Db_schema.rel_names schema in
+  let wconfig = { Workload.default with num_constraints = n; cfd_fraction = 0.75 } in
+  let sigma = Workload.consistent (Rng.make (2000 + n)) wconfig schema in
+  let goals =
+    let grng = Rng.make (9000 + n) in
+    List.init 8 (fun i ->
+        Workload.gen_cind grng wconfig schema ~consistent:(i mod 2 = 0) i)
+  in
+  let session ~cache =
+    let s = Cind_session.create ~cache ~seed:7 schema in
+    List.iter (Cind_session.add_cfd s) sigma.Sigma.ncfds;
+    List.iter (Cind_session.add_cind s) sigma.Sigma.ncinds;
+    Database.iter
+      (fun r ->
+        match Relation.tuples r with
+        | [] -> ()
+        | tuples ->
+            Cind_session.insert_tuples s ~rel:(Schema.name (Relation.schema r)) tuples)
+      (Workload.witness_db schema);
+    s
+  in
+  let cached = session ~cache:true and fresh = session ~cache:false in
+  (* one suite pass: its verdicts and its wall-clock *)
+  let suite s =
+    let t0 = Unix.gettimeofday () in
+    let vs =
+      List.map (fun rel -> show (Cind_session.consistent s ~rel)) rels
+      @ List.map (fun g -> show (Cind_session.implies s g)) goals
+      @ [ string_of_bool (Cind_session.holds s) ]
+    in
+    (vs, Unix.gettimeofday () -. t0)
+  in
+  (* the cold pass populates the cache; it is not part of the re-check *)
+  ignore (suite cached);
+  ignore (suite fresh);
+  let edited = List.hd sigma.Sigma.ncinds in
+  let rep () =
+    List.fold_left
+      (fun (cached_s, fresh_s) round ->
+        let edit s =
+          if round mod 2 = 0 then Cind_session.remove_cind s edited
+          else Cind_session.add_cind s edited
+        in
+        edit cached;
+        edit fresh;
+        let got, c = suite cached in
+        let want, f = suite fresh in
+        Alcotest.(check (list string))
+          (Printf.sprintf "round %d: cached == fresh" round)
+          want got;
+        (cached_s +. c, fresh_s +. f))
+      (0., 0.) [ 0; 1; 2; 3 ]
+  in
+  let times = List.init 5 (fun _ -> rep ()) in
+  let cached_s = List.fold_left (fun m (c, _) -> Float.min m c) infinity times in
+  let fresh_s = List.fold_left (fun m (_, f) -> Float.min m f) infinity times in
+  let speedup = fresh_s /. cached_s in
+  if not (speedup >= 2.0) then
+    Alcotest.failf "single-CIND edit re-check: fresh %.6fs / cached %.6fs = %.2fx < 2x"
+      fresh_s cached_s speedup
 
 (* --- the chaos probe ----------------------------------------------------- *)
 
@@ -238,6 +327,8 @@ let () =
         [
           Alcotest.test_case "random edit scripts: cached == fresh" `Quick
             test_incremental_vs_fresh;
+          Alcotest.test_case "single-CIND edit re-check: identical, >= 2x" `Quick
+            test_single_edit_recheck_speedup;
         ] );
       ( "chaos",
         [

@@ -79,6 +79,22 @@ let prop_checking_accepts_consistent seed =
   | Checking.Inconsistent -> false (* definitive answers must never be wrong *)
   | Checking.Unknown _ -> true (* incompleteness is allowed, unsoundness is not *)
 
+(* Planted 3-SAT CFDs are consistent by construction, and near the phase
+   transition the chase backend's K_CFD valuations mostly give up.  A
+   give-up refutes nothing, so Checking must answer with a verified
+   witness here, never Inconsistent, with either backend. *)
+let prop_checking_accepts_planted seed =
+  let n = List.nth [ 12; 20; 30 ] (seed mod 3) in
+  let schema, sigma = Workload.planted_3sat (Rng.make seed) ~n in
+  List.for_all
+    (fun backend ->
+      match
+        Checking.check ~backend ~k:20 ~rng:(Rng.make (seed + 1)) schema sigma
+      with
+      | Checking.Consistent db -> Sigma.nf_holds db sigma
+      | Checking.Inconsistent | Checking.Unknown _ -> false)
+    [ Cfd_checking.Chase_backend; Cfd_checking.Sat_backend ]
+
 (* --- differential: SAT backend vs exact CFD consistency --------------------- *)
 
 let prop_sat_matches_exact seed =
@@ -332,6 +348,8 @@ let () =
           qtest ~count:30 "Checking sound" seed_gen prop_checking_sound;
           qtest ~count:30 "Checking never rejects consistent sets wrongly" seed_gen
             prop_checking_accepts_consistent;
+          qtest ~count:30 "Checking finds a witness for planted 3-SAT" seed_gen
+            prop_checking_accepts_planted;
         ] );
       ( "differential",
         [

@@ -100,7 +100,8 @@ let pigeonhole pigeons holes =
 
 (* Seeded uniform random 3-CNF at the phase-transition clause/variable
    ratio (~4.26) — the density where UNSAT cores force multi-level
-   backjumps.  Mirrors the generator in bench/sat_bench.ml. *)
+   backjumps.  Three distinct variables per clause, independent signs,
+   fully determined by the seed. *)
 let random_3cnf seed n =
   let rng = Rng.make seed in
   let m = int_of_float (Float.round (4.26 *. float_of_int n)) in
@@ -139,6 +140,27 @@ let test_cdcl_differential_3cnf () =
     let cnf = random_3cnf seed n in
     check_bool (Printf.sprintf "cdcl seed=%d n=%d" seed n) (brute_is_sat cnf) (cdcl_is_sat cnf)
   done
+
+(* Pinned verdicts at n = 40..100, four seeds each (seed 1337·n + i): the
+   sweep's verdicts were recorded where the CDCL solver and the
+   chronological DPLL it replaced agreed, and must not drift.  Every Sat
+   model is checked against its formula. *)
+let test_cdcl_pinned_verdicts () =
+  List.iter
+    (fun (n, want) ->
+      let got =
+        List.init 4 (fun i ->
+            if cdcl_is_sat (random_3cnf ((1337 * n) + i) n) then "sat"
+            else "unsat")
+      in
+      check_string (Printf.sprintf "verdicts at n=%d" n) want
+        (String.concat "," got))
+    [
+      (40, "sat,unsat,sat,unsat");
+      (60, "sat,unsat,unsat,sat");
+      (80, "sat,unsat,sat,sat");
+      (100, "unsat,sat,sat,unsat");
+    ]
 
 (* The learning machinery must be observable: refuting PHP(5,4) has to
    learn clauses and take non-chronological backjumps (both counters
@@ -359,6 +381,8 @@ let () =
         [
           Alcotest.test_case "differential on phase-transition 3-CNF" `Quick
             test_cdcl_differential_3cnf;
+          Alcotest.test_case "pinned verdicts at n = 40..100" `Quick
+            test_cdcl_pinned_verdicts;
           Alcotest.test_case "learning and backjumps are observable" `Quick
             test_multilevel_backjumps_observable;
           Alcotest.test_case "minimization observable, verdict preserved"
