@@ -35,6 +35,13 @@ let counter_diff before after =
    rather than silently shortened numbers. *)
 let series_timeout : float option ref = ref None
 
+(* One-line JSON object [{"series":"<label>","counters":{...}}].  Labels
+   and counter names are plain ASCII identifiers, so [%S] quotes them as
+   JSON strings, as in the timeout row below. *)
+let json_of_counters label pairs =
+  Printf.sprintf "{\"series\":%S,\"counters\":{%s}}" label
+    (String.concat "," (List.map (fun (name, n) -> Printf.sprintf "%S:%d" name n) pairs))
+
 let with_series_metrics label f =
   let before = Telemetry.counter_snapshot () in
   (match !series_timeout with
@@ -50,4 +57,4 @@ let with_series_metrics label f =
           Fmt.pr "  metrics {\"series\": %S, \"timeout\": true, \"reason\": %S}@."
             label (Guard.reason_to_string r)));
   let diff = counter_diff before (Telemetry.counter_snapshot ()) in
-  Fmt.pr "  metrics %s@." (Telemetry.json_of_counters ~label:("series", label) diff)
+  Fmt.pr "  metrics %s@." (json_of_counters label diff)

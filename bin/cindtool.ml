@@ -11,11 +11,12 @@
 
    Global flags (accepted anywhere on the command line):
 
-     cindtool --metrics out.jsonl check-consistency data/bank.cind
-     cindtool --trace violations data/bank.cind
      cindtool --timeout 5 check-consistency data/bank.cind
      cindtool --fuel 100000 implies data/bank.cind psi3
-     cindtool stats out.jsonl
+     cindtool --profile out.trace.json check-consistency data/bank.cind
+
+   `cindtool profile CMD ...` runs CMD under the profiler and prints a
+   self-time table, then the nonzero counters and gauges, on stderr.
 
    Exit codes are uniform across subcommands:
      0 — decided / ok (consistent, clean, implied, proof found)
@@ -49,28 +50,24 @@ let exits =
          exhaustion reason is printed on stderr.";
   ]
 
-(* Flat self-time attribution, biggest first, with per-span latency
-   quantiles estimated from the span histograms. *)
+(* Flat self-time attribution, biggest first, then the search-effort
+   counters and gauges that moved. *)
 let pp_profile_table ppf =
   let table = Telemetry.self_time_table () in
-  let hists = Telemetry.histogram_snapshot () in
   let total_self = List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0. table in
   Fmt.pf ppf "@[<v>-- profile (by self time)@,";
-  Fmt.pf ppf "%-34s %8s %10s %10s %6s %10s %10s %10s@," "span" "calls" "total"
-    "self" "self%" "p50" "p90" "p99";
+  Fmt.pf ppf "%-34s %8s %10s %10s %6s@," "span" "calls" "total" "self" "self%";
   List.iter
     (fun (name, calls, total, self) ->
-      let q p =
-        match List.assoc_opt name hists with
-        | Some hs -> Telemetry.dur_to_string (Telemetry.quantile hs p)
-        | None -> "n/a"
-      in
-      Fmt.pf ppf "%-34s %8d %10s %10s %5.1f%% %10s %10s %10s@," name calls
+      Fmt.pf ppf "%-34s %8d %10s %10s %5.1f%%@," name calls
         (Telemetry.dur_to_string total)
         (Telemetry.dur_to_string self)
-        (100. *. self /. Float.max total_self 1e-12)
-        (q 0.5) (q 0.9) (q 0.99))
+        (100. *. self /. Float.max total_self 1e-12))
     table;
+  Fmt.pf ppf "-- counters and gauges (nonzero)@,";
+  List.iter
+    (fun (name, v) -> if v <> 0 then Fmt.pf ppf "%-40s %d@," name v)
+    (Telemetry.counter_snapshot () @ Telemetry.gauge_snapshot ());
   Fmt.pf ppf "@]@."
 
 (* Budget-exhaustion forensics: where was the process when the budget ran
@@ -756,92 +753,13 @@ let session_cmd =
               entries whose read set intersects it, and every hit is \
               verdict-bit-identical to recomputing from scratch.  The \
               cache counters are exported as $(b,incremental.*) telemetry \
-              (visible via $(b,--metrics) and $(b,cindtool stats)).";
+              (visible via $(b,cindtool profile session) $(i,SCRIPT)).";
            `P
              "Exit code: the worst query verdict in the script (0 all \
               yes, 1 a definitive no, 3 an undetermined answer), or 2 on \
               a script error.";
          ])
     Term.(const run $ file_arg $ seed_arg $ backend_arg $ no_cache_arg)
-
-(* --- stats ------------------------------------------------------------------- *)
-
-(* Aggregate a metrics JSON-lines file written by --metrics: last value per
-   counter/histogram (flushes are cumulative), span events summed. *)
-let stats_cmd =
-  let run path =
-    match open_in path with
-    | exception Sys_error msg ->
-        Fmt.epr "%s@." msg;
-        exit_usage
-    | ic ->
-        let counters = Hashtbl.create 64 in
-        let gauges = Hashtbl.create 16 in
-        let hists = Hashtbl.create 32 in
-        let spans = Hashtbl.create 32 in
-        let malformed = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then
-               match Telemetry.parse_event line with
-               | Some (Telemetry.Counter_event { name; value }) ->
-                   Hashtbl.replace counters name value
-               | Some (Telemetry.Gauge_event { name; value }) ->
-                   Hashtbl.replace gauges name value
-               | Some (Telemetry.Histogram_event { name; stats }) ->
-                   Hashtbl.replace hists name stats
-               | Some (Telemetry.Span_event { name; dur_s; _ }) ->
-                   let n, s =
-                     Option.value ~default:(0, 0.) (Hashtbl.find_opt spans name)
-                   in
-                   Hashtbl.replace spans name (n + 1, s +. dur_s)
-               | None -> incr malformed
-           done
-         with End_of_file -> close_in ic);
-        let sorted tbl =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        in
-        Fmt.pr "@[<v># metrics from %s@," path;
-        Fmt.pr "@,-- counters@,";
-        List.iter (fun (name, v) -> Fmt.pr "%-44s %d@," name v) (sorted counters);
-        if Hashtbl.length gauges > 0 then begin
-          Fmt.pr "@,-- gauges@,";
-          List.iter (fun (name, v) -> Fmt.pr "%-44s %d@," name v) (sorted gauges)
-        end;
-        Fmt.pr "@,-- histograms (durations)@,";
-        List.iter
-          (fun (name, (hs : Telemetry.histogram_stats)) ->
-            Fmt.pr
-              "%-44s count=%-8d sum=%.6fs mean=%.6fs p50=%s p90=%s p99=%s@,"
-              name hs.Telemetry.hs_count hs.hs_sum
-              (if hs.hs_count = 0 then 0. else hs.hs_sum /. float_of_int hs.hs_count)
-              (Telemetry.dur_to_string (Telemetry.quantile hs 0.5))
-              (Telemetry.dur_to_string (Telemetry.quantile hs 0.9))
-              (Telemetry.dur_to_string (Telemetry.quantile hs 0.99)))
-          (sorted hists);
-        if Hashtbl.length spans > 0 then begin
-          Fmt.pr "@,-- spans@,";
-          List.iter
-            (fun (name, (n, s)) -> Fmt.pr "%-44s count=%-8d total=%.6fs@," name n s)
-            (sorted spans)
-        end;
-        if !malformed > 0 then Fmt.pr "@,(%d unparseable line(s) skipped)@," !malformed;
-        Fmt.pr "@]@.";
-        exit_ok
-  in
-  Cmd.v
-    (Cmd.info "stats" ~exits
-       ~doc:
-         "Summarize a metrics JSON-lines file produced by $(b,--metrics) \
-          (counters, histograms, span totals).")
-    Term.(
-      const run
-      $ Arg.(
-          required
-          & pos 0 (some file) None
-          & info [] ~docv:"METRICS" ~doc:"JSON-lines metrics file."))
 
 (* --- chaos -------------------------------------------------------------------- *)
 
@@ -956,23 +874,22 @@ let profile_stub_cmd =
     (Cmd.info "profile" ~exits
        ~doc:
          "Run any other subcommand under the profiler and print a self-time \
-          table (with p50/p90/p99 per span) on stderr at exit, e.g. \
-          $(b,cindtool profile check-consistency FILE).  Combine with \
-          $(b,--profile) $(i,FILE) to also export the trace.")
+          table (calls, total, self, self% per span), then the nonzero \
+          counters and gauges, on stderr at exit, e.g. $(b,cindtool \
+          profile check-consistency FILE).  Combine with $(b,--profile) \
+          $(i,FILE) to also export the trace.")
     Term.(const run $ const ())
 
 (* --- global flags ------------------------------------------------------------ *)
 
-(* --trace / --metrics FILE / --timeout SECS / --fuel N are global: they may
-   appear before or after the subcommand name.  Cmdliner selects the
+(* --profile FILE / --timeout SECS / --fuel N / --retries N are global: they
+   may appear before or after the subcommand name.  Cmdliner selects the
    subcommand from the first positional token, which would misread
-   `--metrics out.jsonl check ...` (space-separated option values are
-   ambiguous at selection time), so the flags are stripped from argv before
-   cmdliner sees it. *)
+   `--timeout 5 check ...` (space-separated option values are ambiguous at
+   selection time), so the flags are stripped from argv before cmdliner
+   sees it. *)
 type globals = {
   g_rest : string list;
-  g_trace : bool;
-  g_metrics : string option;
   g_profile : string option;
   g_timeout : float option;
   g_fuel : int option;
@@ -1010,11 +927,8 @@ let extract_globals argv =
   in
   let rec go g = function
     | [] -> Ok { g with g_rest = List.rev g.g_rest }
-    | "--trace" :: rest -> go { g with g_trace = true } rest
     | "--profile" :: path :: rest when profile_file path ->
         go { g with g_profile = Some path } rest
-    | [ "--metrics" ] -> Error "option --metrics needs an argument"
-    | "--metrics" :: path :: rest -> go { g with g_metrics = Some path } rest
     | [ "--timeout" ] -> Error "option --timeout needs an argument"
     | "--timeout" :: secs :: rest -> (
         match timeout_of secs with
@@ -1031,14 +945,9 @@ let extract_globals argv =
         | Ok r -> go { g with g_retries = r } rest
         | Error _ as e -> e)
     | arg :: rest -> (
-        match split_eq "--metrics=" arg with
-        | Some path -> go { g with g_metrics = Some path } rest
-        | None
-          when match split_eq "--profile=" arg with
-               | Some path -> profile_file path
-               | None -> false ->
-            go { g with g_profile = split_eq "--profile=" arg } rest
-        | None -> (
+        match split_eq "--profile=" arg with
+        | Some path when profile_file path -> go { g with g_profile = Some path } rest
+        | _ -> (
             match split_eq "--timeout=" arg with
             | Some secs -> (
                 match timeout_of secs with
@@ -1061,8 +970,6 @@ let extract_globals argv =
   go
     {
       g_rest = [];
-      g_trace = false;
-      g_metrics = None;
       g_profile = None;
       g_timeout = None;
       g_fuel = None;
@@ -1070,42 +977,27 @@ let extract_globals argv =
     }
     argv
 
-let setup_telemetry ~trace ~metrics =
-  if trace || metrics <> None then Telemetry.enable ();
-  (* Interner table sizes as pull-based gauges: lib/relational cannot
-     depend on telemetry, so the application registers the closures. *)
-  Telemetry.register_gauge "interner.values"
-    ~doc:"distinct values interned into the global id table"
-    Interner.value_count;
-  Telemetry.register_gauge "interner.symbols"
-    ~doc:"distinct relation/attribute symbols interned"
-    Interner.symbol_count;
-  (* Store doublings: a counter, plus an instant marker on the growing
-     domain's trace track when profiling (the copy-under-mutex hiccup is
-     otherwise invisible). *)
-  let m_growths =
-    Telemetry.counter "interner.growths"
-      ~doc:"interner store doublings (whole-table copies under the mutex)"
-  in
-  Interner.set_growth_hook (fun tname cap ->
-      Telemetry.incr m_growths;
-      Telemetry.instant (Printf.sprintf "interner.%s.grow:%d" tname cap));
-  (match metrics with
-  | Some path ->
-      let oc = open_out path in
-      Telemetry.set_sink (Telemetry.Jsonl oc);
-      at_exit (fun () ->
-          Telemetry.flush_metrics ();
-          Telemetry.set_sink Telemetry.Null;
-          close_out oc)
-  | None -> if trace then Telemetry.set_sink (Telemetry.Pretty Fmt.stderr));
-  if trace then at_exit (fun () -> Telemetry.pp_report Fmt.stderr ())
-
 let setup_profiling ~profile ~table =
   if profile <> None || table then begin
     Telemetry.enable_profiling ();
-    (* at_exit: registered after setup_telemetry's metrics flush, so these
-       run first — the trace is written before the sink closes. *)
+    (* Interner table sizes as pull-based gauges: lib/relational cannot
+       depend on telemetry, so the application registers the closures. *)
+    Telemetry.register_gauge "interner.values"
+      ~doc:"distinct values interned into the global id table"
+      Interner.value_count;
+    Telemetry.register_gauge "interner.symbols"
+      ~doc:"distinct relation/attribute symbols interned"
+      Interner.symbol_count;
+    (* Store doublings: a counter, plus an instant marker on the growing
+       domain's trace track (the copy-under-mutex hiccup is otherwise
+       invisible). *)
+    let m_growths =
+      Telemetry.counter "interner.growths"
+        ~doc:"interner store doublings (whole-table copies under the mutex)"
+    in
+    Interner.set_growth_hook (fun tname cap ->
+        Telemetry.incr m_growths;
+        Telemetry.instant (Printf.sprintf "interner.%s.grow:%d" tname cap));
     (match profile with
     | Some path ->
         at_exit (fun () ->
@@ -1137,14 +1029,6 @@ let () =
     [
       `S Manpage.s_common_options;
       `P
-        "$(b,--trace) (anywhere on the command line) enables telemetry with a \
-         human-readable span trace on stderr and a counter report at exit.";
-      `P
-        "$(b,--metrics) $(i,FILE) (anywhere on the command line) enables \
-         telemetry and writes span events plus a final counter/histogram \
-         snapshot to $(i,FILE) as JSON-lines; summarize it with $(b,cindtool \
-         stats) $(i,FILE).";
-      `P
         "$(b,--timeout) $(i,SECS) (anywhere on the command line) bounds the \
          whole invocation by a wall-clock deadline; when it passes, the \
          command stops promptly, prints the reason on stderr and exits with \
@@ -1161,7 +1045,8 @@ let () =
          with $(b,.folded), folded stacks for $(b,flamegraph.pl)/$(b,inferno).  \
          The extension is required — it selects the format (and keeps the \
          flag distinct from $(b,gen)'s own $(b,--profile) option).  See also the \
-         $(b,profile) subcommand, which prints a self-time table instead.";
+         $(b,profile) subcommand, which prints a self-time table and the \
+         nonzero counters instead.";
       `P
         "$(b,--retries) $(i,N) (anywhere on the command line) allows up to \
          $(i,N) supervised re-runs of an operation that failed transiently \
@@ -1189,7 +1074,6 @@ let () =
         | "profile" :: (_ :: _ as rest) -> ({ g with g_rest = rest }, true)
         | _ -> (g, false)
       in
-      setup_telemetry ~trace:g.g_trace ~metrics:g.g_metrics;
       setup_profiling ~profile:g.g_profile ~table:profile_table;
       setup_guard ~timeout:g.g_timeout ~fuel:g.g_fuel;
       setup_supervision ~retries:g.g_retries;
@@ -1210,7 +1094,6 @@ let () =
             gen_cmd;
             sat_cmd;
             session_cmd;
-            stats_cmd;
             chaos_cmd;
             profile_stub_cmd;
           ]

@@ -78,7 +78,7 @@ let arm_schedule sched =
   List.iter
     (fun a ->
       let times = if a.times <= 0 then max_int else a.times in
-      Guard.arm ~site:a.site ~after:a.after ~times Guard.Raise)
+      Guard.arm ~site:a.site ~after:a.after ~times ())
     sched.s_arms
 
 let disarm_schedule sched =
@@ -223,8 +223,8 @@ let to_json sched =
   Buffer.add_string b "]}";
   Buffer.contents b
 
-(* A tiny scanner for the dump format above — not a general JSON parser
-   (same stance as [Telemetry.parse_event]). *)
+(* A tiny scanner for the dump format above — not a general JSON parser:
+   it reads only what [to_json] writes. *)
 
 let find_sub s pat from =
   let n = String.length s and m = String.length pat in

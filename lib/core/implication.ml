@@ -205,15 +205,17 @@ let is_witness schema (psi : Cind.nf) ~xvals =
 
 (* Does a counterexample model exist from this start shape?  Greatest
    fixpoint over the reachable shape space.  The shared budget is ticked
-   per explored shape (reachability) and per scanned state (fixpoint), so a
-   deadline cuts even an exponentially exploding search promptly. *)
+   per explored shape (reachability) and per scanned state (fixpoint), and
+   polled without spending fuel per already-visited child, so a deadline
+   cuts even an exponentially exploding search promptly. *)
 let counterexample_from schema compiled psi ~budget ~max_states ~recorder
     (start, xvals) =
   let witness = is_witness schema psi ~xvals in
   let visited = State_tbl.create 256 in
   let queue = Queue.create () in
   let push s =
-    if not (State_tbl.mem visited s) then begin
+    if State_tbl.mem visited s then Guard.tick ~cost:0 budget
+    else begin
       Guard.tick budget;
       (* The read set: every relation whose shapes the search explores,
          and (below) every CIND found applicable to one of them.  A CIND

@@ -23,7 +23,6 @@ let m_deadline = Telemetry.counter "guard.deadline_hits" ~doc:"budgets exhausted
 let m_fuel = Telemetry.counter "guard.fuel_exhausted" ~doc:"budgets exhausted by the step-fuel limit"
 let m_memory = Telemetry.counter "guard.memory_hits" ~doc:"budgets exhausted by the allocation ceiling"
 let m_faults = Telemetry.counter "guard.faults_injected" ~doc:"armed probes that raised Exhausted (Fault _)"
-let m_stalls = Telemetry.counter "guard.stalls_injected" ~doc:"armed probes that stalled (slept) at their site"
 let m_budgets = Telemetry.counter "guard.budgets_created" ~doc:"limited budgets constructed"
 
 (* --- budgets --- *)
@@ -144,14 +143,9 @@ let resolve = function Some b -> b | None -> ambient ()
 
 (* --- fault injection --- *)
 
-type fault =
-  | Raise
-  | Stall of float
-
 type armed = {
   mutable countdown : int;
   mutable remaining : int; (* fires left; [max_int] = unlimited *)
-  mode : fault;
   env_only : bool;
 }
 
@@ -166,7 +160,6 @@ let with_faults f =
   Fun.protect ~finally:(fun () -> Mutex.unlock fault_mutex) f
 
 let armed_tbl : (string, armed) Hashtbl.t = Hashtbl.create 8
-let sites_tbl : (string, unit) Hashtbl.t = Hashtbl.create 32
 
 (* The probe registry: modules declare their sites at initialisation time,
    so sweeps ([GUARD_FAULTS=all], the chaos harness) can enumerate every
@@ -189,46 +182,23 @@ let unregistered_probes () =
   Hashtbl.fold (fun s () acc -> s :: acc) unregistered_tbl []
   |> List.sort String.compare
 
-let arm_internal ~env_only ~site ~after ~times mode =
+let arm_internal ~env_only ~site ~after ~times =
   with_faults @@ fun () ->
-  Hashtbl.replace armed_tbl site
-    { countdown = after; remaining = times; mode; env_only }
+  Hashtbl.replace armed_tbl site { countdown = after; remaining = times; env_only }
 
-let arm ~site ?(after = 0) ?(times = max_int) mode =
-  arm_internal ~env_only:false ~site ~after ~times:(max 0 times) mode
-
-(* Small deterministic hash (FNV-1a over the seed then the site name):
-   seed-driven sweeps get a per-site countdown without any global RNG. *)
-let site_hash seed site =
-  let h = ref 0x811c9dc5 in
-  let mix byte = h := (!h lxor byte) * 0x01000193 land 0x3fffffff in
-  mix (seed land 0xff);
-  mix ((seed asr 8) land 0xff);
-  String.iter (fun c -> mix (Char.code c)) site;
-  !h
-
-let arm_seeded ~seed ~sites =
-  List.iter (fun site -> arm ~site ~after:(site_hash seed site mod 4) Raise) sites
+let arm ~site ?(after = 0) ?(times = max_int) () =
+  arm_internal ~env_only:false ~site ~after ~times:(max 0 times)
 
 let disarm ~site = with_faults @@ fun () -> Hashtbl.remove armed_tbl site
 let disarm_all () = with_faults @@ fun () -> Hashtbl.reset armed_tbl
 
-let known_sites () =
-  with_faults @@ fun () ->
-  Hashtbl.fold (fun s () acc -> s :: acc) sites_tbl [] |> List.sort String.compare
-
 let probe ?budget site =
-  (* Decide the action under the lock, act outside it: a Stall must not
-     hold the mutex while it sleeps. *)
   let governed = not (is_unlimited (resolve budget)) in
-  let action =
+  let fires =
     with_faults @@ fun () ->
-    if not (Hashtbl.mem sites_tbl site) then begin
-      Hashtbl.replace sites_tbl site ();
-      if not (Hashtbl.mem registered_tbl site) then
-        Hashtbl.replace unregistered_tbl site ()
-    end;
-    if Hashtbl.length armed_tbl = 0 then None
+    if not (Hashtbl.mem registered_tbl site) then
+      Hashtbl.replace unregistered_tbl site ();
+    if Hashtbl.length armed_tbl = 0 then false
     else
       let entry =
         match Hashtbl.find_opt armed_tbl site with
@@ -236,58 +206,33 @@ let probe ?budget site =
         | None -> Hashtbl.find_opt armed_tbl "*"
       in
       match entry with
-      | None -> None
+      | None -> false
       | Some e ->
           let applies = (not e.env_only) || governed in
-          if not applies then None
+          if not applies then false
           else if e.countdown > 0 then begin
             e.countdown <- e.countdown - 1;
-            None
+            false
           end
-          else if e.remaining <= 0 then None (* transient fault, used up *)
+          else if e.remaining <= 0 then false (* transient fault, used up *)
           else begin
             if e.remaining <> max_int then e.remaining <- e.remaining - 1;
-            Some e.mode
+            true
           end
   in
-  match action with
-  | None -> ()
-  | Some Raise ->
-      Telemetry.incr m_faults;
-      Telemetry.mark_exhaustion ("fault:" ^ site);
-      raise (Exhausted (Fault site))
-  | Some (Stall s) ->
-      Telemetry.incr m_stalls;
-      Unix.sleepf s
+  if fires then begin
+    Telemetry.incr m_faults;
+    Telemetry.mark_exhaustion ("fault:" ^ site);
+    raise (Exhausted (Fault site))
+  end
 
-(* Environment arming: GUARD_FAULTS=all | site1,site2 with optional
-   GUARD_FAULT_MODE=raise|stall:SECS, GUARD_FAULT_AFTER=N and
-   GUARD_FAULT_SEED=N (per-site deterministic countdowns).  Environment-
-   armed faults are marked env_only: they fire only at probes governed by a
+(* Environment arming: GUARD_FAULTS=all | site1,site2.  Environment-armed
+   faults are marked env_only: they fire only at probes governed by a
    limited budget (see guard.mli). *)
 let () =
   match Sys.getenv_opt "GUARD_FAULTS" with
   | None | Some "" -> ()
   | Some spec ->
-      let mode =
-        match Sys.getenv_opt "GUARD_FAULT_MODE" with
-        | Some m when String.length m > 6 && String.sub m 0 6 = "stall:" -> (
-            match float_of_string_opt (String.sub m 6 (String.length m - 6)) with
-            | Some s when s >= 0. -> Stall s
-            | _ -> Raise)
-        | _ -> Raise
-      in
-      let after site =
-        match Sys.getenv_opt "GUARD_FAULT_SEED" with
-        | Some s -> (
-            match int_of_string_opt s with
-            | Some seed -> site_hash seed site mod 4
-            | None -> 0)
-        | None -> (
-            match Sys.getenv_opt "GUARD_FAULT_AFTER" with
-            | Some s -> Option.value ~default:0 (int_of_string_opt s)
-            | None -> 0)
-      in
       let sites =
         if String.equal spec "all" then [ "*" ]
         else
@@ -296,7 +241,5 @@ let () =
           |> List.filter (fun s -> s <> "")
       in
       List.iter
-        (fun site ->
-          arm_internal ~env_only:true ~site ~after:(after site) ~times:max_int
-            mode)
+        (fun site -> arm_internal ~env_only:true ~site ~after:0 ~times:max_int)
         sites

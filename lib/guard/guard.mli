@@ -18,13 +18,14 @@
 
     The module also hosts deterministic {e fault-injection probes}
     ({!probe}): named sites in the engines that tests (or the
-    [GUARD_FAULTS] environment variable) can arm to raise or stall, proving
-    that degradation is graceful — a fault surfaces as
-    [Unknown (Fault site)], never as a crash.
+    [GUARD_FAULTS] environment variable) can arm to raise, proving that
+    degradation is graceful — a fault surfaces as [Unknown (Fault site)],
+    never as a crash.
 
     Every budget/fault event is counted through the telemetry layer
-    ([guard.deadline_hits], [guard.fuel_exhausted], [guard.memory_hits],
-    [guard.faults_injected], [guard.stalls_injected]). *)
+    ([guard.budgets_created], [guard.deadline_hits],
+    [guard.fuel_exhausted], [guard.memory_hits],
+    [guard.faults_injected]). *)
 
 (** {1 Exhaustion reasons} *)
 
@@ -105,31 +106,21 @@ val resolve : t option -> t
 
     Engines mark their entry points with [probe "subsystem.site"].  A probe
     is a no-op until its site is armed; an armed probe fires
-    deterministically after a per-site countdown, either raising
-    [Exhausted (Fault site)] or stalling for a fixed duration (to exercise
-    deadline paths).
+    deterministically after a per-site countdown, raising
+    [Exhausted (Fault site)].
 
     Arming from the environment ([GUARD_FAULTS=all] or a comma-separated
-    site list, with optional [GUARD_FAULT_MODE=raise|stall:SECS],
-    [GUARD_FAULT_AFTER=N], [GUARD_FAULT_SEED=N]) fires only at probes
-    running under a *governed* budget — any budget but {!unlimited} — so
-    an armed process degrades its governed runs without perturbing
-    unbudgeted code; programmatic {!arm} fires unconditionally. *)
+    site list) fires only at probes running under a *governed* budget —
+    any budget but {!unlimited} — so an armed process degrades its
+    governed runs without perturbing unbudgeted code; programmatic {!arm}
+    fires unconditionally. *)
 
-type fault =
-  | Raise  (** raise [Exhausted (Fault site)] at the probe *)
-  | Stall of float  (** sleep this many seconds, then continue *)
-
-val arm : site:string -> ?after:int -> ?times:int -> fault -> unit
+val arm : site:string -> ?after:int -> ?times:int -> unit -> unit
 (** Arm one site ([after] probe hits are let through first, default 0).
     [times] bounds how often the fault fires before going dormant
     (default: unlimited) — a finite count models a {e transient} fault
     that a supervised retry can get past.  [site = "*"] arms every
     site. *)
-
-val arm_seeded : seed:int -> sites:string list -> unit
-(** Deterministic seed-driven sweep arming: each site gets a [Raise] fault
-    with a small countdown derived from [(seed, site)]. *)
 
 val disarm : site:string -> unit
 val disarm_all : unit -> unit
@@ -137,9 +128,6 @@ val disarm_all : unit -> unit
 val probe : ?budget:t -> string -> unit
 (** Mark a named fault-injection site.  [budget] (default: ambient) decides
     whether environment-armed faults apply; see above. *)
-
-val known_sites : unit -> string list
-(** Every site probed so far in this process, sorted. *)
 
 (** {1 Probe registry}
 

@@ -26,11 +26,6 @@ let m_sat = Telemetry.counter "sat.results_sat" ~doc:"instances decided satisfia
 let m_unsat = Telemetry.counter "sat.results_unsat" ~doc:"instances decided unsatisfiable"
 let m_unknown = Telemetry.counter "sat.results_unknown" ~doc:"instances left undecided: budget, conflict/decision limit or fault"
 
-(* LBD ("glue") of each learned clause, recorded as a unitless value into
-   the log-scale duration buckets: the histogram machinery is shared, so a
-   bucket bound of "5" reads as LBD <= 5, not seconds. *)
-let h_lbd = Telemetry.histogram "sat.lbd"
-
 exception Found_unsat
 
 (* luby i: the i-th term (1-based) of the Luby restart sequence
@@ -556,7 +551,6 @@ let solve_cdcl ~budget ~max_conflicts ~max_decisions ~restart_base ~reduce_base
           Telemetry.with_span "sat.analyze" (fun () -> analyze st confl)
         in
         Telemetry.incr m_learned;
-        Telemetry.observe h_lbd (float_of_int lbd);
         Telemetry.add m_backjumps (st.dlevel - blevel - 1);
         cancel_until st blevel;
         if Array.length lits = 1 then push_assign st lits.(0) no_reason

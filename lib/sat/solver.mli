@@ -42,8 +42,7 @@
     [sat.results_*]) the CDCL machinery records [sat.learned] (clauses
     learned), [sat.learned_deleted] (clauses dropped by database
     reduction), [sat.backjump_levels] (decision levels skipped beyond the
-    one chronological level), a [sat.lbd] histogram (unitless LBD values in
-    the shared log-scale buckets) and a [sat.analyze] span with a matching
+    one chronological level) and a [sat.analyze] span with a matching
     fault probe in the {!Guard} registry.
 
     The test suite checks it against the exhaustive {!solve_brute}. *)

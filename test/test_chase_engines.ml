@@ -70,7 +70,7 @@ let seed_gen lo hi =
 let test_delta_run_fault () =
   let schema, sigma = small_workload 13 in
   let compiled = Chase.compile schema sigma in
-  Guard.arm ~site:"chase.delta" Guard.Raise;
+  Guard.arm ~site:"chase.delta" ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match
     Chase.run ~config:Chase.default_config ~rng:(Rng.make 3)
@@ -82,7 +82,7 @@ let test_delta_run_fault () =
 
 let test_delta_drain_fault () =
   let schema, sigma = small_workload 13 in
-  Guard.arm ~site:"chase.delta.drain" Guard.Raise;
+  Guard.arm ~site:"chase.delta.drain" ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match Random_checking.check ~rng:(Rng.make 2) schema sigma with
   | Random_checking.Unknown (Guard.Fault s) ->

@@ -269,7 +269,7 @@ let test_checking_fault_sweep () =
   let schema, sigma = small_workload 13 in
   List.iter
     (fun site ->
-      Guard.arm ~site Guard.Raise;
+      Guard.arm ~site ();
       Fun.protect ~finally:Guard.disarm_all @@ fun () ->
       match Checking.check ~rng:(Rng.make 2) schema sigma with
       | Checking.Unknown (Guard.Fault s) ->
@@ -280,7 +280,7 @@ let test_checking_fault_sweep () =
 
 let test_random_checking_fault () =
   let schema, sigma = small_workload 13 in
-  Guard.arm ~site:"checking.random" Guard.Raise;
+  Guard.arm ~site:"checking.random" ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match Random_checking.check ~rng:(Rng.make 2) schema sigma with
   | Random_checking.Unknown (Guard.Fault s) -> check_string "site" "checking.random" s
@@ -291,7 +291,7 @@ let test_random_checking_fault () =
 let test_chase_fault () =
   let schema, sigma = small_workload 13 in
   let compiled = Chase.compile schema sigma in
-  Guard.arm ~site:"chase.run" Guard.Raise;
+  Guard.arm ~site:"chase.run" ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match
     Chase.run ~config:Chase.default_config ~rng:(Rng.make 3) schema compiled
@@ -302,7 +302,7 @@ let test_chase_fault () =
   | Chase.Terminal _ | Chase.Undefined _ -> Alcotest.fail "armed fault must fire"
 
 let test_sat_fault () =
-  Guard.arm ~site:"sat.solve" Guard.Raise;
+  Guard.arm ~site:"sat.solve" ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match Solver.solve (Cnf.make ~num_vars:1 [ [ 1 ] ]) with
   | Solver.Unknown (Guard.Fault s) -> check_string "site" "sat.solve" s
@@ -310,7 +310,7 @@ let test_sat_fault () =
 
 (* bool/option APIs let the exception propagate — typed, not a crash *)
 let expect_fault site f =
-  Guard.arm ~site Guard.Raise;
+  Guard.arm ~site ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match f () with
   | _ -> Alcotest.failf "site %s: armed fault must fire" site
@@ -318,7 +318,7 @@ let expect_fault site f =
 
 (* three-valued APIs answer an armed fault with [Undetermined (Fault _)] *)
 let expect_undetermined_fault site f =
-  Guard.arm ~site Guard.Raise;
+  Guard.arm ~site ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match f () with
   | Implication.Undetermined (Guard.Fault s) -> check_string site site s
@@ -343,7 +343,7 @@ let test_bool_api_faults () =
 
 let test_fault_after_countdown () =
   let b = Guard.make ~fuel:1000 () in
-  Guard.arm ~site:"countdown.site" ~after:2 Guard.Raise;
+  Guard.arm ~site:"countdown.site" ~after:2 ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   Guard.probe ~budget:b "countdown.site";
   Guard.probe ~budget:b "countdown.site";

@@ -209,7 +209,7 @@ let test_single_edit_recheck_speedup () =
 (* --- the chaos probe ----------------------------------------------------- *)
 
 let with_arm ~site ?after ?times f =
-  Guard.arm ~site ?after ?times Guard.Raise;
+  Guard.arm ~site ?after ?times ();
   Fun.protect ~finally:(fun () -> Guard.disarm ~site) f
 
 let test_invalidate_fault_degrades_to_flush () =

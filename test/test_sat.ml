@@ -164,7 +164,7 @@ let test_cdcl_pinned_verdicts () =
 
 (* The learning machinery must be observable: refuting PHP(5,4) has to
    learn clauses and take non-chronological backjumps (both counters
-   strictly increase), and the analysis span's histogram gets samples. *)
+   strictly increase). *)
 let test_multilevel_backjumps_observable () =
   let m_learned = Telemetry.counter "sat.learned" in
   let m_backjumps = Telemetry.counter "sat.backjump_levels" in
@@ -248,7 +248,7 @@ let test_analyze_fault_probe () =
   let cnf = pigeonhole 4 3 in
   List.iter
     (fun after ->
-      Guard.arm ~site:"sat.analyze" ~after Guard.Raise;
+      Guard.arm ~site:"sat.analyze" ~after ();
       Fun.protect ~finally:Guard.disarm_all @@ fun () ->
       match Solver.solve cnf with
       | Solver.Unknown (Guard.Fault s) ->
@@ -261,7 +261,7 @@ let test_analyze_fault_probe () =
     [ 0; 1; 5 ];
   (* transient fault (times:1) + the probe being per-conflict: the search
      survives the one injected failure on a re-run *)
-  Guard.arm ~site:"sat.analyze" ~times:1 Guard.Raise;
+  Guard.arm ~site:"sat.analyze" ~times:1 ();
   (match Solver.solve cnf with
   | Solver.Unknown (Guard.Fault _) -> ()
   | r ->
@@ -297,20 +297,26 @@ let test_dimacs_parse_print_parse_identity () =
 
 let test_dimacs_errors () =
   List.iter
-    (fun (src, diag) ->
+    (fun (src, line, diag) ->
       match Dimacs.parse src with
       | Error msg ->
           check_bool
             (Printf.sprintf "diagnostic for %S names the problem (%s)" src msg)
             true
-            (contains_substring ~needle:diag msg)
+            (contains_substring ~needle:diag msg);
+          check_bool
+            (Printf.sprintf "diagnostic for %S names line %d (%s)" src line msg)
+            true
+            (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) msg)
       | Ok _ -> Alcotest.failf "accepted malformed DIMACS: %s" src)
     [
-      ("1 2 0", "missing problem line");
-      ("p cnf x 2", "malformed problem line");
-      ("p cnf 2 1\n1 2", "unterminated clause");
-      ("p cnf 1 1\nfoo 0", "bad literal");
-      ("p cnf 1 1\n2 0", "literal");
+      ("1 2 0", 1, "missing problem line");
+      ("c comment\n\n1 2 0\n", 3, "missing problem line");
+      ("p cnf x 2", 1, "malformed problem line");
+      ("p cnf 2 1\n1 2", 2, "unterminated clause");
+      ("p cnf 1 1\nfoo 0", 2, "bad literal \"foo\"");
+      ("p cnf 1 1\n2 0", 2, "literal 2 out of range");
+      ("c x\np cnf 4 2\n1 -2\n3 0\n-5 0\n", 5, "declares 4 variables");
     ]
 
 let test_rejects_bad_literals () =

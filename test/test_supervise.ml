@@ -132,7 +132,7 @@ let gen_workload ~consistent seed =
   (schema, gen rng { Workload.default with num_constraints = 24 } schema)
 
 let with_arm ~site ?after ?times f =
-  Guard.arm ~site ?after ?times Guard.Raise;
+  Guard.arm ~site ?after ?times ();
   Fun.protect ~finally:(fun () -> Guard.disarm ~site) f
 
 let test_retry_determinism () =

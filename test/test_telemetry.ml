@@ -2,8 +2,8 @@ open Conddep_generator
 open Conddep_consistency
 open Helpers
 
-(* The telemetry subsystem: counters, histograms, spans, JSON-lines sinks —
-   and the guard that instrumentation can never perturb a checker verdict. *)
+(* The telemetry subsystem: counters, profiler spans, trace export — and
+   the guard that instrumentation can never perturb a checker verdict. *)
 
 (* Each test owns the global telemetry state: start disabled and zeroed,
    and leave it that way for whoever runs next. *)
@@ -11,12 +11,10 @@ let with_clean_telemetry f =
   Telemetry.reset ();
   Telemetry.disable_profiling ();
   Telemetry.disable ();
-  Telemetry.set_sink Telemetry.Null;
   Fun.protect ~finally:(fun () ->
       Telemetry.reset ();
       Telemetry.disable_profiling ();
-      Telemetry.disable ();
-      Telemetry.set_sink Telemetry.Null)
+      Telemetry.disable ())
     f
 
 let with_clean_profiling f =
@@ -46,148 +44,58 @@ let test_counter_monotonic () =
 let test_disabled_records_nothing () =
   with_clean_telemetry @@ fun () ->
   let c = Telemetry.counter "test.counter_b" in
-  let h = Telemetry.histogram "test.hist_b" in
   (* disabled: everything is a no-op *)
   Telemetry.incr c;
   Telemetry.add c 100;
-  Telemetry.observe h 0.5;
   let ran = ref false in
   let v = Telemetry.with_span "test.span_b" (fun () -> ran := true; 17) in
   check_int "with_span still runs the body" 17 v;
   check_bool "body executed" true !ran;
   check_int "counter untouched" 0 (Telemetry.count c);
-  let stats = List.assoc "test.hist_b" (Telemetry.histogram_snapshot ()) in
-  check_int "histogram untouched" 0 stats.Telemetry.hs_count;
-  check_bool "no span histogram created"
-    true
-    (not (List.mem_assoc "test.span_b" (Telemetry.histogram_snapshot ())))
-
-(* --- histograms ------------------------------------------------------------ *)
-
-let test_histogram_buckets () =
-  with_clean_telemetry @@ fun () ->
+  (* counters on, profiling off: counters count, spans are just [f ()] *)
   Telemetry.enable ();
-  let h = Telemetry.histogram "test.hist_buckets" in
-  let bounds = Telemetry.bucket_bounds in
-  check_int "two buckets per decade, 1e-6..1e2" 17 (Array.length bounds);
-  check_bool "first bound is 1us" true (abs_float (bounds.(0) -. 1e-6) < 1e-12);
-  check_bool "last bound is 100s" true (abs_float (bounds.(16) -. 100.) < 1e-9);
-  (* a value exactly on a bound lands in that bound's bucket (v <= bound) *)
-  Telemetry.observe h bounds.(3);
-  (* just above a bound -> next bucket *)
-  Telemetry.observe h (bounds.(3) *. 1.0001);
-  (* below the smallest bound -> first bucket *)
-  Telemetry.observe h 1e-9;
-  (* beyond the largest bound -> overflow bucket *)
-  Telemetry.observe h 1e6;
-  let stats = List.assoc "test.hist_buckets" (Telemetry.histogram_snapshot ()) in
-  check_int "total observations" 4 stats.Telemetry.hs_count;
-  let bucket i = snd (List.nth stats.Telemetry.hs_buckets i) in
-  check_int "boundary value in its own bucket" 1 (bucket 3);
-  check_int "epsilon above goes to the next bucket" 1 (bucket 4);
-  check_int "tiny value in the first bucket" 1 (bucket 0);
-  check_int "overflow bucket" 1 (bucket 17);
-  let le, _ = List.nth stats.Telemetry.hs_buckets 17 in
-  check_bool "overflow bound is infinity" true (le = infinity);
-  check_bool "sum accumulates" true (stats.Telemetry.hs_sum > 1e6 -. 1.)
+  Telemetry.incr c;
+  ignore (Telemetry.with_span "test.span_b" (fun () -> ()));
+  check_int "enabled counter counts" 1 (Telemetry.count c);
+  check_bool "no profile tree without profiling" true (Telemetry.profile_tree () = []);
+  check_bool "no trace events without profiling" true (Telemetry.trace_events () = [])
 
 (* --- spans ----------------------------------------------------------------- *)
 
 let test_span_nesting_and_unwinding () =
-  with_clean_telemetry @@ fun () ->
-  Telemetry.enable ();
-  check_int "depth 0 outside" 0 (Telemetry.span_depth ());
-  let inner_depth = ref (-1) in
+  with_clean_profiling @@ fun () ->
   let v =
     Telemetry.with_span "test.outer" (fun () ->
-        Telemetry.with_span "test.inner" (fun () ->
-            inner_depth := Telemetry.span_depth ();
-            3))
+        Telemetry.with_span "test.inner" (fun () -> 3))
   in
-  check_int "nested depth observed" 2 !inner_depth;
   check_int "value passed through" 3 v;
-  check_int "depth restored" 0 (Telemetry.span_depth ());
-  (* exception unwinding: depth restored, duration still recorded *)
+  (* exception unwinding: the frame stack pops, the spans are still
+     recorded, with an error mark *)
   (try
      Telemetry.with_span "test.raising" (fun () ->
          ignore (Telemetry.with_span "test.raising_inner" (fun () -> failwith "boom")))
    with Failure _ -> ());
-  check_int "depth restored after raise" 0 (Telemetry.span_depth ());
-  let stats = List.assoc "test.raising" (Telemetry.histogram_snapshot ()) in
-  check_int "raising span recorded" 1 stats.Telemetry.hs_count;
-  let stats = List.assoc "test.raising_inner" (Telemetry.histogram_snapshot ()) in
-  check_int "inner raising span recorded" 1 stats.Telemetry.hs_count
-
-(* --- JSON-lines sink round-trip -------------------------------------------- *)
-
-let test_jsonl_round_trip () =
-  with_clean_telemetry @@ fun () ->
-  Telemetry.enable ();
-  let c = Telemetry.counter "test.rt_counter" in
-  Telemetry.add c 42;
-  Telemetry.observe (Telemetry.histogram "test.rt_hist") 0.25;
-  let path = Filename.temp_file "telemetry_rt" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  Telemetry.set_sink (Telemetry.Jsonl oc);
-  ignore (Telemetry.with_span "test.rt_span" (fun () -> ()));
-  Telemetry.flush_metrics ();
-  Telemetry.set_sink Telemetry.Null;
-  close_out oc;
-  let ic = open_in path in
-  let events = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match Telemetry.parse_event line with
-       | Some ev -> events := ev :: !events
-       | None -> Alcotest.failf "unparseable line: %s" line
-     done
-   with End_of_file -> close_in ic);
-  let events = List.rev !events in
-  check_bool "at least span + counters + histograms" true (List.length events > 3);
-  let counter_val name =
-    List.find_map
-      (function
-        | Telemetry.Counter_event { name = n; value } when n = name -> Some value
-        | _ -> None)
-      events
+  Telemetry.with_span "test.after" (fun () -> ());
+  let roots = Telemetry.profile_tree () in
+  let root name =
+    match List.find_opt (fun n -> n.Telemetry.p_name = name) roots with
+    | Some n -> n
+    | None -> Alcotest.failf "no root span %s" name
   in
-  check_bool "counter survives the round trip" true (counter_val "test.rt_counter" = Some 42);
-  let span =
-    List.find_map
-      (function
-        | Telemetry.Span_event { name = "test.rt_span"; dur_s; depth; err; _ } ->
-            Some (dur_s, depth, err)
-        | _ -> None)
-      events
+  let child (n : Telemetry.profile_node) name =
+    match List.find_opt (fun c -> c.Telemetry.p_name = name) n.p_children with
+    | Some c -> c
+    | None -> Alcotest.failf "%s has no child %s" n.p_name name
   in
-  (match span with
-  | None -> Alcotest.fail "span event missing"
-  | Some (dur_s, depth, err) ->
-      check_bool "span duration sane" true (dur_s >= 0. && dur_s < 10.);
-      check_int "span depth" 0 depth;
-      check_bool "no error mark" false err);
-  let hist =
-    List.find_map
-      (function
-        | Telemetry.Histogram_event { name = "test.rt_hist"; stats } -> Some stats
-        | _ -> None)
-      events
-  in
-  match hist with
-  | None -> Alcotest.fail "histogram event missing"
-  | Some stats ->
-      check_int "histogram count survives" 1 stats.Telemetry.hs_count;
-      check_bool "histogram sum survives" true (abs_float (stats.hs_sum -. 0.25) < 1e-6);
-      check_int "all buckets present" 18 (List.length stats.hs_buckets);
-      (* 0.25s lands under the 10^-0.5 ≈ 0.316s bound; bounds round-trip
-         through decimal text, so compare with a tolerance *)
-      let target = Telemetry.bucket_bounds.(11) in
-      check_int "0.25s bucket holds the observation" 1
-        (List.fold_left
-           (fun acc (le, n) -> if abs_float (le -. target) < 1e-6 then acc + n else acc)
-           0 stats.hs_buckets)
+  check_int "roots: outer, raising, after" 3 (List.length roots);
+  check_int "inner nests under outer" 1 (child (root "test.outer") "test.inner").p_count;
+  let raising = root "test.raising" in
+  check_int "raising span recorded" 1 raising.p_count;
+  check_int "raising span marked" 1 raising.p_errors;
+  let inner = child raising "test.raising_inner" in
+  check_int "inner raising span recorded" 1 inner.p_count;
+  check_int "inner raising span marked" 1 inner.p_errors;
+  check_int "stack unwound: next span is a root" 0 (root "test.after").p_errors
 
 (* --- profiler: span-tree attribution ---------------------------------------- *)
 
@@ -238,15 +146,13 @@ let test_profile_tree_shape () =
   let selfs = List.map (fun (_, _, _, s) -> s) table in
   check_bool "table sorted by self desc" true
     (List.sort (fun a b -> compare b a) selfs = selfs);
-  (* span histograms fed as usual alongside the tree *)
-  let stats = List.assoc "t.outer" (Telemetry.histogram_snapshot ()) in
-  check_int "histogram still observes profiled spans" 4 stats.Telemetry.hs_count
+  check_string "dur_to_string scales" "1.500ms" (Telemetry.dur_to_string 1.5e-3)
 
 let test_profile_under_faults () =
   (* self <= total must survive exceptional unwinding via armed Guard
      fault probes, the GUARD_FAULTS mechanism's programmatic form *)
   with_clean_profiling @@ fun () ->
-  Guard.arm ~site:"test.telemetry.fault" Guard.Raise;
+  Guard.arm ~site:"test.telemetry.fault" ();
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   for _ = 1 to 5 do
     try
@@ -476,72 +382,6 @@ let trace_property_test =
       check_bool "exported trace is valid JSON" true (json_valid contents);
       true)
 
-(* --- multi-domain JSONL sink -------------------------------------------------- *)
-
-let test_multidomain_jsonl_no_interleaving () =
-  with_clean_telemetry @@ fun () ->
-  Telemetry.enable ();
-  let path = Filename.temp_file "telemetry_md" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  Telemetry.set_sink (Telemetry.Jsonl oc);
-  let work () =
-    for _ = 1 to 50 do
-      Telemetry.with_span "md.outer" (fun () ->
-          Telemetry.with_span "md.inner" (fun () -> ()))
-    done
-  in
-  let workers = List.init 3 (fun _ -> Domain.spawn work) in
-  work ();
-  List.iter Domain.join workers;
-  Telemetry.set_sink Telemetry.Null;
-  close_out oc;
-  let ic = open_in path in
-  let spans = ref 0 in
-  let tids = Hashtbl.create 8 in
-  (try
-     while true do
-       let line = input_line ic in
-       match Telemetry.parse_event line with
-       | Some (Telemetry.Span_event { name; tid; _ }) ->
-           (* concurrent emission must never interleave bytes: every line
-              parses and carries one of the two expected names *)
-           check_bool "span name intact" true (name = "md.outer" || name = "md.inner");
-           Hashtbl.replace tids tid ();
-           incr spans
-       | Some _ -> ()
-       | None -> Alcotest.failf "corrupt JSONL line: %s" line
-     done
-   with End_of_file -> close_in ic);
-  check_int "every span from every domain present" 400 !spans;
-  check_bool "several distinct domain tracks" true (Hashtbl.length tids >= 2)
-
-(* --- quantiles --------------------------------------------------------------- *)
-
-let test_quantile_estimates () =
-  with_clean_telemetry @@ fun () ->
-  Telemetry.enable ();
-  let h = Telemetry.histogram "test.quant" in
-  for _ = 1 to 90 do
-    Telemetry.observe h 1e-3
-  done;
-  for _ = 1 to 10 do
-    Telemetry.observe h 1.0
-  done;
-  let hs = List.assoc "test.quant" (Telemetry.histogram_snapshot ()) in
-  let q p = Telemetry.quantile hs p in
-  (* 1e-3 lands in the bucket (10^-3.5, 10^-3]; the estimate must stay
-     inside that bucket *)
-  check_bool "p50 in the 1ms bucket" true (q 0.5 > 3e-4 && q 0.5 <= 1e-3 +. 1e-9);
-  (* the top decile lands in the (10^-0.5, 1] bucket *)
-  check_bool "p99 in the 1s bucket" true (q 0.99 > 0.3 && q 0.99 <= 1.0 +. 1e-9);
-  check_bool "quantiles monotone" true (q 0.5 <= q 0.9 && q 0.9 <= q 0.99);
-  let empty = List.assoc "test.hist_empty"
-      (Telemetry.histogram "test.hist_empty" |> fun _ -> Telemetry.histogram_snapshot ())
-  in
-  check_bool "empty histogram -> nan" true (Float.is_nan (Telemetry.quantile empty 0.5));
-  check_string "dur_to_string scales" "1.500ms" (Telemetry.dur_to_string 1.5e-3)
-
 (* --- determinism guard ------------------------------------------------------ *)
 
 (* Enabling telemetry must not change any checker verdict: Checking uses
@@ -576,15 +416,8 @@ let test_verdicts_unperturbed () =
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
   let baseline = verdicts () in
-  (* telemetry on, JSON-lines sink attached *)
   Telemetry.enable ();
-  let path = Filename.temp_file "telemetry_det" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  Telemetry.set_sink (Telemetry.Jsonl oc);
   let instrumented = verdicts () in
-  Telemetry.set_sink Telemetry.Null;
-  close_out oc;
   List.iteri
     (fun i (a, b) ->
       check_string (Printf.sprintf "verdict %d unchanged under telemetry" i) a b)
@@ -593,7 +426,7 @@ let test_verdicts_unperturbed () =
   check_bool "checking.calls counted" true
     (List.assoc "checking.calls" (Telemetry.counter_snapshot ()) >= 8)
 
-(* Profiling is a heavier tier than --trace/--metrics; the same guarantee
+(* Profiling is a heavier tier than counters alone; the same guarantee
    must hold — identical verdicts with the profiler on, and a fully dark
    pipeline (no spans, no trace events, no counters) when disabled. *)
 let test_verdicts_unperturbed_by_profiling () =
@@ -644,13 +477,9 @@ let test_verdicts_unperturbed_by_profiling () =
     (List.combine baseline off);
   check_bool "no trace events when disabled" true (Telemetry.trace_events () = []);
   check_bool "no profile tree when disabled" true (Telemetry.profile_tree () = []);
-  check_bool "no gauge moves when disabled"
+  check_bool "no counter moves when disabled"
     true
-    (List.for_all (fun (_, v) -> v = 0) (Telemetry.counter_snapshot ()));
-  check_bool "no span histograms when disabled" true
-    (List.for_all
-       (fun (_, hs) -> hs.Telemetry.hs_count = 0)
-       (Telemetry.histogram_snapshot ()))
+    (List.for_all (fun (_, v) -> v = 0) (Telemetry.counter_snapshot ()))
 
 let test_disabled_path_allocation_free () =
   with_clean_telemetry @@ fun () ->
@@ -704,12 +533,6 @@ let () =
           Alcotest.test_case "instrumented libraries register" `Quick
             test_instrumented_counters_registered;
         ] );
-      ( "histograms",
-        [
-          Alcotest.test_case "log-scale bucket boundaries" `Quick test_histogram_buckets;
-          Alcotest.test_case "quantile estimates from buckets" `Quick
-            test_quantile_estimates;
-        ] );
       ( "spans",
         [
           Alcotest.test_case "nesting and exception unwinding" `Quick
@@ -730,12 +553,6 @@ let () =
           Alcotest.test_case "mini JSON validator sanity" `Quick
             test_json_validator_itself;
           trace_property_test;
-        ] );
-      ( "sinks",
-        [
-          Alcotest.test_case "JSON-lines round trip" `Quick test_jsonl_round_trip;
-          Alcotest.test_case "multi-domain JSONL never interleaves" `Quick
-            test_multidomain_jsonl_no_interleaving;
         ] );
       ( "determinism",
         [
