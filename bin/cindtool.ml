@@ -231,9 +231,6 @@ let load_csvs schema specs db =
           | Ok r -> Database.set_relation db r
           | Error msg ->
               Fmt.epr "%s: %s@." file msg;
-              exit exit_usage
-          | exception Sys_error msg ->
-              Fmt.epr "cindtool: %s@." msg;
               exit exit_usage))
     db specs
 
@@ -521,10 +518,10 @@ let sat_cmd =
   let module Cnf = Conddep_sat.Cnf in
   let run path =
     let text =
-      match In_channel.with_open_text path In_channel.input_all with
-      | s -> s
-      | exception Sys_error msg ->
-          Fmt.epr "cindtool: %s@." msg;
+      match Csv.read_file path with
+      | Ok s -> s
+      | Error msg ->
+          Fmt.epr "%s: %s@." path msg;
           exit exit_usage
     in
     match Conddep_sat.Dimacs.parse text with
@@ -626,7 +623,11 @@ let session_cmd =
       | w :: _ when String.length w > 0 && w.[0] = '#' -> ()
       | [ "load"; file ] ->
           if !sess <> None then fail "load: session already started";
-          let doc = load file in
+          let doc =
+            match Parser.parse_file file with
+            | Ok doc -> doc
+            | Error msg -> fail (Printf.sprintf "load: %s: %s" file msg)
+          in
           let s =
             Cind_session.create ~backend ~cache:(not no_cache) ~seed
               doc.Parser.schema
@@ -695,19 +696,18 @@ let session_cmd =
             st.Cind_session.hits st.misses st.invalidations st.entries
       | w :: _ -> fail (Printf.sprintf "unrecognized command %S" w)
     in
-    let ic =
-      match open_in path with
-      | ic -> ic
-      | exception Sys_error msg ->
-          Fmt.epr "%s@." msg;
+    let script =
+      match Csv.read_file path with
+      | Ok s -> s
+      | Error msg ->
+          Fmt.epr "%s: %s@." path msg;
           exit exit_usage
     in
-    (try
-       while true do
-         incr lineno;
-         handle (input_line ic)
-       done
-     with End_of_file -> close_in ic);
+    List.iter
+      (fun line ->
+        incr lineno;
+        handle line)
+      (String.split_on_char '\n' script);
     (match !sess with
     | Some s ->
         let st = Cind_session.stats s in
@@ -761,102 +761,6 @@ let session_cmd =
          ])
     Term.(const run $ file_arg $ seed_arg $ backend_arg $ no_cache_arg)
 
-(* --- chaos -------------------------------------------------------------------- *)
-
-(* Randomized fault-schedule sweep over the Guard probe registry: every
-   round checks a seeded workload twice — fault-free, then with the
-   schedule's probes armed — and asserts the faulty verdict is identical
-   or a typed Unknown.  Failing schedules are dumped as replayable
-   .chaos.json files (raw and shrunk). *)
-let chaos_cmd =
-  let run seed rounds relations constraints out_dir replay =
-    (* retry counters feed the per-round report *)
-    Telemetry.enable ();
-    let policy = Supervise.Policy.ambient () in
-    match replay with
-    | Some file -> (
-        match Chaos.load ~file with
-        | Error msg ->
-            Fmt.epr "cindtool: %s: %s@." file msg;
-            exit_usage
-        | Ok sched ->
-            let r = Chaos.round ~policy sched in
-            Fmt.pr "%a@." Chaos.pp_round r;
-            if r.Chaos.r_ok then exit_ok else exit_negative)
-    | None ->
-        let report =
-          Chaos.sweep ~policy ~relations ~constraints ~seed ~rounds ()
-        in
-        List.iter (fun r -> Fmt.pr "%a@." Chaos.pp_round r) report.Chaos.rounds;
-        Fmt.pr
-          "-- chaos: %d round(s): %d identical, %d degraded-to-unknown, %d \
-           failure(s)@."
-          rounds report.Chaos.survived report.Chaos.unknowns
-          (List.length report.Chaos.failures);
-        List.iter
-          (fun (r : Chaos.round_report) ->
-            let sched = r.Chaos.r_schedule in
-            let base =
-              Filename.concat out_dir
-                (Printf.sprintf "chaos_%d_round%d" seed sched.Chaos.s_round)
-            in
-            Chaos.save ~file:(base ^ ".chaos.json") sched;
-            Chaos.save ~file:(base ^ "_min.chaos.json")
-              (Chaos.shrink ~policy sched);
-            Fmt.epr
-              "cindtool: chaos: verdict changed in round %d; schedule dumped \
-               to %s.chaos.json (shrunk: %s_min.chaos.json)@."
-              sched.Chaos.s_round base base)
-          report.Chaos.failures;
-        if report.Chaos.failures = [] then exit_ok else exit_negative
-  in
-  Cmd.v
-    (Cmd.info "chaos" ~exits
-       ~doc:
-         "Sweep randomized fault schedules over the probe registry and \
-          assert every verdict is identical to the fault-free baseline or a \
-          typed unknown.  Failing schedules are dumped as replayable \
-          $(b,.chaos.json) files (raw and shrunk); replay one with \
-          $(b,--replay) $(i,FILE).  Exit 0 when every round holds, 1 \
-          otherwise."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Each round draws a seeded random workload, records the \
-              fault-free verdict (witness included), then re-runs the same \
-              check with 1-3 probe sites armed to fail after a random number \
-              of hits, a random number of times (transient faults retries \
-              can get past, or permanent ones).  The supervised run must \
-              return the bit-identical verdict or a typed unknown; a \
-              $(i,different) definitive answer fails the round.  The sweep \
-              honours the global $(b,--retries) flag.";
-         ])
-    Term.(
-      const run $ seed_arg
-      $ Arg.(
-          value & opt int 25
-          & info [ "rounds" ] ~docv:"N" ~doc:"Fault schedules to sweep.")
-      $ Arg.(
-          value & opt int 4
-          & info [ "relations" ] ~docv:"N"
-              ~doc:"Relations per generated workload.")
-      $ Arg.(
-          value & opt int 24
-          & info [ "constraints" ] ~docv:"N"
-              ~doc:"Constraints per generated workload.")
-      $ Arg.(
-          value & opt dir "."
-          & info [ "out-dir" ] ~docv:"DIR"
-              ~doc:"Directory for dumped .chaos.json schedules.")
-      $ Arg.(
-          value
-          & opt (some file) None
-          & info [ "replay" ] ~docv:"FILE"
-              ~doc:
-                "Replay one dumped schedule instead of sweeping; exit 0 if \
-                 the verdict-identity property holds for it."))
-
 (* --- profile ------------------------------------------------------------------ *)
 
 (* `cindtool profile CMD ...` is intercepted before cmdliner dispatch (the
@@ -882,8 +786,8 @@ let profile_stub_cmd =
 
 (* --- global flags ------------------------------------------------------------ *)
 
-(* --profile FILE / --timeout SECS / --fuel N / --retries N are global: they
-   may appear before or after the subcommand name.  Cmdliner selects the
+(* --profile FILE / --timeout SECS / --fuel N are global: they may appear
+   before or after the subcommand name.  Cmdliner selects the
    subcommand from the first positional token, which would misread
    `--timeout 5 check ...` (space-separated option values are ambiguous at
    selection time), so the flags are stripped from argv before cmdliner
@@ -893,7 +797,6 @@ type globals = {
   g_profile : string option;
   g_timeout : float option;
   g_fuel : int option;
-  g_retries : int option;
 }
 
 (* The global --profile takes an output FILE whose extension picks the
@@ -920,11 +823,6 @@ let extract_globals argv =
     | Some n when n > 0 -> Ok (Some n)
     | _ -> Error (Printf.sprintf "--fuel expects a positive step count, got %S" s)
   in
-  let retries_of s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok (Some n)
-    | _ -> Error (Printf.sprintf "--retries expects a non-negative count, got %S" s)
-  in
   let rec go g = function
     | [] -> Ok { g with g_rest = List.rev g.g_rest }
     | "--profile" :: path :: rest when profile_file path ->
@@ -938,11 +836,6 @@ let extract_globals argv =
     | "--fuel" :: n :: rest -> (
         match fuel_of n with
         | Ok f -> go { g with g_fuel = f } rest
-        | Error _ as e -> e)
-    | [ "--retries" ] -> Error "option --retries needs an argument"
-    | "--retries" :: n :: rest -> (
-        match retries_of n with
-        | Ok r -> go { g with g_retries = r } rest
         | Error _ as e -> e)
     | arg :: rest -> (
         match split_eq "--profile=" arg with
@@ -959,23 +852,9 @@ let extract_globals argv =
                     match fuel_of n with
                     | Ok f -> go { g with g_fuel = f } rest
                     | Error _ as e -> e)
-                | None -> (
-                    match split_eq "--retries=" arg with
-                    | Some n -> (
-                        match retries_of n with
-                        | Ok r -> go { g with g_retries = r } rest
-                        | Error _ as e -> e)
-                    | None -> go { g with g_rest = arg :: g.g_rest } rest))))
+                | None -> go { g with g_rest = arg :: g.g_rest } rest)))
   in
-  go
-    {
-      g_rest = [];
-      g_profile = None;
-      g_timeout = None;
-      g_fuel = None;
-      g_retries = None;
-    }
-    argv
+  go { g_rest = []; g_profile = None; g_timeout = None; g_fuel = None } argv
 
 let setup_profiling ~profile ~table =
   if profile <> None || table then begin
@@ -1013,15 +892,6 @@ let setup_guard ~timeout ~fuel =
   if timeout <> None || fuel <> None then
     Guard.set_ambient (Guard.make ?timeout_s:timeout ?fuel ())
 
-(* Unlike the library (whose default never retries), the tool defaults to
-   the supervised policy: transient faults are retried once.  --retries 0
-   restores the library behaviour. *)
-let setup_supervision ~retries =
-  Supervise.Policy.set_ambient
-    (match retries with
-    | Some retries -> { Supervise.Policy.retries }
-    | None -> Supervise.Policy.supervised)
-
 (* --- main --------------------------------------------------------------------- *)
 
 let () =
@@ -1047,15 +917,6 @@ let () =
          flag distinct from $(b,gen)'s own $(b,--profile) option).  See also the \
          $(b,profile) subcommand, which prints a self-time table and the \
          nonzero counters instead.";
-      `P
-        "$(b,--retries) $(i,N) (anywhere on the command line) allows up to \
-         $(i,N) supervised re-runs of an operation that failed transiently \
-         (an injected fault, a local allocation ceiling) before it answers \
-         undetermined (exit 3).  Each re-run replays the same random \
-         seed, so a successful retry returns the bit-identical verdict the \
-         fault-free run would have produced.  Default 1; $(b,--retries 0) \
-         disables retrying.  Definitive verdicts and deterministic budget \
-         give-ups are never retried.";
     ]
   in
   let info =
@@ -1076,7 +937,6 @@ let () =
       in
       setup_profiling ~profile:g.g_profile ~table:profile_table;
       setup_guard ~timeout:g.g_timeout ~fuel:g.g_fuel;
-      setup_supervision ~retries:g.g_retries;
       let argv = Array.of_list (Sys.argv.(0) :: g.g_rest) in
       let group =
         Cmd.group info
@@ -1094,7 +954,6 @@ let () =
             gen_cmd;
             sat_cmd;
             session_cmd;
-            chaos_cmd;
             profile_stub_cmd;
           ]
       in

@@ -18,10 +18,8 @@ let pp_verdict ppf = function
 
 type backend = Cfd_checking.backend = Chase_backend | Sat_backend
 
-let check ?backend ?budget ?policy ?config ?k ?k_cfd ~rng schema sigma =
-  match
-    Checking.check ?backend ?budget ?policy ?config ?k ?k_cfd ~rng schema sigma
-  with
+let check ?backend ?budget ?config ?k ?k_cfd ~rng schema sigma =
+  match Checking.check ?backend ?budget ?config ?k ?k_cfd ~rng schema sigma with
   | Checking.Consistent db -> Yes (Some db)
   | Checking.Inconsistent -> No
   | Checking.Unknown r -> Unknown r

@@ -6,9 +6,8 @@ open Conddep_consistency
 (** The single stable entry point for drivers ([bin/], [bench/],
     external users).  Every decision procedure in the library is exposed
     here as a three-valued {!verdict} with a uniform option set —
-    [?budget] (shared {!Guard} budget, default ambient) everywhere, and
-    [?policy] (supervised retry, default ambient) on {!check}, the only
-    layer that reads it.  Options a layer would ignore are not offered.
+    [?budget] (shared {!Guard} budget, default ambient) everywhere.
+    Options a layer would ignore are not offered.
 
     The facade never changes answers: every function is a thin,
     documented mapping onto the corresponding [lib/core] /
@@ -29,8 +28,10 @@ type verdict =
   | No  (** Definitively inconsistent / not implied. *)
   | Unknown of Guard.reason
       (** Undetermined: [Guard.Fuel] for a procedure's own heuristic cap
-          (the paper's K / K_CFD bounds, [max_states]); deadline, memory
-          or fault when a shared budget cut the run short. *)
+          (the paper's K / K_CFD bounds, [max_states]) or for a caller's
+          spent fuel; deadline or memory when a shared budget cut the run
+          short.  A run cut short by the budget answers the unbudgeted
+          verdict or [Unknown], never a different one. *)
 
 val to_bool : verdict -> bool
 (** The papers' boolean reading: [true] only for [Yes _]. *)
@@ -47,7 +48,6 @@ type backend = Cfd_checking.backend =
 val check :
   ?backend:backend ->
   ?budget:Guard.t ->
-  ?policy:Supervise.Policy.t ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->

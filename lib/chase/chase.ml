@@ -44,10 +44,6 @@ type config = {
   max_steps : int; (* safety budget on chase operations *)
 }
 
-let () =
-  List.iter Guard.register_probe
-    [ "chase.run"; "chase.fd_fixpoint"; "chase.delta"; "chase.delta.drain" ]
-
 let m_runs = Telemetry.counter "chase.runs" ~doc:"full chase invocations"
 let m_fd_steps = Telemetry.counter "chase.fd_steps" ~doc:"FD(phi) applications (value identifications)"
 let m_ind_steps = Telemetry.counter "chase.ind_steps" ~doc:"IND(psi) applications (witness tuples added)"
@@ -335,7 +331,6 @@ let fd_fixpoint ?budget ?(max_steps = 10_000) cfds db =
       end)
     cfds;
   try
-    Guard.probe ~budget "chase.fd_fixpoint";
     match fd_saturate ~budget ~max_steps ~on_delta cfds dirty db with
     | Ok db -> Terminal db
     | Error why -> Undefined why
@@ -657,8 +652,7 @@ module Ind_cursor = struct
       | Some k when k == db -> ()
       | _ ->
           (* cold entry (or the caller rewrote the template without
-             telling us): fault-probed, then one full reseed *)
-          Guard.probe ?budget "chase.delta.drain";
+             telling us): one full reseed *)
           reseed t db);
       let budget = Guard.resolve budget in
       let rec scan k =
@@ -749,10 +743,7 @@ let run ?(instantiated = false) ?budget ~config ~rng schema compiled db =
             if Hashtbl.mem cfd_rels rel then wl_push fd_dirty rel tuple;
             go db')
   in
-  try
-    Guard.probe ~budget "chase.run";
-    Guard.probe ~budget "chase.delta";
-    go db
+  try go db
   with Guard.Exhausted r ->
     Telemetry.incr m_budget_exceeded;
     Exhausted r

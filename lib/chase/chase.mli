@@ -24,8 +24,8 @@ type outcome =
   | Terminal of Template.t  (** the chase result chase(D, Σ) *)
   | Undefined of string  (** chase undefined; carries the reason *)
   | Exhausted of Guard.reason
-      (** the step fuel, the shared budget or an armed fault stopped the
-          chase before a fixpoint; the result is unknown, not undefined *)
+      (** the step fuel or the shared budget stopped the chase before a
+          fixpoint; the result is unknown, not undefined *)
 
 (** {1 The canonical schedule}
 
@@ -121,8 +121,7 @@ module Ind_cursor : sig
 
   val step : ?budget:Guard.t -> t -> rng:Rng.t -> Template.t -> step_result
   (** Find and apply the next IND operation under the canonical schedule.
-      Polls [budget]'s deadline per CIND visited; a cold reseed is
-      fault-probed at site ["chase.delta.drain"]. *)
+      Polls [budget]'s deadline per CIND visited. *)
 
   val note_subst :
     t -> before:Template.t -> after:Template.t -> Template.delta -> unit

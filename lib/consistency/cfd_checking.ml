@@ -20,8 +20,6 @@ type backend =
   | Chase_backend
   | Sat_backend
 
-let () = Guard.register_probe "checking.cfd"
-
 let m_calls = Telemetry.counter "checking.cfd.calls" ~doc:"CFD_Checking invocations (both backends)"
 let m_kcfd_retries = Telemetry.counter "checking.cfd.kcfd_retries" ~doc:"random valuations drawn by the chase backend (K_CFD budget consumed)"
 let m_chase_calls = Telemetry.counter "checking.cfd.chase_backend_calls" ~doc:"single-relation checks routed to the chase backend"
@@ -38,10 +36,9 @@ let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
     compiled_cfds db =
   Telemetry.incr m_calls;
   let budget = Guard.resolve budget in
-  Guard.probe ~budget "checking.cfd";
   (* Local exhaustion of the fd-fixpoint's step fuel counts as a failed
      attempt (the heuristic gives up, as with K_CFD); exhaustion of the
-     shared budget — or an injected fault — must surface to the caller. *)
+     shared budget must surface to the caller. *)
   match Chase.fd_fixpoint ~budget compiled_cfds db with
   | Chase.Exhausted r when Guard.recoverable ~shared:budget r -> Exhausted_k
   | Chase.Exhausted r -> raise (Guard.Exhausted r)

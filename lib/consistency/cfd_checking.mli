@@ -6,7 +6,7 @@ open Conddep_chase
     compared in Fig 10(a): chase-based (heuristic, bounded by K_CFD random
     valuations of finite-domain variables) and SAT-based (complete, via the
     CDCL solver standing in for SAT4j).  There is no fallback between
-    them: a SAT fault surfaces as a fault. *)
+    them: a SAT run cut short by the budget surfaces as that exhaustion. *)
 
 type backend =
   | Chase_backend
@@ -24,8 +24,8 @@ val check_template :
     valuations of the remaining finite-domain variables; returns a template
     whose finite-domain variables are all constants, if one is found.
     @raise Guard.Exhausted when the shared [budget] (default: ambient) runs
-    dry or an armed fault fires; local step-fuel exhaustion of the
-    fixpoint is swallowed as a failed attempt. *)
+    dry; local step-fuel exhaustion of the fixpoint is swallowed as a
+    failed attempt. *)
 
 val consistent_rel_chase :
   ?budget:Guard.t ->
@@ -67,6 +67,5 @@ val consistent_rel :
 (** Uniform front-end: the instantiated tuple template τ(rel) satisfying
     CFD(rel), a definitive [No_tuple], or [Gave_up] (chase backend only —
     the SAT backend is complete).
-    @raise Guard.Exhausted when the shared [budget] runs dry, or an armed
-    fault fires — the SAT backend's included, which never falls back to
-    the chase backend. *)
+    @raise Guard.Exhausted when the shared [budget] runs dry — inside the
+    SAT backend too, which never falls back to the chase backend. *)

@@ -13,8 +13,6 @@ type result =
   | Inconsistent
   | Unknown of Guard.reason
 
-let () = Guard.register_probe "checking.check"
-
 let m_calls = Telemetry.counter "checking.calls" ~doc:"top-level Checking invocations"
 let m_consistent = Telemetry.counter "checking.results_consistent" ~doc:"Checking answers with a verified witness"
 let m_inconsistent = Telemetry.counter "checking.results_inconsistent" ~doc:"Checking answers: dependency graph emptied"
@@ -26,14 +24,13 @@ let m_components_tried = Telemetry.counter "checking.components_tried" ~doc:"wea
 let pipeline ?backend ~budget ?config ?k ?k_cfd ~rng schema
     (sigma : Sigma.nf) =
   try
-    Guard.probe ~budget "checking.check";
     match Preprocessing.run ?backend ~budget ?k_cfd ~rng schema sigma with
     | Preprocessing.Consistent db -> Consistent db
     | Preprocessing.Inconsistent -> Inconsistent
     | Preprocessing.Unknown components ->
         (* [Guard.Fuel] is the ordinary "budgets K / K_CFD exhausted"
            answer; a component cut short for a sharper reason (deadline,
-           fault, ...) reports that reason instead — first one wins. *)
+           memory) reports that reason instead — first one wins. *)
         let rec try_components reason = function
           | [] -> Unknown reason
           | (members, component_sigma) :: rest -> (
@@ -55,31 +52,14 @@ let pipeline ?backend ~budget ?config ?k ?k_cfd ~rng schema
         try_components Guard.Fuel components
   with Guard.Exhausted r -> Unknown r
 
-(* One path: [Supervise.with_retry] around one pipeline run.  Transient
-   failures (injected faults, a local allocation ceiling — never
-   deterministic heuristic give-ups, which re-run identically) are
-   retried; every attempt replays a copy of the entry generator, so a
-   fault-free re-run yields the bit-identical verdict the fault-free run
-   would have produced. *)
-let check ?backend ?budget ?config ?k ?k_cfd ?policy ~rng schema
-    (sigma : Sigma.nf) =
+(* One pipeline run on a copy of [rng], so the caller's generator is
+   never advanced. *)
+let check ?backend ?budget ?config ?k ?k_cfd ~rng schema (sigma : Sigma.nf) =
   Telemetry.incr m_calls;
   let budget = Guard.resolve budget in
   Telemetry.with_span "checking.check" @@ fun () ->
-  let rng0 = Rng.copy rng in
   let result =
-    match
-      Supervise.with_retry ?policy ~rng ~budget (fun ~attempt:_ ->
-          match
-            pipeline ?backend ~budget ?config ?k ?k_cfd ~rng:(Rng.copy rng0)
-              schema sigma
-          with
-          | Unknown r when Supervise.transient ~shared:budget r ->
-              Supervise.Transient r
-          | v -> Supervise.Done v)
-    with
-    | Ok v -> v
-    | Error r -> Unknown r
+    pipeline ?backend ~budget ?config ?k ?k_cfd ~rng:(Rng.copy rng) schema sigma
   in
   (match result with
   | Consistent _ -> Telemetry.incr m_consistent

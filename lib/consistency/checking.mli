@@ -7,7 +7,9 @@ open Conddep_chase
     [Inconsistent] is definitive (Fig 7's reduction emptied the graph);
     [Unknown r] means no witness was found within the budgets, with [r]
     saying which budget gave out ([Guard.Fuel] for the paper's own K /
-    K_CFD limits; deadline, memory or fault otherwise).
+    K_CFD limits or a caller's fuel; deadline or memory otherwise).  A
+    run cut short by the caller's budget answers the unbudgeted verdict
+    or [Unknown], never a different one.
     [Guard.Exhausted] never escapes [check]. *)
 
 type result =
@@ -21,7 +23,6 @@ val check :
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
-  ?policy:Supervise.Policy.t ->
   rng:Rng.t ->
   Db_schema.t ->
   Sigma.nf ->
@@ -30,17 +31,8 @@ val check :
 
     Without a forced [backend], preProcessing uses the chase backend.
 
-    [policy] (default: the ambient {!Supervise.Policy}, itself off unless
-    the caller — e.g. [cindtool] — enables it) supervises the run: one
-    pipeline run under {!Supervise.with_retry}.  Transient failures
-    (injected faults, a local allocation ceiling) are retried, each
-    attempt on a copy of the entry [rng], so a fault-free re-run yields
-    the bit-identical fault-free verdict; when retries run out the answer
-    is [Unknown] with the fault's reason.  Deterministic give-ups —
-    [Unknown Fuel] from the paper's K / K_CFD caps, shared deadline or
-    fuel exhaustion — are never retried: re-running them is wasted work
-    that cannot change the answer.  [rng] itself is only drawn from for
-    retry backoff jitter. *)
+    The pipeline runs on a copy of [rng]: the caller's generator is never
+    advanced, so equal seeds give equal verdicts. *)
 
 val to_bool : result -> bool
 (** The paper's boolean answer: [true] only for [Consistent]. *)

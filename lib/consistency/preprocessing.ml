@@ -27,8 +27,6 @@ type result =
   | Unknown of (string list * Sigma.nf) list
       (* weakly connected components with their (extended) constraints *)
 
-let () = Guard.register_probe "checking.preprocess"
-
 let m_runs = Telemetry.counter "checking.preprocess.runs" ~doc:"preProcessing invocations"
 let m_sccs = Telemetry.counter "checking.preprocess.sccs" ~doc:"strongly connected components in the dependency graphs processed"
 let m_pruned_inconsistent = Telemetry.counter "checking.preprocess.pruned_inconsistent" ~doc:"vertices deleted because CFD(R) is inconsistent"
@@ -91,7 +89,6 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
   Telemetry.incr m_runs;
   let budget = Guard.resolve budget in
   Telemetry.with_span "checking.preprocess" @@ fun () ->
-  Guard.probe ~budget "checking.preprocess";
   let g = Depgraph.make schema sigma in
   let sccs = Depgraph.sccs g in
   Telemetry.add m_sccs (List.length sccs);

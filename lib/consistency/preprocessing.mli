@@ -22,7 +22,7 @@ val run :
   Sigma.nf ->
   result
 (** @raise Guard.Exhausted when the shared [budget] (default: ambient) runs
-    dry or an armed fault fires mid-reduction. *)
+    dry mid-reduction. *)
 
 val non_triggering : Db_schema.t -> Cind.nf -> Cfd.nf list
 (** The paper's CIND(Rj, R)⊥: a pair of CFDs denying every tuple of Rj

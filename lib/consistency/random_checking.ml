@@ -17,8 +17,6 @@ type result =
   | Consistent of Database.t
   | Unknown of Guard.reason
 
-let () = Guard.register_probe "checking.random"
-
 let m_runs = Telemetry.counter "checking.random.runs" ~doc:"RandomChecking chase runs attempted (K budget consumed)"
 let m_successes = Telemetry.counter "checking.random.successes" ~doc:"RandomChecking runs ending in a verified witness"
 
@@ -68,7 +66,6 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
     ?seed_rels ~rng schema (sigma : Sigma.nf) =
   let budget = Guard.resolve budget in
   try
-    Guard.probe ~budget "checking.random";
     let compiled = Chase.compile schema sigma in
     let avoid =
       List.map (fun (_, _, v) -> v) (Sigma.constants sigma)
@@ -81,9 +78,9 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
     else begin
       (* One run on its own split of [rng]: [Some db] for a verified
          witness, [None] when the run failed on its own local limits.
-         The caller's budget governs every run, so its deadline, fuel,
-         allocation ceiling or an armed fault raises [Guard.Exhausted]
-         out of the loop and answers Unknown. *)
+         The caller's budget governs every run, so its deadline, fuel or
+         allocation ceiling raises [Guard.Exhausted] out of the loop and
+         answers Unknown. *)
       let attempt () =
         let run_rng = Rng.split rng in
         Telemetry.incr m_runs;

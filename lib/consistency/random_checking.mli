@@ -11,9 +11,9 @@ type result =
   | Consistent of Database.t
   | Unknown of Guard.reason
       (** No witness found: [Guard.Fuel] when the K runs were exhausted
-          normally, another reason when the shared budget cut the search
-          short or an armed fault fired.  [Guard.Exhausted] never escapes
-          this entry point. *)
+          normally or the caller's fuel ran out, another reason when the
+          shared budget cut the search short otherwise.
+          [Guard.Exhausted] never escapes this entry point. *)
 
 val check :
   ?budget:Guard.t ->
@@ -32,8 +32,8 @@ val check :
 
     The K runs are the sequential loop of Fig 5: run i draws the i-th
     {!Rng.split} of [rng], taken when the run starts, and runs under
-    [budget] itself — its deadline, fuel, allocation ceiling and armed
-    faults included.  The loop stops at the first verified witness or
+    [budget] itself — its deadline, fuel and allocation ceiling
+    included.  The loop stops at the first verified witness or
     when [budget] runs dry, so [rng] advances by one split per run
     through the stopping run, or by K splits. *)
 

@@ -1,7 +1,5 @@
 open Conddep_relational
 
-let () = Guard.register_probe "cfd_consistency.witness"
-
 (* Exact consistency analysis for CFDs ([9]; reviewed in Section 4).
 
    A set of CFDs on relation R is satisfiable by a nonempty instance iff it
@@ -105,7 +103,6 @@ let propagate compiled (assignment : Value.t option array) =
 
 let witness_tuple ?budget ?(max_nodes = 2_000_000) schema ~rel sigma =
   let budget = Guard.resolve budget in
-  Guard.probe ~budget "cfd_consistency.witness";
   let rel_schema = Db_schema.find schema rel in
   let sigma = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) sigma in
   let cands = candidates sigma rel_schema in

@@ -1,7 +1,5 @@
 open Conddep_relational
 
-let () = Guard.register_probe "cfd_implication.implies"
-
 (* Exact CFD implication (coNP-complete, [9]; Table 1).
 
    Σ ⊭ φ iff some model of Σ violates φ; since a violation involves at most
@@ -96,7 +94,6 @@ let violates_goal goal t1 t2 =
 let implies_exn ?budget ?(max_nodes = 4_000_000) schema ~sigma (phi : Cfd.nf) =
   Telemetry.with_span "cfd_implication.implies" @@ fun () ->
   let budget = Guard.resolve budget in
-  Guard.probe ~budget "cfd_implication.implies";
   let rel_schema = Db_schema.find schema phi.Cfd.nf_rel in
   let sigma_rel = List.filter (fun nf -> String.equal nf.Cfd.nf_rel phi.nf_rel) sigma in
   let cands = candidates (phi :: sigma_rel) rel_schema in

@@ -1,7 +1,5 @@
 open Conddep_relational
 
-let () = Guard.register_probe "implication.implies"
-
 (* Exact decision procedure for CIND implication (Σ |= ψ), Theorems 3.4 and
    3.5.
 
@@ -293,42 +291,28 @@ let decide_compiled_core ~budget ~max_states ~recorder schema compiled psi =
   | exception Guard.Exhausted r -> Undetermined r
 
 (* Public form for callers that hold a compiled Σ across many goals (the
-   incremental session's warm-start cache); probes and spans like
-   [decide]. *)
+   incremental session's warm-start cache); spans like [decide]. *)
 let decide_compiled ?budget ?(max_states = 50_000) ?recorder schema compiled
     psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
-  let budget = Guard.resolve budget in
-  match Guard.probe ~budget "implication.implies" with
-  | () -> decide_compiled_core ~budget ~max_states ~recorder schema compiled psi
-  | exception Guard.Exhausted r -> Undetermined r
+  decide_compiled_core ~budget:(Guard.resolve budget) ~max_states ~recorder
+    schema compiled psi
 
 let decide ?budget ?(max_states = 50_000) schema ~sigma psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
-  let budget = Guard.resolve budget in
-  match
-    Guard.probe ~budget "implication.implies";
-    List.map (compile schema) (List.map Cind.canon_nf sigma)
-  with
-  | exception Guard.Exhausted r -> Undetermined r
-  | compiled ->
-      decide_compiled_core ~budget ~max_states ~recorder:None schema compiled
-        psi
+  let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
+  decide_compiled_core ~budget:(Guard.resolve budget) ~max_states
+    ~recorder:None schema compiled psi
 
 let implies_many ?budget ?(max_states = 50_000) schema ~sigma goals =
   Telemetry.with_span "implication.implies_many" @@ fun () ->
   let budget = Guard.resolve budget in
-  match
-    (* The shared pass: Σ is canonicalised and compiled exactly once for
-       the whole batch. *)
-    Guard.probe ~budget "implication.implies";
-    List.map (compile schema) (List.map Cind.canon_nf sigma)
-  with
-  | exception Guard.Exhausted r -> List.map (fun _ -> Undetermined r) goals
-  | compiled ->
-      List.map
-        (decide_compiled_core ~budget ~max_states ~recorder:None schema compiled)
-        goals
+  (* The shared pass: Σ is canonicalised and compiled exactly once for
+     the whole batch. *)
+  let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
+  List.map
+    (decide_compiled_core ~budget ~max_states ~recorder:None schema compiled)
+    goals
 
 (* --- finite-domain-free restriction ---------------------------------------- *)
 

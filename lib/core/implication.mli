@@ -20,7 +20,7 @@ exception Budget_exceeded
 type outcome = Implied | Not_implied | Undetermined of Guard.reason
 (** The three-valued answer: the exact procedure either decides, or gives
     up for a stated reason ([Guard.Fuel] for its own [max_states] cap;
-    deadline, memory or fault from a shared budget otherwise). *)
+    the budget's reason when a shared budget ran out). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

@@ -265,12 +265,7 @@ let parse source =
       | Parse_error msg -> Error msg
       | Invalid_argument msg -> Error msg)
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  parse contents
+let parse_file path = Result.bind (Csv.read_file path) parse
 
 (* Materialize the declared instances into a database. *)
 let database doc =

@@ -17,6 +17,8 @@ val parse : string -> (document, string) result
     declared schemas; instance relation names must exist). *)
 
 val parse_file : string -> (document, string) result
+(** {!parse} on a file's contents; an unreadable file is an [Error] with
+    the reason ({!Csv.read_file}). *)
 
 val database : document -> (Database.t, string) result
 (** Materialize the declared instances (tuples are type-checked here). *)

@@ -16,16 +16,15 @@
     domain: every engine runs on its caller's domain, and the allocation
     ceiling reads that domain's [Gc.minor_words].
 
-    The module also hosts deterministic {e fault-injection probes}
-    ({!probe}): named sites in the engines that tests (or the
-    [GUARD_FAULTS] environment variable) can arm to raise, proving that
-    degradation is graceful — a fault surfaces as [Unknown (Fault site)],
-    never as a crash.
+    A run stops early only for an engine's own caps (the paper's K /
+    K_CFD, [max_states], step limits) or because its budget ran out.  A
+    fuel budget can cut a run at any {!tick} site, so sweeping small fuel
+    values is how the tests check that a cut-short run answers the
+    unbudgeted verdict or a typed [Unknown], never a different one.
 
-    Every budget/fault event is counted through the telemetry layer
+    Every budget event is counted through the telemetry layer
     ([guard.budgets_created], [guard.deadline_hits],
-    [guard.fuel_exhausted], [guard.memory_hits],
-    [guard.faults_injected]). *)
+    [guard.fuel_exhausted], [guard.memory_hits]). *)
 
 (** {1 Exhaustion reasons} *)
 
@@ -33,13 +32,12 @@ type reason =
   | Deadline  (** the wall-clock deadline passed *)
   | Fuel  (** the step/fuel budget ran dry (also: a capacity limit) *)
   | Memory  (** the allocation ceiling was crossed *)
-  | Fault of string  (** an armed fault-injection probe fired at this site *)
 
 exception Exhausted of reason
-(** Raised by {!tick}/{!check}/{!probe} when a budget limit is hit. *)
+(** Raised by {!tick}/{!check} when a budget limit is hit. *)
 
 val reason_to_string : reason -> string
-(** ["deadline"], ["fuel"], ["memory"], ["fault:<site>"]. *)
+(** ["deadline"], ["fuel"], ["memory"]. *)
 
 val pp_reason : Format.formatter -> reason -> unit
 
@@ -78,10 +76,10 @@ val reraise_if_spent : t -> unit
 
 val recoverable : shared:t -> reason -> bool
 (** Should a heuristic sub-search swallow this exhaustion and merely count
-    the attempt as failed?  [true] iff the reason is not a {!Fault} and the
-    [shared] budget itself is not spent — i.e. the exhaustion came from a
-    purely local limit (a chase step budget, a solver conflict cap).
-    Shared exhaustion and injected faults must propagate. *)
+    the attempt as failed?  [true] iff the [shared] budget itself is not
+    spent — i.e. the exhaustion came from a purely local limit (a chase
+    step budget, a solver conflict cap).  Shared exhaustion must
+    propagate. *)
 
 val run : t -> (unit -> 'a) -> ('a, reason) result
 (** [run b f] evaluates [f ()], catching {!Exhausted}. *)
@@ -101,49 +99,3 @@ val with_ambient : t -> (unit -> 'a) -> 'a
 
 val resolve : t option -> t
 (** [resolve (Some b)] is [b]; [resolve None] is [ambient ()]. *)
-
-(** {1 Fault injection}
-
-    Engines mark their entry points with [probe "subsystem.site"].  A probe
-    is a no-op until its site is armed; an armed probe fires
-    deterministically after a per-site countdown, raising
-    [Exhausted (Fault site)].
-
-    Arming from the environment ([GUARD_FAULTS=all] or a comma-separated
-    site list) fires only at probes running under a *governed* budget —
-    any budget but {!unlimited} — so an armed process degrades its
-    governed runs without perturbing unbudgeted code; programmatic {!arm}
-    fires unconditionally. *)
-
-val arm : site:string -> ?after:int -> ?times:int -> unit -> unit
-(** Arm one site ([after] probe hits are let through first, default 0).
-    [times] bounds how often the fault fires before going dormant
-    (default: unlimited) — a finite count models a {e transient} fault
-    that a supervised retry can get past.  [site = "*"] arms every
-    site. *)
-
-val disarm : site:string -> unit
-val disarm_all : unit -> unit
-
-val probe : ?budget:t -> string -> unit
-(** Mark a named fault-injection site.  [budget] (default: ambient) decides
-    whether environment-armed faults apply; see above. *)
-
-(** {1 Probe registry}
-
-    Probing modules declare their sites at module-initialisation time with
-    {!register_probe}, so sweeps ([GUARD_FAULTS=all], [cindtool chaos])
-    can enumerate every site from {!all_probes} instead of a
-    hand-maintained list.  A probe that fires without having been
-    registered is a wiring bug: it is recorded and reported by
-    {!unregistered_probes}, which the test suite asserts empty. *)
-
-val register_probe : string -> unit
-(** Declare a probe site.  Idempotent; call at module-initialisation
-    time, before the site can be probed. *)
-
-val all_probes : unit -> string list
-(** Every registered site, sorted. *)
-
-val unregistered_probes : unit -> string list
-(** Sites that were probed without a prior {!register_probe}, sorted. *)

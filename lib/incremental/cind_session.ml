@@ -8,8 +8,6 @@ open Conddep_core
    in service of that invariant; the property tests replay random edit
    scripts against a cache-off oracle to enforce it. *)
 
-let () = Guard.register_probe "incremental.invalidate"
-
 let m_hits = Telemetry.counter "incremental.hits" ~doc:"session queries answered from the verdict cache"
 let m_misses = Telemetry.counter "incremental.misses" ~doc:"session queries recomputed (cold, dirtied, or uncacheable)"
 let m_invalidations = Telemetry.counter "incremental.invalidations" ~doc:"cache entries dropped by edit invalidation"
@@ -193,13 +191,14 @@ let lookup t kind target_fp ~ctx ~same_target =
         None
 
 (* Only verdicts deterministic under replay may be cached: the paper's
-   own K / K_CFD / max_states give-ups re-run identically, but a
-   deadline, memory ceiling or injected fault would not. *)
+   own K / K_CFD / max_states give-ups re-run identically, but a run the
+   caller's budget cut short would not.  [Unknown Fuel] is the query's
+   own cap only while the ambient budget is unspent after the query. *)
 let cacheable = function
   | S_verdict (Cind_api.Unknown r) -> (
       match r with
-      | Guard.Fuel -> true
-      | Guard.Deadline | Guard.Memory | Guard.Fault _ -> false)
+      | Guard.Fuel -> Guard.state (Guard.ambient ()) = None
+      | Guard.Deadline | Guard.Memory -> false)
   | S_verdict (Cind_api.Yes _ | Cind_api.No) | S_bool _ -> true
 
 let tbl_of_list xs =
@@ -238,12 +237,6 @@ let note_dropped t n =
     ignore (Atomic.fetch_and_add live_entries (-n))
   end
 
-let flush t =
-  note_dropped t (Hashtbl.length t.s_cache);
-  Hashtbl.reset t.s_cache;
-  t.s_imp <- None;
-  Hashtbl.reset t.s_imp_units
-
 let drop_where t pred =
   let doomed =
     Hashtbl.fold
@@ -259,13 +252,8 @@ let refresh_implies_ctx t =
     (fun (kind, _) e -> if kind = kimplies then e.e_context <- ctx)
     t.s_cache
 
-(* Edits probe the chaos site; an injected fault degrades to a full
-   flush — always coherent, never escapes the edit. *)
-let invalidating t f =
-  if t.s_cache_on then
-    match Guard.probe "incremental.invalidate" with
-    | () -> f ()
-    | exception Guard.Exhausted _ -> flush t
+(* With the cache off there is nothing to invalidate. *)
+let invalidating t f = if t.s_cache_on then f ()
 
 (* --- edits ----------------------------------------------------------- *)
 

@@ -35,17 +35,17 @@ open Conddep_core
       stable exactly as long as the entry survives, so a cached verdict
       and its from-scratch recomputation consume identical rng streams;
     - verdicts are cached only when deterministic under replay:
-      [Unknown Guard.Fuel] (the paper's K / K_CFD / max_states caps) is
-      cached, [Unknown] for deadline/memory/fault never is.
+      [Unknown Guard.Fuel] from the paper's K / K_CFD / max_states caps
+      is cached; an [Unknown] from the caller's budget (deadline, memory,
+      or fuel with the ambient budget spent after the query) never is,
+      so a later query without that budget recomputes.
 
     Sessions also keep warm-start state across dirtied re-runs: the
     compiled Σ of the implication procedure, keyed by the CIND-set
     fingerprint.
 
-    Edits probe the [incremental.invalidate] fault-injection site; an
-    injected fault there flushes the whole cache (always sound) instead
-    of escaping the edit.  Sessions are single-domain objects: a session
-    must be driven from one domain. *)
+    Sessions are single-domain objects: a session must be driven from
+    one domain. *)
 
 type t
 

@@ -86,12 +86,17 @@ let parse_string schema contents =
   in
   go [] lines
 
-let load schema path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in ic;
-  parse_string schema contents
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | contents -> Ok contents
+  | exception Sys_error msg ->
+      (* an open failure names the path, a read failure does not *)
+      let prefix = path ^ ": " in
+      if String.starts_with ~prefix msg then
+        Error (String.sub msg (String.length prefix) (String.length msg - String.length prefix))
+      else Error msg
+
+let load schema path = Result.bind (read_file path) (parse_string schema)
 
 let field_to_string = function
   | Value.Int i -> string_of_int i

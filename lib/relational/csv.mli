@@ -12,6 +12,13 @@ val parse_string : Schema.t -> string -> (Relation.t, string) result
 (** Errors carry physical [line %d] (and, for quoting errors,
     [column %d]) positions into the input. *)
 
+val read_file : string -> (string, string) result
+(** The whole contents of a file.  [Error] carries the system's reason
+    without the path (e.g. ["No such file or directory"], ["Is a
+    directory"]), so the caller names the path once. *)
+
 val load : Schema.t -> string -> (Relation.t, string) result
+(** {!read_file}, then {!parse_string}. *)
+
 val to_string : Relation.t -> string
 val save : Relation.t -> string -> unit

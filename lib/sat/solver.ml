@@ -8,10 +8,7 @@
 type result =
   | Sat of bool array (* indexed by variable, index 0 unused *)
   | Unsat
-  | Unknown of Guard.reason (* search stopped by a budget, limit or fault *)
-
-let () = Guard.register_probe "sat.solve"
-let () = Guard.register_probe "sat.analyze"
+  | Unknown of Guard.reason (* search stopped by a budget or limit *)
 
 let m_solves = Telemetry.counter "sat.solve_calls" ~doc:"CNF instances handed to the SAT solver"
 let m_decisions = Telemetry.counter "sat.decisions" ~doc:"branching decisions"
@@ -24,7 +21,7 @@ let m_backjumps = Telemetry.counter "sat.backjump_levels" ~doc:"decision levels 
 let m_minimized = Telemetry.counter "sat.minimized_lits" ~doc:"learnt literals removed by recursive self-subsumption minimization"
 let m_sat = Telemetry.counter "sat.results_sat" ~doc:"instances decided satisfiable"
 let m_unsat = Telemetry.counter "sat.results_unsat" ~doc:"instances decided unsatisfiable"
-let m_unknown = Telemetry.counter "sat.results_unknown" ~doc:"instances left undecided: budget, conflict/decision limit or fault"
+let m_unknown = Telemetry.counter "sat.results_unknown" ~doc:"instances left undecided: budget or conflict/decision limit"
 
 exception Found_unsat
 
@@ -546,7 +543,6 @@ let solve_cdcl ~budget ~max_conflicts ~max_decisions ~restart_base ~reduce_base
         if !conflicts > max_conflicts then raise (Guard.Exhausted Guard.Fuel);
         Guard.tick budget;
         if st.dlevel = 0 then raise Found_unsat;
-        Guard.probe ~budget "sat.analyze";
         let lits, blevel, lbd =
           Telemetry.with_span "sat.analyze" (fun () -> analyze st confl)
         in
@@ -603,7 +599,6 @@ let solve ?budget ?(max_conflicts = max_int) ?(max_decisions = max_int)
   Telemetry.with_span "sat.solve" @@ fun () ->
   let result =
     try
-      Guard.probe ~budget "sat.solve";
       let simplified = List.filter_map simplify_clause (Cnf.clauses cnf) in
       if List.exists (fun c -> c = []) simplified then Unsat
       else

@@ -42,8 +42,7 @@
     [sat.results_*]) the CDCL machinery records [sat.learned] (clauses
     learned), [sat.learned_deleted] (clauses dropped by database
     reduction), [sat.backjump_levels] (decision levels skipped beyond the
-    one chronological level) and a [sat.analyze] span with a matching
-    fault probe in the {!Guard} registry.
+    one chronological level) and a [sat.analyze] span.
 
     The test suite checks it against the exhaustive {!solve_brute}. *)
 
@@ -51,8 +50,8 @@ type result =
   | Sat of bool array  (** model indexed by variable; index 0 is unused *)
   | Unsat
   | Unknown of Guard.reason
-      (** search stopped by the budget, a conflict/decision limit
-          ([Guard.Fuel]) or an armed fault probe *)
+      (** search stopped by the budget or a conflict/decision limit
+          ([Guard.Fuel]) *)
 
 val solve :
   ?budget:Guard.t ->

@@ -44,5 +44,33 @@ let contains_substring ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
+(* A random Σ over mostly finite two-valued attributes: the valuation
+   space is dense with conflicts, so Checking has to search and small
+   fuel budgets cut it at many different ticks. *)
+let finite_workload ~seed ~relations ~constraints =
+  let open Conddep_generator in
+  let rng = Rng.make seed in
+  let schema =
+    Schema_gen.generate rng
+      {
+        Schema_gen.default with
+        num_relations = relations;
+        finite_ratio = 0.8;
+        finite_dom_min = 2;
+        finite_dom_max = 2;
+      }
+  in
+  let sigma =
+    Workload.random rng { Workload.default with num_constraints = constraints } schema
+  in
+  (schema, sigma)
+
+(* A fuel budget spent before the call: its first tick or check raises
+   [Guard.Exhausted Fuel]. *)
+let spent_fuel () =
+  let b = Guard.make ~fuel:1 () in
+  (try Guard.tick ~cost:2 b with Guard.Exhausted _ -> ());
+  b
+
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)

@@ -6,9 +6,7 @@ module B = Conddep_fixtures.Bank
 
 (* The facade's verdict mapping, and batch implication: [implies_many]
    must be bit-identical to the corresponding sequence of singleton
-   calls.  All runs use unlimited ambient budgets, so the GUARD_FAULTS
-   sweep (whose armed faults fire at governed probes) leaves the
-   equalities intact. *)
+   calls. *)
 
 let show = function
   | Cind_api.Yes (Some db) -> Fmt.str "yes:%a" Database.pp db

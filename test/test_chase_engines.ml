@@ -8,7 +8,7 @@ open Helpers
    executes the same canonical operation schedule as the full-rescan
    reference chase in [Chase_oracle], so for equal inputs and random seeds
    the two engines produce bit-identical outcomes and final templates.
-   Plus the fault probes on the engine's entry points. *)
+   Plus budget cuts at the engine's entry points. *)
 
 let small_workload seed =
   let rng = Rng.make seed in
@@ -65,31 +65,29 @@ let prop_fd_fixpoint_equiv seed =
 let seed_gen lo hi =
   QCheck.make ~print:string_of_int QCheck.Gen.(int_range lo hi)
 
-(* --- fault probes on the engine's entry points --------------------------------- *)
+(* --- budget cuts at the engine's entry points ------------------------------------ *)
 
-let test_delta_run_fault () =
+let test_run_spent_fuel () =
   let schema, sigma = small_workload 13 in
   let compiled = Chase.compile schema sigma in
-  Guard.arm ~site:"chase.delta" ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match
-    Chase.run ~config:Chase.default_config ~rng:(Rng.make 3)
-      schema compiled
+    Chase.run ~budget:(spent_fuel ()) ~config:Chase.default_config
+      ~rng:(Rng.make 3) schema compiled
       (Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema)))
   with
-  | Chase.Exhausted (Guard.Fault s) -> check_string "site" "chase.delta" s
-  | r -> Alcotest.failf "expected Fault, got %s" (outcome_repr r)
+  | Chase.Exhausted Guard.Fuel -> ()
+  | r -> Alcotest.failf "expected Exhausted fuel, got %s" (outcome_repr r)
 
-let test_delta_drain_fault () =
+let test_random_checking_spent_fuel () =
   let schema, sigma = small_workload 13 in
-  Guard.arm ~site:"chase.delta.drain" ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  match Random_checking.check ~rng:(Rng.make 2) schema sigma with
-  | Random_checking.Unknown (Guard.Fault s) ->
-      check_string "site" "chase.delta.drain" s
+  match
+    Random_checking.check ~budget:(spent_fuel ()) ~rng:(Rng.make 2) schema
+      sigma
+  with
+  | Random_checking.Unknown Guard.Fuel -> ()
   | Random_checking.Unknown r ->
-      Alcotest.failf "expected Fault, got %s" (Guard.reason_to_string r)
-  | Random_checking.Consistent _ -> Alcotest.fail "armed fault must fire"
+      Alcotest.failf "expected fuel, got %s" (Guard.reason_to_string r)
+  | Random_checking.Consistent _ -> Alcotest.fail "a spent budget must cut"
 
 let () =
   Alcotest.run "chase_engines"
@@ -107,9 +105,9 @@ let () =
         ] );
       ( "faults",
         [
-          Alcotest.test_case "chase.delta probe surfaces" `Quick
-            test_delta_run_fault;
-          Alcotest.test_case "chase.delta.drain probe surfaces" `Quick
-            test_delta_drain_fault;
+          Alcotest.test_case "chase.run stops on spent fuel" `Quick
+            test_run_spent_fuel;
+          Alcotest.test_case "RandomChecking stops on spent fuel" `Quick
+            test_random_checking_spent_fuel;
         ] );
     ]

@@ -6,26 +6,13 @@ open Conddep_consistency
 open Conddep_generator
 open Helpers
 
-(* Resource governance and fault injection: budget mechanics, graceful
-   degradation of every engine (Unknown, never a crash or a wrong answer),
-   and determinism of budgeted verdicts. *)
+(* Resource governance: budget mechanics, graceful degradation of every
+   engine under a deadline, fuel or an allocation ceiling (Unknown, never
+   a crash or a wrong answer), and determinism of budgeted verdicts. *)
 
 let reason = Alcotest.testable Guard.pp_reason (fun a b -> a = b)
 
 let check_reason = Alcotest.check reason
-
-(* Under the fault-injection CI job (GUARD_FAULTS=all) every probe running
-   under a limited budget raises [Fault _]; tests that otherwise pin an
-   exact exhaustion reason accept that as an equally graceful outcome. *)
-let env_faults_armed =
-  match Sys.getenv_opt "GUARD_FAULTS" with
-  | None | Some "" -> false
-  | Some _ -> true
-
-let check_cutoff msg expected actual =
-  match actual with
-  | Guard.Fault _ when env_faults_armed -> ()
-  | r -> check_reason msg expected r
 
 (* --- budget mechanics ------------------------------------------------------ *)
 
@@ -69,8 +56,6 @@ let test_recoverable () =
   let shared = Guard.unlimited in
   check_bool "local fuel is recoverable" true
     (Guard.recoverable ~shared Guard.Fuel);
-  check_bool "faults never are" false
-    (Guard.recoverable ~shared (Guard.Fault "x"));
   let spent = Guard.make ~fuel:1 () in
   (try
      Guard.tick spent;
@@ -133,7 +118,7 @@ let test_sat_budget () =
   let rng = Rng.make 5 in
   let cnf = random_cnf rng ~num_vars:30 ~num_clauses:130 in
   match Solver.solve ~budget:(Guard.make ~fuel:3 ()) cnf with
-  | Solver.Unknown r -> check_cutoff "budgeted solve" Guard.Fuel r
+  | Solver.Unknown r -> check_reason "budgeted solve" Guard.Fuel r
   | _ -> Alcotest.fail "3 fuel cannot decide a 30-var instance"
 
 (* --- a needle workload (hard for random search) ----------------------------- *)
@@ -183,7 +168,7 @@ let test_checking_deadline () =
   let elapsed = Unix.gettimeofday () -. t0 in
   check_bool "terminates promptly" true (elapsed < 2.0);
   match result with
-  | Checking.Unknown r -> check_cutoff "deadline surfaced" Guard.Deadline r
+  | Checking.Unknown r -> check_reason "deadline surfaced" Guard.Deadline r
   | Checking.Consistent _ | Checking.Inconsistent ->
       Alcotest.fail "the needle workload cannot be decided in 0.2s"
 
@@ -200,7 +185,7 @@ let test_implication_deadline () =
       with
       | Implication.Implied | Implication.Not_implied ->
           () (* small instances may decide within the fuel *)
-      | Implication.Undetermined r -> check_cutoff "fuel surfaced" Guard.Fuel r)
+      | Implication.Undetermined r -> check_reason "fuel surfaced" Guard.Fuel r)
 
 let test_random_checking_memory () =
   (* RandomChecking's runs go under the caller's budget itself, so a
@@ -221,7 +206,7 @@ let test_random_checking_memory () =
         ~rng:(Rng.make 2) schema sigma
     with
     | Random_checking.Unknown r ->
-        check_cutoff (Printf.sprintf "seed %d: memory surfaced" seed)
+        check_reason (Printf.sprintf "seed %d: memory surfaced" seed)
           Guard.Memory r
     | Random_checking.Consistent _ ->
         Alcotest.failf "seed %d: the allocation ceiling was ignored" seed
@@ -247,110 +232,116 @@ let test_budgeted_determinism () =
   check_string "other seed reproducible too" (run 9 1_000) (run 9 1_000)
 
 let test_guards_disabled_identical () =
-  (* An effectively-infinite budget must not perturb verdicts.  With
-     GUARD_FAULTS armed the premise is intentionally false (env faults fire
-     only under limited budgets), so the comparison is skipped there. *)
-  if env_faults_armed then ()
-  else
-    let run budget =
-      let schema, sigma = small_workload 21 in
-      describe_result (Checking.check ?budget ~rng:(Rng.make 2) schema sigma)
-    in
-    check_string "verdict unchanged under a huge budget" (run None)
-      (run (Some (Guard.make ~fuel:max_int ())))
+  (* An effectively-infinite budget must not perturb verdicts. *)
+  let run budget =
+    let schema, sigma = small_workload 21 in
+    describe_result (Checking.check ?budget ~rng:(Rng.make 2) schema sigma)
+  in
+  check_string "verdict unchanged under a huge budget" (run None)
+    (run (Some (Guard.make ~fuel:max_int ())))
 
-(* --- fault injection: Unknown (Fault _), never a crash ----------------------- *)
+(* --- budget cuts: Unknown, never a crash --------------------------------------- *)
 
-let checking_fault_sites =
-  (* every probe on the Checking pipeline's chase-backend path *)
-  [ "checking.check"; "checking.preprocess"; "checking.cfd"; "chase.fd_fixpoint" ]
+let test_checking_fuel_sweep () =
+  (* Fuel cuts the pipeline at whichever tick it runs dry: every cut
+     answers the unbudgeted verdict or Unknown Fuel, and the sweep both
+     cuts and completes. *)
+  let schema, sigma = finite_workload ~seed:5 ~relations:3 ~constraints:40 in
+  let run budget =
+    describe_result (Checking.check ?budget ~rng:(Rng.make 2) schema sigma)
+  in
+  let baseline = run None in
+  let verdicts =
+    List.map
+      (fun fuel ->
+        let v = run (Some (Guard.make ~fuel ())) in
+        if v <> baseline && v <> "unknown:fuel" then
+          Alcotest.failf "fuel %d: %s, unbudgeted %s" fuel v baseline;
+        v)
+      (List.init 12 (fun i -> 1 lsl (2 * i)))
+  in
+  check_bool "small fuel cuts the run" true (List.mem "unknown:fuel" verdicts);
+  check_bool "large fuel completes" true (List.mem baseline verdicts);
+  check_string "a spent budget cuts at entry" "unknown:fuel"
+    (run (Some (spent_fuel ())))
 
-let test_checking_fault_sweep () =
+let test_random_checking_fuel () =
   let schema, sigma = small_workload 13 in
-  List.iter
-    (fun site ->
-      Guard.arm ~site ();
-      Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-      match Checking.check ~rng:(Rng.make 2) schema sigma with
-      | Checking.Unknown (Guard.Fault s) ->
-          check_string (site ^ " surfaces") site s
-      | r -> Alcotest.failf "site %s: expected Unknown (Fault _), got %s" site
-               (describe_result r))
-    checking_fault_sites
+  match
+    Random_checking.check ~budget:(spent_fuel ()) ~rng:(Rng.make 2) schema sigma
+  with
+  | Random_checking.Unknown r -> check_reason "reason" Guard.Fuel r
+  | Random_checking.Consistent _ -> Alcotest.fail "a spent budget must cut"
 
-let test_random_checking_fault () =
-  let schema, sigma = small_workload 13 in
-  Guard.arm ~site:"checking.random" ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  match Random_checking.check ~rng:(Rng.make 2) schema sigma with
-  | Random_checking.Unknown (Guard.Fault s) -> check_string "site" "checking.random" s
-  | Random_checking.Unknown r ->
-      Alcotest.failf "expected Fault, got %s" (Guard.reason_to_string r)
-  | Random_checking.Consistent _ -> Alcotest.fail "armed fault must fire"
-
-let test_chase_fault () =
+let test_chase_fuel () =
   let schema, sigma = small_workload 13 in
   let compiled = Chase.compile schema sigma in
-  Guard.arm ~site:"chase.run" ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match
-    Chase.run ~config:Chase.default_config ~rng:(Rng.make 3) schema compiled
+    Chase.run ~budget:(spent_fuel ()) ~config:Chase.default_config
+      ~rng:(Rng.make 3) schema compiled
       (Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema)))
   with
-  | Chase.Exhausted (Guard.Fault s) -> check_string "site" "chase.run" s
-  | Chase.Exhausted r -> Alcotest.failf "expected Fault, got %s" (Guard.reason_to_string r)
-  | Chase.Terminal _ | Chase.Undefined _ -> Alcotest.fail "armed fault must fire"
+  | Chase.Exhausted r -> check_reason "reason" Guard.Fuel r
+  | Chase.Terminal _ | Chase.Undefined _ -> Alcotest.fail "a spent budget must cut"
 
-let test_sat_fault () =
-  Guard.arm ~site:"sat.solve" ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  match Solver.solve (Cnf.make ~num_vars:1 [ [ 1 ] ]) with
-  | Solver.Unknown (Guard.Fault s) -> check_string "site" "sat.solve" s
-  | _ -> Alcotest.fail "armed fault must surface as Unknown"
+let test_sat_fuel () =
+  (* two clauses that need a decision, and a decision ticks the budget *)
+  match
+    Solver.solve ~budget:(spent_fuel ()) (Cnf.make ~num_vars:2 [ [ 1; 2 ]; [ -1; -2 ] ])
+  with
+  | Solver.Unknown r -> check_reason "reason" Guard.Fuel r
+  | _ -> Alcotest.fail "a spent budget must surface as Unknown"
 
-(* bool/option APIs let the exception propagate — typed, not a crash *)
-let expect_fault site f =
-  Guard.arm ~site ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  match f () with
-  | _ -> Alcotest.failf "site %s: armed fault must fire" site
-  | exception Guard.Exhausted (Guard.Fault s) -> check_string site site s
+let test_sat_exhaustion_surfaces () =
+  (* a SAT run cut by the budget reaches the caller as that exhaustion,
+     at the CFD layer and through the whole pipeline: there is no
+     fallback to the chase backend *)
+  let rng = Rng.make 5 in
+  let schema =
+    Schema_gen.generate rng { Schema_gen.default with num_relations = 4 }
+  in
+  let sigma =
+    Workload.consistent rng { Workload.default with num_constraints = 24 }
+      schema
+  in
+  (match
+     Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
+       ~budget:(spent_fuel ()) ~rng:(Rng.make 3) schema sigma.Sigma.ncfds
+       ~rel:(List.hd (Db_schema.rel_names schema))
+   with
+  | _ -> Alcotest.fail "consistent_rel: a spent budget must raise"
+  | exception Guard.Exhausted r -> check_reason "consistent_rel raises" Guard.Fuel r);
+  check_string "Checking answers Unknown" "unknown:fuel"
+    (describe_result
+       (Checking.check ~backend:Cfd_checking.Sat_backend ~budget:(spent_fuel ())
+          ~rng:(Rng.make 2) schema sigma))
 
-(* three-valued APIs answer an armed fault with [Undetermined (Fault _)] *)
-let expect_undetermined_fault site f =
-  Guard.arm ~site ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  match f () with
-  | Implication.Undetermined (Guard.Fault s) -> check_string site site s
-  | o -> Alcotest.failf "site %s: expected Undetermined (Fault _), got %a" site
-           Implication.pp_outcome o
-
-let test_bool_api_faults () =
+let test_bool_api_fuel () =
+  (* three-valued APIs answer [Undetermined Fuel]; the option API lets
+     [Exhausted Fuel] propagate — typed, not a crash *)
   let schema, sigma = small_workload 13 in
+  let expect_undetermined what = function
+    | Implication.Undetermined r -> check_reason what Guard.Fuel r
+    | o ->
+        Alcotest.failf "%s: expected Undetermined Fuel, got %a" what
+          Implication.pp_outcome o
+  in
   (match sigma.Sigma.ncinds with
   | psi :: rest ->
-      expect_undetermined_fault "implication.implies" (fun () ->
-          Implication.decide schema ~sigma:rest psi)
+      expect_undetermined "Implication"
+        (Implication.decide ~budget:(spent_fuel ()) schema ~sigma:rest psi)
   | [] -> Alcotest.fail "workload has CINDs");
   match sigma.Sigma.ncfds with
-  | phi :: rest ->
-      expect_undetermined_fault "cfd_implication.implies" (fun () ->
-          Cfd_implication.decide schema ~sigma:rest phi);
-      expect_fault "cfd_consistency.witness" (fun () ->
-          Cfd_consistency.consistent_rel schema ~rel:phi.Cfd.nf_rel
-            sigma.Sigma.ncfds)
+  | phi :: rest -> (
+      expect_undetermined "Cfd_implication"
+        (Cfd_implication.decide ~budget:(spent_fuel ()) schema ~sigma:rest phi);
+      match
+        Cfd_consistency.consistent_rel ~budget:(spent_fuel ()) schema
+          ~rel:phi.Cfd.nf_rel sigma.Sigma.ncfds
+      with
+      | _ -> Alcotest.fail "Cfd_consistency: a spent budget must raise"
+      | exception Guard.Exhausted r -> check_reason "Cfd_consistency" Guard.Fuel r)
   | [] -> Alcotest.fail "workload has CFDs"
-
-let test_fault_after_countdown () =
-  let b = Guard.make ~fuel:1000 () in
-  Guard.arm ~site:"countdown.site" ~after:2 ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  Guard.probe ~budget:b "countdown.site";
-  Guard.probe ~budget:b "countdown.site";
-  match Guard.probe ~budget:b "countdown.site" with
-  | () -> Alcotest.fail "third probe should fire"
-  | exception Guard.Exhausted (Guard.Fault s) ->
-      check_string "site" "countdown.site" s
 
 let () =
   Alcotest.run "guard"
@@ -386,11 +377,13 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "Checking pipeline sweep" `Quick
-            test_checking_fault_sweep;
-          Alcotest.test_case "RandomChecking" `Quick test_random_checking_fault;
-          Alcotest.test_case "chase" `Quick test_chase_fault;
-          Alcotest.test_case "sat" `Quick test_sat_fault;
-          Alcotest.test_case "boolean APIs raise typed" `Quick test_bool_api_faults;
-          Alcotest.test_case "countdown arming" `Quick test_fault_after_countdown;
+            test_checking_fuel_sweep;
+          Alcotest.test_case "RandomChecking" `Quick test_random_checking_fuel;
+          Alcotest.test_case "chase" `Quick test_chase_fuel;
+          Alcotest.test_case "sat" `Quick test_sat_fuel;
+          Alcotest.test_case "boolean APIs raise typed" `Quick test_bool_api_fuel;
+          Alcotest.test_case
+            "SAT exhaustion surfaces at the CFD layer and through Checking"
+            `Quick test_sat_exhaustion_surfaces;
         ] );
     ]

@@ -7,13 +7,12 @@ open Helpers
    verdict-bit-identical to recomputing from scratch.  The property test
    replays random seeded edit scripts through a cached session and a
    [~cache:false] oracle side by side and compares every verdict — full
-   printed witnesses included.  The chaos test arms the
-   [incremental.invalidate] probe so every edit degrades to a full cache
-   flush, which must leave the equivalence intact.  The re-check test
-   times single-CIND edits against the oracle: identical verdicts, and
-   the cache must pay at least 2x.  The regression test pins that a
-   forced-propagation contradiction from the chase backend is a
-   definitive [No], not [Unknown Fuel]. *)
+   printed witnesses included.  The re-check test times single-CIND
+   edits against the oracle: identical verdicts, and the cache must pay
+   at least 2x.  The regression tests pin that a forced-propagation
+   contradiction from the chase backend is a definitive [No], not
+   [Unknown Fuel], and that an answer the caller's budget cut short is
+   never served from the cache once the budget is gone. *)
 
 let show = function
   | Cind_api.Yes (Some db) -> Fmt.str "yes:%a" Database.pp db
@@ -206,33 +205,6 @@ let test_single_edit_recheck_speedup () =
     Alcotest.failf "single-CIND edit re-check: fresh %.6fs / cached %.6fs = %.2fx < 2x"
       fresh_s cached_s speedup
 
-(* --- the chaos probe ----------------------------------------------------- *)
-
-let with_arm ~site ?after ?times f =
-  Guard.arm ~site ?after ?times ();
-  Fun.protect ~finally:(fun () -> Guard.disarm ~site) f
-
-let test_invalidate_fault_degrades_to_flush () =
-  let seed = 11 in
-  let w = workload 111 in
-  let _, want = replay ~seed ~cache:false w in
-  let faulted, got =
-    (* every edit's invalidation faults: each one must degrade to a full
-       flush (never escape the edit), and verdicts must stay identical *)
-    with_arm ~site:"incremental.invalidate" ~after:0 (fun () ->
-        replay ~seed ~cache:true w)
-  in
-  Alcotest.(check (list string)) "faulted session == fresh oracle" want got;
-  let st = Cind_session.stats faulted in
-  check_bool "flushes were counted as invalidations" true
-    (st.Cind_session.invalidations > 0);
-  (* disarmed again: the same session keeps answering, and caches again *)
-  let before = (Cind_session.stats faulted).Cind_session.hits in
-  ignore (battery w faulted ~deep:false);
-  ignore (battery w faulted ~deep:false);
-  check_bool "cache resumes after the fault storm" true
-    ((Cind_session.stats faulted).Cind_session.hits > before)
-
 (* --- read-set precision -------------------------------------------------- *)
 
 let test_unrelated_edit_preserves_entries () =
@@ -295,6 +267,34 @@ let test_chase_definitive_no () =
   check_bool "second answer was a hit" true
     ((Cind_session.stats s).Cind_session.hits = 1)
 
+(* A query cut short by the caller's fuel answers [Unknown Fuel], the
+   same reason the procedures' own caps give.  The session must not cache
+   it: once the budget is gone, the same session recomputes and agrees
+   with a fresh one. *)
+let test_budget_cut_not_cached () =
+  let schema, sigma = finite_workload ~seed:5 ~relations:3 ~constraints:40 in
+  let cut f = Guard.with_ambient (Guard.make ~fuel:1 ()) f in
+  let session sigma =
+    let s = Cind_session.create ~backend:Cind_api.Sat_backend ~seed:1 schema in
+    List.iter (Cind_session.add_cfd s) sigma.Sigma.ncfds;
+    List.iter (Cind_session.add_cind s) sigma.Sigma.ncinds;
+    s
+  in
+  let s = session sigma in
+  check_string "check under one step of fuel" "unknown:fuel"
+    (show (cut (fun () -> Cind_session.check s)));
+  check_string "check without the budget"
+    (show (Cind_session.check (session sigma)))
+    (show (Cind_session.check s));
+  (* implication over the first three CINDs, which decides quickly *)
+  let cinds = List.filteri (fun i _ -> i < 3) sigma.Sigma.ncinds in
+  let psi = List.hd cinds in
+  let s = session { Sigma.ncfds = []; ncinds = cinds } in
+  check_string "implies under one step of fuel" "unknown:fuel"
+    (show (cut (fun () -> Cind_session.implies s psi)));
+  check_string "implies without the budget" "yes"
+    (show (Cind_session.implies s psi))
+
 (* --- fingerprints --------------------------------------------------------- *)
 
 let test_fingerprint_invariance () =
@@ -330,11 +330,6 @@ let () =
           Alcotest.test_case "single-CIND edit re-check: identical, >= 2x" `Quick
             test_single_edit_recheck_speedup;
         ] );
-      ( "chaos",
-        [
-          Alcotest.test_case "invalidate fault degrades to a coherent flush"
-            `Quick test_invalidate_fault_degrades_to_flush;
-        ] );
       ( "precision",
         [
           Alcotest.test_case "unrelated edits keep entries live" `Quick
@@ -344,6 +339,8 @@ let () =
         [
           Alcotest.test_case "chase contradiction is a definitive No" `Quick
             test_chase_definitive_no;
+          Alcotest.test_case "a budget-cut Unknown is not cached" `Quick
+            test_budget_cut_not_cached;
         ] );
       ( "fingerprint",
         [

@@ -5,8 +5,9 @@ open Conddep_generator
 open Helpers
 
 (* Property-based tests over randomly generated schemas and workloads:
-   the generator's guarantees, Theorem 3.2, Theorem 5.1 soundness, and
-   differential tests between the exact and heuristic procedures. *)
+   the generator's guarantees, Theorem 3.2, Theorem 5.1 soundness,
+   differential tests between the exact and heuristic procedures, and
+   budget cuts that never change a verdict. *)
 
 (* A generated (schema, Σ) pair driven by a single seed, so shrinking works
    on the seed.  Small configurations keep the exact procedures fast. *)
@@ -327,6 +328,70 @@ let prop_terminal_chase_satisfies_cinds seed =
       let concrete = Conddep_chase.Template.to_database ~avoid db in
       List.for_all (Cind.nf_holds concrete) cind_only.ncinds
 
+(* --- budget cuts ------------------------------------------------------------------ *)
+
+(* Run [f] under fuel 1, 4, 16, ... until a run leaves its budget unspent:
+   from there on every larger fuel replays the unbudgeted run exactly. *)
+let fuel_sweep f =
+  let rec go fuel acc =
+    let budget = Guard.make ~fuel () in
+    let v = f budget in
+    if Guard.state budget = None then v :: acc else go (4 * fuel) (v :: acc)
+  in
+  go 1 []
+
+let describe_checking = function
+  | Checking.Consistent db -> Fmt.str "consistent:%a" Database.pp db
+  | Checking.Inconsistent -> "inconsistent"
+  | Checking.Unknown _ -> "unknown"
+
+(* A fuel budget can stop a run at any tick.  Whatever tick it stops at,
+   the answer is the unbudgeted one, witness included, or Unknown — never
+   a different verdict.  Checked for Checking with both backends, and for
+   implication; CFD implication costs ~70 ms a sweep, so only every
+   fourth seed runs it. *)
+let prop_fuel_cut_verdicts seed =
+  let schema, sigma =
+    finite_workload ~seed ~relations:(2 + (seed mod 3))
+      ~constraints:(30 + (seed mod 51))
+  in
+  let agrees ~unknown run =
+    let baseline = run None in
+    List.for_all
+      (fun v -> v = baseline || v = unknown)
+      (fuel_sweep (fun b -> run (Some b)))
+  in
+  let checking backend budget =
+    describe_checking
+      (Checking.check ~backend ?budget ~rng:(Rng.make seed) schema sigma)
+  in
+  let implication decide budget =
+    match decide budget with
+    | Implication.Undetermined _ -> "undetermined"
+    | o -> Fmt.str "%a" Implication.pp_outcome o
+  in
+  let cinds = List.filteri (fun i _ -> i < 3) sigma.Sigma.ncinds in
+  let goals = List.filteri (fun i _ -> i >= 3 && i < 6) sigma.Sigma.ncinds in
+  List.for_all
+    (fun backend -> agrees ~unknown:"unknown" (checking backend))
+    [ Cfd_checking.Chase_backend; Cfd_checking.Sat_backend ]
+  && List.for_all
+       (fun psi ->
+         agrees ~unknown:"undetermined"
+           (implication (fun budget ->
+                Implication.decide ?budget ~max_states:500 schema
+                  ~sigma:cinds psi)))
+       goals
+  &&
+  match sigma.Sigma.ncfds with
+  | phi :: rest when seed mod 4 = 0 ->
+      let rest = List.filteri (fun i _ -> i < 6) rest in
+      agrees ~unknown:"undetermined"
+        (implication (fun budget ->
+             Cfd_implication.decide ?budget ~max_nodes:200_000 schema
+               ~sigma:rest phi))
+  | _ -> true
+
 let () =
   Alcotest.run "properties"
     [
@@ -387,5 +452,10 @@ let () =
         [
           qtest ~count:40 "view propagation sound" seed_gen
             prop_view_propagation_sound;
+        ] );
+      ( "budget cuts",
+        [
+          qtest ~count:40 "fuel cuts give the unbudgeted verdict or Unknown"
+            seed_gen prop_fuel_cut_verdicts;
         ] );
     ]

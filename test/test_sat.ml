@@ -240,40 +240,26 @@ let test_backjump_to_root_keeps_units () =
   in
   check_bool "cdcl matches brute" (brute_is_sat cnf) (cdcl_is_sat cnf)
 
-(* The sat.analyze probe: armed (programmatically — fires regardless of
-   budget), conflict analysis must surface as Unknown (Fault _), never a
-   crash, across a small countdown sweep.  PHP(4,3) conflicts well past
-   the deepest countdown, so the fault always fires. *)
-let test_analyze_fault_probe () =
+(* A fuel budget cuts the CDCL search at any decision or conflict tick,
+   conflict analysis included: PHP(4,3) must answer Unknown Fuel or its
+   true verdict Unsat under every fuel, and the sweep both cuts and
+   completes. *)
+let test_fuel_sweep () =
   let cnf = pigeonhole 4 3 in
-  List.iter
-    (fun after ->
-      Guard.arm ~site:"sat.analyze" ~after ();
-      Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-      match Solver.solve cnf with
-      | Solver.Unknown (Guard.Fault s) ->
-          check_string (Printf.sprintf "site (after=%d)" after) "sat.analyze" s
-      | Solver.Unknown r ->
-          Alcotest.failf "after=%d: expected Fault, got %s" after
-            (Guard.reason_to_string r)
-      | Solver.Sat _ | Solver.Unsat ->
-          Alcotest.failf "after=%d: armed probe never fired" after)
-    [ 0; 1; 5 ];
-  (* transient fault (times:1) + the probe being per-conflict: the search
-     survives the one injected failure on a re-run *)
-  Guard.arm ~site:"sat.analyze" ~times:1 ();
-  (match Solver.solve cnf with
-  | Solver.Unknown (Guard.Fault _) -> ()
-  | r ->
-      Guard.disarm_all ();
-      Alcotest.failf "transient arm: expected one Fault, got %s"
-        (match r with
-        | Solver.Sat _ -> "Sat"
-        | Solver.Unsat -> "Unsat"
-        | Solver.Unknown r -> Guard.reason_to_string r));
-  Guard.disarm_all ();
-  check_bool "after the transient fault the verdict is back" false
-    (cdcl_is_sat cnf)
+  let verdicts =
+    List.map
+      (fun fuel ->
+        match Solver.solve ~budget:(Guard.make ~fuel ()) cnf with
+        | Solver.Unknown Guard.Fuel -> `Cut
+        | Solver.Unsat -> `Unsat
+        | Solver.Unknown r ->
+            Alcotest.failf "fuel %d: expected fuel, got %s" fuel
+              (Guard.reason_to_string r)
+        | Solver.Sat _ -> Alcotest.failf "fuel %d: PHP(4,3) is Unsat" fuel)
+      [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 1024; 4096 ]
+  in
+  check_bool "small fuel cuts the search" true (List.mem `Cut verdicts);
+  check_bool "large fuel decides it" true (List.mem `Unsat verdicts)
 
 let test_dimacs_roundtrip () =
   let cnf = Cnf.make ~num_vars:3 [ [ 1; -2 ]; [ 2; 3 ]; [ -3 ] ] in
@@ -397,8 +383,7 @@ let () =
             test_reduction_cadence_preserves_verdict;
           Alcotest.test_case "backjump to root keeps units" `Quick
             test_backjump_to_root_keeps_units;
-          Alcotest.test_case "sat.analyze fault probe sweep" `Quick
-            test_analyze_fault_probe;
+          Alcotest.test_case "fuel sweep on PHP(4,3)" `Quick test_fuel_sweep;
         ] );
       ( "dimacs",
         [

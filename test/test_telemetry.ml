@@ -148,29 +148,29 @@ let test_profile_tree_shape () =
     (List.sort (fun a b -> compare b a) selfs = selfs);
   check_string "dur_to_string scales" "1.500ms" (Telemetry.dur_to_string 1.5e-3)
 
-let test_profile_under_faults () =
-  (* self <= total must survive exceptional unwinding via armed Guard
-     fault probes, the GUARD_FAULTS mechanism's programmatic form *)
+let test_profile_under_exhaustion () =
+  (* self <= total must survive exceptional unwinding when a fuel budget
+     runs dry two spans deep *)
   with_clean_profiling @@ fun () ->
-  Guard.arm ~site:"test.telemetry.fault" ();
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   for _ = 1 to 5 do
+    let b = Guard.make ~fuel:1 () in
     try
       Telemetry.with_span "t.f_outer" (fun () ->
           Telemetry.with_span "t.f_inner" (fun () ->
-              Guard.probe "test.telemetry.fault"))
-    with Guard.Exhausted (Guard.Fault _) -> ()
+              Guard.tick b;
+              Guard.tick b))
+    with Guard.Exhausted Guard.Fuel -> ()
   done;
   let roots = Telemetry.profile_tree () in
   let outer = List.find (fun n -> n.Telemetry.p_name = "t.f_outer") roots in
-  check_int "every faulted run recorded" 5 outer.p_count;
-  check_int "every faulted run marked err" 5 outer.p_errors;
+  check_int "every cut run recorded" 5 outer.p_count;
+  check_int "every cut run marked err" 5 outer.p_errors;
   List.iter check_profile_invariants roots;
-  (* the probe marked exhaustion forensics with the live span stack *)
+  (* the exhaustion marked forensics with the live span stack *)
   match Telemetry.exhaustion_snapshot () with
-  | None -> Alcotest.fail "fault probe left no exhaustion mark"
+  | None -> Alcotest.fail "exhaustion left no mark"
   | Some (reason, stack) ->
-      check_string "fault reason" "fault:test.telemetry.fault" reason;
+      check_string "reason" "fuel" reason;
       check_bool "innermost span on the stack" true (List.mem "t.f_inner" stack)
 
 let test_exhaustion_mark_fuel () =
@@ -543,8 +543,8 @@ let () =
       ( "profiler",
         [
           Alcotest.test_case "span-tree attribution" `Quick test_profile_tree_shape;
-          Alcotest.test_case "invariants under armed fault probes" `Quick
-            test_profile_under_faults;
+          Alcotest.test_case "invariants under budget exhaustion" `Quick
+            test_profile_under_exhaustion;
           Alcotest.test_case "exhaustion forensics mark" `Quick
             test_exhaustion_mark_fuel;
         ] );
