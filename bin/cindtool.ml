@@ -347,6 +347,15 @@ let prove_cmd =
         | None ->
             Fmt.pr "%a is NOT implied by the remaining CINDs@." Cind.pp_nf g;
             exit_negative
+        | exception Implication.Budget_exceeded ->
+            (* the search's own max_states cap, as in [implies] *)
+            Fmt.pr "%a@.  undetermined: search budget exceeded@." Cind.pp_nf g;
+            exit_undetermined
+        | exception Guard.Exhausted r ->
+            Fmt.pr "%a@.  undetermined: %s@." Cind.pp_nf g (Guard.reason_to_string r);
+            Fmt.epr "cindtool: resource budget exhausted (%s)@." (Guard.reason_to_string r);
+            print_exhaustion_forensics ();
+            exit_undetermined
         | exception Invalid_argument msg ->
             Fmt.epr "%s@." msg;
             exit_usage)

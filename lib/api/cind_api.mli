@@ -15,7 +15,7 @@ open Conddep_consistency
     to the corresponding sequence of singleton calls.  Every call runs on
     the caller's domain.  Drivers should depend on this module only;
     the underlying modules remain public for library users who need
-    engine-level control (templates, deltas, compiled forms). *)
+    engine-level control (templates, compiled forms). *)
 
 (** {1 Verdicts} *)
 

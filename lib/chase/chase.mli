@@ -31,14 +31,11 @@ type outcome =
 
     Every chase here executes one canonical operation schedule: the first
     CFD in compiled order with a violating pair, least pair; a round-robin
-    CIND cursor, least firing tuple (see DESIGN.md §10).  The fixpoints
+    CIND cursor, least firing tuple (see DESIGN.md §10).  The loops
     ({!fd_fixpoint}, {!run}, {!Ind_cursor}) find each next operation by
-    draining dirty-tuple worklists, re-examining only tuples added or
-    rewritten since they were last checked, and maintain the witness index
-    incrementally through FD value-merges.  The single operations
-    ({!fd_step}, {!ind_step}) find it by full rescans, so a loop over them
-    is a reference chase with bit-identical outcomes and final templates
-    for equal inputs and random seeds. *)
+    rescanning the template with the single operations {!fd_step} and
+    {!ind_step}, so equal inputs and random seeds give equal outcomes and
+    final templates. *)
 
 (** {1 Compiled constraints} *)
 
@@ -75,7 +72,7 @@ val fd_fixpoint :
 type ind_result =
   | Ind_changed of Template.t
   | Ind_unchanged
-  | Ind_overflow of string  (** threshold T exceeded (instantiated mode) *)
+  | Ind_overflow of string  (** the RHS relation is at the threshold T *)
 
 val ind_step :
   instantiated:bool ->
@@ -93,23 +90,11 @@ val ind_step :
 
     The scan for the next IND operation resumes after the last applied
     CIND (wrapping), so every CIND is visited between two applications of
-    any single one — fairness.  The cursor keeps a dirty worklist per CIND
-    and re-examines only tuples that could newly fire; callers that mutate
-    the template themselves either notify it ({!Ind_cursor.note_subst}) or
-    let the physical-identity check trigger a reseed (one full scan).
-    Witness checks are hash lookups in the cursor's own memoized
-    projection index over the RHS relations (keyed on interned cell ids,
-    not domain-safe, so one cursor per run).  Used by {!run} and by
-    RandomChecking's interleaved chase. *)
+    any single one — fairness.  Used by {!run} and by RandomChecking's
+    interleaved chase. *)
 
 module Ind_cursor : sig
   type t
-
-  type step_result =
-    | Step_applied of { db : Template.t; rel : string; tuple : Template.tuple }
-        (** one witness tuple was inserted into [rel] *)
-    | Step_none  (** no CIND has a triggering unwitnessed tuple *)
-    | Step_overflow of string  (** threshold T refusal *)
 
   val create :
     instantiated:bool ->
@@ -119,15 +104,11 @@ module Ind_cursor : sig
     compiled_cind list ->
     t
 
-  val step : ?budget:Guard.t -> t -> rng:Rng.t -> Template.t -> step_result
-  (** Find and apply the next IND operation under the canonical schedule.
-      Polls [budget]'s deadline per CIND visited. *)
-
-  val note_subst :
-    t -> before:Template.t -> after:Template.t -> Template.delta -> unit
-  (** Tell the cursor the template was rewritten by a substitution, with
-      the exact change set: rewritten tuples are re-enqueued and the
-      witness index is maintained. *)
+  val step : ?budget:Guard.t -> t -> rng:Rng.t -> Template.t -> ind_result
+  (** Offer each CIND in turn to {!ind_step}, starting after the last one
+      applied, and return the first result that is not [Ind_unchanged]
+      ([Ind_unchanged] when no CIND fires).  Polls [budget]'s deadline per
+      CIND visited. *)
 end
 
 (** {1 Full chase} *)

@@ -5,15 +5,13 @@ open Conddep_relational
    var[A].  The paper's total order places every variable below every
    constant; variables are ordered lexicographically.
 
-   Representation notes (the delta-chase PR): each relation carries, next
-   to its tuple list, a persistent set of integer-encoded tuple keys and a
-   cached cardinal, so [mem]/[add]/[cardinal] are O(arity · log n) instead
-   of O(arity · n) scans — [add] sits on the chase's hottest path.  The
-   template additionally tracks, per variable, the set of relations the
-   variable occurs in, so a substitution only rewrites the relations (and
-   within them, the tuples) that actually contain the variable; untouched
-   tuples and relations keep their physical identity, which the chase's
-   dirty-tuple worklists and witness-index maintenance rely on. *)
+   Representation notes: each relation carries, next to its tuple list, a
+   persistent set of integer-encoded tuple keys and a cached cardinal, so
+   [add] and [cardinal] are O(arity · log n) instead of O(arity · n) scans
+   — [add] sits on the chase's hottest path.  The template additionally
+   tracks, per variable, the set of relations the variable occurs in, so
+   a substitution only rewrites the relations (and within them, the
+   tuples) that actually contain the variable. *)
 
 type var = { vrel : string; vattr : string; vidx : int }
 
@@ -140,8 +138,6 @@ let tuples t rel = (store t rel).rs_tuples
 let cardinal t rel = (store t rel).rs_count
 let total t = String_map.fold (fun _ rs acc -> acc + rs.rs_count) t.rels 0
 
-let mem t rel tuple = Key_set.mem (key_of_tuple tuple) (store t rel).rs_keys
-
 (* Record every variable of [tuple] as (possibly) occurring in [rel]. *)
 let note_occurrences occs rel (tuple : tuple) =
   Array.fold_left
@@ -183,32 +179,20 @@ let add t rel tuple =
    over-approximation (a merged-away tuple's other variables keep their
    entry), which costs at most a wasted scan later, never a missed one.
 
-   The returned delta lists, per relation, the tuples that disappeared
-   (their pre-substitution versions, including copies merged into an
-   existing equal tuple) and the rewritten versions that were inserted —
-   exactly the information the chase's worklists and the witness index
-   need to stay consistent without a rebuild. *)
-
-type delta = {
-  d_removed : (string * tuple) list;
-  d_added : (string * tuple) list;
-}
-
-let empty_delta = { d_removed = []; d_added = [] }
+   A template in which no tuple contains the variable is returned as is. *)
 
 let tuple_contains var (tuple : tuple) =
   Array.exists
     (fun cell -> match cell with V v -> var_compare v var = 0 | C _ -> false)
     tuple
 
-let subst_track t var by =
+let subst t var by =
   match Var_map.find_opt var t.occs with
-  | None -> (t, empty_delta)
+  | None -> t
   | Some rels_with_var ->
       let replace cell =
         match cell with V v when var_compare v var = 0 -> by | _ -> cell
       in
-      let removed = ref [] and added = ref [] in
       let rewrite_rel rel t =
         let rs = store t rel in
         if not (List.exists (tuple_contains var) rs.rs_tuples) then t
@@ -223,13 +207,11 @@ let subst_track t var by =
                 if not (tuple_contains var tuple) then tuple :: acc
                 else begin
                   let tuple' = Array.map replace tuple in
-                  removed := (rel, tuple) :: !removed;
                   keys := Key_set.remove (key_of_tuple tuple) !keys;
                   let key' = key_of_tuple tuple' in
                   if Key_set.mem key' !keys then acc (* merged away *)
                   else begin
                     keys := Key_set.add key' !keys;
-                    added := (rel, tuple') :: !added;
                     tuple' :: acc
                   end
                 end)
@@ -246,8 +228,7 @@ let subst_track t var by =
         end
       in
       let t' = String_set.fold rewrite_rel rels_with_var t in
-      let delta = { d_removed = !removed; d_added = !added } in
-      if delta.d_removed = [] then (t, empty_delta)
+      if t' == t then t
       else begin
         (* Drop the substituted variable; record the replacement cell's
            variable (if any) as occurring wherever the old one did. *)
@@ -261,16 +242,8 @@ let subst_track t var by =
               in
               Var_map.add u (String_set.union rels rels_with_var) occs
         in
-        ({ t' with occs }, delta)
+        { t' with occs }
       end
-
-let subst t var by = fst (subst_track t var by)
-
-(* Two templates are equal iff they hold the same tuple sets per relation;
-   the injective integer keys make this a set comparison, no cell
-   traversal. *)
-let equal t1 t2 =
-  String_map.equal (fun a b -> Key_set.equal a.rs_keys b.rs_keys) t1.rels t2.rels
 
 (* The constants currently present in one column of one relation. *)
 let column_constants t ~rel ~attr =

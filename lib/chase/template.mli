@@ -36,34 +36,13 @@ val tuples : t -> string -> tuple list
 
 val cardinal : t -> string -> int
 val total : t -> int
-val mem : t -> string -> tuple -> bool
 
 val add : t -> string -> tuple -> t
 (** Set semantics: adding an existing tuple is a no-op. *)
 
 val subst : t -> var -> cell -> t
 (** Global substitution of a variable (a variable denotes one value).
-    Tuples not containing the variable keep their physical identity. *)
-
-type delta = {
-  d_removed : (string * tuple) list;
-      (** pre-substitution versions of every rewritten tuple, including
-          copies that merged into an existing equal tuple *)
-  d_added : (string * tuple) list;
-      (** rewritten versions actually inserted (absent for merges) *)
-}
-
-val empty_delta : delta
-
-val subst_track : t -> var -> cell -> t * delta
-(** [subst] plus the exact tuple-level change set — what the delta chase
-    engine's dirty worklists and the witness-index maintenance consume.
-    The delta is empty iff the template is returned unchanged (and then
-    it is physically the input). *)
-
-val equal : t -> t -> bool
-(** Same tuple sets per relation (schema assumed shared); compares the
-    interned integer key sets, so no cell traversal. *)
+    Rewritten tuples that become equal to another tuple merge into it. *)
 
 val column_constants : t -> rel:string -> attr:string -> Value.t list
 (** Constants currently occurring in one attribute column of a relation. *)

@@ -29,13 +29,9 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
      end of Section 5.2.  Baking random constants in at creation time would
      make almost every run die on the first CFD clash.
 
-     The round-robin cursor resumes after the last applied CIND instead of
-     restarting from the head of the (shuffled) list, and re-examines only
-     tuples enqueued since the CIND was last checked, reseeding its
-     worklists whenever CFD_Checking rewrote the template in between.
-     Each run owns its cursor, and with it its witness index; CFD
-     substitutions between IND steps are caught by the cursor's and the
-     index's physical-identity staleness checks. *)
+     The round-robin cursor resumes after the last applied CIND instead
+     of restarting from the head of the (shuffled) list; each IND step
+     rescans the template CFD_Checking handed back. *)
   let cinds = Rng.shuffle rng compiled.Chase.cinds in
   let cursor =
     Chase.Ind_cursor.create ~instantiated:false ~threshold:config.Chase.threshold pool
@@ -55,9 +51,9 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
       | None -> None
       | Some db -> (
           match Chase.Ind_cursor.step ~budget cursor ~rng db with
-          | Chase.Ind_cursor.Step_applied { db = db'; _ } -> loop db' (steps + 1)
-          | Chase.Ind_cursor.Step_none -> Some db (* chase_I terminal *)
-          | Chase.Ind_cursor.Step_overflow _ -> None)
+          | Chase.Ind_changed db' -> loop db' (steps + 1)
+          | Chase.Ind_unchanged -> Some db (* chase_I terminal *)
+          | Chase.Ind_overflow _ -> None)
     end
   in
   loop db 0

@@ -93,12 +93,30 @@ let is_witness schema (psi : Cind.nf) s =
        (fun (b, v) -> field_equal s.fields.(Schema.position r2 b) (Cst v))
        psi.nf_yp
 
-(* BFS with parent pointers; returns the σ-path to the first witness. *)
-let find_path ?(max_states = 50_000) schema sigma psi =
+(* Visited shapes, hashed over the relation and every field. *)
+module Shape_tbl = Hashtbl.Make (struct
+  type t = state
+
+  let equal = state_equal
+
+  let hash s =
+    Array.fold_left
+      (fun h f ->
+        let fh = match f with Mark i -> i | Cst v -> Hashtbl.hash v | Anon -> -1 in
+        (h * 31) + fh)
+      (Hashtbl.hash s.srel) s.fields
+end)
+
+(* BFS with parent pointers; returns the σ-path to the first witness.  As
+   in [Implication.counterexample_from], the budget is ticked per new
+   shape and polled without spending fuel per already-visited child, so a
+   deadline cuts a search that keeps re-deriving known shapes. *)
+let find_path ~budget ~max_states schema sigma psi =
   let start = start_shape schema psi in
   if is_witness schema psi start then Some []
   else begin
-    let visited = ref [ start ] in
+    let visited = Shape_tbl.create 256 in
+    Shape_tbl.replace visited start ();
     let queue = Queue.create () in
     Queue.push (start, []) queue;
     let result = ref None in
@@ -109,10 +127,12 @@ let find_path ?(max_states = 50_000) schema sigma psi =
            (fun nf ->
              if applicable schema nf s then begin
                let c = child schema nf s in
-               if not (List.exists (state_equal c) !visited) then begin
-                 if List.length !visited > max_states then
+               if Shape_tbl.mem visited c then Guard.tick ~cost:0 budget
+               else begin
+                 Guard.tick budget;
+                 if Shape_tbl.length visited > max_states then
                    raise Implication.Budget_exceeded;
-                 visited := c :: !visited;
+                 Shape_tbl.replace visited c ();
                  let path' = nf :: path in
                  if is_witness schema psi c then begin
                    result := Some (List.rev path');
@@ -277,11 +297,11 @@ let derive_finish b (psi : Cind.nf) ~dk_line =
   let projected = emit b (Inference.Infer (Inference.Proj_perm { prem = dk_line; indices })) in
   emit b (Inference.Infer (Inference.Reduce { prem = projected; keep_yp = List.map fst psi.nf_yp }))
 
-let derive ?max_states schema ~sigma psi =
+let derive ?budget ?(max_states = 50_000) schema ~sigma psi =
   let sigma = List.map Cind.canon_nf sigma in
   let psi = Cind.canon_nf psi in
   ensure_infinite schema (psi :: sigma);
-  match find_path ?max_states schema sigma psi with
+  match find_path ~budget:(Guard.resolve budget) ~max_states schema sigma psi with
   | None -> None
   | Some path ->
       let b = { schema; lines = []; concls = []; len = 0 } in

@@ -1,6 +1,8 @@
 open Conddep_relational
 open Conddep_core
 open Conddep_chase
+open Conddep_consistency
+open Conddep_generator
 open Helpers
 
 (* The extended chase of Section 5.1, against the worked Examples 5.1–5.3. *)
@@ -279,6 +281,87 @@ let test_finite_instantiation () =
   let db = Chase.instantiate_finite_vars (rng ()) db in
   check_int "no finite vars left" 0 (List.length (Template.finite_variables db))
 
+(* --- generated workloads: terminal fixpoints and budget cuts --------------- *)
+
+let small_workload ?(consistent = false) seed =
+  let rng = Rng.make seed in
+  let schema =
+    Schema_gen.generate rng { Schema_gen.default with num_relations = 4 }
+  in
+  let generate = if consistent then Workload.consistent else Workload.random in
+  (schema, generate rng { Workload.default with num_constraints = 24 } schema)
+
+let first_rel_seed schema =
+  Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema))
+
+(* The seed tuple with every field set to the generator's hidden witness
+   value.  Σ's patterns mention these constants, so CINDs fire and the
+   chase grows past the seed. *)
+let witness_seed schema =
+  let db = first_rel_seed schema in
+  List.fold_left
+    (fun db (v : Template.var) ->
+      let r = Db_schema.find schema v.vrel in
+      Template.subst db v
+        (Template.C (Workload.witness_value (Schema.attr r (Schema.position r v.vattr)))))
+    db (Template.variables db)
+
+(* A terminal template is a fixpoint of both single operations: no CFD's
+   FD(φ) and no CIND's IND(ψ) changes it.  Checked on a random Σ chased
+   from the all-variable seed tuple, and on a consistent Σ chased from
+   the witness seed. *)
+let prop_terminal_is_fixpoint (seed, instantiated) =
+  let config = Chase.default_config in
+  let fixpoint (schema, sigma) db =
+    let compiled = Chase.compile schema sigma in
+    match
+      Chase.run ~instantiated ~config ~rng:(Rng.make ((seed * 7) + 1)) schema compiled db
+    with
+    | Chase.Terminal db ->
+        List.for_all
+          (fun cfd ->
+            match Chase.fd_step cfd db with Chase.Fd_unchanged -> true | _ -> false)
+          compiled.Chase.cfds
+        && List.for_all
+             (fun cind ->
+               match
+                 Chase.ind_step ~instantiated ~threshold:config.threshold
+                   (Pool.make ~n:config.pool_size) (Rng.make seed) schema cind db
+               with
+               | Chase.Ind_unchanged -> true
+               | _ -> false)
+             compiled.Chase.cinds
+    | Chase.Undefined _ | Chase.Exhausted _ -> true
+  in
+  let ((schema, _) as random) = small_workload seed in
+  let ((schema', _) as consistent) = small_workload ~consistent:true seed in
+  fixpoint random (first_rel_seed schema) && fixpoint consistent (witness_seed schema')
+
+let workload_gen =
+  QCheck.make
+    ~print:(fun (seed, inst) -> Printf.sprintf "seed %d, instantiated %b" seed inst)
+    QCheck.Gen.(pair (int_range 0 1000) bool)
+
+let test_run_spent_fuel () =
+  let schema, sigma = small_workload 13 in
+  match
+    Chase.run ~budget:(spent_fuel ()) ~config:Chase.default_config ~rng:(Rng.make 3)
+      schema (Chase.compile schema sigma) (first_rel_seed schema)
+  with
+  | Chase.Exhausted Guard.Fuel -> ()
+  | Chase.Exhausted r -> Alcotest.failf "expected fuel, got %s" (Guard.reason_to_string r)
+  | Chase.Terminal _ | Chase.Undefined _ -> Alcotest.fail "a spent budget must cut"
+
+let test_random_checking_spent_fuel () =
+  let schema, sigma = small_workload 13 in
+  match
+    Random_checking.check ~budget:(spent_fuel ()) ~rng:(Rng.make 2) schema sigma
+  with
+  | Random_checking.Unknown Guard.Fuel -> ()
+  | Random_checking.Unknown r ->
+      Alcotest.failf "expected fuel, got %s" (Guard.reason_to_string r)
+  | Random_checking.Consistent _ -> Alcotest.fail "a spent budget must cut"
+
 let () =
   Alcotest.run "chase"
     [
@@ -308,5 +391,16 @@ let () =
           Alcotest.test_case "column constants" `Quick test_column_constants;
           Alcotest.test_case "conclusion constants" `Quick test_conclusion_constants;
           Alcotest.test_case "IND witness reuse" `Quick test_ind_step_reuses_witnesses;
+        ] );
+      ( "fixpoint",
+        [
+          qtest ~count:80 "terminal chase is an FD and IND fixpoint" workload_gen
+            prop_terminal_is_fixpoint;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "chase.run stops on spent fuel" `Quick test_run_spent_fuel;
+          Alcotest.test_case "RandomChecking stops on spent fuel" `Quick
+            test_random_checking_spent_fuel;
         ] );
     ]
