@@ -151,10 +151,11 @@ let tokenize source =
     while !j < n && is_digit source.[!j] do
       incr j
     done;
-    (match int_of_string_opt (String.sub source i (!j - i)) with
-    | Some v -> emit (INT v)
-    | None -> ());
-    go !j
+    match int_of_string_opt (String.sub source i (!j - i)) with
+    | Some v ->
+        emit (INT v);
+        go !j
+    | None -> error "integer literal out of range"
   and lex_ident i =
     let j = ref i in
     while !j < n && is_ident_char source.[!j] do

@@ -1,6 +1,12 @@
 (* DIMACS CNF reader/printer, for interoperability and golden tests.
    Every parse error names its 1-based line, as the DSL's do. *)
 
+(* DIMACS separates tokens by any whitespace: blanks or tabs. *)
+let tokens line =
+  String.split_on_char ' ' line
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun s -> s <> "")
+
 let parse contents =
   let num_vars = ref (-1) in
   (* literals carry the line they were read on, so a range error found
@@ -31,7 +37,7 @@ let parse contents =
         let line = String.trim line in
         if line = "" || line.[0] = 'c' then process (lineno + 1) rest
         else if line.[0] = 'p' then begin
-          match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+          match tokens line with
           | [ "p"; "cnf"; nv; _nc ] -> (
               match int_of_string_opt nv with
               | Some n when n >= 0 ->
@@ -41,7 +47,6 @@ let parse contents =
           | _ -> error lineno "malformed problem line: %s" line
         end
         else
-          let tokens = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
           let rec consume = function
             | [] -> Ok ()
             | tok :: toks -> (
@@ -57,7 +62,7 @@ let parse contents =
                     consume toks
                 | None -> error lineno "bad literal %S" tok)
           in
-          match consume tokens with Ok () -> process (lineno + 1) rest | Error _ as e -> e)
+          match consume (tokens line) with Ok () -> process (lineno + 1) rest | Error _ as e -> e)
   in
   process 1 (String.split_on_char '\n' contents)
 

@@ -77,9 +77,9 @@ let test_cost_based_repair () =
   check_bool "no tuples lost" true
     (Database.total_tuples repaired >= Database.total_tuples B.dirty_db);
   (* with deletion made free, the repair prefers removing offenders *)
-  let cheap_delete = { Repair.update_cost = 10; insert_cost = 10; delete_cost = 0 } in
+  let free_delete = { Repair.update_cost = 10; insert_cost = 10; delete_cost = 0 } in
   let deleted, _ =
-    Repair.repair_min_cost ~max_rounds:8 ~costs:cheap_delete B.schema sigma_nf
+    Repair.repair_min_cost ~max_rounds:8 ~costs:free_delete B.schema sigma_nf
       B.dirty_db
   in
   check_bool "clean via deletion" true (Detect_oracle.is_clean deleted sigma_nf);

@@ -73,9 +73,9 @@ let test_roundtrip () =
       let db' = ok_or_fail (Parser.database doc') in
       check_int "same data" (Database.total_tuples db) (Database.total_tuples db')
 
-let expect_parse_error name src =
+let expect_parse_error ?diag name src =
   match Parser.parse src with
-  | Error _ -> ()
+  | Error msg -> Option.iter (fun d -> check_string name d msg) diag
   | Ok _ -> Alcotest.failf "%s: malformed input accepted" name
 
 let test_errors () =
@@ -90,7 +90,10 @@ let test_errors () =
   expect_parse_error "instance of unknown relation"
     "schema r (a : string);\ninstance s { (\"x\"); }";
   expect_parse_error "constant outside domain"
-    "schema r (a : {\"u\"});\ncfd c : r(a -> a) with (\"z\" || _);"
+    "schema r (a : {\"u\"});\ncfd c : r(a -> a) with (\"z\" || _);";
+  expect_parse_error ~diag:"line 2: integer literal out of range"
+    "integer literal out of range"
+    "schema r (a : int, b : int);\ninstance r { (1, 99999999999999999999 2); }"
 
 let test_ill_typed_instance_rejected () =
   let doc =

@@ -97,7 +97,7 @@ let test_sat_degrades_never_lies () =
       | Solver.Unknown _ -> Alcotest.fail "brute force within its range"
     in
     (* starve the CDCL search: it may give up, but must never contradict *)
-    match Solver.solve ~max_conflicts:2 ~max_decisions:6 cnf with
+    match Solver.solve ~budget:(Guard.make ~fuel:8 ()) cnf with
     | Solver.Sat model ->
         check_bool "claimed Sat has a model" true (Cnf.eval model cnf);
         check_bool "agrees with brute force" true truth

@@ -272,10 +272,10 @@ let prop_repair_matches_oracle seed =
   List.for_all
     (fun db ->
       let repaired = Conddep_cleaning.Repair.repair schema sigma db in
-      let cheapest, cost = Conddep_cleaning.Repair.repair_min_cost schema sigma db in
-      let cheapest', cost' = Detect_oracle.repair_min_cost schema sigma db in
+      let min_cost_db, cost = Conddep_cleaning.Repair.repair_min_cost schema sigma db in
+      let min_cost_db', cost' = Detect_oracle.repair_min_cost schema sigma db in
       printed repaired = printed (Detect_oracle.repair schema sigma db)
-      && printed cheapest = printed cheapest'
+      && printed min_cost_db = printed min_cost_db'
       && cost = cost')
     (dirty_databases seed schema)
 

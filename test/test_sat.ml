@@ -3,21 +3,20 @@ open Helpers
 
 (* The CDCL solver: hand-written cases, DIMACS round-trips, differential
    property tests against the brute-force reference [Solver.solve_brute],
-   learned-clause machinery observability, and the sat.analyze fault
-   probe. *)
+   and observability of clause learning and backjumping. *)
 
-let solve_is_sat cnf =
+let satisfiable cnf =
   match Solver.solve cnf with
   | Solver.Sat _ -> true
   | Solver.Unsat -> false
   | Solver.Unknown r -> Alcotest.failf "unexpected Unknown: %s" (Guard.reason_to_string r)
 
 let test_trivial () =
-  check_bool "empty formula" true (solve_is_sat (Cnf.make ~num_vars:0 []));
-  check_bool "empty clause" false (solve_is_sat (Cnf.make ~num_vars:1 [ [] ]));
-  check_bool "unit" true (solve_is_sat (Cnf.make ~num_vars:1 [ [ 1 ] ]));
+  check_bool "empty formula" true (satisfiable (Cnf.make ~num_vars:0 []));
+  check_bool "empty clause" false (satisfiable (Cnf.make ~num_vars:1 [ [] ]));
+  check_bool "unit" true (satisfiable (Cnf.make ~num_vars:1 [ [ 1 ] ]));
   check_bool "contradictory units" false
-    (solve_is_sat (Cnf.make ~num_vars:1 [ [ 1 ]; [ -1 ] ]))
+    (satisfiable (Cnf.make ~num_vars:1 [ [ 1 ]; [ -1 ] ]))
 
 let test_model_is_valid () =
   let cnf = Cnf.make ~num_vars:3 [ [ 1; 2 ]; [ -1; 3 ]; [ -2; -3 ]; [ 2; 3 ] ] in
@@ -29,7 +28,7 @@ let test_model_is_valid () =
 let test_propagation_chain () =
   (* 1 forced, then 2, then 3; finally clause demands -3: UNSAT *)
   let cnf = Cnf.make ~num_vars:3 [ [ 1 ]; [ -1; 2 ]; [ -2; 3 ]; [ -3 ] ] in
-  check_bool "chain unsat" false (solve_is_sat cnf)
+  check_bool "chain unsat" false (satisfiable cnf)
 
 let test_pigeonhole_3_2 () =
   (* 3 pigeons, 2 holes: variables p_ij = pigeon i in hole j. *)
@@ -41,41 +40,11 @@ let test_pigeonhole_3_2 () =
           [ [ -v 0 j; -v 1 j ]; [ -v 0 j; -v 2 j ]; [ -v 1 j; -v 2 j ] ])
         [ 0; 1 ]
   in
-  check_bool "PHP(3,2) unsat" false (solve_is_sat (Cnf.make ~num_vars:6 clauses))
-
-let test_restarts_fire_and_preserve_unsat () =
-  (* PHP(4,3) with restart_base:1 — the most aggressive Luby schedule —
-     must still conclude Unsat, and must actually take restarts along the
-     way (observable on the sat.restarts counter). *)
-  let v i j = (3 * i) + j + 1 in
-  let pigeons = [ 0; 1; 2; 3 ] and holes = [ 0; 1; 2 ] in
-  let clauses =
-    List.map (fun i -> List.map (fun j -> v i j) holes) pigeons
-    @ List.concat_map
-        (fun j ->
-          List.concat_map
-            (fun i ->
-              List.filter_map
-                (fun i' -> if i' > i then Some [ -v i j; -v i' j ] else None)
-                pigeons)
-            pigeons)
-        holes
-  in
-  let cnf = Cnf.make ~num_vars:12 clauses in
-  let restarts = Telemetry.counter "sat.restarts" in
-  Telemetry.enable ();
-  Fun.protect ~finally:Telemetry.disable @@ fun () ->
-  let before = Telemetry.count restarts in
-  (match Solver.solve ~restart_base:1 cnf with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> Alcotest.fail "PHP(4,3) decided Sat under restarts"
-  | Solver.Unknown r ->
-      Alcotest.failf "unexpected Unknown: %s" (Guard.reason_to_string r));
-  check_bool "restarts were taken" true (Telemetry.count restarts > before)
+  check_bool "PHP(3,2) unsat" false (satisfiable (Cnf.make ~num_vars:6 clauses))
 
 let test_duplicate_and_tautological_literals () =
-  check_bool "duplicate literals" true (solve_is_sat (Cnf.make ~num_vars:1 [ [ 1; 1 ] ]));
-  check_bool "tautology" true (solve_is_sat (Cnf.make ~num_vars:1 [ [ 1; -1 ]; [ -1 ] ]))
+  check_bool "duplicate literals" true (satisfiable (Cnf.make ~num_vars:1 [ [ 1; 1 ] ]));
+  check_bool "tautology" true (satisfiable (Cnf.make ~num_vars:1 [ [ 1; -1 ]; [ -1 ] ]))
 
 (* --- the CDCL machinery ------------------------------------------------------ *)
 
@@ -117,15 +86,15 @@ let random_3cnf seed n =
   in
   Cnf.make ~num_vars:n (List.init m (fun _ -> clause ()))
 
-let brute_is_sat cnf =
+let brute_satisfiable cnf =
   match Solver.solve_brute cnf with
   | Solver.Sat _ -> true
   | Solver.Unsat -> false
   | Solver.Unknown r -> Alcotest.failf "brute Unknown: %s" (Guard.reason_to_string r)
 
-(* [solve_is_sat] that also validates the model of a Sat answer. *)
-let cdcl_is_sat ?restart_base ?reduce_base cnf =
-  match Solver.solve ?restart_base ?reduce_base cnf with
+(* [satisfiable] that also validates the model of a Sat answer. *)
+let cdcl_satisfiable cnf =
+  match Solver.solve cnf with
   | Solver.Sat model ->
       check_bool "model satisfies" true (Cnf.eval model cnf);
       true
@@ -135,11 +104,13 @@ let cdcl_is_sat ?restart_base ?reduce_base cnf =
 (* Differential: CDCL vs the exhaustive oracle on seeded 3-CNF at the
    hard density — a mix of SAT instances and UNSAT cores. *)
 let test_cdcl_differential_3cnf () =
-  for seed = 0 to 19 do
-    let n = 8 + (seed mod 6) in
-    let cnf = random_3cnf seed n in
-    check_bool (Printf.sprintf "cdcl seed=%d n=%d" seed n) (brute_is_sat cnf) (cdcl_is_sat cnf)
-  done
+  List.iter
+    (fun seed ->
+      let n = 8 + (seed mod 6) in
+      let cnf = random_3cnf seed n in
+      check_bool (Printf.sprintf "cdcl seed=%d n=%d" seed n) (brute_satisfiable cnf)
+        (cdcl_satisfiable cnf))
+    (List.init 20 Fun.id @ List.init 12 (fun i -> 100 + i))
 
 (* Pinned verdicts at n = 40..100, four seeds each (seed 1337·n + i): the
    sweep's verdicts were recorded where the CDCL solver and the
@@ -150,7 +121,7 @@ let test_cdcl_pinned_verdicts () =
     (fun (n, want) ->
       let got =
         List.init 4 (fun i ->
-            if cdcl_is_sat (random_3cnf ((1337 * n) + i) n) then "sat"
+            if cdcl_satisfiable (random_3cnf ((1337 * n) + i) n) then "sat"
             else "unsat")
       in
       check_string (Printf.sprintf "verdicts at n=%d" n) want
@@ -171,49 +142,10 @@ let test_multilevel_backjumps_observable () =
   Telemetry.enable ();
   Fun.protect ~finally:Telemetry.disable @@ fun () ->
   let l0 = Telemetry.count m_learned and b0 = Telemetry.count m_backjumps in
-  check_bool "PHP(5,4) unsat" false (cdcl_is_sat (pigeonhole 5 4));
+  check_bool "PHP(5,4) unsat" false (cdcl_satisfiable (pigeonhole 5 4));
   check_bool "clauses were learned" true (Telemetry.count m_learned > l0);
   check_bool "multi-level backjumps happened" true
     (Telemetry.count m_backjumps > b0)
-
-(* An aggressive deletion cadence (reduce after every learned clause) must
-   delete learned clauses yet preserve the verdict; deletion disabled is
-   the reference point. *)
-let test_reduction_cadence_preserves_verdict () =
-  let m_deleted = Telemetry.counter "sat.learned_deleted" in
-  Telemetry.enable ();
-  Fun.protect ~finally:Telemetry.disable @@ fun () ->
-  let d0 = Telemetry.count m_deleted in
-  let cnf = pigeonhole 5 4 in
-  check_bool "aggressive cadence: unsat" false
-    (cdcl_is_sat ~reduce_base:1 cnf);
-  check_bool "reductions actually deleted clauses" true
-    (Telemetry.count m_deleted > d0);
-  check_bool "deletion disabled: unsat" false
-    (cdcl_is_sat ~reduce_base:0 cnf)
-
-(* Learned-clause minimization (recursive self-subsumption) must actually
-   remove literals on conflict-dense instances — and, being a pure
-   strengthening of clauses the solver already derived, must never change
-   a verdict: the same seeded 3-CNF family as the differential test, with
-   the oracle as referee and the counter as proof the machinery ran. *)
-let test_minimization_observable_and_verdict_preserving () =
-  let m_min = Telemetry.counter "sat.minimized_lits" in
-  Telemetry.enable ();
-  Fun.protect ~finally:Telemetry.disable @@ fun () ->
-  let before = Telemetry.count m_min in
-  check_bool "PHP(5,4) unsat with minimization active" false
-    (cdcl_is_sat (pigeonhole 5 4));
-  for seed = 100 to 111 do
-    let n = 8 + (seed mod 6) in
-    let cnf = random_3cnf seed n in
-    check_bool
-      (Printf.sprintf "minimized verdict == oracle (seed=%d n=%d)" seed n)
-      (brute_is_sat cnf)
-      (cdcl_is_sat cnf)
-  done;
-  check_bool "self-subsumption removed literals" true
-    (Telemetry.count m_min > before)
 
 (* Regression: backjumping to level 0 must preserve the pre-asserted unit
    clauses.  (cancel_until once kept [trail_lim.(lvl)] entries instead of
@@ -238,7 +170,7 @@ let test_backjump_to_root_keeps_units () =
         [ -3; 2; 1 ];
       ]
   in
-  check_bool "cdcl matches brute" (brute_is_sat cnf) (cdcl_is_sat cnf)
+  check_bool "cdcl matches brute" (brute_satisfiable cnf) (cdcl_satisfiable cnf)
 
 (* A fuel budget cuts the CDCL search at any decision or conflict tick,
    conflict analysis included: PHP(4,3) must answer Unknown Fuel or its
@@ -266,7 +198,7 @@ let test_dimacs_roundtrip () =
   let parsed = ok_or_fail (Dimacs.parse (Dimacs.print cnf)) in
   check_int "vars" (Cnf.num_vars cnf) (Cnf.num_vars parsed);
   check_int "clauses" (Cnf.num_clauses cnf) (Cnf.num_clauses parsed);
-  check_bool "same satisfiability" (solve_is_sat cnf) (solve_is_sat parsed)
+  check_bool "same satisfiability" (satisfiable cnf) (satisfiable parsed)
 
 (* parse -> print -> parse must be the identity on the parsed form:
    same variable count and the exact same clause lists, not merely
@@ -279,7 +211,14 @@ let test_dimacs_parse_print_parse_identity () =
   check_bool "clause lists identical" true (Cnf.clauses c1 = Cnf.clauses c2);
   (* and once more: printing is already canonical, so a second round trip
      prints the same bytes *)
-  check_string "print is a fixpoint" (Dimacs.print c1) (Dimacs.print c2)
+  check_string "print is a fixpoint" (Dimacs.print c1) (Dimacs.print c2);
+  (* DIMACS allows any whitespace between tokens: the tab-separated twin
+     of [src] parses to the same formula *)
+  let tabbed = "c generated\tinstance\np\tcnf\t4\t4\n1\t-2 4\t0\n\t-3\t\t2 0\n4\t0\n-1\t-4\t0\t\n" in
+  let c3 = ok_or_fail (Dimacs.parse tabbed) in
+  check_int "tab-separated twin: vars" (Cnf.num_vars c1) (Cnf.num_vars c3);
+  check_bool "tab-separated twin: clause lists identical" true
+    (Cnf.clauses c1 = Cnf.clauses c3)
 
 let test_dimacs_errors () =
   List.iter
@@ -333,7 +272,7 @@ let random_cnf =
 
 let prop_matches_brute_force (num_vars, clauses) =
   let cnf = Cnf.make ~num_vars clauses in
-  solve_is_sat cnf = brute_is_sat cnf
+  satisfiable cnf = brute_satisfiable cnf
 
 let prop_sat_models_check (num_vars, clauses) =
   let cnf = Cnf.make ~num_vars clauses in
@@ -341,19 +280,6 @@ let prop_sat_models_check (num_vars, clauses) =
   | Solver.Sat model -> Cnf.eval model cnf
   | Solver.Unsat -> true
   | Solver.Unknown r -> Alcotest.failf "unexpected Unknown: %s" (Guard.reason_to_string r)
-
-(* Restarts must never flip a verdict: compare the most aggressive Luby
-   schedule against the restart-free search, and validate Sat models. *)
-let prop_restarts_preserve_verdict (num_vars, clauses) =
-  let cnf = Cnf.make ~num_vars clauses in
-  cdcl_is_sat ~restart_base:1 cnf = cdcl_is_sat ~restart_base:0 cnf
-
-(* CDCL under the most aggressive learned-clause deletion cadence agrees
-   with the brute-force engine. *)
-let prop_engines_agree (num_vars, clauses) =
-  let cnf = Cnf.make ~num_vars clauses in
-  let brute = brute_is_sat cnf in
-  cdcl_is_sat cnf = brute && cdcl_is_sat ~reduce_base:1 cnf = brute
 
 let () =
   Alcotest.run "sat"
@@ -364,8 +290,6 @@ let () =
           Alcotest.test_case "models are valid" `Quick test_model_is_valid;
           Alcotest.test_case "propagation chain" `Quick test_propagation_chain;
           Alcotest.test_case "pigeonhole 3-2" `Quick test_pigeonhole_3_2;
-          Alcotest.test_case "Luby restarts fire and preserve Unsat" `Quick
-            test_restarts_fire_and_preserve_unsat;
           Alcotest.test_case "duplicate/tautological literals" `Quick
             test_duplicate_and_tautological_literals;
         ] );
@@ -377,10 +301,6 @@ let () =
             test_cdcl_pinned_verdicts;
           Alcotest.test_case "learning and backjumps are observable" `Quick
             test_multilevel_backjumps_observable;
-          Alcotest.test_case "minimization observable, verdict preserved"
-            `Quick test_minimization_observable_and_verdict_preserving;
-          Alcotest.test_case "deletion cadence preserves the verdict" `Quick
-            test_reduction_cadence_preserves_verdict;
           Alcotest.test_case "backjump to root keeps units" `Quick
             test_backjump_to_root_keeps_units;
           Alcotest.test_case "fuel sweep on PHP(4,3)" `Quick test_fuel_sweep;
@@ -399,9 +319,5 @@ let () =
             prop_matches_brute_force;
           qtest ~count:500 "returned models satisfy the formula" random_cnf
             prop_sat_models_check;
-          qtest ~count:500 "restarts preserve Sat/Unsat" random_cnf
-            prop_restarts_preserve_verdict;
-          qtest ~count:500 "engines and deletion cadences agree" random_cnf
-            prop_engines_agree;
         ] );
     ]
