@@ -584,11 +584,23 @@ let sat_cmd =
 (* --- session ------------------------------------------------------------------ *)
 
 (* Line-oriented driver over Cind_session: the same edit/query loop the
-   bench measures and a future daemon would serve.  One verdict per query
-   line on stdout; the script's worst query verdict is the exit code
-   (uniform with `check`). *)
+   benchmark's session workload runs.  One verdict per query line; the
+   script's worst query verdict is the exit code (uniform with `check`). *)
+let session_usage =
+  [
+    ("load", "load FILE");
+    ("add", "add NAME");
+    ("remove", "remove NAME");
+    ("insert", "insert REL v1,v2,...");
+    ("check", "check");
+    ("consistent", "consistent REL");
+    ("implies", "implies NAME");
+    ("holds", "holds");
+    ("stats", "stats");
+  ]
+
 let session_cmd =
-  let run path seed backend no_cache =
+  let run path seed backend =
     let sess = ref None in
     let pool :
         (string, [ `Cind of Cind.nf list | `Cfd of Cfd.nf list ]) Hashtbl.t =
@@ -599,10 +611,15 @@ let session_cmd =
       Fmt.epr "%s:%d: %s@." path !lineno msg;
       exit exit_usage
     in
+    let usage cmd = fail ("usage: " ^ List.assoc cmd session_usage) in
     let require_session () =
       match !sess with
       | Some s -> s
       | None -> fail "no session yet: start the script with `load FILE`"
+    in
+    let known_rel s rel =
+      if not (Db_schema.mem (Cind_session.schema s) rel) then
+        fail (Printf.sprintf "unknown relation %S" rel)
     in
     let named name =
       match Hashtbl.find_opt pool name with
@@ -637,10 +654,7 @@ let session_cmd =
             | Ok doc -> doc
             | Error msg -> fail (Printf.sprintf "load: %s: %s" file msg)
           in
-          let s =
-            Cind_session.create ~backend ~cache:(not no_cache) ~seed
-              doc.Parser.schema
-          in
+          let s = Cind_session.create ~backend ~seed doc.Parser.schema in
           List.iter
             (fun (c : Cind.t) ->
               Hashtbl.replace pool c.Cind.name (`Cind (Cind.normalize c)))
@@ -671,7 +685,8 @@ let session_cmd =
             |> List.filter (fun v -> v <> "")
             |> List.map Value.of_string
           in
-          if values = [] then fail "insert expects REL v1,v2,...";
+          if values = [] then usage "insert";
+          known_rel s rel;
           match Cind_session.insert_tuples s ~rel [ Tuple.make values ] with
           | () -> ()
           | exception Invalid_argument msg -> fail msg)
@@ -680,7 +695,9 @@ let session_cmd =
           note v;
           Fmt.pr "check: %a@." Cind_api.pp_verdict v
       | [ "consistent"; rel ] ->
-          let v = Cind_session.consistent (require_session ()) ~rel in
+          let s = require_session () in
+          known_rel s rel;
+          let v = Cind_session.consistent s ~rel in
           note v;
           Fmt.pr "consistent %s: %a@." rel Cind_api.pp_verdict v
       | [ "implies"; name ] -> (
@@ -703,6 +720,7 @@ let session_cmd =
           let st = Cind_session.stats (require_session ()) in
           Fmt.pr "stats: hits=%d misses=%d invalidations=%d entries=%d@."
             st.Cind_session.hits st.misses st.invalidations st.entries
+      | w :: _ when List.mem_assoc w session_usage -> usage w
       | w :: _ -> fail (Printf.sprintf "unrecognized command %S" w)
     in
     let script =
@@ -725,21 +743,11 @@ let session_cmd =
     | None -> ());
     !worst
   in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Disable the verdict cache and warm-start state: every query \
-             recomputes from scratch (the oracle the property tests and \
-             the bench compare the cached session against).  Verdicts are \
-             identical either way; only wall-clock time changes.")
-  in
   Cmd.v
     (Cmd.info "session" ~exits
        ~doc:
          "Run a line-oriented edit/query script over an incremental \
-          re-checking session (fingerprint-keyed verdict cache with \
+          re-checking session (verdict cache keyed by the query, with \
           read-set invalidation)."
        ~man:
          [
@@ -756,19 +764,24 @@ let session_cmd =
               $(b,holds), $(b,stats)); blank lines and $(b,#) comments \
               are skipped.  Each query prints one verdict line on stdout.";
            `P
-             "Query verdicts are cached under structural fingerprints of \
-              the target and the dependency set, together with the read \
-              set the derivation reported; an edit dirties only cache \
-              entries whose read set intersects it, and every hit is \
-              verdict-bit-identical to recomputing from scratch.  The \
-              cache counters are exported as $(b,incremental.*) telemetry \
-              (visible via $(b,cindtool profile session) $(i,SCRIPT)).";
+             "Each query answers exactly what the one-shot command answers \
+              on the session's current Σ and database: $(b,check) prints \
+              the verdict of $(b,cindtool check --seed) $(i,N) with the \
+              same backend, and every randomized query draws from the same \
+              seed.  Answers are cached under the query itself, together \
+              with the read set the derivation reported; an edit drops only \
+              the entries whose read set it touches.  The cache counters \
+              are exported as $(b,incremental.*) telemetry (visible via \
+              $(b,cindtool profile session) $(i,SCRIPT)).";
            `P
              "Exit code: the worst query verdict in the script (0 all \
               yes, 1 a definitive no, 3 an undetermined answer), or 2 on \
-              a script error.";
+              a script error: an unknown command or relation, a command \
+              with the wrong number of words (its usage is printed), or a \
+              file that cannot be read.  Script errors name \
+              $(i,SCRIPT):$(i,LINE).";
          ])
-    Term.(const run $ file_arg $ seed_arg $ backend_arg $ no_cache_arg)
+    Term.(const run $ file_arg $ seed_arg $ backend_arg)
 
 (* --- profile ------------------------------------------------------------------ *)
 

@@ -15,6 +15,5 @@ let record_cind t nf =
 let record_rel t rel =
   match t with None -> () | Some t -> Hashtbl.replace t.r_rels rel ()
 
-let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-let cinds t = keys t.r_cinds
-let rels t = keys t.r_rels
+let mem_cind t nf = Hashtbl.mem t.r_cinds nf
+let mem_rel t rel = Hashtbl.mem t.r_rels rel

@@ -3,11 +3,11 @@
     A recorder collects, as a side effect of one implication search
     ({!Implication.decide_compiled}), which CINDs and which relations the
     derivation actually consulted — the entry's {e read set}.  The
-    incremental session layer ([lib/incremental]) keys its verdict cache
-    on dependency-set fingerprints and uses the recorded read set to
-    invalidate only the [implies] entries whose read set intersects an
-    edit: removing a CIND that no derivation step ever found applicable
-    must be a cache hit.
+    incremental session layer ([lib/incremental]) keeps the recorder next
+    to each cached [implies] answer and drops only the entries whose read
+    set an edit touches: adding a CIND drops the searches that explored
+    its LHS relation, and removing a CIND that no derivation step ever
+    found applicable must keep the entry.
 
     Recorders follow the [?budget]-style optional-argument pattern: every
     recording function takes a [t option], so call sites pass their
@@ -15,6 +15,10 @@
     [None].  A recorder is an over-approximation contract, not an exact
     trace: recording {e more} than was read is always sound (it only
     costs cache hits); recording less is a cache-coherence bug.
+
+    CINDs are recorded and looked up exactly as given (structural
+    equality, names included): the session compiles Σ's members in
+    canonical ({!Cind.canon_nf}), unnamed form and asks with that form.
 
     Not domain-safe: record into one recorder from one domain only.  The
     batch entry point [implies_many] does not take a recorder — sessions
@@ -29,8 +33,7 @@ val record_cind : t option -> Cind.nf -> unit
     or otherwise depended on) this CIND.  No-op on [None]. *)
 
 val record_rel : t option -> string -> unit
+(** Note that the derivation explored shapes of this relation. *)
 
-val cinds : t -> Cind.nf list
-(** The distinct CINDs recorded, in unspecified order (a set). *)
-
-val rels : t -> string list
+val mem_cind : t -> Cind.nf -> bool
+val mem_rel : t -> string -> bool

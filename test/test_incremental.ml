@@ -3,22 +3,104 @@ open Conddep_core
 open Conddep_generator
 open Helpers
 
-(* The incremental session layer's one promise: a cache hit is
-   verdict-bit-identical to recomputing from scratch.  The property test
-   replays random seeded edit scripts through a cached session and a
-   [~cache:false] oracle side by side and compares every verdict — full
-   printed witnesses included.  The re-check test times single-CIND
-   edits against the oracle: identical verdicts, and the cache must pay
-   at least 2x.  The regression tests pin that a forced-propagation
-   contradiction from the chase backend is a definitive [No], not
-   [Unknown Fuel], and that an answer the caller's budget cut short is
-   never served from the cache once the budget is gone. *)
+(* The incremental session layer's one promise: every answer, hit or
+   miss, is what the one-shot [Cind_api] call answers on the session's
+   current state.  The property test replays random seeded edit scripts
+   through a session and through a Σ and database the test edits
+   alongside, answered by one-shot calls, and compares every answer —
+   full printed witnesses included.  The re-check test times
+   single-CIND edits against the same one-shot calls: identical answers,
+   and the cache must pay at least 2x.  The determinism test pins that
+   answers do not depend on what the process interned before.  The
+   regression tests pin that a forced-propagation contradiction from the
+   chase backend is a definitive [No], not [Unknown Fuel], and that an
+   answer the caller's budget cut short is never served from the cache
+   once the budget is gone. *)
 
 let show = function
   | Cind_api.Yes (Some db) -> Fmt.str "yes:%a" Database.pp db
   | Cind_api.Yes None -> "yes"
   | Cind_api.No -> "no"
   | Cind_api.Unknown r -> "unknown:" ^ Guard.reason_to_string r
+
+(* Every session in this file runs with this seed; the one-shot calls
+   draw from [Rng.make seed] as the session does. *)
+let seed = 7
+
+(* --- the one-shot oracle ------------------------------------------------- *)
+
+(* A Σ and a database edited alongside a session, with the session's set
+   semantics: a dependency already present (CINDs up to {!Cind.canon_nf},
+   both up to the name) is not added again, and a removal drops the first
+   equal member. *)
+type oracle = {
+  o_schema : Db_schema.t;
+  mutable o_sigma : Sigma.nf;
+  mutable o_db : Database.t;
+}
+
+let oracle schema =
+  { o_schema = schema; o_sigma = { Sigma.ncfds = []; ncinds = [] }; o_db = Database.empty schema }
+
+let set_add eq xs x = if List.exists (eq x) xs then xs else xs @ [ x ]
+
+let rec set_remove eq xs x =
+  match xs with [] -> [] | y :: ys -> if eq x y then ys else y :: set_remove eq ys x
+
+let same_cind a b = Cind.nf_equal (Cind.canon_nf a) (Cind.canon_nf b)
+
+type edit =
+  | Add_cind of Cind.nf
+  | Remove_cind of Cind.nf
+  | Add_cfd of Cfd.nf
+  | Remove_cfd of Cfd.nf
+  | Insert of string * Tuple.t list
+
+let apply s o = function
+  | Add_cind c ->
+      Cind_session.add_cind s c;
+      o.o_sigma <- { o.o_sigma with Sigma.ncinds = set_add same_cind o.o_sigma.Sigma.ncinds c }
+  | Remove_cind c ->
+      Cind_session.remove_cind s c;
+      o.o_sigma <- { o.o_sigma with Sigma.ncinds = set_remove same_cind o.o_sigma.Sigma.ncinds c }
+  | Add_cfd f ->
+      Cind_session.add_cfd s f;
+      o.o_sigma <- { o.o_sigma with Sigma.ncfds = set_add Cfd.nf_equal o.o_sigma.Sigma.ncfds f }
+  | Remove_cfd f ->
+      Cind_session.remove_cfd s f;
+      o.o_sigma <- { o.o_sigma with Sigma.ncfds = set_remove Cfd.nf_equal o.o_sigma.Sigma.ncfds f }
+  | Insert (rel, tuples) ->
+      Cind_session.insert_tuples s ~rel tuples;
+      o.o_db <- List.fold_left (fun db tp -> Database.add_tuple db rel tp) o.o_db tuples
+
+(* The four queries, asked of a session or answered by one-shot calls. *)
+type asker = {
+  check : unit -> Cind_api.verdict;
+  consistent : string -> Cind_api.verdict;
+  implies : Cind.nf -> Cind_api.verdict;
+  holds : unit -> bool;
+}
+
+let session_asker s =
+  {
+    check = (fun () -> Cind_session.check s);
+    consistent = (fun rel -> Cind_session.consistent s ~rel);
+    implies = Cind_session.implies s;
+    holds = (fun () -> Cind_session.holds s);
+  }
+
+let one_shot_check schema sigma = Cind_api.check ~rng:(Rng.make seed) schema sigma
+
+let one_shot_consistent schema sigma rel =
+  Cind_api.consistent ~rng:(Rng.make seed) schema (Sigma.cfds_on sigma rel) ~rel
+
+let one_shot_asker o =
+  {
+    check = (fun () -> one_shot_check o.o_schema o.o_sigma);
+    consistent = (fun rel -> one_shot_consistent o.o_schema o.o_sigma rel);
+    implies = (fun g -> Cind_api.implies o.o_schema ~sigma:o.o_sigma.Sigma.ncinds g);
+    holds = (fun () -> Sigma.nf_holds o.o_db o.o_sigma);
+  }
 
 (* --- random edit scripts ------------------------------------------------ *)
 
@@ -60,77 +142,65 @@ let workload seed =
     w_inserts = inserts;
   }
 
-(* Apply the [i]th random edit, identically on every session in [ss]. *)
-let random_edit rng w ss i =
-  ignore i;
+(* One random edit, drawn from [rng]. *)
+let random_edit rng w =
   let pick a = a.(Rng.int rng (Array.length a)) in
   match Rng.int rng 5 with
-  | 0 ->
-      let c = pick w.w_cinds in
-      List.iter (fun s -> Cind_session.add_cind s c) ss
-  | 1 ->
-      let c = pick w.w_cinds in
-      List.iter (fun s -> Cind_session.remove_cind s c) ss
-  | 2 ->
-      let f = pick w.w_cfds in
-      List.iter (fun s -> Cind_session.add_cfd s f) ss
-  | 3 ->
-      let f = pick w.w_cfds in
-      List.iter (fun s -> Cind_session.remove_cfd s f) ss
+  | 0 -> Add_cind (pick w.w_cinds)
+  | 1 -> Remove_cind (pick w.w_cinds)
+  | 2 -> Add_cfd (pick w.w_cfds)
+  | 3 -> Remove_cfd (pick w.w_cfds)
   | _ ->
       let rel, tp = pick w.w_inserts in
-      List.iter (fun s -> Cind_session.insert_tuples s ~rel [ tp ]) ss
+      Insert (rel, [ tp ])
 
 (* The query battery after each edit: everything the session answers,
    rendered to strings (witness databases included). *)
-let battery w s ~deep =
+let battery w q ~deep =
   let rels = Db_schema.rel_names w.w_schema in
-  List.map (fun rel -> show (Cind_session.consistent s ~rel)) rels
-  @ List.map (fun g -> show (Cind_session.implies s g)) w.w_goals
-  @ [ string_of_bool (Cind_session.holds s) ]
-  @ (if deep then [ show (Cind_session.check s) ] else [])
-
-let replay ~seed ~cache w =
-  let s = Cind_session.create ~cache ~seed:7 w.w_schema in
-  let rng = Rng.make seed in
-  let steps = 18 in
-  let out = ref [] in
-  for i = 0 to steps - 1 do
-    random_edit rng w [ s ] i;
-    (* [check] races whole-Σ consistency — the expensive probe — so it
-       joins the battery every few steps only *)
-    out := battery w s ~deep:(i mod 6 = 5) :: !out
-  done;
-  (s, List.concat (List.rev !out))
+  List.map (fun rel -> show (q.consistent rel)) rels
+  @ List.map (fun g -> show (q.implies g)) w.w_goals
+  @ [ string_of_bool (q.holds ()) ]
+  @ if deep then [ show (q.check ()) ] else []
 
 let test_incremental_vs_fresh () =
   List.iter
-    (fun seed ->
-      let w = workload (100 + seed) in
-      let cached, got = replay ~seed ~cache:true w in
-      let _, want = replay ~seed ~cache:false w in
+    (fun script ->
+      let w = workload (100 + script) in
+      let s = Cind_session.create ~seed w.w_schema and o = oracle w.w_schema in
+      let rng = Rng.make script in
+      let got = ref [] and want = ref [] in
+      for i = 0 to 17 do
+        apply s o (random_edit rng w);
+        (* [check] is whole-Σ consistency — the expensive probe — so it
+           joins the battery every few steps only *)
+        let deep = i mod 6 = 5 in
+        got := battery w (session_asker s) ~deep :: !got;
+        want := battery w (one_shot_asker o) ~deep :: !want
+      done;
       Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: cached == fresh" seed)
-        want got;
-      let st = Cind_session.stats cached in
+        (Printf.sprintf "script %d: cached == fresh" script)
+        (List.concat (List.rev !want))
+        (List.concat (List.rev !got));
       check_bool
-        (Printf.sprintf "seed %d: the cache actually worked (hits > 0)" seed)
-        true (st.Cind_session.hits > 0))
+        (Printf.sprintf "script %d: the cache actually worked (hits > 0)" script)
+        true
+        ((Cind_session.stats s).Cind_session.hits > 0))
     [ 1; 2; 3 ]
 
-(* --- single-CIND edit re-check: cache vs from-scratch oracle -------------- *)
+(* --- single-CIND edit re-check: cache vs one-shot calls ------------------ *)
 
-(* A cached session and a [~cache:false] oracle over the same Fig 11-style
-   Σ (|Σ| = 200, 10 relations), database and seed.  Each round applies one
-   CIND edit (alternately removing and restoring the first CIND of Σ) to
-   both and re-runs the suite: [consistent] on every relation, [implies]
-   on 8 goals drawn apart from Σ, and [holds].  A single-CIND edit leaves
-   the [consistent] entries valid and dirties only the [implies] entries
+(* A session and one-shot calls over the same Fig 11-style Σ (|Σ| = 200,
+   10 relations), database and seed.  Each round applies one CIND edit
+   (alternately removing and restoring the first CIND of Σ) to both and
+   re-runs the suite: [consistent] on every relation, [implies] on 8
+   goals drawn apart from Σ, and [holds].  A single-CIND edit leaves the
+   [consistent] entries valid and dirties only the [implies] entries
    whose read set saw the edited CIND, so the cached re-check must beat
-   the oracle by at least 2x, with pointwise identical verdicts.  Each
-   rep replays the same even-length remove/restore cycle (state returns
-   to the start); times are minima over reps, verdicts are compared on
-   every rep. *)
+   the one-shot calls by at least 2x, with pointwise identical answers.
+   Each rep replays the same even-length remove/restore cycle (state
+   returns to the start); times are minima over reps, answers are
+   compared on every rep. *)
 let test_single_edit_recheck_speedup () =
   let n = 200 in
   let schema =
@@ -152,43 +222,33 @@ let test_single_edit_recheck_speedup () =
     List.init 8 (fun i ->
         Workload.gen_cind grng wconfig schema ~consistent:(i mod 2 = 0) i)
   in
-  let session ~cache =
-    let s = Cind_session.create ~cache ~seed:7 schema in
-    List.iter (Cind_session.add_cfd s) sigma.Sigma.ncfds;
-    List.iter (Cind_session.add_cind s) sigma.Sigma.ncinds;
-    Database.iter
-      (fun r ->
-        match Relation.tuples r with
-        | [] -> ()
-        | tuples ->
-            Cind_session.insert_tuples s ~rel:(Schema.name (Relation.schema r)) tuples)
-      (Workload.witness_db schema);
-    s
-  in
-  let cached = session ~cache:true and fresh = session ~cache:false in
-  (* one suite pass: its verdicts and its wall-clock *)
-  let suite s =
+  let s = Cind_session.create ~seed schema and o = oracle schema in
+  List.iter (fun f -> apply s o (Add_cfd f)) sigma.Sigma.ncfds;
+  List.iter (fun c -> apply s o (Add_cind c)) sigma.Sigma.ncinds;
+  Database.iter
+    (fun r ->
+      match Relation.tuples r with
+      | [] -> ()
+      | tuples -> apply s o (Insert (Schema.name (Relation.schema r), tuples)))
+    (Workload.witness_db schema);
+  let cached = session_asker s and fresh = one_shot_asker o in
+  (* one suite pass: its answers and its wall-clock *)
+  let suite q =
     let t0 = Unix.gettimeofday () in
     let vs =
-      List.map (fun rel -> show (Cind_session.consistent s ~rel)) rels
-      @ List.map (fun g -> show (Cind_session.implies s g)) goals
-      @ [ string_of_bool (Cind_session.holds s) ]
+      List.map (fun rel -> show (q.consistent rel)) rels
+      @ List.map (fun g -> show (q.implies g)) goals
+      @ [ string_of_bool (q.holds ()) ]
     in
     (vs, Unix.gettimeofday () -. t0)
   in
   (* the cold pass populates the cache; it is not part of the re-check *)
   ignore (suite cached);
-  ignore (suite fresh);
   let edited = List.hd sigma.Sigma.ncinds in
   let rep () =
     List.fold_left
       (fun (cached_s, fresh_s) round ->
-        let edit s =
-          if round mod 2 = 0 then Cind_session.remove_cind s edited
-          else Cind_session.add_cind s edited
-        in
-        edit cached;
-        edit fresh;
+        apply s o (if round mod 2 = 0 then Remove_cind edited else Add_cind edited);
         let got, c = suite cached in
         let want, f = suite fresh in
         Alcotest.(check (list string))
@@ -205,11 +265,51 @@ let test_single_edit_recheck_speedup () =
     Alcotest.failf "single-CIND edit re-check: fresh %.6fs / cached %.6fs = %.2fx < 2x"
       fresh_s cached_s speedup
 
+(* --- determinism ------------------------------------------------------------ *)
+
+(* Two sessions over the same Σ and seed, the second built after the
+   process interned unrelated values and symbols, must give identical
+   [check] and [consistent] answers, witnesses included, and each must be
+   the one-shot call's answer.  Over the paper's bank Σ and a generated
+   consistent Σ. *)
+let test_process_history () =
+  let generated =
+    let rng = Rng.make 31 in
+    let schema = Schema_gen.generate rng { Schema_gen.default with num_relations = 4 } in
+    (schema, Workload.consistent rng { Workload.default with num_constraints = 24 } schema)
+  in
+  List.iter
+    (fun (name, (schema, (sigma : Sigma.nf))) ->
+      let rels = Db_schema.rel_names schema in
+      let answers () =
+        let s = Cind_session.create ~seed schema in
+        List.iter (Cind_session.add_cfd s) sigma.Sigma.ncfds;
+        List.iter (Cind_session.add_cind s) sigma.Sigma.ncinds;
+        show (Cind_session.check s)
+        :: List.map (fun rel -> show (Cind_session.consistent s ~rel)) rels
+      in
+      let first = answers () in
+      for i = 1 to 5 do
+        ignore (Interner.id (Value.Str (Printf.sprintf "unrelated %s %d" name i)));
+        ignore (Interner.symbol (Printf.sprintf "unrelated_%s_%d" name i))
+      done;
+      let second = answers () in
+      let one_shot =
+        show (one_shot_check schema sigma)
+        :: List.map (fun rel -> show (one_shot_consistent schema sigma rel)) rels
+      in
+      Alcotest.(check (list string)) (name ^ ": same answers after interning") first second;
+      Alcotest.(check (list string)) (name ^ ": the one-shot answers") one_shot first)
+    [
+      ("bank", (Conddep_fixtures.Bank.schema, Sigma.normalize Conddep_fixtures.Bank.sigma));
+      ("generated", generated);
+    ]
+
 (* --- read-set precision -------------------------------------------------- *)
 
 let test_unrelated_edit_preserves_entries () =
   let w = workload 222 in
-  let s = Cind_session.create ~seed:7 w.w_schema in
+  let s = Cind_session.create ~seed w.w_schema in
   Array.iter (Cind_session.add_cfd s) w.w_cfds;
   let rels = Db_schema.rel_names w.w_schema in
   List.iter (fun rel -> ignore (Cind_session.consistent s ~rel)) rels;
@@ -295,31 +395,6 @@ let test_budget_cut_not_cached () =
   check_string "implies without the budget" "yes"
     (show (Cind_session.implies s psi))
 
-(* --- fingerprints --------------------------------------------------------- *)
-
-let test_fingerprint_invariance () =
-  let nf name lhs xp =
-    {
-      Cind.nf_name = name;
-      nf_lhs = lhs;
-      nf_rhs = "s";
-      nf_x = [ "a" ];
-      nf_y = [ "c" ];
-      nf_xp = xp;
-      nf_yp = [];
-    }
-  in
-  let a = nf "one" "r" [ ("b", str "u"); ("d", str "v") ] in
-  let b = nf "two" "r" [ ("d", str "v"); ("b", str "u") ] in
-  check_bool "name- and order-insensitive" true
-    (Fingerprint.equal (Fingerprint.cind a) (Fingerprint.cind b));
-  check_bool "different structure separates" false
-    (Fingerprint.equal (Fingerprint.cind a) (Fingerprint.cind (nf "three" "t" [])));
-  check_bool "set fingerprints are order-insensitive" true
-    (Fingerprint.equal
-       (Fingerprint.cind_set [ a; nf "x" "t" [] ])
-       (Fingerprint.cind_set [ nf "x" "t" []; b ]))
-
 let () =
   Alcotest.run "incremental"
     [
@@ -335,16 +410,16 @@ let () =
           Alcotest.test_case "unrelated edits keep entries live" `Quick
             test_unrelated_edit_preserves_entries;
         ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "answers independent of process history" `Quick
+            test_process_history;
+        ] );
       ( "regression",
         [
           Alcotest.test_case "chase contradiction is a definitive No" `Quick
             test_chase_definitive_no;
           Alcotest.test_case "a budget-cut Unknown is not cached" `Quick
             test_budget_cut_not_cached;
-        ] );
-      ( "fingerprint",
-        [
-          Alcotest.test_case "structural invariance" `Quick
-            test_fingerprint_invariance;
         ] );
     ]
