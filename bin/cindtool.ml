@@ -322,6 +322,34 @@ let implies_cmd =
 (* --- prove ------------------------------------------------------------------- *)
 
 let prove_cmd =
+  let prove_row schema rest g =
+    match Proof_search.derive schema ~sigma:rest g with
+    | Some proof -> (
+        Fmt.pr "derivation of %a from the remaining CINDs:@.%a" Cind.pp_nf g
+          Inference.pp_proof proof;
+        match Inference.proves schema ~sigma:rest proof g with
+        | Ok _ ->
+            Fmt.pr "(re-checked by the proof verifier)@.";
+            exit_ok
+        | Error msg ->
+            Fmt.epr "internal error: emitted proof rejected: %s@." msg;
+            exit_undetermined)
+    | None ->
+        Fmt.pr "%a is NOT implied by the remaining CINDs@." Cind.pp_nf g;
+        exit_negative
+    | exception Implication.Budget_exceeded ->
+        (* the search's own max_states cap, as in [implies] *)
+        Fmt.pr "%a@.  undetermined: search budget exceeded@." Cind.pp_nf g;
+        exit_undetermined
+    | exception Guard.Exhausted r ->
+        Fmt.pr "%a@.  undetermined: %s@." Cind.pp_nf g (Guard.reason_to_string r);
+        Fmt.epr "cindtool: resource budget exhausted (%s)@." (Guard.reason_to_string r);
+        print_exhaustion_forensics ();
+        exit_undetermined
+    | exception Invalid_argument msg ->
+        Fmt.epr "%s@." msg;
+        exit_usage
+  in
   let run path goal =
     let doc = load path in
     let nf = Sigma.normalize doc.Parser.sigma in
@@ -332,33 +360,11 @@ let prove_cmd =
     | [] ->
         Fmt.epr "no CIND named %S in %s@." goal path;
         exit_usage
-    | g :: _ -> (
-        match Proof_search.derive doc.Parser.schema ~sigma:rest g with
-        | Some proof -> (
-            Fmt.pr "derivation of %a from the remaining CINDs:@.%a" Cind.pp_nf g
-              Inference.pp_proof proof;
-            match Inference.proves doc.Parser.schema ~sigma:rest proof g with
-            | Ok _ ->
-                Fmt.pr "(re-checked by the proof verifier)@.";
-                exit_ok
-            | Error msg ->
-                Fmt.epr "internal error: emitted proof rejected: %s@." msg;
-                exit_undetermined)
-        | None ->
-            Fmt.pr "%a is NOT implied by the remaining CINDs@." Cind.pp_nf g;
-            exit_negative
-        | exception Implication.Budget_exceeded ->
-            (* the search's own max_states cap, as in [implies] *)
-            Fmt.pr "%a@.  undetermined: search budget exceeded@." Cind.pp_nf g;
-            exit_undetermined
-        | exception Guard.Exhausted r ->
-            Fmt.pr "%a@.  undetermined: %s@." Cind.pp_nf g (Guard.reason_to_string r);
-            Fmt.epr "cindtool: resource budget exhausted (%s)@." (Guard.reason_to_string r);
-            print_exhaustion_forensics ();
-            exit_undetermined
-        | exception Invalid_argument msg ->
-            Fmt.epr "%s@." msg;
-            exit_usage)
+    | goals ->
+        (* every normal-form row of the goal, as in [implies] *)
+        List.fold_left
+          (fun code g -> max code (prove_row doc.Parser.schema rest g))
+          exit_ok goals
   in
   Cmd.v
     (Cmd.info "prove" ~exits

@@ -50,7 +50,22 @@ let state_equal s t =
   && Array.length s.fields = Array.length t.fields
   && Array.for_all2 field_equal s.fields t.fields
 
-let state_hash s = Hashtbl.hash (s.srel, Array.to_list s.fields)
+(* Fold every field into one int without allocating, then mix: a mark
+   contributes its index, a constant its [Value.hash], [Anon] a fixed
+   constant.  [Hashtbl.hash] alone reads only ~10 meaningful words, so
+   shapes that differ past those collide. *)
+let fields_hash h fields =
+  let rec go h i =
+    if i = Array.length fields then Hashtbl.hash h
+    else
+      let f =
+        match fields.(i) with Mark j -> j | Cst v -> Value.hash v | Anon -> 0x2f5b
+      in
+      go ((h * 31) + f) (i + 1)
+  in
+  go h 0
+
+let state_hash s = fields_hash (Hashtbl.hash s.srel) s.fields
 
 module State_tbl = Hashtbl.Make (struct
   type t = state
@@ -70,6 +85,7 @@ type compiled = {
   c_xp : (int * Value.t) list; (* trigger tests on the LHS *)
   c_copy : (int * int) list; (* (lhs position of X_i, rhs position of Y_i) *)
   c_yp : (int * Value.t) list; (* constants forced on the RHS *)
+  c_req : int array; (* RHS positions a requirement names: Y, then Yp *)
   c_free_finite : (int * Value.t list) list; (* builder-chosen RHS fields *)
   c_free_infinite : int list;
 }
@@ -103,6 +119,7 @@ let compile schema (nf : Cind.nf) =
     c_xp = xp;
     c_copy = copy;
     c_yp = yp;
+    c_req = Array.of_list determined;
     c_free_finite = !free_finite;
     c_free_infinite = !free_infinite;
   }
@@ -116,9 +133,20 @@ let requirement c s =
   List.map (fun (xpos, ypos) -> (ypos, s.fields.(xpos))) c.c_copy
   @ List.map (fun (pos, v) -> (pos, Cst v)) c.c_yp
 
-let satisfies_requirement rhs req s' =
-  String.equal s'.srel rhs
-  && List.for_all (fun (pos, f) -> field_equal s'.fields.(pos) f) req
+(* Buckets of the fixpoint: a shape of c's RHS relation meets
+   [requirement c s] iff its fields at [c_req] equal the requirement's
+   fields, in the same order. *)
+let bucket_key c s' = Array.map (fun pos -> s'.fields.(pos)) c.c_req
+let requirement_key c s = Array.of_list (List.map snd (requirement c s))
+
+module Bucket_tbl = Hashtbl.Make (struct
+  type t = int * field array (* CIND index, required fields *)
+
+  let equal (i, k) (j, l) = i = j && Array.for_all2 field_equal k l
+  let hash (i, k) = fields_hash i k
+end)
+
+type bucket = { mutable live : int; mutable dependants : int list }
 
 (* All shapes the builder may create to discharge σ on s: the required
    fields are fixed, free infinite fields are fresh, free finite fields
@@ -201,14 +229,26 @@ let is_witness schema (psi : Cind.nf) ~xvals =
          (List.init (Array.length xvals) Fun.id)
     && List.for_all (fun (pos, v) -> field_equal s.fields.(pos) (Cst v)) yp
 
-(* Does a counterexample model exist from this start shape?  Greatest
-   fixpoint over the reachable shape space.  The shared budget is ticked
-   per explored shape (reachability) and per scanned state (fixpoint), and
-   polled without spending fuel per already-visited child, so a deadline
-   cuts even an exponentially exploding search promptly. *)
+let m_shapes =
+  Telemetry.counter "implication.shapes"
+    ~doc:"shapes explored by exact CIND implication"
+
+(* Does a counterexample model exist from this start shape?  Explore the
+   reachable shape space breadth-first, numbering each shape (the start is
+   0), then compute its greatest fixpoint by counting, after Liu & Smolka
+   (ICALP 1998).  A shape depends on the bucket its requirement under
+   each applicable CIND c names: c and the required fields.  A bucket
+   keeps a live count of the non-witness shapes of c's RHS relation with
+   those fields at c's required positions.  A shape dies when it is a
+   witness or one of its buckets empties; a death decrements the buckets
+   the shape is counted in, and a count reaching 0 kills that bucket's
+   dependants.  Each shape dies at most once and each bucket empties at
+   most once, so the fixpoint is linear in the shape graph (shapes × |Σ|).
+   The shared budget is ticked per explored shape, per shape seeded and
+   per kill, and polled without spending fuel per already-visited child,
+   so a deadline cuts even an exponentially exploding search promptly. *)
 let counterexample_from schema compiled psi ~budget ~max_states ~recorder
     (start, xvals) =
-  let witness = is_witness schema psi ~xvals in
   let visited = State_tbl.create 256 in
   let queue = Queue.create () in
   let push s =
@@ -221,48 +261,96 @@ let counterexample_from schema compiled psi ~budget ~max_states ~recorder
          neither create children nor constrain the fixpoint, so edits to
          it cannot change this derivation. *)
       Read_set.record_rel recorder s.srel;
-      State_tbl.replace visited s ();
+      State_tbl.replace visited s (State_tbl.length visited);
+      Telemetry.incr m_shapes;
       if State_tbl.length visited > max_states then raise Budget_exceeded;
       Queue.push s queue
     end
   in
-  push start;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun c ->
-        if applicable c s then begin
-          Read_set.record_cind recorder c.c_nf;
-          Seq.iter push (children c s)
-        end)
-      compiled
-  done;
-  (* alive = candidate members of a witness-free closed set *)
-  let alive = State_tbl.create (State_tbl.length visited) in
-  State_tbl.iter (fun s () -> if not (witness s) then State_tbl.replace alive s ()) visited;
-  let requirement_met c s =
-    let req = requirement c s in
-    State_tbl.fold
-      (fun s' () found -> found || satisfies_requirement c.c_rhs req s')
-      alive false
+  Telemetry.with_span "implication.explore" (fun () ->
+      push start;
+      while not (Queue.is_empty queue) do
+        let s = Queue.pop queue in
+        List.iter
+          (fun c ->
+            if applicable c s then begin
+              Read_set.record_cind recorder c.c_nf;
+              Seq.iter push (children c s)
+            end)
+          compiled
+      done);
+  Telemetry.with_span "implication.fixpoint" @@ fun () ->
+  let n = State_tbl.length visited in
+  let shapes = Array.make n start in
+  State_tbl.iter (fun s i -> shapes.(i) <- s) visited;
+  let witness = is_witness schema psi ~xvals in
+  let compiled = Array.of_list compiled in
+  let buckets = Bucket_tbl.create n in
+  let bucket key =
+    match Bucket_tbl.find_opt buckets key with
+    | Some b -> b
+    | None ->
+        let b = { live = 0; dependants = [] } in
+        Bucket_tbl.add buckets key b;
+        b
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let dead = ref [] in
-    State_tbl.iter
-      (fun s () ->
-        Guard.tick budget;
-        if
-          List.exists (fun c -> applicable c s && not (requirement_met c s)) compiled
-        then dead := s :: !dead)
-      alive;
-    if !dead <> [] then begin
-      changed := true;
-      List.iter (State_tbl.remove alive) !dead
+  (* dead.(i): shape i belongs to no witness-free closed set.  A witness
+     is dead from the start and depends on nothing. *)
+  let dead = Array.make n false in
+  let used = Array.make (Array.length compiled) false in
+  Array.iteri
+    (fun i s ->
+      Guard.tick budget;
+      if witness s then dead.(i) <- true
+      else
+        Array.iteri
+          (fun ci c ->
+            if applicable c s then begin
+              used.(ci) <- true;
+              let b = bucket (ci, requirement_key c s) in
+              b.dependants <- i :: b.dependants
+            end)
+          compiled)
+    shapes;
+  (* Count the live shapes of each bucket some requirement names; the
+     other shapes of c's RHS relation meet no requirement. *)
+  let counted_in = Array.make n [] in
+  Array.iteri
+    (fun ci c ->
+      if used.(ci) then
+        Array.iteri
+          (fun i s ->
+            if (not dead.(i)) && String.equal c.c_rhs s.srel then
+              match Bucket_tbl.find_opt buckets (ci, bucket_key c s) with
+              | Some b ->
+                  b.live <- b.live + 1;
+                  counted_in.(i) <- b :: counted_in.(i)
+              | None -> ())
+          shapes)
+    compiled;
+  let work = ref [] in
+  let kill i =
+    if not dead.(i) then begin
+      Guard.tick budget;
+      dead.(i) <- true;
+      work := i :: !work
     end
-  done;
-  State_tbl.mem alive start
+  in
+  Bucket_tbl.iter (fun _ b -> if b.live = 0 then List.iter kill b.dependants) buckets;
+  let rec drain () =
+    match !work with
+    | i :: rest when not dead.(0) ->
+        work := rest;
+        List.iter
+          (fun b ->
+            b.live <- b.live - 1;
+            if b.live = 0 then List.iter kill b.dependants)
+          counted_in.(i);
+        drain ()
+    | _ -> ()
+  in
+  drain ();
+  not dead.(0)
 
 (* --- three-valued interface ------------------------------------------------ *)
 

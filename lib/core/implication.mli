@@ -11,8 +11,12 @@ open Conddep_relational
     without finite-domain attributes the analysis degenerates into plain
     reachability, matching the PSPACE bound of Theorem 3.5.
 
-    The procedure is exact but worst-case exponential; a state budget
-    bounds the search. *)
+    The reachable shapes are explored breadth-first; the greatest
+    fixpoint is then computed by counting (Liu & Smolka, ICALP 1998):
+    each shape dies at most once and each requirement bucket empties at
+    most once, so the fixpoint costs O(shapes × |Σ|), linear in the shape
+    graph.  The procedure is exact but worst-case exponential, because
+    the shape space is; a state budget bounds the search. *)
 
 exception Budget_exceeded
 (** The shape space exceeded [max_states]; the answer is unknown. *)

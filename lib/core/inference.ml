@@ -286,5 +286,7 @@ let pp_line ppf = function
   | Axiom nf -> Fmt.pf ppf "axiom  %a" Cind.pp_nf nf
   | Infer rule -> Fmt.pf ppf "infer  %a" pp_rule rule
 
+(* One line per proof line: an [h] box keeps the lists' break hints
+   from wrapping it. *)
 let pp_proof ppf proof =
-  List.iteri (fun i line -> Fmt.pf ppf "(%d) %a@." i pp_line line) proof
+  List.iteri (fun i line -> Fmt.pf ppf "@[<h>(%d) %a@]@." i pp_line line) proof

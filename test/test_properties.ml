@@ -246,6 +246,132 @@ let prop_proof_search_complete seed =
       | Implication.Implied, None | Implication.Not_implied, Some _ -> false)
     sigma
 
+(* The counting fixpoint of [Implication.decide] against the round-based
+   oracle, on families whose shape spaces the oracle's quadratic rounds
+   still finish: random Σ over finite domains of 2–3 values (goals inside
+   and outside Σ), Table 1's finite chain with k ≤ 8, the permutation
+   families P_4 and P_5, and the generalised bank of Example 3.4, whole
+   and with one route missing. *)
+let cind name lhs rhs ?(xp = []) ?(yp = []) x y =
+  { Cind.nf_name = name; nf_lhs = lhs; nf_rhs = rhs; nf_x = x; nf_y = y; nf_xp = xp; nf_yp = yp }
+
+let strings names = List.map (fun a -> Attribute.make a Domain.string_inf) names
+
+let finite_family seed =
+  let rng = Rng.make seed in
+  let schema =
+    Schema_gen.generate rng
+      {
+        Schema_gen.num_relations = 2 + (seed mod 3);
+        min_arity = 2;
+        max_arity = 4;
+        finite_ratio = 0.8;
+        finite_dom_min = 2;
+        finite_dom_max = 3;
+      }
+  in
+  let cinds =
+    (Workload.random rng
+       { Workload.default with num_constraints = 20; cfd_fraction = 0. }
+       schema)
+      .Sigma.ncinds
+  in
+  (schema, List.filteri (fun i _ -> i < 6) cinds, List.nth cinds (seed mod 9))
+
+let chain_family k =
+  let bit = Domain.finite [ Value.Str "0"; Value.Str "1" ] in
+  let schema =
+    Db_schema.make
+      [
+        Schema.make "src" (strings [ "a" ]);
+        Schema.make "mid"
+          (strings [ "a" ] @ List.init k (fun i -> Attribute.make (Printf.sprintf "f%d" i) bit));
+        Schema.make "tgt" (strings [ "a" ]);
+      ]
+  in
+  ( schema,
+    [ cind "src_mid" "src" "mid" [ "a" ] [ "a" ]; cind "mid_tgt" "mid" "tgt" [ "a" ] [ "a" ] ],
+    cind "goal" "src" "tgt" [ "a" ] [ "a" ] )
+
+(* P_n: swap and cyc reach all n! orderings of the trigger's marks;
+   [goal] (into s) is not implied, [back] (cyc inverted) is. *)
+let perm_family n ~back =
+  let a = List.init n (fun i -> Printf.sprintf "a%d" (i + 1)) in
+  let schema = Db_schema.make [ Schema.make "r" (strings a); Schema.make "s" (strings a) ] in
+  let rotate = function [] -> [] | h :: t -> t @ [ h ] in
+  let swap = match a with a1 :: a2 :: t -> a2 :: a1 :: t | l -> l in
+  let sigma = [ cind "swap" "r" "r" a swap; cind "cyc" "r" "r" a (rotate a) ] in
+  let psi =
+    if back then cind "back" "r" "r" a (List.rev (rotate (List.rev a)))
+    else cind "goal" "r" "s" a a
+  in
+  (schema, sigma, psi)
+
+(* account[at] ⊆ interest[at] through one table per account type: each
+   type's route fixes the branch, each table's rate fixes the type. *)
+let bank_family m ~broken =
+  let types = List.init m (fun i -> Value.Str (Printf.sprintf "type%d" i)) in
+  let at = Attribute.make "at" (Domain.finite types) in
+  let person = [ "an"; "cn"; "ca"; "cp" ] in
+  let table t = "acct_" ^ Value.to_string t in
+  let branch = Value.Str "EDI" in
+  let schema =
+    Db_schema.make
+      ((Schema.make "account" (strings person @ [ at ])
+       :: List.map (fun t -> Schema.make (table t) (strings (person @ [ "ab" ]))) types)
+      @ [ Schema.make "interest" (strings [ "ab"; "ct" ] @ [ at ] @ strings [ "rt" ]) ])
+  in
+  let sigma =
+    List.concat
+      (List.mapi
+         (fun i t ->
+           let route =
+             cind "route" "account" (table t) person person ~xp:[ ("at", t) ]
+               ~yp:[ ("ab", branch) ]
+           and rate =
+             cind "rate" (table t) "interest" [] [] ~xp:[ ("ab", branch) ]
+               ~yp:[ ("ab", branch); ("at", t); ("ct", Value.Str "UK"); ("rt", Value.Str (Printf.sprintf "%d%%" (i + 1))) ]
+           in
+           if broken && i = 0 then [ rate ] else [ route; rate ])
+         types)
+  in
+  (schema, sigma, cind "goal" "account" "interest" [ "at" ] [ "at" ])
+
+let oracle_case seed =
+  match seed mod 5 with
+  | 0 -> finite_family seed
+  | 1 -> chain_family (seed / 5 mod 9)
+  | 2 -> perm_family (4 + (seed / 5 mod 2)) ~back:(seed / 10 mod 2 = 0)
+  | 3 -> bank_family (2 + (seed / 5 mod 3)) ~broken:false
+  | _ -> bank_family (2 + (seed / 5 mod 3)) ~broken:true
+
+let prop_oracle_agrees ~implied ~not_implied seed =
+  let schema, sigma, psi = oracle_case seed in
+  match
+    ( Implication.decide ~max_states:2_000 schema ~sigma psi,
+      Implication_oracle.decide ~max_states:2_000 schema ~sigma psi )
+  with
+  | Implication.Undetermined _, _ | _, Implication.Undetermined _ ->
+      QCheck.assume_fail ()
+  | v, v' ->
+      incr (if v = Implication.Implied then implied else not_implied);
+      v = v'
+
+(* Both verdicts must occur, or the agreement says nothing: the run
+   reports and checks its verdict counts. *)
+let test_oracle_agreement =
+  let implied = ref 0 and not_implied = ref 0 in
+  let name, speed, run =
+    qtest ~count:200 "counting fixpoint agrees with the oracle" seed_gen
+      (prop_oracle_agrees ~implied ~not_implied)
+  in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Fmt.pr "oracle agreement: %d implied, %d not implied@." !implied !not_implied;
+      check_bool "both verdicts occur" true (!implied > 0 && !not_implied > 0) )
+
 (* Dirty databases for the detection properties: small and very dirty, and
    larger with a tenth of the fields corrupted (bigger X-groups). *)
 let dirty_databases seed schema =
@@ -442,6 +568,7 @@ let () =
             prop_rule_conclusions_implied;
           qtest ~count:25 "proof search complete over infinite domains" seed_gen
             prop_proof_search_complete;
+          test_oracle_agreement;
         ] );
       ( "chase",
         [
