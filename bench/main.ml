@@ -66,12 +66,6 @@ let () =
     (if full then "FULL (paper-scale)" else "QUICK (use --full for paper-scale)");
   (* count events alongside wall-clock: every series prints a counter diff *)
   Telemetry.enable ();
-  Telemetry.register_gauge "interner.values"
-    ~doc:"distinct values interned into the global id table"
-    Conddep_relational.Interner.value_count;
-  Telemetry.register_gauge "interner.symbols"
-    ~doc:"distinct relation/attribute symbols interned"
-    Conddep_relational.Interner.symbol_count;
   let start = Unix.gettimeofday () in
   List.iter (fun (_, f) -> f scale) selected;
   Fmt.pr "@.total: %.1fs@." (Unix.gettimeofday () -. start)

@@ -887,24 +887,6 @@ let extract_globals argv =
 let setup_profiling ~profile ~table =
   if profile <> None || table then begin
     Telemetry.enable_profiling ();
-    (* Interner table sizes as pull-based gauges: lib/relational cannot
-       depend on telemetry, so the application registers the closures. *)
-    Telemetry.register_gauge "interner.values"
-      ~doc:"distinct values interned into the global id table"
-      Interner.value_count;
-    Telemetry.register_gauge "interner.symbols"
-      ~doc:"distinct relation/attribute symbols interned"
-      Interner.symbol_count;
-    (* Store doublings: a counter, plus an instant marker on the growing
-       domain's trace track (the copy-under-mutex hiccup is otherwise
-       invisible). *)
-    let m_growths =
-      Telemetry.counter "interner.growths"
-        ~doc:"interner store doublings (whole-table copies under the mutex)"
-    in
-    Interner.set_growth_hook (fun tname cap ->
-        Telemetry.incr m_growths;
-        Telemetry.instant (Printf.sprintf "interner.%s.grow:%d" tname cap));
     (match profile with
     | Some path ->
         at_exit (fun () ->

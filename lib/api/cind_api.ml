@@ -68,9 +68,6 @@ let implies_many ?budget ?max_states schema ~sigma goals =
   List.map of_outcome
     (Implication.implies_many ?budget ?max_states schema ~sigma goals)
 
-let implies_cfd ?budget ?max_nodes schema ~sigma phi =
-  of_outcome (Cfd_implication.decide ?budget ?max_nodes schema ~sigma phi)
-
 let preprocess ?backend ?budget ?k_cfd ~rng schema sigma =
   match Preprocessing.run ?backend ?budget ?k_cfd ~rng schema sigma with
   | Preprocessing.Consistent db -> Yes (Some db)

@@ -119,16 +119,6 @@ val implies_many :
     running the (rng-free) per-goal searches one after another.  Maps
     {!Implication.implies_many}. *)
 
-val implies_cfd :
-  ?budget:Guard.t ->
-  ?max_nodes:int ->
-  Db_schema.t ->
-  sigma:Cfd.nf list ->
-  Cfd.nf ->
-  verdict
-(** Exact CFD implication (coNP-complete).  Maps
-    {!Cfd_implication.decide}. *)
-
 (** {1 preProcessing alone (Fig 7)} *)
 
 val preprocess :

@@ -401,13 +401,6 @@ let run ?(instantiated = false) ?budget ~config ~rng schema compiled db =
     Telemetry.incr m_budget_exceeded;
     Exhausted r
 
-(* Apply a random valuation ρ to every remaining finite-domain variable
-   (the paper's ρ(D)).  When [avoid] lists the constants of Σ, values
-   outside it are preferred: such a value matches no pattern and so behaves
-   like a fresh value of an infinite domain (cf. Example 3.2's remark) —
-   frozen choices then cannot trigger constraints later.  Domains fully
-   covered by constants fall back to uniform choice, which is where the
-   K_CFD accuracy trade-off of Fig 10(b) lives. *)
 (* Constants forced as CFD conclusions, per (relation, attribute) — the
    values later FD steps may demand of a column. *)
 let conclusion_constants schema cfds =
@@ -420,6 +413,13 @@ let conclusion_constants schema cfds =
       | Pattern.Wildcard -> None)
     cfds
 
+(* Apply a random valuation ρ to every remaining finite-domain variable
+   (the paper's ρ(D)).  When [avoid] lists the constants of Σ, values
+   outside it are preferred: such a value matches no pattern and so behaves
+   like a fresh value of an infinite domain (cf. Example 3.2's remark) —
+   frozen choices then cannot trigger constraints later.  Domains fully
+   covered by constants fall back to uniform choice, which is where the
+   K_CFD accuracy trade-off of Fig 10(b) lives. *)
 let instantiate_finite_vars ?(prefer = fun _ _ -> []) ?(avoid = []) rng db =
   let schema = Template.schema db in
   let avoid_set = Value.Set.of_list avoid in

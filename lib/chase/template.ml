@@ -5,13 +5,10 @@ open Conddep_relational
    var[A].  The paper's total order places every variable below every
    constant; variables are ordered lexicographically.
 
-   Representation notes: each relation carries, next to its tuple list, a
-   persistent set of integer-encoded tuple keys and a cached cardinal, so
-   [add] and [cardinal] are O(arity · log n) instead of O(arity · n) scans
-   — [add] sits on the chase's hottest path.  The template additionally
-   tracks, per variable, the set of relations the variable occurs in, so
-   a substitution only rewrites the relations (and within them, the
-   tuples) that actually contain the variable. *)
+   A template is its schema plus one tuple list per relation, newest
+   tuple first.  [add] and [subst] scan those lists: RandomChecking and
+   CFD_Checking start from a one-tuple seed, and the chase keeps
+   templates to a handful of tuples per relation (DESIGN.md §10). *)
 
 type var = { vrel : string; vattr : string; vidx : int }
 
@@ -67,54 +64,13 @@ let tuple_compare (a : tuple) (b : tuple) =
 let pp_tuple ppf (t : tuple) =
   Fmt.pf ppf "(%a)" Fmt.(list ~sep:comma pp_cell) (Array.to_list t)
 
+let tuple_equal a b = tuple_compare a b = 0
+
 module String_map = Map.Make (String)
-module String_set = Set.Make (String)
-module Var_map = Map.Make (struct
-  type t = var
-
-  let compare = var_compare
-end)
-
-(* --- integer tuple keys ------------------------------------------------------
-   A tuple is encoded as a flat int list, cell by cell: constants as
-   [0; value-id] (global interner), variables as [1; rel-id; attr-id; idx]
-   (symbol interner).  The per-cell tags make the concatenation prefix-free,
-   so the encoding is injective and key equality is tuple equality. *)
-
-module Key = struct
-  type t = int list
-
-  let rec compare a b =
-    match a, b with
-    | [], [] -> 0
-    | [], _ -> -1
-    | _, [] -> 1
-    | x :: a, y :: b -> ( match Int.compare x y with 0 -> compare a b | c -> c)
-end
-
-module Key_set = Set.Make (Key)
-
-let key_of_tuple (t : tuple) : Key.t =
-  Array.fold_right
-    (fun cell acc ->
-      match cell with
-      | C v -> 0 :: Interner.id v :: acc
-      | V { vrel; vattr; vidx } ->
-          1 :: Interner.symbol vrel :: Interner.symbol vattr :: vidx :: acc)
-    t []
-
-type rel_store = {
-  rs_tuples : tuple list;
-  rs_keys : Key_set.t;
-  rs_count : int;
-}
-
-let empty_store = { rs_tuples = []; rs_keys = Key_set.empty; rs_count = 0 }
 
 type t = {
   schema : Db_schema.t;
-  rels : rel_store String_map.t;
-  occs : String_set.t Var_map.t; (* var -> relations it (may) occur in *)
+  rels : tuple list String_map.t; (* newest first *)
 }
 
 let empty schema =
@@ -122,128 +78,52 @@ let empty schema =
     schema;
     rels =
       List.fold_left
-        (fun acc r -> String_map.add (Schema.name r) empty_store acc)
+        (fun acc r -> String_map.add (Schema.name r) [] acc)
         String_map.empty (Db_schema.relations schema);
-    occs = Var_map.empty;
   }
 
 let schema t = t.schema
 
-let store t rel =
+let tuples t rel =
   match String_map.find_opt rel t.rels with
-  | Some rs -> rs
+  | Some tuples -> tuples
   | None -> invalid_arg (Printf.sprintf "Template.tuples: no relation %S" rel)
 
-let tuples t rel = (store t rel).rs_tuples
-let cardinal t rel = (store t rel).rs_count
-let total t = String_map.fold (fun _ rs acc -> acc + rs.rs_count) t.rels 0
-
-(* Record every variable of [tuple] as (possibly) occurring in [rel]. *)
-let note_occurrences occs rel (tuple : tuple) =
-  Array.fold_left
-    (fun occs cell ->
-      match cell with
-      | C _ -> occs
-      | V v ->
-          let rels = Option.value ~default:String_set.empty (Var_map.find_opt v occs) in
-          if String_set.mem rel rels then occs
-          else Var_map.add v (String_set.add rel rels) occs)
-    occs tuple
+let cardinal t rel = List.length (tuples t rel)
+let total t = String_map.fold (fun _ tuples acc -> acc + List.length tuples) t.rels 0
 
 let add t rel tuple =
-  let rs = store t rel in
-  let key = key_of_tuple tuple in
-  if Key_set.mem key rs.rs_keys then t
-  else
-    let rs =
-      {
-        rs_tuples = tuple :: rs.rs_tuples;
-        rs_keys = Key_set.add key rs.rs_keys;
-        rs_count = rs.rs_count + 1;
-      }
-    in
-    {
-      t with
-      rels = String_map.add rel rs t.rels;
-      occs = note_occurrences t.occs rel tuple;
-    }
+  let tuples = tuples t rel in
+  if List.exists (tuple_equal tuple) tuples then t
+  else { t with rels = String_map.add rel (tuple :: tuples) t.rels }
 
 (* --- substitution ------------------------------------------------------------
    Global substitution of one variable by a cell — the chase FD operation
    identifies values, and a variable denotes the same value everywhere.
 
-   Only the relations recorded in [occs] for the variable are visited, and
-   within them only the tuples that actually contain the variable are
-   rewritten; every other tuple (and every other relation's store) is
-   shared physically with the input template.  The occurrence map is an
-   over-approximation (a merged-away tuple's other variables keep their
-   entry), which costs at most a wasted scan later, never a missed one.
-
-   A template in which no tuple contains the variable is returned as is. *)
-
-let tuple_contains var (tuple : tuple) =
-  Array.exists
-    (fun cell -> match cell with V v -> var_compare v var = 0 | C _ -> false)
-    tuple
+   Tuples are rewritten in list order and keep their positions.  A
+   rewritten tuple equal to an untouched tuple, or to a rewritten tuple
+   already kept, is dropped — set semantics, first occurrence wins. *)
 
 let subst t var by =
-  match Var_map.find_opt var t.occs with
-  | None -> t
-  | Some rels_with_var ->
-      let replace cell =
-        match cell with V v when var_compare v var = 0 -> by | _ -> cell
-      in
-      let rewrite_rel rel t =
-        let rs = store t rel in
-        if not (List.exists (tuple_contains var) rs.rs_tuples) then t
-        else begin
-          (* Rewrite in list order; a rewritten tuple equal to any tuple
-             already kept (or kept later untouched) is dropped — set
-             semantics, first occurrence wins. *)
-          let keys = ref rs.rs_keys in
-          let rev_tuples =
-            List.fold_left
-              (fun acc tuple ->
-                if not (tuple_contains var tuple) then tuple :: acc
-                else begin
-                  let tuple' = Array.map replace tuple in
-                  keys := Key_set.remove (key_of_tuple tuple) !keys;
-                  let key' = key_of_tuple tuple' in
-                  if Key_set.mem key' !keys then acc (* merged away *)
-                  else begin
-                    keys := Key_set.add key' !keys;
-                    tuple' :: acc
-                  end
-                end)
-              [] rs.rs_tuples
-          in
-          let rs' =
-            {
-              rs_tuples = List.rev rev_tuples;
-              rs_keys = !keys;
-              rs_count = Key_set.cardinal !keys;
-            }
-          in
-          { t with rels = String_map.add rel rs' t.rels }
-        end
-      in
-      let t' = String_set.fold rewrite_rel rels_with_var t in
-      if t' == t then t
-      else begin
-        (* Drop the substituted variable; record the replacement cell's
-           variable (if any) as occurring wherever the old one did. *)
-        let occs = Var_map.remove var t'.occs in
-        let occs =
-          match by with
-          | C _ -> occs
-          | V u ->
-              let rels =
-                Option.value ~default:String_set.empty (Var_map.find_opt u occs)
-              in
-              Var_map.add u (String_set.union rels rels_with_var) occs
-        in
-        { t' with occs }
-      end
+  let is_var = function V v -> var_compare v var = 0 | C _ -> false in
+  let contains (tuple : tuple) = Array.exists is_var tuple in
+  let rewrite tuples =
+    if not (List.exists contains tuples) then tuples
+    else
+      let untouched = List.filter (fun tuple -> not (contains tuple)) tuples in
+      List.fold_left
+        (fun kept tuple ->
+          if not (contains tuple) then tuple :: kept
+          else
+            let tuple' = Array.map (fun cell -> if is_var cell then by else cell) tuple in
+            if List.exists (tuple_equal tuple') kept || List.exists (tuple_equal tuple') untouched
+            then kept
+            else tuple' :: kept)
+        [] tuples
+      |> List.rev
+  in
+  { t with rels = String_map.map rewrite t.rels }
 
 (* The constants currently present in one column of one relation. *)
 let column_constants t ~rel ~attr =
@@ -261,7 +141,7 @@ let column_constants t ~rel ~attr =
 
 let variables t =
   String_map.fold
-    (fun _ rs acc ->
+    (fun _ tuples acc ->
       List.fold_left
         (fun acc tuple ->
           Array.fold_left
@@ -270,7 +150,7 @@ let variables t =
               | V v -> if List.exists (fun u -> var_compare u v = 0) acc then acc else v :: acc
               | C _ -> acc)
             acc tuple)
-        acc rs.rs_tuples)
+        acc tuples)
     t.rels []
 
 (* Variables whose attribute has a finite domain — the set the paper's
@@ -316,7 +196,7 @@ let to_database ?(avoid = []) t =
     | None -> assert false
   in
   String_map.fold
-    (fun rel rs db ->
+    (fun rel tuples db ->
       List.fold_left
         (fun db tuple ->
           let concrete =
@@ -324,14 +204,13 @@ let to_database ?(avoid = []) t =
               (List.map (function C value -> value | V v -> lookup v) (Array.to_list tuple))
           in
           Database.add_tuple db rel concrete)
-        db rs.rs_tuples)
+        db tuples)
     t.rels
     (Database.empty t.schema)
 
 let pp ppf t =
   String_map.iter
-    (fun rel rs ->
-      if rs.rs_tuples <> [] then
-        Fmt.pf ppf "@[<v2>%s:@ %a@]@." rel Fmt.(list ~sep:cut pp_tuple)
-          (List.rev rs.rs_tuples))
+    (fun rel tuples ->
+      if tuples <> [] then
+        Fmt.pf ppf "@[<v2>%s:@ %a@]@." rel Fmt.(list ~sep:cut pp_tuple) (List.rev tuples))
     t.rels

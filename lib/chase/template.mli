@@ -1,7 +1,9 @@
 open Conddep_relational
 
 (** Database templates for the extended chase (Section 5.1): databases whose
-    fields may be variables from the bounded pools [var\[A\]]. *)
+    fields may be variables from the bounded pools [var\[A\]].  A template
+    is its schema plus one tuple list per relation, newest tuple first;
+    templates stay small, so {!add} and {!subst} scan those lists. *)
 
 type var = { vrel : string; vattr : string; vidx : int }
 
@@ -32,7 +34,7 @@ val empty : Db_schema.t -> t
 val schema : t -> Db_schema.t
 
 val tuples : t -> string -> tuple list
-(** @raise Invalid_argument on an unknown relation. *)
+(** Newest tuple first.  @raise Invalid_argument on an unknown relation. *)
 
 val cardinal : t -> string -> int
 val total : t -> int
@@ -42,7 +44,8 @@ val add : t -> string -> tuple -> t
 
 val subst : t -> var -> cell -> t
 (** Global substitution of a variable (a variable denotes one value).
-    Rewritten tuples that become equal to another tuple merge into it. *)
+    Tuples keep their order.  A rewritten tuple equal to an untouched
+    tuple, or to an earlier rewritten tuple, is dropped. *)
 
 val column_constants : t -> rel:string -> attr:string -> Value.t list
 (** Constants currently occurring in one attribute column of a relation. *)

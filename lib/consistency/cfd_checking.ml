@@ -14,7 +14,7 @@ open Conddep_sat
    - [Chase]: the bounded chase described above (incomplete for small
      K_CFD — the accuracy experiment of Fig 10(b));
    - [Sat]: reduction of the single-tuple CSP to CNF, decided by the
-     complete DPLL solver (stands in for SAT4j). *)
+     complete CDCL solver (stands in for SAT4j). *)
 
 type backend =
   | Chase_backend
@@ -52,23 +52,20 @@ let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
       match Template.finite_variables db with
       | [] -> Instantiated db
       | _ ->
-          (* Group the demanded constants by interned (relation, attribute)
-             once, instead of a string-comparing scan per variable per
-             K_CFD attempt. *)
+          (* Group the demanded constants by (relation, attribute) once,
+             instead of a scan per variable per K_CFD attempt. *)
           let demanded =
             Chase.conclusion_constants (Template.schema db) compiled_cfds
           in
           let demanded_tbl = Hashtbl.create 16 in
           List.iter
-            (fun ((r, a), v) ->
-              let key = (Interner.symbol r, Interner.symbol a) in
+            (fun (key, v) ->
               Hashtbl.replace demanded_tbl key
                 (v :: Option.value ~default:[] (Hashtbl.find_opt demanded_tbl key)))
             demanded;
           Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) demanded_tbl;
           let prefer rel attr =
-            Option.value ~default:[]
-              (Hashtbl.find_opt demanded_tbl (Interner.symbol rel, Interner.symbol attr))
+            Option.value ~default:[] (Hashtbl.find_opt demanded_tbl (rel, attr))
           in
           let rec attempts k =
             if k <= 0 then begin

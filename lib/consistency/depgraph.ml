@@ -6,99 +6,72 @@ open Conddep_core
    preProcessing mutates the graph (extends CFD sets, deletes vertices), so
    the structure is imperative.
 
-   Internally every vertex is the relation's interned symbol id
-   ([Interner.symbol]): traversals (Tarjan, union-find, liveness) hash and
-   compare ints instead of re-hashing strings on every step.  The public
-   API stays in terms of relation names. *)
-
-let sym = Interner.symbol
-let name = Interner.symbol_name
+   Every order is fixed by the input: vertices and components follow the
+   schema, successors and predecessors follow Σ (the position of the first
+   CIND on each edge), so traversals do not depend on hashing. *)
 
 type t = {
   schema : Db_schema.t;
-  cfds : (int, Cfd.nf list) Hashtbl.t;
+  cfds : (string, Cfd.nf list) Hashtbl.t;
   all_cinds : Cind.nf list;
-  edge_labels : (int * int, Cind.nf list) Hashtbl.t; (* src, dst *)
-  out_edges : (int, int list) Hashtbl.t;
-  in_edges : (int, int list) Hashtbl.t;
-  mutable live : int list; (* deterministic (schema) order *)
-  live_set : (int, unit) Hashtbl.t; (* O(1) membership *)
+  edge_labels : (string * string, Cind.nf list) Hashtbl.t; (* src, dst *)
+  edge_list : (string * string) list; (* Σ order of each edge's first CIND *)
+  mutable live : string list; (* schema order *)
 }
 
 let make schema (sigma : Sigma.nf) =
   Telemetry.with_span "checking.depgraph.build" @@ fun () ->
   let cfds = Hashtbl.create 16 in
-  let rels = List.map sym (Db_schema.rel_names schema) in
+  let rels = Db_schema.rel_names schema in
   List.iter
     (fun r ->
       Hashtbl.replace cfds r
-        (List.filter (fun c -> sym c.Cfd.nf_rel = r) sigma.Sigma.ncfds))
+        (List.filter (fun c -> String.equal c.Cfd.nf_rel r) sigma.Sigma.ncfds))
     rels;
   let edge_labels = Hashtbl.create 64 in
-  List.iter
-    (fun (c : Cind.nf) ->
-      let key = (sym c.Cind.nf_lhs, sym c.nf_rhs) in
-      Hashtbl.replace edge_labels key
-        (c :: Option.value ~default:[] (Hashtbl.find_opt edge_labels key)))
-    sigma.ncinds;
-  let out_edges = Hashtbl.create 64 and in_edges = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (src, dst) _ ->
-      Hashtbl.replace out_edges src
-        (dst :: Option.value ~default:[] (Hashtbl.find_opt out_edges src));
-      Hashtbl.replace in_edges dst
-        (src :: Option.value ~default:[] (Hashtbl.find_opt in_edges dst)))
-    edge_labels;
-  let live_set = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace live_set r ()) rels;
-  {
-    schema;
-    cfds;
-    all_cinds = sigma.Sigma.ncinds;
-    edge_labels;
-    out_edges;
-    in_edges;
-    live = rels;
-    live_set;
-  }
+  let edge_list =
+    List.fold_left
+      (fun edge_list (c : Cind.nf) ->
+        let key = (c.Cind.nf_lhs, c.nf_rhs) in
+        match Hashtbl.find_opt edge_labels key with
+        | Some cinds ->
+            Hashtbl.replace edge_labels key (c :: cinds);
+            edge_list
+        | None ->
+            Hashtbl.replace edge_labels key [ c ];
+            key :: edge_list)
+      [] sigma.ncinds
+    |> List.rev
+  in
+  { schema; cfds; all_cinds = sigma.Sigma.ncinds; edge_labels; edge_list; live = rels }
 
 let schema t = t.schema
-let live t = List.map name t.live
-let live_id t r = Hashtbl.mem t.live_set r
-let is_live t r = live_id t (sym r)
+let live t = t.live
+let is_live t r = List.mem r t.live
 
-let cfd_set_id t r = match Hashtbl.find_opt t.cfds r with Some l -> l | None -> []
-let cfd_set t r = cfd_set_id t (sym r)
+let cfd_set t r = match Hashtbl.find_opt t.cfds r with Some l -> l | None -> []
 
-let add_cfds t r extra =
-  let r = sym r in
-  Hashtbl.replace t.cfds r (extra @ cfd_set_id t r)
+let add_cfds t r extra = Hashtbl.replace t.cfds r (extra @ cfd_set t r)
 
-let remove t r =
-  let r = sym r in
-  Hashtbl.remove t.live_set r;
-  t.live <- List.filter (fun x -> x <> r) t.live
+let remove t r = t.live <- List.filter (fun x -> not (String.equal x r)) t.live
 
 (* CINDs of Σ between two live vertices — the edge label CIND(Ri, Rj). *)
 let cinds_between t ~src ~dst =
-  Option.value ~default:[] (Hashtbl.find_opt t.edge_labels (sym src, sym dst))
+  Option.value ~default:[] (Hashtbl.find_opt t.edge_labels (src, dst))
 
-let successors_id t r =
-  List.filter (live_id t) (Option.value ~default:[] (Hashtbl.find_opt t.out_edges r))
-
-let successors t r = List.map name (successors_id t (sym r))
+let successors t r =
+  List.filter_map
+    (fun (s, d) -> if String.equal s r && is_live t d then Some d else None)
+    t.edge_list
 
 let predecessors t r =
-  List.map name
-    (List.filter (live_id t)
-       (Option.value ~default:[] (Hashtbl.find_opt t.in_edges (sym r))))
+  List.filter_map
+    (fun (s, d) -> if String.equal d r && is_live t s then Some s else None)
+    t.edge_list
 
 let indegree t r = List.length (predecessors t r)
 
-let edges_id t =
-  List.concat_map (fun s -> List.map (fun d -> (s, d)) (successors_id t s)) t.live
-
-let edges t = List.map (fun (s, d) -> (name s, name d)) (edges_id t)
+let edges t = List.concat_map (fun s -> List.map (fun d -> (s, d)) (successors t s)) t.live
 
 (* Tarjan's strongly-connected-components algorithm.  SCCs are emitted in
    reverse topological order of the condensation: every SCC appears after
@@ -127,7 +100,7 @@ let sccs t =
         end
         else if Hashtbl.find_opt on_stack w = Some true then
           Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (successors_id t v);
+      (successors t v);
     if Hashtbl.find lowlink v = Hashtbl.find index v then begin
       let rec pop acc =
         match !stack with
@@ -141,7 +114,7 @@ let sccs t =
     end
   in
   List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) t.live;
-  List.rev_map (List.map name) !components
+  List.rev !components
 
 (* Topological processing order for Fig 7: flatten the SCCs in Tarjan's
    emission order (reverse topological on the condensation). *)
@@ -164,26 +137,25 @@ let weak_components t =
     if ra <> rb then Hashtbl.replace parent ra rb
   in
   List.iter (fun r -> Hashtbl.replace parent r r) t.live;
-  List.iter (fun (s, d) -> union s d) (edges_id t);
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let root = find r in
-      Hashtbl.replace groups root
-        (r :: Option.value ~default:[] (Hashtbl.find_opt groups root)))
-    t.live;
-  Hashtbl.fold (fun _ members acc -> List.rev_map name members :: acc) groups []
+  List.iter (fun (s, d) -> union s d) (edges t);
+  (* one component per root, in schema order of its first member *)
+  let roots =
+    List.fold_left
+      (fun roots r ->
+        let root = find r in
+        if List.mem root roots then roots else root :: roots)
+      [] t.live
+  in
+  List.rev_map (fun root -> List.filter (fun r -> find r = root) t.live) roots
 
 (* The constraints over one component: its (extended) CFD sets plus the
    CINDs both of whose endpoints lie inside. *)
 let component_sigma t members =
-  let inside = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace inside (sym r) ()) members;
   {
     Sigma.ncfds = List.concat_map (cfd_set t) members;
     ncinds =
       List.filter
-        (fun c -> Hashtbl.mem inside (sym c.Cind.nf_lhs) && Hashtbl.mem inside (sym c.nf_rhs))
+        (fun c -> List.mem c.Cind.nf_lhs members && List.mem c.nf_rhs members)
         t.all_cinds;
   }
 

@@ -95,25 +95,19 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
   let avoid =
     List.map (fun (_, _, v) -> v) (Sigma.constants sigma) |> List.sort_uniq Value.compare
   in
-  (* The work queue and the CIND grouping key on interned symbol ids
-     (reusing the global table Depgraph vertices are keyed on), so
-     re-queueing and the per-vertex trigger test never re-hash relation
-     names. *)
   let queue = Queue.create () in
   let queued = Hashtbl.create 16 in
   let enqueue r =
-    let rid = Interner.symbol r in
-    if not (Hashtbl.mem queued rid) then begin
-      Hashtbl.replace queued rid ();
+    if not (Hashtbl.mem queued r) then begin
+      Hashtbl.replace queued r ();
       Queue.push r queue
     end
   in
   let cinds_by_lhs = Hashtbl.create 16 in
   List.iter
     (fun (c : Cind.nf) ->
-      let key = Interner.symbol c.Cind.nf_lhs in
-      Hashtbl.replace cinds_by_lhs key
-        (c :: Option.value ~default:[] (Hashtbl.find_opt cinds_by_lhs key)))
+      Hashtbl.replace cinds_by_lhs c.Cind.nf_lhs
+        (c :: Option.value ~default:[] (Hashtbl.find_opt cinds_by_lhs c.nf_lhs)))
     sigma.Sigma.ncinds;
   (* topo order = Tarjan's SCC emission order, flattened *)
   List.iter enqueue (List.concat sccs);
@@ -123,9 +117,8 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
   let outcome = ref None in
   while !outcome = None && not (Queue.is_empty queue) do
     let r = Queue.pop queue in
-    let rid = Interner.symbol r in
-    Hashtbl.remove queued rid;
-    Hashtbl.remove unverified rid;
+    Hashtbl.remove queued r;
+    Hashtbl.remove unverified r;
     Guard.check budget;
     if Depgraph.is_live g r then begin
       let cfds = Depgraph.cfd_set g r in
@@ -145,14 +138,14 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
       match witness with
       | Cfd_checking.Tuple tau ->
           let triggering =
-            Option.value ~default:[] (Hashtbl.find_opt cinds_by_lhs rid)
+            Option.value ~default:[] (Hashtbl.find_opt cinds_by_lhs r)
             |> List.exists (fun c -> tuple_triggers schema c tau)
           in
           if not triggering then begin
             let db = singleton_db schema ~rel:r ~avoid tau in
             (* sanity: the one-tuple database must satisfy Σ *)
             if Sigma.nf_holds db sigma then outcome := Some (Consistent db)
-            else Hashtbl.replace unverified rid ()
+            else Hashtbl.replace unverified r ()
           end
       | Cfd_checking.No_tuple | Cfd_checking.Gave_up ->
           (* CFD(r) refuted ([Gave_up] never comes back from the SAT
@@ -180,8 +173,7 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
       let zero =
         List.filter
           (fun r ->
-            Depgraph.indegree g r = 0
-            && not (Hashtbl.mem unverified (Interner.symbol r)))
+            Depgraph.indegree g r = 0 && not (Hashtbl.mem unverified r))
           (Depgraph.live g)
       in
       Telemetry.add m_pruned_indegree0 (List.length zero);

@@ -26,7 +26,7 @@ open Conddep_core
     [consistent]) draws its randomness from [Rng.make seed], as
     [Cind_api.check ~rng:(Rng.make seed)] and [cindtool check --seed]
     do, so answers never depend on the session's history or on what the
-    process interned before.  Answers are cached only when deterministic
+    process answered before.  Answers are cached only when deterministic
     under replay: [Unknown Guard.Fuel] from the paper's K / K_CFD /
     max_states caps is cached; an [Unknown] from the caller's budget
     (deadline, memory, or fuel with the ambient budget spent after the

@@ -1,85 +1,3 @@
-(* Global append-only interning of values (and relation/attribute symbols)
-   into dense integer ids, so hot-path equality and hashing over tuples is
-   integer work instead of structural traversal.
+(* A stub kept for one benchmark reading; see interner.mli. *)
 
-   Domain-safe: one mutex per table serializes both registration and
-   resolution (resolution is cold — printing and witness extraction; the
-   hot paths carry the ids themselves). *)
-
-type 'a table = {
-  tname : string;
-  mutex : Mutex.t;
-  ids : ('a, int) Hashtbl.t;
-  mutable store : 'a array; (* id -> value; may over-allocate *)
-  mutable size : int;
-}
-
-let make_table tname =
-  { tname; mutex = Mutex.create (); ids = Hashtbl.create 256; store = [||]; size = 0 }
-
-(* Store doublings are rare but each one copies the whole table while
-   holding its mutex — exactly the kind of invisible hiccup a profiler
-   wants to see.  This library is a leaf (it cannot depend on telemetry),
-   so the observation is a hook the application installs; it fires OUTSIDE
-   the table mutex so an instrumenting hook can never deadlock interning. *)
-let growth_hook : (string -> int -> unit) ref = ref (fun _ _ -> ())
-
-let set_growth_hook f = growth_hook := f
-
-let intern table dummy x =
-  Mutex.lock table.mutex;
-  let grew = ref 0 in
-  let id =
-    match Hashtbl.find_opt table.ids x with
-    | Some id -> id
-    | None ->
-        let id = table.size in
-        if id >= Array.length table.store then begin
-          let cap = max 64 (2 * Array.length table.store) in
-          let grown = Array.make cap dummy in
-          Array.blit table.store 0 grown 0 table.size;
-          table.store <- grown;
-          grew := cap
-        end;
-        table.store.(id) <- x;
-        table.size <- id + 1;
-        Hashtbl.replace table.ids x id;
-        id
-  in
-  Mutex.unlock table.mutex;
-  if !grew > 0 then !growth_hook table.tname !grew;
-  id
-
-let lookup table id =
-  Mutex.lock table.mutex;
-  if id < 0 || id >= table.size then begin
-    Mutex.unlock table.mutex;
-    invalid_arg "Interner: unknown id"
-  end
-  else begin
-    let v = table.store.(id) in
-    Mutex.unlock table.mutex;
-    v
-  end
-
-let table_size table =
-  Mutex.lock table.mutex;
-  let n = table.size in
-  Mutex.unlock table.mutex;
-  n
-
-(* --- values --- *)
-
-let values = make_table "values"
-
-let id (v : Value.t) = intern values (Value.Bool false) v
-let value i : Value.t = lookup values i
-let value_count () = table_size values
-
-(* --- symbols (relation / attribute names) --- *)
-
-let symbols = make_table "symbols"
-
-let symbol (s : string) = intern symbols "" s
-let symbol_name i = lookup symbols i
-let symbol_count () = table_size symbols
+let value_count () = 0

@@ -1,36 +1,7 @@
-(** Process-global, append-only interning of values and symbols into dense
-    integer ids: interning the same value twice yields the same id, ids
-    never change, and resolution is O(1).  Safe to call from any domain.
-
-    This is the backbone of the hot-path integer comparisons: {!Tuple.ids}
-    caches each tuple's interned image so tuple equality and hashing are
-    integer-array work, and the chase's projection index and the
-    dependency graph key on ids instead of re-hashing strings and
-    structural values. *)
-
-val id : Value.t -> int
-(** Intern a value (create-or-find). *)
-
-val value : int -> Value.t
-(** Resolve an id.  @raise Invalid_argument on an id never handed out. *)
-
-val symbol : string -> int
-(** Intern a relation or attribute name. *)
-
-val symbol_name : int -> string
-(** Resolve a symbol id.  @raise Invalid_argument on an unknown id. *)
+(** A stub left for the benchmark's per-layer reading
+    [relational.interner_values].  Values and names are compared
+    directly, so nothing is interned and the count is always 0.  Delete
+    this module with that reading. *)
 
 val value_count : unit -> int
-(** Number of distinct values interned so far — table size, suitable as a
-    telemetry gauge. *)
-
-val symbol_count : unit -> int
-(** Number of distinct symbols interned so far. *)
-
-val set_growth_hook : (string -> int -> unit) -> unit
-(** [set_growth_hook f] installs [f table_name new_capacity], called each
-    time a table's backing store doubles.  The hook runs outside the table
-    mutex (it may intern or look up without deadlocking) but must be
-    domain-safe.  This library is a dependency leaf, so telemetry is
-    attached here by the application (cf. [cindtool]'s
-    [interner.growths] counter and growth instants). *)
+(** Always 0. *)

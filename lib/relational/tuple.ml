@@ -1,81 +1,48 @@
 (* Tuples are value sequences aligned with the attribute positions of a
-   relation schema, carrying a lazily computed cache of their interned
-   image ([Interner.id] per field) so that equality and hashing — the chase
-   and cleaning hot paths — are integer-array work.
+   relation schema.  Equality and order compare the values field by field
+   with [Value.compare]. *)
 
-   The cache write is racy-but-idempotent across domains: two domains may
-   both compute the same id array and one pointer write wins; a reader
-   either sees a complete array or the empty sentinel and recomputes. *)
+type t = Value.t array
 
-type t = {
-  values : Value.t array;
-  mutable ids_cache : int array; (* [||] until computed *)
-}
+let make = Array.of_list
+let to_list = Array.to_list
+let arity = Array.length
+let get t i = t.(i)
 
-let wrap values = { values; ids_cache = [||] }
-
-let make values = wrap (Array.of_list values)
-let of_array a = wrap (Array.copy a)
-let to_list t = Array.to_list t.values
-let arity t = Array.length t.values
-let get t i = t.values.(i)
-
-let ids t =
-  let cached = t.ids_cache in
-  if Array.length cached = Array.length t.values && Array.length cached > 0 then
-    cached
-  else begin
-    let ids = Array.map Interner.id t.values in
-    t.ids_cache <- ids;
-    ids
-  end
-
-let hash t =
-  let ids = ids t in
-  let h = ref 0x811c9dc5 in
-  Array.iter (fun id -> h := (!h lxor id) * 0x01000193 land 0x3fffffff) ids;
-  !h
-
-let proj t positions = List.map (fun i -> t.values.(i)) positions
+let proj t positions = List.map (fun i -> t.(i)) positions
 
 let proj_names schema t names = proj t (List.map (Schema.position schema) names)
 
 (* Semantic (Value.compare) order: Relation's tuple sets and every printed
-   instance depend on it, so the interned ids only accelerate the equal
-   case — id order is arrival order, not value order. *)
+   instance depend on it. *)
 let compare a b =
   if a == b then 0
   else
-    let n = Array.length a.values and m = Array.length b.values in
+    let n = Array.length a and m = Array.length b in
     if n <> m then Int.compare n m
     else
       let rec go i =
         if i >= n then 0
         else
-          let c = Value.compare a.values.(i) b.values.(i) in
+          let c = Value.compare a.(i) b.(i) in
           if c <> 0 then c else go (i + 1)
       in
       go 0
 
 let equal a b =
-  a == b
-  || Array.length a.values = Array.length b.values
-     &&
-     let ia = ids a and ib = ids b in
-     let rec go i = i < 0 || (ia.(i) = ib.(i) && go (i - 1)) in
-     go (Array.length ia - 1)
+  a == b || (Array.length a = Array.length b && Array.for_all2 Value.equal a b)
 
 let well_typed schema t =
-  Array.length t.values = Schema.arity schema
+  Array.length t = Schema.arity schema
   && Array.for_all
        (fun ok -> ok)
        (Array.mapi
           (fun i v -> Domain.mem (Attribute.domain (Schema.attr schema i)) v)
-          t.values)
+          t)
 
 let set t i v =
-  let values = Array.copy t.values in
+  let values = Array.copy t in
   values.(i) <- v;
-  wrap values
+  values
 
 let pp ppf t = Fmt.pf ppf "(%a)" Fmt.(list ~sep:comma Value.pp) (to_list t)

@@ -1,25 +1,15 @@
 (** Tuples: value sequences aligned with a schema's attribute positions.
 
-    Abstract, because each tuple caches its interned image ({!Interner}):
-    {!equal} and {!hash} compare integer arrays instead of traversing
-    values — the consistency-checking hot path.  {!compare} keeps the
-    semantic [Value.compare] order (relation sets and printed instances
-    depend on it). *)
+    Abstract so that no caller mutates a tuple in place: {!set} copies.
+    {!equal} and {!compare} compare fields with [Value.compare], whose
+    order relation sets and printed instances depend on. *)
 
 type t
 
 val make : Value.t list -> t
-val of_array : Value.t array -> t
 val to_list : t -> Value.t list
 val arity : t -> int
 val get : t -> int -> Value.t
-
-val ids : t -> int array
-(** The tuple's interned image, computed once and cached: position [i]
-    holds [Interner.id (get t i)].  Do not mutate. *)
-
-val hash : t -> int
-(** Hash of the interned image (FNV-1a over {!ids}). *)
 
 val set : t -> int -> Value.t -> t
 (** Functional update: returns a fresh tuple. *)

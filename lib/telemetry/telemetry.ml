@@ -69,9 +69,7 @@ let count c = Atomic.get c
 (* --- gauges -------------------------------------------------------------- *)
 
 (* Gauges are pull-based: a registered callback is sampled at snapshot
-   time, never on a hot path.  This lets leaf libraries that cannot depend
-   on telemetry (e.g. the relational interner) be observed by having the
-   application register a closure over their size accessors. *)
+   time, never on a hot path. *)
 
 let gauges : (string, unit -> int) Hashtbl.t = Hashtbl.create 16
 
@@ -101,7 +99,7 @@ let gauge_snapshot () =
 
 type trace_event = {
   te_name : string;
-  te_ph : char; (* 'B' begin | 'E' end | 'i' instant *)
+  te_ph : char; (* 'B' begin | 'E' end *)
   te_ts : float; (* absolute Unix time, seconds *)
   te_tid : int; (* emitting domain's id *)
   te_err : bool;
@@ -147,16 +145,6 @@ let push_event b ev =
     b.tb_len <- b.tb_len + 1
   end
 
-let instant name =
-  if !profiling_flag then
-    push_event (Domain.DLS.get tbuf_key)
-      {
-        te_name = name;
-        te_ph = 'i';
-        te_ts = Unix.gettimeofday ();
-        te_tid = self_tid ();
-        te_err = false;
-      }
 
 let trace_events () =
   let bufs = with_registry (fun () -> !trace_bufs) in
@@ -408,18 +396,13 @@ let write_chrome_trace oc =
               (Printf.sprintf
                  "{\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"name\":\"%s\",\"cat\":\"span\"}"
                  ev.te_tid (us ev.te_ts) (escape ev.te_name))
-        | 'E' ->
+        | _ ->
             (match !open_stack with _ :: rest -> open_stack := rest | [] -> ());
             emit
               (Printf.sprintf
                  "{\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"name\":\"%s\",\"cat\":\"span\"%s}"
                  ev.te_tid (us ev.te_ts) (escape ev.te_name)
                  (if ev.te_err then ",\"args\":{\"err\":true}" else ""))
-        | _ ->
-            emit
-              (Printf.sprintf
-                 "{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"name\":\"%s\",\"s\":\"t\"}"
-                 ev.te_tid (us ev.te_ts) (escape ev.te_name))
       done;
       (* close anything left open on this track *)
       List.iter

@@ -43,10 +43,9 @@ val counter_snapshot : unit -> (string * int) list
 (** {1 Gauges}
 
     Pull-based point-in-time values: a registered callback is sampled at
-    snapshot time, never on a hot path.  This lets leaf libraries that
-    cannot depend on telemetry (e.g. the relational interner) be observed
-    — the application registers a closure over their size accessors (cf.
-    [cindtool]'s interner gauges). *)
+    snapshot time, never on a hot path — e.g. [incremental.cache_entries],
+    the live verdict-cache entries across all sessions, read from a
+    counter the sessions maintain. *)
 
 val register_gauge : ?doc:string -> string -> (unit -> int) -> unit
 (** [register_gauge name read] registers (or replaces) the gauge [name];
@@ -92,10 +91,6 @@ val self_time_table : unit -> (string * int * float * float) list
     sorted by self time descending.  Self times never double-count, so
     they sum to at most the profiled wall time. *)
 
-val instant : string -> unit
-(** Record an instant event on the calling domain's trace track (a thin
-    vertical marker in the Chrome trace).  No-op unless profiling. *)
-
 val mark_exhaustion : string -> unit
 (** Called by [Guard] at the instant a budget ran out: captures [reason]
     and the calling domain's live span stack (innermost first).  Only the
@@ -110,7 +105,7 @@ val exhaustion_snapshot : unit -> (string * string list) option
 
 type trace_event = {
   te_name : string;
-  te_ph : char;  (** ['B'] begin, ['E'] end, ['i'] instant *)
+  te_ph : char;  (** ['B'] begin, ['E'] end *)
   te_ts : float;  (** absolute Unix time, seconds *)
   te_tid : int;  (** emitting domain's id *)
   te_err : bool;

@@ -45,8 +45,8 @@ let detect db (sigma : Sigma.nf) =
 
 let is_clean db sigma = detect db sigma = []
 
-(* Violation lists equal element by element, order included.  Tuples cache
-   their interned image, so they are compared with [Tuple.equal], not [=];
+(* Violation lists equal element by element, order included.  Tuples are
+   abstract, so they are compared with [Tuple.equal], not [=];
    [nf] physically, since every detector copies it out of the same Σ. *)
 let same_violations =
   List.equal (fun a b ->

@@ -45,6 +45,40 @@ let test_subst_merges () =
   let db = Template.subst db v0 (Template.C (str "x")) in
   check_int "substitution merges tuples" 1 (Template.cardinal db "r")
 
+(* The exact tuple list after a substitution: tuples keep their order, a
+   rewritten tuple equal to a later untouched tuple is dropped, and of two
+   rewritten tuples that become equal the first is kept. *)
+let test_subst_order () =
+  let schema = string_schema "r" [ "a"; "b" ] in
+  let var = { Template.vrel = "r"; vattr = "a"; vidx = 0 } in
+  let v = Template.V var and c s = Template.C (str s) in
+  let show db =
+    List.map
+      (fun t -> String.concat ", " (List.map (Fmt.str "%a" Template.pp_cell) (Array.to_list t)))
+      (Template.tuples db "r")
+  in
+  (* [add] puts the newest tuple first: add in reverse to list in order *)
+  let db =
+    List.fold_left
+      (fun db t -> Template.add db "r" t)
+      (Template.empty schema)
+      (List.rev
+         [
+           [| v; c "1" |] (* becomes (x, 1), like the last tuple: dropped *);
+           [| v; v |] (* becomes (x, x): kept *);
+           [| c "y"; c "2" |];
+           [| v; c "x" |] (* becomes (x, x) too: dropped *);
+           [| c "z"; c "3" |];
+           [| c "x"; c "1" |];
+         ])
+  in
+  Alcotest.(check (list string)) "as added"
+    [ {|r.a#0, "1"|}; {|r.a#0, r.a#0|}; {|"y", "2"|}; {|r.a#0, "x"|}; {|"z", "3"|}; {|"x", "1"|} ]
+    (show db);
+  Alcotest.(check (list string)) "after subst"
+    [ {|"x", "x"|}; {|"y", "2"|}; {|"z", "3"|}; {|"x", "1"|} ]
+    (show (Template.subst db var (c "x")))
+
 let test_to_database_freshness () =
   let schema = string_schema "r" [ "a"; "b" ] in
   let db =
@@ -370,6 +404,7 @@ let () =
           Alcotest.test_case "cell order and matching" `Quick test_cell_order;
           Alcotest.test_case "set semantics" `Quick test_template_set_semantics;
           Alcotest.test_case "substitution merges" `Quick test_subst_merges;
+          Alcotest.test_case "substitution keeps order" `Quick test_subst_order;
           Alcotest.test_case "concretization freshness" `Quick test_to_database_freshness;
         ] );
       ( "fd-steps",

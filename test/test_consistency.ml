@@ -174,6 +174,32 @@ let test_weak_components_split () =
   check_bool "w-x island" true (List.mem [ "w"; "x" ] comps);
   check_bool "y-z island" true (List.mem [ "y"; "z" ] comps)
 
+(* Depgraph's orders come from the input: successors in Σ order of each
+   edge's first CIND, components in schema order of their first member
+   (neither is schema, name or last-CIND order here). *)
+let test_depgraph_orders () =
+  let schema =
+    Db_schema.make
+      (List.map
+         (fun n -> Schema.make n [ Attribute.make "a" Domain.string_inf ])
+         [ "t"; "p"; "q"; "s"; "u" ])
+  in
+  let ind name lhs rhs =
+    Cind.make ~name ~lhs ~rhs ~x:[ "a" ] ~xp:[] ~y:[ "a" ] ~yp:[]
+      [ { Cind.cx = [ wildcard ]; cxp = []; cy = [ wildcard ]; cyp = [] } ]
+  in
+  let sigma =
+    Sigma.normalize
+      (Sigma.make
+         ~cinds:[ ind "c1" "u" "q"; ind "c2" "t" "s"; ind "c3" "t" "p"; ind "c4" "t" "s" ]
+         ())
+  in
+  let g = Depgraph.make schema sigma in
+  Alcotest.(check (list string)) "successors of t" [ "s"; "p" ] (Depgraph.successors g "t");
+  Alcotest.(check (list (list string))) "weak components"
+    [ [ "t"; "p"; "s" ]; [ "q"; "u" ] ]
+    (Depgraph.weak_components g)
+
 (* --- RandomChecking (Examples 5.1/5.3) ------------------------------------ *)
 
 let test_random_checking_example_5_1 () =
@@ -308,6 +334,7 @@ let () =
             test_preprocessing_sat_backend;
           Alcotest.test_case "component constraints" `Quick test_component_sigma_contents;
           Alcotest.test_case "weak components split" `Quick test_weak_components_split;
+          Alcotest.test_case "graph orders" `Quick test_depgraph_orders;
         ] );
       ( "random-checking",
         [
