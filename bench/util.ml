@@ -48,9 +48,7 @@ let with_series_metrics label f =
   | None -> f ()
   | Some timeout_s ->
       let b = Guard.make ~timeout_s () in
-      (match Guard.with_ambient b (fun () -> Guard.run b f) with
-      | Ok () -> ()
-      | Error _ -> ());
+      (try Guard.with_ambient b f with Guard.Exhausted _ -> ());
       (match Guard.state b with
       | None -> ()
       | Some r ->

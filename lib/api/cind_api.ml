@@ -18,16 +18,15 @@ let pp_verdict ppf = function
 
 type backend = Cfd_checking.backend = Chase_backend | Sat_backend
 
-let check ?backend ?budget ?config ?k ?k_cfd ~rng schema sigma =
-  match Checking.check ?backend ?budget ?config ?k ?k_cfd ~rng schema sigma with
+let check ?backend ?config ?k ?k_cfd ~rng schema sigma =
+  match Checking.check ?backend ?config ?k ?k_cfd ~rng schema sigma with
   | Checking.Consistent db -> Yes (Some db)
   | Checking.Inconsistent -> No
   | Checking.Unknown r -> Unknown r
 
-let random_check ?budget ?config ?k ?k_cfd ?seed_rels ~rng schema sigma =
+let random_check ?config ?k ?k_cfd ?seed_rels ~rng schema sigma =
   match
-    Random_checking.check ?budget ?config ?k ?k_cfd ?seed_rels ~rng schema
-      sigma
+    Random_checking.check ?config ?k ?k_cfd ?seed_rels ~rng schema sigma
   with
   | Random_checking.Consistent db -> Yes (Some db)
   | Random_checking.Unknown r -> Unknown r
@@ -39,11 +38,10 @@ let random_check ?budget ?config ?k ?k_cfd ?seed_rels ~rng schema sigma =
 let tuple_witness ?avoid schema ~rel tup =
   Template.to_database ?avoid (Template.add (Template.empty schema) rel tup)
 
-let consistent ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ~rng schema
-    cfds ~rel =
+let consistent ?(backend = Chase_backend) ?avoid ?k_cfd ~rng schema cfds
+    ~rel =
   match
-    Cfd_checking.consistent_rel ~backend ?budget ?avoid ?k_cfd ~rng schema cfds
-      ~rel
+    Cfd_checking.consistent_rel ~backend ?avoid ?k_cfd ~rng schema cfds ~rel
   with
   | Cfd_checking.Tuple tup -> Yes (Some (tuple_witness ?avoid schema ~rel tup))
   | Cfd_checking.No_tuple -> No
@@ -61,15 +59,14 @@ let of_outcome = function
   | Implication.Not_implied -> No
   | Implication.Undetermined r -> Unknown r
 
-let implies ?budget ?max_states schema ~sigma psi =
-  of_outcome (Implication.decide ?budget ?max_states schema ~sigma psi)
+let implies ?max_states schema ~sigma psi =
+  of_outcome (Implication.decide ?max_states schema ~sigma psi)
 
-let implies_many ?budget ?max_states schema ~sigma goals =
-  List.map of_outcome
-    (Implication.implies_many ?budget ?max_states schema ~sigma goals)
+let implies_many ?max_states schema ~sigma goals =
+  List.map of_outcome (Implication.implies_many ?max_states schema ~sigma goals)
 
-let preprocess ?backend ?budget ?k_cfd ~rng schema sigma =
-  match Preprocessing.run ?backend ?budget ?k_cfd ~rng schema sigma with
+let preprocess ?backend ?k_cfd ~rng schema sigma =
+  match Preprocessing.run ?backend ?k_cfd ~rng schema sigma with
   | Preprocessing.Consistent db -> Yes (Some db)
   | Preprocessing.Inconsistent -> No
   | Preprocessing.Unknown _components -> Unknown Guard.Fuel

@@ -5,9 +5,9 @@ open Conddep_consistency
 
 (** The single stable entry point for drivers ([bin/], [bench/],
     external users).  Every decision procedure in the library is exposed
-    here as a three-valued {!verdict} with a uniform option set —
-    [?budget] (shared {!Guard} budget, default ambient) everywhere.
-    Options a layer would ignore are not offered.
+    here as a three-valued {!verdict}.  Every call spends the ambient
+    {!Guard} budget; a caller that wants a limit scopes one with
+    {!Guard.with_ambient}.  Options a layer would ignore are not offered.
 
     The facade never changes answers: every function is a thin,
     documented mapping onto the corresponding [lib/core] /
@@ -28,10 +28,10 @@ type verdict =
   | No  (** Definitively inconsistent / not implied. *)
   | Unknown of Guard.reason
       (** Undetermined: [Guard.Fuel] for a procedure's own heuristic cap
-          (the paper's K / K_CFD bounds, [max_states]) or for a caller's
-          spent fuel; deadline or memory when a shared budget cut the run
-          short.  A run cut short by the budget answers the unbudgeted
-          verdict or [Unknown], never a different one. *)
+          (the paper's K / K_CFD bounds, [max_states]) or for the ambient
+          budget's spent fuel; deadline or memory when the ambient budget
+          cut the run short.  A run cut short by the budget answers the
+          unbudgeted verdict or [Unknown], never a different one. *)
 
 val to_bool : verdict -> bool
 (** The papers' boolean reading: [true] only for [Yes _]. *)
@@ -47,7 +47,6 @@ type backend = Cfd_checking.backend =
 
 val check :
   ?backend:backend ->
-  ?budget:Guard.t ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -58,10 +57,10 @@ val check :
 (** Full pipeline (Fig 9): preProcessing + per-component RandomChecking.
     [Yes (Some db)] carries the verified witness; [No] is definitive
     (the Fig 7 reduction emptied the dependency graph); [Unknown r]
-    found no witness within the budgets.  Maps {!Checking.check}. *)
+    found no witness within the caps or the budget.  Maps
+    {!Checking.check}. *)
 
 val random_check :
-  ?budget:Guard.t ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -71,15 +70,14 @@ val random_check :
   Sigma.nf ->
   verdict
 (** Procedure RandomChecking alone (Fig 8), without the preProcessing
-    reduction: up to K chase-and-instantiate runs, one after another
-    under [budget].  Sound but not complete — never answers [No].  Maps
+    reduction: up to K chase-and-instantiate runs, one after another.
+    Sound but not complete — never answers [No].  Maps
     {!Random_checking.check}. *)
 
 (** {1 Single-relation CFD consistency (Sections 5.2–5.3)} *)
 
 val consistent :
   ?backend:backend ->
-  ?budget:Guard.t ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   rng:Rng.t ->
@@ -98,7 +96,6 @@ val consistent :
 (** {1 Implication (Sections 3–4, Table 1)} *)
 
 val implies :
-  ?budget:Guard.t ->
   ?max_states:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
@@ -109,7 +106,6 @@ val implies :
     shapes.  Maps {!Implication.decide}. *)
 
 val implies_many :
-  ?budget:Guard.t ->
   ?max_states:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
@@ -123,7 +119,6 @@ val implies_many :
 
 val preprocess :
   ?backend:backend ->
-  ?budget:Guard.t ->
   ?k_cfd:int ->
   rng:Rng.t ->
   Db_schema.t ->

@@ -17,7 +17,8 @@ open Conddep_core
 
    The instantiated chase chase_I additionally bounds every relation by the
    threshold T; exceeding it makes the chase undefined (Section 5.2).  A
-   step budget guards against ping-pong between pool re-use and merging.
+   cap on IND steps guards against ping-pong between pool re-use and
+   merging.
 
    The chase follows one *canonical schedule* (see DESIGN.md §10):
 
@@ -35,7 +36,7 @@ open Conddep_core
 type config = {
   pool_size : int; (* N: maximum size of each var[A] *)
   threshold : int; (* T: maximum tuples per relation in chase_I *)
-  max_steps : int; (* safety budget on chase operations *)
+  max_steps : int; (* cap on the IND steps of [run] *)
 }
 
 let m_runs = Telemetry.counter "chase.runs" ~doc:"full chase invocations"
@@ -43,7 +44,6 @@ let m_fd_steps = Telemetry.counter "chase.fd_steps" ~doc:"FD(phi) applications (
 let m_ind_steps = Telemetry.counter "chase.ind_steps" ~doc:"IND(psi) applications (witness tuples added)"
 let m_fd_undefined = Telemetry.counter "chase.fd_undefined" ~doc:"FD(phi) constant clashes (chase undefined)"
 let m_threshold_hits = Telemetry.counter "chase.threshold_hits" ~doc:"IND(psi) refusals: relation at the bound T"
-let m_budget_exceeded = Telemetry.counter "chase.budget_exceeded" ~doc:"chase loops stopped by the step budget"
 
 let default_config = { pool_size = 2; threshold = 2000; max_steps = 20_000 }
 
@@ -218,11 +218,12 @@ let fd_step cfd db =
       Fd_changed
         (List.fold_left (fun db (var, cell) -> Template.subst db var cell) db bindings)
 
-(* One FD saturation pass: apply the first CFD in compiled order whose
-   [fd_step] changes the template, until none does.  [max_steps] is local
-   fuel, fresh per pass; every step also ticks the caller's budget. *)
-let fd_saturate ~budget ~max_steps cfds db =
-  let fuel = Guard.make ~fuel:max_steps () in
+(* Chase with CFDs only, to fixpoint: apply the first CFD in compiled
+   order whose [fd_step] changes the template, until none does.  Every
+   applied step substitutes at least one variable away everywhere, so a
+   pass takes at most as many steps as the template has variables and
+   needs no cap of its own; each step ticks the ambient budget. *)
+let fd_fixpoint cfds db =
   let rec go db = function
     | [] -> Ok db
     | cfd :: rest -> (
@@ -233,26 +234,10 @@ let fd_saturate ~budget ~max_steps cfds db =
             Error why
         | Fd_changed db' ->
             Telemetry.incr m_fd_steps;
-            Guard.tick fuel;
-            Guard.tick budget;
+            Guard.tick ();
             go db' cfds)
   in
   go db cfds
-
-(* Chase with CFDs only, to fixpoint.  The step bound is local fuel: its
-   exhaustion means this particular fixpoint attempt gave up, which callers
-   may absorb (a failed heuristic attempt); shared-budget exhaustion also
-   surfaces as [Exhausted] but with the shared budget marked spent, which
-   callers must propagate (Guard.recoverable makes the distinction). *)
-let fd_fixpoint ?budget ?(max_steps = 10_000) cfds db =
-  let budget = Guard.resolve budget in
-  try
-    match fd_saturate ~budget ~max_steps cfds db with
-    | Ok db -> Terminal db
-    | Error why -> Undefined why
-  with Guard.Exhausted r ->
-    Telemetry.incr m_budget_exceeded;
-    Exhausted r
 
 (* --- IND(ψ) --- *)
 
@@ -345,13 +330,12 @@ module Ind_cursor = struct
       c_pos = 0;
     }
 
-  let step ?budget t ~rng db =
+  let step t ~rng db =
     let n = Array.length t.c_cinds in
-    let budget = Guard.resolve budget in
     let rec scan k =
       if k >= n then Ind_unchanged
       else begin
-        Guard.check budget;
+        Guard.check ();
         let j = (t.c_pos + k) mod n in
         match
           ind_step ~instantiated:t.c_instantiated ~threshold:t.c_threshold t.c_pool rng
@@ -372,34 +356,28 @@ end
 (* The terminal chase: apply FD and IND operations until fixpoint.  With
    [instantiated] set this is chase_I of Section 5.2 (bounded relations,
    constants for finite-domain fields). *)
-let run ?(instantiated = false) ?budget ~config ~rng schema compiled db =
+let run ?(instantiated = false) ~config ~rng schema compiled db =
   Telemetry.incr m_runs;
-  let budget = Guard.resolve budget in
   Telemetry.with_span "chase.run" @@ fun () ->
   let pool = Pool.make ~n:config.pool_size in
   let cursor =
     Ind_cursor.create ~instantiated ~threshold:config.threshold pool schema compiled.cinds
   in
-  (* config.max_steps is local fuel for the IND loop; each iteration also
-     polls the shared budget's clock (chase steps are heavy, so a lazy
-     poll would overshoot deadlines). *)
-  let fuel = Guard.make ~fuel:config.max_steps () in
-  let rec go db =
-    Guard.check budget;
-    match fd_saturate ~budget ~max_steps:config.max_steps compiled.cfds db with
+  (* At most config.max_steps IND steps; each iteration also polls the
+     ambient budget's clock (chase steps are heavy, so a lazy poll would
+     overshoot deadlines). *)
+  let rec go db steps =
+    Guard.check ();
+    match fd_fixpoint compiled.cfds db with
     | Error why -> Undefined why
     | Ok db -> (
-        match Ind_cursor.step ~budget cursor ~rng db with
+        match Ind_cursor.step cursor ~rng db with
         | Ind_unchanged -> Terminal db
         | Ind_overflow why -> Undefined why
-        | Ind_changed db' ->
-            Guard.tick fuel;
-            go db')
+        | Ind_changed _ when steps >= config.max_steps -> Exhausted Guard.Fuel
+        | Ind_changed db' -> go db' (steps + 1))
   in
-  try go db
-  with Guard.Exhausted r ->
-    Telemetry.incr m_budget_exceeded;
-    Exhausted r
+  try go db 0 with Guard.Exhausted r -> Exhausted r
 
 (* Constants forced as CFD conclusions, per (relation, attribute) — the
    values later FD steps may demand of a column. *)

@@ -14,7 +14,7 @@ open Conddep_core
 type config = {
   pool_size : int;  (** N — maximum size of each pool [var\[A\]] *)
   threshold : int;  (** T — relation size bound of chase_I *)
-  max_steps : int;  (** safety budget on chase operations *)
+  max_steps : int;  (** cap on the IND steps of {!run} *)
 }
 
 val default_config : config
@@ -24,8 +24,9 @@ type outcome =
   | Terminal of Template.t  (** the chase result chase(D, Σ) *)
   | Undefined of string  (** chase undefined; carries the reason *)
   | Exhausted of Guard.reason
-      (** the step fuel or the shared budget stopped the chase before a
-          fixpoint; the result is unknown, not undefined *)
+      (** [config.max_steps] ([Guard.Fuel]) or the ambient budget stopped
+          the chase before a fixpoint; the result is unknown, not
+          undefined *)
 
 (** {1 The canonical schedule}
 
@@ -58,16 +59,12 @@ val fd_step : compiled_cfd -> Template.t -> fd_result
 (** One FD(φ) application to the canonical least violating pair, if any,
     found by scanning every pair. *)
 
-val fd_fixpoint :
-  ?budget:Guard.t ->
-  ?max_steps:int ->
-  compiled_cfd list ->
-  Template.t ->
-  outcome
-(** Chase with CFDs only, to fixpoint — the core of CFD_Checking.
-    [max_steps] is a local fuel bound (exhaustion yields
-    [Exhausted Guard.Fuel]); [budget] (default: ambient) is the shared
-    deadline/fuel/memory budget. *)
+val fd_fixpoint : compiled_cfd list -> Template.t -> (Template.t, string) result
+(** Chase with CFDs only, to fixpoint — the core of CFD_Checking; [Error]
+    carries the reason the chase is undefined.  Every applied step
+    substitutes a variable away, so the pass ends within as many steps as
+    the template has variables; each step ticks the ambient budget.
+    @raise Guard.Exhausted when the ambient budget runs dry. *)
 
 type ind_result =
   | Ind_changed of Template.t
@@ -104,18 +101,17 @@ module Ind_cursor : sig
     compiled_cind list ->
     t
 
-  val step : ?budget:Guard.t -> t -> rng:Rng.t -> Template.t -> ind_result
+  val step : t -> rng:Rng.t -> Template.t -> ind_result
   (** Offer each CIND in turn to {!ind_step}, starting after the last one
       applied, and return the first result that is not [Ind_unchanged]
-      ([Ind_unchanged] when no CIND fires).  Polls [budget]'s deadline per
-      CIND visited. *)
+      ([Ind_unchanged] when no CIND fires).  Polls the ambient budget's
+      deadline per CIND visited. *)
 end
 
 (** {1 Full chase} *)
 
 val run :
   ?instantiated:bool ->
-  ?budget:Guard.t ->
   config:config ->
   rng:Rng.t ->
   Db_schema.t ->
@@ -123,8 +119,9 @@ val run :
   Template.t ->
   outcome
 (** Run the chase to termination.  [instantiated:true] gives chase_I.
-    [config.max_steps] is enforced as local step fuel; [budget] carries
-    the caller's shared deadline/fuel. *)
+    Past [config.max_steps] IND steps the answer is
+    [Exhausted Guard.Fuel]; an ambient budget that runs dry answers
+    [Exhausted] with its reason. *)
 
 val conclusion_constants :
   Db_schema.t -> compiled_cfd list -> ((string * string) * Value.t) list

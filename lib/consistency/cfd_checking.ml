@@ -21,7 +21,7 @@ type backend =
   | Sat_backend
 
 let m_calls = Telemetry.counter "checking.cfd.calls" ~doc:"CFD_Checking invocations (both backends)"
-let m_kcfd_retries = Telemetry.counter "checking.cfd.kcfd_retries" ~doc:"random valuations drawn by the chase backend (K_CFD budget consumed)"
+let m_kcfd_retries = Telemetry.counter "checking.cfd.kcfd_retries" ~doc:"random valuations drawn by the chase backend (at most K_CFD per call)"
 let m_chase_calls = Telemetry.counter "checking.cfd.chase_backend_calls" ~doc:"single-relation checks routed to the chase backend"
 let m_sat_calls = Telemetry.counter "checking.cfd.sat_backend_calls" ~doc:"single-relation checks routed to the SAT backend"
 
@@ -30,25 +30,18 @@ let m_sat_calls = Telemetry.counter "checking.cfd.sat_backend_calls" ~doc:"singl
 type template_outcome =
   | Instantiated of Template.t
   | Contradiction
-  | Exhausted_k
+  | Out_of_valuations (* the K_CFD valuations ran out *)
 
-let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
-    compiled_cfds db =
+let check_template_outcome ?(k_cfd = 100) ?(avoid = []) ~rng compiled_cfds db =
   Telemetry.incr m_calls;
-  let budget = Guard.resolve budget in
-  (* Local exhaustion of the fd-fixpoint's step fuel counts as a failed
-     attempt (the heuristic gives up, as with K_CFD); exhaustion of the
-     shared budget must surface to the caller. *)
-  match Chase.fd_fixpoint ~budget compiled_cfds db with
-  | Chase.Exhausted r when Guard.recoverable ~shared:budget r -> Exhausted_k
-  | Chase.Exhausted r -> raise (Guard.Exhausted r)
-  | Chase.Undefined _ ->
+  match Chase.fd_fixpoint compiled_cfds db with
+  | Error _ ->
       (* The initial fixpoint only propagates bindings forced by the
          input template itself, so a contradiction here refutes every
          instantiation — a definitive "no", unlike the heuristic
          give-ups below. *)
       Contradiction
-  | Chase.Terminal db -> (
+  | Ok db -> (
       match Template.finite_variables db with
       | [] -> Instantiated db
       | _ ->
@@ -69,34 +62,29 @@ let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
           in
           let rec attempts k =
             if k <= 0 then begin
-              Guard.reraise_if_spent budget;
-              Exhausted_k
+              Guard.reraise_if_spent ();
+              Out_of_valuations
             end
             else
               let () = Telemetry.incr m_kcfd_retries in
               let candidate = Chase.instantiate_finite_vars ~prefer ~avoid rng db in
-              match Chase.fd_fixpoint ~budget compiled_cfds candidate with
-              | Chase.Terminal done_db when Template.finite_variables done_db = [] ->
+              match Chase.fd_fixpoint compiled_cfds candidate with
+              | Ok done_db when Template.finite_variables done_db = [] ->
                   Instantiated done_db
-              | Chase.Terminal _ | Chase.Undefined _ -> attempts (k - 1)
-              | Chase.Exhausted r when Guard.recoverable ~shared:budget r ->
-                  attempts (k - 1)
-              | Chase.Exhausted r -> raise (Guard.Exhausted r)
+              | Ok _ | Error _ -> attempts (k - 1)
           in
           attempts k_cfd)
 
-let check_template ?budget ?k_cfd ?avoid ~rng compiled_cfds db =
-  match
-    check_template_outcome ?budget ?k_cfd ?avoid ~rng compiled_cfds db
-  with
+let check_template ?k_cfd ?avoid ~rng compiled_cfds db =
+  match check_template_outcome ?k_cfd ?avoid ~rng compiled_cfds db with
   | Instantiated db -> Some db
-  | Contradiction | Exhausted_k -> None
+  | Contradiction | Out_of_valuations -> None
 
 (* Single-relation consistency via the chase backend: start from the
    single-tuple template τ(R). *)
-let consistent_rel_chase ?budget ?k_cfd ?avoid ~rng schema cfds ~rel =
+let consistent_rel_chase ?k_cfd ?avoid ~rng schema cfds ~rel =
   let compiled = List.map (Chase.compile_cfd schema) cfds in
-  check_template ?budget ?k_cfd ?avoid ~rng compiled
+  check_template ?k_cfd ?avoid ~rng compiled
     (Chase.seed_tuple schema ~rel)
 
 (* --- SAT-based CFD_Checking --- *)
@@ -184,11 +172,11 @@ let encode ~avoid cfds rel_schema =
     cfds;
   (Cnf.make ~num_vars:!num_vars !clauses, cands, var_of)
 
-let consistent_rel_sat ?budget ?(avoid = []) schema cfds ~rel =
+let consistent_rel_sat ?(avoid = []) schema cfds ~rel =
   let rel_schema = Db_schema.find schema rel in
   let cfds = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) cfds in
   let cnf, cands, var_of = encode ~avoid cfds rel_schema in
-  match Solver.solve ?budget cnf with
+  match Solver.solve cnf with
   | Solver.Unknown r ->
       (* [None] means "definitely inconsistent" to callers (preProcessing
          prunes the relation on it) — an undetermined SAT answer must never
@@ -216,24 +204,24 @@ type witness =
   | No_tuple
   | Gave_up
 
-let consistent_rel ?(backend = Chase_backend) ?budget ?avoid ?k_cfd ~rng
-    schema cfds ~rel =
+let consistent_rel ?(backend = Chase_backend) ?avoid ?k_cfd ~rng schema cfds
+    ~rel =
   let cfds_on_rel = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) cfds in
   match backend with
   | Chase_backend -> (
       Telemetry.incr m_chase_calls;
       let compiled = List.map (Chase.compile_cfd schema) cfds_on_rel in
       match
-        check_template_outcome ?budget ?k_cfd ?avoid ~rng compiled
+        check_template_outcome ?k_cfd ?avoid ~rng compiled
           (Chase.seed_tuple schema ~rel)
       with
       | Contradiction -> No_tuple
-      | Exhausted_k -> Gave_up
+      | Out_of_valuations -> Gave_up
       | Instantiated db -> (
           match Template.tuples db rel with [ t ] -> Tuple t | _ -> assert false))
   | Sat_backend -> (
       Telemetry.incr m_sat_calls;
-      match consistent_rel_sat ?budget ?avoid schema cfds ~rel with
+      match consistent_rel_sat ?avoid schema cfds ~rel with
       | None -> No_tuple
       | Some tuple ->
           Tuple

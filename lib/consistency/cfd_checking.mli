@@ -6,14 +6,14 @@ open Conddep_chase
     compared in Fig 10(a): chase-based (heuristic, bounded by K_CFD random
     valuations of finite-domain variables) and SAT-based (complete, via the
     CDCL solver standing in for SAT4j).  There is no fallback between
-    them: a SAT run cut short by the budget surfaces as that exhaustion. *)
+    them: a SAT run cut short by the ambient budget surfaces as that
+    exhaustion. *)
 
 type backend =
   | Chase_backend
   | Sat_backend
 
 val check_template :
-  ?budget:Guard.t ->
   ?k_cfd:int ->
   ?avoid:Value.t list ->
   rng:Rng.t ->
@@ -23,12 +23,9 @@ val check_template :
 (** Chase a template with CFDs only, then try up to [k_cfd] random
     valuations of the remaining finite-domain variables; returns a template
     whose finite-domain variables are all constants, if one is found.
-    @raise Guard.Exhausted when the shared [budget] (default: ambient) runs
-    dry; local step-fuel exhaustion of the fixpoint is swallowed as a
-    failed attempt. *)
+    @raise Guard.Exhausted when the ambient budget runs dry. *)
 
 val consistent_rel_chase :
-  ?budget:Guard.t ->
   ?k_cfd:int ->
   ?avoid:Value.t list ->
   rng:Rng.t ->
@@ -39,7 +36,6 @@ val consistent_rel_chase :
 (** [check_template] starting from the single-tuple template τ(rel). *)
 
 val consistent_rel_sat :
-  ?budget:Guard.t ->
   ?avoid:Value.t list -> Db_schema.t -> Cfd.nf list -> rel:string -> Tuple.t option
 (** Complete single-tuple consistency via CNF encoding; a satisfying tuple
     or [None].  Fresh values additionally dodge the [avoid] constants.
@@ -56,7 +52,6 @@ type witness =
 
 val consistent_rel :
   ?backend:backend ->
-  ?budget:Guard.t ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   rng:Rng.t ->
@@ -67,5 +62,5 @@ val consistent_rel :
 (** Uniform front-end: the instantiated tuple template τ(rel) satisfying
     CFD(rel), a definitive [No_tuple], or [Gave_up] (chase backend only —
     the SAT backend is complete).
-    @raise Guard.Exhausted when the shared [budget] runs dry — inside the
+    @raise Guard.Exhausted when the ambient budget runs dry — inside the
     SAT backend too, which never falls back to the chase backend. *)

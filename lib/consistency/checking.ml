@@ -16,29 +16,28 @@ type result =
 let m_calls = Telemetry.counter "checking.calls" ~doc:"top-level Checking invocations"
 let m_consistent = Telemetry.counter "checking.results_consistent" ~doc:"Checking answers with a verified witness"
 let m_inconsistent = Telemetry.counter "checking.results_inconsistent" ~doc:"Checking answers: dependency graph emptied"
-let m_unknown = Telemetry.counter "checking.results_unknown" ~doc:"Checking answers: budgets exhausted"
+let m_unknown = Telemetry.counter "checking.results_unknown" ~doc:"Checking answers: undetermined"
 let m_components_tried = Telemetry.counter "checking.components_tried" ~doc:"weakly connected components run through RandomChecking"
 
 (* One full pipeline: preProcessing (with [backend], chase by default)
    and per-component RandomChecking. *)
-let pipeline ?backend ~budget ?config ?k ?k_cfd ~rng schema
-    (sigma : Sigma.nf) =
+let pipeline ?backend ?config ?k ?k_cfd ~rng schema (sigma : Sigma.nf) =
   try
-    match Preprocessing.run ?backend ~budget ?k_cfd ~rng schema sigma with
+    match Preprocessing.run ?backend ?k_cfd ~rng schema sigma with
     | Preprocessing.Consistent db -> Consistent db
     | Preprocessing.Inconsistent -> Inconsistent
     | Preprocessing.Unknown components ->
-        (* [Guard.Fuel] is the ordinary "budgets K / K_CFD exhausted"
+        (* [Guard.Fuel] is the ordinary "K / K_CFD caps ran out"
            answer; a component cut short for a sharper reason (deadline,
            memory) reports that reason instead — first one wins. *)
         let rec try_components reason = function
           | [] -> Unknown reason
           | (members, component_sigma) :: rest -> (
-              Guard.check budget;
+              Guard.check ();
               Telemetry.incr m_components_tried;
               match
-                Random_checking.check ~budget ?config ?k ?k_cfd
-                  ~seed_rels:members ~rng schema component_sigma
+                Random_checking.check ?config ?k ?k_cfd ~seed_rels:members ~rng
+                  schema component_sigma
               with
               | Random_checking.Consistent db when Sigma.nf_holds db sigma ->
                   Consistent db
@@ -54,12 +53,11 @@ let pipeline ?backend ~budget ?config ?k ?k_cfd ~rng schema
 
 (* One pipeline run on a copy of [rng], so the caller's generator is
    never advanced. *)
-let check ?backend ?budget ?config ?k ?k_cfd ~rng schema (sigma : Sigma.nf) =
+let check ?backend ?config ?k ?k_cfd ~rng schema (sigma : Sigma.nf) =
   Telemetry.incr m_calls;
-  let budget = Guard.resolve budget in
   Telemetry.with_span "checking.check" @@ fun () ->
   let result =
-    pipeline ?backend ~budget ?config ?k ?k_cfd ~rng:(Rng.copy rng) schema sigma
+    pipeline ?backend ?config ?k ?k_cfd ~rng:(Rng.copy rng) schema sigma
   in
   (match result with
   | Consistent _ -> Telemetry.incr m_consistent

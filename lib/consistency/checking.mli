@@ -5,11 +5,11 @@ open Conddep_chase
 (** Algorithm Checking (Fig 9): preProcessing + per-component
     RandomChecking.  Sound: [Consistent] carries a verified witness;
     [Inconsistent] is definitive (Fig 7's reduction emptied the graph);
-    [Unknown r] means no witness was found within the budgets, with [r]
-    saying which budget gave out ([Guard.Fuel] for the paper's own K /
-    K_CFD limits or a caller's fuel; deadline or memory otherwise).  A
-    run cut short by the caller's budget answers the unbudgeted verdict
-    or [Unknown], never a different one.
+    [Unknown r] means no witness was found, with [r] saying what gave
+    out ([Guard.Fuel] for the paper's own K / K_CFD caps or the ambient
+    budget's fuel; deadline or memory otherwise).  A run cut short by the
+    ambient budget answers the unbudgeted verdict or [Unknown], never a
+    different one.
     [Guard.Exhausted] never escapes [check]. *)
 
 type result =
@@ -19,7 +19,6 @@ type result =
 
 val check :
   ?backend:Cfd_checking.backend ->
-  ?budget:Guard.t ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -27,9 +26,7 @@ val check :
   Db_schema.t ->
   Sigma.nf ->
   result
-(** [budget] defaults to the ambient budget ([Guard.resolve]).
-
-    Without a forced [backend], preProcessing uses the chase backend.
+(** Without a forced [backend], preProcessing uses the chase backend.
 
     The pipeline runs on a copy of [rng]: the caller's generator is never
     advanced, so equal seeds give equal verdicts. *)

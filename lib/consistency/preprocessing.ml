@@ -85,9 +85,8 @@ let singleton_db schema ~rel ~avoid (tau : Template.tuple) =
   let db = Template.add (Template.empty schema) rel tau in
   Template.to_database ~avoid db
 
-let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
+let run ?backend ?k_cfd ~rng schema (sigma : Sigma.nf) =
   Telemetry.incr m_runs;
-  let budget = Guard.resolve budget in
   Telemetry.with_span "checking.preprocess" @@ fun () ->
   let g = Depgraph.make schema sigma in
   let sccs = Depgraph.sccs g in
@@ -119,20 +118,20 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
     let r = Queue.pop queue in
     Hashtbl.remove queued r;
     Hashtbl.remove unverified r;
-    Guard.check budget;
+    Guard.check ();
     if Depgraph.is_live g r then begin
       let cfds = Depgraph.cfd_set g r in
       let witness =
         match
-          Cfd_checking.consistent_rel ?backend ~budget ~avoid ?k_cfd ~rng
-            schema cfds ~rel:r
+          Cfd_checking.consistent_rel ?backend ~avoid ?k_cfd ~rng schema cfds
+            ~rel:r
         with
         | Cfd_checking.Gave_up ->
             (* the K_CFD valuations ran out, which refutes nothing:
                settle r with the complete SAT encoding *)
             Telemetry.incr m_settled_by_sat;
             Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
-              ~budget ~avoid ~rng schema cfds ~rel:r
+              ~avoid ~rng schema cfds ~rel:r
         | w -> w
       in
       match witness with

@@ -15,14 +15,13 @@ type result =
 
 val run :
   ?backend:Cfd_checking.backend ->
-  ?budget:Guard.t ->
   ?k_cfd:int ->
   rng:Rng.t ->
   Db_schema.t ->
   Sigma.nf ->
   result
-(** @raise Guard.Exhausted when the shared [budget] (default: ambient) runs
-    dry mid-reduction. *)
+(** @raise Guard.Exhausted when the ambient budget runs dry
+    mid-reduction. *)
 
 val non_triggering : Db_schema.t -> Cind.nf -> Cfd.nf list
 (** The paper's CIND(Rj, R)⊥: a pair of CFDs denying every tuple of Rj

@@ -17,10 +17,10 @@ type result =
   | Consistent of Database.t
   | Unknown of Guard.reason
 
-let m_runs = Telemetry.counter "checking.random.runs" ~doc:"RandomChecking chase runs attempted (K budget consumed)"
+let m_runs = Telemetry.counter "checking.random.runs" ~doc:"RandomChecking chase runs attempted (at most K per call)"
 let m_successes = Telemetry.counter "checking.random.successes" ~doc:"RandomChecking runs ending in a verified witness"
 
-let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
+let chase_run ~config ~k_cfd ~avoid ~rng schema
     (compiled : Chase.compiled) db =
   let pool = Pool.make ~n:config.Chase.pool_size in
   (* IND steps fill unknown fields with pool *variables* (instantiated:
@@ -39,18 +39,17 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
   in
   let rec loop db steps =
     if steps > config.Chase.max_steps then begin
-      Guard.reraise_if_spent budget;
+      Guard.reraise_if_spent ();
       None
     end
     else begin
-      Guard.tick budget;
+      Guard.tick ();
       match
-        Cfd_checking.check_template ~budget ~k_cfd ~avoid ~rng
-          compiled.Chase.cfds db
+        Cfd_checking.check_template ~k_cfd ~avoid ~rng compiled.Chase.cfds db
       with
       | None -> None
       | Some db -> (
-          match Chase.Ind_cursor.step ~budget cursor ~rng db with
+          match Chase.Ind_cursor.step cursor ~rng db with
           | Chase.Ind_changed db' -> loop db' (steps + 1)
           | Chase.Ind_unchanged -> Some db (* chase_I terminal *)
           | Chase.Ind_overflow _ -> None)
@@ -58,9 +57,8 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
   in
   loop db 0
 
-let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
-    ?seed_rels ~rng schema (sigma : Sigma.nf) =
-  let budget = Guard.resolve budget in
+let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?seed_rels
+    ~rng schema (sigma : Sigma.nf) =
   try
     let compiled = Chase.compile schema sigma in
     let avoid =
@@ -74,7 +72,7 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
     else begin
       (* One run on its own split of [rng]: [Some db] for a verified
          witness, [None] when the run failed on its own local limits.
-         The caller's budget governs every run, so its deadline, fuel or
+         The ambient budget governs every run, so its deadline, fuel or
          allocation ceiling raises [Guard.Exhausted] out of the loop and
          answers Unknown. *)
       let attempt () =
@@ -84,8 +82,7 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
           let rel = Rng.pick run_rng seed_rels in
           let db = Chase.seed_tuple schema ~rel in
           Telemetry.with_span "checking.random_run" @@ fun () ->
-          chase_run ~budget ~config ~k_cfd ~avoid ~rng:run_rng schema
-            compiled db
+          chase_run ~config ~k_cfd ~avoid ~rng:run_rng schema compiled db
         with
         | Some terminal ->
             let concrete = Template.to_database ~avoid terminal in
@@ -99,8 +96,8 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
       in
       let rec runs i =
         if i >= k then begin
-          (* K exhausted: the heuristic gave up on its own step budget. *)
-          Guard.reraise_if_spent budget;
+          (* K runs spent: the heuristic gave up on its own cap. *)
+          Guard.reraise_if_spent ();
           Unknown Guard.Fuel
         end
         else match attempt () with Some db -> Consistent db | None -> runs (i + 1)

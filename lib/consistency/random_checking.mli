@@ -10,13 +10,12 @@ open Conddep_chase
 type result =
   | Consistent of Database.t
   | Unknown of Guard.reason
-      (** No witness found: [Guard.Fuel] when the K runs were exhausted
-          normally or the caller's fuel ran out, another reason when the
-          shared budget cut the search short otherwise.
+      (** No witness found: [Guard.Fuel] when the K runs were spent or
+          the ambient budget's fuel ran out, another reason when the
+          ambient budget cut the search short otherwise.
           [Guard.Exhausted] never escapes this entry point. *)
 
 val check :
-  ?budget:Guard.t ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -28,13 +27,13 @@ val check :
 (** [k] is the number of random runs K (default 20, the paper's setting);
     [k_cfd] bounds the random valuations inside CFD_Checking; [seed_rels]
     restricts the starting relation (used per component by Checking);
-    [budget] (default: ambient) bounds the whole search.
+    the ambient budget bounds the whole search.
 
     The K runs are the sequential loop of Fig 5: run i draws the i-th
-    {!Rng.split} of [rng], taken when the run starts, and runs under
-    [budget] itself — its deadline, fuel and allocation ceiling
+    {!Rng.split} of [rng], taken when the run starts, and spends the
+    ambient budget — its deadline, fuel and allocation ceiling
     included.  The loop stops at the first verified witness or
-    when [budget] runs dry, so [rng] advances by one split per run
+    when the budget runs dry, so [rng] advances by one split per run
     through the stopping run, or by K splits. *)
 
 val to_bool : result -> bool

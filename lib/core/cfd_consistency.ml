@@ -101,8 +101,7 @@ let propagate compiled (assignment : Value.t option array) =
   done;
   !ok
 
-let witness_tuple ?budget ?(max_nodes = 2_000_000) schema ~rel sigma =
-  let budget = Guard.resolve budget in
+let witness_tuple ?(max_nodes = 2_000_000) schema ~rel sigma =
   let rel_schema = Db_schema.find schema rel in
   let sigma = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) sigma in
   let cands = candidates sigma rel_schema in
@@ -112,7 +111,7 @@ let witness_tuple ?budget ?(max_nodes = 2_000_000) schema ~rel sigma =
   let rec search (assignment : Value.t option array) =
     incr nodes;
     if !nodes > max_nodes then raise Budget_exceeded;
-    Guard.tick budget;
+    Guard.tick ();
     let snapshot = Array.copy assignment in
     if not (propagate compiled assignment) then begin
       Array.blit snapshot 0 assignment 0 arity;
@@ -145,13 +144,13 @@ let witness_tuple ?budget ?(max_nodes = 2_000_000) schema ~rel sigma =
   in
   search (Array.make arity None)
 
-let consistent_rel ?budget ?max_nodes schema ~rel sigma =
-  Option.is_some (witness_tuple ?budget ?max_nodes schema ~rel sigma)
+let consistent_rel ?max_nodes schema ~rel sigma =
+  Option.is_some (witness_tuple ?max_nodes schema ~rel sigma)
 
 (* A CFD-only Σ over a whole schema is consistent iff some relation can be
    nonempty: empty relations vacuously satisfy their CFDs, and CFDs never
    relate distinct relations. *)
-let consistent ?budget ?max_nodes schema sigma =
+let consistent ?max_nodes schema sigma =
   List.exists
-    (fun r -> consistent_rel ?budget ?max_nodes schema ~rel:(Schema.name r) sigma)
+    (fun r -> consistent_rel ?max_nodes schema ~rel:(Schema.name r) sigma)
     (Db_schema.relations schema)

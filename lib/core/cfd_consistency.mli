@@ -11,17 +11,16 @@ open Conddep_relational
 exception Budget_exceeded
 
 val witness_tuple :
-  ?budget:Guard.t -> ?max_nodes:int -> Db_schema.t -> rel:string -> Cfd.nf list -> Tuple.t option
+  ?max_nodes:int -> Db_schema.t -> rel:string -> Cfd.nf list -> Tuple.t option
 (** A single tuple over [rel] satisfying all CFDs of Σ on [rel], if any
     ([Some t] iff {b CFD(rel)} is consistent).
     @raise Budget_exceeded past [max_nodes] search nodes (default 2e6).
-    @raise Guard.Exhausted when the shared [budget] (default: ambient)
-    runs dry mid-search. *)
+    @raise Guard.Exhausted when the ambient budget runs dry mid-search. *)
 
 val consistent_rel :
-  ?budget:Guard.t -> ?max_nodes:int -> Db_schema.t -> rel:string -> Cfd.nf list -> bool
+  ?max_nodes:int -> Db_schema.t -> rel:string -> Cfd.nf list -> bool
 (** Whether the CFDs of Σ on [rel] admit a nonempty instance of [rel]. *)
 
-val consistent : ?budget:Guard.t -> ?max_nodes:int -> Db_schema.t -> Cfd.nf list -> bool
+val consistent : ?max_nodes:int -> Db_schema.t -> Cfd.nf list -> bool
 (** Whether a CFD-only Σ admits a nonempty database: some relation's CFD
     set must be consistent (empty relations satisfy CFDs vacuously). *)

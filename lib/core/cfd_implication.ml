@@ -91,9 +91,8 @@ let violates_goal goal t1 t2 =
   | Some v1, Some v2 -> not (Value.equal v1 v2 && Pattern.match_cell v1 goal.k_ta)
   | _, _ -> false
 
-let implies_exn ?budget ?(max_nodes = 4_000_000) schema ~sigma (phi : Cfd.nf) =
+let implies_exn ?(max_nodes = 4_000_000) schema ~sigma (phi : Cfd.nf) =
   Telemetry.with_span "cfd_implication.implies" @@ fun () ->
-  let budget = Guard.resolve budget in
   let rel_schema = Db_schema.find schema phi.Cfd.nf_rel in
   let sigma_rel = List.filter (fun nf -> String.equal nf.Cfd.nf_rel phi.nf_rel) sigma in
   let cands = candidates (phi :: sigma_rel) rel_schema in
@@ -114,7 +113,7 @@ let implies_exn ?budget ?(max_nodes = 4_000_000) schema ~sigma (phi : Cfd.nf) =
   let rec search pos =
     incr nodes;
     if !nodes > max_nodes then raise Budget_exceeded;
-    Guard.tick budget;
+    Guard.tick ();
     if sigma_violated () then false
     else if pos >= arity then
       fully_assigned t1 && fully_assigned t2 && violates_goal goal t1 t2
@@ -139,9 +138,9 @@ let implies_exn ?budget ?(max_nodes = 4_000_000) schema ~sigma (phi : Cfd.nf) =
 
 (* Three-valued form, sharing {!Implication.outcome}: the backtracking
    search is exact, so the only [Undetermined] sources are the local
-   [max_nodes] cap ([Guard.Fuel]) and the shared budget. *)
-let decide ?budget ?max_nodes schema ~sigma phi =
-  match implies_exn ?budget ?max_nodes schema ~sigma phi with
+   [max_nodes] cap ([Guard.Fuel]) and the ambient budget. *)
+let decide ?max_nodes schema ~sigma phi =
+  match implies_exn ?max_nodes schema ~sigma phi with
   | true -> Implication.Implied
   | false -> Implication.Not_implied
   | exception Budget_exceeded -> Implication.Undetermined Guard.Fuel

@@ -7,7 +7,6 @@ open Conddep_relational
     procedure searches for such a pair. *)
 
 val decide :
-  ?budget:Guard.t ->
   ?max_nodes:int ->
   Db_schema.t ->
   sigma:Cfd.nf list ->
@@ -16,4 +15,4 @@ val decide :
 (** [decide schema ~sigma phi] decides [sigma |= phi], three-valued.
     Never raises on resource exhaustion: past [max_nodes] search nodes
     (default 4e6) the answer is [Undetermined Guard.Fuel], and a dry
-    shared [budget] (default: ambient) yields [Undetermined r]. *)
+    ambient budget yields [Undetermined r]. *)

@@ -173,7 +173,7 @@ let children c s =
 (* Enumerate t1's start shapes: marks (or finite-domain choices) on ψ's X,
    ψ's Xp constants, and fresh (or chosen) values elsewhere.  Each start
    shape comes with the field values of t1[X], needed by the witness test. *)
-let start_shapes schema (psi : Cind.nf) ~budget =
+let start_shapes schema (psi : Cind.nf) ~max_states =
   let r1 = Db_schema.find schema psi.Cind.nf_lhs in
   let arity = Schema.arity r1 in
   let x_positions = List.map (Schema.position r1) psi.nf_x in
@@ -195,7 +195,7 @@ let start_shapes schema (psi : Cind.nf) ~budget =
                 | None -> [ (pos, Anon, None) ])))
   in
   let count = List.fold_left (fun acc l -> acc * List.length l) 1 slots in
-  if count > budget then raise Budget_exceeded;
+  if count > max_states then raise Budget_exceeded;
   (* straightforward cartesian product over the slots *)
   let rec go prefixes = function
     | [] -> List.map List.rev prefixes
@@ -244,17 +244,17 @@ let m_shapes =
    the shape is counted in, and a count reaching 0 kills that bucket's
    dependants.  Each shape dies at most once and each bucket empties at
    most once, so the fixpoint is linear in the shape graph (shapes × |Σ|).
-   The shared budget is ticked per explored shape, per shape seeded and
+   The ambient budget is ticked per explored shape, per shape seeded and
    per kill, and polled without spending fuel per already-visited child,
    so a deadline cuts even an exponentially exploding search promptly. *)
-let counterexample_from schema compiled psi ~budget ~max_states ~recorder
+let counterexample_from schema compiled psi ~max_states ~recorder
     (start, xvals) =
   let visited = State_tbl.create 256 in
   let queue = Queue.create () in
   let push s =
-    if State_tbl.mem visited s then Guard.tick ~cost:0 budget
+    if State_tbl.mem visited s then Guard.tick ~cost:0 ()
     else begin
-      Guard.tick budget;
+      Guard.tick ();
       (* The read set: every relation whose shapes the search explores,
          and (below) every CIND found applicable to one of them.  A CIND
          whose LHS relation never appears among the explored shapes can
@@ -300,7 +300,7 @@ let counterexample_from schema compiled psi ~budget ~max_states ~recorder
   let used = Array.make (Array.length compiled) false in
   Array.iteri
     (fun i s ->
-      Guard.tick budget;
+      Guard.tick ();
       if witness s then dead.(i) <- true
       else
         Array.iteri
@@ -331,7 +331,7 @@ let counterexample_from schema compiled psi ~budget ~max_states ~recorder
   let work = ref [] in
   let kill i =
     if not dead.(i) then begin
-      Guard.tick budget;
+      Guard.tick ();
       dead.(i) <- true;
       work := i :: !work
     end
@@ -365,12 +365,12 @@ let pp_outcome ppf = function
    — the shareable part of the work; [implies_many] compiles once and
    runs this per goal.  [Budget_exceeded] (the local [max_states] cap) is
    the procedure's own give-up, reported as [Undetermined Fuel]. *)
-let decide_compiled_core ~budget ~max_states ~recorder schema compiled psi =
+let decide_compiled_core ~max_states ~recorder schema compiled psi =
   match
     let psi = Cind.canon_nf psi in
-    let starts = start_shapes schema psi ~budget:max_states in
+    let starts = start_shapes schema psi ~max_states in
     List.exists
-      (counterexample_from schema compiled psi ~budget ~max_states ~recorder)
+      (counterexample_from schema compiled psi ~max_states ~recorder)
       starts
   with
   | true -> Not_implied
@@ -380,26 +380,22 @@ let decide_compiled_core ~budget ~max_states ~recorder schema compiled psi =
 
 (* Public form for callers that hold a compiled Σ across many goals (the
    incremental session's warm-start cache); spans like [decide]. *)
-let decide_compiled ?budget ?(max_states = 50_000) ?recorder schema compiled
-    psi =
+let decide_compiled ?(max_states = 50_000) ?recorder schema compiled psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
-  decide_compiled_core ~budget:(Guard.resolve budget) ~max_states ~recorder
-    schema compiled psi
+  decide_compiled_core ~max_states ~recorder schema compiled psi
 
-let decide ?budget ?(max_states = 50_000) schema ~sigma psi =
+let decide ?(max_states = 50_000) schema ~sigma psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
   let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
-  decide_compiled_core ~budget:(Guard.resolve budget) ~max_states
-    ~recorder:None schema compiled psi
+  decide_compiled_core ~max_states ~recorder:None schema compiled psi
 
-let implies_many ?budget ?(max_states = 50_000) schema ~sigma goals =
+let implies_many ?(max_states = 50_000) schema ~sigma goals =
   Telemetry.with_span "implication.implies_many" @@ fun () ->
-  let budget = Guard.resolve budget in
   (* The shared pass: Σ is canonicalised and compiled exactly once for
      the whole batch. *)
   let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
   List.map
-    (decide_compiled_core ~budget ~max_states ~recorder:None schema compiled)
+    (decide_compiled_core ~max_states ~recorder:None schema compiled)
     goals
 
 (* --- finite-domain-free restriction ---------------------------------------- *)
@@ -425,6 +421,6 @@ let check_infinite schema ~sigma psi =
     invalid_arg
       "Implication.decide_infinite: constraints involve finite-domain attributes"
 
-let decide_infinite ?budget ?max_states schema ~sigma psi =
+let decide_infinite ?max_states schema ~sigma psi =
   check_infinite schema ~sigma psi;
-  decide ?budget ?max_states schema ~sigma psi
+  decide ?max_states schema ~sigma psi

@@ -16,7 +16,7 @@ open Conddep_relational
     each shape dies at most once and each requirement bucket empties at
     most once, so the fixpoint costs O(shapes × |Σ|), linear in the shape
     graph.  The procedure is exact but worst-case exponential, because
-    the shape space is; a state budget bounds the search. *)
+    the shape space is; the [max_states] cap bounds the search. *)
 
 exception Budget_exceeded
 (** The shape space exceeded [max_states]; the answer is unknown. *)
@@ -24,12 +24,11 @@ exception Budget_exceeded
 type outcome = Implied | Not_implied | Undetermined of Guard.reason
 (** The three-valued answer: the exact procedure either decides, or gives
     up for a stated reason ([Guard.Fuel] for its own [max_states] cap;
-    the budget's reason when a shared budget ran out). *)
+    the budget's reason when the ambient budget ran out). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val decide :
-  ?budget:Guard.t ->
   ?max_states:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
@@ -38,9 +37,9 @@ val decide :
 (** [decide schema ~sigma psi] decides [sigma |= psi] (Theorems 3.4/3.5).
     Inputs are assumed validated against [schema].  Never raises on
     resource exhaustion: past [max_states] explored shapes (default
-    50,000) the answer is [Undetermined Guard.Fuel], and a dry shared
-    [budget] (default: ambient) yields [Undetermined r].  Drivers should
-    prefer the [Cind_api] facade. *)
+    50,000) the answer is [Undetermined Guard.Fuel], and a dry ambient
+    budget yields [Undetermined r].  Drivers should prefer the [Cind_api]
+    facade. *)
 
 type compiled
 (** A member of Σ pre-compiled against a schema: the per-call work of
@@ -53,7 +52,6 @@ val compile : Db_schema.t -> Cind.nf -> compiled
     session) compile once and reuse via {!decide_compiled}. *)
 
 val decide_compiled :
-  ?budget:Guard.t ->
   ?max_states:int ->
   ?recorder:Read_set.t ->
   Db_schema.t ->
@@ -67,7 +65,6 @@ val decide_compiled :
     {!Read_set}). *)
 
 val decide_infinite :
-  ?budget:Guard.t ->
   ?max_states:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
@@ -79,7 +76,6 @@ val decide_infinite :
     attribute. *)
 
 val implies_many :
-  ?budget:Guard.t ->
   ?max_states:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->

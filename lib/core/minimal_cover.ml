@@ -1,9 +1,9 @@
 (* Minimal covers (Section 8, future work): remove from Σ every constraint
    implied by the rest.  Implication of CINDs is EXPTIME-complete and that
    of CFDs coNP-complete, so the greedy removal below is exact but
-   worst-case expensive; a per-call budget turns it into the heuristic the
-   paper anticipates — when a test blows the budget the constraint is
-   conservatively kept. *)
+   worst-case expensive; a per-call cap ([max_states], [max_nodes]) turns
+   it into the heuristic the paper anticipates — when a test hits its cap
+   the constraint is conservatively kept. *)
 
 let greedy ~implied items =
   let rec go kept = function
@@ -14,14 +14,14 @@ let greedy ~implied items =
   in
   go [] items
 
-(* An [Undetermined] test keeps the constraint, but a spent shared budget
+(* An [Undetermined] test keeps the constraint, but a spent ambient budget
    must still surface as the exhaustion it is — only the procedures' own
    local caps are the heuristic give-up. *)
 let keep_or_reraise = function
   | Implication.Implied -> true
   | Implication.Not_implied -> false
   | Implication.Undetermined _ ->
-      Guard.reraise_if_spent (Guard.resolve None);
+      Guard.reraise_if_spent ();
       false
 
 let cind_cover ?(max_states = 20_000) schema sigma =

@@ -1,9 +1,9 @@
 open Conddep_relational
 
 (** Minimal covers of constraint sets (the paper's Section 8 outlook):
-    greedy removal of constraints implied by the remainder, budgeted so the
-    undecidable/expensive implication tests degrade gracefully (a blown
-    budget keeps the constraint). *)
+    greedy removal of constraints implied by the remainder, capped so the
+    undecidable/expensive implication tests degrade gracefully (a test
+    that hits its cap keeps the constraint). *)
 
 val cind_cover : ?max_states:int -> Db_schema.t -> Cind.nf list -> Cind.nf list
 (** Equivalent subset of the given CINDs with implied members removed. *)

@@ -108,10 +108,10 @@ module Shape_tbl = Hashtbl.Make (struct
 end)
 
 (* BFS with parent pointers; returns the σ-path to the first witness.  As
-   in [Implication.counterexample_from], the budget is ticked per new
-   shape and polled without spending fuel per already-visited child, so a
-   deadline cuts a search that keeps re-deriving known shapes. *)
-let find_path ~budget ~max_states schema sigma psi =
+   in [Implication.counterexample_from], the ambient budget is ticked per
+   new shape and polled without spending fuel per already-visited child,
+   so a deadline cuts a search that keeps re-deriving known shapes. *)
+let find_path ~max_states schema sigma psi =
   let start = start_shape schema psi in
   if is_witness schema psi start then Some []
   else begin
@@ -127,9 +127,9 @@ let find_path ~budget ~max_states schema sigma psi =
            (fun nf ->
              if applicable schema nf s then begin
                let c = child schema nf s in
-               if Shape_tbl.mem visited c then Guard.tick ~cost:0 budget
+               if Shape_tbl.mem visited c then Guard.tick ~cost:0 ()
                else begin
-                 Guard.tick budget;
+                 Guard.tick ();
                  if Shape_tbl.length visited > max_states then
                    raise Implication.Budget_exceeded;
                  Shape_tbl.replace visited c ();
@@ -297,11 +297,11 @@ let derive_finish b (psi : Cind.nf) ~dk_line =
   let projected = emit b (Inference.Infer (Inference.Proj_perm { prem = dk_line; indices })) in
   emit b (Inference.Infer (Inference.Reduce { prem = projected; keep_yp = List.map fst psi.nf_yp }))
 
-let derive ?budget ?(max_states = 50_000) schema ~sigma psi =
+let derive ?(max_states = 50_000) schema ~sigma psi =
   let sigma = List.map Cind.canon_nf sigma in
   let psi = Cind.canon_nf psi in
   ensure_infinite schema (psi :: sigma);
-  match find_path ~budget:(Guard.resolve budget) ~max_states schema sigma psi with
+  match find_path ~max_states schema sigma psi with
   | None -> None
   | Some path ->
       let b = { schema; lines = []; concls = []; len = 0 } in

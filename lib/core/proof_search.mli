@@ -11,7 +11,6 @@ open Conddep_relational
     and the goal is recovered with CIND2/CIND6. *)
 
 val derive :
-  ?budget:Guard.t ->
   ?max_states:int ->
   Db_schema.t ->
   sigma:Cind.nf list ->
@@ -21,11 +20,11 @@ val derive :
     [Inference.proves schema ~sigma proof psi = Ok _] iff [sigma |= psi],
     and [None] otherwise.
 
-    The breadth-first search ticks [budget] (default: ambient) once per
-    new shape and polls it, without spending fuel, per revisited one.
+    The breadth-first search ticks the ambient budget once per new shape
+    and polls it, without spending fuel, per revisited one.
 
     @raise Invalid_argument when any involved relation has a finite-domain
     attribute (CIND7/CIND8 territory — use {!Implication.decide}).
     @raise Implication.Budget_exceeded past [max_states] explored shapes
     (default 50,000).
-    @raise Guard.Exhausted when [budget] runs out. *)
+    @raise Guard.Exhausted when the ambient budget runs out. *)

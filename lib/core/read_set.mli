@@ -9,8 +9,8 @@
     its LHS relation, and removing a CIND that no derivation step ever
     found applicable must keep the entry.
 
-    Recorders follow the [?budget]-style optional-argument pattern: every
-    recording function takes a [t option], so call sites pass their
+    Recorders are an optional argument: every recording function takes a
+    [t option], so call sites pass their
     [?recorder] parameter straight through and pay nothing when it is
     [None].  A recorder is an over-approximation contract, not an exact
     trace: recording {e more} than was read is always sound (it only

@@ -1,7 +1,7 @@
 (* Unified resource governance: budgets (deadline / fuel / allocation
-   ceiling) with a structured exhaustion reason, and an ambient budget
-   for CLI- and bench-scoped limits.  See guard.mli for the full
-   contract. *)
+   ceiling) with a structured exhaustion reason.  Engines spend the
+   ambient budget, which callers scope with [with_ambient].  See
+   guard.mli for the full contract. *)
 
 type reason =
   | Deadline
@@ -88,35 +88,7 @@ let poll_slow b =
   | Some w when Gc.minor_words () -. b.words0 > w -> exhaust b Memory
   | _ -> ()
 
-let tick ?(cost = 1) b =
-  if not (is_unlimited b) then begin
-    (match b.spent with Some r -> raise (Exhausted r) | None -> ());
-    if b.fuel_limited then
-      if Atomic.fetch_and_add b.fuel (-cost) - cost < 0 then exhaust b Fuel;
-    b.poll <- b.poll - 1;
-    if b.poll <= 0 then poll_slow b
-  end
-
-let check b =
-  if not (is_unlimited b) then begin
-    (match b.spent with Some r -> raise (Exhausted r) | None -> ());
-    poll_slow b
-  end
-
 let state b = b.spent
-
-let reraise_if_spent b =
-  match b.spent with Some r -> raise (Exhausted r) | None -> ()
-
-let recoverable ~shared _ = shared.spent = None
-
-let run b f =
-  match
-    check b;
-    f ()
-  with
-  | v -> Ok v
-  | exception Exhausted r -> Error r
 
 (* --- ambient budget --- *)
 
@@ -134,4 +106,24 @@ let with_ambient b f =
   cell := b;
   Fun.protect ~finally:(fun () -> cell := saved) f
 
-let resolve = function Some b -> b | None -> ambient ()
+(* --- spending the ambient budget --- *)
+
+let tick ?(cost = 1) () =
+  let b = ambient () in
+  if not (is_unlimited b) then begin
+    (match b.spent with Some r -> raise (Exhausted r) | None -> ());
+    if b.fuel_limited then
+      if Atomic.fetch_and_add b.fuel (-cost) - cost < 0 then exhaust b Fuel;
+    b.poll <- b.poll - 1;
+    if b.poll <= 0 then poll_slow b
+  end
+
+let check () =
+  let b = ambient () in
+  if not (is_unlimited b) then begin
+    (match b.spent with Some r -> raise (Exhausted r) | None -> ());
+    poll_slow b
+  end
+
+let reraise_if_spent () =
+  match (ambient ()).spent with Some r -> raise (Exhausted r) | None -> ()

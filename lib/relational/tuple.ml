@@ -6,12 +6,9 @@ type t = Value.t array
 
 let make = Array.of_list
 let to_list = Array.to_list
-let arity = Array.length
 let get t i = t.(i)
 
 let proj t positions = List.map (fun i -> t.(i)) positions
-
-let proj_names schema t names = proj t (List.map (Schema.position schema) names)
 
 (* Semantic (Value.compare) order: Relation's tuple sets and every printed
    instance depend on it. *)

@@ -8,7 +8,6 @@ type t
 
 val make : Value.t list -> t
 val to_list : t -> Value.t list
-val arity : t -> int
 val get : t -> int -> Value.t
 
 val set : t -> int -> Value.t -> t
@@ -17,9 +16,6 @@ val set : t -> int -> Value.t -> t
 val proj : t -> int list -> Value.t list
 (** Projection onto a position list, in the order given (t[X] in the paper,
     possibly with repeats). *)
-
-val proj_names : Schema.t -> t -> string list -> Value.t list
-(** Projection by attribute names resolved against a schema. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

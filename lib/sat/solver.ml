@@ -246,7 +246,7 @@ let analyze st confl =
 
 (* --- the CDCL search loop ------------------------------------------------------ *)
 
-let solve_cdcl ~budget ~num_vars units long =
+let solve_cdcl ~num_vars units long =
   let st =
     {
       num_vars;
@@ -282,12 +282,12 @@ let solve_cdcl ~budget ~num_vars units long =
   for v = 1 to num_vars do
     st.activity.(v) <- float_of_int st.occ.(v) *. 1e-9
   done;
-  (* Every conflict and every decision ticks the budget, the only bound on
-     the search. *)
+  (* Every conflict and every decision ticks the ambient budget, the only
+     bound on the search. *)
   let rec search () =
     let confl = propagate st in
     if confl != no_reason then begin
-      Guard.tick budget;
+      Guard.tick ();
       if st.dlevel = 0 then raise Found_unsat;
       let lits, blevel =
         Telemetry.with_span "sat.analyze" (fun () -> analyze st confl)
@@ -308,7 +308,7 @@ let solve_cdcl ~budget ~num_vars units long =
       | None -> Sat (Array.map (fun a -> a = 1) st.assign)
       | Some l ->
           Telemetry.incr m_decisions;
-          Guard.tick budget;
+          Guard.tick ();
           st.dlevel <- st.dlevel + 1;
           st.trail_lim.(st.dlevel) <- st.trail_len;
           push_assign st l no_reason;
@@ -328,8 +328,7 @@ let solve_cdcl ~budget ~num_vars units long =
 
 (* --- front end ------------------------------------------------------------------ *)
 
-let solve ?budget cnf =
-  let budget = Guard.resolve budget in
+let solve cnf =
   Telemetry.incr m_solves;
   Telemetry.with_span "sat.solve" @@ fun () ->
   let result =
@@ -339,7 +338,7 @@ let solve ?budget cnf =
       else
         let units = List.filter_map (function [ l ] -> Some l | _ -> None) simplified in
         let long = List.filter (fun c -> List.length c >= 2) simplified in
-        solve_cdcl ~budget ~num_vars:(Cnf.num_vars cnf) units long
+        solve_cdcl ~num_vars:(Cnf.num_vars cnf) units long
     with Guard.Exhausted r -> Unknown r
   in
   (match result with

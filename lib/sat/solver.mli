@@ -25,7 +25,7 @@
     every conflict measured so far occurred at decision level 0, where it
     ends the search without learning a clause.
 
-    The solver is resource-governed: an optional {!Guard.t} budget bounds
+    The solver is resource-governed: the ambient {!Guard} budget bounds
     the search (every decision and every conflict ticks it), and the result
     is three-valued — when the budget runs dry the solver answers [Unknown]
     with a structured reason, never a wrong [Sat]/[Unsat].  Branching is
@@ -44,9 +44,9 @@ type result =
   | Unsat
   | Unknown of Guard.reason  (** search stopped by the budget *)
 
-val solve : ?budget:Guard.t -> Cnf.t -> result
-(** [budget] defaults to the ambient budget; with no limits at all the
-    solver is complete and never answers [Unknown]. *)
+val solve : Cnf.t -> result
+(** Under an unlimited ambient budget the solver is complete and never
+    answers [Unknown]. *)
 
 val solve_brute : Cnf.t -> result
 (** Exhaustive reference implementation for differential testing.  Returns

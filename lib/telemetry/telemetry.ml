@@ -97,9 +97,11 @@ let gauge_snapshot () =
    per-domain cap bounds memory on runaway runs; drops are counted, never
    silent. *)
 
+type phase = Begin | End
+
 type trace_event = {
   te_name : string;
-  te_ph : char; (* 'B' begin | 'E' end *)
+  te_ph : phase;
   te_ts : float; (* absolute Unix time, seconds *)
   te_tid : int; (* emitting domain's id *)
   te_err : bool;
@@ -118,7 +120,7 @@ type tbuf = {
   mutable tb_len : int;
 }
 
-let dummy_event = { te_name = ""; te_ph = 'B'; te_ts = 0.; te_tid = 0; te_err = false }
+let dummy_event = { te_name = ""; te_ph = Begin; te_ts = 0.; te_tid = 0; te_err = false }
 
 let self_tid () = (Domain.self () :> int)
 
@@ -248,7 +250,7 @@ let with_span name f =
       { f_name = name; f_t0 = Unix.gettimeofday (); f_w0 = Gc.minor_words (); f_child_s = 0. }
     in
     frames := fr :: !frames;
-    push_event buf { te_name = name; te_ph = 'B'; te_ts = fr.f_t0; te_tid = tid; te_err = false };
+    push_event buf { te_name = name; te_ph = Begin; te_ts = fr.f_t0; te_tid = tid; te_err = false };
     let finish err =
       let t1 = Unix.gettimeofday () in
       let dur = t1 -. fr.f_t0 in
@@ -260,7 +262,7 @@ let with_span name f =
           | parent :: _ -> parent.f_child_s <- parent.f_child_s +. dur
           | [] -> ())
       | _ -> () (* unbalanced pop can only mean a reset mid-span; shrug *));
-      push_event buf { te_name = name; te_ph = 'E'; te_ts = t1; te_tid = tid; te_err = err };
+      push_event buf { te_name = name; te_ph = End; te_ts = t1; te_tid = tid; te_err = err };
       profile_record
         (List.rev_map (fun f -> f.f_name) !frames)
         name dur alloc fr.f_child_s err
@@ -390,13 +392,13 @@ let write_chrome_trace oc =
         let ev = tb.tb_evs.(i) in
         last_ts := us ev.te_ts;
         match ev.te_ph with
-        | 'B' ->
+        | Begin ->
             open_stack := ev.te_name :: !open_stack;
             emit
               (Printf.sprintf
                  "{\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"name\":\"%s\",\"cat\":\"span\"}"
                  ev.te_tid (us ev.te_ts) (escape ev.te_name))
-        | _ ->
+        | End ->
             (match !open_stack with _ :: rest -> open_stack := rest | [] -> ());
             emit
               (Printf.sprintf

@@ -103,9 +103,11 @@ val exhaustion_snapshot : unit -> (string * string list) option
 
 (** {1 Trace export} *)
 
+type phase = Begin | End  (** a span's Chrome ["B"] and ["E"] events *)
+
 type trace_event = {
   te_name : string;
-  te_ph : char;  (** ['B'] begin, ['E'] end *)
+  te_ph : phase;
   te_ts : float;  (** absolute Unix time, seconds *)
   te_tid : int;  (** emitting domain's id *)
   te_err : bool;

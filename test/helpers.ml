@@ -65,11 +65,12 @@ let finite_workload ~seed ~relations ~constraints =
   in
   (schema, sigma)
 
-(* A fuel budget spent before the call: its first tick or check raises
-   [Guard.Exhausted Fuel]. *)
+(* A fuel budget spent before the call: the first tick or check under it
+   raises [Guard.Exhausted Fuel]. *)
 let spent_fuel () =
   let b = Guard.make ~fuel:1 () in
-  (try Guard.tick ~cost:2 b with Guard.Exhausted _ -> ());
+  (try Guard.with_ambient b (fun () -> Guard.tick ~cost:2 ())
+   with Guard.Exhausted _ -> ());
   b
 
 let qtest ?(count = 200) name gen prop =

@@ -120,7 +120,7 @@ let children c s =
 (* Enumerate t1's start shapes: marks (or finite-domain choices) on ψ's X,
    ψ's Xp constants, and fresh (or chosen) values elsewhere.  Each start
    shape comes with the field values of t1[X], needed by the witness test. *)
-let start_shapes schema (psi : Cind.nf) ~budget =
+let start_shapes schema (psi : Cind.nf) ~max_states =
   let r1 = Db_schema.find schema psi.Cind.nf_lhs in
   let arity = Schema.arity r1 in
   let x_positions = List.map (Schema.position r1) psi.nf_x in
@@ -142,7 +142,7 @@ let start_shapes schema (psi : Cind.nf) ~budget =
                 | None -> [ (pos, Anon, None) ])))
   in
   let count = List.fold_left (fun acc l -> acc * List.length l) 1 slots in
-  if count > budget then raise Implication.Budget_exceeded;
+  if count > max_states then raise Implication.Budget_exceeded;
   (* straightforward cartesian product over the slots *)
   let rec go prefixes = function
     | [] -> List.map List.rev prefixes
@@ -177,18 +177,18 @@ let is_witness schema (psi : Cind.nf) ~xvals =
     && List.for_all (fun (pos, v) -> field_equal s.fields.(pos) (Cst v)) yp
 
 (* Does a counterexample model exist from this start shape?  Greatest
-   fixpoint over the reachable shape space.  The shared budget is ticked
+   fixpoint over the reachable shape space.  The ambient budget is ticked
    per explored shape (reachability) and per scanned state (fixpoint), and
    polled without spending fuel per already-visited child, so a deadline
    cuts even an exponentially exploding search promptly. *)
-let counterexample_from schema compiled psi ~budget ~max_states (start, xvals) =
+let counterexample_from schema compiled psi ~max_states (start, xvals) =
   let witness = is_witness schema psi ~xvals in
   let visited = State_tbl.create 256 in
   let queue = Queue.create () in
   let push s =
-    if State_tbl.mem visited s then Guard.tick ~cost:0 budget
+    if State_tbl.mem visited s then Guard.tick ~cost:0 ()
     else begin
-      Guard.tick budget;
+      Guard.tick ();
       State_tbl.replace visited s ();
       if State_tbl.length visited > max_states then raise Implication.Budget_exceeded;
       Queue.push s queue
@@ -217,7 +217,7 @@ let counterexample_from schema compiled psi ~budget ~max_states (start, xvals) =
     let dead = ref [] in
     State_tbl.iter
       (fun s () ->
-        Guard.tick budget;
+        Guard.tick ();
         if
           List.exists (fun c -> applicable c s && not (requirement_met c s)) compiled
         then dead := s :: !dead)
@@ -229,14 +229,12 @@ let counterexample_from schema compiled psi ~budget ~max_states (start, xvals) =
   done;
   State_tbl.mem alive start
 
-let decide ?(budget = Guard.unlimited) ?(max_states = 50_000) schema ~sigma psi =
+let decide ?(max_states = 50_000) schema ~sigma psi =
   let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
   match
     let psi = Cind.canon_nf psi in
-    let starts = start_shapes schema psi ~budget:max_states in
-    List.exists
-      (counterexample_from schema compiled psi ~budget ~max_states)
-      starts
+    let starts = start_shapes schema psi ~max_states in
+    List.exists (counterexample_from schema compiled psi ~max_states) starts
   with
   | true -> Implication.Not_implied
   | false -> Implication.Implied

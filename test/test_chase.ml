@@ -376,11 +376,59 @@ let workload_gen =
     ~print:(fun (seed, inst) -> Printf.sprintf "seed %d, instantiated %b" seed inst)
     QCheck.Gen.(pair (int_range 0 1000) bool)
 
+let sigma_gen =
+  QCheck.make
+    ~print:(fun (seed, c) -> Printf.sprintf "seed %d, consistent %b" seed c)
+    QCheck.Gen.(pair (int_range 0 1000) bool)
+
+(* An FD pass needs no step cap: an applied FD(φ) step substitutes at
+   least one variable away everywhere, so a pass takes at most as many
+   steps as the template has variables.  Templates with pool variables
+   come from a seed tuple and up to six IND steps, round robin over Σ's
+   CINDs (a random Σ from the all-variable seed, a consistent one from
+   the witness seed); on each of them, and on every template down to its
+   FD fixpoint, each [fd_step] that answers [Fd_changed] must leave
+   strictly fewer variables. *)
+let prop_fd_step_drops_a_variable (seed, consistent) =
+  let schema, sigma = small_workload ~consistent seed in
+  let compiled = Chase.compile schema sigma in
+  let cinds = Array.of_list compiled.Chase.cinds in
+  let pool = Pool.make ~n:Chase.default_config.pool_size in
+  let rng = Rng.make seed in
+  let variables db = List.length (Template.variables db) in
+  let rec fd_steps_drop db =
+    let changed =
+      List.filter_map
+        (fun cfd ->
+          match Chase.fd_step cfd db with
+          | Chase.Fd_changed db' -> Some db'
+          | Chase.Fd_unchanged | Chase.Fd_undefined _ -> None)
+        compiled.Chase.cfds
+    in
+    List.for_all (fun db' -> variables db' < variables db) changed
+    && match changed with [] -> true | db' :: _ -> fd_steps_drop db'
+  in
+  let rec grow db ~applied ~idle i =
+    if applied >= 6 || idle >= Array.length cinds then true
+    else
+      match
+        Chase.ind_step ~instantiated:false ~threshold:Chase.default_config.threshold
+          pool rng schema cinds.(i mod Array.length cinds) db
+      with
+      | Chase.Ind_changed db' ->
+          fd_steps_drop db' && grow db' ~applied:(applied + 1) ~idle:0 (i + 1)
+      | Chase.Ind_unchanged | Chase.Ind_overflow _ ->
+          grow db ~applied ~idle:(idle + 1) (i + 1)
+  in
+  let seed_db = if consistent then witness_seed schema else first_rel_seed schema in
+  fd_steps_drop seed_db && grow seed_db ~applied:0 ~idle:0 0
+
 let test_run_spent_fuel () =
   let schema, sigma = small_workload 13 in
   match
-    Chase.run ~budget:(spent_fuel ()) ~config:Chase.default_config ~rng:(Rng.make 3)
-      schema (Chase.compile schema sigma) (first_rel_seed schema)
+    Guard.with_ambient (spent_fuel ()) (fun () ->
+        Chase.run ~config:Chase.default_config ~rng:(Rng.make 3) schema
+          (Chase.compile schema sigma) (first_rel_seed schema))
   with
   | Chase.Exhausted Guard.Fuel -> ()
   | Chase.Exhausted r -> Alcotest.failf "expected fuel, got %s" (Guard.reason_to_string r)
@@ -389,7 +437,8 @@ let test_run_spent_fuel () =
 let test_random_checking_spent_fuel () =
   let schema, sigma = small_workload 13 in
   match
-    Random_checking.check ~budget:(spent_fuel ()) ~rng:(Rng.make 2) schema sigma
+    Guard.with_ambient (spent_fuel ()) (fun () ->
+        Random_checking.check ~rng:(Rng.make 2) schema sigma)
   with
   | Random_checking.Unknown Guard.Fuel -> ()
   | Random_checking.Unknown r ->
@@ -431,6 +480,8 @@ let () =
         [
           qtest ~count:80 "terminal chase is an FD and IND fixpoint" workload_gen
             prop_terminal_is_fixpoint;
+          qtest ~count:1000 "an applied FD step drops a variable" sigma_gen
+            prop_fd_step_drops_a_variable;
         ] );
       ( "faults",
         [

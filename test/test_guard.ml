@@ -19,22 +19,24 @@ let check_reason = Alcotest.check reason
 let test_unlimited () =
   check_bool "make () is unlimited" true (Guard.is_unlimited (Guard.make ()));
   let b = Guard.unlimited in
-  for _ = 1 to 10_000 do
-    Guard.tick b
-  done;
-  Guard.check b;
+  Guard.with_ambient b (fun () ->
+      for _ = 1 to 10_000 do
+        Guard.tick ()
+      done;
+      Guard.check ());
   check_bool "unlimited never spends" true (Guard.state b = None)
 
 let test_fuel_sticky () =
   let b = Guard.make ~fuel:3 () in
-  Guard.tick b;
-  Guard.tick b;
-  Guard.tick b;
-  (match Guard.tick b with
+  Guard.with_ambient b @@ fun () ->
+  Guard.tick ();
+  Guard.tick ();
+  Guard.tick ();
+  (match Guard.tick () with
   | () -> Alcotest.fail "fuel should be exhausted"
   | exception Guard.Exhausted r -> check_reason "fuel reason" Guard.Fuel r);
   (* sticky: every subsequent poll raises the same reason *)
-  (match Guard.check b with
+  (match Guard.check () with
   | () -> Alcotest.fail "spent budget must stay spent"
   | exception Guard.Exhausted r -> check_reason "sticky reason" Guard.Fuel r);
   check_bool "state reports spent" true (Guard.state b = Some Guard.Fuel)
@@ -43,26 +45,15 @@ let test_deadline () =
   let b = Guard.make ~timeout_s:0.02 () in
   let t0 = Unix.gettimeofday () in
   match
-    while true do
-      Guard.check b
-    done
+    Guard.with_ambient b (fun () ->
+        while true do
+          Guard.check ()
+        done)
   with
   | () -> assert false
   | exception Guard.Exhausted r ->
       check_reason "deadline reason" Guard.Deadline r;
       check_bool "deadline prompt" true (Unix.gettimeofday () -. t0 < 1.0)
-
-let test_recoverable () =
-  let shared = Guard.unlimited in
-  check_bool "local fuel is recoverable" true
-    (Guard.recoverable ~shared Guard.Fuel);
-  let spent = Guard.make ~fuel:1 () in
-  (try
-     Guard.tick spent;
-     Guard.tick spent
-   with Guard.Exhausted _ -> ());
-  check_bool "spent shared budget propagates" false
-    (Guard.recoverable ~shared:spent Guard.Fuel)
 
 let test_ambient_scoping () =
   let outer = Guard.ambient () in
@@ -70,8 +61,18 @@ let test_ambient_scoping () =
   Guard.with_ambient b (fun () ->
       check_bool "scoped ambient visible" true (Guard.ambient () == b));
   check_bool "ambient restored" true (Guard.ambient () == outer);
-  check_bool "resolve None is ambient" true (Guard.resolve None == outer);
-  check_bool "resolve Some is itself" true (Guard.resolve (Some b) == b)
+  (* ticks spend the scoped budget, and an exhaustion escaping the scope
+     still restores the outer ambient, unspent *)
+  (match
+     Guard.with_ambient b (fun () ->
+         for _ = 1 to 11 do
+           Guard.tick ()
+         done)
+   with
+  | () -> Alcotest.fail "the scoped fuel must run out"
+  | exception Guard.Exhausted r -> check_reason "scoped reason" Guard.Fuel r);
+  check_bool "ambient restored after exhaustion" true (Guard.ambient () == outer);
+  check_bool "outer budget unspent" true (Guard.state outer = None)
 
 (* --- SAT degradation -------------------------------------------------------- *)
 
@@ -97,7 +98,7 @@ let test_sat_degrades_never_lies () =
       | Solver.Unknown _ -> Alcotest.fail "brute force within its range"
     in
     (* starve the CDCL search: it may give up, but must never contradict *)
-    match Solver.solve ~budget:(Guard.make ~fuel:8 ()) cnf with
+    match Guard.with_ambient (Guard.make ~fuel:8 ()) (fun () -> Solver.solve cnf) with
     | Solver.Sat model ->
         check_bool "claimed Sat has a model" true (Cnf.eval model cnf);
         check_bool "agrees with brute force" true truth
@@ -117,7 +118,7 @@ let test_brute_force_cap () =
 let test_sat_budget () =
   let rng = Rng.make 5 in
   let cnf = random_cnf rng ~num_vars:30 ~num_clauses:130 in
-  match Solver.solve ~budget:(Guard.make ~fuel:3 ()) cnf with
+  match Guard.with_ambient (Guard.make ~fuel:3 ()) (fun () -> Solver.solve cnf) with
   | Solver.Unknown r -> check_reason "budgeted solve" Guard.Fuel r
   | _ -> Alcotest.fail "3 fuel cannot decide a 30-var instance"
 
@@ -162,8 +163,8 @@ let test_checking_deadline () =
   let schema, sigma = needle_workload ~seed:3 ~relations:8 ~cinds:20 in
   let t0 = Unix.gettimeofday () in
   let result =
-    Checking.check ~budget:(Guard.make ~timeout_s:0.2 ()) ~k:1_000_000
-      ~rng:(Rng.make 1) schema sigma
+    Guard.with_ambient (Guard.make ~timeout_s:0.2 ()) (fun () ->
+        Checking.check ~k:1_000_000 ~rng:(Rng.make 1) schema sigma)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   check_bool "terminates promptly" true (elapsed < 2.0);
@@ -179,19 +180,18 @@ let test_implication_deadline () =
   | [] -> Alcotest.fail "workload has CINDs"
   | psi :: rest -> (
       match
-        Implication.decide
-          ~budget:(Guard.make ~fuel:50 ())
-          schema ~sigma:rest psi
+        Guard.with_ambient (Guard.make ~fuel:50 ()) (fun () ->
+            Implication.decide schema ~sigma:rest psi)
       with
       | Implication.Implied | Implication.Not_implied ->
           () (* small instances may decide within the fuel *)
       | Implication.Undetermined r -> check_reason "fuel surfaced" Guard.Fuel r)
 
 let test_random_checking_memory () =
-  (* RandomChecking's runs go under the caller's budget itself, so a
-     caller's allocation ceiling holds inside every run: with a one-word
-     ceiling no run can finish, and the search answers Unknown Memory on
-     Σ it otherwise finds a witness for *)
+  (* RandomChecking's runs spend the ambient budget itself, so a caller's
+     allocation ceiling holds inside every run: with a one-word ceiling no
+     run can finish, and the search answers Unknown Memory on Σ it
+     otherwise finds a witness for *)
   for seed = 1 to 30 do
     let rng = Rng.make seed in
     let schema =
@@ -202,8 +202,8 @@ let test_random_checking_memory () =
         schema
     in
     match
-      Random_checking.check ~budget:(Guard.make ~max_words:1. ())
-        ~rng:(Rng.make 2) schema sigma
+      Guard.with_ambient (Guard.make ~max_words:1. ()) (fun () ->
+          Random_checking.check ~rng:(Rng.make 2) schema sigma)
     with
     | Random_checking.Unknown r ->
         check_reason (Printf.sprintf "seed %d: memory surfaced" seed)
@@ -224,9 +224,8 @@ let test_budgeted_determinism () =
      fuel (unlike wall-clock) is exactly reproducible *)
   let run seed fuel =
     let schema, sigma = needle_workload ~seed:11 ~relations:6 ~cinds:12 in
-    describe_result
-      (Checking.check ~budget:(Guard.make ~fuel ()) ~k:50 ~rng:(Rng.make seed)
-         schema sigma)
+    Guard.with_ambient (Guard.make ~fuel ()) @@ fun () ->
+    describe_result (Checking.check ~k:50 ~rng:(Rng.make seed) schema sigma)
   in
   check_string "same budget, same verdict" (run 4 20_000) (run 4 20_000);
   check_string "other seed reproducible too" (run 9 1_000) (run 9 1_000)
@@ -235,10 +234,11 @@ let test_guards_disabled_identical () =
   (* An effectively-infinite budget must not perturb verdicts. *)
   let run budget =
     let schema, sigma = small_workload 21 in
-    describe_result (Checking.check ?budget ~rng:(Rng.make 2) schema sigma)
+    Guard.with_ambient budget @@ fun () ->
+    describe_result (Checking.check ~rng:(Rng.make 2) schema sigma)
   in
-  check_string "verdict unchanged under a huge budget" (run None)
-    (run (Some (Guard.make ~fuel:max_int ())))
+  check_string "verdict unchanged under a huge budget" (run Guard.unlimited)
+    (run (Guard.make ~fuel:max_int ()))
 
 (* --- budget cuts: Unknown, never a crash --------------------------------------- *)
 
@@ -248,13 +248,14 @@ let test_checking_fuel_sweep () =
      cuts and completes. *)
   let schema, sigma = finite_workload ~seed:5 ~relations:3 ~constraints:40 in
   let run budget =
-    describe_result (Checking.check ?budget ~rng:(Rng.make 2) schema sigma)
+    Guard.with_ambient budget @@ fun () ->
+    describe_result (Checking.check ~rng:(Rng.make 2) schema sigma)
   in
-  let baseline = run None in
+  let baseline = run Guard.unlimited in
   let verdicts =
     List.map
       (fun fuel ->
-        let v = run (Some (Guard.make ~fuel ())) in
+        let v = run (Guard.make ~fuel ()) in
         if v <> baseline && v <> "unknown:fuel" then
           Alcotest.failf "fuel %d: %s, unbudgeted %s" fuel v baseline;
         v)
@@ -263,12 +264,13 @@ let test_checking_fuel_sweep () =
   check_bool "small fuel cuts the run" true (List.mem "unknown:fuel" verdicts);
   check_bool "large fuel completes" true (List.mem baseline verdicts);
   check_string "a spent budget cuts at entry" "unknown:fuel"
-    (run (Some (spent_fuel ())))
+    (run (spent_fuel ()))
 
 let test_random_checking_fuel () =
   let schema, sigma = small_workload 13 in
   match
-    Random_checking.check ~budget:(spent_fuel ()) ~rng:(Rng.make 2) schema sigma
+    Guard.with_ambient (spent_fuel ()) (fun () ->
+        Random_checking.check ~rng:(Rng.make 2) schema sigma)
   with
   | Random_checking.Unknown r -> check_reason "reason" Guard.Fuel r
   | Random_checking.Consistent _ -> Alcotest.fail "a spent budget must cut"
@@ -277,9 +279,9 @@ let test_chase_fuel () =
   let schema, sigma = small_workload 13 in
   let compiled = Chase.compile schema sigma in
   match
-    Chase.run ~budget:(spent_fuel ()) ~config:Chase.default_config
-      ~rng:(Rng.make 3) schema compiled
-      (Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema)))
+    Guard.with_ambient (spent_fuel ()) (fun () ->
+        Chase.run ~config:Chase.default_config ~rng:(Rng.make 3) schema compiled
+          (Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema))))
   with
   | Chase.Exhausted r -> check_reason "reason" Guard.Fuel r
   | Chase.Terminal _ | Chase.Undefined _ -> Alcotest.fail "a spent budget must cut"
@@ -287,7 +289,8 @@ let test_chase_fuel () =
 let test_sat_fuel () =
   (* two clauses that need a decision, and a decision ticks the budget *)
   match
-    Solver.solve ~budget:(spent_fuel ()) (Cnf.make ~num_vars:2 [ [ 1; 2 ]; [ -1; -2 ] ])
+    Guard.with_ambient (spent_fuel ()) (fun () ->
+        Solver.solve (Cnf.make ~num_vars:2 [ [ 1; 2 ]; [ -1; -2 ] ]))
   with
   | Solver.Unknown r -> check_reason "reason" Guard.Fuel r
   | _ -> Alcotest.fail "a spent budget must surface as Unknown"
@@ -305,16 +308,18 @@ let test_sat_exhaustion_surfaces () =
       schema
   in
   (match
-     Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
-       ~budget:(spent_fuel ()) ~rng:(Rng.make 3) schema sigma.Sigma.ncfds
-       ~rel:(List.hd (Db_schema.rel_names schema))
+     Guard.with_ambient (spent_fuel ()) (fun () ->
+         Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
+           ~rng:(Rng.make 3) schema sigma.Sigma.ncfds
+           ~rel:(List.hd (Db_schema.rel_names schema)))
    with
   | _ -> Alcotest.fail "consistent_rel: a spent budget must raise"
   | exception Guard.Exhausted r -> check_reason "consistent_rel raises" Guard.Fuel r);
   check_string "Checking answers Unknown" "unknown:fuel"
-    (describe_result
-       (Checking.check ~backend:Cfd_checking.Sat_backend ~budget:(spent_fuel ())
-          ~rng:(Rng.make 2) schema sigma))
+    (Guard.with_ambient (spent_fuel ()) (fun () ->
+         describe_result
+           (Checking.check ~backend:Cfd_checking.Sat_backend ~rng:(Rng.make 2)
+              schema sigma)))
 
 let test_bool_api_fuel () =
   (* three-valued APIs answer [Undetermined Fuel]; the option API lets
@@ -329,15 +334,18 @@ let test_bool_api_fuel () =
   (match sigma.Sigma.ncinds with
   | psi :: rest ->
       expect_undetermined "Implication"
-        (Implication.decide ~budget:(spent_fuel ()) schema ~sigma:rest psi)
+        (Guard.with_ambient (spent_fuel ()) (fun () ->
+             Implication.decide schema ~sigma:rest psi))
   | [] -> Alcotest.fail "workload has CINDs");
   match sigma.Sigma.ncfds with
   | phi :: rest -> (
       expect_undetermined "Cfd_implication"
-        (Cfd_implication.decide ~budget:(spent_fuel ()) schema ~sigma:rest phi);
+        (Guard.with_ambient (spent_fuel ()) (fun () ->
+             Cfd_implication.decide schema ~sigma:rest phi));
       match
-        Cfd_consistency.consistent_rel ~budget:(spent_fuel ()) schema
-          ~rel:phi.Cfd.nf_rel sigma.Sigma.ncfds
+        Guard.with_ambient (spent_fuel ()) (fun () ->
+            Cfd_consistency.consistent_rel schema ~rel:phi.Cfd.nf_rel
+              sigma.Sigma.ncfds)
       with
       | _ -> Alcotest.fail "Cfd_consistency: a spent budget must raise"
       | exception Guard.Exhausted r -> check_reason "Cfd_consistency" Guard.Fuel r)
@@ -351,7 +359,6 @@ let () =
           Alcotest.test_case "unlimited" `Quick test_unlimited;
           Alcotest.test_case "fuel exhaustion is sticky" `Quick test_fuel_sticky;
           Alcotest.test_case "deadline" `Quick test_deadline;
-          Alcotest.test_case "recoverable" `Quick test_recoverable;
           Alcotest.test_case "ambient scoping" `Quick test_ambient_scoping;
         ] );
       ( "sat",

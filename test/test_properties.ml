@@ -461,7 +461,7 @@ let prop_terminal_chase_satisfies_cinds seed =
 let fuel_sweep f =
   let rec go fuel acc =
     let budget = Guard.make ~fuel () in
-    let v = f budget in
+    let v = Guard.with_ambient budget f in
     if Guard.state budget = None then v :: acc else go (4 * fuel) (v :: acc)
   in
   go 1 []
@@ -482,17 +482,14 @@ let prop_fuel_cut_verdicts seed =
       ~constraints:(30 + (seed mod 51))
   in
   let agrees ~unknown run =
-    let baseline = run None in
-    List.for_all
-      (fun v -> v = baseline || v = unknown)
-      (fuel_sweep (fun b -> run (Some b)))
+    let baseline = run () in
+    List.for_all (fun v -> v = baseline || v = unknown) (fuel_sweep run)
   in
-  let checking backend budget =
-    describe_checking
-      (Checking.check ~backend ?budget ~rng:(Rng.make seed) schema sigma)
+  let checking backend () =
+    describe_checking (Checking.check ~backend ~rng:(Rng.make seed) schema sigma)
   in
-  let implication decide budget =
-    match decide budget with
+  let implication decide () =
+    match decide () with
     | Implication.Undetermined _ -> "undetermined"
     | o -> Fmt.str "%a" Implication.pp_outcome o
   in
@@ -504,18 +501,16 @@ let prop_fuel_cut_verdicts seed =
   && List.for_all
        (fun psi ->
          agrees ~unknown:"undetermined"
-           (implication (fun budget ->
-                Implication.decide ?budget ~max_states:500 schema
-                  ~sigma:cinds psi)))
+           (implication (fun () ->
+                Implication.decide ~max_states:500 schema ~sigma:cinds psi)))
        goals
   &&
   match sigma.Sigma.ncfds with
   | phi :: rest when seed mod 4 = 0 ->
       let rest = List.filteri (fun i _ -> i < 6) rest in
       agrees ~unknown:"undetermined"
-        (implication (fun budget ->
-             Cfd_implication.decide ?budget ~max_nodes:200_000 schema
-               ~sigma:rest phi))
+        (implication (fun () ->
+             Cfd_implication.decide ~max_nodes:200_000 schema ~sigma:rest phi))
   | _ -> true
 
 let () =

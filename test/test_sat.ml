@@ -181,7 +181,7 @@ let test_fuel_sweep () =
   let verdicts =
     List.map
       (fun fuel ->
-        match Solver.solve ~budget:(Guard.make ~fuel ()) cnf with
+        match Guard.with_ambient (Guard.make ~fuel ()) (fun () -> Solver.solve cnf) with
         | Solver.Unknown Guard.Fuel -> `Cut
         | Solver.Unsat -> `Unsat
         | Solver.Unknown r ->

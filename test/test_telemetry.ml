@@ -153,12 +153,12 @@ let test_profile_under_exhaustion () =
      runs dry two spans deep *)
   with_clean_profiling @@ fun () ->
   for _ = 1 to 5 do
-    let b = Guard.make ~fuel:1 () in
     try
+      Guard.with_ambient (Guard.make ~fuel:1 ()) @@ fun () ->
       Telemetry.with_span "t.f_outer" (fun () ->
           Telemetry.with_span "t.f_inner" (fun () ->
-              Guard.tick b;
-              Guard.tick b))
+              Guard.tick ();
+              Guard.tick ()))
     with Guard.Exhausted Guard.Fuel -> ()
   done;
   let roots = Telemetry.profile_tree () in
@@ -175,11 +175,11 @@ let test_profile_under_exhaustion () =
 
 let test_exhaustion_mark_fuel () =
   with_clean_profiling @@ fun () ->
-  let b = Guard.make ~fuel:10 () in
   (try
+     Guard.with_ambient (Guard.make ~fuel:10 ()) @@ fun () ->
      Telemetry.with_span "t.burn" (fun () ->
          while true do
-           Guard.tick b
+           Guard.tick ()
          done)
    with Guard.Exhausted Guard.Fuel -> ());
   (match Telemetry.exhaustion_snapshot () with
@@ -188,11 +188,11 @@ let test_exhaustion_mark_fuel () =
       check_string "reason" "fuel" reason;
       check_bool "span stack captured" true (List.mem "t.burn" stack));
   (* first mark wins: a later exhaustion does not overwrite the forensics *)
-  let b2 = Guard.make ~fuel:5 () in
   (try
+     Guard.with_ambient (Guard.make ~fuel:5 ()) @@ fun () ->
      Telemetry.with_span "t.burn2" (fun () ->
          while true do
-           Guard.tick b2
+           Guard.tick ()
          done)
    with Guard.Exhausted Guard.Fuel -> ());
   match Telemetry.exhaustion_snapshot () with
@@ -327,15 +327,14 @@ let check_trace_balanced evs =
     (fun (e : Telemetry.trace_event) ->
       let st = Option.value ~default:[] (Hashtbl.find_opt stacks e.te_tid) in
       match e.te_ph with
-      | 'B' -> Hashtbl.replace stacks e.te_tid (e.te_name :: st)
-      | 'E' -> (
+      | Telemetry.Begin -> Hashtbl.replace stacks e.te_tid (e.te_name :: st)
+      | Telemetry.End -> (
           match st with
           | top :: rest when String.equal top e.te_name ->
               Hashtbl.replace stacks e.te_tid rest
           | top :: _ ->
               Alcotest.failf "tid %d: E %s closes B %s" e.te_tid e.te_name top
-          | [] -> Alcotest.failf "tid %d: E %s without B" e.te_tid e.te_name)
-      | _ -> ())
+          | [] -> Alcotest.failf "tid %d: E %s without B" e.te_tid e.te_name))
     evs;
   Hashtbl.iter
     (fun tid st ->
