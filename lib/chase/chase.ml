@@ -36,21 +36,15 @@ open Conddep_core
 type config = {
   pool_size : int; (* N: maximum size of each var[A] *)
   threshold : int; (* T: maximum tuples per relation in chase_I *)
-  max_steps : int; (* cap on the IND steps of [run] *)
+  max_steps : int; (* cap on the IND steps of one chase *)
 }
 
-let m_runs = Telemetry.counter "chase.runs" ~doc:"full chase invocations"
 let m_fd_steps = Telemetry.counter "chase.fd_steps" ~doc:"FD(phi) applications (value identifications)"
 let m_ind_steps = Telemetry.counter "chase.ind_steps" ~doc:"IND(psi) applications (witness tuples added)"
 let m_fd_undefined = Telemetry.counter "chase.fd_undefined" ~doc:"FD(phi) constant clashes (chase undefined)"
 let m_threshold_hits = Telemetry.counter "chase.threshold_hits" ~doc:"IND(psi) refusals: relation at the bound T"
 
 let default_config = { pool_size = 2; threshold = 2000; max_steps = 20_000 }
-
-type outcome =
-  | Terminal of Template.t
-  | Undefined of string
-  | Exhausted of Guard.reason
 
 (* --- compiled constraints (attribute names resolved to positions) --- *)
 
@@ -307,8 +301,7 @@ let ind_step ~instantiated ~threshold pool rng schema cind db =
 
    The scan for the next IND operation resumes after the last applied CIND
    (wrapping), so every CIND is visited between two applications of any
-   one of them — fairness.  Used by [run] and by RandomChecking's
-   interleaved chase. *)
+   one of them — fairness.  RandomChecking's interleaved chase drives it. *)
 
 module Ind_cursor = struct
   type t = {
@@ -350,34 +343,6 @@ module Ind_cursor = struct
     in
     scan 0
 end
-
-(* --- full chase loops --- *)
-
-(* The terminal chase: apply FD and IND operations until fixpoint.  With
-   [instantiated] set this is chase_I of Section 5.2 (bounded relations,
-   constants for finite-domain fields). *)
-let run ?(instantiated = false) ~config ~rng schema compiled db =
-  Telemetry.incr m_runs;
-  Telemetry.with_span "chase.run" @@ fun () ->
-  let pool = Pool.make ~n:config.pool_size in
-  let cursor =
-    Ind_cursor.create ~instantiated ~threshold:config.threshold pool schema compiled.cinds
-  in
-  (* At most config.max_steps IND steps; each iteration also polls the
-     ambient budget's clock (chase steps are heavy, so a lazy poll would
-     overshoot deadlines). *)
-  let rec go db steps =
-    Guard.check ();
-    match fd_fixpoint compiled.cfds db with
-    | Error why -> Undefined why
-    | Ok db -> (
-        match Ind_cursor.step cursor ~rng db with
-        | Ind_unchanged -> Terminal db
-        | Ind_overflow why -> Undefined why
-        | Ind_changed _ when steps >= config.max_steps -> Exhausted Guard.Fuel
-        | Ind_changed db' -> go db' (steps + 1))
-  in
-  try go db 0 with Guard.Exhausted r -> Exhausted r
 
 (* Constants forced as CFD conclusions, per (relation, attribute) — the
    values later FD steps may demand of a column. *)

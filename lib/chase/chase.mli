@@ -14,26 +14,18 @@ open Conddep_core
 type config = {
   pool_size : int;  (** N — maximum size of each pool [var\[A\]] *)
   threshold : int;  (** T — relation size bound of chase_I *)
-  max_steps : int;  (** cap on the IND steps of {!run} *)
+  max_steps : int;  (** cap on the IND steps of one chase *)
 }
 
 val default_config : config
 (** N = 2 (the paper's experimental setting), T = 2000. *)
-
-type outcome =
-  | Terminal of Template.t  (** the chase result chase(D, Σ) *)
-  | Undefined of string  (** chase undefined; carries the reason *)
-  | Exhausted of Guard.reason
-      (** [config.max_steps] ([Guard.Fuel]) or the ambient budget stopped
-          the chase before a fixpoint; the result is unknown, not
-          undefined *)
 
 (** {1 The canonical schedule}
 
     Every chase here executes one canonical operation schedule: the first
     CFD in compiled order with a violating pair, least pair; a round-robin
     CIND cursor, least firing tuple (see DESIGN.md §10).  The loops
-    ({!fd_fixpoint}, {!run}, {!Ind_cursor}) find each next operation by
+    ({!fd_fixpoint}, {!Ind_cursor}) find each next operation by
     rescanning the template with the single operations {!fd_step} and
     {!ind_step}, so equal inputs and random seeds give equal outcomes and
     final templates. *)
@@ -87,8 +79,8 @@ val ind_step :
 
     The scan for the next IND operation resumes after the last applied
     CIND (wrapping), so every CIND is visited between two applications of
-    any single one — fairness.  Used by {!run} and by RandomChecking's
-    interleaved chase. *)
+    any single one — fairness.  RandomChecking's interleaved chase drives
+    it. *)
 
 module Ind_cursor : sig
   type t
@@ -107,21 +99,6 @@ module Ind_cursor : sig
       ([Ind_unchanged] when no CIND fires).  Polls the ambient budget's
       deadline per CIND visited. *)
 end
-
-(** {1 Full chase} *)
-
-val run :
-  ?instantiated:bool ->
-  config:config ->
-  rng:Rng.t ->
-  Db_schema.t ->
-  compiled ->
-  Template.t ->
-  outcome
-(** Run the chase to termination.  [instantiated:true] gives chase_I.
-    Past [config.max_steps] IND steps the answer is
-    [Exhausted Guard.Fuel]; an ambient budget that runs dry answers
-    [Exhausted] with its reason. *)
 
 val conclusion_constants :
   Db_schema.t -> compiled_cfd list -> ((string * string) * Value.t) list

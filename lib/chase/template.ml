@@ -43,8 +43,6 @@ let cell_matches_pattern cell pat =
   | C v, Pattern.Const c -> Value.equal v c
   | V _, Pattern.Const _ -> false
 
-let cell_is_var = function V _ -> true | C _ -> false
-
 let pp_var ppf v = Fmt.pf ppf "%s.%s#%d" v.vrel v.vattr v.vidx
 
 let pp_cell ppf = function V v -> pp_var ppf v | C value -> Value.pp ppf value

@@ -22,8 +22,6 @@ val cell_equal : cell -> cell -> bool
 val cell_matches_pattern : cell -> Pattern.cell -> bool
 (** [≍] on template cells: variables match only '_' (v ≠ a, v 6≍ a). *)
 
-val cell_is_var : cell -> bool
-
 type tuple = cell array
 
 val tuple_compare : tuple -> tuple -> int

@@ -25,8 +25,6 @@ type nf = {
 
 let make ~name ~rel ~x ~y rows = { name; rel; x; y; rows }
 
-let embedded_fd t = (t.x, t.y)
-
 let has_distinct_names l = List.length (List.sort_uniq String.compare l) = List.length l
 
 let validate schema t =

@@ -33,9 +33,6 @@ type nf = {
 val make :
   name:string -> rel:string -> x:string list -> y:string list -> row list -> t
 
-val embedded_fd : t -> string list * string list
-(** The standard FD [X -> Y] embedded in the CFD. *)
-
 val validate : Db_schema.t -> t -> (unit, string) result
 (** Well-formedness: relation and attributes exist, X/Y duplicate-free,
     row arities match, constants lie in their attribute domains. *)

@@ -37,8 +37,6 @@ type nf = {
 
 let make ~name ~lhs ~rhs ~x ~xp ~y ~yp rows = { name; lhs; rhs; x; xp; y; yp; rows }
 
-let embedded_ind t = ((t.lhs, t.x), (t.rhs, t.y))
-
 let distinct l = List.length (List.sort_uniq String.compare l) = List.length l
 let disjoint a b = not (List.exists (fun x -> List.mem x b) a)
 

@@ -51,9 +51,6 @@ val make :
   row list ->
   t
 
-val embedded_ind : t -> (string * string list) * (string * string list)
-(** The standard IND [R1\[X\] ⊆ R2\[Y\]] embedded in the CIND. *)
-
 val validate : Db_schema.t -> t -> (unit, string) result
 (** Well-formedness per Section 2: relations and attributes exist, [X]/[Xp]
     (resp. [Y]/[Yp]) duplicate-free and disjoint, [|X| = |Y|],

@@ -27,7 +27,8 @@ open Conddep_relational
    EXPTIME-complete.  We compute the greatest fixpoint of the induced
    operator on the reachable shape space.  Without finite-domain attributes
    every creation is deterministic and the analysis degenerates into plain
-   reachability, mirroring the PSPACE result of Theorem 3.5. *)
+   reachability, mirroring the PSPACE result of Theorem 3.5; [witness_path]
+   finds such a path, which [Proof_search] replays as a proof. *)
 
 exception Budget_exceeded
 
@@ -398,29 +399,42 @@ let implies_many ?(max_states = 50_000) schema ~sigma goals =
     (decide_compiled_core ~max_states ~recorder:None schema compiled)
     goals
 
-(* --- finite-domain-free restriction ---------------------------------------- *)
+(* --- a path to a witness (Theorem 3.5) ------------------------------------- *)
 
-let check_infinite schema ~sigma psi =
-  let attrs_infinite rel names =
-    let r = Db_schema.find schema rel in
-    List.for_all (fun a -> not (Domain.is_finite (Schema.domain_of r a))) names
+(* Breadth-first from ψ's first start shape, stopping at the first child
+   that is a witness.  Unlike [counterexample_from], the start shape costs
+   no tick and the [max_states] check precedes the insert. *)
+let witness_path ?(max_states = 50_000) schema ~sigma psi =
+  let psi = Cind.canon_nf psi in
+  let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
+  let start, xvals = List.hd (start_shapes schema psi ~max_states) in
+  let witness = is_witness schema psi ~xvals in
+  let visited = State_tbl.create 256 in
+  let queue = Queue.create () in
+  let exception Found of (Cind.nf * state) list in
+  let visit path s =
+    if State_tbl.mem visited s then Guard.tick ~cost:0 ()
+    else begin
+      Guard.tick ();
+      if State_tbl.length visited > max_states then raise Budget_exceeded;
+      State_tbl.replace visited s ();
+      if witness s then raise (Found (List.rev path));
+      Queue.push (s, path) queue
+    end
   in
-  let check (nf : Cind.nf) =
-    attrs_infinite nf.Cind.nf_lhs (nf.nf_x @ List.map fst nf.nf_xp)
-    && attrs_infinite nf.nf_rhs (nf.nf_y @ List.map fst nf.nf_yp)
-    &&
-    (* creation must not touch finite fields either *)
-    attrs_infinite nf.nf_rhs
-      (let r2 = Db_schema.find schema nf.nf_rhs in
-       Schema.attr_names r2)
-    && attrs_infinite nf.nf_lhs
-         (let r1 = Db_schema.find schema nf.nf_lhs in
-          Schema.attr_names r1)
-  in
-  if not (List.for_all check (psi :: sigma)) then
-    invalid_arg
-      "Implication.decide_infinite: constraints involve finite-domain attributes"
-
-let decide_infinite ?max_states schema ~sigma psi =
-  check_infinite schema ~sigma psi;
-  decide ?max_states schema ~sigma psi
+  if witness start then Some []
+  else begin
+    State_tbl.replace visited start ();
+    Queue.push (start, []) queue;
+    try
+      while not (Queue.is_empty queue) do
+        let s, path = Queue.pop queue in
+        List.iter
+          (fun c ->
+            if applicable c s then
+              Seq.iter (visit ((c.c_nf, s) :: path)) (children c s))
+          compiled
+      done;
+      None
+    with Found path -> Some path
+  end

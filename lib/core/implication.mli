@@ -9,7 +9,9 @@ open Conddep_relational
     space.  Free finite-domain fields of created tuples are chosen
     adversarially (AND–OR alternation — the source of EXPTIME-hardness);
     without finite-domain attributes the analysis degenerates into plain
-    reachability, matching the PSPACE bound of Theorem 3.5.
+    reachability, matching the PSPACE bound of Theorem 3.5, and
+    {!witness_path} returns the path that {!Proof_search} replays as a
+    CIND1–CIND6 proof.
 
     The reachable shapes are explored breadth-first; the greatest
     fixpoint is then computed by counting (Liu & Smolka, ICALP 1998):
@@ -64,17 +66,6 @@ val decide_compiled :
     applicable and the relations whose shapes were explored (see
     {!Read_set}). *)
 
-val decide_infinite :
-  ?max_states:int ->
-  Db_schema.t ->
-  sigma:Cind.nf list ->
-  Cind.nf ->
-  outcome
-(** {!decide}, restricted to the finite-domain-free setting of Theorem
-    3.5 (where rules CIND1–CIND6 are complete).
-    @raise Invalid_argument if any involved relation has a finite-domain
-    attribute. *)
-
 val implies_many :
   ?max_states:int ->
   Db_schema.t ->
@@ -86,3 +77,35 @@ val implies_many :
     of each call), then runs the per-goal searches one after another.
     The procedure is rng-free, so outcome i is identical to
     [decide schema ~sigma (List.nth goals i)]. *)
+
+(** {1 Shapes and witness paths} *)
+
+type field =
+  | Mark of int  (** the trigger's (fresh, pairwise-distinct) value of X_j *)
+  | Cst of Value.t  (** a constant *)
+  | Anon  (** a fresh value distinct from every constant and mark *)
+
+type state = { srel : string; fields : field array }
+(** A tuple shape: an abstract tuple of relation [srel]. *)
+
+val witness_path :
+  ?max_states:int ->
+  Db_schema.t ->
+  sigma:Cind.nf list ->
+  Cind.nf ->
+  (Cind.nf * state) list option
+(** [witness_path schema ~sigma psi] searches breadth-first from the start
+    shape of a [psi]-trigger for a shape that witnesses [psi], and returns
+    the first path found: each step is the (canonical) member of [sigma]
+    applied and the shape it applies to.  [Some []] when the start shape
+    is itself a witness.  Without finite-domain attributes the start shape
+    is unique and each applicable CIND has one child, so a path exists iff
+    [sigma |= psi] (Theorem 3.5); with them, the search follows the first
+    start shape only and decides nothing.
+
+    The ambient budget is ticked once per new shape and polled, without
+    spending fuel, per revisited one; the search stops at the first
+    witness.
+    @raise Budget_exceeded past [max_states] explored shapes (default
+    50,000).
+    @raise Guard.Exhausted when the ambient budget runs out. *)

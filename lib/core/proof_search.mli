@@ -4,11 +4,11 @@ open Conddep_relational
     infinite-domain attributes, turn a positive implication decision into
     an explicit, machine-checkable proof in the inference system {!Inference}.
 
-    The reachability certificate of the semantic procedure — a path of Σ
-    applications from the generic trigger shape to a witness shape — is
-    replayed rule by rule: reflexivity and CIND4 set up the trigger, each
-    path step is massaged with CIND2/CIND4/CIND5 and composed with CIND3,
-    and the goal is recovered with CIND2/CIND6. *)
+    The path {!Implication.witness_path} finds — Σ applications from the
+    generic trigger shape to a witness shape — is replayed rule by rule:
+    reflexivity and CIND4 set up the trigger, each path step is massaged
+    with CIND2/CIND4/CIND5 and composed with CIND3, and the goal is
+    recovered with CIND2/CIND6. *)
 
 val derive :
   ?max_states:int ->
@@ -20,8 +20,9 @@ val derive :
     [Inference.proves schema ~sigma proof psi = Ok _] iff [sigma |= psi],
     and [None] otherwise.
 
-    The breadth-first search ticks the ambient budget once per new shape
-    and polls it, without spending fuel, per revisited one.
+    The path search ({!Implication.witness_path}) ticks the ambient budget
+    once per new shape and polls it, without spending fuel, per revisited
+    one.
 
     @raise Invalid_argument when any involved relation has a finite-domain
     attribute (CIND7/CIND8 territory — use {!Implication.decide}).

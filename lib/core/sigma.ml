@@ -33,8 +33,6 @@ let of_nf nf =
     cinds = List.map Cind.nf_to_cind nf.ncinds;
   }
 
-let nf_cardinality nf = List.length nf.ncfds + List.length nf.ncinds
-
 let holds db t =
   List.for_all (Cfd.holds db) t.cfds && List.for_all (Cind.holds db) t.cinds
 
@@ -49,8 +47,6 @@ let cinds_between nf ~src ~dst =
   List.filter
     (fun c -> String.equal c.Cind.nf_lhs src && String.equal c.Cind.nf_rhs dst)
     nf.ncinds
-
-let cinds_from nf rel = List.filter (fun c -> String.equal c.Cind.nf_lhs rel) nf.ncinds
 
 (* All constants of Σ grouped per (relation, attribute). *)
 let constants nf =

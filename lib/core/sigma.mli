@@ -10,7 +10,6 @@ type nf = { ncfds : Cfd.nf list; ncinds : Cind.nf list }
 val make : ?cfds:Cfd.t list -> ?cinds:Cind.t list -> unit -> t
 val union : t -> t -> t
 val cardinality : t -> int
-val nf_cardinality : nf -> int
 
 val validate : Db_schema.t -> t -> (unit, string) result
 (** First failing constraint's diagnosis, if any. *)
@@ -28,8 +27,6 @@ val cfds_on : nf -> string -> Cfd.nf list
 
 val cinds_between : nf -> src:string -> dst:string -> Cind.nf list
 (** The paper's [CIND(Ri, Rj)]. *)
-
-val cinds_from : nf -> string -> Cind.nf list
 
 val constants : nf -> (string * string * Value.t) list
 (** Every pattern constant of Σ as a [(relation, attribute, value)] triple. *)

@@ -80,17 +80,6 @@ let active_domains schema sigma =
 let pool_of pools rel attr =
   match Tbl.find_opt pools (rel, attr) with Some vs -> vs | None -> assert false
 
-let estimated_size schema sigma =
-  let pools = active_domains schema sigma in
-  List.fold_left
-    (fun acc rel ->
-      acc
-      + List.fold_left
-          (fun prod attr ->
-            prod * List.length (pool_of pools (Schema.name rel) (Attribute.name attr)))
-          1 (Schema.attrs rel))
-    0 (Db_schema.relations schema)
-
 let cross_product schema_rel doms =
   let rec go acc = function
     | [] -> List.map List.rev acc
@@ -123,8 +112,3 @@ let database ?(max_tuples = 100_000) schema sigma =
       Database.set_relation db (cross_product rel doms))
     (Database.empty schema)
     (Db_schema.relations schema)
-
-(* The union of all pools — exposed for diagnostics and tests. *)
-let value_pool schema sigma =
-  let pools = active_domains schema sigma in
-  Tbl.fold (fun _ vs acc -> vs @ acc) pools [] |> List.sort_uniq Value.compare

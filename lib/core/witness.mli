@@ -12,10 +12,3 @@ val database :
   ?max_tuples:int -> Db_schema.t -> Cind.nf list -> Database.t
 (** The cross-product witness.  Always satisfies [sigma] and is nonempty.
     @raise Too_large when its size exceeds [max_tuples] (default 100,000). *)
-
-val estimated_size : Db_schema.t -> Cind.nf list -> int
-(** Total tuple count the construction would produce. *)
-
-val value_pool : Db_schema.t -> Cind.nf list -> Value.t list
-(** The union of the computed active domains (constants of Σ and the fresh
-    values, after propagation along embedded inclusions). *)

@@ -27,7 +27,7 @@ let m_budgets = Telemetry.counter "guard.budgets_created" ~doc:"limited budgets 
 type t = {
   deadline : float option; (* absolute Unix time *)
   fuel_limited : bool;
-  fuel : int Atomic.t;
+  mutable fuel : int;
   max_words : float option;
   words0 : float; (* Gc.minor_words at creation *)
   mutable poll : int; (* countdown to the next clock/allocator poll *)
@@ -43,7 +43,7 @@ let unlimited =
   {
     deadline = None;
     fuel_limited = false;
-    fuel = Atomic.make max_int;
+    fuel = max_int;
     max_words = None;
     words0 = 0.;
     poll = max_int;
@@ -60,7 +60,7 @@ let make ?timeout_s ?fuel ?max_words () =
       {
         deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s;
         fuel_limited = fuel <> None;
-        fuel = Atomic.make (Option.value ~default:max_int fuel);
+        fuel = Option.value ~default:max_int fuel;
         max_words;
         words0 = (if max_words = None then 0. else Gc.minor_words ());
         poll = 0;
@@ -112,8 +112,10 @@ let tick ?(cost = 1) () =
   let b = ambient () in
   if not (is_unlimited b) then begin
     (match b.spent with Some r -> raise (Exhausted r) | None -> ());
-    if b.fuel_limited then
-      if Atomic.fetch_and_add b.fuel (-cost) - cost < 0 then exhaust b Fuel;
+    if b.fuel_limited then begin
+      b.fuel <- b.fuel - cost;
+      if b.fuel < 0 then exhaust b Fuel
+    end;
     b.poll <- b.poll - 1;
     if b.poll <= 0 then poll_slow b
   end

@@ -115,8 +115,3 @@ let to_string rel =
       Buffer.add_char buf '\n')
     rel;
   Buffer.contents buf
-
-let save rel path =
-  let oc = open_out path in
-  output_string oc (to_string rel);
-  close_out oc

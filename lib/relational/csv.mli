@@ -21,4 +21,3 @@ val load : Schema.t -> string -> (Relation.t, string) result
 (** {!read_file}, then {!parse_string}. *)
 
 val to_string : Relation.t -> string
-val save : Relation.t -> string -> unit

@@ -16,17 +16,6 @@ let match_cell v = function Const c -> Value.equal v c | Wildcard -> true
 let matches values cells =
   List.length values = List.length cells && List.for_all2 match_cell values cells
 
-(* ≍ lifted to pattern tuples: cells1 ≍ cells2 when every constant of
-   [cells2] is matched exactly and wildcards of [cells2] match anything.
-   Used when comparing pattern tuples to pattern tuples (e.g. rule checks). *)
-let cells_refine cells1 cells2 =
-  List.length cells1 = List.length cells2
-  && List.for_all2
-       (fun c1 c2 ->
-         match c2 with Wildcard -> true | Const _ -> cell_equal c1 c2)
-       cells1 cells2
-
-let is_const = function Const _ -> true | Wildcard -> false
 let const_value = function Const v -> Some v | Wildcard -> None
 
 let constants cells =

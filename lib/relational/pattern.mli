@@ -16,11 +16,6 @@ val match_cell : Value.t -> cell -> bool
 val matches : Value.t list -> cell list -> bool
 (** Pointwise [≍]; false on length mismatch. *)
 
-val cells_refine : cell list -> cell list -> bool
-(** [cells_refine p q] when pattern [p] is at least as specific as [q]
-    pointwise (every constant of [q] appears identically in [p]). *)
-
-val is_const : cell -> bool
 val const_value : cell -> Value.t option
 
 val constants : cell list -> Value.t list

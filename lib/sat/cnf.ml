@@ -7,7 +7,6 @@ type clause = literal list
 type t = { num_vars : int; clauses : clause list }
 
 let lit_var (l : literal) = abs l
-let lit_neg (l : literal) = -l
 let lit_sign (l : literal) = l > 0
 
 let make ~num_vars clauses =

@@ -14,7 +14,6 @@ val clauses : t -> clause list
 val num_clauses : t -> int
 
 val lit_var : literal -> int
-val lit_neg : literal -> literal
 val lit_sign : literal -> bool
 
 val eval_clause : bool array -> clause -> bool

@@ -1,13 +1,17 @@
-(* A small relational-algebra evaluator.  The data-cleaning layer uses it to
-   express violation detection as queries, in the spirit of the SQL-based
-   detection of [9] that the paper's conclusion refers to. *)
+open Conddep_relational
 
-let select pred rel = Relation.filter pred rel
+(* A small relational-algebra evaluator over [Relation] instances.  The
+   reference violation detector ([Detect_oracle]) phrases CIND detection
+   as a select/anti-join query with it, in the spirit of the SQL-based
+   detection of Bohannon et al. [9] that the paper's conclusion refers
+   to. *)
 
+(* Tuples whose projection on the named attributes matches the pattern. *)
 let select_pattern schema names cells rel =
   let positions = List.map (Schema.position schema) names in
   Relation.filter (fun t -> Pattern.matches (Tuple.proj t positions) cells) rel
 
+(* Duplicate-eliminating projection; the result schema is renamed. *)
 let project rel names =
   let schema = Relation.schema rel in
   let positions = List.map (Schema.position schema) names in
@@ -16,11 +20,6 @@ let project rel names =
   Relation.fold
     (fun t acc -> Relation.add acc (Tuple.make (Tuple.proj t positions)))
     rel (Relation.empty out_schema)
-
-let rename rel new_name =
-  let schema = Relation.schema rel in
-  let out_schema = Schema.make new_name (Schema.attrs schema) in
-  Relation.fold (fun t acc -> Relation.add acc t) rel (Relation.empty out_schema)
 
 (* Natural join on the attributes the two schemas share by name. *)
 let join left right =
@@ -53,13 +52,6 @@ let join left right =
         right acc)
     left (Relation.empty out_schema)
 
-let union = Relation.union
-
-let difference a b =
-  if not (Schema.equal (Relation.schema a) (Relation.schema b)) then
-    invalid_arg "Algebra.difference: schema mismatch";
-  Relation.filter (fun t -> not (Relation.mem b t)) a
-
 (* Semi-join: tuples of [left] with at least one join partner in [right]
    under an explicit position correspondence. *)
 let semi_join left ~lpos right ~rpos =
@@ -70,6 +62,8 @@ let semi_join left ~lpos right ~rpos =
         right)
     left
 
+(* Anti-join: tuples of [left] with no partner — the core of inclusion
+   violation detection. *)
 let anti_join left ~lpos right ~rpos =
   Relation.filter
     (fun tl ->

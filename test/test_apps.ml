@@ -139,46 +139,6 @@ let test_fast_detect_whole_sigma () =
        (Fast_detect.detect B.dirty_db sigma_nf));
   check_bool "clean db is clean (fast)" true (Fast_detect.is_clean B.clean_db sigma_nf)
 
-(* --- weak acyclicity -------------------------------------------------------- *)
-
-let test_bank_cinds_weakly_acyclic () =
-  let sigma = List.concat_map Cind.normalize B.all_cinds in
-  check_bool "bank CINDs weakly acyclic" true (Acyclicity.weakly_acyclic B.schema sigma)
-
-let test_special_self_loop_detected () =
-  (* r[a] ⊆ r[b] creates fresh values feeding their own premise: the
-     unbounded chase diverges, and the analysis must say so. *)
-  let schema = string_schema "r" [ "a"; "b" ] in
-  let grow =
-    List.hd
-      (Cind.normalize
-         (Cind.make ~name:"grow" ~lhs:"r" ~rhs:"r" ~x:[ "a" ] ~xp:[] ~y:[ "b" ] ~yp:[]
-            [ { Cind.cx = [ wildcard ]; cxp = []; cy = [ wildcard ]; cyp = [] } ]))
-  in
-  check_bool "growing self-loop rejected" false
-    (Acyclicity.weakly_acyclic schema [ grow ]);
-  match Acyclicity.offending_edge schema [ grow ] with
-  | Some e -> check_bool "offender is special" true e.Acyclicity.special
-  | None -> Alcotest.fail "expected an offending edge"
-
-let test_plain_cycle_is_fine () =
-  (* r[a] ⊆ s[a] and s[a] ⊆ r[a]: cyclic, but no existential positions. *)
-  let schema =
-    Db_schema.make
-      [
-        Schema.make "r" [ Attribute.make "a" Domain.string_inf ];
-        Schema.make "s" [ Attribute.make "a" Domain.string_inf ];
-      ]
-  in
-  let ind lhs rhs =
-    List.hd
-      (Cind.normalize
-         (Cind.make ~name:(lhs ^ rhs) ~lhs ~rhs ~x:[ "a" ] ~xp:[] ~y:[ "a" ] ~yp:[]
-            [ { Cind.cx = [ wildcard ]; cxp = []; cy = [ wildcard ]; cyp = [] } ]))
-  in
-  check_bool "copy cycle weakly acyclic" true
-    (Acyclicity.weakly_acyclic schema [ ind "r" "s"; ind "s" "r" ])
-
 (* --- matching ------------------------------------------------------------- *)
 
 let migration_cinds =
@@ -248,13 +208,6 @@ let () =
           Alcotest.test_case "agrees with reference on bank" `Quick
             test_fast_detect_agrees_on_bank;
           Alcotest.test_case "whole sigma" `Quick test_fast_detect_whole_sigma;
-        ] );
-      ( "weak-acyclicity",
-        [
-          Alcotest.test_case "bank CINDs acyclic" `Quick test_bank_cinds_weakly_acyclic;
-          Alcotest.test_case "special self-loop detected" `Quick
-            test_special_self_loop_detected;
-          Alcotest.test_case "copy cycles allowed" `Quick test_plain_cycle_is_fine;
         ] );
       ( "matching",
         [

@@ -12,9 +12,9 @@ module B = Conddep_fixtures.Bank
 let rng () = Rng.make 42
 
 let get_terminal = function
-  | Chase.Terminal db -> db
-  | Chase.Undefined why -> Alcotest.failf "chase undefined: %s" why
-  | Chase.Exhausted r -> Alcotest.failf "chase exhausted: %s" (Guard.reason_to_string r)
+  | Chase_oracle.Terminal db -> db
+  | Chase_oracle.Undefined why -> Alcotest.failf "chase undefined: %s" why
+  | Chase_oracle.Exhausted r -> Alcotest.failf "chase exhausted: %s" (Guard.reason_to_string r)
 
 (* --- template plumbing ---------------------------------------------------- *)
 
@@ -162,7 +162,7 @@ let test_example_5_1 () =
   let compiled = Chase.compile schema sigma in
   let seed = Chase.seed_tuple schema ~rel:"r1" in
   let terminal =
-    get_terminal (Chase.run ~config:Chase.default_config ~rng:(rng ()) schema compiled seed)
+    get_terminal (Chase_oracle.run ~config:Chase.default_config ~rng:(rng ()) schema compiled seed)
   in
   (* chase(D, Σ) = R1: (c, vF), R2: (c, vH) — E and G hold the constant c. *)
   (match Template.tuples terminal "r1" with
@@ -193,7 +193,7 @@ let test_chase_terminates_on_cycle () =
   let compiled = Chase.compile schema sigma in
   let seed = Chase.seed_tuple schema ~rel:"r" in
   let terminal =
-    get_terminal (Chase.run ~config:Chase.default_config ~rng:(rng ()) schema compiled seed)
+    get_terminal (Chase_oracle.run ~config:Chase.default_config ~rng:(rng ()) schema compiled seed)
   in
   check_bool "bounded size" true (Template.total terminal <= 4)
 
@@ -209,12 +209,12 @@ let test_instantiated_chase_threshold () =
   let compiled = Chase.compile schema sigma in
   let seed = Chase.seed_tuple schema ~rel:"r" in
   let config = { Chase.default_config with threshold = 5; max_steps = 1000 } in
-  match Chase.run ~instantiated:true ~config ~rng:(rng ()) schema compiled seed with
-  | Chase.Undefined _ -> ()
-  | Chase.Terminal db ->
+  match Chase_oracle.run ~instantiated:true ~config ~rng:(rng ()) schema compiled seed with
+  | Chase_oracle.Undefined _ -> ()
+  | Chase_oracle.Terminal db ->
       (* with string pools the chase may close on pool reuse instead *)
       check_bool "bounded by threshold" true (Template.cardinal db "r" <= 5)
-  | Chase.Exhausted r -> Alcotest.failf "chase exhausted: %s" (Guard.reason_to_string r)
+  | Chase_oracle.Exhausted r -> Alcotest.failf "chase exhausted: %s" (Guard.reason_to_string r)
 
 let test_pool_contents () =
   let pool = Pool.make ~n:3 in
@@ -349,9 +349,9 @@ let prop_terminal_is_fixpoint (seed, instantiated) =
   let fixpoint (schema, sigma) db =
     let compiled = Chase.compile schema sigma in
     match
-      Chase.run ~instantiated ~config ~rng:(Rng.make ((seed * 7) + 1)) schema compiled db
+      Chase_oracle.run ~instantiated ~config ~rng:(Rng.make ((seed * 7) + 1)) schema compiled db
     with
-    | Chase.Terminal db ->
+    | Chase_oracle.Terminal db ->
         List.for_all
           (fun cfd ->
             match Chase.fd_step cfd db with Chase.Fd_unchanged -> true | _ -> false)
@@ -365,7 +365,7 @@ let prop_terminal_is_fixpoint (seed, instantiated) =
                | Chase.Ind_unchanged -> true
                | _ -> false)
              compiled.Chase.cinds
-    | Chase.Undefined _ | Chase.Exhausted _ -> true
+    | Chase_oracle.Undefined _ | Chase_oracle.Exhausted _ -> true
   in
   let ((schema, _) as random) = small_workload seed in
   let ((schema', _) as consistent) = small_workload ~consistent:true seed in
@@ -427,12 +427,12 @@ let test_run_spent_fuel () =
   let schema, sigma = small_workload 13 in
   match
     Guard.with_ambient (spent_fuel ()) (fun () ->
-        Chase.run ~config:Chase.default_config ~rng:(Rng.make 3) schema
+        Chase_oracle.run ~config:Chase.default_config ~rng:(Rng.make 3) schema
           (Chase.compile schema sigma) (first_rel_seed schema))
   with
-  | Chase.Exhausted Guard.Fuel -> ()
-  | Chase.Exhausted r -> Alcotest.failf "expected fuel, got %s" (Guard.reason_to_string r)
-  | Chase.Terminal _ | Chase.Undefined _ -> Alcotest.fail "a spent budget must cut"
+  | Chase_oracle.Exhausted Guard.Fuel -> ()
+  | Chase_oracle.Exhausted r -> Alcotest.failf "expected fuel, got %s" (Guard.reason_to_string r)
+  | Chase_oracle.Terminal _ | Chase_oracle.Undefined _ -> Alcotest.fail "a spent budget must cut"
 
 let test_random_checking_spent_fuel () =
   let schema, sigma = small_workload 13 in

@@ -280,11 +280,11 @@ let test_chase_fuel () =
   let compiled = Chase.compile schema sigma in
   match
     Guard.with_ambient (spent_fuel ()) (fun () ->
-        Chase.run ~config:Chase.default_config ~rng:(Rng.make 3) schema compiled
+        Chase_oracle.run ~config:Chase.default_config ~rng:(Rng.make 3) schema compiled
           (Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema))))
   with
-  | Chase.Exhausted r -> check_reason "reason" Guard.Fuel r
-  | Chase.Terminal _ | Chase.Undefined _ -> Alcotest.fail "a spent budget must cut"
+  | Chase_oracle.Exhausted r -> check_reason "reason" Guard.Fuel r
+  | Chase_oracle.Terminal _ | Chase_oracle.Undefined _ -> Alcotest.fail "a spent budget must cut"
 
 let test_sat_fuel () =
   (* two clauses that need a decision, and a decision ticks the budget *)

@@ -405,29 +405,6 @@ let prop_repair_matches_oracle seed =
       && cost = cost')
     (dirty_databases seed schema)
 
-(* View propagation is sound: when the base satisfies Σ, materialized views
-   satisfy the propagated constraints. *)
-let prop_view_propagation_sound seed =
-  let schema, sigma = make_workload ~consistent:true seed in
-  let rng = Rng.make (seed + 9) in
-  let views =
-    List.mapi
-      (fun i rel ->
-        let attrs = Conddep_relational.Schema.attr_names rel in
-        let keep = List.filter (fun _ -> Rng.bool rng) attrs in
-        let keep = if keep = [] then [ List.hd attrs ] else keep in
-        Views.make
-          ~name:(Printf.sprintf "v%d" i)
-          ~base:(Conddep_relational.Schema.name rel)
-          ~keep)
-      (Db_schema.relations schema)
-  in
-  let base = Workload.witness_db schema in
-  if not (Sigma.nf_holds base sigma) then false
-  else
-    let db = Views.materialize schema views base in
-    Sigma.nf_holds db (Views.propagate views sigma)
-
 (* --- chase soundness ---------------------------------------------------------- *)
 
 let prop_terminal_chase_satisfies_cinds seed =
@@ -443,13 +420,13 @@ let prop_terminal_chase_satisfies_cinds seed =
       (Conddep_chase.Chase.seed_tuple schema ~rel)
   in
   match
-    Conddep_chase.Chase.run ~instantiated:true
+    Chase_oracle.run ~instantiated:true
       ~config:{ Conddep_chase.Chase.default_config with threshold = 200; max_steps = 2000 }
       ~rng:(Rng.make (seed + 5)) schema compiled seed_db
   with
-  | Conddep_chase.Chase.Undefined _ -> true
-  | Conddep_chase.Chase.Exhausted _ -> true
-  | Conddep_chase.Chase.Terminal db ->
+  | Chase_oracle.Undefined _ -> true
+  | Chase_oracle.Exhausted _ -> true
+  | Chase_oracle.Terminal db ->
       let avoid = List.map (fun (_, _, v) -> v) (Sigma.constants cind_only) in
       let concrete = Conddep_chase.Template.to_database ~avoid db in
       List.for_all (Cind.nf_holds concrete) cind_only.ncinds
@@ -569,11 +546,6 @@ let () =
         [
           qtest ~count:20 "terminal chase satisfies CINDs" seed_gen
             prop_terminal_chase_satisfies_cinds;
-        ] );
-      ( "views",
-        [
-          qtest ~count:40 "view propagation sound" seed_gen
-            prop_view_propagation_sound;
         ] );
       ( "budget cuts",
         [

@@ -13,9 +13,6 @@ module B = Conddep_fixtures.Bank
 let implied schema ~sigma psi =
   Implication.decide schema ~sigma psi = Implication.Implied
 
-let implied_inf schema ~sigma psi =
-  Implication.decide_infinite schema ~sigma psi = Implication.Implied
-
 (* --- Theorem 3.2: CINDs are always consistent ---------------------------- *)
 
 let test_witness_bank () =
@@ -312,31 +309,6 @@ let test_yp_weakening_implied () =
   check_bool "stronger Yp not implied" false
     (implied B.schema ~sigma strengthened)
 
-let test_implies_infinite_guard () =
-  match
-    implied_inf B.schema ~sigma:B.implication_sigma B.implication_goal
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "implies_infinite accepted finite-domain input"
-
-let test_implies_infinite_agrees () =
-  let schema = string_schema "r" [ "a"; "b" ] in
-  let schema =
-    Db_schema.make
-      (Db_schema.relations schema
-      @ [ Schema.make "s" [ Attribute.make "a" Domain.string_inf; Attribute.make "b" Domain.string_inf ] ])
-  in
-  let ind lhs rhs =
-    List.hd
-      (Cind.normalize
-         (Cind.make ~name:(lhs ^ rhs) ~lhs ~rhs ~x:[ "a"; "b" ] ~xp:[] ~y:[ "a"; "b" ]
-            ~yp:[]
-            [ { Cind.cx = [ wildcard; wildcard ]; cxp = []; cy = [ wildcard; wildcard ]; cyp = [] } ]))
-  in
-  let sigma = [ ind "r" "s" ] in
-  check_bool "infinite variant agrees" true
-    (implied_inf schema ~sigma (ind "r" "s"))
-
 let test_wide_finite_product_capped () =
   (* One CIND into a relation with 40 free two-valued attributes: the
      tuple it creates has 2^40 candidate shapes.  The search must reach
@@ -482,77 +454,6 @@ let test_proof_search_agrees_with_semantics () =
       check_derivation schema sigma goal ~expect:semantic)
     goals
 
-(* --- view propagation (Section 8 outlook) ----------------------------------- *)
-
-let bank_views =
-  [
-    Views.make ~name:"saving_brief" ~base:"saving" ~keep:[ "an"; "ab" ];
-    Views.make ~name:"interest_brief" ~base:"interest" ~keep:[ "ab"; "rt" ];
-    Views.make ~name:"interest_full" ~base:"interest" ~keep:[ "ab"; "ct"; "at"; "rt" ];
-  ]
-
-let test_view_validation () =
-  List.iter (fun v -> ok_or_fail (Views.validate B.schema v)) bank_views;
-  (match Views.validate B.schema (Views.make ~name:"bad" ~base:"nope" ~keep:[ "x" ]) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "unknown base accepted");
-  (match Views.validate B.schema (Views.make ~name:"bad" ~base:"saving" ~keep:[ "zz" ]) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "unknown attribute accepted");
-  match Views.make ~name:"bad" ~base:"saving" ~keep:[] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty projection accepted"
-
-let test_view_materialization () =
-  let db = Views.materialize B.schema bank_views B.clean_db in
-  check_int "saving_brief rows" 2
-    (Relation.cardinal (Database.relation db "saving_brief"));
-  check_int "interest_full rows" 4
-    (Relation.cardinal (Database.relation db "interest_full"));
-  (* base relations are carried over *)
-  check_int "base saving intact" 2 (Relation.cardinal (Database.relation db "saving"))
-
-let test_view_propagation_coverage () =
-  let sigma = Sigma.normalize B.sigma in
-  (* psi3 (saving[ab] ⊆ interest[ab]) propagates onto the brief views *)
-  let v1 = List.nth bank_views 0 and v2 = List.nth bank_views 1 in
-  let psi3_nf = List.hd (Cind.normalize B.psi3) in
-  (match Views.propagate_cind v1 v2 psi3_nf with
-  | Some nf ->
-      check_bool "lhs renamed" true (String.equal nf.Cind.nf_lhs "saving_brief");
-      check_bool "rhs renamed" true (String.equal nf.nf_rhs "interest_brief")
-  | None -> Alcotest.fail "psi3 should propagate");
-  (* phi1 (an, ab -> cn) does not propagate to saving_brief: cn dropped *)
-  let phi1_nfs = Cfd.normalize B.phi1 in
-  check_bool "phi1 blocked" true
-    (List.for_all (fun nf -> Views.propagate_cfd v1 nf = None) phi1_nfs);
-  (* phi3 (ct, at -> rt) propagates to interest_full but not interest_brief *)
-  let phi3_nfs = Cfd.normalize B.phi3 in
-  let vfull = List.nth bank_views 2 in
-  check_bool "phi3 onto interest_full" true
-    (List.for_all (fun nf -> Views.propagate_cfd vfull nf <> None) phi3_nfs);
-  check_bool "phi3 blocked on interest_brief" true
-    (List.for_all (fun nf -> Views.propagate_cfd v2 nf = None) phi3_nfs);
-  ignore sigma
-
-let test_view_propagation_sound () =
-  (* base |= Σ implies views |= propagated Σ *)
-  let sigma = Sigma.normalize B.sigma in
-  let propagated = Views.propagate bank_views sigma in
-  check_bool "something propagated" true (Sigma.nf_cardinality propagated > 0);
-  let db = Views.materialize B.schema bank_views B.clean_db in
-  check_bool "propagated constraints hold on the views" true
-    (Sigma.nf_holds db propagated);
-  (* and the dirty base's phi3 violation surfaces on interest_full *)
-  let dirty_views = Views.materialize B.schema bank_views B.dirty_db in
-  let phi3_on_view =
-    List.filter
-      (fun nf -> String.equal nf.Cfd.nf_rel "interest_full")
-      propagated.Sigma.ncfds
-  in
-  check_bool "violation visible through the view" false
-    (List.for_all (Cfd.nf_holds dirty_views) phi3_on_view)
-
 (* --- first-order readings (Logic) ------------------------------------------ *)
 
 let test_logic_cind_agrees () =
@@ -668,9 +569,6 @@ let () =
           Alcotest.test_case "patterns gate composition" `Quick
             test_pattern_blocks_transitivity;
           Alcotest.test_case "Yp weakening (CIND6)" `Quick test_yp_weakening_implied;
-          Alcotest.test_case "implies_infinite guard" `Quick test_implies_infinite_guard;
-          Alcotest.test_case "implies_infinite agreement" `Quick
-            test_implies_infinite_agrees;
           Alcotest.test_case "state cap on a 2^40 finite product" `Quick
             test_wide_finite_product_capped;
         ] );
@@ -686,13 +584,6 @@ let () =
             test_proof_search_rejects_finite;
           Alcotest.test_case "agrees with the semantic decision" `Quick
             test_proof_search_agrees_with_semantics;
-        ] );
-      ( "view propagation",
-        [
-          Alcotest.test_case "validation" `Quick test_view_validation;
-          Alcotest.test_case "materialization" `Quick test_view_materialization;
-          Alcotest.test_case "coverage rules" `Quick test_view_propagation_coverage;
-          Alcotest.test_case "soundness on the bank" `Quick test_view_propagation_sound;
         ] );
       ( "first-order readings",
         [
