@@ -1,5 +1,7 @@
-(* Hand-written lexer for the constraint DSL.  Tokens carry line numbers
-   for error reporting; comments run from '#' or '--' to end of line. *)
+(* Hand-written lexer for the constraint DSL: a cursor over the source that
+   hands out one token per [next] call.  [line] is the line of the token
+   returned last, for error reporting; comments run from '#' or '--' to end
+   of line. *)
 
 type token =
   | IDENT of string
@@ -29,8 +31,6 @@ type token =
   | ARROW (* -> *)
   | BARBAR (* || *)
   | EOF
-
-type located = { token : token; line : int }
 
 let token_name = function
   | IDENT s -> Printf.sprintf "identifier %S" s
@@ -81,88 +81,89 @@ let is_ident_char c =
 
 let is_digit c = c >= '0' && c <= '9'
 
-let tokenize source =
+type t = { source : string; mutable pos : int; mutable line : int }
+
+exception Error of string
+
+let make source = { source; pos = 0; line = 1 }
+let line t = t.line
+
+let error t fmt = Printf.ksprintf (fun s -> raise (Error (Printf.sprintf "line %d: %s" t.line s))) fmt
+
+(* [token] ends just before [i]. *)
+let emit t i token =
+  t.pos <- i;
+  token
+
+let rec next t = scan t t.pos
+
+and scan t i =
+  let source = t.source in
   let n = String.length source in
-  let line = ref 1 in
-  let tokens = ref [] in
-  let error fmt = Printf.ksprintf (fun s -> Error (Printf.sprintf "line %d: %s" !line s)) fmt in
-  let emit token = tokens := { token; line = !line } :: !tokens in
-  let rec go i =
-    if i >= n then begin
-      emit EOF;
-      Ok (List.rev !tokens)
-    end
-    else
-      match source.[i] with
-      | '\n' ->
-          incr line;
-          go (i + 1)
-      | ' ' | '\t' | '\r' -> go (i + 1)
-      | '#' -> skip_line (i + 1)
-      | '-' when i + 1 < n && source.[i + 1] = '-' -> skip_line (i + 2)
-      | '(' -> emit LPAREN; go (i + 1)
-      | ')' -> emit RPAREN; go (i + 1)
-      | '{' -> emit LBRACE; go (i + 1)
-      | '}' -> emit RBRACE; go (i + 1)
-      | '[' -> emit LBRACKET; go (i + 1)
-      | ']' -> emit RBRACKET; go (i + 1)
-      | ',' -> emit COMMA; go (i + 1)
-      | ';' -> emit SEMI; go (i + 1)
-      | ':' -> emit COLON; go (i + 1)
-      | '<' when i + 1 < n && source.[i + 1] = '=' ->
-          emit SUBSETEQ;
-          go (i + 2)
-      | '-' when i + 1 < n && source.[i + 1] = '>' ->
-          emit ARROW;
-          go (i + 2)
-      | '|' when i + 1 < n && source.[i + 1] = '|' ->
-          emit BARBAR;
-          go (i + 2)
-      | '_' when i + 1 >= n || not (is_ident_char source.[i + 1]) ->
-          emit UNDERSCORE;
-          go (i + 1)
-      | '"' -> lex_string (i + 1) (Buffer.create 16)
-      | c when is_digit c || (c = '-' && i + 1 < n && is_digit source.[i + 1]) ->
-          lex_int i
-      | c when is_ident_start c || c = '_' -> lex_ident i
-      | c -> error "unexpected character %C" c
-  and skip_line i =
-    if i >= n then go i
-    else if source.[i] = '\n' then go i
-    else skip_line (i + 1)
-  and lex_string i buf =
-    if i >= n then error "unterminated string literal"
-    else
-      match source.[i] with
-      | '"' ->
-          emit (STRING (Buffer.contents buf));
-          go (i + 1)
-      | '\\' when i + 1 < n ->
-          let c = source.[i + 1] in
-          Buffer.add_char buf (match c with 'n' -> '\n' | 't' -> '\t' | c -> c);
-          lex_string (i + 2) buf
-      | '\n' -> error "newline in string literal"
-      | c ->
-          Buffer.add_char buf c;
-          lex_string (i + 1) buf
-  and lex_int i =
-    let j = ref i in
-    if source.[!j] = '-' then incr j;
-    while !j < n && is_digit source.[!j] do
-      incr j
-    done;
-    match int_of_string_opt (String.sub source i (!j - i)) with
-    | Some v ->
-        emit (INT v);
-        go !j
-    | None -> error "integer literal out of range"
-  and lex_ident i =
-    let j = ref i in
-    while !j < n && is_ident_char source.[!j] do
-      incr j
-    done;
-    let word = String.sub source i (!j - i) in
-    (match keyword word with Some kw -> emit kw | None -> emit (IDENT word));
-    go !j
-  in
-  go 0
+  if i >= n then emit t i EOF
+  else
+    match source.[i] with
+    | '\n' ->
+        t.line <- t.line + 1;
+        scan t (i + 1)
+    | ' ' | '\t' | '\r' -> scan t (i + 1)
+    | '#' -> skip_line t (i + 1)
+    | '-' when i + 1 < n && source.[i + 1] = '-' -> skip_line t (i + 2)
+    | '(' -> emit t (i + 1) LPAREN
+    | ')' -> emit t (i + 1) RPAREN
+    | '{' -> emit t (i + 1) LBRACE
+    | '}' -> emit t (i + 1) RBRACE
+    | '[' -> emit t (i + 1) LBRACKET
+    | ']' -> emit t (i + 1) RBRACKET
+    | ',' -> emit t (i + 1) COMMA
+    | ';' -> emit t (i + 1) SEMI
+    | ':' -> emit t (i + 1) COLON
+    | '<' when i + 1 < n && source.[i + 1] = '=' -> emit t (i + 2) SUBSETEQ
+    | '-' when i + 1 < n && source.[i + 1] = '>' -> emit t (i + 2) ARROW
+    | '|' when i + 1 < n && source.[i + 1] = '|' -> emit t (i + 2) BARBAR
+    | '_' when i + 1 >= n || not (is_ident_char source.[i + 1]) -> emit t (i + 1) UNDERSCORE
+    | '"' -> lex_string t (i + 1) (Buffer.create 16)
+    | c when is_digit c || (c = '-' && i + 1 < n && is_digit source.[i + 1]) -> lex_int t i
+    | c when is_ident_start c || c = '_' -> lex_ident t i
+    | c -> error t "unexpected character %C" c
+
+and skip_line t i =
+  if i >= String.length t.source || t.source.[i] = '\n' then scan t i else skip_line t (i + 1)
+
+and lex_string t i buf =
+  let source = t.source in
+  let n = String.length source in
+  if i >= n then error t "unterminated string literal"
+  else
+    match source.[i] with
+    | '"' -> emit t (i + 1) (STRING (Buffer.contents buf))
+    | '\\' when i + 1 < n ->
+        let c = source.[i + 1] in
+        Buffer.add_char buf (match c with 'n' -> '\n' | 't' -> '\t' | c -> c);
+        lex_string t (i + 2) buf
+    | '\n' -> error t "newline in string literal"
+    | c ->
+        Buffer.add_char buf c;
+        lex_string t (i + 1) buf
+
+and lex_int t i =
+  let source = t.source in
+  let n = String.length source in
+  let j = ref i in
+  if source.[!j] = '-' then incr j;
+  while !j < n && is_digit source.[!j] do
+    incr j
+  done;
+  match int_of_string_opt (String.sub source i (!j - i)) with
+  | Some v -> emit t !j (INT v)
+  | None -> error t "integer literal out of range"
+
+and lex_ident t i =
+  let source = t.source in
+  let n = String.length source in
+  let j = ref i in
+  while !j < n && is_ident_char source.[!j] do
+    incr j
+  done;
+  let word = String.sub source i (!j - i) in
+  emit t !j (match keyword word with Some kw -> kw | None -> IDENT word)

@@ -1,6 +1,8 @@
-(** Lexer for the constraint DSL.  Comments run from ['#'] or ["--"] to end
-    of line; string literals support backslash escapes for newline, tab and
-    the double quote. *)
+(** Lexer for the constraint DSL: a cursor that hands out one token per
+    {!next} call.  Comments run from ['#'] or ["--"] to end of line.  In a
+    string literal a backslash escapes the next character: [\n] reads as a
+    newline, [\t] as a tab, and [\c] as [c] for any other character [c],
+    the double quote and the backslash included. *)
 
 type token =
   | IDENT of string
@@ -31,10 +33,22 @@ type token =
   | BARBAR  (** [||] *)
   | EOF
 
-type located = { token : token; line : int }
-
 val token_name : token -> string
 (** Human-readable token description for error messages. *)
 
-val tokenize : string -> (located list, string) result
-(** The token stream, always ending with {!EOF}; errors carry line numbers. *)
+type t
+(** A cursor over one source string. *)
+
+exception Error of string
+(** A lexical error, as [line N: reason]. *)
+
+val make : string -> t
+(** A cursor at the start of the source, on line 1. *)
+
+val next : t -> token
+(** The next token; {!EOF} at the end of input, and again on every later
+    call.
+    @raise Error on a lexical error; the cursor is then spent. *)
+
+val line : t -> int
+(** The line of the token {!next} returned last. *)

@@ -27,20 +27,20 @@ type document = {
   instances : (string * Tuple.t list) list;
 }
 
-type state = { tokens : Lexer.located array; mutable pos : int }
+(* The parser pulls one token of lookahead from the lexer; the lexer's
+   line is that token's line. *)
+type state = { lexer : Lexer.t; mutable token : Lexer.token }
 
 exception Parse_error of string
 
 let fail state fmt =
-  let line =
-    if state.pos < Array.length state.tokens then state.tokens.(state.pos).Lexer.line
-    else 0
-  in
-  Fmt.kstr (fun s -> raise (Parse_error (Printf.sprintf "line %d: %s" line s))) fmt
+  Fmt.kstr
+    (fun s -> raise (Parse_error (Printf.sprintf "line %d: %s" (Lexer.line state.lexer) s)))
+    fmt
 
-let peek state = state.tokens.(state.pos).Lexer.token
+let peek state = state.token
 
-let advance state = state.pos <- state.pos + 1
+let advance state = state.token <- Lexer.next state.lexer
 
 let expect state token =
   if peek state = token then advance state
@@ -256,14 +256,21 @@ let document state =
     !instances;
   { schema; sigma; instances = List.rev !instances }
 
+(* Lexing stops where parsing stops, so the rest of the input is lexed
+   before a parse or validation error is reported: a lexical error
+   anywhere in the input wins over it. *)
+let rec lex_rest lexer msg =
+  match Lexer.next lexer with
+  | Lexer.EOF -> msg
+  | _ -> lex_rest lexer msg
+  | exception Lexer.Error lexical -> lexical
+
 let parse source =
-  match Lexer.tokenize source with
-  | Error msg -> Error msg
-  | Ok tokens -> (
-      let state = { tokens = Array.of_list tokens; pos = 0 } in
-      try Ok (document state) with
-      | Parse_error msg -> Error msg
-      | Invalid_argument msg -> Error msg)
+  let lexer = Lexer.make source in
+  match document { lexer; token = Lexer.next lexer } with
+  | doc -> Ok doc
+  | exception Lexer.Error msg -> Error msg
+  | exception (Parse_error msg | Invalid_argument msg) -> Error (lex_rest lexer msg)
 
 let parse_file path = Result.bind (Csv.read_file path) parse
 

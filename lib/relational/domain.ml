@@ -39,6 +39,15 @@ let mem t v =
   | Infinite base -> base_mem base v
   | Finite vs -> List.exists (Value.equal v) vs
 
+(* Containment of two sorted, duplicate-free lists, by one merge. *)
+let rec sorted_subset vs ws =
+  match vs, ws with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | v :: vs', w :: ws' ->
+      let c = Value.compare v w in
+      if c = 0 then sorted_subset vs' ws' else c > 0 && sorted_subset vs ws'
+
 (* [subset d1 d2] over-approximates dom(d1) ⊆ dom(d2); it is exact for the
    domain shapes we construct.  The paper assumes dom(Ai) ⊆ dom(Bi) for the
    corresponding attributes of a CIND, and validation enforces it. *)
@@ -46,7 +55,8 @@ let subset d1 d2 =
   match d1, d2 with
   | Infinite b1, Infinite b2 -> b1 = b2
   | Infinite _, Finite _ -> false
-  | Finite vs, _ -> List.for_all (mem d2) vs
+  | Finite vs, Infinite b -> List.for_all (base_mem b) vs
+  | Finite vs, Finite ws -> sorted_subset vs ws
 
 let fresh t ~avoid =
   match t with

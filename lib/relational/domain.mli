@@ -10,9 +10,11 @@ type base =
   | Dstring
   | Dbool
 
-type t =
+type t = private
   | Infinite of base
-  | Finite of Value.t list  (** invariant: sorted, duplicate-free, nonempty *)
+  | Finite of Value.t list
+      (** sorted by {!Value.compare}, duplicate-free and nonempty: only
+          {!finite} builds one *)
 
 val int_inf : t
 (** The infinite domain of integers. *)
@@ -39,7 +41,8 @@ val mem : t -> Value.t -> bool
 
 val subset : t -> t -> bool
 (** [subset d1 d2] holds when every value of [d1] belongs to [d2].  CIND
-    validation uses it to enforce the paper's assumption dom(Ai) ⊆ dom(Bi). *)
+    validation uses it to enforce the paper's assumption dom(Ai) ⊆ dom(Bi).
+    Two finite domains take one merge of their sorted lists. *)
 
 val fresh : t -> avoid:Value.t list -> Value.t option
 (** A domain value distinct from everything in [avoid]; [None] only when a
