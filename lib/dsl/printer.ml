@@ -4,8 +4,26 @@ open Conddep_core
 (* Pretty-printer for the constraint DSL; [Parser.parse] round-trips its
    output (property-tested). *)
 
+(* A string constant in the DSL's own syntax ({!Lexer}): the double quote,
+   the backslash, newline and tab are escaped, every other byte is written
+   as is.  OCaml's [%S] would write [\ddd] escapes, which the DSL reads as
+   digits. *)
+let pp_string ppf s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Fmt.string ppf (Buffer.contents b)
+
 let pp_value ppf = function
-  | Value.Str s -> Fmt.pf ppf "%S" s
+  | Value.Str s -> pp_string ppf s
   | Value.Int i -> Fmt.int ppf i
   | Value.Bool b -> Fmt.bool ppf b
 
