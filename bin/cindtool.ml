@@ -95,8 +95,11 @@ let print_exhaustion_forensics () =
           table
   end
 
+(* Every .cind load, as the profile's dsl.parse span. *)
+let parse_file path = Telemetry.with_span "dsl.parse" (fun () -> Parser.parse_file path)
+
 let load path =
-  match Parser.parse_file path with
+  match parse_file path with
   | Ok doc -> doc
   | Error msg ->
       Fmt.epr "%s: %s@." path msg;
@@ -346,6 +349,13 @@ let prove_cmd =
         Fmt.epr "cindtool: resource budget exhausted (%s)@." (Guard.reason_to_string r);
         print_exhaustion_forensics ();
         exit_undetermined
+    | exception Proof_search.Finite_domain { rel; attr } ->
+        Fmt.epr
+          "cindtool prove: CIND1-CIND6 proofs need infinite domains (Thm 3.5), but \
+           relation %s has the finite-domain attribute %s; decide %s with cindtool \
+           implies@."
+          rel attr g.Cind.nf_name;
+        exit_usage
     | exception Invalid_argument msg ->
         Fmt.epr "%s@." msg;
         exit_usage
@@ -656,7 +666,7 @@ let session_cmd =
       | [ "load"; file ] ->
           if !sess <> None then fail "load: session already started";
           let doc =
-            match Parser.parse_file file with
+            match parse_file file with
             | Ok doc -> doc
             | Error msg -> fail (Printf.sprintf "load: %s: %s" file msg)
           in

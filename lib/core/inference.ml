@@ -44,8 +44,7 @@ let ( let* ) = Result.bind
 let err fmt = Fmt.kstr (fun s -> Error s) fmt
 
 let fetch prior i =
-  if i < 0 || i >= Array.length prior then err "premise %d out of range" i
-  else Ok prior.(i)
+  match prior i with Some nf -> Ok nf | None -> err "premise %d out of range" i
 
 let bindings_equal =
   List.equal (fun (a1, v1) (a2, v2) -> String.equal a1 a2 && Value.equal v1 v2)
@@ -239,20 +238,26 @@ let apply schema prior rule =
 
 let check schema ~sigma proof =
   let sigma = List.map Cind.canon_nf sigma in
-  let rec go idx prior = function
-    | [] -> Ok (Array.of_list (List.rev prior))
+  let concls = Hashtbl.create 64 in
+  let rec go idx = function
+    | [] -> Ok (Array.init idx (Hashtbl.find concls))
     | line :: rest -> (
         match line with
         | Axiom nf ->
             let nf = Cind.canon_nf nf in
-            if List.exists (Cind.nf_equal nf) sigma then go (idx + 1) (nf :: prior) rest
+            if List.exists (Cind.nf_equal nf) sigma then begin
+              Hashtbl.replace concls idx nf;
+              go (idx + 1) rest
+            end
             else err "line %d: axiom %a is not in Sigma" idx Cind.pp_nf nf
         | Infer rule -> (
-            match apply schema (Array.of_list (List.rev prior)) rule with
-            | Ok nf -> go (idx + 1) (nf :: prior) rest
+            match apply schema (Hashtbl.find_opt concls) rule with
+            | Ok nf ->
+                Hashtbl.replace concls idx nf;
+                go (idx + 1) rest
             | Error e -> err "line %d (%s): %s" idx (rule_name rule) e))
   in
-  go 0 [] proof
+  go 0 proof
 
 let proves schema ~sigma proof goal =
   match check schema ~sigma proof with

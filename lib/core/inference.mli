@@ -44,9 +44,9 @@ type proof = line list
 
 val rule_name : rule -> string
 
-val apply : Db_schema.t -> Cind.nf array -> rule -> (Cind.nf, string) result
-(** Apply one rule given the conclusions of all earlier lines.  The result
-    is canonicalized and re-validated. *)
+val apply : Db_schema.t -> (premise -> Cind.nf option) -> rule -> (Cind.nf, string) result
+(** Apply one rule; [prior i] is the conclusion of line [i], [None] unless
+    [i] is an earlier line.  The result is canonicalized and re-validated. *)
 
 val check : Db_schema.t -> sigma:Cind.nf list -> proof -> (Cind.nf array, string) result
 (** Check a whole proof; returns the conclusions of every line. *)

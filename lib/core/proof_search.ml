@@ -24,17 +24,18 @@ open Conddep_relational
    (match the untested constants of s_i), projects D_i with CIND2, and
    composes with CIND3; the final D_k yields ψ by CIND2 and CIND6. *)
 
+exception Finite_domain of { rel : string; attr : string }
+
 let ensure_infinite schema (nfs : Cind.nf list) =
-  let all_infinite rel =
-    let r = Db_schema.find schema rel in
-    List.for_all (fun a -> not (Attribute.is_finite a)) (Schema.attrs r)
+  let check rel =
+    match Schema.finite_attrs (Db_schema.find schema rel) with
+    | [] -> ()
+    | a :: _ -> raise (Finite_domain { rel; attr = Attribute.name a })
   in
   List.iter
     (fun (nf : Cind.nf) ->
-      if not (all_infinite nf.Cind.nf_lhs && all_infinite nf.nf_rhs) then
-        invalid_arg
-          "Proof_search.derive: finite-domain attributes present (CIND7/CIND8 \
-           territory, use Implication.decide)")
+      check nf.Cind.nf_lhs;
+      check nf.nf_rhs)
     nfs
 
 (* --- replaying a path as a derivation ----------------------------------- *)
@@ -59,19 +60,18 @@ let index_of a names = Option.get (List.find_index (String.equal a) names)
 type builder = {
   schema : Db_schema.t;
   mutable lines : Inference.line list; (* reversed *)
-  mutable concls : Cind.nf list; (* reversed, parallel to lines *)
+  concls : (int, Cind.nf) Hashtbl.t; (* line index -> conclusion *)
   mutable len : int;
 }
 
-let conclusion b i = List.nth b.concls (b.len - 1 - i)
+let conclusion b i = Hashtbl.find b.concls i
 
 let emit b line =
   let concl =
     match line with
     | Inference.Axiom nf -> Cind.canon_nf nf
     | Inference.Infer rule -> (
-        let prior = Array.of_list (List.rev b.concls) in
-        match Inference.apply b.schema prior rule with
+        match Inference.apply b.schema (Hashtbl.find_opt b.concls) rule with
         | Ok nf -> nf
         | Error msg ->
             invalid_arg
@@ -79,7 +79,7 @@ let emit b line =
                  (Inference.rule_name rule) msg))
   in
   b.lines <- line :: b.lines;
-  b.concls <- concl :: b.concls;
+  Hashtbl.replace b.concls b.len concl;
   b.len <- b.len + 1;
   b.len - 1
 
@@ -170,7 +170,7 @@ let derive ?max_states schema ~sigma psi =
   Implication.witness_path ?max_states schema ~sigma psi
   |> Option.map (fun path ->
          let psi = Cind.canon_nf psi in
-         let b = { schema; lines = []; concls = []; len = 0 } in
+         let b = { schema; lines = []; concls = Hashtbl.create 64; len = 0 } in
          let dk_line =
            List.fold_left
              (fun di_line (sigma_nf, s_i) -> derive_step b ~di_line ~sigma_nf s_i)

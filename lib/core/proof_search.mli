@@ -10,6 +10,11 @@ open Conddep_relational
     with CIND2/CIND4/CIND5 and composed with CIND3, and the goal is
     recovered with CIND2/CIND6. *)
 
+exception Finite_domain of { rel : string; attr : string }
+(** Relation [rel] has the finite-domain attribute [attr]: CIND1–CIND6
+    proofs need infinite domains (Thm 3.5), and CIND7/CIND8 are not
+    searched. *)
+
 val derive :
   ?max_states:int ->
   Db_schema.t ->
@@ -24,8 +29,8 @@ val derive :
     once per new shape and polls it, without spending fuel, per revisited
     one.
 
-    @raise Invalid_argument when any involved relation has a finite-domain
-    attribute (CIND7/CIND8 territory — use {!Implication.decide}).
+    @raise Finite_domain when [psi] or a member of [sigma] names a relation
+    with a finite-domain attribute (the first such relation, in that order).
     @raise Implication.Budget_exceeded past [max_states] explored shapes
     (default 50,000).
     @raise Guard.Exhausted when the ambient budget runs out. *)

@@ -208,7 +208,9 @@ let prop_rule_conclusions_implied seed =
         if m = 0 then [] else List.filteri (fun i _ -> i <= Rng.int rng m) psi.nf_x |> List.mapi (fun i _ -> i)
       in
       match
-        Inference.apply schema [| psi |] (Inference.Proj_perm { prem = 0; indices })
+        Inference.apply schema
+          (fun i -> if i = 0 then Some psi else None)
+          (Inference.Proj_perm { prem = 0; indices })
       with
       | Error _ -> true
       | Ok derived -> (
