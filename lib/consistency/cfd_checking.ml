@@ -89,33 +89,43 @@ let consistent_rel_chase ?k_cfd ?avoid ~rng schema cfds ~rel =
 
 (* --- SAT-based CFD_Checking --- *)
 
-(* Per-attribute candidate values: the finite domain, or the constants on
-   that attribute plus one fresh value.  [avoid] carries constants from the
-   wider Σ (e.g. CIND patterns) that the fresh value must dodge, so that a
-   "fresh" field never accidentally triggers a pattern elsewhere. *)
+(* Per-attribute candidate values: the constants CFD(R) names on the
+   attribute, plus one unnamed representative.  An unnamed value occurs in
+   no clause, so any one of them stands for all the others and the
+   encoding stays equisatisfiable with the whole domain.  The
+   representative is the first domain value outside the named constants
+   and [avoid] (for an infinite domain, a fresh value), or else the first
+   unnamed one; a finite attribute whose every value is named gets none.
+   [avoid] carries constants from the wider Σ (e.g. CIND patterns) so that
+   the representative never triggers a pattern elsewhere when it can
+   help it.  CFD(R) is validated, so a named constant lies in the domain. *)
 let sat_candidates ~avoid cfds rel_schema =
-  Array.map
-    (fun attr ->
-      let name = Attribute.name attr in
-      match Domain.values (Attribute.domain attr) with
-      | Some vs -> Array.of_list vs
-      | None ->
-          let consts =
-            List.concat_map
-              (fun nf ->
-                List.filter_map
-                  (fun (a, v) -> if String.equal a name then Some v else None)
-                  (Cfd.nf_constants nf))
-              cfds
-            |> List.sort_uniq Value.compare
-          in
-          let fresh = Domain.fresh (Attribute.domain attr) ~avoid:(consts @ avoid) in
-          Array.of_list (consts @ Option.to_list fresh))
+  let named = Array.make (Schema.arity rel_schema) [] in
+  List.iter
+    (fun nf ->
+      List.iter
+        (fun (a, v) ->
+          let pos = Schema.position rel_schema a in
+          named.(pos) <- v :: named.(pos))
+        (Cfd.nf_constants nf))
+    cfds;
+  Array.mapi
+    (fun pos attr ->
+      let consts = List.sort_uniq Value.compare named.(pos) in
+      let dom = Attribute.domain attr in
+      let unnamed =
+        match Domain.fresh dom ~avoid:(consts @ avoid) with
+        | Some _ as v -> v
+        | None -> Domain.fresh dom ~avoid:consts
+      in
+      Array.of_list (consts @ Option.to_list unnamed))
     (Array.of_list (Schema.attrs rel_schema))
 
 (* Encode single-tuple satisfiability of CFD(R) as CNF:
    one boolean per (attribute, candidate), exactly-one per attribute, and
-   per CFD (X -> A, (tx || a)) the clause ¬tx[X1] ∨ ... ∨ x_{A,a}. *)
+   per CFD (X -> A, (tx || a)) the clause ¬tx[X1] ∨ ... ∨ x_{A,a}.  Every
+   constant of CFD(R) is a candidate of its attribute, so each clause
+   names existing variables. *)
 let encode ~avoid cfds rel_schema =
   let cands = sat_candidates ~avoid cfds rel_schema in
   let arity = Schema.arity rel_schema in
@@ -127,9 +137,10 @@ let encode ~avoid cfds rel_schema =
       num_vars := !num_vars + Array.length c)
     cands;
   let var_of pos idx = offsets.(pos) + idx + 1 in
-  let index_of pos v =
+  let var_of_value attr v =
+    let pos = Schema.position rel_schema attr in
     let c = cands.(pos) in
-    let rec go i = if i >= Array.length c then None else if Value.equal c.(i) v then Some i else go (i + 1) in
+    let rec go i = if Value.equal c.(i) v then var_of pos i else go (i + 1) in
     go 0
   in
   let clauses = ref [] in
@@ -143,39 +154,29 @@ let encode ~avoid cfds rel_schema =
       done
     done
   done;
-  (* CFD constraints *)
+  (* CFD constraints; a wildcard RHS is met by any single tuple *)
   List.iter
     (fun nf ->
       match nf.Cfd.nf_ta with
-      | Pattern.Wildcard -> () (* trivially satisfied by a single tuple *)
-      | Pattern.Const a -> (
-          let apos = Schema.position rel_schema nf.nf_a in
-          match index_of apos a with
-          | None -> () (* constant not representable: cannot be required, so the
-                          tableau row can never be satisfied — but then neither
-                          can the premise force anything; drop conservatively *)
-          | Some aidx ->
-              let rec build acc = function
-                | [] -> Some acc
-                | (attr, Pattern.Wildcard) :: rest ->
-                    ignore attr;
-                    build acc rest
-                | (attr, Pattern.Const v) :: rest -> (
-                    let pos = Schema.position rel_schema attr in
-                    match index_of pos v with
-                    | None -> None (* premise unsatisfiable: clause trivially true *)
-                    | Some idx -> build (-var_of pos idx :: acc) rest)
-              in
-              match build [] (List.combine nf.nf_x nf.nf_tx) with
-              | None -> ()
-              | Some negs -> clauses := (var_of apos aidx :: negs) :: !clauses))
+      | Pattern.Wildcard -> ()
+      | Pattern.Const a ->
+          let negs =
+            List.fold_left2
+              (fun acc attr p ->
+                match p with
+                | Pattern.Wildcard -> acc
+                | Pattern.Const v -> -var_of_value attr v :: acc)
+              [] nf.nf_x nf.nf_tx
+          in
+          clauses := (var_of_value nf.nf_a a :: negs) :: !clauses)
     cfds;
   (Cnf.make ~num_vars:!num_vars !clauses, cands, var_of)
 
-let consistent_rel_sat ?(avoid = []) schema cfds ~rel =
-  let rel_schema = Db_schema.find schema rel in
-  let cfds = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) cfds in
-  let cnf, cands, var_of = encode ~avoid cfds rel_schema in
+(* Decide CFD(R) on a single tuple; [cfds] holds CFD(R) alone. *)
+let sat_tuple ~avoid rel_schema cfds =
+  let cnf, cands, var_of =
+    Telemetry.with_span "sat.encode" (fun () -> encode ~avoid cfds rel_schema)
+  in
   match Solver.solve cnf with
   | Solver.Unknown r ->
       (* [None] means "definitely inconsistent" to callers (preProcessing
@@ -184,14 +185,18 @@ let consistent_rel_sat ?(avoid = []) schema cfds ~rel =
       raise (Guard.Exhausted r)
   | Solver.Unsat -> None
   | Solver.Sat model ->
-      let arity = Schema.arity rel_schema in
       let values =
-        List.init arity (fun pos ->
-            let n = Array.length cands.(pos) in
-            let rec find i = if i >= n then assert false else if model.(var_of pos i) then cands.(pos).(i) else find (i + 1) in
+        Array.mapi
+          (fun pos c ->
+            let rec find i = if model.(var_of pos i) then c.(i) else find (i + 1) in
             find 0)
+          cands
       in
-      Some (Tuple.make values)
+      Some (Tuple.make (Array.to_list values))
+
+let consistent_rel_sat ?(avoid = []) schema cfds ~rel =
+  sat_tuple ~avoid (Db_schema.find schema rel)
+    (List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) cfds)
 
 (* Uniform front-end on the single-tuple problem: a satisfying template
    tuple with finite-domain fields concrete, a definitive refutation, or
@@ -221,7 +226,10 @@ let consistent_rel ?(backend = Chase_backend) ?avoid ?k_cfd ~rng schema cfds
           match Template.tuples db rel with [ t ] -> Tuple t | _ -> assert false))
   | Sat_backend -> (
       Telemetry.incr m_sat_calls;
-      match consistent_rel_sat ?avoid schema cfds ~rel with
+      match
+        sat_tuple ~avoid:(Option.value avoid ~default:[])
+          (Db_schema.find schema rel) cfds_on_rel
+      with
       | None -> No_tuple
       | Some tuple ->
           Tuple

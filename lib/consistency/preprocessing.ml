@@ -91,9 +91,7 @@ let run ?backend ?k_cfd ~rng schema (sigma : Sigma.nf) =
   let g = Depgraph.make schema sigma in
   let sccs = Depgraph.sccs g in
   Telemetry.add m_sccs (List.length sccs);
-  let avoid =
-    List.map (fun (_, _, v) -> v) (Sigma.constants sigma) |> List.sort_uniq Value.compare
-  in
+  let avoid = Sigma.constant_values sigma in
   let queue = Queue.create () in
   let queued = Hashtbl.create 16 in
   let enqueue r =

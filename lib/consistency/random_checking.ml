@@ -61,10 +61,7 @@ let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?seed_rels
     ~rng schema (sigma : Sigma.nf) =
   try
     let compiled = Chase.compile schema sigma in
-    let avoid =
-      List.map (fun (_, _, v) -> v) (Sigma.constants sigma)
-      |> List.sort_uniq Value.compare
-    in
+    let avoid = Sigma.constant_values sigma in
     let seed_rels =
       match seed_rels with Some rels -> rels | None -> Db_schema.rel_names schema
     in

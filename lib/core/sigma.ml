@@ -56,6 +56,20 @@ let constants nf =
     nf.ncfds
   @ List.concat_map Cind.nf_constants nf.ncinds
 
+(* Σ repeats few constants many times, so deduplicating through a table
+   before sorting sorts far fewer values than [List.sort_uniq] would. *)
+let constant_values nf =
+  let seen = Hashtbl.create 64 in
+  let add (_, v) = Hashtbl.replace seen v () in
+  List.iter (fun c -> List.iter add (Cfd.nf_constants c)) nf.ncfds;
+  List.iter
+    (fun (c : Cind.nf) ->
+      List.iter add c.nf_xp;
+      List.iter add c.nf_yp)
+    nf.ncinds;
+  List.sort Conddep_relational.Value.compare
+    (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
+
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a%a%a@]"
     Fmt.(list Cfd.pp)

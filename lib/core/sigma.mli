@@ -31,5 +31,9 @@ val cinds_between : nf -> src:string -> dst:string -> Cind.nf list
 val constants : nf -> (string * string * Value.t) list
 (** Every pattern constant of Σ as a [(relation, attribute, value)] triple. *)
 
+val constant_values : nf -> Value.t list
+(** The distinct pattern constants of Σ, sorted by {!Value.compare}: the
+    values a fresh value must avoid. *)
+
 val pp : t Fmt.t
 val pp_nf : nf Fmt.t

@@ -139,6 +139,7 @@ and lex_string t i buf =
     | '"' -> emit t (i + 1) (STRING (Buffer.contents buf))
     | '\\' when i + 1 < n ->
         let c = source.[i + 1] in
+        if c = '\n' then t.line <- t.line + 1;
         Buffer.add_char buf (match c with 'n' -> '\n' | 't' -> '\t' | c -> c);
         lex_string t (i + 2) buf
     | '\n' -> error t "newline in string literal"

@@ -51,4 +51,5 @@ val next : t -> token
     @raise Error on a lexical error; the cursor is then spent. *)
 
 val line : t -> int
-(** The line of the token {!next} returned last. *)
+(** The line of the token {!next} returned last; for a string literal
+    that continues past an escaped newline, the line it ends on. *)

@@ -31,7 +31,6 @@ let pp_domain ppf dom =
   match dom with
   | Domain.Infinite Domain.Dstring -> Fmt.string ppf "string"
   | Domain.Infinite Domain.Dint -> Fmt.string ppf "int"
-  | Domain.Infinite Domain.Dbool -> Fmt.string ppf "bool"
   | Domain.Finite vs -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp_value) vs
 
 let pp_cell ppf = function

@@ -41,7 +41,7 @@ let coerce domain raw =
     match domain with
     | Domain.Infinite Domain.Dint | Domain.Finite (Value.Int _ :: _) -> (
         match int_of_string_opt raw with Some i -> Value.Int i | None -> Value.Str raw)
-    | Domain.Infinite Domain.Dbool | Domain.Finite (Value.Bool _ :: _) -> (
+    | Domain.Finite (Value.Bool _ :: _) -> (
         match bool_of_string_opt raw with Some b -> Value.Bool b | None -> Value.Str raw)
     | Domain.Infinite Domain.Dstring | Domain.Finite _ -> Value.Str raw
   in

@@ -5,7 +5,6 @@
 type base =
   | Dint
   | Dstring
-  | Dbool
 
 type t =
   | Infinite of base
@@ -31,8 +30,7 @@ let base_mem base (v : Value.t) =
   match base, v with
   | Dint, Value.Int _ -> true
   | Dstring, Value.Str _ -> true
-  | Dbool, Value.Bool _ -> true
-  | (Dint | Dstring | Dbool), _ -> false
+  | (Dint | Dstring), _ -> false
 
 let mem t v =
   match t with
@@ -61,14 +59,6 @@ let subset d1 d2 =
 let fresh t ~avoid =
   match t with
   | Finite vs -> List.find_opt (fun v -> not (List.exists (Value.equal v) avoid)) vs
-  | Infinite Dbool -> (
-      match
-        List.find_opt
-          (fun v -> not (List.exists (Value.equal v) avoid))
-          [ Value.Bool false; Value.Bool true ]
-      with
-      | Some _ as r -> r
-      | None -> None)
   | Infinite Dint ->
       let max_avoided =
         List.fold_left
@@ -86,7 +76,6 @@ let fresh t ~avoid =
 let pp_base ppf = function
   | Dint -> Fmt.string ppf "int"
   | Dstring -> Fmt.string ppf "string"
-  | Dbool -> Fmt.string ppf "bool"
 
 let pp ppf = function
   | Infinite b -> pp_base ppf b

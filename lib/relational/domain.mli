@@ -8,7 +8,6 @@
 type base =
   | Dint
   | Dstring
-  | Dbool
 
 type t = private
   | Infinite of base

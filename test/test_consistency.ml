@@ -43,6 +43,33 @@ let test_sat_model_satisfies () =
       let db = Database.add_tuple (Database.empty B.schema) "interest" t in
       check_bool "SAT witness satisfies" true (Cfd.holds db B.phi3)
 
+(* An attribute that no CFD names takes one representative value in the
+   SAT encoding: the first domain value outside Σ's constants ([avoid]). *)
+let test_sat_unnamed_attribute () =
+  let str = List.map (fun s -> Value.Str s) in
+  let dom = Domain.finite (str [ "p"; "q"; "r"; "s" ]) in
+  let schema =
+    Db_schema.make
+      [
+        Schema.make "r"
+          [ Attribute.make "a" dom; Attribute.make "b" dom; Attribute.make "c" Domain.string_inf ];
+      ]
+  in
+  let cfd name x tx a ta =
+    { Cfd.nf_name = name; nf_rel = "r"; nf_x = x; nf_tx = tx; nf_a = a; nf_ta = ta }
+  in
+  let cfds =
+    [
+      cfd "phi1" [ "b" ] [ Pattern.Const (Value.Str "p") ] "c" (Pattern.Const (Value.Str "k"));
+      cfd "phi2" [ "c" ] [ Pattern.Wildcard ] "b" (Pattern.Const (Value.Str "q"));
+    ]
+  in
+  match Cfd_checking.consistent_rel_sat ~avoid:(str [ "k"; "p"; "q"; "s" ]) schema cfds ~rel:"r" with
+  | None -> Alcotest.fail "CFD(r) is consistent"
+  | Some t ->
+      check_bool "a = \"r\"" true (Value.equal (Tuple.get t 0) (Value.Str "r"));
+      check_bool "b = \"q\"" true (Value.equal (Tuple.get t 1) (Value.Str "q"))
+
 (* --- dependency graph (Example 5.4) -------------------------------------- *)
 
 let test_depgraph_structure () =
@@ -318,6 +345,8 @@ let () =
         [
           Alcotest.test_case "backends agree" `Quick test_backends_agree_on_examples;
           Alcotest.test_case "SAT witness valid" `Quick test_sat_model_satisfies;
+          Alcotest.test_case "SAT unnamed attribute avoids Σ's constants" `Quick
+            test_sat_unnamed_attribute;
         ] );
       ( "dependency-graph",
         [ Alcotest.test_case "Example 5.4 graph" `Quick test_depgraph_structure ] );

@@ -126,6 +126,78 @@ let prop_chase_cfd_checking_sound seed =
       | None -> true)
     (Db_schema.relations schema)
 
+(* One relation of two to four attributes with finite domains of 3–12
+   values, up to ten CFDs whose constants come from at most three named
+   values per attribute, and an [avoid] list drawn from every domain.
+   Many of these CFD sets are satisfied only by tuples that take a value no
+   CFD names, which the SAT encoding represents by one value per
+   attribute. *)
+let named_values_case seed =
+  let rng = Rng.make seed in
+  let attr i =
+    let size = 3 + Rng.int rng 10 in
+    let values = List.init size (fun j -> Value.Str (Printf.sprintf "v%d" j)) in
+    let m = 1 + Rng.int rng (min 3 (size - 1)) in
+    let named = List.filteri (fun j _ -> j < m) (Rng.shuffle rng values) in
+    (Printf.sprintf "a%d" i, values, named)
+  in
+  let attrs = List.init (2 + Rng.int rng 3) attr in
+  let schema =
+    Db_schema.make
+      [
+        Conddep_relational.Schema.make "r"
+          (List.map (fun (a, vs, _) -> Attribute.make a (Domain.finite vs)) attrs);
+      ]
+  in
+  let cell named =
+    if Rng.chance rng 0.3 then Pattern.Wildcard else Pattern.Const (Rng.pick rng named)
+  in
+  let cfd k =
+    let a, _, named_a = Rng.pick rng attrs in
+    let x = List.filter (fun (b, _, _) -> b <> a && Rng.bool rng) attrs in
+    let nf_tx = List.map (fun (_, _, named) -> cell named) x in
+    let nf_ta = cell named_a in
+    {
+      Cfd.nf_name = Printf.sprintf "c%d" k;
+      nf_rel = "r";
+      nf_x = List.map (fun (b, _, _) -> b) x;
+      nf_tx;
+      nf_a = a;
+      nf_ta;
+    }
+  in
+  let cfds = List.init (2 + Rng.int rng 9) cfd in
+  let avoid =
+    List.concat_map (fun (_, vs, _) -> List.filter (fun _ -> Rng.chance rng 0.3) vs) attrs
+  in
+  (schema, cfds, avoid)
+
+(* The SAT backend encodes only the named values and one representative
+   per attribute; it must still answer exactly what backtracking over
+   whole domains answers, with a tuple that satisfies CFD(R). *)
+let prop_sat_named_values ~consistent ~inconsistent seed =
+  let schema, cfds, avoid = named_values_case seed in
+  let exact = Cfd_consistency.consistent_rel schema ~rel:"r" cfds in
+  incr (if exact then consistent else inconsistent);
+  match Cfd_checking.consistent_rel_sat ~avoid schema cfds ~rel:"r" with
+  | None -> not exact
+  | Some t ->
+      let db = Database.add_tuple (Database.empty schema) "r" t in
+      exact && List.for_all (Cfd.nf_holds db) cfds
+
+let test_sat_named_values =
+  let consistent = ref 0 and inconsistent = ref 0 in
+  let name, speed, run =
+    qtest ~count:300 "SAT over named values matches whole domains" seed_gen
+      (prop_sat_named_values ~consistent ~inconsistent)
+  in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Fmt.pr "named values: %d consistent, %d inconsistent@." !consistent !inconsistent;
+      check_bool "both verdicts occur" true (!consistent > 0 && !inconsistent > 0) )
+
 (* --- normalization and satisfaction ----------------------------------------- *)
 
 let prop_normalization_roundtrip seed =
@@ -522,6 +594,7 @@ let () =
             prop_sat_matches_exact;
           qtest ~count:30 "chase CFD_Checking sound" seed_gen
             prop_chase_cfd_checking_sound;
+          test_sat_named_values;
           qtest ~count:40 "fast detection agrees with reference" seed_gen
             prop_fast_detect_agrees;
           qtest ~count:20 "repair matches the oracle-driven loop" seed_gen
