@@ -96,9 +96,10 @@ let consistent_rel_chase ?k_cfd ?avoid ~rng schema cfds ~rel =
    representative is the first domain value outside the named constants
    and [avoid] (for an infinite domain, a fresh value), or else the first
    unnamed one; a finite attribute whose every value is named gets none.
-   [avoid] carries constants from the wider Σ (e.g. CIND patterns) so that
-   the representative never triggers a pattern elsewhere when it can
-   help it.  CFD(R) is validated, so a named constant lies in the domain. *)
+   [avoid] carries the constants of the wider Σ (e.g. CIND patterns), so
+   that where the domain allows, the representative matches no pattern
+   elsewhere.  CFD(R) is validated, so a named constant lies in the
+   domain. *)
 let sat_candidates ~avoid cfds rel_schema =
   let named = Array.make (Schema.arity rel_schema) [] in
   List.iter

@@ -38,7 +38,9 @@ val consistent_rel_chase :
 val consistent_rel_sat :
   ?avoid:Value.t list -> Db_schema.t -> Cfd.nf list -> rel:string -> Tuple.t option
 (** Complete single-tuple consistency via CNF encoding; a satisfying tuple
-    or [None].  Fresh values additionally dodge the [avoid] constants.
+    or [None].  Each attribute's candidates are the constants CFD(rel)
+    names on it plus one unnamed value, which dodges the [avoid]
+    constants where its domain allows.
     @raise Guard.Exhausted if the solver answers [Unknown]: [None] is a
     definitive verdict here and is never used for undetermined answers. *)
 

@@ -48,14 +48,6 @@ let cinds_between nf ~src ~dst =
     (fun c -> String.equal c.Cind.nf_lhs src && String.equal c.Cind.nf_rhs dst)
     nf.ncinds
 
-(* All constants of Σ grouped per (relation, attribute). *)
-let constants nf =
-  List.concat_map
-    (fun (c : Cfd.nf) ->
-      List.map (fun (a, v) -> (c.Cfd.nf_rel, a, v)) (Cfd.nf_constants c))
-    nf.ncfds
-  @ List.concat_map Cind.nf_constants nf.ncinds
-
 (* Σ repeats few constants many times, so deduplicating through a table
    before sorting sorts far fewer values than [List.sort_uniq] would. *)
 let constant_values nf =

@@ -28,9 +28,6 @@ val cfds_on : nf -> string -> Cfd.nf list
 val cinds_between : nf -> src:string -> dst:string -> Cind.nf list
 (** The paper's [CIND(Ri, Rj)]. *)
 
-val constants : nf -> (string * string * Value.t) list
-(** Every pattern constant of Σ as a [(relation, attribute, value)] triple. *)
-
 val constant_values : nf -> Value.t list
 (** The distinct pattern constants of Σ, sorted by {!Value.compare}: the
     values a fresh value must avoid. *)

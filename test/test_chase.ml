@@ -172,7 +172,7 @@ let test_example_5_1 () =
   | [ t ] -> check_bool "R2.G = c" true (Template.cell_equal t.(0) (Template.C (str "c")))
   | _ -> Alcotest.fail "expected one R2 tuple");
   (* and the concretized result is a model of Σ (the heuristic's soundness) *)
-  let avoid = List.map (fun (_, _, v) -> v) (Sigma.constants sigma) in
+  let avoid = Sigma.constant_values sigma in
   let db = Template.to_database ~avoid terminal in
   check_bool "concretization satisfies Sigma" true (Sigma.nf_holds db sigma)
 

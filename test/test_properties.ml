@@ -501,7 +501,7 @@ let prop_terminal_chase_satisfies_cinds seed =
   | Chase_oracle.Undefined _ -> true
   | Chase_oracle.Exhausted _ -> true
   | Chase_oracle.Terminal db ->
-      let avoid = List.map (fun (_, _, v) -> v) (Sigma.constants cind_only) in
+      let avoid = Sigma.constant_values cind_only in
       let concrete = Conddep_chase.Template.to_database ~avoid db in
       List.for_all (Cind.nf_holds concrete) cind_only.ncinds
 
