@@ -31,7 +31,10 @@ open Conddep_core
      the least triggering tuple without a witness.
 
    Every loop finds its next operation by rescanning the template with
-   the single operations [fd_step] and [ind_step]. *)
+   the single operations [fd_step] and [ind_step].  The FD fixpoint skips
+   a CFD whose relation still holds the very tuple list (physically) on
+   which that CFD last found no violating pair: [fd_step] on that list
+   would answer [Fd_unchanged] again. *)
 
 type config = {
   pool_size : int; (* N: maximum size of each var[A] *)
@@ -43,15 +46,22 @@ let m_fd_steps = Telemetry.counter "chase.fd_steps" ~doc:"FD(phi) applications (
 let m_ind_steps = Telemetry.counter "chase.ind_steps" ~doc:"IND(psi) applications (witness tuples added)"
 let m_fd_undefined = Telemetry.counter "chase.fd_undefined" ~doc:"FD(phi) constant clashes (chase undefined)"
 let m_threshold_hits = Telemetry.counter "chase.threshold_hits" ~doc:"IND(psi) refusals: relation at the bound T"
+let m_fd_clean_skips = Telemetry.counter "chase.fd_clean_skips" ~doc:"FD(phi) rescans skipped: relation unchanged since the CFD last held"
 
 let default_config = { pool_size = 2; threshold = 2000; max_steps = 20_000 }
 
-(* --- compiled constraints (attribute names resolved to positions) --- *)
+(* --- compiled constraints (attribute names resolved to positions) ---
+
+   Relations are resolved to their positions in the template
+   ([Db_schema.find_indexed]) as well as attributes. *)
 
 type compiled_cind = {
   i_name : string;
   i_lhs : string;
   i_rhs : string;
+  i_lhs_idx : int;
+  i_rhs_idx : int;
+  i_rhs_arity : int;
   i_xp : (int * Value.t) list;
   i_copy : (int * int) list;
   i_yp : (int * Value.t) list;
@@ -61,14 +71,18 @@ type compiled_cind = {
 type compiled_cfd = {
   f_name : string;
   f_rel : string;
+  f_idx : int;
   f_tx : (int * Pattern.cell) list;
   f_a : int;
   f_ta : Pattern.cell;
+  mutable f_clean : Template.tuple list;
+      (* the relation's tuples when [fd_step] last answered [Fd_unchanged];
+         [[]] at first, on which no pair violates anything *)
 }
 
 let compile_cind schema (nf : Cind.nf) =
-  let r1 = Db_schema.find schema nf.Cind.nf_lhs in
-  let r2 = Db_schema.find schema nf.nf_rhs in
+  let r1, lhs_idx = Db_schema.find_indexed schema nf.Cind.nf_lhs in
+  let r2, rhs_idx = Db_schema.find_indexed schema nf.nf_rhs in
   let copy =
     List.map2 (fun a b -> (Schema.position r1 a, Schema.position r2 b)) nf.nf_x nf.nf_y
   in
@@ -85,6 +99,9 @@ let compile_cind schema (nf : Cind.nf) =
     i_name = nf.nf_name;
     i_lhs = nf.nf_lhs;
     i_rhs = nf.nf_rhs;
+    i_lhs_idx = lhs_idx;
+    i_rhs_idx = rhs_idx;
+    i_rhs_arity = Schema.arity r2;
     i_xp = List.map (fun (a, v) -> (Schema.position r1 a, v)) nf.nf_xp;
     i_copy = copy;
     i_yp = yp;
@@ -92,13 +109,15 @@ let compile_cind schema (nf : Cind.nf) =
   }
 
 let compile_cfd schema (nf : Cfd.nf) =
-  let r = Db_schema.find schema nf.Cfd.nf_rel in
+  let r, idx = Db_schema.find_indexed schema nf.Cfd.nf_rel in
   {
     f_name = nf.nf_name;
     f_rel = nf.nf_rel;
+    f_idx = idx;
     f_tx = List.map2 (fun a c -> (Schema.position r a, c)) nf.nf_x nf.nf_tx;
     f_a = Schema.position r nf.nf_a;
     f_ta = nf.nf_ta;
+    f_clean = [];
   }
 
 type compiled = { cinds : compiled_cind list; cfds : compiled_cfd list }
@@ -199,7 +218,7 @@ let fd_consider cfd best t1 t2 =
 (* One FD(φ) application to the canonical least violating pair of [cfd],
    found by scanning every pair of its relation, self-pairs included. *)
 let fd_step cfd db =
-  let all = Template.tuples db cfd.f_rel in
+  let all = Template.tuples_at db cfd.f_idx in
   let best =
     List.fold_left
       (fun best p -> List.fold_left (fun best t -> fd_consider cfd best p t) best all)
@@ -216,13 +235,24 @@ let fd_step cfd db =
    order whose [fd_step] changes the template, until none does.  Every
    applied step substitutes at least one variable away everywhere, so a
    pass takes at most as many steps as the template has variables and
-   needs no cap of its own; each step ticks the ambient budget. *)
+   needs no cap of its own; each step ticks the ambient budget.
+
+   A CFD whose relation still holds its [f_clean] list is skipped: lists
+   and tuples are immutable and [fd_step] reads nothing else, so it would
+   answer [Fd_unchanged] again.  Only such answers are skipped, so the
+   schedule is the memo-free loop's.  The memo outlives the call: an IND
+   step or a [subst] leaves most relations' lists as they were. *)
 let fd_fixpoint cfds db =
   let rec go db = function
     | [] -> Ok db
+    | cfd :: rest when Template.tuples_at db cfd.f_idx == cfd.f_clean ->
+        Telemetry.incr m_fd_clean_skips;
+        go db rest
     | cfd :: rest -> (
         match fd_step cfd db with
-        | Fd_unchanged -> go db rest
+        | Fd_unchanged ->
+            cfd.f_clean <- Template.tuples_at db cfd.f_idx;
+            go db rest
         | Fd_undefined why ->
             Telemetry.incr m_fd_undefined;
             Error why
@@ -247,14 +277,13 @@ let has_witness cind db (ta : Template.tuple) =
       && List.for_all
            (fun (pos, v) -> Template.cell_equal tb.(pos) (Template.C v))
            cind.i_yp)
-    (Template.tuples db cind.i_rhs)
+    (Template.tuples_at db cind.i_rhs_idx)
 
 (* Build the witness tuple IND(ψ) inserts for [ta].  In instantiated mode,
    unconstrained finite-domain fields take random constants instead of pool
    variables (Section 5.2, simplification (a)). *)
-let witness_tuple ~instantiated pool rng schema cind (ta : Template.tuple) =
-  let r2 = Db_schema.find schema cind.i_rhs in
-  let tb = Array.make (Schema.arity r2) (Template.C (Value.Int 0)) in
+let witness_tuple ~instantiated pool rng cind (ta : Template.tuple) =
+  let tb = Array.make cind.i_rhs_arity (Template.C (Value.Int 0)) in
   List.iter (fun (xpos, ypos) -> tb.(ypos) <- ta.(xpos)) cind.i_copy;
   List.iter (fun (pos, v) -> tb.(pos) <- Template.C v) cind.i_yp;
   List.iter
@@ -277,25 +306,25 @@ type ind_result =
    relation-size threshold T is checked before the insert, whatever the
    mode: Section 5.1 frames the whole extension as a chase over
    bounded-size tables. *)
-let ind_step ~instantiated ~threshold pool rng schema cind db =
+let ind_step ~instantiated ~threshold pool rng cind db =
   let firing =
     List.fold_left
       (fun best ta ->
         match best with
         | Some b when Template.tuple_compare b ta <= 0 -> best
         | _ -> if triggers cind ta && not (has_witness cind db ta) then Some ta else best)
-      None (Template.tuples db cind.i_lhs)
+      None (Template.tuples_at db cind.i_lhs_idx)
   in
   match firing with
   | None -> Ind_unchanged
-  | Some _ when Template.cardinal db cind.i_rhs >= threshold ->
+  | Some _ when List.length (Template.tuples_at db cind.i_rhs_idx) >= threshold ->
       Telemetry.incr m_threshold_hits;
       Ind_overflow
         (Printf.sprintf "IND(%s): relation %s exceeds threshold T" cind.i_name cind.i_rhs)
   | Some ta ->
       Telemetry.incr m_ind_steps;
       Ind_changed
-        (Template.add db cind.i_rhs (witness_tuple ~instantiated pool rng schema cind ta))
+        (Template.add_at db cind.i_rhs_idx (witness_tuple ~instantiated pool rng cind ta))
 
 (* --- round-robin IND cursor --------------------------------------------------
 
@@ -307,17 +336,15 @@ module Ind_cursor = struct
   type t = {
     c_cinds : compiled_cind array;
     c_pool : Pool.t;
-    c_schema : Db_schema.t;
     c_instantiated : bool;
     c_threshold : int;
     mutable c_pos : int;
   }
 
-  let create ~instantiated ~threshold pool schema cinds =
+  let create ~instantiated ~threshold pool cinds =
     {
       c_cinds = Array.of_list cinds;
       c_pool = pool;
-      c_schema = schema;
       c_instantiated = instantiated;
       c_threshold = threshold;
       c_pos = 0;
@@ -332,7 +359,7 @@ module Ind_cursor = struct
         let j = (t.c_pos + k) mod n in
         match
           ind_step ~instantiated:t.c_instantiated ~threshold:t.c_threshold t.c_pool rng
-            t.c_schema t.c_cinds.(j) db
+            t.c_cinds.(j) db
         with
         | Ind_unchanged -> scan (k + 1)
         | Ind_changed _ as applied ->

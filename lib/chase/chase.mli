@@ -68,7 +68,6 @@ val ind_step :
   threshold:int ->
   Pool.t ->
   Rng.t ->
-  Db_schema.t ->
   compiled_cind ->
   Template.t ->
   ind_result
@@ -89,7 +88,6 @@ module Ind_cursor : sig
     instantiated:bool ->
     threshold:int ->
     Pool.t ->
-    Db_schema.t ->
     compiled_cind list ->
     t
 

@@ -6,9 +6,13 @@ open Conddep_relational
    constant; variables are ordered lexicographically.
 
    A template is its schema plus one tuple list per relation, newest
-   tuple first.  [add] and [subst] scan those lists: RandomChecking and
-   CFD_Checking start from a one-tuple seed, and the chase keeps
-   templates to a handful of tuples per relation (DESIGN.md §10). *)
+   tuple first, in an array indexed by the relation's position in name
+   order ([Db_schema.find_indexed]), so iterating it follows the names as
+   a map keyed by name would.  [add] and [subst] scan those lists:
+   RandomChecking and CFD_Checking start from a one-tuple seed, and the
+   chase keeps templates to a handful of tuples per relation (DESIGN.md
+   §10).  Lists are never mutated, no tuple is mutated once added, and
+   [subst] hands back every list it does not rewrite as it found it. *)
 
 type var = { vrel : string; vattr : string; vidx : int }
 
@@ -64,36 +68,28 @@ let pp_tuple ppf (t : tuple) =
 
 let tuple_equal a b = tuple_compare a b = 0
 
-module String_map = Map.Make (String)
-
 type t = {
   schema : Db_schema.t;
-  rels : tuple list String_map.t; (* newest first *)
+  rels : tuple list array; (* by position in name order; newest first *)
 }
 
-let empty schema =
-  {
-    schema;
-    rels =
-      List.fold_left
-        (fun acc r -> String_map.add (Schema.name r) [] acc)
-        String_map.empty (Db_schema.relations schema);
-  }
-
+let empty schema = { schema; rels = Array.make (Db_schema.cardinal schema) [] }
 let schema t = t.schema
-
-let tuples t rel =
-  match String_map.find_opt rel t.rels with
-  | Some tuples -> tuples
-  | None -> invalid_arg (Printf.sprintf "Template.tuples: no relation %S" rel)
-
+let index t rel = snd (Db_schema.find_indexed t.schema rel)
+let tuples_at t i = t.rels.(i)
+let tuples t rel = tuples_at t (index t rel)
 let cardinal t rel = List.length (tuples t rel)
-let total t = String_map.fold (fun _ tuples acc -> acc + List.length tuples) t.rels 0
+let total t = Array.fold_left (fun acc tuples -> acc + List.length tuples) 0 t.rels
 
-let add t rel tuple =
-  let tuples = tuples t rel in
+let add_at t i tuple =
+  let tuples = t.rels.(i) in
   if List.exists (tuple_equal tuple) tuples then t
-  else { t with rels = String_map.add rel (tuple :: tuples) t.rels }
+  else
+    let rels = Array.copy t.rels in
+    rels.(i) <- tuple :: tuples;
+    { t with rels }
+
+let add t rel tuple = add_at t (index t rel) tuple
 
 (* --- substitution ------------------------------------------------------------
    Global substitution of one variable by a cell — the chase FD operation
@@ -121,7 +117,7 @@ let subst t var by =
         [] tuples
       |> List.rev
   in
-  { t with rels = String_map.map rewrite t.rels }
+  { t with rels = Array.map rewrite t.rels }
 
 (* The constants currently present in one column of one relation. *)
 let column_constants t ~rel ~attr =
@@ -138,8 +134,8 @@ let column_constants t ~rel ~attr =
           |> List.sort_uniq Value.compare)
 
 let variables t =
-  String_map.fold
-    (fun _ tuples acc ->
+  Array.fold_left
+    (fun acc tuples ->
       List.fold_left
         (fun acc tuple ->
           Array.fold_left
@@ -149,7 +145,7 @@ let variables t =
               | C _ -> acc)
             acc tuple)
         acc tuples)
-    t.rels []
+    [] t.rels
 
 (* Variables whose attribute has a finite domain — the set the paper's
    valuations Vfinattr range over. *)
@@ -193,22 +189,25 @@ let to_database ?(avoid = []) t =
     | Some (_, value) -> value
     | None -> assert false
   in
-  String_map.fold
-    (fun rel tuples db ->
-      List.fold_left
-        (fun db tuple ->
+  let db = ref (Database.empty t.schema) in
+  Array.iteri
+    (fun i tuples ->
+      let rel = Db_schema.name_at t.schema i in
+      List.iter
+        (fun tuple ->
           let concrete =
             Tuple.make
               (List.map (function C value -> value | V v -> lookup v) (Array.to_list tuple))
           in
-          Database.add_tuple db rel concrete)
-        db tuples)
-    t.rels
-    (Database.empty t.schema)
+          db := Database.add_tuple !db rel concrete)
+        tuples)
+    t.rels;
+  !db
 
 let pp ppf t =
-  String_map.iter
-    (fun rel tuples ->
+  Array.iteri
+    (fun i tuples ->
       if tuples <> [] then
-        Fmt.pf ppf "@[<v2>%s:@ %a@]@." rel Fmt.(list ~sep:cut pp_tuple) (List.rev tuples))
+        Fmt.pf ppf "@[<v2>%s:@ %a@]@." (Db_schema.name_at t.schema i)
+          Fmt.(list ~sep:cut pp_tuple) (List.rev tuples))
     t.rels

@@ -3,7 +3,11 @@ open Conddep_relational
 (** Database templates for the extended chase (Section 5.1): databases whose
     fields may be variables from the bounded pools [var\[A\]].  A template
     is its schema plus one tuple list per relation, newest tuple first;
-    templates stay small, so {!add} and {!subst} scan those lists. *)
+    templates stay small, so {!add} and {!subst} scan those lists.
+
+    Templates are immutable and so are their tuples once added: an
+    operation that leaves a relation alone hands back its list itself
+    (physically equal), which the chase's FD memo relies on. *)
 
 type var = { vrel : string; vattr : string; vidx : int }
 
@@ -34,16 +38,23 @@ val schema : t -> Db_schema.t
 val tuples : t -> string -> tuple list
 (** Newest tuple first.  @raise Invalid_argument on an unknown relation. *)
 
+val tuples_at : t -> int -> tuple list
+(** {!tuples} of the relation at this position of [Db_schema.find_indexed]. *)
+
 val cardinal : t -> string -> int
 val total : t -> int
 
 val add : t -> string -> tuple -> t
 (** Set semantics: adding an existing tuple is a no-op. *)
 
+val add_at : t -> int -> tuple -> t
+(** {!add} to the relation at this position of [Db_schema.find_indexed]. *)
+
 val subst : t -> var -> cell -> t
 (** Global substitution of a variable (a variable denotes one value).
     Tuples keep their order.  A rewritten tuple equal to an untouched
-    tuple, or to an earlier rewritten tuple, is dropped. *)
+    tuple, or to an earlier rewritten tuple, is dropped.  The list of a
+    relation without the variable is returned unchanged ([==]). *)
 
 val column_constants : t -> rel:string -> attr:string -> Value.t list
 (** Constants currently occurring in one attribute column of a relation. *)

@@ -20,8 +20,7 @@ type result =
 let m_runs = Telemetry.counter "checking.random.runs" ~doc:"RandomChecking chase runs attempted (at most K per call)"
 let m_successes = Telemetry.counter "checking.random.successes" ~doc:"RandomChecking runs ending in a verified witness"
 
-let chase_run ~config ~k_cfd ~avoid ~rng schema
-    (compiled : Chase.compiled) db =
+let chase_run ~config ~k_cfd ~avoid ~rng (compiled : Chase.compiled) db =
   let pool = Pool.make ~n:config.Chase.pool_size in
   (* IND steps fill unknown fields with pool *variables* (instantiated:
      false): the interleaved CFD_Checking then chooses finite-domain values
@@ -34,8 +33,7 @@ let chase_run ~config ~k_cfd ~avoid ~rng schema
      rescans the template CFD_Checking handed back. *)
   let cinds = Rng.shuffle rng compiled.Chase.cinds in
   let cursor =
-    Chase.Ind_cursor.create ~instantiated:false ~threshold:config.Chase.threshold pool
-      schema cinds
+    Chase.Ind_cursor.create ~instantiated:false ~threshold:config.Chase.threshold pool cinds
   in
   let rec loop db steps =
     if steps > config.Chase.max_steps then begin
@@ -79,7 +77,7 @@ let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?seed_rels
           let rel = Rng.pick run_rng seed_rels in
           let db = Chase.seed_tuple schema ~rel in
           Telemetry.with_span "checking.random_run" @@ fun () ->
-          chase_run ~config ~k_cfd ~avoid ~rng:run_rng schema compiled db
+          chase_run ~config ~k_cfd ~avoid ~rng:run_rng compiled db
         with
         | Some terminal ->
             let concrete = Template.to_database ~avoid terminal in

@@ -14,6 +14,19 @@ val find : t -> string -> Schema.t
 val find_opt : t -> string -> Schema.t option
 val mem : t -> string -> bool
 
+(** {1 Positions in name order}
+
+    Relation [name_at t i] is the [i]-th in the order of
+    [String.compare] on names, [0 <= i < cardinal t]: arrays indexed by
+    position iterate like a map keyed by name. *)
+
+val find_indexed : t -> string -> Schema.t * int
+(** {!find} and the relation's position, in one lookup.
+    @raise Invalid_argument when the relation is absent. *)
+
+val cardinal : t -> int
+val name_at : t -> int -> string
+
 val has_finite_attrs : t -> bool
 (** Whether any relation has a finite-domain attribute — the setting that
     separates Tables 1 and 2 of the paper. *)

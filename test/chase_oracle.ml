@@ -19,13 +19,11 @@ let m_runs = Telemetry.counter "chase.runs" ~doc:"full chase invocations"
    relations, constants for finite-domain fields).  At most
    [config.max_steps] IND steps; each iteration also polls the ambient
    budget's clock. *)
-let run ?(instantiated = false) ~(config : Chase.config) ~rng schema
-    (compiled : Chase.compiled) db =
+let run ?(instantiated = false) ~(config : Chase.config) ~rng (compiled : Chase.compiled) db =
   Telemetry.incr m_runs;
   let pool = Pool.make ~n:config.pool_size in
   let cursor =
-    Chase.Ind_cursor.create ~instantiated ~threshold:config.threshold pool schema
-      compiled.cinds
+    Chase.Ind_cursor.create ~instantiated ~threshold:config.threshold pool compiled.cinds
   in
   let rec go db steps =
     Guard.check ();
@@ -39,3 +37,18 @@ let run ?(instantiated = false) ~(config : Chase.config) ~rng schema
         | Ind_changed db' -> go db' (steps + 1))
   in
   try go db 0 with Guard.Exhausted r -> Exhausted r
+
+(* The FD fixpoint without [Chase.fd_fixpoint]'s clean-CFD memo: every
+   CFD is rescanned on every pass, the first one whose [fd_step] changes
+   the template applied, until none does.  The memo-agreement property
+   of test_chase holds the memoised loop to this one. *)
+let fd_fixpoint cfds db =
+  let rec go db = function
+    | [] -> Ok db
+    | cfd :: rest -> (
+        match Chase.fd_step cfd db with
+        | Chase.Fd_unchanged -> go db rest
+        | Chase.Fd_undefined why -> Error why
+        | Chase.Fd_changed db' -> go db' cfds)
+  in
+  go db cfds

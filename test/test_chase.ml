@@ -162,7 +162,7 @@ let test_example_5_1 () =
   let compiled = Chase.compile schema sigma in
   let seed = Chase.seed_tuple schema ~rel:"r1" in
   let terminal =
-    get_terminal (Chase_oracle.run ~config:Chase.default_config ~rng:(rng ()) schema compiled seed)
+    get_terminal (Chase_oracle.run ~config:Chase.default_config ~rng:(rng ()) compiled seed)
   in
   (* chase(D, Σ) = R1: (c, vF), R2: (c, vH) — E and G hold the constant c. *)
   (match Template.tuples terminal "r1" with
@@ -193,7 +193,7 @@ let test_chase_terminates_on_cycle () =
   let compiled = Chase.compile schema sigma in
   let seed = Chase.seed_tuple schema ~rel:"r" in
   let terminal =
-    get_terminal (Chase_oracle.run ~config:Chase.default_config ~rng:(rng ()) schema compiled seed)
+    get_terminal (Chase_oracle.run ~config:Chase.default_config ~rng:(rng ()) compiled seed)
   in
   check_bool "bounded size" true (Template.total terminal <= 4)
 
@@ -209,7 +209,7 @@ let test_instantiated_chase_threshold () =
   let compiled = Chase.compile schema sigma in
   let seed = Chase.seed_tuple schema ~rel:"r" in
   let config = { Chase.default_config with threshold = 5; max_steps = 1000 } in
-  match Chase_oracle.run ~instantiated:true ~config ~rng:(rng ()) schema compiled seed with
+  match Chase_oracle.run ~instantiated:true ~config ~rng:(rng ()) compiled seed with
   | Chase_oracle.Undefined _ -> ()
   | Chase_oracle.Terminal db ->
       (* with string pools the chase may close on pool reuse instead *)
@@ -293,8 +293,7 @@ let test_ind_step_reuses_witnesses () =
       [| Template.C (str "k") |]
   in
   (match
-     Chase.ind_step ~instantiated:false ~threshold:100 (Pool.make ~n:2) (rng ()) schema
-       cind db
+     Chase.ind_step ~instantiated:false ~threshold:100 (Pool.make ~n:2) (rng ()) cind db
    with
   | Chase.Ind_unchanged -> ()
   | Chase.Ind_changed _ -> Alcotest.fail "added a tuple despite existing witness"
@@ -302,8 +301,7 @@ let test_ind_step_reuses_witnesses () =
   (* and must add one when the witness is missing *)
   let db2 = Template.add (Template.empty schema) "src" [| Template.C (str "k") |] in
   match
-    Chase.ind_step ~instantiated:false ~threshold:100 (Pool.make ~n:2) (rng ()) schema
-      cind db2
+    Chase.ind_step ~instantiated:false ~threshold:100 (Pool.make ~n:2) (rng ()) cind db2
   with
   | Chase.Ind_changed db' -> check_int "dst got the tuple" 1 (Template.cardinal db' "dst")
   | _ -> Alcotest.fail "expected a change"
@@ -349,7 +347,7 @@ let prop_terminal_is_fixpoint (seed, instantiated) =
   let fixpoint (schema, sigma) db =
     let compiled = Chase.compile schema sigma in
     match
-      Chase_oracle.run ~instantiated ~config ~rng:(Rng.make ((seed * 7) + 1)) schema compiled db
+      Chase_oracle.run ~instantiated ~config ~rng:(Rng.make ((seed * 7) + 1)) compiled db
     with
     | Chase_oracle.Terminal db ->
         List.for_all
@@ -360,7 +358,7 @@ let prop_terminal_is_fixpoint (seed, instantiated) =
              (fun cind ->
                match
                  Chase.ind_step ~instantiated ~threshold:config.threshold
-                   (Pool.make ~n:config.pool_size) (Rng.make seed) schema cind db
+                   (Pool.make ~n:config.pool_size) (Rng.make seed) cind db
                with
                | Chase.Ind_unchanged -> true
                | _ -> false)
@@ -413,7 +411,7 @@ let prop_fd_step_drops_a_variable (seed, consistent) =
     else
       match
         Chase.ind_step ~instantiated:false ~threshold:Chase.default_config.threshold
-          pool rng schema cinds.(i mod Array.length cinds) db
+          pool rng cinds.(i mod Array.length cinds) db
       with
       | Chase.Ind_changed db' ->
           fd_steps_drop db' && grow db' ~applied:(applied + 1) ~idle:0 (i + 1)
@@ -423,11 +421,54 @@ let prop_fd_step_drops_a_variable (seed, consistent) =
   let seed_db = if consistent then witness_seed schema else first_rel_seed schema in
   fd_steps_drop seed_db && grow seed_db ~applied:0 ~idle:0 0
 
+(* The clean-CFD memo of [Chase.fd_fixpoint] against the memo-free loop
+   of [Chase_oracle.fd_fixpoint].  One compiled CFD list serves a whole
+   walk of templates, as in RandomChecking: each template is the last
+   fixpoint result (or, one time in four, an earlier template of the
+   walk) after an IND step, round robin over Σ's CINDs, or after a random
+   valuation of its finite-domain variables.  On every template both
+   loops must give the same [Ok] template, list order included, or the
+   same [Error] text. *)
+let prop_fd_memo_matches_reference (seed, consistent) =
+  let schema, sigma = small_workload ~consistent seed in
+  let compiled = Chase.compile schema sigma in
+  let cfds = compiled.Chase.cfds and cinds = Array.of_list compiled.Chase.cinds in
+  let pool = Pool.make ~n:Chase.default_config.pool_size in
+  let rng = Rng.make seed in
+  let same db db' =
+    List.for_all
+      (fun rel ->
+        List.equal
+          (fun t u -> Template.tuple_compare t u = 0)
+          (Template.tuples db rel) (Template.tuples db' rel))
+      (Db_schema.rel_names schema)
+  in
+  let next db i =
+    if Rng.bool rng || Array.length cinds = 0 then Chase.instantiate_finite_vars rng db
+    else
+      match
+        Chase.ind_step ~instantiated:false ~threshold:Chase.default_config.threshold pool
+          rng cinds.(i mod Array.length cinds) db
+      with
+      | Chase.Ind_changed db' -> db'
+      | Chase.Ind_unchanged | Chase.Ind_overflow _ -> db
+  in
+  let rec walk history i =
+    i >= 24
+    ||
+    let db = if Rng.int rng 4 = 0 then Rng.pick rng history else List.hd history in
+    match Chase.fd_fixpoint cfds db, Chase_oracle.fd_fixpoint cfds db with
+    | Ok fixed, Ok fixed' -> same fixed fixed' && walk (next fixed i :: fixed :: history) (i + 1)
+    | Error why, Error why' -> String.equal why why' && walk (next db i :: history) (i + 1)
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  walk [ (if consistent then witness_seed schema else first_rel_seed schema) ] 0
+
 let test_run_spent_fuel () =
   let schema, sigma = small_workload 13 in
   match
     Guard.with_ambient (spent_fuel ()) (fun () ->
-        Chase_oracle.run ~config:Chase.default_config ~rng:(Rng.make 3) schema
+        Chase_oracle.run ~config:Chase.default_config ~rng:(Rng.make 3)
           (Chase.compile schema sigma) (first_rel_seed schema))
   with
   | Chase_oracle.Exhausted Guard.Fuel -> ()
@@ -482,6 +523,8 @@ let () =
             prop_terminal_is_fixpoint;
           qtest ~count:1000 "an applied FD step drops a variable" sigma_gen
             prop_fd_step_drops_a_variable;
+          qtest ~count:500 "memoised FD fixpoint matches the memo-free loop" sigma_gen
+            prop_fd_memo_matches_reference;
         ] );
       ( "faults",
         [

@@ -280,7 +280,7 @@ let test_chase_fuel () =
   let compiled = Chase.compile schema sigma in
   match
     Guard.with_ambient (spent_fuel ()) (fun () ->
-        Chase_oracle.run ~config:Chase.default_config ~rng:(Rng.make 3) schema compiled
+        Chase_oracle.run ~config:Chase.default_config ~rng:(Rng.make 3) compiled
           (Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema))))
   with
   | Chase_oracle.Exhausted r -> check_reason "reason" Guard.Fuel r

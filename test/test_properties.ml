@@ -496,7 +496,7 @@ let prop_terminal_chase_satisfies_cinds seed =
   match
     Chase_oracle.run ~instantiated:true
       ~config:{ Conddep_chase.Chase.default_config with threshold = 200; max_steps = 2000 }
-      ~rng:(Rng.make (seed + 5)) schema compiled seed_db
+      ~rng:(Rng.make (seed + 5)) compiled seed_db
   with
   | Chase_oracle.Undefined _ -> true
   | Chase_oracle.Exhausted _ -> true

@@ -513,6 +513,7 @@ let test_instrumented_counters_registered () =
       "chase.fd_steps";
       "chase.pool_picks";
       "chase.threshold_hits";
+      "chase.fd_clean_skips";
       "checking.cfd.kcfd_retries";
       "checking.preprocess.sccs";
       "checking.preprocess.pruned_indegree0";
