@@ -125,6 +125,27 @@ let compile schema (nf : Cind.nf) =
     c_free_infinite = !free_infinite;
   }
 
+(* Σ's compiled CINDs, and the same CINDs by LHS relation, each with its
+   position in Σ.  Only the CINDs of a shape's own relation can apply to
+   it, and [on_lhs] lists them in Σ order, so a search that tries them
+   visits shapes, ticks the budget and creates buckets as one that tries
+   every CIND of Σ would. *)
+module Rel_tbl = Hashtbl.Make (String)
+
+type indexed = { cinds : compiled array; by_lhs : (int * compiled) list Rel_tbl.t }
+
+let index compiled =
+  let cinds = Array.of_list compiled in
+  let by_lhs = Rel_tbl.create 64 in
+  for ci = Array.length cinds - 1 downto 0 do
+    let c = cinds.(ci) in
+    let others = Option.value ~default:[] (Rel_tbl.find_opt by_lhs c.c_lhs) in
+    Rel_tbl.replace by_lhs c.c_lhs ((ci, c) :: others)
+  done;
+  { cinds; by_lhs }
+
+let on_lhs sigma rel = Option.value ~default:[] (Rel_tbl.find_opt sigma.by_lhs rel)
+
 let applicable c s =
   String.equal c.c_lhs s.srel
   && List.for_all (fun (pos, v) -> field_equal s.fields.(pos) (Cst v)) c.c_xp
@@ -244,12 +265,13 @@ let m_shapes =
    witness or one of its buckets empties; a death decrements the buckets
    the shape is counted in, and a count reaching 0 kills that bucket's
    dependants.  Each shape dies at most once and each bucket empties at
-   most once, so the fixpoint is linear in the shape graph (shapes × |Σ|).
-   The ambient budget is ticked per explored shape, per shape seeded and
+   most once.  A shape is tested against the CINDs of its own relation
+   only, and a CIND counts the shapes of its RHS relation only, so
+   exploration and fixpoint are linear in the shape graph, not in
+   shapes × |Σ|.  The ambient budget is ticked per explored shape, per shape seeded and
    per kill, and polled without spending fuel per already-visited child,
    so a deadline cuts even an exponentially exploding search promptly. *)
-let counterexample_from schema compiled psi ~max_states ~recorder
-    (start, xvals) =
+let counterexample_from schema sigma psi ~max_states ~recorder (start, xvals) =
   let visited = State_tbl.create 256 in
   let queue = Queue.create () in
   let push s =
@@ -273,19 +295,18 @@ let counterexample_from schema compiled psi ~max_states ~recorder
       while not (Queue.is_empty queue) do
         let s = Queue.pop queue in
         List.iter
-          (fun c ->
+          (fun (_, c) ->
             if applicable c s then begin
               Read_set.record_cind recorder c.c_nf;
               Seq.iter push (children c s)
             end)
-          compiled
+          (on_lhs sigma s.srel)
       done);
   Telemetry.with_span "implication.fixpoint" @@ fun () ->
   let n = State_tbl.length visited in
   let shapes = Array.make n start in
   State_tbl.iter (fun s i -> shapes.(i) <- s) visited;
   let witness = is_witness schema psi ~xvals in
-  let compiled = Array.of_list compiled in
   let buckets = Bucket_tbl.create n in
   let bucket key =
     match Bucket_tbl.find_opt buckets key with
@@ -298,37 +319,43 @@ let counterexample_from schema compiled psi ~max_states ~recorder
   (* dead.(i): shape i belongs to no witness-free closed set.  A witness
      is dead from the start and depends on nothing. *)
   let dead = Array.make n false in
-  let used = Array.make (Array.length compiled) false in
+  let used = Array.make (Array.length sigma.cinds) false in
   Array.iteri
     (fun i s ->
       Guard.tick ();
       if witness s then dead.(i) <- true
       else
-        Array.iteri
-          (fun ci c ->
+        List.iter
+          (fun (ci, c) ->
             if applicable c s then begin
               used.(ci) <- true;
               let b = bucket (ci, requirement_key c s) in
               b.dependants <- i :: b.dependants
             end)
-          compiled)
+          (on_lhs sigma s.srel))
     shapes;
   (* Count the live shapes of each bucket some requirement names; the
-     other shapes of c's RHS relation meet no requirement. *)
+     other shapes of c's RHS relation meet no requirement.  [of_rel]
+     lists each relation's shapes in shape order. *)
+  let of_rel = Rel_tbl.create 64 in
+  for i = n - 1 downto 0 do
+    let rel = shapes.(i).srel in
+    Rel_tbl.replace of_rel rel (i :: Option.value ~default:[] (Rel_tbl.find_opt of_rel rel))
+  done;
   let counted_in = Array.make n [] in
   Array.iteri
     (fun ci c ->
       if used.(ci) then
-        Array.iteri
-          (fun i s ->
-            if (not dead.(i)) && String.equal c.c_rhs s.srel then
-              match Bucket_tbl.find_opt buckets (ci, bucket_key c s) with
+        List.iter
+          (fun i ->
+            if not dead.(i) then
+              match Bucket_tbl.find_opt buckets (ci, bucket_key c shapes.(i)) with
               | Some b ->
                   b.live <- b.live + 1;
                   counted_in.(i) <- b :: counted_in.(i)
               | None -> ())
-          shapes)
-    compiled;
+          (Option.value ~default:[] (Rel_tbl.find_opt of_rel c.c_rhs)))
+    sigma.cinds;
   let work = ref [] in
   let kill i =
     if not dead.(i) then begin
@@ -366,12 +393,12 @@ let pp_outcome ppf = function
    — the shareable part of the work; [implies_many] compiles once and
    runs this per goal.  [Budget_exceeded] (the local [max_states] cap) is
    the procedure's own give-up, reported as [Undetermined Fuel]. *)
-let decide_compiled_core ~max_states ~recorder schema compiled psi =
+let decide_compiled_core ~max_states ~recorder schema sigma psi =
   match
     let psi = Cind.canon_nf psi in
     let starts = start_shapes schema psi ~max_states in
     List.exists
-      (counterexample_from schema compiled psi ~max_states ~recorder)
+      (counterexample_from schema sigma psi ~max_states ~recorder)
       starts
   with
   | true -> Not_implied
@@ -383,21 +410,21 @@ let decide_compiled_core ~max_states ~recorder schema compiled psi =
    incremental session's warm-start cache); spans like [decide]. *)
 let decide_compiled ?(max_states = 50_000) ?recorder schema compiled psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
-  decide_compiled_core ~max_states ~recorder schema compiled psi
+  decide_compiled_core ~max_states ~recorder schema (index compiled) psi
+
+let compile_sigma schema sigma =
+  index (List.map (compile schema) (List.map Cind.canon_nf sigma))
 
 let decide ?(max_states = 50_000) schema ~sigma psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
-  let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
-  decide_compiled_core ~max_states ~recorder:None schema compiled psi
+  decide_compiled_core ~max_states ~recorder:None schema (compile_sigma schema sigma) psi
 
 let implies_many ?(max_states = 50_000) schema ~sigma goals =
   Telemetry.with_span "implication.implies_many" @@ fun () ->
   (* The shared pass: Σ is canonicalised and compiled exactly once for
      the whole batch. *)
-  let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
-  List.map
-    (decide_compiled_core ~max_states ~recorder:None schema compiled)
-    goals
+  let sigma = compile_sigma schema sigma in
+  List.map (decide_compiled_core ~max_states ~recorder:None schema sigma) goals
 
 (* --- a path to a witness (Theorem 3.5) ------------------------------------- *)
 
@@ -406,7 +433,7 @@ let implies_many ?(max_states = 50_000) schema ~sigma goals =
    no tick and the [max_states] check precedes the insert. *)
 let witness_path ?(max_states = 50_000) schema ~sigma psi =
   let psi = Cind.canon_nf psi in
-  let compiled = List.map (compile schema) (List.map Cind.canon_nf sigma) in
+  let sigma = compile_sigma schema sigma in
   let start, xvals = List.hd (start_shapes schema psi ~max_states) in
   let witness = is_witness schema psi ~xvals in
   let visited = State_tbl.create 256 in
@@ -430,10 +457,10 @@ let witness_path ?(max_states = 50_000) schema ~sigma psi =
       while not (Queue.is_empty queue) do
         let s, path = Queue.pop queue in
         List.iter
-          (fun c ->
+          (fun (_, c) ->
             if applicable c s then
               Seq.iter (visit ((c.c_nf, s) :: path)) (children c s))
-          compiled
+          (on_lhs sigma s.srel)
       done;
       None
     with Found path -> Some path

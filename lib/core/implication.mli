@@ -16,8 +16,10 @@ open Conddep_relational
     The reachable shapes are explored breadth-first; the greatest
     fixpoint is then computed by counting (Liu & Smolka, ICALP 1998):
     each shape dies at most once and each requirement bucket empties at
-    most once, so the fixpoint costs O(shapes × |Σ|), linear in the shape
-    graph.  The procedure is exact but worst-case exponential, because
+    most once.  Σ is indexed by LHS relation, so a shape meets only the
+    CINDs of its own relation and a CIND counts only the shapes of its
+    RHS relation: exploration and fixpoint are linear in the shape graph.
+    The procedure is exact but worst-case exponential, because
     the shape space is; the [max_states] cap bounds the search. *)
 
 exception Budget_exceeded
