@@ -25,49 +25,40 @@ type nf = {
 
 let make ~name ~rel ~x ~y rows = { name; rel; x; y; rows }
 
-let has_distinct_names l = List.length (List.sort_uniq String.compare l) = List.length l
+(* Validation is a chain of direct checks, the first failure reported:
+   it runs on every CFD of every parsed file, so the passing path
+   allocates nothing. *)
+let rec distinct = function [] -> true | a :: rest -> (not (List.mem a rest)) && distinct rest
+let fail t fmt = Fmt.kstr (fun s -> Error (Fmt.str "CFD %s: %s" t.name s)) fmt
+
+let check_cells t rel names cells =
+  if List.compare_lengths names cells <> 0 then fail t "pattern row arity mismatch"
+  else
+    match Pattern.outside_domain rel names cells with
+    | Some a -> fail t "pattern constant outside dom(%s)" a
+    | None -> Ok ()
+
+let rec check_rows t rel = function
+  | [] -> Ok ()
+  | { rx; ry } :: rest -> (
+      match check_cells t rel t.x rx with
+      | Error _ as e -> e
+      | Ok () -> (
+          match check_cells t rel t.y ry with
+          | Error _ as e -> e
+          | Ok () -> check_rows t rel rest))
 
 let validate schema t =
-  let ( let* ) r f = Result.bind r f in
-  let err fmt = Fmt.kstr (fun s -> Error (Fmt.str "CFD %s: %s" t.name s)) fmt in
-  let* rel =
-    match Db_schema.find_opt schema t.rel with
-    | Some r -> Ok r
-    | None -> err "unknown relation %s" t.rel
-  in
-  let* () =
-    match List.find_opt (fun a -> not (Schema.mem_attr rel a)) (t.x @ t.y) with
-    | Some a -> err "unknown attribute %s" a
-    | None -> Ok ()
-  in
-  let* () =
-    if has_distinct_names t.x && has_distinct_names t.y then Ok ()
-    else err "duplicate attributes in X or Y"
-  in
-  let* () = if t.y = [] then err "empty right-hand side" else Ok () in
-  let check_cells names cells =
-    if List.length names <> List.length cells then err "pattern row arity mismatch"
-    else
-      match
-        List.find_opt
-          (fun (a, c) ->
-            match c with
-            | Pattern.Wildcard -> false
-            | Pattern.Const v -> not (Domain.mem (Schema.domain_of rel a) v))
-          (List.combine names cells)
-      with
-      | Some (a, _) -> err "pattern constant outside dom(%s)" a
-      | None -> Ok ()
-  in
-  let rec check_rows = function
-    | [] -> Ok ()
-    | { rx; ry } :: rest ->
-        let* () = check_cells t.x rx in
-        let* () = check_cells t.y ry in
-        check_rows rest
-  in
-  let* () = if t.rows = [] then err "empty pattern tableau" else Ok () in
-  check_rows t.rows
+  match Db_schema.find_opt schema t.rel with
+  | None -> fail t "unknown relation %s" t.rel
+  | Some rel -> (
+      match Schema.first_unknown rel t.x, Schema.first_unknown rel t.y with
+      | Some a, _ | None, Some a -> fail t "unknown attribute %s" a
+      | None, None ->
+          if not (distinct t.x && distinct t.y) then fail t "duplicate attributes in X or Y"
+          else if t.y = [] then fail t "empty right-hand side"
+          else if t.rows = [] then fail t "empty pattern tableau"
+          else check_rows t rel t.rows)
 
 (* Every CFD is equivalent to a set of normal-form CFDs: one per pattern row
    and RHS attribute. *)

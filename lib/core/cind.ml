@@ -37,83 +37,69 @@ type nf = {
 
 let make ~name ~lhs ~rhs ~x ~xp ~y ~yp rows = { name; lhs; rhs; x; xp; y; yp; rows }
 
-let distinct l = List.length (List.sort_uniq String.compare l) = List.length l
-let disjoint a b = not (List.exists (fun x -> List.mem x b) a)
+(* Validation is a chain of direct checks, the first failure reported:
+   it runs on every CIND of every parsed file, so the passing path
+   allocates nothing. *)
+let rec distinct = function [] -> true | a :: rest -> (not (List.mem a rest)) && distinct rest
+let rec disjoint a b = match a with [] -> true | x :: rest -> (not (List.mem x b)) && disjoint rest b
+let fail t fmt = Fmt.kstr (fun s -> Error (Fmt.str "CIND %s: %s" t.name s)) fmt
+
+(* The first (A_i, B_i) of X and Y, equally long, with dom(A_i) not
+   contained in dom(B_i): the paper's standing assumption is that it is. *)
+let rec uncontained r1 r2 xs ys =
+  match xs, ys with
+  | a :: xs, b :: ys ->
+      if Domain.subset (Schema.domain_of r1 a) (Schema.domain_of r2 b) then uncontained r1 r2 xs ys
+      else Some (a, b)
+  | _ -> None
+
+let check_cells t rel names cells =
+  if List.compare_lengths names cells <> 0 then fail t "pattern row arity mismatch"
+  else
+    match Pattern.outside_domain rel names cells with
+    | Some a -> fail t "pattern constant outside dom(%s)" a
+    | None -> Ok ()
+
+let rec check_rows t r1 r2 = function
+  | [] -> Ok ()
+  | row :: rest -> (
+      match check_cells t r1 t.x row.cx with
+      | Error _ as e -> e
+      | Ok () -> (
+          match check_cells t r1 t.xp row.cxp with
+          | Error _ as e -> e
+          | Ok () -> (
+              match check_cells t r2 t.y row.cy with
+              | Error _ as e -> e
+              | Ok () -> (
+                  match check_cells t r2 t.yp row.cyp with
+                  | Error _ as e -> e
+                  | Ok () ->
+                      if List.equal Pattern.cell_equal row.cx row.cy then check_rows t r1 r2 rest
+                      else fail t "tp[X] must equal tp[Y]"))))
 
 let validate schema t =
-  let ( let* ) r f = Result.bind r f in
-  let err fmt = Fmt.kstr (fun s -> Error (Fmt.str "CIND %s: %s" t.name s)) fmt in
-  let* r1 =
-    match Db_schema.find_opt schema t.lhs with
-    | Some r -> Ok r
-    | None -> err "unknown relation %s" t.lhs
-  in
-  let* r2 =
-    match Db_schema.find_opt schema t.rhs with
-    | Some r -> Ok r
-    | None -> err "unknown relation %s" t.rhs
-  in
-  let* () =
-    match
-      ( List.find_opt (fun a -> not (Schema.mem_attr r1 a)) (t.x @ t.xp),
-        List.find_opt (fun a -> not (Schema.mem_attr r2 a)) (t.y @ t.yp) )
-    with
-    | Some a, _ -> err "unknown attribute %s in %s" a t.lhs
-    | _, Some a -> err "unknown attribute %s in %s" a t.rhs
-    | None, None -> Ok ()
-  in
-  let* () =
-    if distinct t.x && distinct t.xp && disjoint t.x t.xp then Ok ()
-    else err "X and Xp must be duplicate-free and disjoint"
-  in
-  let* () =
-    if distinct t.y && distinct t.yp && disjoint t.y t.yp then Ok ()
-    else err "Y and Yp must be duplicate-free and disjoint"
-  in
-  let* () =
-    if List.length t.x = List.length t.y then Ok ()
-    else err "X and Y have different lengths"
-  in
-  let* () =
-    (* dom(Ai) ⊆ dom(Bi), the paper's standing assumption. *)
-    match
-      List.find_opt
-        (fun (a, b) ->
-          not (Domain.subset (Schema.domain_of r1 a) (Schema.domain_of r2 b)))
-        (List.combine t.x t.y)
-    with
-    | Some (a, b) -> err "dom(%s) is not contained in dom(%s)" a b
-    | None -> Ok ()
-  in
-  let check_cells rel names cells =
-    if List.length names <> List.length cells then err "pattern row arity mismatch"
-    else
-      match
-        List.find_opt
-          (fun (a, c) ->
-            match c with
-            | Pattern.Wildcard -> false
-            | Pattern.Const v -> not (Domain.mem (Schema.domain_of rel a) v))
-          (List.combine names cells)
-      with
-      | Some (a, _) -> err "pattern constant outside dom(%s)" a
-      | None -> Ok ()
-  in
-  let rec check_rows = function
-    | [] -> Ok ()
-    | row :: rest ->
-        let* () = check_cells r1 t.x row.cx in
-        let* () = check_cells r1 t.xp row.cxp in
-        let* () = check_cells r2 t.y row.cy in
-        let* () = check_cells r2 t.yp row.cyp in
-        let* () =
-          if List.equal Pattern.cell_equal row.cx row.cy then Ok ()
-          else err "tp[X] must equal tp[Y]"
-        in
-        check_rows rest
-  in
-  let* () = if t.rows = [] then err "empty pattern tableau" else Ok () in
-  check_rows t.rows
+  match Db_schema.find_opt schema t.lhs, Db_schema.find_opt schema t.rhs with
+  | None, _ -> fail t "unknown relation %s" t.lhs
+  | _, None -> fail t "unknown relation %s" t.rhs
+  | Some r1, Some r2 -> (
+      let unknown r l l' =
+        match Schema.first_unknown r l with None -> Schema.first_unknown r l' | found -> found
+      in
+      match unknown r1 t.x t.xp, unknown r2 t.y t.yp with
+      | Some a, _ -> fail t "unknown attribute %s in %s" a t.lhs
+      | _, Some a -> fail t "unknown attribute %s in %s" a t.rhs
+      | None, None -> (
+          if not (distinct t.x && distinct t.xp && disjoint t.x t.xp) then
+            fail t "X and Xp must be duplicate-free and disjoint"
+          else if not (distinct t.y && distinct t.yp && disjoint t.y t.yp) then
+            fail t "Y and Yp must be duplicate-free and disjoint"
+          else if List.compare_lengths t.x t.y <> 0 then fail t "X and Y have different lengths"
+          else
+            match uncontained r1 r2 t.x t.y with
+            | Some (a, b) -> fail t "dom(%s) is not contained in dom(%s)" a b
+            | None ->
+                if t.rows = [] then fail t "empty pattern tableau" else check_rows t r1 r2 t.rows))
 
 (* Does tuple [t1] of the LHS relation trigger pattern row [row]?  I.e.
    t1[X, Xp] ≍ tp[X, Xp]. *)

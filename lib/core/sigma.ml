@@ -11,15 +11,11 @@ let union a b = { cfds = a.cfds @ b.cfds; cinds = a.cinds @ b.cinds }
 let cardinality t = List.length t.cfds + List.length t.cinds
 
 let validate schema t =
-  let ( let* ) r f = Result.bind r f in
-  let rec all f = function
+  let rec all validate = function
     | [] -> Ok ()
-    | x :: rest ->
-        let* () = f x in
-        all f rest
+    | x :: rest -> ( match validate schema x with Ok () -> all validate rest | e -> e)
   in
-  let* () = all (Cfd.validate schema) t.cfds in
-  all (Cind.validate schema) t.cinds
+  match all Cfd.validate t.cfds with Ok () -> all Cind.validate t.cinds | e -> e
 
 let normalize t =
   {

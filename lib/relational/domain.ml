@@ -32,10 +32,12 @@ let base_mem base (v : Value.t) =
   | Dstring, Value.Str _ -> true
   | (Dint | Dstring), _ -> false
 
+let rec mem_list v = function [] -> false | w :: ws -> Value.equal v w || mem_list v ws
+
 let mem t v =
   match t with
   | Infinite base -> base_mem base v
-  | Finite vs -> List.exists (Value.equal v) vs
+  | Finite vs -> mem_list v vs
 
 (* Containment of two sorted, duplicate-free lists, by one merge. *)
 let rec sorted_subset vs ws =

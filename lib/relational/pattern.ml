@@ -16,6 +16,13 @@ let match_cell v = function Const c -> Value.equal v c | Wildcard -> true
 let matches values cells =
   List.length values = List.length cells && List.for_all2 match_cell values cells
 
+let rec outside_domain rel names cells =
+  match names, cells with
+  | a :: names, Const v :: cells ->
+      if Domain.mem (Schema.domain_of rel a) v then outside_domain rel names cells else Some a
+  | _ :: names, Wildcard :: cells -> outside_domain rel names cells
+  | _ -> None
+
 let const_value = function Const v -> Some v | Wildcard -> None
 
 let constants cells =

@@ -16,6 +16,10 @@ val match_cell : Value.t -> cell -> bool
 val matches : Value.t list -> cell list -> bool
 (** Pointwise [≍]; false on length mismatch. *)
 
+val outside_domain : Schema.t -> string list -> cell list -> string option
+(** The first of the attributes whose cell, at the same position, is a
+    constant outside the attribute's domain in the relation. *)
+
 val const_value : cell -> Value.t option
 
 val constants : cell list -> Value.t list

@@ -25,21 +25,25 @@ let attr t i =
     invalid_arg (Printf.sprintf "Schema.attr: index %d out of range for %s" i t.name);
   t.attrs.(i)
 
+(* The position of [attr_name] at or after [i], or -1. *)
+let rec index_from t attr_name i =
+  if i >= Array.length t.attrs then -1
+  else if String.equal (Attribute.name t.attrs.(i)) attr_name then i
+  else index_from t attr_name (i + 1)
+
 let position_opt t attr_name =
-  let rec go i =
-    if i >= Array.length t.attrs then None
-    else if String.equal (Attribute.name t.attrs.(i)) attr_name then Some i
-    else go (i + 1)
-  in
-  go 0
+  match index_from t attr_name 0 with -1 -> None | i -> Some i
 
 let position t attr_name =
-  match position_opt t attr_name with
-  | Some i -> i
-  | None ->
-      invalid_arg (Printf.sprintf "Schema.position: no attribute %S in %s" attr_name t.name)
+  match index_from t attr_name 0 with
+  | -1 -> invalid_arg (Printf.sprintf "Schema.position: no attribute %S in %s" attr_name t.name)
+  | i -> i
 
-let mem_attr t attr_name = Option.is_some (position_opt t attr_name)
+let mem_attr t attr_name = index_from t attr_name 0 >= 0
+
+let rec first_unknown t = function
+  | [] -> None
+  | a :: rest -> if mem_attr t a then first_unknown t rest else Some a
 let domain_of t attr_name = Attribute.domain (attr t (position t attr_name))
 let attr_names t = Array.to_list (Array.map Attribute.name t.attrs)
 

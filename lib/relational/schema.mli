@@ -19,6 +19,9 @@ val position : t -> string -> int
 val position_opt : t -> string -> int option
 val mem_attr : t -> string -> bool
 
+val first_unknown : t -> string list -> string option
+(** The first name in the list that is not an attribute. *)
+
 val domain_of : t -> string -> Domain.t
 (** @raise Invalid_argument when the attribute is absent. *)
 
