@@ -57,7 +57,6 @@ let default_config = { pool_size = 2; threshold = 2000; max_steps = 20_000 }
 
 type compiled_cind = {
   i_name : string;
-  i_lhs : string;
   i_rhs : string;
   i_lhs_idx : int;
   i_rhs_idx : int;
@@ -97,7 +96,6 @@ let compile_cind schema (nf : Cind.nf) =
   in
   {
     i_name = nf.nf_name;
-    i_lhs = nf.nf_lhs;
     i_rhs = nf.nf_rhs;
     i_lhs_idx = lhs_idx;
     i_rhs_idx = rhs_idx;

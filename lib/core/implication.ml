@@ -132,19 +132,20 @@ let compile schema (nf : Cind.nf) =
    every CIND of Σ would. *)
 module Rel_tbl = Hashtbl.Make (String)
 
+let members tbl rel = Option.value ~default:[] (Rel_tbl.find_opt tbl rel)
+let add_member tbl rel x = Rel_tbl.replace tbl rel (x :: members tbl rel)
+
 type indexed = { cinds : compiled array; by_lhs : (int * compiled) list Rel_tbl.t }
 
 let index compiled =
   let cinds = Array.of_list compiled in
   let by_lhs = Rel_tbl.create 64 in
   for ci = Array.length cinds - 1 downto 0 do
-    let c = cinds.(ci) in
-    let others = Option.value ~default:[] (Rel_tbl.find_opt by_lhs c.c_lhs) in
-    Rel_tbl.replace by_lhs c.c_lhs ((ci, c) :: others)
+    add_member by_lhs cinds.(ci).c_lhs (ci, cinds.(ci))
   done;
   { cinds; by_lhs }
 
-let on_lhs sigma rel = Option.value ~default:[] (Rel_tbl.find_opt sigma.by_lhs rel)
+let on_lhs sigma rel = members sigma.by_lhs rel
 
 let applicable c s =
   String.equal c.c_lhs s.srel
@@ -268,9 +269,10 @@ let m_shapes =
    most once.  A shape is tested against the CINDs of its own relation
    only, and a CIND counts the shapes of its RHS relation only, so
    exploration and fixpoint are linear in the shape graph, not in
-   shapes × |Σ|.  The ambient budget is ticked per explored shape, per shape seeded and
-   per kill, and polled without spending fuel per already-visited child,
-   so a deadline cuts even an exponentially exploding search promptly. *)
+   shapes × |Σ|.  The ambient budget is ticked per explored shape, per
+   shape seeded and per kill, and polled without spending fuel per
+   already-visited child, so a deadline cuts even an exponentially
+   exploding search promptly. *)
 let counterexample_from schema sigma psi ~max_states ~recorder (start, xvals) =
   let visited = State_tbl.create 256 in
   let queue = Queue.create () in
@@ -339,8 +341,7 @@ let counterexample_from schema sigma psi ~max_states ~recorder (start, xvals) =
      lists each relation's shapes in shape order. *)
   let of_rel = Rel_tbl.create 64 in
   for i = n - 1 downto 0 do
-    let rel = shapes.(i).srel in
-    Rel_tbl.replace of_rel rel (i :: Option.value ~default:[] (Rel_tbl.find_opt of_rel rel))
+    add_member of_rel shapes.(i).srel i
   done;
   let counted_in = Array.make n [] in
   Array.iteri
@@ -354,7 +355,7 @@ let counterexample_from schema sigma psi ~max_states ~recorder (start, xvals) =
                   b.live <- b.live + 1;
                   counted_in.(i) <- b :: counted_in.(i)
               | None -> ())
-          (Option.value ~default:[] (Rel_tbl.find_opt of_rel c.c_rhs)))
+          (members of_rel c.c_rhs))
     sigma.cinds;
   let work = ref [] in
   let kill i =

@@ -29,12 +29,13 @@ let make relations =
 
 let relations t = t.relations
 let rel_names t = List.map Schema.name t.relations
-let find_opt t name = Option.map fst (Names.find_opt name t.by_name)
+let find_opt t name =
+  match Names.find name t.by_name with r, _ -> Some r | exception Not_found -> None
 
 let find_indexed t name =
-  match Names.find_opt name t.by_name with
-  | Some found -> found
-  | None -> invalid_arg (Printf.sprintf "Db_schema.find: no relation %S" name)
+  match Names.find name t.by_name with
+  | found -> found
+  | exception Not_found -> invalid_arg (Printf.sprintf "Db_schema.find: no relation %S" name)
 
 let find t name = fst (find_indexed t name)
 let mem t name = Names.mem name t.by_name
