@@ -39,6 +39,9 @@ type compiled = { cinds : compiled_cind list; cfds : compiled_cfd list }
 val compile : Db_schema.t -> Sigma.nf -> compiled
 val compile_cind : Db_schema.t -> Cind.nf -> compiled_cind
 val compile_cfd : Db_schema.t -> Cfd.nf -> compiled_cfd
+(** Attribute names and relations are resolved to positions: use a
+    compiled constraint only on templates over the schema it was compiled
+    against. *)
 
 (** {1 Single operations} *)
 
@@ -56,6 +59,11 @@ val fd_fixpoint : compiled_cfd list -> Template.t -> (Template.t, string) result
     carries the reason the chase is undefined.  Every applied step
     substitutes a variable away, so the pass ends within as many steps as
     the template has variables; each step ticks the ambient budget.
+
+    Each compiled CFD remembers the tuple list of its relation on which
+    {!fd_step} last answered [Fd_unchanged], across calls, and is skipped
+    while the template still holds that very list ([==]); the answer,
+    the steps applied and the ticks are those of rescanning every CFD.
     @raise Guard.Exhausted when the ambient budget runs dry. *)
 
 type ind_result =
