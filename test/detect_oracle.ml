@@ -3,10 +3,35 @@ open Conddep_core
 open Conddep_cleaning
 
 (* The reference violation detector, chosen for being obviously correct
-   rather than fast: every pair of tuples per CFD ([Cfd.nf_violations]) and
-   the relational anti-join per CIND (the SQL detection query of [9]).
-   Differential tests hold [Fast_detect] to it list for list, order
-   included, and [Repair]'s loops to the ones below. *)
+   rather than fast, and sharing no code with the detector in lib/: every
+   ordered pair of tuples per CFD and the relational anti-join per CIND
+   (the SQL detection query of [9]).  Differential tests hold [Fast_detect]
+   and [Sigma.nf_holds] to it, list for list and order included, and
+   [Repair]'s loops to the ones below. *)
+
+(* An ordered pair (possibly one tuple twice) violates (X -> A, tp) when
+   both tuples match tp[X] with equal X-values, and they differ on A or
+   miss tp[A]. *)
+let pair_satisfies sch (nf : Cfd.nf) t1 t2 =
+  let xpos = List.map (Schema.position sch) nf.Cfd.nf_x in
+  let apos = Schema.position sch nf.nf_a in
+  let x1 = Tuple.proj t1 xpos and x2 = Tuple.proj t2 xpos in
+  if List.equal Value.equal x1 x2 && Pattern.matches x1 nf.nf_tx then
+    Value.equal (Tuple.get t1 apos) (Tuple.get t2 apos)
+    && Pattern.match_cell (Tuple.get t1 apos) nf.nf_ta
+  else true
+
+(* The violating pairs by ascending t1, then ascending t2. *)
+let cfd_violations db (nf : Cfd.nf) =
+  let rel = Database.relation db nf.Cfd.nf_rel in
+  let sch = Relation.schema rel in
+  let tuples = Relation.tuples rel in
+  List.concat_map
+    (fun t1 ->
+      List.filter_map
+        (fun t2 -> if pair_satisfies sch nf t1 t2 then None else Some (t1, t2))
+        tuples)
+    tuples
 
 (* Triggering LHS tuples minus those with a partner in the
    pattern-restricted RHS relation, ascending. *)
@@ -32,7 +57,7 @@ let detect db (sigma : Sigma.nf) =
         (fun (t1, t2) ->
           Violation.Cfd_violation
             { constraint_name = nf.Cfd.nf_name; rel = nf.nf_rel; nf; t1; t2 })
-        (Cfd.nf_violations db nf))
+        (cfd_violations db nf))
     sigma.Sigma.ncfds
   @ List.concat_map
       (fun nf ->

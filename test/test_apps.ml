@@ -114,7 +114,7 @@ let test_fast_detect_agrees_on_bank () =
                 true
                 (List.equal
                    (fun (a1, b1) (a2, b2) -> Tuple.equal a1 a2 && Tuple.equal b1 b2)
-                   (Cfd.nf_violations db nf)
+                   (Detect_oracle.cfd_violations db nf)
                    (Fast_detect.cfd_violations db nf)))
             (Cfd.normalize cfd))
         B.all_cfds;

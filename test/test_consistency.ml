@@ -328,6 +328,41 @@ let test_checking_example_4_2 () =
   check_bool "Example 4.2 not accepted" false
     (Checking.to_bool (Checking.check ~k:30 ~rng:(rng ()) B.ex42_schema sigma))
 
+(* A candidate can meet its component's constraints and still violate Σ.
+   Every p tuple needs a q tuple and CFD(q) is inconsistent, so Σ forces
+   both relations empty; but p's only attribute has a one-value domain,
+   so preProcessing has no CFD that denies p's tuples, and the self-loop
+   keeps p off the indegree-0 pruning.  RandomChecking on the component
+   {p}, whose constraints omit the CIND into q, finds one-tuple
+   candidates that violate it: Checking cannot prove Σ inconsistent and
+   must not call it consistent. *)
+let test_checking_one_value_domains () =
+  let schema =
+    Db_schema.make
+      [
+        Schema.make "p" [ Attribute.make "a" (Domain.finite [ str "x" ]) ];
+        Schema.make "q" [ Attribute.make "b" (Domain.finite [ str "1"; str "2" ]) ];
+      ]
+  in
+  let forced name v =
+    { Cfd.nf_name = name; nf_rel = "q"; nf_x = []; nf_tx = []; nf_a = "b"; nf_ta = const v }
+  in
+  let cind name ~rhs x =
+    { Cind.nf_name = name; nf_lhs = "p"; nf_rhs = rhs; nf_x = x; nf_y = x; nf_xp = []; nf_yp = [] }
+  in
+  let into_q = cind "into_q" ~rhs:"q" [] in
+  let sigma =
+    { Sigma.ncfds = [ forced "b1" "1"; forced "b2" "2" ]; ncinds = [ cind "loop" ~rhs:"p" [ "a" ]; into_q ] }
+  in
+  check_bool "nothing denies p's tuples" true (Preprocessing.non_triggering schema into_q = []);
+  List.iter
+    (fun backend ->
+      match Checking.check ~backend ~rng:(rng ()) schema sigma with
+      | Checking.Unknown _ -> ()
+      | Checking.Consistent db -> Alcotest.failf "witness violates Σ:@ %a" Database.pp db
+      | Checking.Inconsistent -> Alcotest.fail "preProcessing cannot empty p")
+    [ Cfd_checking.Chase_backend; Cfd_checking.Sat_backend ]
+
 let test_checking_bank_sigma () =
   (* The full running-example Σ is consistent (the clean Fig 1 database
      satisfies it); Checking should find its own witness. *)
@@ -380,5 +415,7 @@ let () =
           Alcotest.test_case "Example 5.6" `Quick test_checking_example_5_6;
           Alcotest.test_case "Example 4.2 rejected" `Quick test_checking_example_4_2;
           Alcotest.test_case "bank sigma" `Quick test_checking_bank_sigma;
+          Alcotest.test_case "one-value domains: component witness violates Σ" `Quick
+            test_checking_one_value_domains;
         ] );
     ]

@@ -464,6 +464,66 @@ let prop_fast_detect_agrees seed =
         (Conddep_cleaning.Fast_detect.detect db sigma))
     (dirty_databases seed schema)
 
+(* Databases of 0–2 tuples per relation (empty LHS and RHS relations,
+   single tuples, self-pair constant clashes), then the two dirty sizes. *)
+let satisfaction_databases seed schema =
+  let rng = Rng.make (seed + 9) in
+  let db = Workload.dirty_database rng schema ~tuples_per_rel:2 ~error_rate:0.5 in
+  let tiny =
+    Database.fold
+      (fun rel acc ->
+        let keep = Rng.int rng 3 in
+        Database.set_relation acc
+          (Relation.of_list (Relation.schema rel)
+             (List.filteri (fun i _ -> i < keep) (Relation.tuples rel))))
+      db db
+  in
+  tiny :: dirty_databases seed schema
+
+(* A multi-row CIND over a normal-form one's attributes: each row keeps or
+   drops each pattern constant, and may bind an X/Y pair to a value of an
+   LHS tuple, which [Cind.normalize] moves into the patterns. *)
+let multi_row_cind rng db (nf : Cind.nf) =
+  let r1 = Db_schema.find (Database.schema db) nf.Cind.nf_lhs in
+  let lhs = Relation.tuples (Database.relation db nf.nf_lhs) in
+  let maybe (_, v) = if Rng.bool rng then Pattern.Const v else Pattern.Wildcard in
+  let row () =
+    let cx =
+      List.map
+        (fun a ->
+          if lhs <> [] && Rng.chance rng 0.3 then
+            Pattern.Const (Tuple.get (Rng.pick rng lhs) (Schema.position r1 a))
+          else Pattern.Wildcard)
+        nf.nf_x
+    in
+    { Cind.cx; cxp = List.map maybe nf.nf_xp; cy = cx; cyp = List.map maybe nf.nf_yp }
+  in
+  Cind.make ~name:nf.nf_name ~lhs:nf.nf_lhs ~rhs:nf.nf_rhs ~x:nf.nf_x
+    ~xp:(List.map fst nf.nf_xp) ~y:nf.nf_y ~yp:(List.map fst nf.nf_yp)
+    (List.init (1 + Rng.int rng 3) (fun _ -> row ()))
+
+(* [Sigma.nf_holds] answers what the pairwise oracle answers, and a
+   multi-row CIND's violations are its normal forms' violations, row by
+   row, in order. *)
+let prop_satisfaction_agrees seed =
+  let schema, sigma = make_workload ~consistent:false seed in
+  let rng = Rng.make (seed + 10) in
+  List.for_all
+    (fun db ->
+      Sigma.nf_holds db sigma = Detect_oracle.is_clean db sigma
+      && List.for_all
+           (fun nf ->
+             let cind = multi_row_cind rng db nf in
+             List.equal
+               (fun (row, t) (row', t') -> row == row' && Tuple.equal t t')
+               (Cind.violations db cind)
+               (List.concat
+                  (List.map2
+                     (fun row nf -> List.map (fun t -> (row, t)) (Cind.nf_violations db nf))
+                     cind.Cind.rows (Cind.normalize cind))))
+           sigma.Sigma.ncinds)
+    (satisfaction_databases seed schema)
+
 (* Repair driven by the grouped detector (one detection per round) must give
    the database, and cost, of the same loop driven by the oracle. *)
 let prop_repair_matches_oracle seed =
@@ -597,6 +657,8 @@ let () =
           test_sat_named_values;
           qtest ~count:40 "fast detection agrees with reference" seed_gen
             prop_fast_detect_agrees;
+          qtest ~count:40 "satisfaction agrees with the pairwise oracle" seed_gen
+            prop_satisfaction_agrees;
           qtest ~count:20 "repair matches the oracle-driven loop" seed_gen
             prop_repair_matches_oracle;
         ] );
