@@ -24,10 +24,8 @@ let check ?backend ?config ?k ?k_cfd ~rng schema sigma =
   | Checking.Inconsistent -> No
   | Checking.Unknown r -> Unknown r
 
-let random_check ?config ?k ?k_cfd ?seed_rels ~rng schema sigma =
-  match
-    Random_checking.check ?config ?k ?k_cfd ?seed_rels ~rng schema sigma
-  with
+let random_check ?config ?k ?k_cfd ~rng schema sigma =
+  match Random_checking.check ?config ?k ?k_cfd ~rng schema sigma with
   | Random_checking.Consistent db -> Yes (Some db)
   | Random_checking.Unknown r -> Unknown r
 

@@ -64,7 +64,6 @@ val random_check :
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
-  ?seed_rels:string list ->
   rng:Rng.t ->
   Db_schema.t ->
   Sigma.nf ->

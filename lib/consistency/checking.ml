@@ -6,7 +6,8 @@ open Conddep_core
    component of the reduced dependency graph.  The component's constraints
    include the non-triggering CFDs accumulated during preProcessing, so a
    component witness extends to a witness for all of Σ by leaving every
-   other relation empty — which we verify before answering. *)
+   other relation empty — which RandomChecking verifies against the whole
+   Σ before answering. *)
 
 type result =
   | Consistent of Database.t
@@ -32,16 +33,14 @@ let pipeline ?backend ?config ?k ?k_cfd ~rng schema (sigma : Sigma.nf) =
            memory) reports that reason instead — first one wins. *)
         let rec try_components reason = function
           | [] -> Unknown reason
-          | (members, component_sigma) :: rest -> (
+          | component :: rest -> (
               Guard.check ();
               Telemetry.incr m_components_tried;
               match
-                Random_checking.check ?config ?k ?k_cfd ~seed_rels:members ~rng
-                  schema component_sigma
+                Random_checking.check ?config ?k ?k_cfd ~component ~rng schema
+                  sigma
               with
-              | Random_checking.Consistent db when Sigma.nf_holds db sigma ->
-                  Consistent db
-              | Random_checking.Consistent _ -> try_components reason rest
+              | Random_checking.Consistent db -> Consistent db
               | Random_checking.Unknown r ->
                   let reason =
                     match reason with Guard.Fuel -> r | _ -> reason

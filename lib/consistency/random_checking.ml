@@ -11,7 +11,10 @@ open Conddep_chase
    exceeds the threshold T.
 
    Soundness (Theorem 5.1): a [Consistent] answer always carries a concrete
-   witness database, and we re-verify Σ against it before answering. *)
+   witness database, and we verify Σ against it before answering.  When
+   Checking hands over one component, the chase and its fresh values see
+   only the component's constraints, but the witness is verified against
+   the whole Σ, once. *)
 
 type result =
   | Consistent of Database.t
@@ -55,14 +58,17 @@ let chase_run ~config ~k_cfd ~avoid ~rng (compiled : Chase.compiled) db =
   in
   loop db 0
 
-let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?seed_rels
+let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?component
     ~rng schema (sigma : Sigma.nf) =
   try
-    let compiled = Chase.compile schema sigma in
-    let avoid = Sigma.constant_values sigma in
-    let seed_rels =
-      match seed_rels with Some rels -> rels | None -> Db_schema.rel_names schema
+    (* chase the component; verify against the whole Σ *)
+    let seed_rels, chased =
+      match component with
+      | Some c -> c
+      | None -> (Db_schema.rel_names schema, sigma)
     in
+    let compiled = Chase.compile schema chased in
+    let avoid = Sigma.constant_values chased in
     if seed_rels = [] then Unknown Guard.Fuel
     else begin
       (* One run on its own split of [rng]: [Some db] for a verified

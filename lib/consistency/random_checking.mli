@@ -19,15 +19,20 @@ val check :
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
-  ?seed_rels:string list ->
+  ?component:string list * Sigma.nf ->
   rng:Rng.t ->
   Db_schema.t ->
   Sigma.nf ->
   result
 (** [k] is the number of random runs K (default 20, the paper's setting);
-    [k_cfd] bounds the random valuations inside CFD_Checking; [seed_rels]
-    restricts the starting relation (used per component by Checking);
-    the ambient budget bounds the whole search.
+    [k_cfd] bounds the random valuations inside CFD_Checking; the ambient
+    budget bounds the whole search.
+
+    [component] (Checking passes each weakly connected component) gives
+    the relations a run may start from and the constraints the runs
+    chase, whose constants the fresh values avoid; by default every
+    relation and the whole Σ.  Every candidate is verified against the
+    whole Σ, so a [Consistent] witness satisfies Σ.
 
     The K runs are the sequential loop of Fig 5: run i draws the i-th
     {!Rng.split} of [rng], taken when the run starts, and spends the

@@ -101,39 +101,6 @@ let validate schema t =
             | None ->
                 if t.rows = [] then fail t "empty pattern tableau" else check_rows t r1 r2 t.rows))
 
-(* Does tuple [t1] of the LHS relation trigger pattern row [row]?  I.e.
-   t1[X, Xp] ≍ tp[X, Xp]. *)
-let row_triggers sch1 t row ~t1 =
-  let xpos = List.map (Schema.position sch1) t.x in
-  let xppos = List.map (Schema.position sch1) t.xp in
-  Pattern.matches (Tuple.proj t1 xpos) row.cx
-  && Pattern.matches (Tuple.proj t1 xppos) row.cxp
-
-(* Does tuple [t2] of the RHS relation witness row [row] for [t1]? *)
-let row_witness sch1 sch2 t row ~t1 ~t2 =
-  let xpos = List.map (Schema.position sch1) t.x in
-  let ypos = List.map (Schema.position sch2) t.y in
-  let yppos = List.map (Schema.position sch2) t.yp in
-  List.equal Value.equal (Tuple.proj t1 xpos) (Tuple.proj t2 ypos)
-  && Pattern.matches (Tuple.proj t2 yppos) row.cyp
-
-let violations db t =
-  let rel1 = Database.relation db t.lhs and rel2 = Database.relation db t.rhs in
-  let sch1 = Relation.schema rel1 and sch2 = Relation.schema rel2 in
-  List.concat_map
-    (fun row ->
-      Relation.fold
-        (fun t1 acc ->
-          if
-            row_triggers sch1 t row ~t1
-            && not (Relation.exists (fun t2 -> row_witness sch1 sch2 t row ~t1 ~t2) rel2)
-          then (row, t1) :: acc
-          else acc)
-        rel1 [])
-    t.rows
-
-let holds db t = violations db t = []
-
 (* Prop 3.1: rewrite into an equivalent set of normal-form CINDs, of total
    size linear in the input.  Per pattern row: (1) one CIND per row;
    (2) drop wildcard pattern attributes (they pose no constraint);
@@ -192,14 +159,58 @@ let nf_to_cind nf =
 
 let validate_nf schema nf = validate schema (nf_to_cind nf)
 
-let nf_holds db nf = holds db (nf_to_cind nf)
-let nf_violations db nf = List.map snd (violations db (nf_to_cind nf))
+(* --- satisfaction ----------------------------------------------------------
 
-(* Whether a LHS tuple triggers the normal-form CIND: t1[Xp] = tp[Xp]. *)
-let nf_triggers sch1 nf ~t1 =
-  List.for_all
-    (fun (a, v) -> Value.equal (Tuple.get t1 (Schema.position sch1 a)) v)
-    nf.nf_xp
+   The one satisfaction check, on a normal form: index the RHS tuples
+   that carry tp[Yp] by their Y-projection, then probe once per LHS tuple
+   that carries tp[Xp].  The misses come out ascending, at a cost of
+   O(|R1| + |R2|), and nothing is built when R1 is empty.  A CIND with
+   several rows is checked row by row through [normalize]. *)
+
+let m_scanned = Telemetry.counter "detect.fast.tuples_scanned" ~doc:"tuples visited by the satisfaction scans (one pass per constraint)"
+let m_probes = Telemetry.counter "detect.fast.index_probes" ~doc:"hash-index lookups (CIND witness probes)"
+let m_violations = Telemetry.counter "detect.fast.violations" ~doc:"violations found by the satisfaction scans"
+
+let carries pattern t = List.for_all (fun (pos, v) -> Value.equal (Tuple.get t pos) v) pattern
+
+let nf_violations db nf =
+  let lhs = Database.relation db nf.nf_lhs and rhs = Database.relation db nf.nf_rhs in
+  Telemetry.add m_scanned (Relation.cardinal rhs + Relation.cardinal lhs);
+  if Relation.is_empty lhs then []
+  else begin
+    let r1 = Relation.schema lhs and r2 = Relation.schema rhs in
+    let xp = List.map (fun (a, v) -> (Schema.position r1 a, v)) nf.nf_xp in
+    let yp = List.map (fun (b, v) -> (Schema.position r2 b, v)) nf.nf_yp in
+    let xpos = List.map (Schema.position r1) nf.nf_x in
+    let ypos = List.map (Schema.position r2) nf.nf_y in
+    let index = Value.List_tbl.create (Relation.cardinal rhs) in
+    Relation.iter
+      (fun t -> if carries yp t then Value.List_tbl.replace index (Tuple.proj t ypos) ())
+      rhs;
+    Relation.fold
+      (fun t acc ->
+        if carries xp t then begin
+          Telemetry.incr m_probes;
+          if Value.List_tbl.mem index (Tuple.proj t xpos) then acc
+          else begin
+            Telemetry.incr m_violations;
+            t :: acc
+          end
+        end
+        else acc)
+      lhs []
+    |> List.rev
+  end
+
+let nf_holds db nf = nf_violations db nf = []
+
+let violations db t =
+  List.concat
+    (List.map2
+       (fun row nf -> List.map (fun tuple -> (row, tuple)) (nf_violations db nf))
+       t.rows (normalize t))
+
+let holds db t = List.for_all (nf_holds db) (normalize t)
 
 (* Canonical form: pattern bindings sorted by attribute name.  The pattern
    portions Xp and Yp are order-insensitive (rule CIND2 permutes them

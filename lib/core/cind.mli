@@ -65,24 +65,25 @@ val normalize : t -> nf list
 
 val nf_to_cind : nf -> t
 
-val holds : Database.t -> t -> bool
-(** [(I1, I2) |= ψ]. *)
+(** {1 Satisfaction}
+
+    One check, {!nf_violations}, from which the others derive. *)
+
+val nf_violations : Database.t -> nf -> Tuple.t list
+(** The LHS tuples that carry [tp\[Xp\]] but have no RHS partner,
+    ascending: a hash index on the RHS tuples carrying [tp\[Yp\]], one
+    probe per triggering LHS tuple, O(|R1| + |R2|).  Counts
+    [detect.fast.tuples_scanned], [detect.fast.index_probes] and
+    [detect.fast.violations]. *)
 
 val nf_holds : Database.t -> nf -> bool
 
 val violations : Database.t -> t -> (row * Tuple.t) list
-(** LHS tuples that trigger a pattern row but have no RHS witness. *)
+(** LHS tuples that trigger a pattern row but have no RHS witness: each
+    row's {!nf_violations} through {!normalize}, in row order. *)
 
-val nf_violations : Database.t -> nf -> Tuple.t list
-
-val row_triggers : Schema.t -> t -> row -> t1:Tuple.t -> bool
-(** [t1\[X, Xp\] ≍ tp\[X, Xp\]]. *)
-
-val row_witness :
-  Schema.t -> Schema.t -> t -> row -> t1:Tuple.t -> t2:Tuple.t -> bool
-(** [t1\[X\] = t2\[Y\]] and [t2\[Yp\] ≍ tp\[Yp\]]. *)
-
-val nf_triggers : Schema.t -> nf -> t1:Tuple.t -> bool
+val holds : Database.t -> t -> bool
+(** [(I1, I2) |= ψ]. *)
 
 val canon_nf : nf -> nf
 (** Canonical form: [nf_xp]/[nf_yp] bindings sorted by attribute name.

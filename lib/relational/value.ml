@@ -51,3 +51,11 @@ module Set = Set.Make (struct
 
   let compare = compare
 end)
+
+(* Hash tables keyed by tuple projections t[X]. *)
+module List_tbl = Hashtbl.Make (struct
+  type nonrec t = t list
+
+  let equal = List.equal equal
+  let hash = Hashtbl.hash
+end)

@@ -27,3 +27,6 @@ val of_string : string -> t
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+
+module List_tbl : Hashtbl.S with type key = t list
+(** Hash tables keyed by value lists: tuple projections [t\[X\]]. *)

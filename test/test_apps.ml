@@ -115,7 +115,7 @@ let test_fast_detect_agrees_on_bank () =
                 (List.equal
                    (fun (a1, b1) (a2, b2) -> Tuple.equal a1 a2 && Tuple.equal b1 b2)
                    (Detect_oracle.cfd_violations db nf)
-                   (Fast_detect.cfd_violations db nf)))
+                   (Cfd.nf_violations db nf)))
             (Cfd.normalize cfd))
         B.all_cfds;
       List.iter
@@ -127,7 +127,7 @@ let test_fast_detect_agrees_on_bank () =
                 true
                 (List.equal Tuple.equal
                    (Detect_oracle.cind_violations db nf)
-                   (Fast_detect.cind_violations db nf)))
+                   (Cind.nf_violations db nf)))
             (Cind.normalize cind))
         B.all_cinds)
     [ B.clean_db; B.dirty_db ]
