@@ -7,18 +7,17 @@ open Conddep_core
 
    - IND(ψ): for a tuple ta of Ra with ta[Xp] = tp[Xp], if no tuple of Rb
      matches ta on the embedded inclusion and carries tp[Yp], add one; its
-     unconstrained fields take random variables from the bounded pools (or,
-     in the *instantiated* chase, random constants for finite-domain
-     attributes).
+     unconstrained fields take random variables from the bounded pools.
    - FD(φ): for tuples t1, t2 with t1[X] = t2[X] ≍ tp[X] violating the
      conclusion, identify values by replacing the smaller cell by the
      larger (variables sit below constants), substituting globally; the
      operation is undefined when two distinct constants clash.
 
-   The instantiated chase chase_I additionally bounds every relation by the
-   threshold T; exceeding it makes the chase undefined (Section 5.2).  A
-   cap on IND steps guards against ping-pong between pool re-use and
-   merging.
+   Every relation is bounded by the threshold T of chase_I; exceeding it
+   makes the chase undefined (Section 5.2).  A cap on IND steps guards
+   against ping-pong between pool re-use and merging.  Finite-domain
+   fields stay pool variables: CFD_Checking's valuations give them values
+   (RandomChecking's improvement at the end of Section 5.2).
 
    The chase follows one *canonical schedule* (see DESIGN.md §10):
 
@@ -64,7 +63,7 @@ type compiled_cind = {
   i_xp : (int * Value.t) list;
   i_copy : (int * int) list;
   i_yp : (int * Value.t) list;
-  i_rest : (int * string * Domain.t) list; (* unconstrained RHS fields *)
+  i_rest : (int * string) list; (* unconstrained RHS fields: position, attribute *)
 }
 
 type compiled_cfd = {
@@ -91,8 +90,7 @@ let compile_cind schema (nf : Cind.nf) =
   List.iter (fun (pos, _) -> determined.(pos) <- true) yp;
   let rest =
     List.filteri (fun pos _ -> not determined.(pos)) (Schema.attrs r2)
-    |> List.map (fun attr ->
-           (Schema.position r2 (Attribute.name attr), Attribute.name attr, Attribute.domain attr))
+    |> List.map (fun attr -> (Schema.position r2 (Attribute.name attr), Attribute.name attr))
   in
   {
     i_name = nf.nf_name;
@@ -277,19 +275,13 @@ let has_witness cind db (ta : Template.tuple) =
            cind.i_yp)
     (Template.tuples_at db cind.i_rhs_idx)
 
-(* Build the witness tuple IND(ψ) inserts for [ta].  In instantiated mode,
-   unconstrained finite-domain fields take random constants instead of pool
-   variables (Section 5.2, simplification (a)). *)
-let witness_tuple ~instantiated pool rng cind (ta : Template.tuple) =
+(* Build the witness tuple IND(ψ) inserts for [ta]: copied and pattern
+   fields, and a pool variable in every unconstrained field. *)
+let witness_tuple pool rng cind (ta : Template.tuple) =
   let tb = Array.make cind.i_rhs_arity (Template.C (Value.Int 0)) in
   List.iter (fun (xpos, ypos) -> tb.(ypos) <- ta.(xpos)) cind.i_copy;
   List.iter (fun (pos, v) -> tb.(pos) <- Template.C v) cind.i_yp;
-  List.iter
-    (fun (pos, attr, dom) ->
-      match Domain.values dom with
-      | Some vs when instantiated -> tb.(pos) <- Template.C (Rng.pick rng vs)
-      | _ -> tb.(pos) <- Pool.pick pool rng ~rel:cind.i_rhs ~attr)
-    cind.i_rest;
+  List.iter (fun (pos, attr) -> tb.(pos) <- Pool.pick pool rng ~rel:cind.i_rhs ~attr) cind.i_rest;
   tb
 
 type ind_result =
@@ -301,10 +293,9 @@ type ind_result =
    without a witness, found by scanning every LHS tuple against the RHS
    relation.  The order comparison runs before the costlier trigger and
    witness tests, so dominated tuples are skipped cheaply.  The
-   relation-size threshold T is checked before the insert, whatever the
-   mode: Section 5.1 frames the whole extension as a chase over
-   bounded-size tables. *)
-let ind_step ~instantiated ~threshold pool rng cind db =
+   relation-size threshold T is checked before the insert: Section 5.1
+   frames the whole extension as a chase over bounded-size tables. *)
+let ind_step ~threshold pool rng cind db =
   let firing =
     List.fold_left
       (fun best ta ->
@@ -322,7 +313,7 @@ let ind_step ~instantiated ~threshold pool rng cind db =
   | Some ta ->
       Telemetry.incr m_ind_steps;
       Ind_changed
-        (Template.add_at db cind.i_rhs_idx (witness_tuple ~instantiated pool rng cind ta))
+        (Template.add_at db cind.i_rhs_idx (witness_tuple pool rng cind ta))
 
 (* --- round-robin IND cursor --------------------------------------------------
 
@@ -334,19 +325,12 @@ module Ind_cursor = struct
   type t = {
     c_cinds : compiled_cind array;
     c_pool : Pool.t;
-    c_instantiated : bool;
     c_threshold : int;
     mutable c_pos : int;
   }
 
-  let create ~instantiated ~threshold pool cinds =
-    {
-      c_cinds = Array.of_list cinds;
-      c_pool = pool;
-      c_instantiated = instantiated;
-      c_threshold = threshold;
-      c_pos = 0;
-    }
+  let create ~threshold pool cinds =
+    { c_cinds = Array.of_list cinds; c_pool = pool; c_threshold = threshold; c_pos = 0 }
 
   let step t ~rng db =
     let n = Array.length t.c_cinds in
@@ -355,10 +339,7 @@ module Ind_cursor = struct
       else begin
         Guard.check ();
         let j = (t.c_pos + k) mod n in
-        match
-          ind_step ~instantiated:t.c_instantiated ~threshold:t.c_threshold t.c_pool rng
-            t.c_cinds.(j) db
-        with
+        match ind_step ~threshold:t.c_threshold t.c_pool rng t.c_cinds.(j) db with
         | Ind_unchanged -> scan (k + 1)
         | Ind_changed _ as applied ->
             t.c_pos <- (j + 1) mod n;

@@ -1,15 +1,16 @@
 open Conddep_relational
 open Conddep_core
 
-(** The extended chase of Section 5.1 and its instantiated variant chase_I
-    of Section 5.2.
+(** The extended chase of Section 5.1, with the relation bound T of
+    chase_I (Section 5.2).
 
     The chase transforms database templates with the operations IND(ψ)
     (add a required witness tuple, populating unknown fields from the
     bounded variable pools) and FD(φ) (identify values, undefined on a
-    constant clash).  Variable pools are bounded by N; the instantiated
-    chase replaces finite-domain unknowns by random constants and bounds
-    every relation by the threshold T. *)
+    constant clash).  Variable pools are bounded by N and every relation
+    by the threshold T.  Finite-domain unknowns stay variables until
+    CFD_Checking's valuations ({!instantiate_finite_vars}) give them
+    values. *)
 
 type config = {
   pool_size : int;  (** N — maximum size of each pool [var\[A\]] *)
@@ -72,7 +73,6 @@ type ind_result =
   | Ind_overflow of string  (** the RHS relation is at the threshold T *)
 
 val ind_step :
-  instantiated:bool ->
   threshold:int ->
   Pool.t ->
   Rng.t ->
@@ -92,12 +92,7 @@ val ind_step :
 module Ind_cursor : sig
   type t
 
-  val create :
-    instantiated:bool ->
-    threshold:int ->
-    Pool.t ->
-    compiled_cind list ->
-    t
+  val create : threshold:int -> Pool.t -> compiled_cind list -> t
 
   val step : t -> rng:Rng.t -> Template.t -> ind_result
   (** Offer each CIND in turn to {!ind_step}, starting after the last one

@@ -14,14 +14,12 @@ open Conddep_core
 type action =
   | Update of { rel : string; tuple : Tuple.t; attr : string; value : Value.t }
   | Insert of { rel : string; tuple : Tuple.t }
-  | Delete of { rel : string; tuple : Tuple.t }
 
 let pp_action ppf = function
   | Update { rel; tuple; attr; value } ->
       Fmt.pf ppf "@[<h>update %s %a: set %s := %a@]" rel Tuple.pp tuple attr Value.pp
         value
   | Insert { rel; tuple } -> Fmt.pf ppf "@[<h>insert %a into %s@]" Tuple.pp tuple rel
-  | Delete { rel; tuple } -> Fmt.pf ppf "@[<h>delete %a from %s@]" Tuple.pp tuple rel
 
 (* Default values for the fields a CIND repair cannot derive. *)
 let default_field attr =
@@ -65,9 +63,6 @@ let suggest schema violation =
 let apply db action =
   match action with
   | Insert { rel; tuple } -> Database.add_tuple db rel tuple
-  | Delete { rel; tuple } ->
-      let r = Database.relation db rel in
-      Database.set_relation db (Relation.filter (fun t -> not (Tuple.equal t tuple)) r)
   | Update { rel; tuple; attr; value } ->
       let r = Database.relation db rel in
       let pos = Schema.position (Relation.schema r) attr in
@@ -91,75 +86,3 @@ let repair ?(max_rounds = 5) schema sigma db =
       | violations -> go (fix_all schema db violations) (round + 1)
   in
   go db 0
-
-(* --- cost-based repair ----------------------------------------------------
-
-   After the cost model of Bohannon et al. [8] (the repair framework the
-   paper cites): every primitive action carries a cost, each violation
-   offers alternative repair plans, and the cheapest plan is applied. *)
-
-type cost_model = {
-  update_cost : int; (* changing one field *)
-  insert_cost : int; (* adding a missing partner tuple *)
-  delete_cost : int; (* removing an offending tuple *)
-}
-
-(* [8]'s intuition: updates are preferred, deletions lose whole tuples. *)
-let default_costs = { update_cost = 1; insert_cost = 3; delete_cost = 5 }
-
-let cost model = function
-  | Update _ -> model.update_cost
-  | Insert _ -> model.insert_cost
-  | Delete _ -> model.delete_cost
-
-let plan_cost model plan = List.fold_left (fun acc a -> acc + cost model a) 0 plan
-
-(* Alternative plans for one violation, each resolving it. *)
-let alternatives schema violation =
-  match violation with
-  | Violation.Cfd_violation { rel; nf; t1; t2; _ } -> (
-      let r = Db_schema.find schema rel in
-      let apos = Schema.position r nf.Cfd.nf_a in
-      match nf.nf_ta with
-      | Pattern.Const a ->
-          let fix t =
-            if Value.equal (Tuple.get t apos) a then []
-            else [ Update { rel; tuple = t; attr = nf.nf_a; value = a } ]
-          in
-          let updates = fix t1 @ if Tuple.equal t1 t2 then [] else fix t2 in
-          [ updates; [ Delete { rel; tuple = t1 } ] ]
-          @ if Tuple.equal t1 t2 then [] else [ [ Delete { rel; tuple = t2 } ] ]
-      | Pattern.Wildcard ->
-          [
-            [ Update { rel; tuple = t2; attr = nf.nf_a; value = Tuple.get t1 apos } ];
-            [ Update { rel; tuple = t1; attr = nf.nf_a; value = Tuple.get t2 apos } ];
-            [ Delete { rel; tuple = t1 } ];
-            [ Delete { rel; tuple = t2 } ];
-          ])
-  | Violation.Cind_violation { lhs; tuple; _ } ->
-      [ suggest schema violation; [ Delete { rel = lhs; tuple } ] ]
-
-(* Cheapest plan per violation, in detection order; returns the cost spent. *)
-let fix_all_min_cost model schema db violations =
-  List.fold_left
-    (fun (db, total) v ->
-      match
-        List.sort
-          (fun p q -> Int.compare (plan_cost model p) (plan_cost model q))
-          (List.filter (fun p -> p <> []) (alternatives schema v))
-      with
-      | [] -> (db, total)
-      | plan :: _ -> (List.fold_left apply db plan, total + plan_cost model plan))
-    (db, 0) violations
-
-let repair_min_cost ?(max_rounds = 5) ?(costs = default_costs) schema sigma db =
-  let rec go db total round =
-    if round >= max_rounds then (db, total)
-    else
-      match Fast_detect.detect db sigma with
-      | [] -> (db, total)
-      | violations ->
-          let db, spent = fix_all_min_cost costs schema db violations in
-          go db (total + spent) (round + 1)
-  in
-  go db 0 0

@@ -8,7 +8,6 @@ open Conddep_core
 type action =
   | Update of { rel : string; tuple : Tuple.t; attr : string; value : Value.t }
   | Insert of { rel : string; tuple : Tuple.t }
-  | Delete of { rel : string; tuple : Tuple.t }
 
 val pp_action : action Fmt.t
 
@@ -21,32 +20,3 @@ val repair : ?max_rounds:int -> Db_schema.t -> Sigma.nf -> Database.t -> Databas
 (** Rounds of suggest-and-apply, one fix per current violation in
     detection order, until clean or [max_rounds] (default 5) — fixes may
     surface new violations.  Each round runs the detector once. *)
-
-(** {1 Cost-based repair}
-
-    After the cost model of Bohannon et al. [8]: actions carry costs,
-    violations offer alternative plans, the cheapest is applied. *)
-
-type cost_model = {
-  update_cost : int;
-  insert_cost : int;
-  delete_cost : int;
-}
-
-val default_costs : cost_model
-(** Updates preferred over insertions over deletions. *)
-
-val cost : cost_model -> action -> int
-
-val alternatives : Db_schema.t -> Violation.t -> action list list
-(** Alternative repair plans for one violation, each resolving it. *)
-
-val repair_min_cost :
-  ?max_rounds:int ->
-  ?costs:cost_model ->
-  Db_schema.t ->
-  Sigma.nf ->
-  Database.t ->
-  Database.t * int
-(** Iterated cheapest-plan repair; returns the repaired database and the
-    total cost spent. *)

@@ -80,13 +80,6 @@ let check_template ?k_cfd ?avoid ~rng compiled_cfds db =
   | Instantiated db -> Some db
   | Contradiction | Out_of_valuations -> None
 
-(* Single-relation consistency via the chase backend: start from the
-   single-tuple template τ(R). *)
-let consistent_rel_chase ?k_cfd ?avoid ~rng schema cfds ~rel =
-  let compiled = List.map (Chase.compile_cfd schema) cfds in
-  check_template ?k_cfd ?avoid ~rng compiled
-    (Chase.seed_tuple schema ~rel)
-
 (* --- SAT-based CFD_Checking --- *)
 
 (* Per-attribute candidate values: the constants CFD(R) names on the

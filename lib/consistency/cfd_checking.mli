@@ -25,16 +25,6 @@ val check_template :
     whose finite-domain variables are all constants, if one is found.
     @raise Guard.Exhausted when the ambient budget runs dry. *)
 
-val consistent_rel_chase :
-  ?k_cfd:int ->
-  ?avoid:Value.t list ->
-  rng:Rng.t ->
-  Db_schema.t ->
-  Cfd.nf list ->
-  rel:string ->
-  Template.t option
-(** [check_template] starting from the single-tuple template τ(rel). *)
-
 val consistent_rel_sat :
   ?avoid:Value.t list -> Db_schema.t -> Cfd.nf list -> rel:string -> Tuple.t option
 (** Complete single-tuple consistency via CNF encoding; a satisfying tuple
@@ -61,8 +51,8 @@ val consistent_rel :
   Cfd.nf list ->
   rel:string ->
   witness
-(** Uniform front-end: the instantiated tuple template τ(rel) satisfying
-    CFD(rel), a definitive [No_tuple], or [Gave_up] (chase backend only —
-    the SAT backend is complete).
+(** Uniform front-end: the tuple template τ(rel), its finite-domain
+    fields concrete, satisfying CFD(rel), a definitive [No_tuple], or
+    [Gave_up] (chase backend only — the SAT backend is complete).
     @raise Guard.Exhausted when the ambient budget runs dry — inside the
     SAT backend too, which never falls back to the chase backend. *)

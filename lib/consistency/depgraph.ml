@@ -116,10 +116,6 @@ let sccs t =
   List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) t.live;
   List.rev !components
 
-(* Topological processing order for Fig 7: flatten the SCCs in Tarjan's
-   emission order (reverse topological on the condensation). *)
-let topo_order t = List.concat (sccs t)
-
 (* Weakly connected components of the live graph — the components Checking
    (Fig 9) analyses independently. *)
 let weak_components t =

@@ -35,10 +35,6 @@ val sccs : t -> string list list
 (** Tarjan's strongly connected components, emitted targets-first (reverse
     topological order of the condensation). *)
 
-val topo_order : t -> string list
-(** The processing order of Fig 7: Rj precedes Ri whenever Ri -> Rj;
-    vertices of a cycle in arbitrary order. *)
-
 val weak_components : t -> string list list
 (** Weakly connected components — the units Checking analyses separately. *)
 

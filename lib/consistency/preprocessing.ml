@@ -68,10 +68,10 @@ let non_triggering schema (cind : Cind.nf) =
       in
       [ make c1; make c2 ]
 
-(* Does the instantiated template tuple τ(R) trigger ψ?  Pattern-free CINDs
-   (Xp = nil) are triggered by any tuple; otherwise every Xp field must
-   hold the pattern constant (remaining variables denote fresh values that
-   match no constant). *)
+(* Does the template tuple τ(R), its finite-domain fields concrete,
+   trigger ψ?  Pattern-free CINDs (Xp = nil) are triggered by any tuple;
+   otherwise every Xp field must hold the pattern constant (remaining
+   variables denote fresh values that match no constant). *)
 let tuple_triggers schema (cind : Cind.nf) (tau : Template.tuple) =
   let r = Db_schema.find schema cind.Cind.nf_lhs in
   List.for_all
@@ -79,7 +79,7 @@ let tuple_triggers schema (cind : Cind.nf) (tau : Template.tuple) =
       Template.cell_equal tau.(Schema.position r a) (Template.C v))
     cind.nf_xp
 
-(* Concretize a single instantiated template tuple into a one-tuple witness
+(* Concretize a single template tuple τ(R) into a one-tuple witness
    database (all other relations empty). *)
 let singleton_db schema ~rel ~avoid (tau : Template.tuple) =
   let db = Template.add (Template.empty schema) rel tau in

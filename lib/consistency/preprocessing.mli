@@ -28,5 +28,5 @@ val non_triggering : Db_schema.t -> Cind.nf -> Cfd.nf list
     that matches ψ's Xp pattern. *)
 
 val tuple_triggers : Db_schema.t -> Cind.nf -> Template.tuple -> bool
-(** Whether an instantiated template tuple triggers ψ (variables denote
-    fresh values and match no constant). *)
+(** Whether a template tuple whose finite-domain fields are concrete
+    triggers ψ (variables denote fresh values and match no constant). *)

@@ -4,7 +4,7 @@ open Conddep_chase
 
 (* Algorithm RandomChecking (Fig 5), in the improved form the paper
    implemented (end of Section 5.2): start from a single-tuple template in
-   a random relation and run the instantiated chase, invoking CFD_Checking
+   a random relation and run the chase bounded by T, invoking CFD_Checking
    every time an IND step adds a tuple, so that constant bindings imposed
    by CFDs instantiate variables before random valuations are drawn.  Up to
    K runs are attempted; a run fails when CFD_Checking fails or a relation
@@ -25,8 +25,8 @@ let m_successes = Telemetry.counter "checking.random.successes" ~doc:"RandomChec
 
 let chase_run ~config ~k_cfd ~avoid ~rng (compiled : Chase.compiled) db =
   let pool = Pool.make ~n:config.Chase.pool_size in
-  (* IND steps fill unknown fields with pool *variables* (instantiated:
-     false): the interleaved CFD_Checking then chooses finite-domain values
+  (* IND steps fill unknown fields with pool *variables*, finite-domain
+     ones included: the interleaved CFD_Checking then chooses their values
      consistently, retrying up to K_CFD valuations — the improvement at the
      end of Section 5.2.  Baking random constants in at creation time would
      make almost every run die on the first CFD clash.
@@ -36,7 +36,7 @@ let chase_run ~config ~k_cfd ~avoid ~rng (compiled : Chase.compiled) db =
      rescans the template CFD_Checking handed back. *)
   let cinds = Rng.shuffle rng compiled.Chase.cinds in
   let cursor =
-    Chase.Ind_cursor.create ~instantiated:false ~threshold:config.Chase.threshold pool cinds
+    Chase.Ind_cursor.create ~threshold:config.Chase.threshold pool cinds
   in
   let rec loop db steps =
     if steps > config.Chase.max_steps then begin

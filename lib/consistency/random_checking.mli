@@ -3,7 +3,7 @@ open Conddep_core
 open Conddep_chase
 
 (** Algorithm RandomChecking (Fig 5), with the improvement of Section 5.2:
-    the instantiated chase interleaved with CFD_Checking, attempted over up
+    the chase bounded by T interleaved with CFD_Checking, attempted over up
     to K random runs.  Sound but incomplete (Theorem 5.1): [Consistent]
     answers carry a verified witness database. *)
 

@@ -15,16 +15,13 @@ type outcome =
 
 let m_runs = Telemetry.counter "chase.runs" ~doc:"full chase invocations"
 
-(* With [instantiated] set this is chase_I of Section 5.2 (bounded
-   relations, constants for finite-domain fields).  At most
-   [config.max_steps] IND steps; each iteration also polls the ambient
-   budget's clock. *)
-let run ?(instantiated = false) ~(config : Chase.config) ~rng (compiled : Chase.compiled) db =
+(* Relations are bounded by [config.threshold] (chase_I's T of Section
+   5.2).  At most [config.max_steps] IND steps; each iteration also polls
+   the ambient budget's clock. *)
+let run ~(config : Chase.config) ~rng (compiled : Chase.compiled) db =
   Telemetry.incr m_runs;
   let pool = Pool.make ~n:config.pool_size in
-  let cursor =
-    Chase.Ind_cursor.create ~instantiated ~threshold:config.threshold pool compiled.cinds
-  in
+  let cursor = Chase.Ind_cursor.create ~threshold:config.threshold pool compiled.cinds in
   let rec go db steps =
     Guard.check ();
     match Chase.fd_fixpoint compiled.cfds db with

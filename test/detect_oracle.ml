@@ -81,8 +81,8 @@ let same_violations =
       | Cind_violation a, Cind_violation b -> a.nf == b.nf && Tuple.equal a.tuple b.tuple
       | _ -> false)
 
-(* [Repair.repair] and [Repair.repair_min_cost] spelled out over this
-   detector: test for cleanliness, then detect again and fix in order. *)
+(* [Repair.repair] spelled out over this detector: test for cleanliness,
+   then detect again and fix in order. *)
 let repair ?(max_rounds = 5) schema sigma db =
   let fix db v = List.fold_left Repair.apply db (Repair.suggest schema v) in
   let rec go db round =
@@ -90,22 +90,3 @@ let repair ?(max_rounds = 5) schema sigma db =
     else go (List.fold_left fix db (detect db sigma)) (round + 1)
   in
   go db 0
-
-let repair_min_cost ?(max_rounds = 5) ?(costs = Repair.default_costs) schema sigma db =
-  let plan_cost plan = List.fold_left (fun acc a -> acc + Repair.cost costs a) 0 plan in
-  let fix (db, spent) v =
-    match
-      List.sort
-        (fun p q -> Int.compare (plan_cost p) (plan_cost q))
-        (List.filter (fun p -> p <> []) (Repair.alternatives schema v))
-    with
-    | [] -> (db, spent)
-    | plan :: _ -> (List.fold_left Repair.apply db plan, spent + plan_cost plan)
-  in
-  let rec go db total round =
-    if round >= max_rounds || is_clean db sigma then (db, total)
-    else
-      let db, total = List.fold_left fix (db, total) (detect db sigma) in
-      go db total (round + 1)
-  in
-  go db 0 0

@@ -69,37 +69,6 @@ let test_report () =
   let rendered = Fmt.str "%a" Report.pp report in
   check_bool "report mentions psi6" true (contains_substring ~needle:"psi6" rendered)
 
-let test_cost_based_repair () =
-  (* default costs: the dirty bank is fixed by updates/inserts, not deletes *)
-  let repaired, spent = Repair.repair_min_cost ~max_rounds:8 B.schema sigma_nf B.dirty_db in
-  check_bool "clean" true (Detect_oracle.is_clean repaired sigma_nf);
-  check_bool "positive cost" true (spent > 0);
-  check_bool "no tuples lost" true
-    (Database.total_tuples repaired >= Database.total_tuples B.dirty_db);
-  (* with deletion made free, the repair prefers removing offenders *)
-  let free_delete = { Repair.update_cost = 10; insert_cost = 10; delete_cost = 0 } in
-  let deleted, _ =
-    Repair.repair_min_cost ~max_rounds:8 ~costs:free_delete B.schema sigma_nf
-      B.dirty_db
-  in
-  check_bool "clean via deletion" true (Detect_oracle.is_clean deleted sigma_nf);
-  check_bool "tuples removed" true
-    (Database.total_tuples deleted < Database.total_tuples B.dirty_db)
-
-let test_alternatives_resolve () =
-  (* every alternative plan for the phi3 violation resolves it *)
-  let phi3_sigma = { Sigma.ncfds = Cfd.normalize B.phi3; ncinds = [] } in
-  let violations = Fast_detect.detect B.dirty_db phi3_sigma in
-  check_int "one violation" 1 (List.length violations);
-  let v = List.hd violations in
-  let plans = Repair.alternatives B.schema v in
-  check_bool "several plans" true (List.length plans >= 2);
-  List.iter
-    (fun plan ->
-      let db = List.fold_left Repair.apply B.dirty_db plan in
-      check_bool "plan resolves the violation" true (Detect_oracle.is_clean db phi3_sigma))
-    (List.filter (fun p -> p <> []) plans)
-
 (* --- fast detection against the pairwise oracle, order included -------------- *)
 
 let test_fast_detect_agrees_on_bank () =
@@ -200,8 +169,6 @@ let () =
           Alcotest.test_case "repair whole sigma" `Quick test_repair_whole_sigma;
           Alcotest.test_case "repair by insertion" `Quick test_repair_cind_insertion;
           Alcotest.test_case "report" `Quick test_report;
-          Alcotest.test_case "cost-based repair" `Quick test_cost_based_repair;
-          Alcotest.test_case "alternatives resolve" `Quick test_alternatives_resolve;
         ] );
       ( "fast-detection",
         [

@@ -109,21 +109,21 @@ let prop_sat_matches_exact seed =
       exact = sat)
     (Db_schema.relations schema)
 
-(* Chase-based CFD_Checking is sound: a [Some] answer implies exact
-   consistency. *)
+(* Chase-based CFD_Checking is sound: a tuple implies exact consistency,
+   a refutation exact inconsistency. *)
 let prop_chase_cfd_checking_sound seed =
   let schema, sigma = make_workload ~consistent:false seed in
   let cfds = sigma.Sigma.ncfds in
   List.for_all
     (fun rel ->
       let rel = Conddep_relational.Schema.name rel in
-      let rel_cfds = List.filter (fun nf -> nf.Cfd.nf_rel = rel) cfds in
       match
-        Cfd_checking.consistent_rel_chase ~k_cfd:20 ~rng:(Rng.make (seed + 2)) schema
-          rel_cfds ~rel
+        Cfd_checking.consistent_rel ~backend:Cfd_checking.Chase_backend ~k_cfd:20
+          ~rng:(Rng.make (seed + 2)) schema cfds ~rel
       with
-      | Some _ -> Cfd_consistency.consistent_rel schema ~rel cfds
-      | None -> true)
+      | Cfd_checking.Tuple _ -> Cfd_consistency.consistent_rel schema ~rel cfds
+      | Cfd_checking.No_tuple -> not (Cfd_consistency.consistent_rel schema ~rel cfds)
+      | Cfd_checking.Gave_up -> true)
     (Db_schema.relations schema)
 
 (* One relation of two to four attributes with finite domains of 3–12
@@ -525,45 +525,15 @@ let prop_satisfaction_agrees seed =
     (satisfaction_databases seed schema)
 
 (* Repair driven by the grouped detector (one detection per round) must give
-   the database, and cost, of the same loop driven by the oracle. *)
+   the database of the same loop driven by the oracle. *)
 let prop_repair_matches_oracle seed =
   let schema, sigma = make_workload ~consistent:false seed in
   let printed db = Fmt.str "%a" Database.pp db in
   List.for_all
     (fun db ->
-      let repaired = Conddep_cleaning.Repair.repair schema sigma db in
-      let min_cost_db, cost = Conddep_cleaning.Repair.repair_min_cost schema sigma db in
-      let min_cost_db', cost' = Detect_oracle.repair_min_cost schema sigma db in
-      printed repaired = printed (Detect_oracle.repair schema sigma db)
-      && printed min_cost_db = printed min_cost_db'
-      && cost = cost')
+      printed (Conddep_cleaning.Repair.repair schema sigma db)
+      = printed (Detect_oracle.repair schema sigma db))
     (dirty_databases seed schema)
-
-(* --- chase soundness ---------------------------------------------------------- *)
-
-let prop_terminal_chase_satisfies_cinds seed =
-  let schema, sigma = make_workload ~consistent:false seed in
-  let cind_only = { Sigma.ncfds = []; ncinds = sigma.Sigma.ncinds } in
-  let compiled = Conddep_chase.Chase.compile schema cind_only in
-  let rel = Conddep_relational.Schema.name (List.hd (Db_schema.relations schema)) in
-  (* instantiate the seed's finite-domain variables first (the paper's
-     valuation ρ): leftover finite variables would be concretized to domain
-     values that may trigger patterns the chase never saw *)
-  let seed_db =
-    Conddep_chase.Chase.instantiate_finite_vars (Rng.make (seed + 6))
-      (Conddep_chase.Chase.seed_tuple schema ~rel)
-  in
-  match
-    Chase_oracle.run ~instantiated:true
-      ~config:{ Conddep_chase.Chase.default_config with threshold = 200; max_steps = 2000 }
-      ~rng:(Rng.make (seed + 5)) compiled seed_db
-  with
-  | Chase_oracle.Undefined _ -> true
-  | Chase_oracle.Exhausted _ -> true
-  | Chase_oracle.Terminal db ->
-      let avoid = Sigma.constant_values cind_only in
-      let concrete = Conddep_chase.Template.to_database ~avoid db in
-      List.for_all (Cind.nf_holds concrete) cind_only.ncinds
 
 (* --- budget cuts ------------------------------------------------------------------ *)
 
@@ -678,11 +648,6 @@ let () =
           qtest ~count:25 "proof search complete over infinite domains" seed_gen
             prop_proof_search_complete;
           test_oracle_agreement;
-        ] );
-      ( "chase",
-        [
-          qtest ~count:20 "terminal chase satisfies CINDs" seed_gen
-            prop_terminal_chase_satisfies_cinds;
         ] );
       ( "budget cuts",
         [
