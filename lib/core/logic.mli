@@ -4,10 +4,9 @@ open Conddep_relational
 
     As the paper remarks, CINDs are tuple-generating dependencies with
     constants and CFDs are equality-generating dependencies with constants.
-    This module renders both as explicit FO sentences (for documentation
-    and interoperability) and evaluates them over databases — a semantics
-    that must and does agree with the native {!Cind.holds}/{!Cfd.holds}
-    (property-tested). *)
+    This module renders both as explicit FO sentences, for documentation
+    and interoperability.  The test suite evaluates them over databases
+    and checks that they agree with the native {!Cind.holds}/{!Cfd.holds}. *)
 
 type term =
   | Var of string
@@ -29,11 +28,6 @@ val cind_to_formula : Db_schema.t -> Cind.nf -> formula
 
 val cfd_to_formula : Db_schema.t -> Cfd.nf -> formula
 (** The EGD-with-constants of a normal-form CFD. *)
-
-val holds : Database.t -> formula -> bool
-(** Guarded evaluation: quantifier blocks (as produced by this module)
-    iterate over the guarding relation's tuples.
-    @raise Invalid_argument on unguarded quantifiers. *)
 
 val pp : formula Fmt.t
 val pp_atom : atom Fmt.t

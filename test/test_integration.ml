@@ -127,7 +127,7 @@ let test_three_views_of_implication () =
         ("audit", [ Tuple.make [ str "p1" ] ]);
       ]
   in
-  let fo nf = Logic.holds db (Logic.cind_to_formula schema nf) in
+  let fo nf = Logic_eval.holds db (Logic.cind_to_formula schema nf) in
   check_bool "db satisfies sigma (FO)" true (List.for_all fo sigma);
   check_bool "db satisfies goal (FO)" true (fo goal)
 

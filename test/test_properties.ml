@@ -233,11 +233,11 @@ let prop_logic_agrees seed =
   in
   List.for_all
     (fun nf ->
-      Cind.nf_holds db nf = Logic.holds db (Logic.cind_to_formula schema nf))
+      Cind.nf_holds db nf = Logic_eval.holds db (Logic.cind_to_formula schema nf))
     sigma.Sigma.ncinds
   && List.for_all
        (fun nf ->
-         Cfd.nf_holds db nf = Logic.holds db (Logic.cfd_to_formula schema nf))
+         Cfd.nf_holds db nf = Logic_eval.holds db (Logic.cfd_to_formula schema nf))
        sigma.Sigma.ncfds
 
 (* --- implication sanity ------------------------------------------------------ *)

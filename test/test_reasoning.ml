@@ -469,7 +469,7 @@ let test_logic_cind_agrees () =
             (fun db ->
               check_bool
                 (Printf.sprintf "FO reading of %s agrees" nf.Cind.nf_name)
-                (Cind.nf_holds db nf) (Logic.holds db formula))
+                (Cind.nf_holds db nf) (Logic_eval.holds db formula))
             [ B.clean_db; B.dirty_db ])
         (Cind.normalize cind))
     B.all_cinds
@@ -484,7 +484,7 @@ let test_logic_cfd_agrees () =
             (fun db ->
               check_bool
                 (Printf.sprintf "FO reading of %s agrees" nf.Cfd.nf_name)
-                (Cfd.nf_holds db nf) (Logic.holds db formula))
+                (Cfd.nf_holds db nf) (Logic_eval.holds db formula))
             [ B.clean_db; B.dirty_db ])
         (Cfd.normalize cfd))
     B.all_cfds
