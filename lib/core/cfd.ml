@@ -98,7 +98,8 @@ let validate_nf schema nf = validate schema (nf_to_cfd nf)
    t1[A] ≠ t2[A], or tp[A] is a constant that t1[A] or t2[A] misses.  The
    pairs come out in the order of the pair scan, by ascending t1, then
    ascending t2: repair applies fixes in this order, so it is part of the
-   contract.  Each check costs O(|R| + output). *)
+   contract.  Each check costs O(|R| + output), and nothing is built when
+   R is empty: a one-tuple witness leaves most relations empty. *)
 
 let m_scanned = Telemetry.counter "detect.fast.tuples_scanned" ~doc:"tuples visited by the satisfaction scans (one pass per constraint)"
 let m_violations = Telemetry.counter "detect.fast.violations" ~doc:"violations found by the satisfaction scans"
@@ -134,11 +135,13 @@ let iter_differing g v f =
 
 let nf_violations db nf =
   let rel = Database.relation db nf.nf_rel in
+  let n = Relation.cardinal rel in
+  Telemetry.add m_scanned n;
+  if n = 0 then []
+  else
   let sch = Relation.schema rel in
   let xpos = List.map (Schema.position sch) nf.nf_x in
   let apos = Schema.position sch nf.nf_a in
-  let n = Relation.cardinal rel in
-  Telemetry.add m_scanned n;
   (* one pass: the tuples matching tp[X] (reversed), and each X-group's
      members (reversed) *)
   let pending = Value.List_tbl.create n in
