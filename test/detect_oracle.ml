@@ -7,7 +7,10 @@ open Conddep_cleaning
    ordered pair of tuples per CFD and the relational anti-join per CIND
    (the SQL detection query of [9]).  Differential tests hold [Fast_detect]
    and [Sigma.nf_holds] to it, list for list and order included, and
-   [Repair]'s loops to the ones below. *)
+   [Repair]'s loops to the ones below.  Whole CFDs and CINDs, which lib/
+   checks through their normal forms, are read here off their tableaux
+   row by row, so the tests also check that normalization keeps their
+   meaning (Prop 3.1). *)
 
 (* An ordered pair (possibly one tuple twice) violates (X -> A, tp) when
    both tuples match tp[X] with equal X-values, and they differ on A or
@@ -49,6 +52,54 @@ let cind_violations db (nf : Cind.nf) =
   let lpos = List.map (Schema.position r1) nf.nf_x in
   let rpos = List.map (Schema.position r2) nf.nf_y in
   Relation.tuples (Algebra.anti_join triggering ~lpos restricted ~rpos)
+
+(* A CFD (X -> Y, Tp) read off its tableau, with no normal form: for
+   every row tp and ordered pair of tuples, t1[X] = t2[X] ≍ tp[X]
+   implies t1[Y] = t2[Y] ≍ tp[Y]. *)
+let cfd_holds db (cfd : Cfd.t) =
+  let rel = Database.relation db cfd.Cfd.rel in
+  let sch = Relation.schema rel in
+  let xpos = List.map (Schema.position sch) cfd.x and ypos = List.map (Schema.position sch) cfd.y in
+  let tuples = Relation.tuples rel in
+  List.for_all
+    (fun (row : Cfd.row) ->
+      List.for_all
+        (fun t1 ->
+          List.for_all
+            (fun t2 ->
+              let x1 = Tuple.proj t1 xpos and y1 = Tuple.proj t1 ypos in
+              (not (List.equal Value.equal x1 (Tuple.proj t2 xpos) && Pattern.matches x1 row.rx))
+              || (List.equal Value.equal y1 (Tuple.proj t2 ypos) && Pattern.matches y1 row.ry))
+            tuples)
+        tuples)
+    cfd.rows
+
+(* A CIND read off its tableau (Section 2), with no normal form: t1 of R1
+   violates row tp when t1[X, Xp] ≍ tp[X, Xp] and no t2 of R2 has
+   t1[X] = t2[Y] and t2[Yp] ≍ tp[Yp].  Pairs (row, t1) in row order,
+   each row's tuples ascending. *)
+let cind_row_violations db (cind : Cind.t) =
+  let rel1 = Database.relation db cind.Cind.lhs and rel2 = Database.relation db cind.rhs in
+  let sch1 = Relation.schema rel1 and sch2 = Relation.schema rel2 in
+  let xpos = List.map (Schema.position sch1) cind.x and xppos = List.map (Schema.position sch1) cind.xp in
+  let ypos = List.map (Schema.position sch2) cind.y and yppos = List.map (Schema.position sch2) cind.yp in
+  List.concat_map
+    (fun (row : Cind.row) ->
+      let triggers t1 =
+        Pattern.matches (Tuple.proj t1 xpos) row.cx && Pattern.matches (Tuple.proj t1 xppos) row.cxp
+      in
+      let witness t1 t2 =
+        List.equal Value.equal (Tuple.proj t1 xpos) (Tuple.proj t2 ypos)
+        && Pattern.matches (Tuple.proj t2 yppos) row.cyp
+      in
+      List.filter_map
+        (fun t1 ->
+          if triggers t1 && not (List.exists (witness t1) (Relation.tuples rel2)) then Some (row, t1)
+          else None)
+        (Relation.tuples rel1))
+    cind.rows
+
+let cind_holds db cind = cind_row_violations db cind = []
 
 let detect db (sigma : Sigma.nf) =
   List.concat_map

@@ -209,18 +209,20 @@ let prop_normalization_roundtrip seed =
       | _ -> false)
     sigma.Sigma.ncinds
 
+(* A normal form turned back into a CIND or CFD, read off its tableau by
+   the oracle, holds where its normal forms hold. *)
 let prop_nf_satisfaction_agrees seed =
   let schema, sigma = make_workload ~consistent:false seed in
   let db = Workload.dirty_database (Rng.make (seed + 3)) schema ~tuples_per_rel:4 ~error_rate:0.3 in
   List.for_all
     (fun nf ->
       let cind = Cind.nf_to_cind nf in
-      Cind.holds db cind = List.for_all (Cind.nf_holds db) (Cind.normalize cind))
+      Detect_oracle.cind_holds db cind = List.for_all (Cind.nf_holds db) (Cind.normalize cind))
     sigma.Sigma.ncinds
   && List.for_all
        (fun nf ->
          let cfd = Cfd.nf_to_cfd nf in
-         Cfd.holds db cfd = List.for_all (Cfd.nf_holds db) (Cfd.normalize cfd))
+         Detect_oracle.cfd_holds db cfd = List.for_all (Cfd.nf_holds db) (Cfd.normalize cfd))
        sigma.Sigma.ncfds
 
 (* The first-order readings of Logic must agree with the native semantics
@@ -503,8 +505,9 @@ let multi_row_cind rng db (nf : Cind.nf) =
     (List.init (1 + Rng.int rng 3) (fun _ -> row ()))
 
 (* [Sigma.nf_holds] answers what the pairwise oracle answers, and a
-   multi-row CIND's violations are its normal forms' violations, row by
-   row, in order. *)
+   multi-row CIND's violations, which [Cind.violations] finds through
+   [Cind.normalize], are the ones the oracle reads off its tableau, row
+   by row, in order. *)
 let prop_satisfaction_agrees seed =
   let schema, sigma = make_workload ~consistent:false seed in
   let rng = Rng.make (seed + 10) in
@@ -517,10 +520,7 @@ let prop_satisfaction_agrees seed =
              List.equal
                (fun (row, t) (row', t') -> row == row' && Tuple.equal t t')
                (Cind.violations db cind)
-               (List.concat
-                  (List.map2
-                     (fun row nf -> List.map (fun t -> (row, t)) (Cind.nf_violations db nf))
-                     cind.Cind.rows (Cind.normalize cind))))
+               (Detect_oracle.cind_row_violations db cind))
            sigma.Sigma.ncinds)
     (satisfaction_databases seed schema)
 
