@@ -25,4 +25,4 @@ let detect db (sigma : Sigma.nf) =
           (Cind.nf_violations db nf))
       sigma.Sigma.ncinds
 
-let is_clean db sigma = detect db sigma = []
+let is_clean = Sigma.nf_holds

@@ -14,3 +14,4 @@ val detect : Database.t -> Sigma.nf -> Violation.t list
 (** All violations of Σ: each CFD's in Σ order, then each CIND's. *)
 
 val is_clean : Database.t -> Sigma.nf -> bool
+(** [Sigma.nf_holds]: no violation is built. *)
