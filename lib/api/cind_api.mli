@@ -12,8 +12,9 @@ open Conddep_consistency
     The facade never changes answers: every function is a thin,
     documented mapping onto the corresponding [lib/core] /
     [lib/consistency] entry point, and {!implies_many} is bit-identical
-    to the corresponding sequence of singleton calls.  Every call runs on
-    the caller's domain.  Drivers should depend on this module only;
+    to the corresponding sequence of singleton calls.  [lib/] runs on one
+    domain and must be driven from one domain: every call runs on the
+    caller's domain.  Drivers should depend on this module only;
     the underlying modules remain public for library users who need
     engine-level control (templates, compiled forms). *)
 
@@ -29,9 +30,10 @@ type verdict =
   | Unknown of Guard.reason
       (** Undetermined: [Guard.Fuel] for a procedure's own heuristic cap
           (the paper's K / K_CFD bounds, [max_states]) or for the ambient
-          budget's spent fuel; deadline or memory when the ambient budget
-          cut the run short.  A run cut short by the budget answers the
-          unbudgeted verdict or [Unknown], never a different one. *)
+          budget's spent fuel; [Guard.Deadline] when the ambient budget's
+          deadline cut the run short.  A run cut short by the budget
+          answers the unbudgeted verdict or [Unknown], never a different
+          one. *)
 
 val to_bool : verdict -> bool
 (** The papers' boolean reading: [true] only for [Yes _]. *)

@@ -70,11 +70,22 @@ let apply db action =
       let without = Relation.filter (fun t -> not (Tuple.equal t tuple)) r in
       Database.set_relation db (Relation.add without updated)
 
-(* One repair round: suggest and apply a fix for every violation, in
-   detection order (a fix may touch a tuple an earlier fix already rewrote,
-   so order matters).  Fixes can surface new violations, hence rounds. *)
+(* Is every tuple of [v] still in [db]?  An earlier fix of the same round
+   may have rewritten one, and a fix of the stale violation would write
+   back a copy of that tuple or copy its old value. *)
+let current db = function
+  | Violation.Cfd_violation { rel; t1; t2; _ } ->
+      let r = Database.relation db rel in
+      Relation.mem r t1 && Relation.mem r t2
+  | Violation.Cind_violation { lhs; tuple; _ } -> Relation.mem (Database.relation db lhs) tuple
+
+(* One repair round: suggest and apply a fix for every violation that is
+   still current, in detection order.  Fixes can surface new violations,
+   and a skipped one is detected again, hence rounds. *)
 let fix_all schema db violations =
-  List.fold_left (fun db v -> List.fold_left apply db (suggest schema v)) db violations
+  List.fold_left
+    (fun db v -> if current db v then List.fold_left apply db (suggest schema v) else db)
+    db violations
 
 (* Each round detects once: an empty violation list ends the loop. *)
 let repair ?(max_rounds = 5) schema sigma db =

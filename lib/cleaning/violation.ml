@@ -24,8 +24,6 @@ let constraint_name = function
   | Cfd_violation v -> v.constraint_name
   | Cind_violation v -> v.constraint_name
 
-let rel = function Cfd_violation v -> v.rel | Cind_violation v -> v.lhs
-
 let pp ppf = function
   | Cfd_violation { constraint_name; rel; t1; t2; _ } ->
       if Tuple.equal t1 t2 then

@@ -22,7 +22,4 @@ type t =
 
 val constraint_name : t -> string
 
-val rel : t -> string
-(** The relation holding the offending tuple(s). *)
-
 val pp : t Fmt.t

@@ -29,8 +29,8 @@ let pipeline ?backend ?config ?k ?k_cfd ~rng schema (sigma : Sigma.nf) =
     | Preprocessing.Inconsistent -> Inconsistent
     | Preprocessing.Unknown components ->
         (* [Guard.Fuel] is the ordinary "K / K_CFD caps ran out"
-           answer; a component cut short for a sharper reason (deadline,
-           memory) reports that reason instead — first one wins. *)
+           answer; a component cut short by the deadline reports that
+           reason instead — first one wins. *)
         let rec try_components reason = function
           | [] -> Unknown reason
           | component :: rest -> (

@@ -7,10 +7,10 @@ open Conddep_chase
     [Inconsistent] is definitive (Fig 7's reduction emptied the graph);
     [Unknown r] means no witness was found, with [r] saying what gave
     out ([Guard.Fuel] for the paper's own K / K_CFD caps or the ambient
-    budget's fuel; deadline or memory otherwise).  A run cut short by the
-    ambient budget answers the unbudgeted verdict or [Unknown], never a
-    different one.
-    [Guard.Exhausted] never escapes [check]. *)
+    budget's fuel; [Guard.Deadline] when its deadline passed).  A run cut
+    short by the ambient budget answers the unbudgeted verdict or
+    [Unknown], never a different one.  [Guard.Exhausted] never escapes
+    [check]. *)
 
 type result =
   | Consistent of Database.t

@@ -11,7 +11,6 @@ open Conddep_core
    CIND on each edge), so traversals do not depend on hashing. *)
 
 type t = {
-  schema : Db_schema.t;
   cfds : (string, Cfd.nf list) Hashtbl.t;
   all_cinds : Cind.nf list;
   edge_labels : (string * string, Cind.nf list) Hashtbl.t; (* src, dst *)
@@ -43,9 +42,8 @@ let make schema (sigma : Sigma.nf) =
       [] sigma.ncinds
     |> List.rev
   in
-  { schema; cfds; all_cinds = sigma.Sigma.ncinds; edge_labels; edge_list; live = rels }
+  { cfds; all_cinds = sigma.Sigma.ncinds; edge_labels; edge_list; live = rels }
 
-let schema t = t.schema
 let live t = t.live
 let is_live t r = List.mem r t.live
 
@@ -154,10 +152,3 @@ let component_sigma t members =
         (fun c -> List.mem c.Cind.nf_lhs members && List.mem c.nf_rhs members)
         t.all_cinds;
   }
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>vertices: %a@,edges: %a@]"
-    Fmt.(list ~sep:comma string)
-    (live t)
-    Fmt.(list ~sep:comma (pair ~sep:(any "->") string string))
-    (edges t)

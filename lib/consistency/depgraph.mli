@@ -8,7 +8,6 @@ open Conddep_core
 type t
 
 val make : Db_schema.t -> Sigma.nf -> t
-val schema : t -> Db_schema.t
 
 val live : t -> string list
 (** Vertices not yet deleted. *)
@@ -40,5 +39,3 @@ val weak_components : t -> string list list
 
 val component_sigma : t -> string list -> Sigma.nf
 (** Extended CFDs of the members plus CINDs internal to the component. *)
-
-val pp : t Fmt.t

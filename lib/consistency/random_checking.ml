@@ -73,9 +73,8 @@ let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?component
     else begin
       (* One run on its own split of [rng]: [Some db] for a verified
          witness, [None] when the run failed on its own local limits.
-         The ambient budget governs every run, so its deadline, fuel or
-         allocation ceiling raises [Guard.Exhausted] out of the loop and
-         answers Unknown. *)
+         The ambient budget governs every run, so its deadline or fuel
+         raises [Guard.Exhausted] out of the loop and answers Unknown. *)
       let attempt () =
         let run_rng = Rng.split rng in
         Telemetry.incr m_runs;
@@ -106,5 +105,3 @@ let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?component
       runs 0
     end
   with Guard.Exhausted r -> Unknown r
-
-let to_bool = function Consistent _ -> true | Unknown _ -> false

@@ -11,8 +11,8 @@ type result =
   | Consistent of Database.t
   | Unknown of Guard.reason
       (** No witness found: [Guard.Fuel] when the K runs were spent or
-          the ambient budget's fuel ran out, another reason when the
-          ambient budget cut the search short otherwise.
+          the ambient budget's fuel ran out, [Guard.Deadline] when its
+          deadline cut the search short.
           [Guard.Exhausted] never escapes this entry point. *)
 
 val check :
@@ -36,9 +36,7 @@ val check :
 
     The K runs are the sequential loop of Fig 5: run i draws the i-th
     {!Rng.split} of [rng], taken when the run starts, and spends the
-    ambient budget — its deadline, fuel and allocation ceiling
-    included.  The loop stops at the first verified witness or
-    when the budget runs dry, so [rng] advances by one split per run
-    through the stopping run, or by K splits. *)
-
-val to_bool : result -> bool
+    ambient budget, its deadline and fuel included.  The loop stops at
+    the first verified witness or when the budget runs dry, so [rng]
+    advances by one split per run through the stopping run, or by K
+    splits. *)

@@ -87,8 +87,6 @@ let nf_to_cfd nf =
     rows = [ { rx = nf.nf_tx; ry = [ nf.nf_ta ] } ];
   }
 
-let validate_nf schema nf = validate schema (nf_to_cfd nf)
-
 (* --- satisfaction ----------------------------------------------------------
 
    The one satisfaction check: a hash-grouped scan, the in-memory analogue

@@ -37,8 +37,6 @@ val validate : Db_schema.t -> t -> (unit, string) result
 (** Well-formedness: relation and attributes exist, X/Y duplicate-free,
     row arities match, constants lie in their attribute domains. *)
 
-val validate_nf : Db_schema.t -> nf -> (unit, string) result
-
 val normalize : t -> nf list
 (** The equivalent set of normal-form CFDs (one per row and Y-attribute). *)
 

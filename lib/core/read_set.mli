@@ -20,9 +20,8 @@
     equality, names included): the session compiles Σ's members in
     canonical ({!Cind.canon_nf}), unnamed form and asks with that form.
 
-    Not domain-safe: record into one recorder from one domain only.  The
-    batch entry point [implies_many] does not take a recorder — sessions
-    record on the singleton path. *)
+    The batch entry point [implies_many] does not take a recorder —
+    sessions record on the singleton path. *)
 
 type t
 

@@ -6,10 +6,6 @@ type nf = { ncfds : Cfd.nf list; ncinds : Cind.nf list }
 
 let make ?(cfds = []) ?(cinds = []) () = { cfds; cinds }
 
-let union a b = { cfds = a.cfds @ b.cfds; cinds = a.cinds @ b.cinds }
-
-let cardinality t = List.length t.cfds + List.length t.cinds
-
 let validate schema t =
   let rec all validate = function
     | [] -> Ok ()
@@ -37,12 +33,6 @@ let nf_holds db nf =
 
 (* CFDs of Σ defined on relation R — the paper's CFD(R). *)
 let cfds_on nf rel = List.filter (fun c -> String.equal c.Cfd.nf_rel rel) nf.ncfds
-
-(* CINDs of Σ from Ri to Rj — the paper's CIND(Ri, Rj). *)
-let cinds_between nf ~src ~dst =
-  List.filter
-    (fun c -> String.equal c.Cind.nf_lhs src && String.equal c.Cind.nf_rhs dst)
-    nf.ncinds
 
 (* Σ repeats few constants many times, so deduplicating through a table
    before sorting sorts far fewer values than [List.sort_uniq] would. *)

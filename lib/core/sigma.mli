@@ -8,8 +8,6 @@ type t = { cfds : Cfd.t list; cinds : Cind.t list }
 type nf = { ncfds : Cfd.nf list; ncinds : Cind.nf list }
 
 val make : ?cfds:Cfd.t list -> ?cinds:Cind.t list -> unit -> t
-val union : t -> t -> t
-val cardinality : t -> int
 
 val validate : Db_schema.t -> t -> (unit, string) result
 (** First failing constraint's diagnosis, if any. *)
@@ -24,9 +22,6 @@ val nf_holds : Database.t -> nf -> bool
 
 val cfds_on : nf -> string -> Cfd.nf list
 (** The paper's [CFD(R)]: CFDs of Σ defined on relation [R]. *)
-
-val cinds_between : nf -> src:string -> dst:string -> Cind.nf list
-(** The paper's [CIND(Ri, Rj)]. *)
 
 val constant_values : nf -> Value.t list
 (** The distinct pattern constants of Σ, sorted by {!Value.compare}: the

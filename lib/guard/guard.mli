@@ -3,8 +3,8 @@
     The paper's core problems are intrinsically expensive — CIND implication
     is EXPTIME-complete (Thm 3.4) and the heuristic [Checking] pipeline is
     bounded only in its iterations (K / K_CFD, Fig 9) — so every engine
-    spends one budget ({!t}) combining a wall-clock deadline, step fuel and
-    an optional allocation ceiling.
+    spends one budget ({!t}) combining a wall-clock deadline and step
+    fuel.
     Exhaustion is reported as a structured {!reason} rather than a hang or a
     crash; engines surface it as a typed [Unknown]/[Undetermined] result
     (or let {!Exhausted} propagate from boolean APIs, where the caller maps
@@ -20,9 +20,10 @@
 
     Budgets are mutable and *sticky*: once exhausted, every subsequent
     {!tick}/{!check} raises again with the same reason, so a deep search
-    unwinds promptly no matter where it is.  A budget is owned by one
-    domain: every engine runs on its caller's domain, and the allocation
-    ceiling reads that domain's [Gc.minor_words].
+    unwinds promptly no matter where it is.  [lib/] runs on one domain
+    and must be driven from one domain: every engine runs on its
+    caller's domain, and the ambient budget is one process-wide
+    setting.
 
     A run stops early only for an engine's own caps (the paper's K /
     K_CFD, [max_states], [max_nodes], step limits — plain counts) or
@@ -33,20 +34,19 @@
 
     Every budget event is counted through the telemetry layer
     ([guard.budgets_created], [guard.deadline_hits],
-    [guard.fuel_exhausted], [guard.memory_hits]). *)
+    [guard.fuel_exhausted]). *)
 
 (** {1 Exhaustion reasons} *)
 
 type reason =
   | Deadline  (** the wall-clock deadline passed *)
   | Fuel  (** the step/fuel budget ran dry (also: a capacity limit) *)
-  | Memory  (** the allocation ceiling was crossed *)
 
 exception Exhausted of reason
 (** Raised by {!tick}/{!check} when a budget limit is hit. *)
 
 val reason_to_string : reason -> string
-(** ["deadline"], ["fuel"], ["memory"]. *)
+(** ["deadline"], ["fuel"]. *)
 
 val pp_reason : Format.formatter -> reason -> unit
 
@@ -58,11 +58,10 @@ val unlimited : t
 (** The no-op budget: {!tick} and {!check} under it never raise and cost
     one physical-equality test. *)
 
-val make : ?timeout_s:float -> ?fuel:int -> ?max_words:float -> unit -> t
+val make : ?timeout_s:float -> ?fuel:int -> unit -> t
 (** [make ()] with no limits is {!unlimited}.  [timeout_s] is a relative
     wall-clock deadline in seconds; [fuel] a number of {!tick}s (cost-
-    weighted); [max_words] a ceiling on minor-heap words allocated after
-    creation (polled via [Gc.minor_words]). *)
+    weighted). *)
 
 val is_unlimited : t -> bool
 
@@ -71,7 +70,7 @@ val state : t -> reason option
 
 (** {1 The ambient budget}
 
-    Domain-local and {!unlimited} by default; the CLI sets it from
+    One for the process, {!unlimited} by default; the CLI sets it from
     [--timeout]/[--fuel], the bench harness scopes one per series. *)
 
 val ambient : unit -> t
@@ -84,13 +83,13 @@ val with_ambient : t -> (unit -> 'a) -> 'a
 (** {1 Spending the ambient budget} *)
 
 val tick : ?cost:int -> unit -> unit
-(** Consume [cost] (default 1) fuel and poll the cheap limits; the clock
-    and the allocator are polled every few dozen ticks.  @raise Exhausted
-    when any limit is hit (and on every call thereafter — sticky). *)
+(** Consume [cost] (default 1) fuel; the clock is polled every few dozen
+    ticks.  @raise Exhausted when either limit is hit (and on every call
+    thereafter — sticky). *)
 
 val check : unit -> unit
-(** Like {!tick} but consumes no fuel and always polls the clock and the
-    allocator: use at the head of coarse loops where steps are heavy. *)
+(** Like {!tick} but consumes no fuel and always polls the clock: use at
+    the head of coarse loops where steps are heavy. *)
 
 val reraise_if_spent : unit -> unit
 (** @raise Exhausted if the ambient budget's {!state} is [Some _].  A

@@ -13,14 +13,14 @@ let m_misses = Telemetry.counter "incremental.misses" ~doc:"session queries reco
 let m_invalidations = Telemetry.counter "incremental.invalidations" ~doc:"cache entries dropped by edit invalidation"
 
 (* Live entries across every session in the process; sessions come and
-   go with their caches, so the gauge reads a shared counter maintained
-   on insert/drop rather than walking session objects. *)
-let live_entries = Atomic.make 0
+   go with their caches, so the gauge reads a shared count maintained on
+   insert/drop rather than walking session objects. *)
+let live_entries = ref 0
 
 let () =
   Telemetry.register_gauge "incremental.cache_entries"
     ~doc:"live verdict-cache entries across all incremental sessions"
-    (fun () -> Atomic.get live_entries)
+    (fun () -> !live_entries)
 
 (* The cache key is the query itself.  Dependencies are keyed unnamed,
    CINDs also canonical, so a renamed or re-ordered copy shares the
@@ -84,7 +84,7 @@ let require_rel t fn rel =
    own cap only while the ambient budget is unspent after the query. *)
 let cacheable = function
   | Verdict (Cind_api.Unknown Guard.Fuel) -> Guard.state (Guard.ambient ()) = None
-  | Verdict (Cind_api.Unknown (Guard.Deadline | Guard.Memory)) -> false
+  | Verdict (Cind_api.Unknown Guard.Deadline) -> false
   | Verdict (Cind_api.Yes _ | Cind_api.No) | Bool _ -> true
 
 let cached t key compute =
@@ -99,7 +99,7 @@ let cached t key compute =
       let ((answer, _) as e) = compute () in
       if cacheable answer then begin
         Hashtbl.replace t.s_cache key e;
-        Atomic.incr live_entries
+        incr live_entries
       end;
       answer
 
@@ -114,7 +114,7 @@ let drop_where t stale =
   if n > 0 then begin
     t.s_inval <- t.s_inval + n;
     Telemetry.add m_invalidations n;
-    ignore (Atomic.fetch_and_add live_entries (-n))
+    live_entries := !live_entries - n
   end
 
 (* --- edits ----------------------------------------------------------- *)

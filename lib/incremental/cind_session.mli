@@ -29,14 +29,14 @@ open Conddep_core
     process answered before.  Answers are cached only when deterministic
     under replay: [Unknown Guard.Fuel] from the paper's K / K_CFD /
     max_states caps is cached; an [Unknown] from the caller's budget
-    (deadline, memory, or fuel with the ambient budget spent after the
-    query) never is, so a later query without that budget recomputes.
+    (deadline, or fuel with the ambient budget spent after the query)
+    never is, so a later query without that budget recomputes.
 
     Σ's CINDs are kept compiled ({!Implication.compile}) in Σ order, so
     a re-asked [implies] skips compilation.
 
-    Sessions are single-domain objects: a session must be driven from
-    one domain. *)
+    Like the rest of [lib/], sessions run on one domain: every session
+    of a process must be driven from one domain. *)
 
 type t
 

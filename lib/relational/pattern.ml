@@ -25,9 +25,6 @@ let rec outside_domain rel names cells =
 
 let const_value = function Const v -> Some v | Wildcard -> None
 
-let constants cells =
-  List.filter_map const_value cells
-
 let pp_cell ppf = function
   | Const v -> Value.pp ppf v
   | Wildcard -> Fmt.string ppf "_"

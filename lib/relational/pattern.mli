@@ -22,8 +22,5 @@ val outside_domain : Schema.t -> string list -> cell list -> string option
 
 val const_value : cell -> Value.t option
 
-val constants : cell list -> Value.t list
-(** The constants occurring in a cell list, in order. *)
-
 val pp_cell : cell Fmt.t
 val pp_cells : cell list Fmt.t

@@ -29,11 +29,6 @@ let exists p t = Tuple_set.exists p t.tuples
 let for_all p t = Tuple_set.for_all p t.tuples
 let filter p t = { t with tuples = Tuple_set.filter p t.tuples }
 
-let union a b =
-  if not (Schema.equal a.schema b.schema) then
-    invalid_arg "Relation.union: schema mismatch";
-  { a with tuples = Tuple_set.union a.tuples b.tuples }
-
 let pp ppf t =
   Fmt.pf ppf "@[<v2>%s = {@ %a@]@ }" (Schema.name t.schema)
     Fmt.(list ~sep:(any ";@ ") Tuple.pp)

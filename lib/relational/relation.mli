@@ -19,7 +19,4 @@ val exists : (Tuple.t -> bool) -> t -> bool
 val for_all : (Tuple.t -> bool) -> t -> bool
 val filter : (Tuple.t -> bool) -> t -> t
 
-val union : t -> t -> t
-(** @raise Invalid_argument on schema mismatch. *)
-
 val pp : t Fmt.t

@@ -3,10 +3,14 @@
 
     Everything is disabled by default.  {!enable} makes counters count;
     {!enable_profiling} additionally makes {!with_span} feed the profile
-    tree and the per-domain trace buffers.  Every record site checks one
-    global flag first, and the disabled paths allocate nothing — create
-    counters once at module-initialisation time and the hot-path cost is a
-    load, a test and (when enabled) an atomic update.
+    tree and the trace buffer.  Every record site checks one global flag
+    first, and the disabled paths allocate nothing — create counters once
+    at module-initialisation time and the hot-path cost is a load, a test
+    and (when enabled) a store.
+
+    [lib/] runs on one domain and must be driven from one domain: the
+    counters, the live span stack, the trace buffer and the profile tree
+    are plain mutable state, shared by every caller and locked by none.
 
     Metric keys follow [subsystem.event] — dots separate levels,
     snake_case within a level (e.g. [sat.decisions],
@@ -56,9 +60,10 @@ val gauge_snapshot : unit -> (string * int) list
 
 (** {1 Profiler}
 
-    Spans feed a merged hierarchical profile tree (per-path call counts,
-    total/self wall time, minor-word allocation delta) and per-domain
-    begin/end buffers for trace export.  {!enable_profiling} implies
+    Spans feed a hierarchical profile tree (per-path call counts,
+    total/self wall time, minor-word allocation delta) and a begin/end
+    event buffer for trace export (at most 10{^6} events; the rest are
+    counted by [profile.events_dropped]).  {!enable_profiling} implies
     {!enable}. *)
 
 val profiling : unit -> bool
@@ -77,14 +82,14 @@ type profile_node = {
   p_count : int;  (** completed spans at this path *)
   p_total_s : float;  (** inclusive wall time *)
   p_self_s : float;  (** total minus direct children's inclusive time *)
-  p_alloc_words : float;  (** inclusive minor words on the emitting domain *)
+  p_alloc_words : float;  (** inclusive minor words *)
   p_errors : int;  (** spans that ended by exception *)
   p_children : profile_node list;  (** sorted by total, descending *)
 }
 
 val profile_tree : unit -> profile_node list
-(** Snapshot of the merged profile tree's roots, aggregated across all
-    domains, children sorted by inclusive time. *)
+(** Snapshot of the profile tree's roots, children sorted by inclusive
+    time. *)
 
 val self_time_table : unit -> (string * int * float * float) list
 (** Flat per-span-name attribution [(name, calls, total_s, self_s)],
@@ -93,7 +98,7 @@ val self_time_table : unit -> (string * int * float * float) list
 
 val mark_exhaustion : string -> unit
 (** Called by [Guard] at the instant a budget ran out: captures [reason]
-    and the calling domain's live span stack (innermost first).  Only the
+    and the live span stack (innermost first).  Only the
     first mark is kept — later sticky re-raises are fallout, not cause.
     No-op unless profiling. *)
 
@@ -109,21 +114,18 @@ type trace_event = {
   te_name : string;
   te_ph : phase;
   te_ts : float;  (** absolute Unix time, seconds *)
-  te_tid : int;  (** emitting domain's id *)
   te_err : bool;
 }
 
 val trace_events : unit -> trace_event list
-(** All buffered trace events, per-domain buffers concatenated in
-    registration order (within one domain, chronological). *)
+(** All buffered trace events, in chronological order. *)
 
 val write_chrome_trace : out_channel -> unit
 (** Write the buffered events as a Chrome Trace Event Format JSON object
-    (loadable in [chrome://tracing] / Perfetto): B/E duration events with
-    one [tid] track per domain, thread-name metadata, timestamps in
-    microseconds relative to the earliest event.  Unmatched begins (e.g.
-    a process that exited mid-span) get synthesized end events, so the
-    output is always balanced. *)
+    (loadable in [chrome://tracing] / Perfetto): B/E duration events on
+    one track ([tid] 0), timestamps in microseconds relative to the first
+    event.  Unmatched begins (e.g. a process that exited mid-span) get
+    synthesized end events, so the output is always balanced. *)
 
 val write_folded : out_channel -> unit
 (** Write the profile tree as folded stacks ([a;b;c <self_us>] lines) for
@@ -135,7 +137,5 @@ val dur_to_string : float -> string
 (** Human-scaled duration: ["1.234s"], ["5.678ms"], ["9.1us"]. *)
 
 val reset : unit -> unit
-(** Zero every counter (registrations survive) and clear the profile
-    tree, the exhaustion mark and all trace buffers.  A quiesced-state
-    operation: never call concurrently with instrumented work on other
-    domains. *)
+(** Zero every counter (registrations survive) and clear the live span
+    stack, the profile tree, the exhaustion mark and the trace buffer. *)

@@ -133,9 +133,20 @@ let same_violations =
       | _ -> false)
 
 (* [Repair.repair] spelled out over this detector: test for cleanliness,
-   then detect again and fix in order. *)
+   then detect again and fix in order, leaving out a violation once a
+   tuple it names is gone from the database (an earlier fix of the round
+   rewrote it). *)
 let repair ?(max_rounds = 5) schema sigma db =
-  let fix db v = List.fold_left Repair.apply db (Repair.suggest schema v) in
+  let present db rel t = List.exists (Tuple.equal t) (Relation.tuples (Database.relation db rel)) in
+  let fix db v =
+    let names_gone =
+      match v with
+      | Violation.Cfd_violation { rel; t1; t2; _ } ->
+          not (present db rel t1 && present db rel t2)
+      | Cind_violation { lhs; tuple; _ } -> not (present db lhs tuple)
+    in
+    if names_gone then db else List.fold_left Repair.apply db (Repair.suggest schema v)
+  in
   let rec go db round =
     if round >= max_rounds || is_clean db sigma then db
     else go (List.fold_left fix db (detect db sigma)) (round + 1)

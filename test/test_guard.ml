@@ -7,8 +7,8 @@ open Conddep_generator
 open Helpers
 
 (* Resource governance: budget mechanics, graceful degradation of every
-   engine under a deadline, fuel or an allocation ceiling (Unknown, never
-   a crash or a wrong answer), and determinism of budgeted verdicts. *)
+   engine under a deadline or fuel (Unknown, never a crash or a wrong
+   answer), and determinism of budgeted verdicts. *)
 
 let reason = Alcotest.testable Guard.pp_reason (fun a b -> a = b)
 
@@ -187,11 +187,13 @@ let test_implication_deadline () =
           () (* small instances may decide within the fuel *)
       | Implication.Undetermined r -> check_reason "fuel surfaced" Guard.Fuel r)
 
-let test_random_checking_memory () =
+let test_random_checking_fuel_sweep () =
   (* RandomChecking's runs spend the ambient budget itself, so a caller's
-     allocation ceiling holds inside every run: with a one-word ceiling no
-     run can finish, and the search answers Unknown Memory on Σ it
-     otherwise finds a witness for *)
+     fuel holds inside every run: whichever tick it runs dry at, the
+     search answers the unbudgeted verdict, witness included, or Unknown
+     Fuel.  Fuel 0 allows no tick, so no run can finish; fuel 1, 4,
+     16, ... cut later and later, and the first budget left unspent
+     replays the unbudgeted run *)
   for seed = 1 to 30 do
     let rng = Rng.make seed in
     let schema =
@@ -201,15 +203,27 @@ let test_random_checking_memory () =
       Workload.consistent rng { Workload.default with num_constraints = 24 }
         schema
     in
-    match
-      Guard.with_ambient (Guard.make ~max_words:1. ()) (fun () ->
-          Random_checking.check ~rng:(Rng.make 2) schema sigma)
-    with
-    | Random_checking.Unknown r ->
-        check_reason (Printf.sprintf "seed %d: memory surfaced" seed)
-          Guard.Memory r
-    | Random_checking.Consistent _ ->
-        Alcotest.failf "seed %d: the allocation ceiling was ignored" seed
+    let run budget =
+      Guard.with_ambient budget @@ fun () ->
+      match Random_checking.check ~rng:(Rng.make 2) schema sigma with
+      | Random_checking.Consistent db -> Fmt.str "consistent:%a" Database.pp db
+      | Random_checking.Unknown r -> "unknown:" ^ Guard.reason_to_string r
+    in
+    let baseline = run Guard.unlimited in
+    let rec sweep fuel =
+      let budget = Guard.make ~fuel () in
+      let v = run budget in
+      if Guard.state budget = None then
+        check_string (Printf.sprintf "seed %d: fuel %d completes" seed fuel) baseline v
+      else begin
+        if v <> baseline && v <> "unknown:fuel" then
+          Alcotest.failf "seed %d, fuel %d: %s, unbudgeted %s" seed fuel v baseline;
+        sweep (4 * fuel)
+      end
+    in
+    check_string (Printf.sprintf "seed %d: fuel 0 cuts" seed) "unknown:fuel"
+      (run (Guard.make ~fuel:0 ()));
+    sweep 1
   done
 
 (* --- determinism of budgeted degradation ------------------------------------- *)
@@ -374,8 +388,8 @@ let () =
             test_checking_deadline;
           Alcotest.test_case "implication under fuel" `Quick
             test_implication_deadline;
-          Alcotest.test_case "RandomChecking under an allocation ceiling" `Quick
-            test_random_checking_memory;
+          Alcotest.test_case "RandomChecking under a fuel sweep" `Quick
+            test_random_checking_fuel_sweep;
           Alcotest.test_case "budgeted verdicts are deterministic" `Quick
             test_budgeted_determinism;
           Alcotest.test_case "guards disabled: verdicts unchanged" `Quick

