@@ -54,15 +54,16 @@ let exits =
    counters and gauges that moved. *)
 let pp_profile_table ppf =
   let table = Telemetry.self_time_table () in
-  let total_self = List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0. table in
+  let total_self = List.fold_left (fun acc r -> acc +. r.Telemetry.r_self_s) 0. table in
   Fmt.pf ppf "@[<v>-- profile (by self time)@,";
-  Fmt.pf ppf "%-34s %8s %10s %10s %6s@," "span" "calls" "total" "self" "self%";
+  Fmt.pf ppf "%-34s %8s %10s %10s %6s %12s@," "span" "calls" "total" "self" "self%" "self_words";
   List.iter
-    (fun (name, calls, total, self) ->
-      Fmt.pf ppf "%-34s %8d %10s %10s %5.1f%%@," name calls
-        (Telemetry.dur_to_string total)
-        (Telemetry.dur_to_string self)
-        (100. *. self /. Float.max total_self 1e-12))
+    (fun (r : Telemetry.span_row) ->
+      Fmt.pf ppf "%-34s %8d %10s %10s %5.1f%% %12.0f@," r.r_name r.r_calls
+        (Telemetry.dur_to_string r.r_total_s)
+        (Telemetry.dur_to_string r.r_self_s)
+        (100. *. r.r_self_s /. Float.max total_self 1e-12)
+        r.r_self_words)
     table;
   Fmt.pf ppf "-- counters and gauges (nonzero)@,";
   List.iter
@@ -87,11 +88,11 @@ let print_exhaustion_forensics () =
     | table ->
         Fmt.epr "cindtool: top spans by self time:@.";
         List.iteri
-          (fun i (name, calls, total, self) ->
+          (fun i (r : Telemetry.span_row) ->
             if i < 3 then
-              Fmt.epr "  %-34s calls=%-6d total=%s self=%s@." name calls
-                (Telemetry.dur_to_string total)
-                (Telemetry.dur_to_string self))
+              Fmt.epr "  %-34s calls=%-6d total=%s self=%s@." r.r_name r.r_calls
+                (Telemetry.dur_to_string r.r_total_s)
+                (Telemetry.dur_to_string r.r_self_s))
           table
   end
 

@@ -55,10 +55,11 @@ let () =
   (* Show a few concrete repair suggestions on the original dirty data. *)
   Fmt.pr "@.=== Sample repair suggestions ===@.";
   let violations = Fast_detect.detect dirty sigma in
+  let filler = Repair.filler () in
   List.iteri
     (fun i v ->
       if i < 5 then
         List.iter
           (fun action -> Fmt.pr "  %a@." Repair.pp_action action)
-          (Repair.suggest schema v))
+          (Repair.suggest schema filler dirty v))
     violations

@@ -8,8 +8,8 @@ open Conddep_core
    - a single-tuple CFD violation (t matches tp[X] but t[A] ≠ a) is fixed
      by updating t[A] to the pattern constant;
    - a pair violation on a wildcard RHS is fixed by copying t1[A] into t2;
-   - a CIND violation is fixed by inserting the missing RHS tuple (its
-     unconstrained fields filled by a caller-supplied default). *)
+   - a CIND violation is fixed by inserting the missing RHS tuple, its
+     underived fields filled by a [filler]. *)
 
 type action =
   | Update of { rel : string; tuple : Tuple.t; attr : string; value : Value.t }
@@ -21,13 +21,31 @@ let pp_action ppf = function
         value
   | Insert { rel; tuple } -> Fmt.pf ppf "@[<h>insert %a into %s@]" Tuple.pp tuple rel
 
-(* Default values for the fields a CIND repair cannot derive. *)
-let default_field attr =
-  match Domain.values (Attribute.domain attr) with
-  | Some (v :: _) -> v
-  | _ -> Value.Str "?"
+(* The values for the fields a CIND repair cannot derive.  A finite
+   attribute gets its domain's first value.  An infinite one gets the
+   first of "?0", "?1", ... (0, 1, ... on an int attribute) that the
+   relation does not hold there, counted over the whole run: two filled
+   fields never share a value, so inserted tuples never agree on a CFD's
+   left-hand side through their fillers. *)
+type filler = { mutable next : int }
 
-let suggest schema violation =
+let filler () = { next = 0 }
+
+let rec fill filler rel pos attr =
+  match Attribute.domain attr with
+  | Domain.Finite { values = v :: _; _ } -> v
+  | dom ->
+      let k = filler.next in
+      filler.next <- k + 1;
+      let v =
+        match dom with
+        | Domain.Infinite Domain.Dint -> Value.Int k
+        | _ -> Value.Str (Printf.sprintf "?%d" k)
+      in
+      if Relation.exists (fun t -> Value.equal (Tuple.get t pos) v) rel then fill filler rel pos attr
+      else v
+
+let suggest schema filler db violation =
   match violation with
   | Violation.Cfd_violation { rel; nf; t1; t2; _ } -> (
       let r = Db_schema.find schema rel in
@@ -43,8 +61,8 @@ let suggest schema violation =
       let r1 = Db_schema.find schema nf.Cind.nf_lhs in
       let r2 = Db_schema.find schema rhs in
       let fields =
-        List.map
-          (fun attr ->
+        List.mapi
+          (fun pos attr ->
             let name = Attribute.name attr in
             match List.assoc_opt name nf.nf_yp with
             | Some v -> v
@@ -55,7 +73,7 @@ let suggest schema violation =
                     (List.combine nf.nf_x nf.nf_y)
                 with
                 | Some (a, _) -> Tuple.get tuple (Schema.position r1 a)
-                | None -> default_field attr))
+                | None -> fill filler (Database.relation db rhs) pos attr))
           (Schema.attrs r2)
       in
       [ Insert { rel = rhs; tuple = Tuple.make fields } ]
@@ -82,18 +100,19 @@ let current db = function
 (* One repair round: suggest and apply a fix for every violation that is
    still current, in detection order.  Fixes can surface new violations,
    and a skipped one is detected again, hence rounds. *)
-let fix_all schema db violations =
+let fix_all schema filler db violations =
   List.fold_left
-    (fun db v -> if current db v then List.fold_left apply db (suggest schema v) else db)
+    (fun db v -> if current db v then List.fold_left apply db (suggest schema filler db v) else db)
     db violations
 
 (* Each round detects once: an empty violation list ends the loop. *)
 let repair ?(max_rounds = 5) schema sigma db =
+  let filler = filler () in
   let rec go db round =
     if round >= max_rounds then db
     else
       match Fast_detect.detect db sigma with
       | [] -> db
-      | violations -> go (fix_all schema db violations) (round + 1)
+      | violations -> go (fix_all schema filler db violations) (round + 1)
   in
   go db 0

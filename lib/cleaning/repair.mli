@@ -11,8 +11,19 @@ type action =
 
 val pp_action : action Fmt.t
 
-val suggest : Db_schema.t -> Violation.t -> action list
-(** Candidate fixes for one violation. *)
+type filler
+(** The values one repair run fills into the fields a CIND repair cannot
+    derive. *)
+
+val filler : unit -> filler
+(** A filler for a new run.  A finite attribute is filled with its
+    domain's first value; an infinite one with the first of ["?0"],
+    ["?1"], ... ([0], [1], ... on an int attribute) that the relation
+    does not hold on that attribute, counted over the run, so no two
+    filled fields of a run share a value. *)
+
+val suggest : Db_schema.t -> filler -> Database.t -> Violation.t -> action list
+(** Candidate fixes for one violation of the database. *)
 
 val apply : Database.t -> action -> Database.t
 
@@ -22,4 +33,5 @@ val repair : ?max_rounds:int -> Db_schema.t -> Sigma.nf -> Database.t -> Databas
     new violations.  Each round runs the detector once, and skips a
     violation once an earlier fix of the round has rewritten one of its
     tuples (t1 or t2 of a CFD violation, the LHS tuple of a CIND
-    violation): the next round detects it again if it still holds. *)
+    violation): the next round detects it again if it still holds.  One
+    {!filler} serves the whole run. *)

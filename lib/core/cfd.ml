@@ -28,7 +28,8 @@ let make ~name ~rel ~x ~y rows = { name; rel; x; y; rows }
 (* Validation is a chain of direct checks, the first failure reported:
    it runs on every CFD of every parsed file, so the passing path
    allocates nothing. *)
-let rec distinct = function [] -> true | a :: rest -> (not (List.mem a rest)) && distinct rest
+let rec mem_name a = function [] -> false | b :: rest -> String.equal a b || mem_name a rest
+let rec distinct = function [] -> true | a :: rest -> (not (mem_name a rest)) && distinct rest
 let fail t fmt = Fmt.kstr (fun s -> Error (Fmt.str "CFD %s: %s" t.name s)) fmt
 
 let check_cells t rel names cells =
@@ -61,22 +62,22 @@ let validate schema t =
           else check_rows t rel t.rows)
 
 (* Every CFD is equivalent to a set of normal-form CFDs: one per pattern row
-   and RHS attribute. *)
+   and RHS attribute, built in order without intermediate lists. *)
 let normalize t =
-  List.concat_map
-    (fun { rx; ry } ->
-      List.map2
-        (fun a ta ->
-          {
-            nf_name = t.name;
-            nf_rel = t.rel;
-            nf_x = t.x;
-            nf_a = a;
-            nf_tx = rx;
-            nf_ta = ta;
-          })
-        t.y ry)
-    t.rows
+  let rec rows = function
+    | [] -> []
+    | { rx; ry } :: rest ->
+        let rec attrs ys cells =
+          match ys, cells with
+          | [], [] -> rows rest
+          | a :: ys, ta :: cells ->
+              { nf_name = t.name; nf_rel = t.rel; nf_x = t.x; nf_a = a; nf_tx = rx; nf_ta = ta }
+              :: attrs ys cells
+          | _ -> invalid_arg "Cfd.normalize: pattern row arity mismatch"
+        in
+        attrs t.y ry
+  in
+  rows t.rows
 
 let nf_to_cfd nf =
   {
@@ -97,10 +98,47 @@ let nf_to_cfd nf =
    pairs come out in the order of the pair scan, by ascending t1, then
    ascending t2: repair applies fixes in this order, so it is part of the
    contract.  Each check costs O(|R| + output), and nothing is built when
-   R is empty: a one-tuple witness leaves most relations empty. *)
+   R is empty: a one-tuple witness leaves most relations empty.  A
+   relation of at most [direct_max] tuples, as witnesses hold, is checked
+   pair by pair instead, in the same order: its two tables would cost more
+   than the pairs. *)
 
 let m_scanned = Telemetry.counter "detect.fast.tuples_scanned" ~doc:"tuples visited by the satisfaction scans (one pass per constraint)"
 let m_violations = Telemetry.counter "detect.fast.violations" ~doc:"violations found by the satisfaction scans"
+
+let direct_max = 2
+
+(* t[X] ≍ tp[X], X given by its positions; false when they differ in
+   length. *)
+let rec matches_at t xpos cells =
+  match xpos, cells with
+  | [], [] -> true
+  | i :: xpos, c :: cells -> Pattern.match_cell (Tuple.get t i) c && matches_at t xpos cells
+  | _ -> false
+
+let agree_at t1 t2 xpos = List.for_all (fun i -> Value.equal (Tuple.get t1 i) (Tuple.get t2 i)) xpos
+
+(* The pair scan itself, on a small relation: [t1] ranges over the tuples
+   matching tp[X], [t2] over those of t1's X-group, both in order. *)
+let direct_violations rel xpos apos nf =
+  let matching t = matches_at t xpos nf.nf_tx in
+  Relation.fold
+    (fun t1 acc ->
+      if not (matching t1) then acc
+      else
+        let v = Tuple.get t1 apos in
+        let misses = match nf.nf_ta with Pattern.Const a -> not (Value.equal v a) | Pattern.Wildcard -> false in
+        Relation.fold
+          (fun t2 acc ->
+            if matching t2 && agree_at t1 t2 xpos && (misses || not (Value.equal v (Tuple.get t2 apos)))
+            then begin
+              Telemetry.incr m_violations;
+              (t1, t2) :: acc
+            end
+            else acc)
+          rel acc)
+    rel []
+  |> List.rev
 
 (* An X-group's members in relation order with their A-values; [skip.(i)]
    is the least j > i whose A-value differs from member i's (or the group
@@ -131,15 +169,7 @@ let iter_differing g v f =
   in
   go 0
 
-let nf_violations db nf =
-  let rel = Database.relation db nf.nf_rel in
-  let n = Relation.cardinal rel in
-  Telemetry.add m_scanned n;
-  if n = 0 then []
-  else
-  let sch = Relation.schema rel in
-  let xpos = List.map (Schema.position sch) nf.nf_x in
-  let apos = Schema.position sch nf.nf_a in
+let table_violations rel n xpos apos nf =
   (* one pass: the tuples matching tp[X] (reversed), and each X-group's
      members (reversed) *)
   let pending = Value.List_tbl.create n in
@@ -174,6 +204,18 @@ let nf_violations db nf =
       !out)
     [] (List.rev matching)
   |> List.rev
+
+let nf_violations db nf =
+  let rel = Database.relation db nf.nf_rel in
+  let n = Relation.cardinal rel in
+  Telemetry.add m_scanned n;
+  if n = 0 then []
+  else
+    let sch = Relation.schema rel in
+    let xpos = List.map (Schema.position sch) nf.nf_x in
+    let apos = Schema.position sch nf.nf_a in
+    if n <= direct_max then direct_violations rel xpos apos nf
+    else table_violations rel n xpos apos nf
 
 let nf_holds db nf = nf_violations db nf = []
 

@@ -46,10 +46,16 @@ val nf_to_cfd : nf -> t
 
     One check, {!nf_violations}, from which the others derive. *)
 
+val direct_max : int
+(** The size (2) up to which a relation is checked pair by pair, without
+    hash tables: {!nf_violations} on the relation, and a CIND's check on
+    its RHS relation ([Cind.nf_violations]). *)
+
 val nf_violations : Database.t -> nf -> (Tuple.t * Tuple.t) list
 (** The ordered pairs [(t1, t2)] (possibly [t1 == t2]) that violate the
     CFD, by ascending [t1], then ascending [t2]: a hash grouping by the
-    X-projection, in O(|R| + output).  Counts
+    X-projection, in O(|R| + output), or the pair scan itself when R
+    holds at most {!direct_max} tuples.  Counts
     [detect.fast.tuples_scanned] and [detect.fast.violations]. *)
 
 val nf_holds : Database.t -> nf -> bool

@@ -40,8 +40,9 @@ let make ~name ~lhs ~rhs ~x ~xp ~y ~yp rows = { name; lhs; rhs; x; xp; y; yp; ro
 (* Validation is a chain of direct checks, the first failure reported:
    it runs on every CIND of every parsed file, so the passing path
    allocates nothing. *)
-let rec distinct = function [] -> true | a :: rest -> (not (List.mem a rest)) && distinct rest
-let rec disjoint a b = match a with [] -> true | x :: rest -> (not (List.mem x b)) && disjoint rest b
+let rec mem_name a = function [] -> false | b :: rest -> String.equal a b || mem_name a rest
+let rec distinct = function [] -> true | a :: rest -> (not (mem_name a rest)) && distinct rest
+let rec disjoint a b = match a with [] -> true | x :: rest -> (not (mem_name x b)) && disjoint rest b
 let fail t fmt = Fmt.kstr (fun s -> Error (Fmt.str "CIND %s: %s" t.name s)) fmt
 
 (* The first (A_i, B_i) of X and Y, equally long, with dom(A_i) not
@@ -104,36 +105,39 @@ let validate schema t =
 (* Prop 3.1: rewrite into an equivalent set of normal-form CINDs, of total
    size linear in the input.  Per pattern row: (1) one CIND per row;
    (2) drop wildcard pattern attributes (they pose no constraint);
-   (3) move constant-bound pairs (Ai, Bi) from X/Y into Xp/Yp. *)
+   (3) move constant-bound pairs (Ai, Bi) from X/Y into Xp/Yp.  A row
+   without constants on X keeps X and Y as they are. *)
+
+let mismatch () = invalid_arg "Cind.normalize: pattern row arity mismatch"
+
+(* The names whose cell is a wildcard. *)
+let rec wildcards names cells =
+  match names, cells with
+  | [], [] -> []
+  | a :: names, Pattern.Wildcard :: cells -> a :: wildcards names cells
+  | _ :: names, Pattern.Const _ :: cells -> wildcards names cells
+  | _ -> mismatch ()
+
+(* The names bound to their cell's constant, followed by [tail]. *)
+let rec bindings names cells tail =
+  match names, cells with
+  | [], [] -> tail
+  | a :: names, Pattern.Const v :: cells -> (a, v) :: bindings names cells tail
+  | _ :: names, Pattern.Wildcard :: cells -> bindings names cells tail
+  | _ -> mismatch ()
+
 let normalize t =
   List.map
     (fun row ->
-      let keep_consts names cells =
-        List.filter_map
-          (fun (a, c) -> Option.map (fun v -> (a, v)) (Pattern.const_value c))
-          (List.combine names cells)
-      in
-      let xp = keep_consts t.xp row.cxp in
-      let yp = keep_consts t.yp row.cyp in
-      let moved =
-        List.filter_map
-          (fun ((a, b), c) -> Option.map (fun v -> (a, b, v)) (Pattern.const_value c))
-          (List.combine (List.combine t.x t.y) row.cx)
-      in
-      let kept =
-        List.filter_map
-          (fun ((a, b), c) ->
-            match c with Pattern.Wildcard -> Some (a, b) | Pattern.Const _ -> None)
-          (List.combine (List.combine t.x t.y) row.cx)
-      in
+      let moves = List.exists (function Pattern.Const _ -> true | Pattern.Wildcard -> false) row.cx in
       {
         nf_name = t.name;
         nf_lhs = t.lhs;
         nf_rhs = t.rhs;
-        nf_x = List.map fst kept;
-        nf_y = List.map snd kept;
-        nf_xp = xp @ List.map (fun (a, _, v) -> (a, v)) moved;
-        nf_yp = yp @ List.map (fun (_, b, v) -> (b, v)) moved;
+        nf_x = (if moves then wildcards t.x row.cx else t.x);
+        nf_y = (if moves then wildcards t.y row.cx else t.y);
+        nf_xp = bindings t.xp row.cxp (bindings t.x row.cx []);
+        nf_yp = bindings t.yp row.cyp (bindings t.y row.cx []);
       })
     t.rows
 
@@ -164,8 +168,10 @@ let validate_nf schema nf = validate schema (nf_to_cind nf)
    The one satisfaction check, on a normal form: index the RHS tuples
    that carry tp[Yp] by their Y-projection, then probe once per LHS tuple
    that carries tp[Xp].  The misses come out ascending, at a cost of
-   O(|R1| + |R2|), and nothing is built when R1 is empty.  A CIND with
-   several rows is checked row by row through [normalize]. *)
+   O(|R1| + |R2|), and nothing is built when R1 is empty.  When R2 holds
+   at most [Cfd.direct_max] tuples, as witnesses do, a probe compares
+   with them directly instead of building the index.  A CIND with several
+   rows is checked row by row through [normalize]. *)
 
 let m_scanned = Telemetry.counter "detect.fast.tuples_scanned" ~doc:"tuples visited by the satisfaction scans (one pass per constraint)"
 let m_probes = Telemetry.counter "detect.fast.index_probes" ~doc:"hash-index lookups (CIND witness probes)"
@@ -173,9 +179,18 @@ let m_violations = Telemetry.counter "detect.fast.violations" ~doc:"violations f
 
 let carries pattern t = List.for_all (fun (pos, v) -> Value.equal (Tuple.get t pos) v) pattern
 
+(* t2[Y] = t1[X], X and Y given by their positions; false when they
+   differ in length, as their projections would. *)
+let rec copies t1 t2 xpos ypos =
+  match xpos, ypos with
+  | [], [] -> true
+  | i :: xpos, j :: ypos -> Value.equal (Tuple.get t1 i) (Tuple.get t2 j) && copies t1 t2 xpos ypos
+  | _ -> false
+
 let nf_violations db nf =
   let lhs = Database.relation db nf.nf_lhs and rhs = Database.relation db nf.nf_rhs in
-  Telemetry.add m_scanned (Relation.cardinal rhs + Relation.cardinal lhs);
+  let n2 = Relation.cardinal rhs in
+  Telemetry.add m_scanned (n2 + Relation.cardinal lhs);
   if Relation.is_empty lhs then []
   else begin
     let r1 = Relation.schema lhs and r2 = Relation.schema rhs in
@@ -183,15 +198,22 @@ let nf_violations db nf =
     let yp = List.map (fun (b, v) -> (Schema.position r2 b, v)) nf.nf_yp in
     let xpos = List.map (Schema.position r1) nf.nf_x in
     let ypos = List.map (Schema.position r2) nf.nf_y in
-    let index = Value.List_tbl.create (Relation.cardinal rhs) in
-    Relation.iter
-      (fun t -> if carries yp t then Value.List_tbl.replace index (Tuple.proj t ypos) ())
-      rhs;
+    let has_partner =
+      if n2 <= Cfd.direct_max then fun t ->
+        Relation.exists (fun t2 -> carries yp t2 && copies t t2 xpos ypos) rhs
+      else begin
+        let index = Value.List_tbl.create n2 in
+        Relation.iter
+          (fun t -> if carries yp t then Value.List_tbl.replace index (Tuple.proj t ypos) ())
+          rhs;
+        fun t -> Value.List_tbl.mem index (Tuple.proj t xpos)
+      end
+    in
     Relation.fold
       (fun t acc ->
         if carries xp t then begin
           Telemetry.incr m_probes;
-          if Value.List_tbl.mem index (Tuple.proj t xpos) then acc
+          if has_partner t then acc
           else begin
             Telemetry.incr m_violations;
             t :: acc

@@ -72,7 +72,8 @@ val nf_to_cind : nf -> t
 val nf_violations : Database.t -> nf -> Tuple.t list
 (** The LHS tuples that carry [tp\[Xp\]] but have no RHS partner,
     ascending: a hash index on the RHS tuples carrying [tp\[Yp\]], one
-    probe per triggering LHS tuple, O(|R1| + |R2|).  Counts
+    probe per triggering LHS tuple, O(|R1| + |R2|); when R2 holds at most
+    {!Cfd.direct_max} tuples a probe compares with them directly.  Counts
     [detect.fast.tuples_scanned], [detect.fast.index_probes] and
     [detect.fast.violations]. *)
 

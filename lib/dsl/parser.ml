@@ -28,8 +28,15 @@ type document = {
 }
 
 (* The parser pulls one token of lookahead from the lexer; the lexer's
-   line is that token's line. *)
-type state = { lexer : Lexer.t; mutable token : Lexer.token }
+   line is that token's line, and its text or value that token's.  Equal
+   finite-domain declarations share one [Domain.t] ([domains], keyed by
+   the values as written), so CIND validation finds dom(A) ⊆ dom(B) by
+   [==] when both attributes were declared alike. *)
+type state = {
+  lexer : Lexer.t;
+  mutable token : Lexer.token;
+  domains : (Value.t list, Domain.t) Hashtbl.t;
+}
 
 exception Parse_error of string
 
@@ -42,32 +49,35 @@ let peek state = state.token
 
 let advance state = state.token <- Lexer.next state.lexer
 
+let found state = Lexer.token_name state.lexer (peek state)
+
 let expect state token =
-  if peek state = token then advance state
-  else
-    fail state "expected %s but found %s" (Lexer.token_name token)
-      (Lexer.token_name (peek state))
+  if peek state == token then advance state
+  else fail state "expected %s but found %s" (Lexer.token_name state.lexer token) (found state)
 
 let accept state token =
-  if peek state = token then begin
+  if peek state == token then begin
     advance state;
     true
   end
   else false
 
 let ident state =
-  match peek state with
-  | Lexer.IDENT name ->
-      advance state;
-      name
-  | t -> fail state "expected an identifier, found %s" (Lexer.token_name t)
+  if peek state == Lexer.IDENT then begin
+    let name = Lexer.text state.lexer in
+    advance state;
+    name
+  end
+  else fail state "expected an identifier, found %s" (found state)
 
 let literal state =
   match peek state with
-  | Lexer.STRING s ->
+  | Lexer.STRING ->
+      let s = Lexer.text state.lexer in
       advance state;
       Value.Str s
-  | Lexer.INT i ->
+  | Lexer.INT ->
+      let i = Lexer.int state.lexer in
       advance state;
       Value.Int i
   | Lexer.KW_TRUE ->
@@ -76,18 +86,17 @@ let literal state =
   | Lexer.KW_FALSE ->
       advance state;
       Value.Bool false
-  | t -> fail state "expected a literal, found %s" (Lexer.token_name t)
+  | _ -> fail state "expected a literal, found %s" (found state)
 
-(* Possibly-empty comma-separated list, ended by a delimiter the caller
-   checks; [stop] tells whether the next token ends the list. *)
+(* [parse_item]s separated by [sep] (at least one), in order. *)
+let rec sep_by1 state sep parse_item =
+  let item = parse_item state in
+  if accept state sep then item :: sep_by1 state sep parse_item else [ item ]
+
+(* Possibly-empty comma-separated list, ended by the delimiter [stop],
+   which the caller checks. *)
 let sep_list state ~stop parse_item =
-  if stop (peek state) then []
-  else
-    let rec go acc =
-      let item = parse_item state in
-      if accept state Lexer.COMMA then go (item :: acc) else List.rev (item :: acc)
-    in
-    go []
+  if peek state == stop then [] else sep_by1 state Lexer.COMMA parse_item
 
 let domain state =
   match peek state with
@@ -100,22 +109,26 @@ let domain state =
   | Lexer.KW_BOOL ->
       advance state;
       Domain.bool_dom
-  | Lexer.LBRACE ->
+  | Lexer.LBRACE -> (
       advance state;
-      let values = sep_list state ~stop:(fun t -> t = Lexer.RBRACE) literal in
+      let values = sep_list state ~stop:Lexer.RBRACE literal in
       expect state Lexer.RBRACE;
       if values = [] then fail state "finite domain must be nonempty"
-      else Domain.finite values
-  | t -> fail state "expected a domain, found %s" (Lexer.token_name t)
+      else
+        match Hashtbl.find_opt state.domains values with
+        | Some d -> d
+        | None ->
+            let d = Domain.finite values in
+            Hashtbl.add state.domains values d;
+            d)
+  | _ -> fail state "expected a domain, found %s" (found state)
 
 let schema_decl state =
   expect state Lexer.KW_SCHEMA;
   let name = ident state in
   expect state Lexer.LPAREN;
   let attrs =
-    sep_list state
-      ~stop:(fun t -> t = Lexer.RPAREN)
-      (fun state ->
+    sep_list state ~stop:Lexer.RPAREN (fun state ->
         let attr_name = ident state in
         expect state Lexer.COLON;
         let dom = domain state in
@@ -142,37 +155,31 @@ let cind_decl state =
   expect state Lexer.COLON;
   let lhs = ident state in
   expect state Lexer.LBRACKET;
-  let x = name_list state ~stop:(fun t -> t = Lexer.SEMI) in
+  let x = name_list state ~stop:Lexer.SEMI in
   expect state Lexer.SEMI;
-  let xp = name_list state ~stop:(fun t -> t = Lexer.RBRACKET) in
+  let xp = name_list state ~stop:Lexer.RBRACKET in
   expect state Lexer.RBRACKET;
   expect state Lexer.SUBSETEQ;
   let rhs = ident state in
   expect state Lexer.LBRACKET;
-  let y = name_list state ~stop:(fun t -> t = Lexer.SEMI) in
+  let y = name_list state ~stop:Lexer.SEMI in
   expect state Lexer.SEMI;
-  let yp = name_list state ~stop:(fun t -> t = Lexer.RBRACKET) in
+  let yp = name_list state ~stop:Lexer.RBRACKET in
   expect state Lexer.RBRACKET;
   expect state Lexer.KW_WITH;
   let row state =
     expect state Lexer.LPAREN;
-    let cx = cell_list state ~stop:(fun t -> t = Lexer.SEMI) in
+    let cx = cell_list state ~stop:Lexer.SEMI in
     expect state Lexer.SEMI;
-    let cxp = cell_list state ~stop:(fun t -> t = Lexer.BARBAR) in
+    let cxp = cell_list state ~stop:Lexer.BARBAR in
     expect state Lexer.BARBAR;
-    let cy = cell_list state ~stop:(fun t -> t = Lexer.SEMI) in
+    let cy = cell_list state ~stop:Lexer.SEMI in
     expect state Lexer.SEMI;
-    let cyp = cell_list state ~stop:(fun t -> t = Lexer.RPAREN) in
+    let cyp = cell_list state ~stop:Lexer.RPAREN in
     expect state Lexer.RPAREN;
     { Cind.cx; cxp; cy; cyp }
   in
-  let rows =
-    let rec go acc =
-      let r = row state in
-      if accept state Lexer.COMMA then go (r :: acc) else List.rev (r :: acc)
-    in
-    go []
-  in
+  let rows = sep_by1 state Lexer.COMMA row in
   expect state Lexer.SEMI;
   Cind.make ~name ~lhs ~rhs ~x ~xp ~y ~yp rows
 
@@ -182,26 +189,20 @@ let cfd_decl state =
   expect state Lexer.COLON;
   let rel = ident state in
   expect state Lexer.LPAREN;
-  let x = name_list state ~stop:(fun t -> t = Lexer.ARROW) in
+  let x = name_list state ~stop:Lexer.ARROW in
   expect state Lexer.ARROW;
-  let y = name_list state ~stop:(fun t -> t = Lexer.RPAREN) in
+  let y = name_list state ~stop:Lexer.RPAREN in
   expect state Lexer.RPAREN;
   expect state Lexer.KW_WITH;
   let row state =
     expect state Lexer.LPAREN;
-    let rx = cell_list state ~stop:(fun t -> t = Lexer.BARBAR) in
+    let rx = cell_list state ~stop:Lexer.BARBAR in
     expect state Lexer.BARBAR;
-    let ry = cell_list state ~stop:(fun t -> t = Lexer.RPAREN) in
+    let ry = cell_list state ~stop:Lexer.RPAREN in
     expect state Lexer.RPAREN;
     { Cfd.rx; ry }
   in
-  let rows =
-    let rec go acc =
-      let r = row state in
-      if accept state Lexer.COMMA then go (r :: acc) else List.rev (r :: acc)
-    in
-    go []
-  in
+  let rows = sep_by1 state Lexer.COMMA row in
   expect state Lexer.SEMI;
   Cfd.make ~name ~rel ~x ~y rows
 
@@ -209,17 +210,18 @@ let instance_decl state =
   expect state Lexer.KW_INSTANCE;
   let rel = ident state in
   expect state Lexer.LBRACE;
-  let rec tuples acc =
-    if accept state Lexer.RBRACE then List.rev acc
+  let rec tuples () =
+    if accept state Lexer.RBRACE then []
     else begin
       expect state Lexer.LPAREN;
-      let values = sep_list state ~stop:(fun t -> t = Lexer.RPAREN) literal in
+      let values = sep_list state ~stop:Lexer.RPAREN literal in
       expect state Lexer.RPAREN;
       expect state Lexer.SEMI;
-      tuples (Tuple.make values :: acc)
+      let t = Tuple.make values in
+      t :: tuples ()
     end
   in
-  (rel, tuples [])
+  (rel, tuples ())
 
 let document state =
   let schemas = ref [] and cfds = ref [] and cinds = ref [] and instances = ref [] in
@@ -238,7 +240,7 @@ let document state =
     | Lexer.KW_INSTANCE ->
         instances := instance_decl state :: !instances;
         go ()
-    | t -> fail state "expected a declaration, found %s" (Lexer.token_name t)
+    | _ -> fail state "expected a declaration, found %s" (found state)
   in
   go ();
   let schema =
@@ -267,7 +269,7 @@ let rec lex_rest lexer msg =
 
 let parse source =
   let lexer = Lexer.make source in
-  match document { lexer; token = Lexer.next lexer } with
+  match document { lexer; token = Lexer.next lexer; domains = Hashtbl.create 16 } with
   | doc -> Ok doc
   | exception Lexer.Error msg -> Error msg
   | exception (Parse_error msg | Invalid_argument msg) -> Error (lex_rest lexer msg)

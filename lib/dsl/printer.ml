@@ -31,7 +31,7 @@ let pp_domain ppf dom =
   match dom with
   | Domain.Infinite Domain.Dstring -> Fmt.string ppf "string"
   | Domain.Infinite Domain.Dint -> Fmt.string ppf "int"
-  | Domain.Finite vs -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp_value) vs
+  | Domain.Finite { values; _ } -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp_value) values
 
 let pp_cell ppf = function
   | Pattern.Wildcard -> Fmt.string ppf "_"

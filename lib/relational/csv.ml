@@ -39,9 +39,9 @@ let split_line line =
 let coerce domain raw =
   let v =
     match domain with
-    | Domain.Infinite Domain.Dint | Domain.Finite (Value.Int _ :: _) -> (
+    | Domain.Infinite Domain.Dint | Domain.Finite { values = Value.Int _ :: _; _ } -> (
         match int_of_string_opt raw with Some i -> Value.Int i | None -> Value.Str raw)
-    | Domain.Finite (Value.Bool _ :: _) -> (
+    | Domain.Finite { values = Value.Bool _ :: _; _ } -> (
         match bool_of_string_opt raw with Some b -> Value.Bool b | None -> Value.Str raw)
     | Domain.Infinite Domain.Dstring | Domain.Finite _ -> Value.Str raw
   in

@@ -15,9 +15,9 @@ let empty schema =
 let schema t = t.schema
 
 let relation t name =
-  match String_map.find_opt name t.rels with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Database.relation: no relation %S" name)
+  match String_map.find name t.rels with
+  | r -> r
+  | exception Not_found -> invalid_arg (Printf.sprintf "Database.relation: no relation %S" name)
 
 let set_relation t rel =
   let name = Schema.name (Relation.schema rel) in

@@ -6,9 +6,11 @@ type base =
   | Dint
   | Dstring
 
+(* [values] sorted, duplicate-free and nonempty; [sorted] the same values
+   as an array, for lookup by bisection. *)
 type t =
   | Infinite of base
-  | Finite of Value.t list (* sorted, duplicate-free, nonempty *)
+  | Finite of { values : Value.t list; sorted : Value.t array }
 
 let int_inf = Infinite Dint
 let string_inf = Infinite Dstring
@@ -16,15 +18,15 @@ let string_inf = Infinite Dstring
 let finite values =
   match List.sort_uniq Value.compare values with
   | [] -> invalid_arg "Domain.finite: empty domain"
-  | vs -> Finite vs
+  | vs -> Finite { values = vs; sorted = Array.of_list vs }
 
 let bool_dom = finite [ Value.Bool false; Value.Bool true ]
 
 let is_finite = function Infinite _ -> false | Finite _ -> true
 
-let values = function Infinite _ -> None | Finite vs -> Some vs
+let values = function Infinite _ -> None | Finite f -> Some f.values
 
-let cardinal = function Infinite _ -> None | Finite vs -> Some (List.length vs)
+let cardinal = function Infinite _ -> None | Finite f -> Some (Array.length f.sorted)
 
 let base_mem base (v : Value.t) =
   match base, v with
@@ -32,12 +34,18 @@ let base_mem base (v : Value.t) =
   | Dstring, Value.Str _ -> true
   | (Dint | Dstring), _ -> false
 
-let rec mem_list v = function [] -> false | w :: ws -> Value.equal v w || mem_list v ws
+(* [v] among [sorted.(lo .. hi - 1)]. *)
+let rec bisect sorted v lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let c = Value.compare v sorted.(mid) in
+  c = 0 || if c < 0 then bisect sorted v lo mid else bisect sorted v (mid + 1) hi
 
 let mem t v =
   match t with
   | Infinite base -> base_mem base v
-  | Finite vs -> mem_list v vs
+  | Finite f -> bisect f.sorted v 0 (Array.length f.sorted)
 
 (* Containment of two sorted, duplicate-free lists, by one merge. *)
 let rec sorted_subset vs ws =
@@ -50,17 +58,20 @@ let rec sorted_subset vs ws =
 
 (* [subset d1 d2] over-approximates dom(d1) ⊆ dom(d2); it is exact for the
    domain shapes we construct.  The paper assumes dom(Ai) ⊆ dom(Bi) for the
-   corresponding attributes of a CIND, and validation enforces it. *)
+   corresponding attributes of a CIND, and validation enforces it.  A
+   domain shared by both attributes answers at once. *)
 let subset d1 d2 =
+  d1 == d2
+  ||
   match d1, d2 with
   | Infinite b1, Infinite b2 -> b1 = b2
   | Infinite _, Finite _ -> false
-  | Finite vs, Infinite b -> List.for_all (base_mem b) vs
-  | Finite vs, Finite ws -> sorted_subset vs ws
+  | Finite f, Infinite b -> List.for_all (base_mem b) f.values
+  | Finite f1, Finite f2 -> sorted_subset f1.values f2.values
 
 let fresh t ~avoid =
   match t with
-  | Finite vs -> List.find_opt (fun v -> not (List.exists (Value.equal v) avoid)) vs
+  | Finite { values = vs; _ } -> List.find_opt (fun v -> not (List.exists (Value.equal v) avoid)) vs
   | Infinite Dint ->
       let max_avoided =
         List.fold_left
@@ -81,10 +92,10 @@ let pp_base ppf = function
 
 let pp ppf = function
   | Infinite b -> pp_base ppf b
-  | Finite vs -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma Value.pp) vs
+  | Finite f -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma Value.pp) f.values
 
 let equal d1 d2 =
   match d1, d2 with
   | Infinite b1, Infinite b2 -> b1 = b2
-  | Finite v1, Finite v2 -> List.equal Value.equal v1 v2
+  | Finite f1, Finite f2 -> List.equal Value.equal f1.values f2.values
   | Infinite _, Finite _ | Finite _, Infinite _ -> false

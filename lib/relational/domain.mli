@@ -11,9 +11,10 @@ type base =
 
 type t = private
   | Infinite of base
-  | Finite of Value.t list
-      (** sorted by {!Value.compare}, duplicate-free and nonempty: only
-          {!finite} builds one *)
+  | Finite of { values : Value.t list; sorted : Value.t array }
+      (** [values] sorted by {!Value.compare}, duplicate-free and nonempty,
+          and [sorted] the same values as an array: only {!finite} builds
+          one *)
 
 val int_inf : t
 (** The infinite domain of integers. *)
@@ -36,12 +37,14 @@ val values : t -> Value.t list option
 val cardinal : t -> int option
 
 val mem : t -> Value.t -> bool
-(** Domain membership; for infinite domains this is a base-type check. *)
+(** Domain membership; for infinite domains this is a base-type check,
+    for finite ones a bisection of the sorted values. *)
 
 val subset : t -> t -> bool
 (** [subset d1 d2] holds when every value of [d1] belongs to [d2].  CIND
     validation uses it to enforce the paper's assumption dom(Ai) ⊆ dom(Bi).
-    Two finite domains take one merge of their sorted lists. *)
+    A domain is a subset of itself by [==]; two distinct finite domains
+    take one merge of their sorted lists. *)
 
 val fresh : t -> avoid:Value.t list -> Value.t option
 (** A domain value distinct from everything in [avoid]; [None] only when a

@@ -227,6 +227,7 @@ type profile_node = {
   p_total_s : float;
   p_self_s : float;
   p_alloc_words : float;
+  p_self_alloc_words : float;
   p_errors : int;
   p_children : profile_node list;
 }
@@ -236,35 +237,53 @@ let rec snapshot_node n =
     Hashtbl.fold (fun _ c acc -> snapshot_node c :: acc) n.pn_children []
     |> List.sort (fun a b -> compare b.p_total_s a.p_total_s)
   in
+  let child_words = List.fold_left (fun acc c -> acc +. c.p_alloc_words) 0. children in
   {
     p_name = n.pn_name;
     p_count = n.pn_count;
     p_total_s = n.pn_total_s;
     p_self_s = Float.max 0. (n.pn_total_s -. n.pn_child_s);
     p_alloc_words = n.pn_alloc_w;
+    p_self_alloc_words = Float.max 0. (n.pn_alloc_w -. child_words);
     p_errors = n.pn_errors;
     p_children = children;
   }
 
 let profile_tree () = (snapshot_node profile_root).p_children
 
+type span_row = {
+  r_name : string;
+  r_calls : int;
+  r_total_s : float;
+  r_self_s : float;
+  r_self_words : float;
+}
+
 (* Flat attribution: aggregate the tree by span name (a recursive span's
    inclusive time is counted once per distinct path, so [total] can exceed
    wall clock for self-nested spans; [self] never double-counts). *)
 let self_time_table () =
-  let tbl : (string, int * float * float) Hashtbl.t = Hashtbl.create 32 in
+  let tbl : (string, span_row) Hashtbl.t = Hashtbl.create 32 in
   let rec go n =
     (if n.p_name <> "" then
-       let calls, total, self =
-         Option.value ~default:(0, 0., 0.) (Hashtbl.find_opt tbl n.p_name)
+       let r =
+         Option.value
+           ~default:{ r_name = n.p_name; r_calls = 0; r_total_s = 0.; r_self_s = 0.; r_self_words = 0. }
+           (Hashtbl.find_opt tbl n.p_name)
        in
        Hashtbl.replace tbl n.p_name
-         (calls + n.p_count, total +. n.p_total_s, self +. n.p_self_s));
+         {
+           r with
+           r_calls = r.r_calls + n.p_count;
+           r_total_s = r.r_total_s +. n.p_total_s;
+           r_self_s = r.r_self_s +. n.p_self_s;
+           r_self_words = r.r_self_words +. n.p_self_alloc_words;
+         });
     List.iter go n.p_children
   in
   List.iter go (profile_tree ());
-  Hashtbl.fold (fun name (c, t, s) acc -> (name, c, t, s) :: acc) tbl []
-  |> List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a)
+  Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
+  |> List.sort (fun a b -> compare b.r_self_s a.r_self_s)
 
 (* --- trace export ----------------------------------------------------------- *)
 

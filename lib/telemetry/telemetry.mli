@@ -83,6 +83,7 @@ type profile_node = {
   p_total_s : float;  (** inclusive wall time *)
   p_self_s : float;  (** total minus direct children's inclusive time *)
   p_alloc_words : float;  (** inclusive minor words *)
+  p_self_alloc_words : float;  (** inclusive minus direct children's inclusive words *)
   p_errors : int;  (** spans that ended by exception *)
   p_children : profile_node list;  (** sorted by total, descending *)
 }
@@ -91,10 +92,19 @@ val profile_tree : unit -> profile_node list
 (** Snapshot of the profile tree's roots, children sorted by inclusive
     time. *)
 
-val self_time_table : unit -> (string * int * float * float) list
-(** Flat per-span-name attribution [(name, calls, total_s, self_s)],
-    sorted by self time descending.  Self times never double-count, so
-    they sum to at most the profiled wall time. *)
+type span_row = {
+  r_name : string;
+  r_calls : int;
+  r_total_s : float;
+  r_self_s : float;
+  r_self_words : float;  (** self minor words *)
+}
+
+val self_time_table : unit -> span_row list
+(** Flat per-span-name attribution, sorted by self time descending.  Self
+    times never double-count, so they sum to at most the profiled wall
+    time; self words likewise sum to at most the words allocated inside
+    spans. *)
 
 val mark_exhaustion : string -> unit
 (** Called by [Guard] at the instant a budget ran out: captures [reason]

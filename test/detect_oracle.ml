@@ -135,8 +135,9 @@ let same_violations =
 (* [Repair.repair] spelled out over this detector: test for cleanliness,
    then detect again and fix in order, leaving out a violation once a
    tuple it names is gone from the database (an earlier fix of the round
-   rewrote it). *)
+   rewrote it), with one filler for the run. *)
 let repair ?(max_rounds = 5) schema sigma db =
+  let filler = Repair.filler () in
   let present db rel t = List.exists (Tuple.equal t) (Relation.tuples (Database.relation db rel)) in
   let fix db v =
     let names_gone =
@@ -145,7 +146,7 @@ let repair ?(max_rounds = 5) schema sigma db =
           not (present db rel t1 && present db rel t2)
       | Cind_violation { lhs; tuple; _ } -> not (present db lhs tuple)
     in
-    if names_gone then db else List.fold_left Repair.apply db (Repair.suggest schema v)
+    if names_gone then db else List.fold_left Repair.apply db (Repair.suggest schema filler db v)
   in
   let rec go db round =
     if round >= max_rounds || is_clean db sigma then db

@@ -80,6 +80,34 @@ let test_repair_skips_rewritten_tuples () =
   check_bool "clean after repair" true (Detect_oracle.is_clean repaired sigma);
   check_int "three tuples" 3 (Database.total_tuples repaired)
 
+let test_repair_fillers_stay_apart () =
+  (* psi : r[x, a; ] <= s[y, w; ] and f : s(z -> w) with (_ || _): the
+     two inserted s tuples copy x and a, and fill z.  A shared filler on
+     z would make them agree on f's X and differ on w, adding a
+     violation; distinct fillers leave the database clean after one
+     round. *)
+  let str_attrs = List.map (fun a -> Attribute.make a Domain.string_inf) in
+  let schema =
+    Db_schema.make
+      [ Schema.make "r" (str_attrs [ "x"; "a" ]); Schema.make "s" (str_attrs [ "y"; "z"; "w" ]) ]
+  in
+  let psi =
+    Cind.make ~name:"psi" ~lhs:"r" ~rhs:"s" ~x:[ "x"; "a" ] ~xp:[] ~y:[ "y"; "w" ] ~yp:[]
+      [ { Cind.cx = [ wildcard; wildcard ]; cxp = []; cy = [ wildcard; wildcard ]; cyp = [] } ]
+  in
+  let f =
+    Cfd.make ~name:"f" ~rel:"s" ~x:[ "z" ] ~y:[ "w" ] [ { Cfd.rx = [ wildcard ]; ry = [ wildcard ] } ]
+  in
+  let sigma = { Sigma.ncfds = Cfd.normalize f; ncinds = Cind.normalize psi } in
+  let db = Database.of_alist schema [ ("r", [ stup [ "x1"; "a1" ]; stup [ "x2"; "a2" ] ]) ] in
+  check_int "two missing partners" 2 (List.length (Fast_detect.detect db sigma));
+  let repaired = Repair.repair ~max_rounds:1 schema sigma db in
+  check_bool "clean after one round" true (Detect_oracle.is_clean repaired sigma);
+  let s = Relation.tuples (Database.relation repaired "s") in
+  check_int "two inserted tuples" 2 (List.length s);
+  check_bool "distinct fillers on z" true
+    (match s with [ t1; t2 ] -> not (Value.equal (Tuple.get t1 1) (Tuple.get t2 1)) | _ -> false)
+
 let test_report () =
   let report = Report.build B.dirty_db sigma_nf in
   check_bool "some violations" true (Report.count report > 0);
@@ -189,6 +217,7 @@ let () =
           Alcotest.test_case "repair by insertion" `Quick test_repair_cind_insertion;
           Alcotest.test_case "repair skips rewritten tuples" `Quick
             test_repair_skips_rewritten_tuples;
+          Alcotest.test_case "repair fillers stay apart" `Quick test_repair_fillers_stay_apart;
           Alcotest.test_case "report" `Quick test_report;
         ] );
       ( "fast-detection",

@@ -458,29 +458,31 @@ let dirty_databases seed schema =
 
 (* Fast detection must return exactly the pairwise oracle's violation list,
    order included: repair applies fixes in that order. *)
+(* A database of 0–[max] tuples per relation: empty LHS and RHS
+   relations, single tuples, self-pair constant clashes. *)
+let tiny_database seed schema ~max =
+  let rng = Rng.make (seed + 9) in
+  let db = Workload.dirty_database rng schema ~tuples_per_rel:max ~error_rate:0.5 in
+  Database.fold
+    (fun rel acc ->
+      let keep = Rng.int rng (max + 1) in
+      Database.set_relation acc
+        (Relation.of_list (Relation.schema rel)
+           (List.filteri (fun i _ -> i < keep) (Relation.tuples rel))))
+    db db
+
+(* The tiny database has relations on both sides of [Cfd.direct_max]
+   (pair by pair up to 2 tuples, hash tables from 3). *)
 let prop_fast_detect_agrees seed =
   let schema, sigma = make_workload ~consistent:false seed in
   List.for_all
     (fun db ->
       Detect_oracle.same_violations (Detect_oracle.detect db sigma)
         (Conddep_cleaning.Fast_detect.detect db sigma))
-    (dirty_databases seed schema)
+    (tiny_database seed schema ~max:3 :: dirty_databases seed schema)
 
-(* Databases of 0–2 tuples per relation (empty LHS and RHS relations,
-   single tuples, self-pair constant clashes), then the two dirty sizes. *)
-let satisfaction_databases seed schema =
-  let rng = Rng.make (seed + 9) in
-  let db = Workload.dirty_database rng schema ~tuples_per_rel:2 ~error_rate:0.5 in
-  let tiny =
-    Database.fold
-      (fun rel acc ->
-        let keep = Rng.int rng 3 in
-        Database.set_relation acc
-          (Relation.of_list (Relation.schema rel)
-             (List.filteri (fun i _ -> i < keep) (Relation.tuples rel))))
-      db db
-  in
-  tiny :: dirty_databases seed schema
+(* Databases of 0–2 tuples per relation, then the two dirty sizes. *)
+let satisfaction_databases seed schema = tiny_database seed schema ~max:2 :: dirty_databases seed schema
 
 (* A multi-row CIND over a normal-form one's attributes: each row keeps or
    drops each pattern constant, and may bind an X/Y pair to a value of an

@@ -112,13 +112,21 @@ let rec check_profile_invariants (n : Telemetry.profile_node) =
        n.p_self_s child_total n.p_total_s)
     true
     (n.p_self_s +. child_total <= n.p_total_s +. 1e-6);
+  let child_words =
+    List.fold_left (fun acc c -> acc +. c.Telemetry.p_alloc_words) 0. n.p_children
+  in
+  check_bool
+    (Printf.sprintf "%s self words (%g) + children (%g) <= total (%g)" n.p_name
+       n.p_self_alloc_words child_words n.p_alloc_words)
+    true
+    (n.p_self_alloc_words >= 0. && n.p_self_alloc_words +. child_words <= n.p_alloc_words +. 1e-6);
   List.iter check_profile_invariants n.p_children
 
 let test_profile_tree_shape () =
   with_clean_profiling @@ fun () ->
   for _ = 1 to 3 do
     Telemetry.with_span "t.outer" (fun () ->
-        Telemetry.with_span "t.inner" (fun () -> ignore (Sys.opaque_identity 1));
+        Telemetry.with_span "t.inner" (fun () -> ignore (Sys.opaque_identity (List.init 100 Fun.id)));
         Telemetry.with_span "t.inner2" (fun () -> ()))
   done;
   (try
@@ -139,11 +147,14 @@ let test_profile_tree_shape () =
   List.iter check_profile_invariants roots;
   (* the flat table agrees with the tree and is sorted by self, descending *)
   let table = Telemetry.self_time_table () in
-  let _, calls, _, _ =
-    List.find (fun (name, _, _, _) -> name = "t.outer") table
-  in
-  check_int "table aggregates outer calls" 4 calls;
-  let selfs = List.map (fun (_, _, _, s) -> s) table in
+  let outer_row = List.find (fun r -> r.Telemetry.r_name = "t.outer") table in
+  check_int "table aggregates outer calls" 4 outer_row.r_calls;
+  (* three 100-element lists, 300 words each, are t.inner's own *)
+  let inner_row = List.find (fun r -> r.Telemetry.r_name = "t.inner") table in
+  check_bool "table counts inner's self words" true (inner_row.r_self_words >= 900.);
+  check_bool "outer's self words exclude inner's" true
+    (outer_row.r_self_words < outer.p_alloc_words -. 900. +. 1e-6);
+  let selfs = List.map (fun r -> r.Telemetry.r_self_s) table in
   check_bool "table sorted by self desc" true
     (List.sort (fun a b -> compare b a) selfs = selfs);
   check_string "dur_to_string scales" "1.500ms" (Telemetry.dur_to_string 1.5e-3)
