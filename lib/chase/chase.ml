@@ -89,8 +89,9 @@ let compile_cind schema (nf : Cind.nf) =
   List.iter (fun (_, ypos) -> determined.(ypos) <- true) copy;
   List.iter (fun (pos, _) -> determined.(pos) <- true) yp;
   let rest =
-    List.filteri (fun pos _ -> not determined.(pos)) (Schema.attrs r2)
-    |> List.map (fun attr -> (Schema.position r2 (Attribute.name attr), Attribute.name attr))
+    List.filteri
+      (fun pos _ -> not determined.(pos))
+      (List.mapi (fun pos attr -> (pos, Attribute.name attr)) (Schema.attrs r2))
   in
   {
     i_name = nf.nf_name;
@@ -275,13 +276,24 @@ let has_witness cind db (ta : Template.tuple) =
            cind.i_yp)
     (Template.tuples_at db cind.i_rhs_idx)
 
+let m_pool_picks = Telemetry.counter "chase.pool_picks" ~doc:"pool-variable allocations by IND chase steps"
+
+let check_pool_size n =
+  if n < 1 then invalid_arg "Chase: pool size must be at least 1"
+
 (* Build the witness tuple IND(ψ) inserts for [ta]: copied and pattern
-   fields, and a pool variable in every unconstrained field. *)
-let witness_tuple pool rng cind (ta : Template.tuple) =
+   fields, and in every unconstrained field a variable drawn from the
+   bounded pool var[A] of Section 5.1 — the variables A#0 .. A#(N-1) of
+   the RHS relation's attribute A. *)
+let witness_tuple pool_size rng cind (ta : Template.tuple) =
   let tb = Array.make cind.i_rhs_arity (Template.C (Value.Int 0)) in
   List.iter (fun (xpos, ypos) -> tb.(ypos) <- ta.(xpos)) cind.i_copy;
   List.iter (fun (pos, v) -> tb.(pos) <- Template.C v) cind.i_yp;
-  List.iter (fun (pos, attr) -> tb.(pos) <- Pool.pick pool rng ~rel:cind.i_rhs ~attr) cind.i_rest;
+  List.iter
+    (fun (pos, vattr) ->
+      Telemetry.incr m_pool_picks;
+      tb.(pos) <- Template.V { Template.vrel = cind.i_rhs; vattr; vidx = Rng.int rng pool_size })
+    cind.i_rest;
   tb
 
 type ind_result =
@@ -295,7 +307,8 @@ type ind_result =
    witness tests, so dominated tuples are skipped cheaply.  The
    relation-size threshold T is checked before the insert: Section 5.1
    frames the whole extension as a chase over bounded-size tables. *)
-let ind_step ~threshold pool rng cind db =
+let ind_step ~threshold ~pool_size rng cind db =
+  check_pool_size pool_size;
   let firing =
     List.fold_left
       (fun best ta ->
@@ -313,7 +326,7 @@ let ind_step ~threshold pool rng cind db =
   | Some ta ->
       Telemetry.incr m_ind_steps;
       Ind_changed
-        (Template.add_at db cind.i_rhs_idx (witness_tuple pool rng cind ta))
+        (Template.add_at db cind.i_rhs_idx (witness_tuple pool_size rng cind ta))
 
 (* --- round-robin IND cursor --------------------------------------------------
 
@@ -324,13 +337,14 @@ let ind_step ~threshold pool rng cind db =
 module Ind_cursor = struct
   type t = {
     c_cinds : compiled_cind array;
-    c_pool : Pool.t;
+    c_pool_size : int;
     c_threshold : int;
     mutable c_pos : int;
   }
 
-  let create ~threshold pool cinds =
-    { c_cinds = Array.of_list cinds; c_pool = pool; c_threshold = threshold; c_pos = 0 }
+  let create ~threshold ~pool_size cinds =
+    check_pool_size pool_size;
+    { c_cinds = Array.of_list cinds; c_pool_size = pool_size; c_threshold = threshold; c_pos = 0 }
 
   let step t ~rng db =
     let n = Array.length t.c_cinds in
@@ -339,7 +353,7 @@ module Ind_cursor = struct
       else begin
         Guard.check ();
         let j = (t.c_pos + k) mod n in
-        match ind_step ~threshold:t.c_threshold t.c_pool rng t.c_cinds.(j) db with
+        match ind_step ~threshold:t.c_threshold ~pool_size:t.c_pool_size rng t.c_cinds.(j) db with
         | Ind_unchanged -> scan (k + 1)
         | Ind_changed _ as applied ->
             t.c_pos <- (j + 1) mod n;

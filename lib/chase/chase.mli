@@ -72,15 +72,23 @@ type ind_result =
   | Ind_unchanged
   | Ind_overflow of string  (** the RHS relation is at the threshold T *)
 
+val triggers : compiled_cind -> Template.tuple -> bool
+(** Whether a tuple of ψ's LHS relation matches ψ's Xp pattern (variables
+    match no constant). *)
+
 val ind_step :
   threshold:int ->
-  Pool.t ->
+  pool_size:int ->
   Rng.t ->
   compiled_cind ->
   Template.t ->
   ind_result
 (** One IND(ψ) application to the least triggering tuple lacking a
-    witness, found by scanning every LHS tuple against the RHS relation. *)
+    witness, found by scanning every LHS tuple against the RHS relation.
+    Each unconstrained field of the inserted tuple takes a random
+    variable of the bounded pool var\[A\] (Section 5.1): one of the
+    [pool_size] variables of the RHS relation's attribute A.
+    @raise Invalid_argument when [pool_size < 1]. *)
 
 (** {1 Round-robin IND cursor}
 
@@ -92,7 +100,8 @@ val ind_step :
 module Ind_cursor : sig
   type t
 
-  val create : threshold:int -> Pool.t -> compiled_cind list -> t
+  val create : threshold:int -> pool_size:int -> compiled_cind list -> t
+  (** @raise Invalid_argument when [pool_size < 1]. *)
 
   val step : t -> rng:Rng.t -> Template.t -> ind_result
   (** Offer each CIND in turn to {!ind_step}, starting after the last one

@@ -51,15 +51,9 @@ let check_template_outcome ?(k_cfd = 100) ?(avoid = []) ~rng compiled_cfds db =
             Chase.conclusion_constants (Template.schema db) compiled_cfds
           in
           let demanded_tbl = Hashtbl.create 16 in
-          List.iter
-            (fun (key, v) ->
-              Hashtbl.replace demanded_tbl key
-                (v :: Option.value ~default:[] (Hashtbl.find_opt demanded_tbl key)))
-            demanded;
-          Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) demanded_tbl;
-          let prefer rel attr =
-            Option.value ~default:[] (Hashtbl.find_opt demanded_tbl (rel, attr))
-          in
+          (* [find_all] lists a key's bindings newest first *)
+          List.iter (fun (key, v) -> Hashtbl.add demanded_tbl key v) (List.rev demanded);
+          let prefer rel attr = Hashtbl.find_all demanded_tbl (rel, attr) in
           let rec attempts k =
             if k <= 0 then begin
               Guard.reraise_if_spent ();
@@ -203,28 +197,29 @@ type witness =
   | No_tuple
   | Gave_up
 
+(* The two backends on CFD(rel): the chase backend takes the CFDs
+   compiled, the SAT backend as they are. *)
+let chase_witness ?k_cfd ?avoid ~rng schema compiled ~rel =
+  Telemetry.incr m_chase_calls;
+  match check_template_outcome ?k_cfd ?avoid ~rng compiled (Chase.seed_tuple schema ~rel) with
+  | Contradiction -> No_tuple
+  | Out_of_valuations -> Gave_up
+  | Instantiated db -> (
+      match Template.tuples db rel with [ t ] -> Tuple t | _ -> assert false)
+
+let sat_witness ?(avoid = []) schema cfds ~rel =
+  Telemetry.incr m_sat_calls;
+  match sat_tuple ~avoid (Db_schema.find schema rel) cfds with
+  | None -> No_tuple
+  | Some tuple ->
+      Tuple (Array.map (fun v -> Template.C v) (Array.of_list (Tuple.to_list tuple)))
+
 let consistent_rel ?(backend = Chase_backend) ?avoid ?k_cfd ~rng schema cfds
     ~rel =
   let cfds_on_rel = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) cfds in
   match backend with
-  | Chase_backend -> (
-      Telemetry.incr m_chase_calls;
-      let compiled = List.map (Chase.compile_cfd schema) cfds_on_rel in
-      match
-        check_template_outcome ?k_cfd ?avoid ~rng compiled
-          (Chase.seed_tuple schema ~rel)
-      with
-      | Contradiction -> No_tuple
-      | Out_of_valuations -> Gave_up
-      | Instantiated db -> (
-          match Template.tuples db rel with [ t ] -> Tuple t | _ -> assert false))
-  | Sat_backend -> (
-      Telemetry.incr m_sat_calls;
-      match
-        sat_tuple ~avoid:(Option.value avoid ~default:[])
-          (Db_schema.find schema rel) cfds_on_rel
-      with
-      | None -> No_tuple
-      | Some tuple ->
-          Tuple
-            (Array.map (fun v -> Template.C v) (Array.of_list (Tuple.to_list tuple))))
+  | Chase_backend ->
+      chase_witness ?k_cfd ?avoid ~rng schema
+        (List.map (Chase.compile_cfd schema) cfds_on_rel)
+        ~rel
+  | Sat_backend -> sat_witness ?avoid schema cfds_on_rel ~rel

@@ -42,6 +42,16 @@ type witness =
   | Gave_up
       (** The chase backend's K_CFD heuristic ran out; undetermined. *)
 
+val chase_witness :
+  ?k_cfd:int -> ?avoid:Value.t list -> rng:Rng.t -> Db_schema.t ->
+  Chase.compiled_cfd list -> rel:string -> witness
+
+val sat_witness :
+  ?avoid:Value.t list -> Db_schema.t -> Cfd.nf list -> rel:string -> witness
+(** {!consistent_rel}'s two backends on CFD(rel), given as the CFDs on
+    [rel] alone, compiled for the chase backend.  Only the chase backend
+    answers [Gave_up]. *)
+
 val consistent_rel :
   ?backend:backend ->
   ?avoid:Value.t list ->

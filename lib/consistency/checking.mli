@@ -3,7 +3,10 @@ open Conddep_core
 open Conddep_chase
 
 (** Algorithm Checking (Fig 9): preProcessing + per-component
-    RandomChecking.  Sound: [Consistent] carries a verified witness;
+    RandomChecking.  Σ is resolved against the schema once, in
+    preProcessing's dependency graph, and RandomChecking chases each
+    component as the graph compiled it.  Sound: [Consistent] carries a
+    verified witness;
     [Inconsistent] is definitive (Fig 7's reduction emptied the graph);
     [Unknown r] means no witness was found, with [r] saying what gave
     out ([Guard.Fuel] for the paper's own K / K_CFD caps or the ambient
@@ -30,6 +33,3 @@ val check :
 
     The pipeline runs on a copy of [rng]: the caller's generator is never
     advanced, so equal seeds give equal verdicts. *)
-
-val to_bool : result -> bool
-(** The paper's boolean answer: [true] only for [Consistent]. *)

@@ -1,154 +1,195 @@
 open Conddep_relational
 open Conddep_core
+open Conddep_chase
 
-(* The dependency graph G[Σ] of Section 5.3: one vertex per relation,
-   carrying CFD(R); an edge Ri -> Rj for each nonempty CIND(Ri, Rj).
-   preProcessing mutates the graph (extends CFD sets, deletes vertices), so
-   the structure is imperative.
+(* The dependency graph G[Σ] of Section 5.3, mutated by preProcessing
+   (extended CFD sets, deleted vertices).  Vertices are relation positions
+   ([Db_schema.find_indexed]), so every per-relation table is an array, and
+   an edge Ri -> Rj is the CINDs of Σ from Ri to Rj.  [make] files each
+   constraint under its positions, once; a constraint is compiled for the
+   chase when first needed (the SAT backend's preProcessing compiles
+   nothing) and kept, so preProcessing and RandomChecking share one
+   compilation.  Orders come from the input: vertices and components follow
+   schema declaration order, successors, predecessors and edge labels Σ. *)
 
-   Every order is fixed by the input: vertices and components follow the
-   schema, successors and predecessors follow Σ (the position of the first
-   CIND on each edge), so traversals do not depend on hashing. *)
+type cind = {
+  nf : Cind.nf;
+  src : int;
+  dst : int;
+  mutable compiled : Chase.compiled_cind option;
+}
 
 type t = {
-  cfds : (string, Cfd.nf list) Hashtbl.t;
-  all_cinds : Cind.nf list;
-  edge_labels : (string * string, Cind.nf list) Hashtbl.t; (* src, dst *)
-  edge_list : (string * string) list; (* Σ order of each edge's first CIND *)
-  mutable live : string list; (* schema order *)
+  schema : Db_schema.t;
+  order : int list; (* positions in declaration order *)
+  cfds : Cfd.nf list array;
+  compiled : Chase.compiled_cfd list option array;
+  pushed : Value.t list array; (* constants of the CFDs pushed to a vertex *)
+  live : bool array;
+  cinds : cind list; (* Σ order *)
+  out_cinds : cind list array; (* Σ order *)
+  in_cinds : cind list array; (* Σ order *)
 }
 
 let make schema (sigma : Sigma.nf) =
   Telemetry.with_span "checking.depgraph.build" @@ fun () ->
-  let cfds = Hashtbl.create 16 in
-  let rels = Db_schema.rel_names schema in
+  let n = Db_schema.cardinal schema in
+  let pos rel = snd (Db_schema.find_indexed schema rel) in
+  let cfds = Array.make n [] and out_cinds = Array.make n [] and in_cinds = Array.make n [] in
   List.iter
-    (fun r ->
-      Hashtbl.replace cfds r
-        (List.filter (fun c -> String.equal c.Cfd.nf_rel r) sigma.Sigma.ncfds))
-    rels;
-  let edge_labels = Hashtbl.create 64 in
-  let edge_list =
-    List.fold_left
-      (fun edge_list (c : Cind.nf) ->
-        let key = (c.Cind.nf_lhs, c.nf_rhs) in
-        match Hashtbl.find_opt edge_labels key with
-        | Some cinds ->
-            Hashtbl.replace edge_labels key (c :: cinds);
-            edge_list
-        | None ->
-            Hashtbl.replace edge_labels key [ c ];
-            key :: edge_list)
-      [] sigma.ncinds
-    |> List.rev
+    (fun (c : Cfd.nf) -> cfds.(pos c.nf_rel) <- c :: cfds.(pos c.nf_rel))
+    (List.rev sigma.Sigma.ncfds);
+  let cinds =
+    List.map
+      (fun (nf : Cind.nf) -> { nf; src = pos nf.nf_lhs; dst = pos nf.nf_rhs; compiled = None })
+      sigma.ncinds
   in
-  { cfds; all_cinds = sigma.Sigma.ncinds; edge_labels; edge_list; live = rels }
+  List.iter
+    (fun c ->
+      out_cinds.(c.src) <- c :: out_cinds.(c.src);
+      in_cinds.(c.dst) <- c :: in_cinds.(c.dst))
+    (List.rev cinds);
+  {
+    schema;
+    order = List.map (fun r -> pos (Schema.name r)) (Db_schema.relations schema);
+    cfds;
+    compiled = Array.make n None;
+    pushed = Array.make n [];
+    live = Array.make n true;
+    cinds;
+    out_cinds;
+    in_cinds;
+  }
 
-let live t = t.live
-let is_live t r = List.mem r t.live
+let live g = List.filter (fun r -> g.live.(r)) g.order
+let is_live g r = g.live.(r)
+let remove g r = g.live.(r) <- false
+let cfds g r = g.cfds.(r)
 
-let cfd_set t r = match Hashtbl.find_opt t.cfds r with Some l -> l | None -> []
+let compiled_cfds g r =
+  match g.compiled.(r) with
+  | Some l -> l
+  | None ->
+      let l = List.map (Chase.compile_cfd g.schema) g.cfds.(r) in
+      g.compiled.(r) <- Some l;
+      l
 
-let add_cfds t r extra = Hashtbl.replace t.cfds r (extra @ cfd_set t r)
+let push_cfds g r extra =
+  g.cfds.(r) <- extra @ g.cfds.(r);
+  g.pushed.(r) <- List.concat_map (fun c -> List.map snd (Cfd.nf_constants c)) extra @ g.pushed.(r);
+  Option.iter
+    (fun l -> g.compiled.(r) <- Some (List.map (Chase.compile_cfd g.schema) extra @ l))
+    g.compiled.(r)
 
-let remove t r = t.live <- List.filter (fun x -> not (String.equal x r)) t.live
+let compiled_cind g (c : cind) =
+  match c.compiled with
+  | Some k -> k
+  | None ->
+      let k = Chase.compile_cind g.schema c.nf in
+      c.compiled <- Some k;
+      k
 
-(* CINDs of Σ between two live vertices — the edge label CIND(Ri, Rj). *)
-let cinds_between t ~src ~dst =
-  Option.value ~default:[] (Hashtbl.find_opt t.edge_labels (src, dst))
+let triggers g r tau = List.exists (fun c -> Chase.triggers (compiled_cind g c) tau) g.out_cinds.(r)
 
-let successors t r =
-  List.filter_map
-    (fun (s, d) -> if String.equal s r && is_live t d then Some d else None)
-    t.edge_list
+(* The live vertices [f c] of [cinds], each once, in order of first
+   appearance. *)
+let ends g f cinds =
+  List.rev
+    (List.fold_left
+       (fun acc c ->
+         let v = f c in
+         if g.live.(v) && not (List.mem v acc) then v :: acc else acc)
+       [] cinds)
 
-let predecessors t r =
-  List.filter_map
-    (fun (s, d) -> if String.equal d r && is_live t s then Some s else None)
-    t.edge_list
+let successors g r = ends g (fun c -> c.dst) g.out_cinds.(r)
 
-let indegree t r = List.length (predecessors t r)
-
-let edges t = List.concat_map (fun s -> List.map (fun d -> (s, d)) (successors t s)) t.live
+let predecessors g r =
+  List.map
+    (fun s -> (s, List.filter_map (fun c -> if c.src = s then Some c.nf else None) g.in_cinds.(r)))
+    (ends g (fun c -> c.src) g.in_cinds.(r))
 
 (* Tarjan's strongly-connected-components algorithm.  SCCs are emitted in
    reverse topological order of the condensation: every SCC appears after
    all SCCs it reaches — i.e. targets first, which is exactly the
    processing order Fig 7 wants (Rj precedes Ri when there is an edge
    Ri -> Rj; vertices on a cycle in arbitrary order). *)
-let sccs t =
+let sccs g =
   Telemetry.with_span "checking.depgraph.sccs" @@ fun () ->
-  let index = Hashtbl.create 16 in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
+  let n = Array.length g.live in
+  let index = Array.make n (-1) and lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
   let stack = ref [] in
   let counter = ref 0 in
   let components = ref [] in
   let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v true;
+    on_stack.(v) <- true;
     List.iter
       (fun w ->
-        if not (Hashtbl.mem index w) then begin
+        if index.(w) < 0 then begin
           strongconnect w;
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+          lowlink.(v) <- min lowlink.(v) lowlink.(w)
         end
-        else if Hashtbl.find_opt on_stack w = Some true then
-          Hashtbl.replace lowlink v (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (successors t v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
+      (successors g v);
+    if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
         | w :: rest ->
             stack := rest;
-            Hashtbl.replace on_stack w false;
+            on_stack.(w) <- false;
             if w = v then w :: acc else pop (w :: acc)
       in
       components := pop [] :: !components
     end
   in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) t.live;
+  List.iter (fun v -> if index.(v) < 0 then strongconnect v) (live g);
   List.rev !components
 
-(* Weakly connected components of the live graph — the components Checking
-   (Fig 9) analyses independently. *)
-let weak_components t =
-  let parent = Hashtbl.create 16 in
+type component = { members : string list; compiled : Chase.compiled; avoid : Value.t list }
+
+(* Weakly connected components of the live graph, by union-find over the
+   CINDs between live vertices, each with its extended CFD sets and the
+   CINDs inside it. *)
+let components g ~avoid =
+  let parent = Array.init (Array.length g.live) Fun.id in
   let rec find r =
-    match Hashtbl.find_opt parent r with
-    | Some p when p <> r ->
-        let root = find p in
-        Hashtbl.replace parent r root;
-        root
-    | _ -> r
+    if parent.(r) = r then r
+    else begin
+      let root = find parent.(r) in
+      parent.(r) <- root;
+      root
+    end
   in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent ra rb
-  in
-  List.iter (fun r -> Hashtbl.replace parent r r) t.live;
-  List.iter (fun (s, d) -> union s d) (edges t);
+  let inside = List.filter (fun c -> g.live.(c.src) && g.live.(c.dst)) g.cinds in
+  List.iter
+    (fun c ->
+      let a = find c.src and b = find c.dst in
+      if a <> b then parent.(a) <- b)
+    inside;
+  let live = live g in
   (* one component per root, in schema order of its first member *)
   let roots =
-    List.fold_left
-      (fun roots r ->
-        let root = find r in
-        if List.mem root roots then roots else root :: roots)
-      [] t.live
+    List.fold_left (fun roots v -> if List.mem (find v) roots then roots else find v :: roots) [] live
   in
-  List.rev_map (fun root -> List.filter (fun r -> find r = root) t.live) roots
-
-(* The constraints over one component: its (extended) CFD sets plus the
-   CINDs both of whose endpoints lie inside. *)
-let component_sigma t members =
-  {
-    Sigma.ncfds = List.concat_map (cfd_set t) members;
-    ncinds =
-      List.filter
-        (fun c -> List.mem c.Cind.nf_lhs members && List.mem c.nf_rhs members)
-        t.all_cinds;
-  }
+  List.rev_map
+    (fun root ->
+      let members = List.filter (fun v -> find v = root) live in
+      let cinds = List.filter (fun c -> find c.src = root) inside in
+      {
+        members = List.map (Db_schema.name_at g.schema) members;
+        compiled =
+          {
+            Chase.cfds = List.concat_map (compiled_cfds g) members;
+            cinds = List.map (compiled_cind g) cinds;
+          };
+        avoid =
+          (match List.concat_map (fun v -> g.pushed.(v)) members with
+          | [] -> avoid
+          | pushed -> List.sort_uniq Value.compare (pushed @ avoid));
+      })
+    roots

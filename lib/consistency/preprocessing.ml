@@ -24,8 +24,7 @@ open Conddep_chase
 type result =
   | Consistent of Database.t
   | Inconsistent
-  | Unknown of (string list * Sigma.nf) list
-      (* weakly connected components with their (extended) constraints *)
+  | Unknown of Depgraph.component list
 
 let m_runs = Telemetry.counter "checking.preprocess.runs" ~doc:"preProcessing invocations"
 let m_sccs = Telemetry.counter "checking.preprocess.sccs" ~doc:"strongly connected components in the dependency graphs processed"
@@ -39,124 +38,91 @@ let m_components = Telemetry.counter "checking.preprocess.components" ~doc:"weak
    (Rj : Xp -> A, (tp[Xp] || c1)) and (Rj : Xp -> A, (tp[Xp] || c2)) with
    c1 <> c2, denying every Rj tuple that matches tp[Xp]. *)
 let non_triggering schema (cind : Cind.nf) =
-  let rj = Db_schema.find schema cind.Cind.nf_lhs in
   (* an attribute offering two distinct constants *)
-  let pick_attr () =
-    let viable attr =
-      let dom = Attribute.domain attr in
-      match Domain.cardinal dom with Some n -> n >= 2 | None -> true
-    in
-    List.find_opt viable (Schema.attrs rj)
+  let viable attr =
+    match Domain.cardinal (Attribute.domain attr) with Some n -> n >= 2 | None -> true
   in
-  match pick_attr () with
+  match List.find_opt viable (Schema.attrs (Db_schema.find schema cind.nf_lhs)) with
   | None -> [] (* all domains are singletons: denial impossible (pathological) *)
   | Some attr ->
       let dom = Attribute.domain attr in
-      let c1 = Domain.fresh dom ~avoid:[] |> Option.get in
-      let c2 = Domain.fresh dom ~avoid:[ c1 ] |> Option.get in
-      let x = List.map fst cind.nf_xp in
-      let tx = List.map (fun (_, v) -> Pattern.Const v) cind.nf_xp in
+      let c1 = Option.get (Domain.fresh dom ~avoid:[]) in
+      let c2 = Option.get (Domain.fresh dom ~avoid:[ c1 ]) in
       let make c =
         {
-          Cfd.nf_name = Printf.sprintf "%s_bot" cind.nf_name;
+          Cfd.nf_name = cind.nf_name ^ "_bot";
           nf_rel = cind.nf_lhs;
-          nf_x = x;
+          nf_x = List.map fst cind.nf_xp;
           nf_a = Attribute.name attr;
-          nf_tx = tx;
+          nf_tx = List.map (fun (_, v) -> Pattern.Const v) cind.nf_xp;
           nf_ta = Pattern.Const c;
         }
       in
       [ make c1; make c2 ]
 
-(* Does the template tuple τ(R), its finite-domain fields concrete,
-   trigger ψ?  Pattern-free CINDs (Xp = nil) are triggered by any tuple;
-   otherwise every Xp field must hold the pattern constant (remaining
-   variables denote fresh values that match no constant). *)
-let tuple_triggers schema (cind : Cind.nf) (tau : Template.tuple) =
-  let r = Db_schema.find schema cind.Cind.nf_lhs in
-  List.for_all
-    (fun (a, v) ->
-      Template.cell_equal tau.(Schema.position r a) (Template.C v))
-    cind.nf_xp
-
-(* Concretize a single template tuple τ(R) into a one-tuple witness
-   database (all other relations empty). *)
-let singleton_db schema ~rel ~avoid (tau : Template.tuple) =
-  let db = Template.add (Template.empty schema) rel tau in
-  Template.to_database ~avoid db
-
-let run ?backend ?k_cfd ~rng schema (sigma : Sigma.nf) =
+let run ?(backend = Cfd_checking.Chase_backend) ?k_cfd ~rng schema
+    (sigma : Sigma.nf) =
   Telemetry.incr m_runs;
   Telemetry.with_span "checking.preprocess" @@ fun () ->
   let g = Depgraph.make schema sigma in
   let sccs = Depgraph.sccs g in
   Telemetry.add m_sccs (List.length sccs);
   let avoid = Sigma.constant_values sigma in
-  let queue = Queue.create () in
-  let queued = Hashtbl.create 16 in
+  let n = Db_schema.cardinal schema in
+  let queue = Queue.create () and queued = Array.make n false in
   let enqueue r =
-    if not (Hashtbl.mem queued r) then begin
-      Hashtbl.replace queued r ();
+    if not queued.(r) then begin
+      queued.(r) <- true;
       Queue.push r queue
     end
   in
-  let cinds_by_lhs = Hashtbl.create 16 in
-  List.iter
-    (fun (c : Cind.nf) ->
-      Hashtbl.replace cinds_by_lhs c.Cind.nf_lhs
-        (c :: Option.value ~default:[] (Hashtbl.find_opt cinds_by_lhs c.nf_lhs)))
-    sigma.Sigma.ncinds;
   (* topo order = Tarjan's SCC emission order, flattened *)
-  List.iter enqueue (List.concat sccs);
+  List.iter (List.iter enqueue) sccs;
   (* relations whose non-triggering witness failed verification: not
      refuted, so the indegree-0 pass must leave them live *)
-  let unverified = Hashtbl.create 4 in
+  let unverified = Array.make n false in
   let outcome = ref None in
   while !outcome = None && not (Queue.is_empty queue) do
     let r = Queue.pop queue in
-    Hashtbl.remove queued r;
-    Hashtbl.remove unverified r;
+    queued.(r) <- false;
+    unverified.(r) <- false;
     Guard.check ();
     if Depgraph.is_live g r then begin
-      let cfds = Depgraph.cfd_set g r in
+      let rel = Db_schema.name_at schema r in
+      let sat () = Cfd_checking.sat_witness ~avoid schema (Depgraph.cfds g r) ~rel in
       let witness =
-        match
-          Cfd_checking.consistent_rel ?backend ~avoid ?k_cfd ~rng schema cfds
-            ~rel:r
-        with
-        | Cfd_checking.Gave_up ->
-            (* the K_CFD valuations ran out, which refutes nothing:
-               settle r with the complete SAT encoding *)
-            Telemetry.incr m_settled_by_sat;
-            Cfd_checking.consistent_rel ~backend:Cfd_checking.Sat_backend
-              ~avoid ~rng schema cfds ~rel:r
-        | w -> w
+        match backend with
+        | Cfd_checking.Sat_backend -> sat ()
+        | Chase_backend -> (
+            match
+              Cfd_checking.chase_witness ?k_cfd ~avoid ~rng schema
+                (Depgraph.compiled_cfds g r) ~rel
+            with
+            | Cfd_checking.Gave_up ->
+                (* the K_CFD valuations ran out, which refutes nothing:
+                   settle r with the complete SAT encoding *)
+                Telemetry.incr m_settled_by_sat;
+                sat ()
+            | w -> w)
       in
       match witness with
       | Cfd_checking.Tuple tau ->
-          let triggering =
-            Option.value ~default:[] (Hashtbl.find_opt cinds_by_lhs r)
-            |> List.exists (fun c -> tuple_triggers schema c tau)
-          in
-          if not triggering then begin
-            let db = singleton_db schema ~rel:r ~avoid tau in
-            (* sanity: the one-tuple database must satisfy Σ *)
+          if not (Depgraph.triggers g r tau) then begin
+            (* the one-tuple database { τ(R) }, which must satisfy Σ *)
+            let db = Template.to_database ~avoid (Template.add (Template.empty schema) rel tau) in
             if Sigma.nf_holds db sigma then outcome := Some (Consistent db)
-            else Hashtbl.replace unverified r ()
+            else unverified.(r) <- true
           end
       | Cfd_checking.No_tuple | Cfd_checking.Gave_up ->
           (* CFD(r) refuted ([Gave_up] never comes back from the SAT
              backend): r must be empty. *)
           Telemetry.incr m_pruned_inconsistent;
           List.iter
-            (fun rj ->
-              let bots =
-                List.concat_map (non_triggering schema)
-                  (Depgraph.cinds_between g ~src:rj ~dst:r)
-              in
+            (fun (rj, label) ->
+              let bots = List.concat_map (non_triggering schema) label in
               if bots <> [] then begin
                 Telemetry.add m_bot_cfds (List.length bots);
-                Depgraph.add_cfds g rj bots;
+                Depgraph.push_cfds g rj bots;
                 enqueue rj
               end)
             (Depgraph.predecessors g r);
@@ -169,18 +135,14 @@ let run ?backend ?k_cfd ~rng schema (sigma : Sigma.nf) =
       (* prune indegree-0 vertices (single pass, as in Fig 7 line 13) *)
       let zero =
         List.filter
-          (fun r ->
-            Depgraph.indegree g r = 0 && not (Hashtbl.mem unverified r))
+          (fun r -> Depgraph.predecessors g r = [] && not unverified.(r))
           (Depgraph.live g)
       in
       Telemetry.add m_pruned_indegree0 (List.length zero);
       List.iter (Depgraph.remove g) zero;
       if Depgraph.live g = [] then Inconsistent
       else begin
-        let components = Depgraph.weak_components g in
+        let components = Depgraph.components g ~avoid in
         Telemetry.add m_components (List.length components);
-        Unknown
-          (List.map
-             (fun members -> (members, Depgraph.component_sigma g members))
-             components)
+        Unknown components
       end

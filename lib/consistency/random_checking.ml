@@ -12,9 +12,8 @@ open Conddep_chase
 
    Soundness (Theorem 5.1): a [Consistent] answer always carries a concrete
    witness database, and we verify Σ against it before answering.  When
-   Checking hands over one component, the chase and its fresh values see
-   only the component's constraints, but the witness is verified against
-   the whole Σ, once. *)
+   Checking hands over one component, the chase sees only the component's
+   constraints, but the witness is verified against the whole Σ, once. *)
 
 type result =
   | Consistent of Database.t
@@ -24,7 +23,6 @@ let m_runs = Telemetry.counter "checking.random.runs" ~doc:"RandomChecking chase
 let m_successes = Telemetry.counter "checking.random.successes" ~doc:"RandomChecking runs ending in a verified witness"
 
 let chase_run ~config ~k_cfd ~avoid ~rng (compiled : Chase.compiled) db =
-  let pool = Pool.make ~n:config.Chase.pool_size in
   (* IND steps fill unknown fields with pool *variables*, finite-domain
      ones included: the interleaved CFD_Checking then chooses their values
      consistently, retrying up to K_CFD valuations — the improvement at the
@@ -36,7 +34,8 @@ let chase_run ~config ~k_cfd ~avoid ~rng (compiled : Chase.compiled) db =
      rescans the template CFD_Checking handed back. *)
   let cinds = Rng.shuffle rng compiled.Chase.cinds in
   let cursor =
-    Chase.Ind_cursor.create ~threshold:config.Chase.threshold pool cinds
+    Chase.Ind_cursor.create ~threshold:config.Chase.threshold
+      ~pool_size:config.Chase.pool_size cinds
   in
   let rec loop db steps =
     if steps > config.Chase.max_steps then begin
@@ -62,13 +61,16 @@ let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?component
     ~rng schema (sigma : Sigma.nf) =
   try
     (* chase the component; verify against the whole Σ *)
-    let seed_rels, chased =
+    let { Depgraph.members = seed_rels; compiled; avoid } =
       match component with
       | Some c -> c
-      | None -> (Db_schema.rel_names schema, sigma)
+      | None ->
+          {
+            Depgraph.members = Db_schema.rel_names schema;
+            compiled = Chase.compile schema sigma;
+            avoid = Sigma.constant_values sigma;
+          }
     in
-    let compiled = Chase.compile schema chased in
-    let avoid = Sigma.constant_values chased in
     if seed_rels = [] then Unknown Guard.Fuel
     else begin
       (* One run on its own split of [rng]: [Some db] for a verified

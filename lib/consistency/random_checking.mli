@@ -19,7 +19,7 @@ val check :
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
-  ?component:string list * Sigma.nf ->
+  ?component:Depgraph.component ->
   rng:Rng.t ->
   Db_schema.t ->
   Sigma.nf ->
@@ -28,11 +28,12 @@ val check :
     [k_cfd] bounds the random valuations inside CFD_Checking; the ambient
     budget bounds the whole search.
 
-    [component] (Checking passes each weakly connected component) gives
-    the relations a run may start from and the constraints the runs
-    chase, whose constants the fresh values avoid; by default every
-    relation and the whole Σ.  Every candidate is verified against the
-    whole Σ, so a [Consistent] witness satisfies Σ.
+    [component] (Checking passes each weakly connected component,
+    compiled by preProcessing) gives the relations a run may start from,
+    the constraints the runs chase and the constants the fresh values
+    avoid; by default every relation and the whole Σ, compiled here.
+    Every candidate is verified against the whole Σ, so a [Consistent]
+    witness satisfies Σ.
 
     The K runs are the sequential loop of Fig 5: run i draws the i-th
     {!Rng.split} of [rng], taken when the run starts, and spends the

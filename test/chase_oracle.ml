@@ -20,8 +20,10 @@ let m_runs = Telemetry.counter "chase.runs" ~doc:"full chase invocations"
    the ambient budget's clock. *)
 let run ~(config : Chase.config) ~rng (compiled : Chase.compiled) db =
   Telemetry.incr m_runs;
-  let pool = Pool.make ~n:config.pool_size in
-  let cursor = Chase.Ind_cursor.create ~threshold:config.threshold pool compiled.cinds in
+  let cursor =
+    Chase.Ind_cursor.create ~threshold:config.threshold ~pool_size:config.pool_size
+      compiled.cinds
+  in
   let rec go db steps =
     Guard.check ();
     match Chase.fd_fixpoint compiled.cfds db with

@@ -216,25 +216,55 @@ let test_chase_threshold () =
       Alcotest.failf "terminal with %d tuples past T = 2" (Template.cardinal db "r")
   | Chase_oracle.Exhausted r -> Alcotest.failf "chase exhausted: %s" (Guard.reason_to_string r)
 
+(* IND(ψ) fills each field of its witness tuple that ψ leaves open with a
+   variable of the bounded pool var[A] (Section 5.1): one of the N
+   variables of the RHS relation's attribute. *)
 let test_pool_contents () =
-  let pool = Pool.make ~n:3 in
-  check_int "pool size" 3 (Pool.size pool);
-  let vars = Pool.vars pool ~rel:"r" ~attr:"a" in
-  check_int "three variables" 3 (List.length vars);
-  check_int "distinct" 3
-    (List.length (List.sort_uniq Template.var_compare vars));
-  (* picks always come from the pool *)
+  let schema =
+    Db_schema.make
+      [
+        Schema.make "src" [ Attribute.make "a" Domain.string_inf ];
+        Schema.make "dst"
+          (List.map (fun a -> Attribute.make a Domain.string_inf) [ "a"; "b"; "c" ]);
+      ]
+  in
+  let cind =
+    Chase.compile_cind schema
+      (List.hd
+         (Cind.normalize
+            (Cind.make ~name:"i" ~lhs:"src" ~rhs:"dst" ~x:[ "a" ] ~xp:[] ~y:[ "a" ]
+               ~yp:[]
+               [ { Cind.cx = [ wildcard ]; cxp = []; cy = [ wildcard ]; cyp = [] } ])))
+  in
+  let db = Template.add (Template.empty schema) "src" [| Template.C (str "k") |] in
   let rng = rng () in
+  let drawn = ref [] in
   for _ = 1 to 50 do
-    match Pool.pick pool rng ~rel:"r" ~attr:"a" with
-    | Template.V v ->
-        check_bool "picked from pool" true
-          (List.exists (fun u -> Template.var_compare u v = 0) vars)
-    | Template.C _ -> Alcotest.fail "pick returned a constant"
+    match Chase.ind_step ~threshold:100 ~pool_size:3 rng cind db with
+    | Chase.Ind_changed db' -> (
+        match Template.tuples db' "dst" with
+        | [ [| a; b; c |] ] ->
+            check_bool "copied field" true (Template.cell_equal a (Template.C (str "k")));
+            List.iter2
+              (fun attr cell ->
+                match cell with
+                | Template.V v ->
+                    check_bool "drawn from the attribute's pool" true
+                      (v.vrel = "dst" && v.vattr = attr && 0 <= v.vidx && v.vidx < 3);
+                    drawn := v :: !drawn
+                | Template.C _ -> Alcotest.fail "an open field got a constant")
+              [ "b"; "c" ] [ b; c ]
+        | _ -> Alcotest.fail "expected one dst tuple")
+    | _ -> Alcotest.fail "expected a change"
   done;
-  match Pool.make ~n:0 with
+  check_int "every pool variable drawn" 6
+    (List.length (List.sort_uniq Template.var_compare !drawn));
+  (match Chase.ind_step ~threshold:100 ~pool_size:0 rng cind db with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty pool accepted"
+  | _ -> Alcotest.fail "empty pool accepted");
+  match Chase.Ind_cursor.create ~threshold:100 ~pool_size:0 [ cind ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "empty pool accepted by the cursor"
 
 let test_column_constants () =
   let schema = string_schema "r" [ "a"; "b" ] in
@@ -293,7 +323,7 @@ let test_ind_step_reuses_witnesses () =
       [| Template.C (str "k") |]
   in
   (match
-     Chase.ind_step ~threshold:100 (Pool.make ~n:2) (rng ()) cind db
+     Chase.ind_step ~threshold:100 ~pool_size:2 (rng ()) cind db
    with
   | Chase.Ind_unchanged -> ()
   | Chase.Ind_changed _ -> Alcotest.fail "added a tuple despite existing witness"
@@ -301,7 +331,7 @@ let test_ind_step_reuses_witnesses () =
   (* and must add one when the witness is missing *)
   let db2 = Template.add (Template.empty schema) "src" [| Template.C (str "k") |] in
   match
-    Chase.ind_step ~threshold:100 (Pool.make ~n:2) (rng ()) cind db2
+    Chase.ind_step ~threshold:100 ~pool_size:2 (rng ()) cind db2
   with
   | Chase.Ind_changed db' -> check_int "dst got the tuple" 1 (Template.cardinal db' "dst")
   | _ -> Alcotest.fail "expected a change"
@@ -358,7 +388,7 @@ let prop_terminal_is_fixpoint seed =
              (fun cind ->
                match
                  Chase.ind_step ~threshold:config.threshold
-                   (Pool.make ~n:config.pool_size) (Rng.make seed) cind db
+                   ~pool_size:config.pool_size (Rng.make seed) cind db
                with
                | Chase.Ind_unchanged -> true
                | _ -> false)
@@ -388,7 +418,7 @@ let prop_fd_step_drops_a_variable (seed, consistent) =
   let schema, sigma = small_workload ~consistent seed in
   let compiled = Chase.compile schema sigma in
   let cinds = Array.of_list compiled.Chase.cinds in
-  let pool = Pool.make ~n:Chase.default_config.pool_size in
+  let pool_size = Chase.default_config.pool_size in
   let rng = Rng.make seed in
   let variables db = List.length (Template.variables db) in
   let rec fd_steps_drop db =
@@ -407,7 +437,7 @@ let prop_fd_step_drops_a_variable (seed, consistent) =
     if applied >= 6 || idle >= Array.length cinds then true
     else
       match
-        Chase.ind_step ~threshold:Chase.default_config.threshold pool rng
+        Chase.ind_step ~threshold:Chase.default_config.threshold ~pool_size rng
           cinds.(i mod Array.length cinds) db
       with
       | Chase.Ind_changed db' ->
@@ -430,7 +460,7 @@ let prop_fd_memo_matches_reference (seed, consistent) =
   let schema, sigma = small_workload ~consistent seed in
   let compiled = Chase.compile schema sigma in
   let cfds = compiled.Chase.cfds and cinds = Array.of_list compiled.Chase.cinds in
-  let pool = Pool.make ~n:Chase.default_config.pool_size in
+  let pool_size = Chase.default_config.pool_size in
   let rng = Rng.make seed in
   let same db db' =
     List.for_all
@@ -444,7 +474,7 @@ let prop_fd_memo_matches_reference (seed, consistent) =
     if Rng.bool rng || Array.length cinds = 0 then Chase.instantiate_finite_vars rng db
     else
       match
-        Chase.ind_step ~threshold:Chase.default_config.threshold pool
+        Chase.ind_step ~threshold:Chase.default_config.threshold ~pool_size
           rng cinds.(i mod Array.length cinds) db
       with
       | Chase.Ind_changed db' -> db'

@@ -76,8 +76,13 @@ let test_depgraph_structure () =
   let schema = B.ex5_schema ~finite_h:true in
   let sigma = Sigma.normalize (B.ex54_sigma ~finite_h:true ~use_psi4':false) in
   let g = Depgraph.make schema sigma in
+  let name = Db_schema.name_at schema in
   check_int "five vertices" 5 (List.length (Depgraph.live g));
-  let edges = Depgraph.edges g in
+  let edges =
+    List.concat_map
+      (fun d -> List.map (fun (s, _) -> (name s, name d)) (Depgraph.predecessors g d))
+      (Depgraph.live g)
+  in
   let has s d = List.exists (fun (a, b) -> a = s && b = d) edges in
   check_bool "r1->r2" true (has "r1" "r2");
   check_bool "r2->r1" true (has "r2" "r1");
@@ -85,13 +90,14 @@ let test_depgraph_structure () =
   check_bool "r5->r2" true (has "r5" "r2");
   check_bool "no r4 out-edge" false (List.exists (fun (a, _) -> a = "r4") edges);
   (* CFD(R4) = {phi4, phi5} *)
-  check_int "CFD(r4) size" 2 (List.length (Depgraph.cfd_set g "r4"));
+  check_int "CFD(r4) size" 2
+    (List.length (Depgraph.cfds g (snd (Db_schema.find_indexed schema "r4"))));
   (* preProcessing's order, the SCCs flattened: r4 before r3 *)
-  let order = List.concat (Depgraph.sccs g) in
+  let sccs = List.map (List.map name) (Depgraph.sccs g) in
+  let order = List.concat sccs in
   let idx r = Option.get (List.find_index (String.equal r) order) in
   check_bool "r4 precedes r3" true (idx "r4" < idx "r3");
   (* {r1, r2} form one SCC *)
-  let sccs = Depgraph.sccs g in
   check_bool "r1r2 cycle" true
     (List.exists (fun c -> List.sort compare c = [ "r1"; "r2" ]) sccs)
 
@@ -113,7 +119,7 @@ let test_preprocessing_example_5_5 () =
   let schema = B.ex5_schema ~finite_h:true in
   let sigma = Sigma.normalize (B.ex54_sigma ~finite_h:true ~use_psi4':true) in
   match Preprocessing.run ~rng:(rng ()) schema sigma with
-  | Preprocessing.Unknown [ (members, _) ] ->
+  | Preprocessing.Unknown [ { Depgraph.members; _ } ] ->
       check_bool "component is {r1, r2}" true
         (List.sort compare members = [ "r1"; "r2" ])
   | Preprocessing.Unknown l -> Alcotest.failf "expected one component, got %d" (List.length l)
@@ -167,16 +173,15 @@ let test_component_sigma_contents () =
   let schema = B.ex5_schema ~finite_h:true in
   let sigma = Sigma.normalize (B.ex54_sigma ~finite_h:true ~use_psi4':true) in
   match Preprocessing.run ~rng:(rng ()) schema sigma with
-  | Preprocessing.Unknown [ (_, comp_sigma) ] ->
-      (* the component carries phi1/phi2 and the r1<->r2 CINDs *)
-      let cind_names = List.map (fun c -> c.Cind.nf_name) comp_sigma.Sigma.ncinds in
-      check_bool "psi1 in component" true (List.mem "psi1" cind_names);
-      check_bool "psi2 in component" true (List.mem "psi2" cind_names);
-      check_bool "psi5 (from removed r5) not in component" false
-        (List.mem "psi5" cind_names);
-      let cfd_rels = List.map (fun c -> c.Cfd.nf_rel) comp_sigma.Sigma.ncfds in
-      check_bool "only r1/r2 CFDs" true
-        (List.for_all (fun r -> r = "r1" || r = "r2") cfd_rels)
+  | Preprocessing.Unknown [ { Depgraph.members; compiled; avoid } ] ->
+      (* the component carries phi1/phi2 and the three r1<->r2 CINDs, not
+         psi5 from the removed r5; its fresh values avoid every constant
+         of Σ, psi5's "d" included *)
+      Alcotest.(check (list string)) "members" [ "r1"; "r2" ] members;
+      check_int "phi1, phi2" 2 (List.length compiled.Conddep_chase.Chase.cfds);
+      check_int "psi1, psi2, psi3" 3 (List.length compiled.cinds);
+      check_bool "Σ's constants" true
+        (List.equal Value.equal avoid (Sigma.constant_values sigma))
   | _ -> Alcotest.fail "expected one Unknown component"
 
 let test_weak_components_split () =
@@ -196,14 +201,18 @@ let test_weak_components_split () =
       (Sigma.make ~cinds:[ ind "w" "x"; ind "x" "w"; ind "y" "z"; ind "z" "y" ] ())
   in
   let g = Depgraph.make schema sigma in
-  let comps = List.map (List.sort compare) (Depgraph.weak_components g) in
+  let comps =
+    List.map (fun c -> List.sort compare c.Depgraph.members) (Depgraph.components g ~avoid:[])
+  in
   check_int "two components" 2 (List.length comps);
   check_bool "w-x island" true (List.mem [ "w"; "x" ] comps);
   check_bool "y-z island" true (List.mem [ "y"; "z" ] comps)
 
-(* Depgraph's orders come from the input: successors in Σ order of each
-   edge's first CIND, components in schema order of their first member
-   (neither is schema, name or last-CIND order here). *)
+(* Depgraph's orders come from the input: vertices in schema order,
+   successors in Σ order of each edge's first CIND, components in schema
+   order of their first member (none of them is name or last-CIND order
+   here).  Tarjan visits t first, then its successors s and p in that
+   order, so the SCCs come out [s], [p], [t], then [q] and [u]. *)
 let test_depgraph_orders () =
   let schema =
     Db_schema.make
@@ -222,10 +231,12 @@ let test_depgraph_orders () =
          ())
   in
   let g = Depgraph.make schema sigma in
-  Alcotest.(check (list string)) "successors of t" [ "s"; "p" ] (Depgraph.successors g "t");
+  Alcotest.(check (list (list string))) "SCCs"
+    [ [ "s" ]; [ "p" ]; [ "t" ]; [ "q" ]; [ "u" ] ]
+    (List.map (List.map (Db_schema.name_at schema)) (Depgraph.sccs g));
   Alcotest.(check (list (list string))) "weak components"
     [ [ "t"; "p"; "s" ]; [ "q"; "u" ] ]
-    (Depgraph.weak_components g)
+    (List.map (fun c -> c.Depgraph.members) (Depgraph.components g ~avoid:[]))
 
 (* --- RandomChecking (Examples 5.1/5.3) ------------------------------------ *)
 
@@ -325,8 +336,9 @@ let test_checking_example_4_2 () =
   let sigma =
     Sigma.normalize (Sigma.make ~cfds:[ B.ex42_cfd ] ~cinds:[ B.ex42_cind ] ())
   in
-  check_bool "Example 4.2 not accepted" false
-    (Checking.to_bool (Checking.check ~k:30 ~rng:(rng ()) B.ex42_schema sigma))
+  match Checking.check ~k:30 ~rng:(rng ()) B.ex42_schema sigma with
+  | Checking.Consistent _ -> Alcotest.fail "Example 4.2 accepted"
+  | Checking.Inconsistent | Checking.Unknown _ -> ()
 
 (* A candidate can meet its component's constraints and still violate Σ.
    Every p tuple needs a q tuple and CFD(q) is inconsistent, so Σ forces
