@@ -15,7 +15,10 @@ open Conddep_relational
 
 exception Budget_exceeded
 
-let candidates sigma rel_schema =
+(* [fresh] fresh values per infinite-domain attribute: one lets a single
+   tuple dodge every pattern; implication's pairs need two, so that the
+   tuples can agree or differ off the patterns. *)
+let candidates ~fresh sigma rel_schema =
   Array.map
     (fun attr ->
       let name = Attribute.name attr in
@@ -31,8 +34,9 @@ let candidates sigma rel_schema =
               sigma
             |> List.sort_uniq Value.compare
           in
-          let fresh = Domain.fresh (Attribute.domain attr) ~avoid:consts in
-          consts @ Option.to_list fresh)
+          List.fold_left
+            (fun vs _ -> vs @ Option.to_list (Domain.fresh (Attribute.domain attr) ~avoid:vs))
+            consts (List.init fresh Fun.id))
     (Array.of_list (Schema.attrs rel_schema))
 
 (* One compiled normal-form CFD: positions instead of names. *)
@@ -104,7 +108,7 @@ let propagate compiled (assignment : Value.t option array) =
 let witness_tuple ?(max_nodes = 2_000_000) schema ~rel sigma =
   let rel_schema = Db_schema.find schema rel in
   let sigma = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) sigma in
-  let cands = candidates sigma rel_schema in
+  let cands = candidates ~fresh:1 sigma rel_schema in
   let compiled = List.map (compile rel_schema) sigma in
   let arity = Schema.arity rel_schema in
   let nodes = ref 0 in

@@ -10,6 +10,17 @@ open Conddep_relational
 
 exception Budget_exceeded
 
+val candidates : fresh:int -> Cfd.nf list -> Schema.t -> Value.t list array
+(** Per attribute of the relation, the values the search tries: the whole
+    domain when finite, otherwise the constants the CFDs name on the
+    attribute plus [fresh] fresh values.  It and {!compile} serve
+    {!Cfd_implication}'s search too. *)
+
+type compiled = { k_tx : (int * Pattern.cell) list; k_a : int; k_ta : Pattern.cell }
+(** A normal-form CFD with positions for attribute names. *)
+
+val compile : Schema.t -> Cfd.nf -> compiled
+
 val witness_tuple :
   ?max_nodes:int -> Db_schema.t -> rel:string -> Cfd.nf list -> Tuple.t option
 (** A single tuple over [rel] satisfying all CFDs of Σ on [rel], if any

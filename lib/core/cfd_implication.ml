@@ -1,4 +1,5 @@
 open Conddep_relational
+open Cfd_consistency (* candidates, compiled CFDs, Budget_exceeded *)
 
 (* Exact CFD implication (coNP-complete, [9]; Table 1).
 
@@ -7,44 +8,10 @@ open Conddep_relational
    there is a TWO-tuple instance of φ's relation satisfying Σ's CFDs on
    that relation and violating φ.  (Σ's CFDs on other relations are
    satisfied by leaving those relations empty.)  We search for such a pair
-   by backtracking over per-attribute candidate values; two fresh values
-   per infinite-domain attribute suffice to realize every relevant
-   equality pattern between the two tuples. *)
-
-exception Budget_exceeded
-
-let candidates constraints rel_schema =
-  Array.map
-    (fun attr ->
-      let name = Attribute.name attr in
-      match Domain.values (Attribute.domain attr) with
-      | Some vs -> vs
-      | None ->
-          let consts =
-            List.concat_map
-              (fun nf ->
-                List.filter_map
-                  (fun (a, v) -> if String.equal a name then Some v else None)
-                  (Cfd.nf_constants nf))
-              constraints
-            |> List.sort_uniq Value.compare
-          in
-          let fresh1 = Domain.fresh (Attribute.domain attr) ~avoid:consts in
-          let fresh2 =
-            Domain.fresh (Attribute.domain attr) ~avoid:(consts @ Option.to_list fresh1)
-          in
-          consts @ Option.to_list fresh1 @ Option.to_list fresh2)
-    (Array.of_list (Schema.attrs rel_schema))
-
-type compiled = { k_tx : (int * Pattern.cell) list; k_a : int; k_ta : Pattern.cell }
-
-let compile rel_schema (nf : Cfd.nf) =
-  {
-    k_tx =
-      List.map2 (fun a c -> (Schema.position rel_schema a, c)) nf.Cfd.nf_x nf.nf_tx;
-    k_a = Schema.position rel_schema nf.nf_a;
-    k_ta = nf.nf_ta;
-  }
+   by backtracking over per-attribute candidate values, those of
+   [Cfd_consistency] with two fresh values per infinite-domain attribute:
+   they suffice to realize every relevant equality pattern between the two
+   tuples. *)
 
 (* Three-valued check of a compiled CFD on an ordered pair of partial
    tuples: [Some false] = definitely violated, [Some true] = definitely
@@ -95,7 +62,7 @@ let implies_exn ?(max_nodes = 4_000_000) schema ~sigma (phi : Cfd.nf) =
   Telemetry.with_span "cfd_implication.implies" @@ fun () ->
   let rel_schema = Db_schema.find schema phi.Cfd.nf_rel in
   let sigma_rel = List.filter (fun nf -> String.equal nf.Cfd.nf_rel phi.nf_rel) sigma in
-  let cands = candidates (phi :: sigma_rel) rel_schema in
+  let cands = candidates ~fresh:2 (phi :: sigma_rel) rel_schema in
   let compiled = List.map (compile rel_schema) sigma_rel in
   let goal = compile rel_schema phi in
   let arity = Schema.arity rel_schema in
