@@ -105,14 +105,16 @@ let fix_all schema filler db violations =
     (fun db v -> if current db v then List.fold_left apply db (suggest schema filler db v) else db)
     db violations
 
-(* Each round detects once: an empty violation list ends the loop. *)
+(* Each round detects once: an empty violation list ends the loop.  A
+   round's inserts can trigger further CINDs, so the answer is the
+   database with the fewest violations seen, the earliest on a tie. *)
 let repair ?(max_rounds = 5) schema sigma db =
   let filler = filler () in
-  let rec go db round =
-    if round >= max_rounds then db
-    else
-      match Fast_detect.detect db sigma with
-      | [] -> db
-      | violations -> go (fix_all schema filler db violations) (round + 1)
+  let rec go best fewest db round =
+    let violations = Fast_detect.detect db sigma in
+    let n = List.length violations in
+    let best, fewest = if n < fewest then (db, n) else (best, fewest) in
+    if n = 0 || round >= max_rounds then best
+    else go best fewest (fix_all schema filler db violations) (round + 1)
   in
-  go db 0
+  go db max_int db 0

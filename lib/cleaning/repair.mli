@@ -34,4 +34,6 @@ val repair : ?max_rounds:int -> Db_schema.t -> Sigma.nf -> Database.t -> Databas
     violation once an earlier fix of the round has rewritten one of its
     tuples (t1 or t2 of a CFD violation, the LHS tuple of a CIND
     violation): the next round detects it again if it still holds.  One
-    {!filler} serves the whole run. *)
+    {!filler} serves the whole run.  The answer is the database with the
+    fewest violations among the input and each round's result, the
+    earliest on a tie, so it never holds more than the input. *)

@@ -132,10 +132,11 @@ let same_violations =
       | Cind_violation a, Cind_violation b -> a.nf == b.nf && Tuple.equal a.tuple b.tuple
       | _ -> false)
 
-(* [Repair.repair] spelled out over this detector: test for cleanliness,
-   then detect again and fix in order, leaving out a violation once a
-   tuple it names is gone from the database (an earlier fix of the round
-   rewrote it), with one filler for the run. *)
+(* [Repair.repair] spelled out over this detector: fix in detection
+   order, leaving out a violation once a tuple it names is gone from the
+   database (an earlier fix of the round rewrote it), with one filler for
+   the run, and answer the database with the fewest violations seen, the
+   earliest on a tie. *)
 let repair ?(max_rounds = 5) schema sigma db =
   let filler = Repair.filler () in
   let present db rel t = List.exists (Tuple.equal t) (Relation.tuples (Database.relation db rel)) in
@@ -148,8 +149,12 @@ let repair ?(max_rounds = 5) schema sigma db =
     in
     if names_gone then db else List.fold_left Repair.apply db (Repair.suggest schema filler db v)
   in
-  let rec go db round =
-    if round >= max_rounds || is_clean db sigma then db
-    else go (List.fold_left fix db (detect db sigma)) (round + 1)
+  let rec go seen db round =
+    let violations = detect db sigma in
+    let seen = (List.length violations, db) :: seen in
+    if violations = [] || round >= max_rounds then
+      (* the earliest of the fewest: [seen] is newest first *)
+      snd (List.fold_left (fun best s -> if fst s <= fst best then s else best) (List.hd seen) seen)
+    else go seen (List.fold_left fix db violations) (round + 1)
   in
-  go db 0
+  go [] db 0

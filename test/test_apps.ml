@@ -80,6 +80,40 @@ let test_repair_skips_rewritten_tuples () =
   check_bool "clean after repair" true (Detect_oracle.is_clean repaired sigma);
   check_int "three tuples" 3 (Database.total_tuples repaired)
 
+let test_repair_never_ends_above_start () =
+  (* p1 : r[x] <= s[y], p2 : s[z] <= r[x] and p3 : s[z] <= r[a]: each s
+     tuple a repair inserts needs two r tuples, and each of those an s
+     tuple, so the violations go 1, 2, 2, 4, 4, 8, 8, 16, 16 over eight
+     rounds.  Repair answers the database with the fewest, the earliest on
+     a tie: the input itself. *)
+  let str_attrs = List.map (fun a -> Attribute.make a Domain.string_inf) in
+  let schema =
+    Db_schema.make [ Schema.make "r" (str_attrs [ "x"; "a" ]); Schema.make "s" (str_attrs [ "y"; "z" ]) ]
+  in
+  let ind name lhs x rhs y =
+    Cind.make ~name ~lhs ~rhs ~x:[ x ] ~xp:[] ~y:[ y ] ~yp:[]
+      [ { Cind.cx = [ wildcard ]; cxp = []; cy = [ wildcard ]; cyp = [] } ]
+  in
+  let sigma =
+    {
+      Sigma.ncfds = [];
+      ncinds =
+        List.concat_map Cind.normalize
+          [ ind "p1" "r" "x" "s" "y"; ind "p2" "s" "z" "r" "x"; ind "p3" "s" "z" "r" "a" ];
+    }
+  in
+  let db = Database.of_alist schema [ ("r", [ stup [ "1"; "1" ] ]) ] in
+  let violations db = List.length (Fast_detect.detect db sigma) in
+  check_int "one violation" 1 (violations db);
+  let one_round =
+    List.fold_left Repair.apply db
+      (List.concat_map (Repair.suggest schema (Repair.filler ()) db) (Fast_detect.detect db sigma))
+  in
+  check_int "one round doubles it" 2 (violations one_round);
+  let repaired = Repair.repair ~max_rounds:8 schema sigma db in
+  check_int "no more than at the start" 1 (violations repaired);
+  check_int "the input, untouched" 1 (Database.total_tuples repaired)
+
 let test_repair_fillers_stay_apart () =
   (* psi : r[x, a; ] <= s[y, w; ] and f : s(z -> w) with (_ || _): the
      two inserted s tuples copy x and a, and fill z.  A shared filler on
@@ -218,6 +252,8 @@ let () =
           Alcotest.test_case "repair skips rewritten tuples" `Quick
             test_repair_skips_rewritten_tuples;
           Alcotest.test_case "repair fillers stay apart" `Quick test_repair_fillers_stay_apart;
+          Alcotest.test_case "repair never ends above its start" `Quick
+            test_repair_never_ends_above_start;
           Alcotest.test_case "report" `Quick test_report;
         ] );
       ( "fast-detection",
