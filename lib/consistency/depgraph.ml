@@ -37,7 +37,9 @@ let make schema (sigma : Sigma.nf) =
   let pos rel = snd (Db_schema.find_indexed schema rel) in
   let cfds = Array.make n [] and out_cinds = Array.make n [] and in_cinds = Array.make n [] in
   List.iter
-    (fun (c : Cfd.nf) -> cfds.(pos c.nf_rel) <- c :: cfds.(pos c.nf_rel))
+    (fun (c : Cfd.nf) ->
+      let i = pos c.nf_rel in
+      cfds.(i) <- c :: cfds.(i))
     (List.rev sigma.Sigma.ncfds);
   let cinds =
     List.map
