@@ -278,9 +278,6 @@ let has_witness cind db (ta : Template.tuple) =
 
 let m_pool_picks = Telemetry.counter "chase.pool_picks" ~doc:"pool-variable allocations by IND chase steps"
 
-let check_pool_size n =
-  if n < 1 then invalid_arg "Chase: pool size must be at least 1"
-
 (* Build the witness tuple IND(ψ) inserts for [ta]: copied and pattern
    fields, and in every unconstrained field a variable drawn from the
    bounded pool var[A] of Section 5.1 — the variables A#0 .. A#(N-1) of
@@ -308,7 +305,7 @@ type ind_result =
    relation-size threshold T is checked before the insert: Section 5.1
    frames the whole extension as a chase over bounded-size tables. *)
 let ind_step ~threshold ~pool_size rng cind db =
-  check_pool_size pool_size;
+  if pool_size < 1 then invalid_arg "Chase.ind_step: pool size must be at least 1";
   let firing =
     List.fold_left
       (fun best ta ->
@@ -343,7 +340,7 @@ module Ind_cursor = struct
   }
 
   let create ~threshold ~pool_size cinds =
-    check_pool_size pool_size;
+    if pool_size < 1 then invalid_arg "Chase.Ind_cursor.create: pool size must be at least 1";
     { c_cinds = Array.of_list cinds; c_pool_size = pool_size; c_threshold = threshold; c_pos = 0 }
 
   let step t ~rng db =

@@ -103,8 +103,6 @@ let ends g f cinds =
          if g.live.(v) && not (List.mem v acc) then v :: acc else acc)
        [] cinds)
 
-let successors g r = ends g (fun c -> c.dst) g.out_cinds.(r)
-
 let predecessors g r =
   List.map
     (fun s -> (s, List.filter_map (fun c -> if c.src = s then Some c.nf else None) g.in_cinds.(r)))
@@ -136,7 +134,7 @@ let sccs g =
           lowlink.(v) <- min lowlink.(v) lowlink.(w)
         end
         else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      (successors g v);
+      (ends g (fun c -> c.dst) g.out_cinds.(v));
     if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with

@@ -38,23 +38,30 @@ let m_components = Telemetry.counter "checking.preprocess.components" ~doc:"weak
    (Rj : Xp -> A, (tp[Xp] || c1)) and (Rj : Xp -> A, (tp[Xp] || c2)) with
    c1 <> c2, denying every Rj tuple that matches tp[Xp]. *)
 let non_triggering schema (cind : Cind.nf) =
+  let rj = Db_schema.find schema cind.Cind.nf_lhs in
   (* an attribute offering two distinct constants *)
-  let viable attr =
-    match Domain.cardinal (Attribute.domain attr) with Some n -> n >= 2 | None -> true
+  let pick_attr () =
+    let viable attr =
+      let dom = Attribute.domain attr in
+      match Domain.cardinal dom with Some n -> n >= 2 | None -> true
+    in
+    List.find_opt viable (Schema.attrs rj)
   in
-  match List.find_opt viable (Schema.attrs (Db_schema.find schema cind.nf_lhs)) with
+  match pick_attr () with
   | None -> [] (* all domains are singletons: denial impossible (pathological) *)
   | Some attr ->
       let dom = Attribute.domain attr in
-      let c1 = Option.get (Domain.fresh dom ~avoid:[]) in
-      let c2 = Option.get (Domain.fresh dom ~avoid:[ c1 ]) in
+      let c1 = Domain.fresh dom ~avoid:[] |> Option.get in
+      let c2 = Domain.fresh dom ~avoid:[ c1 ] |> Option.get in
+      let x = List.map fst cind.nf_xp in
+      let tx = List.map (fun (_, v) -> Pattern.Const v) cind.nf_xp in
       let make c =
         {
-          Cfd.nf_name = cind.nf_name ^ "_bot";
+          Cfd.nf_name = Printf.sprintf "%s_bot" cind.nf_name;
           nf_rel = cind.nf_lhs;
-          nf_x = List.map fst cind.nf_xp;
+          nf_x = x;
           nf_a = Attribute.name attr;
-          nf_tx = List.map (fun (_, v) -> Pattern.Const v) cind.nf_xp;
+          nf_tx = tx;
           nf_ta = Pattern.Const c;
         }
       in
