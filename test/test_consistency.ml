@@ -172,7 +172,7 @@ let test_preprocessing_sat_backend () =
 let test_component_sigma_contents () =
   let schema = B.ex5_schema ~finite_h:true in
   let sigma = Sigma.normalize (B.ex54_sigma ~finite_h:true ~use_psi4':true) in
-  match Preprocessing.run ~rng:(rng ()) schema sigma with
+  begin match Preprocessing.run ~rng:(rng ()) schema sigma with
   | Preprocessing.Unknown [ { Depgraph.members; compiled; avoid } ] ->
       (* the component carries phi1/phi2 and the three r1<->r2 CINDs, not
          psi5 from the removed r5; its fresh values avoid every constant
@@ -183,6 +183,42 @@ let test_component_sigma_contents () =
       check_bool "Σ's constants" true
         (List.equal Value.equal avoid (Sigma.constant_values sigma))
   | _ -> Alcotest.fail "expected one Unknown component"
+  end;
+  (* CFD(q) is inconsistent, so p gets the CIND(p, q)⊥ of into_q, which
+     deny p's tuples with a = "k" by two fresh constants on a; the loop
+     keeps p off the indegree-0 pruning.  The component {p} carries the
+     pushed CFDs, and its fresh values avoid their constants too. *)
+  let schema =
+    Db_schema.make
+      [
+        Schema.make "p" [ Attribute.make "a" Domain.string_inf ];
+        Schema.make "q" [ Attribute.make "b" Domain.string_inf ];
+      ]
+  in
+  let forced name v =
+    { Cfd.nf_name = name; nf_rel = "q"; nf_x = []; nf_tx = []; nf_a = "b"; nf_ta = const v }
+  in
+  let cind name ~rhs x ~xp =
+    { Cind.nf_name = name; nf_lhs = "p"; nf_rhs = rhs; nf_x = x; nf_y = x; nf_xp = xp; nf_yp = [] }
+  in
+  let into_q = cind "into_q" ~rhs:"q" [] ~xp:[ ("a", str "k") ] in
+  let sigma =
+    {
+      Sigma.ncfds = [ forced "b1" "1"; forced "b2" "2" ];
+      ncinds = [ cind "loop" ~rhs:"p" [ "a" ] ~xp:[]; into_q ];
+    }
+  in
+  let pushed = Preprocessing.non_triggering schema into_q in
+  match Preprocessing.run ~rng:(rng ()) schema sigma with
+  | Preprocessing.Unknown [ { Depgraph.members; compiled; avoid } ] ->
+      Alcotest.(check (list string)) "members" [ "p" ] members;
+      check_int "the pushed CFDs" 2 (List.length compiled.Conddep_chase.Chase.cfds);
+      check_bool "their constants avoided" true
+        (List.equal Value.equal avoid
+           (List.sort_uniq Value.compare
+              (List.concat_map (fun c -> List.map snd (Cfd.nf_constants c)) pushed
+              @ Sigma.constant_values sigma)))
+  | _ -> Alcotest.fail "expected the one component {p}"
 
 let test_weak_components_split () =
   (* two disjoint CIND islands produce two weak components *)
