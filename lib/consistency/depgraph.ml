@@ -24,7 +24,7 @@ type t = {
   order : int list; (* positions in declaration order *)
   cfds : Cfd.nf list array;
   compiled : Chase.compiled_cfd list option array;
-  pushed : Value.t list array; (* constants of the CFDs pushed to a vertex *)
+  pushed : Cfd.nf list array; (* the CFDs pushed to a vertex, newest first *)
   live : bool array;
   cinds : cind list; (* Σ order *)
   out_cinds : cind list array; (* Σ order *)
@@ -78,7 +78,7 @@ let compiled_cfds g r =
 
 let push_cfds g r extra =
   g.cfds.(r) <- extra @ g.cfds.(r);
-  g.pushed.(r) <- List.concat_map (fun c -> List.map snd (Cfd.nf_constants c)) extra @ g.pushed.(r);
+  g.pushed.(r) <- extra @ g.pushed.(r);
   Option.iter
     (fun l -> g.compiled.(r) <- Some (List.map (Chase.compile_cfd g.schema) extra @ l))
     g.compiled.(r)
@@ -188,8 +188,7 @@ let components g ~avoid =
             cinds = List.map (compiled_cind g) cinds;
           };
         avoid =
-          (match List.concat_map (fun v -> g.pushed.(v)) members with
-          | [] -> avoid
-          | pushed -> List.sort_uniq Value.compare (pushed @ avoid));
+          List.concat_map (fun v -> List.concat_map Cfd.nf_constants g.pushed.(v)) members
+          |> List.map snd |> List.rev_append avoid |> List.sort_uniq Value.compare;
       })
     roots
