@@ -34,7 +34,8 @@ let random_check ?config ?k ?k_cfd ~rng schema sigma =
    infinite-domain variables instantiate to fresh values dodging
    [avoid]). *)
 let tuple_witness ?avoid schema ~rel tup =
-  Template.to_database ?avoid (Template.add (Template.empty schema) rel tup)
+  Template.to_database ?avoid
+    (Template.add_at (Template.empty schema) (snd (Db_schema.find_indexed schema rel)) tup)
 
 let consistent ?(backend = Chase_backend) ?avoid ?k_cfd ~rng schema cfds
     ~rel =

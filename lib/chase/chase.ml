@@ -63,12 +63,11 @@ type compiled_cind = {
   i_xp : (int * Value.t) list;
   i_copy : (int * int) list;
   i_yp : (int * Value.t) list;
-  i_rest : (int * string) list; (* unconstrained RHS fields: position, attribute *)
+  i_rest : Template.column list; (* unconstrained RHS fields, by position *)
 }
 
 type compiled_cfd = {
   f_name : string;
-  f_rel : string;
   f_idx : int;
   f_tx : (int * Pattern.cell) list;
   f_a : int;
@@ -89,9 +88,9 @@ let compile_cind schema (nf : Cind.nf) =
   List.iter (fun (_, ypos) -> determined.(ypos) <- true) copy;
   List.iter (fun (pos, _) -> determined.(pos) <- true) yp;
   let rest =
-    List.filteri
-      (fun pos _ -> not determined.(pos))
-      (List.mapi (fun pos attr -> (pos, Attribute.name attr)) (Schema.attrs r2))
+    List.filter_map
+      (fun pos -> if determined.(pos) then None else Some (Template.column r2 ~rel_pos:rhs_idx pos))
+      (List.init (Schema.arity r2) Fun.id)
   in
   {
     i_name = nf.nf_name;
@@ -109,7 +108,6 @@ let compile_cfd schema (nf : Cfd.nf) =
   let r, idx = Db_schema.find_indexed schema nf.Cfd.nf_rel in
   {
     f_name = nf.nf_name;
-    f_rel = nf.nf_rel;
     f_idx = idx;
     f_tx = List.map2 (fun a c -> (Schema.position r a, c)) nf.nf_x nf.nf_tx;
     f_a = Schema.position r nf.nf_a;
@@ -287,9 +285,9 @@ let witness_tuple pool_size rng cind (ta : Template.tuple) =
   List.iter (fun (xpos, ypos) -> tb.(ypos) <- ta.(xpos)) cind.i_copy;
   List.iter (fun (pos, v) -> tb.(pos) <- Template.C v) cind.i_yp;
   List.iter
-    (fun (pos, vattr) ->
+    (fun (col : Template.column) ->
       Telemetry.incr m_pool_picks;
-      tb.(pos) <- Template.V { Template.vrel = cind.i_rhs; vattr; vidx = Rng.int rng pool_size })
+      tb.(col.pos) <- Template.V { col; vidx = Rng.int rng pool_size })
     cind.i_rest;
   tb
 
@@ -361,15 +359,13 @@ module Ind_cursor = struct
     scan 0
 end
 
-(* Constants forced as CFD conclusions, per (relation, attribute) — the
-   values later FD steps may demand of a column. *)
-let conclusion_constants schema cfds =
+(* Constants forced as CFD conclusions, per (relation position, attribute
+   position) — the values later FD steps may demand of a column. *)
+let conclusion_constants cfds =
   List.filter_map
     (fun cfd ->
       match cfd.f_ta with
-      | Pattern.Const v ->
-          let r = Db_schema.find schema cfd.f_rel in
-          Some ((cfd.f_rel, Attribute.name (Schema.attr r cfd.f_a)), v)
+      | Pattern.Const v -> Some ((cfd.f_idx, cfd.f_a), v)
       | Pattern.Wildcard -> None)
     cfds
 
@@ -380,13 +376,11 @@ let conclusion_constants schema cfds =
    frozen choices then cannot trigger constraints later.  Domains fully
    covered by constants fall back to uniform choice, which is where the
    K_CFD accuracy trade-off of Fig 10(b) lives. *)
-let instantiate_finite_vars ?(prefer = fun _ _ -> []) ?(avoid = []) rng db =
-  let schema = Template.schema db in
+let instantiate_finite_vars ?(prefer = fun _ -> []) ?(avoid = []) rng db =
   let avoid_set = Value.Set.of_list avoid in
   List.fold_left
-    (fun db v ->
-      let r = Db_schema.find schema v.Template.vrel in
-      match Domain.values (Schema.domain_of r v.vattr) with
+    (fun db (v : Template.var) ->
+      match Domain.values v.col.domain with
       | Some values ->
           (* Mix value-selection policies across attempts:
              - copy a constant already present in the column — tuples
@@ -396,10 +390,8 @@ let instantiate_finite_vars ?(prefer = fun _ _ -> []) ?(avoid = []) rng db =
                a fresh value of an infinite domain). *)
           let dom_set = Value.Set.of_list values in
           let in_dom = List.filter (fun x -> Value.Set.mem x dom_set) in
-          let column =
-            in_dom (Template.column_constants db ~rel:v.vrel ~attr:v.vattr)
-          in
-          let demanded = in_dom (prefer v.Template.vrel v.vattr) in
+          let column = in_dom (Template.column_constants db v.col) in
+          let demanded = in_dom (prefer v.col) in
           let pattern_free =
             List.filter (fun x -> not (Value.Set.mem x avoid_set)) values
           in
@@ -416,12 +408,9 @@ let instantiate_finite_vars ?(prefer = fun _ _ -> []) ?(avoid = []) rng db =
 (* A fresh single-tuple template over [rel]: one variable per attribute
    (line 1 of RandomChecking, Fig 5). *)
 let seed_tuple schema ~rel =
-  let r = Db_schema.find schema rel in
+  let r, rel_pos = Db_schema.find_indexed schema rel in
   let tuple =
-    Array.of_list
-      (List.map
-         (fun attr ->
-           Template.V { Template.vrel = rel; vattr = Attribute.name attr; vidx = 0 })
-         (Schema.attrs r))
+    Array.init (Schema.arity r) (fun pos ->
+        Template.V { col = Template.column r ~rel_pos pos; vidx = 0 })
   in
-  Template.add (Template.empty schema) rel tuple
+  Template.add_at (Template.empty schema) rel_pos tuple

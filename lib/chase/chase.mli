@@ -40,8 +40,9 @@ type compiled = { cinds : compiled_cind list; cfds : compiled_cfd list }
 val compile : Db_schema.t -> Sigma.nf -> compiled
 val compile_cind : Db_schema.t -> Cind.nf -> compiled_cind
 val compile_cfd : Db_schema.t -> Cfd.nf -> compiled_cfd
-(** Attribute names and relations are resolved to positions: use a
-    compiled constraint only on templates over the schema it was compiled
+(** Attribute names and relations are resolved to positions, and each
+    field a CIND leaves open to its {!Template.column}: use a compiled
+    constraint only on templates over the schema it was compiled
     against. *)
 
 (** {1 Single operations} *)
@@ -110,12 +111,13 @@ module Ind_cursor : sig
       deadline per CIND visited. *)
 end
 
-val conclusion_constants :
-  Db_schema.t -> compiled_cfd list -> ((string * string) * Value.t) list
-(** Constants forced by CFD conclusions, keyed by (relation, attribute). *)
+val conclusion_constants : compiled_cfd list -> ((int * int) * Value.t) list
+(** Constants forced by CFD conclusions, keyed by the positions of their
+    column: the relation's ([Db_schema.find_indexed]) and the attribute's,
+    as in {!Template.column}'s [rel_pos] and [pos]. *)
 
 val instantiate_finite_vars :
-  ?prefer:(string -> string -> Value.t list) ->
+  ?prefer:(Template.column -> Value.t list) ->
   ?avoid:Value.t list ->
   Rng.t ->
   Template.t ->
@@ -123,7 +125,9 @@ val instantiate_finite_vars :
 (** Apply a random valuation ρ ∈ Vfinattr(R) to all remaining finite-domain
     variables.  Values outside [avoid] (typically the constants of Σ) are
     preferred — they match no pattern, like fresh values of an infinite
-    domain; fully covered domains fall back to uniform choice. *)
+    domain; fully covered domains fall back to uniform choice.  [prefer]
+    names the values CFD conclusions demand of a variable's column. *)
 
 val seed_tuple : Db_schema.t -> rel:string -> Template.t
-(** The single-tuple start template of RandomChecking (Fig 5, line 1). *)
+(** The single-tuple start template of RandomChecking (Fig 5, line 1):
+    one variable per attribute, each with its column resolved. *)

@@ -3,7 +3,10 @@ open Conddep_relational
 (* Database templates for the extended chase of Section 5.1: tuples whose
    fields are either constants or variables drawn from the bounded pools
    var[A].  The paper's total order places every variable below every
-   constant; variables are ordered lexicographically.
+   constant; variables are ordered lexicographically by relation name,
+   attribute name and index.  A variable carries its column, resolved
+   when the chase compiles a CIND or builds a seed tuple, so nothing
+   below looks a name up.
 
    A template is its schema plus one tuple list per relation, newest
    tuple first, in an array indexed by the relation's position in name
@@ -14,16 +17,25 @@ open Conddep_relational
    §10).  Lists are never mutated, no tuple is mutated once added, and
    [subst] hands back every list it does not rewrite as it found it. *)
 
-type var = { vrel : string; vattr : string; vidx : int }
+type column = { rel : string; attr : string; rel_pos : int; pos : int; domain : Domain.t }
+
+let column r ~rel_pos pos =
+  let a = Schema.attr r pos in
+  { rel = Schema.name r; attr = Attribute.name a; rel_pos; pos; domain = Attribute.domain a }
+
+type var = { col : column; vidx : int }
 
 type cell =
   | V of var
   | C of Value.t
 
+(* Relation positions follow name order, so comparing them compares the
+   names; attribute positions follow declaration order, so attributes
+   are compared by name. *)
 let var_compare a b =
-  match String.compare a.vrel b.vrel with
+  match Int.compare a.col.rel_pos b.col.rel_pos with
   | 0 -> (
-      match String.compare a.vattr b.vattr with
+      match String.compare a.col.attr b.col.attr with
       | 0 -> Int.compare a.vidx b.vidx
       | c -> c)
   | c -> c
@@ -47,7 +59,7 @@ let cell_matches_pattern cell pat =
   | C v, Pattern.Const c -> Value.equal v c
   | V _, Pattern.Const _ -> false
 
-let pp_var ppf v = Fmt.pf ppf "%s.%s#%d" v.vrel v.vattr v.vidx
+let pp_var ppf v = Fmt.pf ppf "%s.%s#%d" v.col.rel v.col.attr v.vidx
 
 let pp_cell ppf = function V v -> pp_var ppf v | C value -> Value.pp ppf value
 
@@ -75,10 +87,7 @@ type t = {
 
 let empty schema = { schema; rels = Array.make (Db_schema.cardinal schema) [] }
 let schema t = t.schema
-let index t rel = snd (Db_schema.find_indexed t.schema rel)
 let tuples_at t i = t.rels.(i)
-let tuples t rel = tuples_at t (index t rel)
-let cardinal t rel = List.length (tuples t rel)
 let total t = Array.fold_left (fun acc tuples -> acc + List.length tuples) 0 t.rels
 
 let add_at t i tuple =
@@ -88,8 +97,6 @@ let add_at t i tuple =
     let rels = Array.copy t.rels in
     rels.(i) <- tuple :: tuples;
     { t with rels }
-
-let add t rel tuple = add_at t (index t rel) tuple
 
 (* --- substitution ------------------------------------------------------------
    Global substitution of one variable by a cell — the chase FD operation
@@ -119,19 +126,11 @@ let subst t var by =
   in
   { t with rels = Array.map rewrite t.rels }
 
-(* The constants currently present in one column of one relation. *)
-let column_constants t ~rel ~attr =
-  match Db_schema.find_opt t.schema rel with
-  | None -> []
-  | Some r -> (
-      match Schema.position_opt r attr with
-      | None -> []
-      | Some pos ->
-          List.filter_map
-            (fun (tuple : tuple) ->
-              match tuple.(pos) with C v -> Some v | V _ -> None)
-            (tuples t rel)
-          |> List.sort_uniq Value.compare)
+let column_constants t col =
+  List.filter_map
+    (fun (tuple : tuple) -> match tuple.(col.pos) with C v -> Some v | V _ -> None)
+    t.rels.(col.rel_pos)
+  |> List.sort_uniq Value.compare
 
 let variables t =
   Array.fold_left
@@ -149,16 +148,7 @@ let variables t =
 
 (* Variables whose attribute has a finite domain — the set the paper's
    valuations Vfinattr range over. *)
-let finite_variables t =
-  List.filter
-    (fun v ->
-      match Db_schema.find_opt t.schema v.vrel with
-      | None -> false
-      | Some r -> (
-          match Schema.position_opt r v.vattr with
-          | None -> false
-          | Some pos -> Attribute.is_finite (Schema.attr r pos)))
-    (variables t)
+let finite_variables t = List.filter (fun v -> Domain.is_finite v.col.domain) (variables t)
 
 (* Concretize: map every remaining variable to a value of its attribute's
    domain.  Infinite-domain variables get pairwise-distinct fresh values
@@ -170,14 +160,12 @@ let to_database ?(avoid = []) t =
   let assignment, _ =
     List.fold_left
       (fun (acc, used) v ->
-        let r = Db_schema.find t.schema v.vrel in
-        let dom = Schema.domain_of r v.vattr in
         let value =
-          match Domain.fresh dom ~avoid:used with
+          match Domain.fresh v.col.domain ~avoid:used with
           | Some value -> value
           | None -> (
               (* exhausted finite domain: reuse any member *)
-              match Domain.values dom with
+              match Domain.values v.col.domain with
               | Some (value :: _) -> value
               | _ -> assert false)
         in

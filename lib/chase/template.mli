@@ -2,21 +2,42 @@ open Conddep_relational
 
 (** Database templates for the extended chase (Section 5.1): databases whose
     fields may be variables from the bounded pools [var\[A\]].  A template
-    is its schema plus one tuple list per relation, newest tuple first;
-    templates stay small, so {!add} and {!subst} scan those lists.
+    is its schema plus one tuple list per relation, newest tuple first,
+    addressed by the relation's position in [Db_schema.find_indexed];
+    templates stay small, so {!add_at} and {!subst} scan those lists.
 
     Templates are immutable and so are their tuples once added: an
     operation that leaves a relation alone hands back its list itself
     (physically equal), which the chase's FD memo relies on. *)
 
-type var = { vrel : string; vattr : string; vidx : int }
+type column = {
+  rel : string;
+  attr : string;
+  rel_pos : int;  (** the relation's position in [Db_schema.find_indexed] *)
+  pos : int;  (** the attribute's position in the relation *)
+  domain : Domain.t;
+}
+(** One attribute of one relation, resolved once: the chase builds a
+    column per open field of a compiled CIND and per attribute of a seed
+    tuple, and reads positions and the domain off it instead of looking
+    the names up again. *)
+
+val column : Schema.t -> rel_pos:int -> int -> column
+(** The column at an attribute position of a relation that sits at
+    [rel_pos] of [Db_schema.find_indexed]. *)
+
+type var = { col : column; vidx : int }
+(** The variable [vidx] of the pool [var\[A\]] of its column. *)
 
 type cell =
   | V of var
   | C of Value.t
 
 val var_compare : var -> var -> int
-(** The paper's total order on variables. *)
+(** The paper's total order on variables: by relation name, attribute
+    name, then index.  Attribute positions follow declaration order,
+    which differs from name order (["a10"] < ["a2"]), so attributes are
+    compared by name; relation positions follow name order. *)
 
 val cell_compare : cell -> cell -> int
 (** Variables below constants, as the chase's merge rule requires. *)
@@ -35,20 +56,16 @@ type t
 val empty : Db_schema.t -> t
 val schema : t -> Db_schema.t
 
-val tuples : t -> string -> tuple list
-(** Newest tuple first.  @raise Invalid_argument on an unknown relation. *)
-
 val tuples_at : t -> int -> tuple list
-(** {!tuples} of the relation at this position of [Db_schema.find_indexed]. *)
+(** The tuples of the relation at this position of
+    [Db_schema.find_indexed], newest first. *)
 
-val cardinal : t -> string -> int
 val total : t -> int
 
-val add : t -> string -> tuple -> t
-(** Set semantics: adding an existing tuple is a no-op. *)
-
 val add_at : t -> int -> tuple -> t
-(** {!add} to the relation at this position of [Db_schema.find_indexed]. *)
+(** Add a tuple to the relation at this position of
+    [Db_schema.find_indexed].  Set semantics: adding an existing tuple is
+    a no-op. *)
 
 val subst : t -> var -> cell -> t
 (** Global substitution of a variable (a variable denotes one value).
@@ -56,8 +73,8 @@ val subst : t -> var -> cell -> t
     tuple, or to an earlier rewritten tuple, is dropped.  The list of a
     relation without the variable is returned unchanged ([==]). *)
 
-val column_constants : t -> rel:string -> attr:string -> Value.t list
-(** Constants currently occurring in one attribute column of a relation. *)
+val column_constants : t -> column -> Value.t list
+(** Constants currently occurring in a column, ascending. *)
 
 val variables : t -> var list
 val finite_variables : t -> var list

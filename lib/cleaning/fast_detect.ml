@@ -11,18 +11,11 @@ let detect db (sigma : Sigma.nf) =
   Telemetry.with_span "detect.fast" @@ fun () ->
   List.concat_map
     (fun nf ->
-      List.map
-        (fun (t1, t2) ->
-          Violation.Cfd_violation { constraint_name = nf.Cfd.nf_name; rel = nf.nf_rel; nf; t1; t2 })
-        (Cfd.nf_violations db nf))
+      List.map (fun (t1, t2) -> Violation.Cfd_violation { nf; t1; t2 }) (Cfd.nf_violations db nf))
     sigma.Sigma.ncfds
   @ List.concat_map
       (fun nf ->
-        List.map
-          (fun tuple ->
-            Violation.Cind_violation
-              { constraint_name = nf.Cind.nf_name; lhs = nf.nf_lhs; rhs = nf.nf_rhs; nf; tuple })
-          (Cind.nf_violations db nf))
+        List.map (fun tuple -> Violation.Cind_violation { nf; tuple }) (Cind.nf_violations db nf))
       sigma.Sigma.ncinds
 
 let is_clean = Sigma.nf_holds

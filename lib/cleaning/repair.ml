@@ -47,7 +47,8 @@ let rec fill filler rel pos attr =
 
 let suggest schema filler db violation =
   match violation with
-  | Violation.Cfd_violation { rel; nf; t1; t2; _ } -> (
+  | Violation.Cfd_violation { nf; t1; t2 } -> (
+      let rel = nf.Cfd.nf_rel in
       let r = Db_schema.find schema rel in
       let apos = Schema.position r nf.Cfd.nf_a in
       match nf.nf_ta with
@@ -57,8 +58,9 @@ let suggest schema filler db violation =
       | Pattern.Wildcard ->
           (* equate the pair on A by copying the first tuple's value *)
           [ Update { rel; tuple = t2; attr = nf.nf_a; value = Tuple.get t1 apos } ])
-  | Violation.Cind_violation { rhs; nf; tuple; _ } ->
-      let r1 = Db_schema.find schema nf.Cind.nf_lhs in
+  | Violation.Cind_violation { nf; tuple } ->
+      let rhs = nf.Cind.nf_rhs in
+      let r1 = Db_schema.find schema nf.nf_lhs in
       let r2 = Db_schema.find schema rhs in
       let fields =
         List.mapi
@@ -92,10 +94,11 @@ let apply db action =
    may have rewritten one, and a fix of the stale violation would write
    back a copy of that tuple or copy its old value. *)
 let current db = function
-  | Violation.Cfd_violation { rel; t1; t2; _ } ->
-      let r = Database.relation db rel in
+  | Violation.Cfd_violation { nf; t1; t2 } ->
+      let r = Database.relation db nf.Cfd.nf_rel in
       Relation.mem r t1 && Relation.mem r t2
-  | Violation.Cind_violation { lhs; tuple; _ } -> Relation.mem (Database.relation db lhs) tuple
+  | Violation.Cind_violation { nf; tuple } ->
+      Relation.mem (Database.relation db nf.Cind.nf_lhs) tuple
 
 (* One repair round: suggest and apply a fix for every violation that is
    still current, in detection order.  Fixes can surface new violations,

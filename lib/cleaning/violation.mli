@@ -6,17 +6,12 @@ open Conddep_core
 
 type t =
   | Cfd_violation of {
-      constraint_name : string;
-      rel : string;
-      nf : Cfd.nf;
+      nf : Cfd.nf;  (** names the constraint and its relation *)
       t1 : Tuple.t;
       t2 : Tuple.t;  (** equal to [t1] for single-tuple violations *)
     }
   | Cind_violation of {
-      constraint_name : string;
-      lhs : string;
-      rhs : string;
-      nf : Cind.nf;
+      nf : Cind.nf;  (** names the constraint and its two relations *)
       tuple : Tuple.t;  (** LHS tuple lacking a witness *)
     }
 

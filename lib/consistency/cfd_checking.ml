@@ -45,15 +45,16 @@ let check_template_outcome ?(k_cfd = 100) ?(avoid = []) ~rng compiled_cfds db =
       match Template.finite_variables db with
       | [] -> Instantiated db
       | _ ->
-          (* Group the demanded constants by (relation, attribute) once,
-             instead of a scan per variable per K_CFD attempt. *)
-          let demanded =
-            Chase.conclusion_constants (Template.schema db) compiled_cfds
-          in
+          (* Group the demanded constants by column once, instead of a
+             scan per variable per K_CFD attempt. *)
           let demanded_tbl = Hashtbl.create 16 in
           (* [find_all] lists a key's bindings newest first *)
-          List.iter (fun (key, v) -> Hashtbl.add demanded_tbl key v) (List.rev demanded);
-          let prefer rel attr = Hashtbl.find_all demanded_tbl (rel, attr) in
+          List.iter
+            (fun (key, v) -> Hashtbl.add demanded_tbl key v)
+            (List.rev (Chase.conclusion_constants compiled_cfds));
+          let prefer (col : Template.column) =
+            Hashtbl.find_all demanded_tbl (col.rel_pos, col.pos)
+          in
           let rec attempts k =
             if k <= 0 then begin
               Guard.reraise_if_spent ();
@@ -205,7 +206,9 @@ let chase_witness ?k_cfd ?avoid ~rng schema compiled ~rel =
   | Contradiction -> No_tuple
   | Out_of_valuations -> Gave_up
   | Instantiated db -> (
-      match Template.tuples db rel with [ t ] -> Tuple t | _ -> assert false)
+      match Template.tuples_at db (snd (Db_schema.find_indexed schema rel)) with
+      | [ t ] -> Tuple t
+      | _ -> assert false)
 
 let sat_witness ?(avoid = []) schema cfds ~rel =
   Telemetry.incr m_sat_calls;

@@ -116,7 +116,7 @@ let run ?(backend = Cfd_checking.Chase_backend) ?k_cfd ~rng schema
       | Cfd_checking.Tuple tau ->
           if not (Depgraph.triggers g r tau) then begin
             (* the one-tuple database { τ(R) }, which must satisfy Σ *)
-            let db = Template.to_database ~avoid (Template.add (Template.empty schema) rel tau) in
+            let db = Template.to_database ~avoid (Template.add_at (Template.empty schema) r tau) in
             if Sigma.nf_holds db sigma then outcome := Some (Consistent db)
             else unverified.(r) <- true
           end

@@ -44,10 +44,11 @@ let field_equal f g =
   | Anon, Anon -> true
   | (Mark _ | Cst _ | Anon), _ -> false
 
-type state = { srel : string; fields : field array }
+(* [srel] is the relation's position in [Db_schema.find_indexed]. *)
+type state = { srel : int; fields : field array }
 
 let state_equal s t =
-  String.equal s.srel t.srel
+  s.srel = t.srel
   && Array.length s.fields = Array.length t.fields
   && Array.for_all2 field_equal s.fields t.fields
 
@@ -66,7 +67,7 @@ let fields_hash h fields =
   in
   go h 0
 
-let state_hash s = fields_hash (Hashtbl.hash s.srel) s.fields
+let state_hash s = fields_hash s.srel s.fields
 
 module State_tbl = Hashtbl.Make (struct
   type t = state
@@ -75,13 +76,13 @@ module State_tbl = Hashtbl.Make (struct
   let hash = state_hash
 end)
 
-(* A compiled CIND of Σ: attribute references resolved to positions.
+(* A compiled CIND of Σ: relations and attributes resolved to positions.
    [c_nf] keeps the source normal form so read-set recording can report
    which members of Σ the search actually resolved with. *)
 type compiled = {
   c_nf : Cind.nf;
-  c_lhs : string;
-  c_rhs : string;
+  c_lhs : int;
+  c_rhs : int;
   c_rhs_arity : int;
   c_xp : (int * Value.t) list; (* trigger tests on the LHS *)
   c_copy : (int * int) list; (* (lhs position of X_i, rhs position of Y_i) *)
@@ -92,8 +93,8 @@ type compiled = {
 }
 
 let compile schema (nf : Cind.nf) =
-  let r1 = Db_schema.find schema nf.Cind.nf_lhs in
-  let r2 = Db_schema.find schema nf.nf_rhs in
+  let r1, lhs = Db_schema.find_indexed schema nf.Cind.nf_lhs in
+  let r2, rhs = Db_schema.find_indexed schema nf.nf_rhs in
   let xp = List.map (fun (a, v) -> (Schema.position r1 a, v)) nf.nf_xp in
   let copy =
     List.map2
@@ -114,8 +115,8 @@ let compile schema (nf : Cind.nf) =
     (Schema.attrs r2);
   {
     c_nf = nf;
-    c_lhs = nf.nf_lhs;
-    c_rhs = nf.nf_rhs;
+    c_lhs = lhs;
+    c_rhs = rhs;
     c_rhs_arity = Schema.arity r2;
     c_xp = xp;
     c_copy = copy;
@@ -125,31 +126,24 @@ let compile schema (nf : Cind.nf) =
     c_free_infinite = !free_infinite;
   }
 
-(* Σ's compiled CINDs, and the same CINDs by LHS relation, each with its
-   position in Σ.  Only the CINDs of a shape's own relation can apply to
-   it, and [on_lhs] lists them in Σ order, so a search that tries them
-   visits shapes, ticks the budget and creates buckets as one that tries
-   every CIND of Σ would. *)
-module Rel_tbl = Hashtbl.Make (String)
+(* Σ's compiled CINDs, and the same CINDs by LHS relation position, each
+   with its position in Σ.  Only the CINDs of a shape's own relation can
+   apply to it, and [by_lhs] lists them in Σ order, so a search that tries
+   them visits shapes, ticks the budget and creates buckets as one that
+   tries every CIND of Σ would. *)
+type indexed = { cinds : compiled array; by_lhs : (int * compiled) list array }
 
-let members tbl rel = Option.value ~default:[] (Rel_tbl.find_opt tbl rel)
-let add_member tbl rel x = Rel_tbl.replace tbl rel (x :: members tbl rel)
-
-type indexed = { cinds : compiled array; by_lhs : (int * compiled) list Rel_tbl.t }
-
-let index compiled =
+let index schema compiled =
   let cinds = Array.of_list compiled in
-  let by_lhs = Rel_tbl.create 64 in
+  let by_lhs = Array.make (Db_schema.cardinal schema) [] in
   for ci = Array.length cinds - 1 downto 0 do
-    add_member by_lhs cinds.(ci).c_lhs (ci, cinds.(ci))
+    let c = cinds.(ci) in
+    by_lhs.(c.c_lhs) <- (ci, c) :: by_lhs.(c.c_lhs)
   done;
   { cinds; by_lhs }
 
-let on_lhs sigma rel = members sigma.by_lhs rel
-
-let applicable c s =
-  String.equal c.c_lhs s.srel
-  && List.for_all (fun (pos, v) -> field_equal s.fields.(pos) (Cst v)) c.c_xp
+(* Whether c applies to a shape of its LHS relation. *)
+let applicable c s = List.for_all (fun (pos, v) -> field_equal s.fields.(pos) (Cst v)) c.c_xp
 
 (* The inclusion requirement σ places on s: fields a witness must carry. *)
 let requirement c s =
@@ -197,7 +191,7 @@ let children c s =
    ψ's Xp constants, and fresh (or chosen) values elsewhere.  Each start
    shape comes with the field values of t1[X], needed by the witness test. *)
 let start_shapes schema (psi : Cind.nf) ~max_states =
-  let r1 = Db_schema.find schema psi.Cind.nf_lhs in
+  let r1, lhs = Db_schema.find_indexed schema psi.Cind.nf_lhs in
   let arity = Schema.arity r1 in
   let x_positions = List.map (Schema.position r1) psi.nf_x in
   let xp = List.map (fun (a, v) -> (Schema.position r1 a, v)) psi.nf_xp in
@@ -235,17 +229,17 @@ let start_shapes schema (psi : Cind.nf) ~max_states =
           fields.(pos) <- f;
           match xinfo with Some (j, xf) -> xvals.(j) <- xf | None -> ())
         combo;
-      ({ srel = psi.nf_lhs; fields }, xvals))
+      ({ srel = lhs; fields }, xvals))
     combos
 
 (* Witness test for a given start: a shape of ψ's RHS relation agreeing
    with t1[X] on Y and with ψ's Yp constants. *)
 let is_witness schema (psi : Cind.nf) ~xvals =
-  let r2 = Db_schema.find schema psi.Cind.nf_rhs in
+  let r2, rhs = Db_schema.find_indexed schema psi.Cind.nf_rhs in
   let y_positions = List.map (Schema.position r2) psi.nf_y in
   let yp = List.map (fun (b, v) -> (Schema.position r2 b, v)) psi.nf_yp in
   fun s ->
-    String.equal s.srel psi.nf_rhs
+    s.srel = rhs
     && List.for_all2
          (fun pos j -> field_equal s.fields.(pos) xvals.(j))
          y_positions
@@ -285,7 +279,7 @@ let counterexample_from schema sigma psi ~max_states ~recorder (start, xvals) =
          whose LHS relation never appears among the explored shapes can
          neither create children nor constrain the fixpoint, so edits to
          it cannot change this derivation. *)
-      Read_set.record_rel recorder s.srel;
+      Read_set.record_rel recorder (Db_schema.name_at schema s.srel);
       State_tbl.replace visited s (State_tbl.length visited);
       Telemetry.incr m_shapes;
       if State_tbl.length visited > max_states then raise Budget_exceeded;
@@ -302,7 +296,7 @@ let counterexample_from schema sigma psi ~max_states ~recorder (start, xvals) =
               Read_set.record_cind recorder c.c_nf;
               Seq.iter push (children c s)
             end)
-          (on_lhs sigma s.srel)
+          sigma.by_lhs.(s.srel)
       done);
   Telemetry.with_span "implication.fixpoint" @@ fun () ->
   let n = State_tbl.length visited in
@@ -334,14 +328,15 @@ let counterexample_from schema sigma psi ~max_states ~recorder (start, xvals) =
               let b = bucket (ci, requirement_key c s) in
               b.dependants <- i :: b.dependants
             end)
-          (on_lhs sigma s.srel))
+          sigma.by_lhs.(s.srel))
     shapes;
   (* Count the live shapes of each bucket some requirement names; the
      other shapes of c's RHS relation meet no requirement.  [of_rel]
      lists each relation's shapes in shape order. *)
-  let of_rel = Rel_tbl.create 64 in
+  let of_rel = Array.make (Array.length sigma.by_lhs) [] in
   for i = n - 1 downto 0 do
-    add_member of_rel shapes.(i).srel i
+    let r = shapes.(i).srel in
+    of_rel.(r) <- i :: of_rel.(r)
   done;
   let counted_in = Array.make n [] in
   Array.iteri
@@ -355,7 +350,7 @@ let counterexample_from schema sigma psi ~max_states ~recorder (start, xvals) =
                   b.live <- b.live + 1;
                   counted_in.(i) <- b :: counted_in.(i)
               | None -> ())
-          (members of_rel c.c_rhs))
+          of_rel.(c.c_rhs))
     sigma.cinds;
   let work = ref [] in
   let kill i =
@@ -411,10 +406,10 @@ let decide_compiled_core ~max_states ~recorder schema sigma psi =
    incremental session's warm-start cache); spans like [decide]. *)
 let decide_compiled ?(max_states = 50_000) ?recorder schema compiled psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
-  decide_compiled_core ~max_states ~recorder schema (index compiled) psi
+  decide_compiled_core ~max_states ~recorder schema (index schema compiled) psi
 
 let compile_sigma schema sigma =
-  index (List.map (compile schema) (List.map Cind.canon_nf sigma))
+  index schema (List.map (compile schema) (List.map Cind.canon_nf sigma))
 
 let decide ?(max_states = 50_000) schema ~sigma psi =
   Telemetry.with_span "implication.implies" @@ fun () ->
@@ -461,7 +456,7 @@ let witness_path ?(max_states = 50_000) schema ~sigma psi =
           (fun (_, c) ->
             if applicable c s then
               Seq.iter (visit ((c.c_nf, s) :: path)) (children c s))
-          (on_lhs sigma s.srel)
+          sigma.by_lhs.(s.srel)
       done;
       None
     with Found path -> Some path

@@ -16,9 +16,11 @@ open Conddep_relational
     The reachable shapes are explored breadth-first; the greatest
     fixpoint is then computed by counting (Liu & Smolka, ICALP 1998):
     each shape dies at most once and each requirement bucket empties at
-    most once.  Σ is indexed by LHS relation, so a shape meets only the
-    CINDs of its own relation and a CIND counts only the shapes of its
-    RHS relation: exploration and fixpoint are linear in the shape graph.
+    most once.  Relations are resolved to their [Db_schema.find_indexed]
+    positions when Σ and the goal are compiled, and Σ is indexed by LHS
+    relation position, so a shape meets only the CINDs of its own
+    relation and a CIND counts only the shapes of its RHS relation:
+    exploration and fixpoint are linear in the shape graph.
     The procedure is exact but worst-case exponential, because
     the shape space is; the [max_states] cap bounds the search. *)
 
@@ -46,9 +48,10 @@ val decide :
     facade. *)
 
 type compiled
-(** A member of Σ pre-compiled against a schema: the per-call work of
-    {!decide} that does not depend on the goal.  Valid for the schema it
-    was compiled against. *)
+(** A member of Σ pre-compiled against a schema (its relations and
+    attributes resolved to positions): the per-call work of {!decide}
+    that does not depend on the goal.  Valid for the schema it was
+    compiled against. *)
 
 val compile : Db_schema.t -> Cind.nf -> compiled
 (** Compile one already-canonicalised ({!Cind.canon_nf}) member of Σ.
@@ -87,8 +90,9 @@ type field =
   | Cst of Value.t  (** a constant *)
   | Anon  (** a fresh value distinct from every constant and mark *)
 
-type state = { srel : string; fields : field array }
-(** A tuple shape: an abstract tuple of relation [srel]. *)
+type state = { srel : int; fields : field array }
+(** A tuple shape: an abstract tuple of the relation at position [srel]
+    of [Db_schema.find_indexed]. *)
 
 val witness_path :
   ?max_states:int ->

@@ -40,15 +40,16 @@ let ensure_infinite schema (nfs : Cind.nf list) =
 
 (* --- replaying a path as a derivation ----------------------------------- *)
 
-(* The constant fields of a shape, as (attribute, value) pairs. *)
-let shape_consts schema (s : Implication.state) =
-  let r = Db_schema.find schema s.srel in
-  Schema.attrs r
-  |> List.concat_map (fun attr ->
-         let pos = Schema.position r (Attribute.name attr) in
+(* The constant fields of a shape of relation [r], as (attribute, value)
+   pairs. *)
+let shape_consts r (s : Implication.state) =
+  List.concat
+    (List.mapi
+       (fun pos attr ->
          match s.fields.(pos) with
          | Implication.Cst v -> [ (Attribute.name attr, v) ]
          | Mark _ | Anon -> [])
+       (Schema.attrs r))
 
 (* The position of attribute [a] in [names], which contains it. *)
 let index_of a names = Option.get (List.find_index (String.equal a) names)
@@ -151,7 +152,7 @@ let derive_step b ~di_line ~(sigma_nf : Cind.nf) (s_i : Implication.state) =
     (fun (a, v) ->
       if not (List.exists (String.equal a) tested) then
         line := emit b (Inference.Infer (Inference.Augment { prem = !line; attr = a; value = v })))
-    (shape_consts schema s_i);
+    (shape_consts r1 s_i);
   (* project D_i's inclusion onto σ's mark-source attributes, in order *)
   let di_indices = List.map (fun (a, _, _) -> index_of a di.Cind.nf_y) mark_pairs in
   let di_projected = emit b (Inference.Infer (Inference.Proj_perm { prem = di_line; indices = di_indices })) in

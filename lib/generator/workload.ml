@@ -68,18 +68,12 @@ let gen_cfd rng config schema ~consistent idx =
     else Pattern.Const (Rng.pick rng (const_pool config attr))
   in
   let tx = List.map cell_for x_attrs in
-  let witness_matches =
-    List.for_all2
-      (fun attr cell -> Pattern.match_cell (witness_value attr) cell)
-      x_attrs tx
-  in
   (* Consistent mode keeps every conclusion witness-compatible even when
      the premise does not match the witness: the chase may reach tuples the
      witness never exhibits, and random conclusions there would create
      constant clashes between derived tuples.  The paper's consistent sets
      behaved the same way (Section 6 notes the difficulty of generating
      consistent sets complex enough to defeat the heuristics). *)
-  ignore witness_matches;
   let ta =
     if consistent then
       if Rng.bool rng then Pattern.Const (witness_value a_attr) else Pattern.Wildcard

@@ -104,19 +104,11 @@ let cind_holds db cind = cind_row_violations db cind = []
 let detect db (sigma : Sigma.nf) =
   List.concat_map
     (fun nf ->
-      List.map
-        (fun (t1, t2) ->
-          Violation.Cfd_violation
-            { constraint_name = nf.Cfd.nf_name; rel = nf.nf_rel; nf; t1; t2 })
-        (cfd_violations db nf))
+      List.map (fun (t1, t2) -> Violation.Cfd_violation { nf; t1; t2 }) (cfd_violations db nf))
     sigma.Sigma.ncfds
   @ List.concat_map
       (fun nf ->
-        List.map
-          (fun tuple ->
-            Violation.Cind_violation
-              { constraint_name = nf.Cind.nf_name; lhs = nf.nf_lhs; rhs = nf.nf_rhs; nf; tuple })
-          (cind_violations db nf))
+        List.map (fun tuple -> Violation.Cind_violation { nf; tuple }) (cind_violations db nf))
       sigma.Sigma.ncinds
 
 let is_clean db sigma = detect db sigma = []
@@ -143,9 +135,9 @@ let repair ?(max_rounds = 5) schema sigma db =
   let fix db v =
     let names_gone =
       match v with
-      | Violation.Cfd_violation { rel; t1; t2; _ } ->
-          not (present db rel t1 && present db rel t2)
-      | Cind_violation { lhs; tuple; _ } -> not (present db lhs tuple)
+      | Violation.Cfd_violation { nf; t1; t2 } ->
+          not (present db nf.Cfd.nf_rel t1 && present db nf.nf_rel t2)
+      | Cind_violation { nf; tuple } -> not (present db nf.Cind.nf_lhs tuple)
     in
     if names_gone then db else List.fold_left Repair.apply db (Repair.suggest schema filler db v)
   in

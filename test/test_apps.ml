@@ -29,7 +29,7 @@ let test_detect_cind_provenance () =
   let cind_violators =
     List.filter_map
       (function
-        | Violation.Cind_violation { constraint_name = "psi6"; tuple; _ } -> Some tuple
+        | Violation.Cind_violation { nf = { Cind.nf_name = "psi6"; _ }; tuple } -> Some tuple
         | _ -> None)
       violations
   in

@@ -18,8 +18,18 @@ let get_terminal = function
 
 (* --- template plumbing ---------------------------------------------------- *)
 
+(* Templates address relations by position; these tests name them. *)
+let tuples db rel = Template.tuples_at db (snd (Db_schema.find_indexed (Template.schema db) rel))
+let cardinal db rel = List.length (tuples db rel)
+let add db rel t = Template.add_at db (snd (Db_schema.find_indexed (Template.schema db) rel)) t
+
+(* Variable [vidx] of the pool of [rel]'s attribute [attr]. *)
+let var schema rel attr vidx =
+  let r, rel_pos = Db_schema.find_indexed schema rel in
+  { Template.col = Template.column r ~rel_pos (Schema.position r attr); vidx }
+
 let test_cell_order () =
-  let v = Template.V { Template.vrel = "r"; vattr = "a"; vidx = 0 } in
+  let v = Template.V (var (string_schema "r" [ "a" ]) "r" "a" 0) in
   let c = Template.C (str "x") in
   check_bool "var below constant" true (Template.cell_compare v c < 0);
   check_bool "var matches wildcard" true (Template.cell_matches_pattern v wildcard);
@@ -30,37 +40,37 @@ let test_cell_order () =
 let test_template_set_semantics () =
   let schema = string_schema "r" [ "a" ] in
   let t = [| Template.C (str "x") |] in
-  let db = Template.add (Template.add (Template.empty schema) "r" t) "r" t in
-  check_int "dedup" 1 (Template.cardinal db "r")
+  let db = add (add (Template.empty schema) "r" t) "r" t in
+  check_int "dedup" 1 (cardinal db "r")
 
 let test_subst_merges () =
   let schema = string_schema "r" [ "a" ] in
-  let v0 = { Template.vrel = "r"; vattr = "a"; vidx = 0 } in
+  let v0 = var schema "r" "a" 0 in
   let db =
-    Template.add
-      (Template.add (Template.empty schema) "r" [| Template.V v0 |])
+    add
+      (add (Template.empty schema) "r" [| Template.V v0 |])
       "r"
       [| Template.C (str "x") |]
   in
   let db = Template.subst db v0 (Template.C (str "x")) in
-  check_int "substitution merges tuples" 1 (Template.cardinal db "r")
+  check_int "substitution merges tuples" 1 (cardinal db "r")
 
 (* The exact tuple list after a substitution: tuples keep their order, a
    rewritten tuple equal to a later untouched tuple is dropped, and of two
    rewritten tuples that become equal the first is kept. *)
 let test_subst_order () =
   let schema = string_schema "r" [ "a"; "b" ] in
-  let var = { Template.vrel = "r"; vattr = "a"; vidx = 0 } in
+  let var = var schema "r" "a" 0 in
   let v = Template.V var and c s = Template.C (str s) in
   let show db =
     List.map
       (fun t -> String.concat ", " (List.map (Fmt.str "%a" Template.pp_cell) (Array.to_list t)))
-      (Template.tuples db "r")
+      (tuples db "r")
   in
   (* [add] puts the newest tuple first: add in reverse to list in order *)
   let db =
     List.fold_left
-      (fun db t -> Template.add db "r" t)
+      (fun db t -> add db "r" t)
       (Template.empty schema)
       (List.rev
          [
@@ -82,11 +92,8 @@ let test_subst_order () =
 let test_to_database_freshness () =
   let schema = string_schema "r" [ "a"; "b" ] in
   let db =
-    Template.add (Template.empty schema) "r"
-      [|
-        Template.V { Template.vrel = "r"; vattr = "a"; vidx = 0 };
-        Template.V { Template.vrel = "r"; vattr = "b"; vidx = 0 };
-      |]
+    add (Template.empty schema) "r"
+      [| Template.V (var schema "r" "a" 0); Template.V (var schema "r" "b" 0) |]
   in
   let avoid = [ str "taboo" ] in
   let concrete = Template.to_database ~avoid db in
@@ -106,8 +113,8 @@ let test_fd_step_constant_clash () =
       (List.hd (Cfd.normalize (Fd.to_cfd (Fd.make ~rel:"r" ~x:[ "a" ] ~y:[ "b" ]))))
   in
   let db =
-    Template.add
-      (Template.add (Template.empty schema) "r" [| Template.C (str "x"); Template.C (str "1") |])
+    add
+      (add (Template.empty schema) "r" [| Template.C (str "x"); Template.C (str "1") |])
       "r"
       [| Template.C (str "x"); Template.C (str "2") |]
   in
@@ -121,16 +128,16 @@ let test_fd_step_var_merge () =
     Chase.compile_cfd schema
       (List.hd (Cfd.normalize (Fd.to_cfd (Fd.make ~rel:"r" ~x:[ "a" ] ~y:[ "b" ]))))
   in
-  let v = { Template.vrel = "r"; vattr = "b"; vidx = 0 } in
+  let v = var schema "r" "b" 0 in
   let db =
-    Template.add
-      (Template.add (Template.empty schema) "r" [| Template.C (str "x"); Template.V v |])
+    add
+      (add (Template.empty schema) "r" [| Template.C (str "x"); Template.V v |])
       "r"
       [| Template.C (str "x"); Template.C (str "1") |]
   in
   match Chase.fd_step fd db with
   | Chase.Fd_changed db ->
-      check_int "merged into one tuple" 1 (Template.cardinal db "r")
+      check_int "merged into one tuple" 1 (cardinal db "r")
   | _ -> Alcotest.fail "expected a change"
 
 let test_fd_step_pattern_constant () =
@@ -143,13 +150,13 @@ let test_fd_step_pattern_constant () =
             (Cfd.make ~name:"f" ~rel:"r" ~x:[ "a" ] ~y:[ "b" ]
                [ { Cfd.rx = [ wildcard ]; ry = [ const "c" ] } ])))
   in
-  let v = { Template.vrel = "r"; vattr = "b"; vidx = 0 } in
+  let v = var schema "r" "b" 0 in
   let db =
-    Template.add (Template.empty schema) "r" [| Template.C (str "x"); Template.V v |]
+    add (Template.empty schema) "r" [| Template.C (str "x"); Template.V v |]
   in
   match Chase.fd_step cfd db with
   | Chase.Fd_changed db -> (
-      match Template.tuples db "r" with
+      match tuples db "r" with
       | [ t ] -> check_bool "B forced to c" true (Template.cell_equal t.(1) (Template.C (str "c")))
       | _ -> Alcotest.fail "expected one tuple")
   | _ -> Alcotest.fail "expected a change"
@@ -165,10 +172,10 @@ let test_example_5_1 () =
     get_terminal (Chase_oracle.run ~config:Chase.default_config ~rng:(rng ()) compiled seed)
   in
   (* chase(D, Σ) = R1: (c, vF), R2: (c, vH) — E and G hold the constant c. *)
-  (match Template.tuples terminal "r1" with
+  (match tuples terminal "r1" with
   | [ t ] -> check_bool "R1.E = c" true (Template.cell_equal t.(0) (Template.C (str "c")))
   | _ -> Alcotest.fail "expected one R1 tuple");
-  (match Template.tuples terminal "r2" with
+  (match tuples terminal "r2" with
   | [ t ] -> check_bool "R2.G = c" true (Template.cell_equal t.(0) (Template.C (str "c")))
   | _ -> Alcotest.fail "expected one R2 tuple");
   (* and the concretized result is a model of Σ (the heuristic's soundness) *)
@@ -213,7 +220,7 @@ let test_chase_threshold () =
   match Chase_oracle.run ~config ~rng:(rng ()) compiled seed with
   | Chase_oracle.Undefined _ -> ()
   | Chase_oracle.Terminal db ->
-      Alcotest.failf "terminal with %d tuples past T = 2" (Template.cardinal db "r")
+      Alcotest.failf "terminal with %d tuples past T = 2" (cardinal db "r")
   | Chase_oracle.Exhausted r -> Alcotest.failf "chase exhausted: %s" (Guard.reason_to_string r)
 
 (* IND(ψ) fills each field of its witness tuple that ψ leaves open with a
@@ -236,13 +243,13 @@ let test_pool_contents () =
                ~yp:[]
                [ { Cind.cx = [ wildcard ]; cxp = []; cy = [ wildcard ]; cyp = [] } ])))
   in
-  let db = Template.add (Template.empty schema) "src" [| Template.C (str "k") |] in
+  let db = add (Template.empty schema) "src" [| Template.C (str "k") |] in
   let rng = rng () in
   let drawn = ref [] in
   for _ = 1 to 50 do
     match Chase.ind_step ~threshold:100 ~pool_size:3 rng cind db with
     | Chase.Ind_changed db' -> (
-        match Template.tuples db' "dst" with
+        match tuples db' "dst" with
         | [ [| a; b; c |] ] ->
             check_bool "copied field" true (Template.cell_equal a (Template.C (str "k")));
             List.iter2
@@ -250,7 +257,7 @@ let test_pool_contents () =
                 match cell with
                 | Template.V v ->
                     check_bool "drawn from the attribute's pool" true
-                      (v.vrel = "dst" && v.vattr = attr && 0 <= v.vidx && v.vidx < 3);
+                      (v.col = (var schema "dst" attr 0).col && 0 <= v.vidx && v.vidx < 3);
                     drawn := v :: !drawn
                 | Template.C _ -> Alcotest.fail "an open field got a constant")
               [ "b"; "c" ] [ b; c ]
@@ -269,19 +276,70 @@ let test_pool_contents () =
 
 let test_column_constants () =
   let schema = string_schema "r" [ "a"; "b" ] in
-  let v = Template.V { Template.vrel = "r"; vattr = "b"; vidx = 0 } in
+  let col attr = (var schema "r" attr 0).col in
   let db =
-    Template.add
-      (Template.add (Template.empty schema) "r" [| Template.C (str "x"); v |])
+    add
+      (add (Template.empty schema) "r"
+         [| Template.C (str "x"); Template.V (var schema "r" "b" 0) |])
       "r"
       [| Template.C (str "y"); Template.C (str "w") |]
   in
   check_bool "column a = {x, y}" true
-    (Template.column_constants db ~rel:"r" ~attr:"a" = [ str "x"; str "y" ]);
+    (Template.column_constants db (col "a") = [ str "x"; str "y" ]);
   check_bool "column b = {w} (variables skipped)" true
-    (Template.column_constants db ~rel:"r" ~attr:"b" = [ str "w" ]);
-  check_bool "unknown column empty" true
-    (Template.column_constants db ~rel:"r" ~attr:"zz" = [])
+    (Template.column_constants db (col "b") = [ str "w" ])
+
+(* Relation positions follow name order and attribute positions follow
+   declaration order; past "a9" or "r9" the two differ.  On a schema
+   declared r2, r10 with attributes a2, a10 (finite a2, so the two
+   columns differ in domain too), a seed tuple's columns must agree with
+   [Db_schema.find_indexed] and [Schema.position], and variables must
+   sort by names: r10 before r2 and a10 before a2, whatever the
+   positions say.  The concretization draws fresh values in that order,
+   so comparing attributes by position moves every witness that has an
+   a10. *)
+let test_columns_follow_names () =
+  let attrs =
+    [ Attribute.make "a2" (Domain.finite [ str "p"; str "q" ]); Attribute.make "a10" Domain.string_inf ]
+  in
+  let schema = Db_schema.make [ Schema.make "r2" attrs; Schema.make "r10" attrs ] in
+  let seed rel = List.hd (tuples (Chase.seed_tuple schema ~rel) rel) in
+  let vars =
+    List.concat_map
+      (fun rel ->
+        let r, rel_pos = Db_schema.find_indexed schema rel in
+        Array.to_list
+          (Array.mapi
+             (fun i cell ->
+               match cell with
+               | Template.V v ->
+                   check_string "relation" rel v.col.rel;
+                   check_int "relation position" rel_pos v.col.rel_pos;
+                   check_int "attribute position" (Schema.position r v.col.attr) v.col.pos;
+                   check_int "declared position" i v.col.pos;
+                   check_bool "domain" true
+                     (Domain.equal (Schema.domain_of r v.col.attr) v.col.domain);
+                   v
+               | Template.C _ -> Alcotest.fail "a seed field holds a constant")
+             (seed rel)))
+      [ "r2"; "r10" ]
+  in
+  check_int "r10 sits first in name order" 0 (snd (Db_schema.find_indexed schema "r10"));
+  Alcotest.(check (list string)) "variables sort by names"
+    [ "r10.a10#0"; "r10.a2#0"; "r2.a10#0"; "r2.a2#0" ]
+    (List.map (Fmt.str "%a" Template.pp_var) (List.sort Template.var_compare vars));
+  (* the finite variable is a2's, and column_constants reads a2's column *)
+  let db = Chase.seed_tuple schema ~rel:"r2" in
+  (match Template.finite_variables db with
+  | [ v ] -> check_string "finite variable" "r2.a2#0" (Fmt.str "%a" Template.pp_var v)
+  | l -> Alcotest.failf "expected one finite variable, got %d" (List.length l));
+  let a2 = var schema "r2" "a2" 0 and a10 = var schema "r2" "a10" 0 in
+  let db = Template.subst db a2 (Template.C (str "p")) in
+  let db = Template.subst db a10 (Template.C (str "z")) in
+  check_bool "a2 column" true (Template.column_constants db a2.col = [ str "p" ]);
+  check_bool "a10 column" true (Template.column_constants db a10.col = [ str "z" ]);
+  check_bool "r10's columns empty" true
+    (Template.column_constants db (var schema "r10" "a2" 0).col = [])
 
 let test_conclusion_constants () =
   let schema = string_schema "r" [ "a"; "b" ] in
@@ -296,8 +354,8 @@ let test_conclusion_constants () =
              [ { Cfd.rx = [ wildcard ]; ry = [ wildcard ] } ];
          ])
   in
-  match Chase.conclusion_constants schema cfds with
-  | [ (("r", "b"), v) ] -> check_bool "constant v" true (Value.equal v (str "v"))
+  match Chase.conclusion_constants cfds with
+  | [ ((0, 1), v) ] -> check_bool "constant v" true (Value.equal v (str "v"))
   | l -> Alcotest.failf "expected one conclusion constant, got %d" (List.length l)
 
 let test_ind_step_reuses_witnesses () =
@@ -318,8 +376,8 @@ let test_ind_step_reuses_witnesses () =
                [ { Cind.cx = [ wildcard ]; cxp = []; cy = [ wildcard ]; cyp = [] } ])))
   in
   let db =
-    Template.add
-      (Template.add (Template.empty schema) "src" [| Template.C (str "k") |])
+    add
+      (add (Template.empty schema) "src" [| Template.C (str "k") |])
       "dst"
       [| Template.C (str "k") |]
   in
@@ -330,11 +388,11 @@ let test_ind_step_reuses_witnesses () =
   | Chase.Ind_changed _ -> Alcotest.fail "added a tuple despite existing witness"
   | Chase.Ind_overflow _ -> Alcotest.fail "unexpected overflow");
   (* and must add one when the witness is missing *)
-  let db2 = Template.add (Template.empty schema) "src" [| Template.C (str "k") |] in
+  let db2 = add (Template.empty schema) "src" [| Template.C (str "k") |] in
   match
     Chase.ind_step ~threshold:100 ~pool_size:2 (rng ()) cind db2
   with
-  | Chase.Ind_changed db' -> check_int "dst got the tuple" 1 (Template.cardinal db' "dst")
+  | Chase.Ind_changed db' -> check_int "dst got the tuple" 1 (cardinal db' "dst")
   | _ -> Alcotest.fail "expected a change"
 
 let test_finite_instantiation () =
@@ -364,9 +422,8 @@ let witness_seed schema =
   let db = first_rel_seed schema in
   List.fold_left
     (fun db (v : Template.var) ->
-      let r = Db_schema.find schema v.vrel in
-      Template.subst db v
-        (Template.C (Workload.witness_value (Schema.attr r (Schema.position r v.vattr)))))
+      let r = Db_schema.find schema v.col.rel in
+      Template.subst db v (Template.C (Workload.witness_value (Schema.attr r v.col.pos))))
     db (Template.variables db)
 
 (* A terminal template is a fixpoint of both single operations: no CFD's
@@ -468,7 +525,7 @@ let prop_fd_memo_matches_reference (seed, consistent) =
       (fun rel ->
         List.equal
           (fun t u -> Template.tuple_compare t u = 0)
-          (Template.tuples db rel) (Template.tuples db' rel))
+          (tuples db rel) (tuples db' rel))
       (Db_schema.rel_names schema)
   in
   let next db i =
@@ -542,6 +599,7 @@ let () =
         [
           Alcotest.test_case "variable pools" `Quick test_pool_contents;
           Alcotest.test_case "column constants" `Quick test_column_constants;
+          Alcotest.test_case "columns follow names" `Quick test_columns_follow_names;
           Alcotest.test_case "conclusion constants" `Quick test_conclusion_constants;
           Alcotest.test_case "IND witness reuse" `Quick test_ind_step_reuses_witnesses;
         ] );

@@ -325,6 +325,33 @@ let test_unrelated_edit_preserves_entries () =
     (st0.Cind_session.hits + List.length rels)
     st1.Cind_session.hits
 
+(* The implication search runs on relation positions, which follow name
+   order, and records the names of the relations it explored.  On a
+   schema declared b, a (declaration order reverses name order), the
+   goal b[x] ⊆ a[x] explores b's shapes only: adding a CIND out of a
+   must keep the cached answer, and adding one out of b must drop it. *)
+let test_read_set_names_explored_relations () =
+  let schema =
+    Db_schema.make
+      (List.map (fun rel -> Schema.make rel [ Attribute.make "x" Domain.string_inf ]) [ "b"; "a" ])
+  in
+  let ind lhs rhs =
+    List.hd
+      (Cind.normalize
+         (Cind.make ~name:(lhs ^ rhs) ~lhs ~rhs ~x:[ "x" ] ~xp:[] ~y:[ "x" ] ~yp:[]
+            [ { Cind.cx = [ wildcard ]; cxp = []; cy = [ wildcard ]; cyp = [] } ]))
+  in
+  let s = Cind_session.create ~seed schema in
+  let ask () = show (Cind_session.implies s (ind "b" "a")) in
+  check_string "nothing implies the goal" "no" (ask ());
+  Cind_session.add_cind s (ind "a" "b");
+  let hits = (Cind_session.stats s).Cind_session.hits in
+  check_string "a CIND out of a relation not explored" "no" (ask ());
+  check_int "keeps the cached answer" (hits + 1) (Cind_session.stats s).Cind_session.hits;
+  Cind_session.add_cind s (ind "b" "a");
+  check_string "a CIND out of the explored relation drops it" "yes" (ask ());
+  check_int "and the answer is recomputed" (hits + 1) (Cind_session.stats s).Cind_session.hits
+
 (* --- satellite regression: definitive chase No --------------------------- *)
 
 (* Two constant-pattern CFDs that force the same field to two different
@@ -408,6 +435,8 @@ let () =
         [
           Alcotest.test_case "unrelated edits keep entries live" `Quick
             test_unrelated_edit_preserves_entries;
+          Alcotest.test_case "read sets name the explored relations" `Quick
+            test_read_set_names_explored_relations;
         ] );
       ( "determinism",
         [
