@@ -105,7 +105,7 @@ let cind_implication ~finite () =
 let cfd_consistency_np () =
   header
     "Table 1 row — CFD consistency, finite domains: NP-complete [9] — exact \
-     single-tuple search on random finite-domain CFD sets";
+     single-tuple SAT decision on random finite-domain CFD sets";
   row "%-14s %-12s@." "cfds" "seconds";
   List.iter
     (fun n ->
@@ -119,12 +119,9 @@ let cfd_consistency_np () =
         time (fun () ->
             List.iter
               (fun rel ->
-                match
-                  Cfd_consistency.consistent_rel ~max_nodes:3_000_000 schema
-                    ~rel:(Schema.name rel) sigma.Sigma.ncfds
-                with
-                | (_ : bool) -> ()
-                | exception Cfd_consistency.Budget_exceeded -> ())
+                ignore
+                  (Cfd_consistency.consistent_rel schema ~rel:(Schema.name rel)
+                     sigma.Sigma.ncfds))
               (Db_schema.relations schema))
       in
       row "%-14d %-12.4f@." n seconds)

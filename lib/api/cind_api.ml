@@ -31,18 +31,14 @@ let random_check ?config ?k ?k_cfd ~rng schema sigma =
 
 (* A [consistent_rel] tuple is a single-relation witness; realise it as a
    database so [Yes] carries the same payload everywhere (remaining
-   infinite-domain variables instantiate to fresh values dodging
-   [avoid]). *)
-let tuple_witness ?avoid schema ~rel tup =
-  Template.to_database ?avoid
+   infinite-domain variables instantiate to fresh values). *)
+let tuple_witness schema ~rel tup =
+  Template.to_database
     (Template.add_at (Template.empty schema) (snd (Db_schema.find_indexed schema rel)) tup)
 
-let consistent ?(backend = Chase_backend) ?avoid ?k_cfd ~rng schema cfds
-    ~rel =
-  match
-    Cfd_checking.consistent_rel ~backend ?avoid ?k_cfd ~rng schema cfds ~rel
-  with
-  | Cfd_checking.Tuple tup -> Yes (Some (tuple_witness ?avoid schema ~rel tup))
+let consistent ?(backend = Chase_backend) ?k_cfd ~rng schema cfds ~rel =
+  match Cfd_checking.consistent_rel ~backend ?k_cfd ~rng schema cfds ~rel with
+  | Cfd_checking.Tuple tup -> Yes (Some (tuple_witness schema ~rel tup))
   | Cfd_checking.No_tuple -> No
   | Cfd_checking.Gave_up ->
       (* The chase backend's failure to find a witness within K_CFD

@@ -79,7 +79,6 @@ val random_check :
 
 val consistent :
   ?backend:backend ->
-  ?avoid:Value.t list ->
   ?k_cfd:int ->
   rng:Rng.t ->
   Db_schema.t ->
@@ -87,9 +86,9 @@ val consistent :
   rel:string ->
   verdict
 (** Is CFD([rel]) consistent?  [Yes (Some db)] carries a single-tuple
-    witness database (fresh values dodge [avoid]).  [No] is definitive
-    from either backend: an Unsat from [Sat_backend] (complete), or a
-    forced-propagation contradiction from [Chase_backend].
+    witness database.  [No] is definitive from either backend: an Unsat
+    from [Sat_backend] (complete), or a forced-propagation contradiction
+    from [Chase_backend].
     [Unknown Guard.Fuel] is reserved for [Chase_backend]'s genuine
     heuristic give-up (its K_CFD-bounded search proves nothing by
     failing).  Maps {!Cfd_checking.consistent_rel}. *)

@@ -13,26 +13,31 @@ type backend =
   | Chase_backend
   | Sat_backend
 
+type cfds
+(** A compiled CFD list with the constants its conclusions demand of each
+    column, grouped on first need (the valuations prefer them). *)
+
+val cfds : Chase.compiled_cfd list -> cfds
+
 val check_template :
   ?k_cfd:int ->
   ?avoid:Value.t list ->
   rng:Rng.t ->
-  Chase.compiled_cfd list ->
+  cfds ->
   Template.t ->
   Template.t option
 (** Chase a template with CFDs only, then try up to [k_cfd] random
     valuations of the remaining finite-domain variables; returns a template
     whose finite-domain variables are all constants, if one is found.
+    Pass one {!cfds} for every call on the same CFDs, so their demanded
+    constants are grouped once.
     @raise Guard.Exhausted when the ambient budget runs dry. *)
 
 val consistent_rel_sat :
   ?avoid:Value.t list -> Db_schema.t -> Cfd.nf list -> rel:string -> Tuple.t option
-(** Complete single-tuple consistency via CNF encoding; a satisfying tuple
-    or [None].  Each attribute's candidates are the constants CFD(rel)
-    names on it plus one unnamed value, which dodges the [avoid]
-    constants where its domain allows.
-    @raise Guard.Exhausted if the solver answers [Unknown]: [None] is a
-    definitive verdict here and is never used for undetermined answers. *)
+(** Complete single-tuple consistency: {!Cfd_consistency.witness_tuple}
+    on CFD(rel), a satisfying tuple or a definitive [None].
+    @raise Guard.Exhausted if the solver answers [Unknown]. *)
 
 type witness =
   | Tuple of Template.tuple  (** A satisfying single tuple. *)
@@ -54,7 +59,6 @@ val sat_witness :
 
 val consistent_rel :
   ?backend:backend ->
-  ?avoid:Value.t list ->
   ?k_cfd:int ->
   rng:Rng.t ->
   Db_schema.t ->

@@ -22,7 +22,7 @@ type result =
 let m_runs = Telemetry.counter "checking.random.runs" ~doc:"RandomChecking chase runs attempted (at most K per call)"
 let m_successes = Telemetry.counter "checking.random.successes" ~doc:"RandomChecking runs ending in a verified witness"
 
-let chase_run ~config ~k_cfd ~avoid ~rng (compiled : Chase.compiled) db =
+let chase_run ~config ~k_cfd ~avoid ~rng ~cfds (compiled : Chase.compiled) db =
   (* IND steps fill unknown fields with pool *variables*, finite-domain
      ones included: the interleaved CFD_Checking then chooses their values
      consistently, retrying up to K_CFD valuations — the improvement at the
@@ -45,7 +45,7 @@ let chase_run ~config ~k_cfd ~avoid ~rng (compiled : Chase.compiled) db =
     else begin
       Guard.tick ();
       match
-        Cfd_checking.check_template ~k_cfd ~avoid ~rng compiled.Chase.cfds db
+        Cfd_checking.check_template ~k_cfd ~avoid ~rng cfds db
       with
       | None -> None
       | Some db -> (
@@ -73,6 +73,7 @@ let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?component
     in
     if seed_rels = [] then Unknown Guard.Fuel
     else begin
+      let cfds = Cfd_checking.cfds compiled.Chase.cfds in
       (* One run on its own split of [rng]: [Some db] for a verified
          witness, [None] when the run failed on its own local limits.
          The ambient budget governs every run, so its deadline or fuel
@@ -84,7 +85,7 @@ let check ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100) ?component
           let rel = Rng.pick run_rng seed_rels in
           let db = Chase.seed_tuple schema ~rel in
           Telemetry.with_span "checking.random_run" @@ fun () ->
-          chase_run ~config ~k_cfd ~avoid ~rng:run_rng compiled db
+          chase_run ~config ~k_cfd ~avoid ~rng:run_rng ~cfds compiled db
         with
         | Some terminal ->
             let concrete = Template.to_database ~avoid terminal in

@@ -1,160 +1,136 @@
 open Conddep_relational
+open Conddep_sat
 
 (* Exact consistency analysis for CFDs ([9]; reviewed in Section 4).
 
    A set of CFDs on relation R is satisfiable by a nonempty instance iff it
    is satisfiable by a single-tuple instance: CFD satisfaction is preserved
    under sub-instances, so any tuple of a satisfying instance is itself a
-   one-tuple witness.  Consistency therefore reduces to a constraint-
-   satisfaction problem over one tuple — NP-complete with finite domains
-   (Example 3.2), quadratic without (Table 2).
+   one-tuple witness.  Consistency therefore reduces to the satisfiability
+   of one tuple — NP-complete with finite domains (Example 3.2), quadratic
+   without (Table 2) — which Section 5.2 encodes as CNF; the CDCL core
+   decides it.  [Cfd_implication] solves two copies of the same
+   encoding. *)
 
-   Candidate values per attribute: the whole domain when finite; otherwise
-   the constants Σ mentions on that attribute plus one fresh value (a tuple
-   can always dodge patterns on an infinite domain). *)
-
-exception Budget_exceeded
-
-(* [fresh] fresh values per infinite-domain attribute: one lets a single
-   tuple dodge every pattern; implication's pairs need two, so that the
-   tuples can agree or differ off the patterns. *)
-let candidates ~fresh sigma rel_schema =
-  Array.map
-    (fun attr ->
-      let name = Attribute.name attr in
-      match Domain.values (Attribute.domain attr) with
-      | Some vs -> vs
-      | None ->
-          let consts =
-            List.concat_map
-              (fun nf ->
-                List.filter_map
-                  (fun (a, v) -> if String.equal a name then Some v else None)
-                  (Cfd.nf_constants nf))
-              sigma
-            |> List.sort_uniq Value.compare
+(* Per-attribute candidate values: the constants [cfds] name on the
+   attribute, plus up to [unnamed] values they do not name.  An unnamed
+   value occurs in no clause, so any one of them stands for all the others
+   and the encoding stays equisatisfiable with the whole domain.  The
+   first unnamed value is the first domain value outside the named
+   constants and [avoid] (for an infinite domain, a fresh value), or else
+   the first unnamed one; each further one also differs from those before
+   it, and a finite attribute runs out when its domain does.  [avoid]
+   carries the constants of the wider Σ (e.g. CIND patterns), so that
+   where the domain allows, the unnamed value matches no pattern
+   elsewhere.  Validated CFDs name only domain values. *)
+let candidates ~unnamed ~avoid cfds rel_schema =
+  let named = Array.make (Schema.arity rel_schema) [] in
+  List.iter
+    (fun nf ->
+      List.iter
+        (fun (a, v) ->
+          let pos = Schema.position rel_schema a in
+          named.(pos) <- v :: named.(pos))
+        (Cfd.nf_constants nf))
+    cfds;
+  Array.mapi
+    (fun pos attr ->
+      let consts = List.sort_uniq Value.compare named.(pos) in
+      let dom = Attribute.domain attr in
+      let rec unnamed_values taken n =
+        if n = 0 then []
+        else
+          let next =
+            match Domain.fresh dom ~avoid:(taken @ avoid) with
+            | Some _ as v -> v
+            | None -> Domain.fresh dom ~avoid:taken
           in
-          List.fold_left
-            (fun vs _ -> vs @ Option.to_list (Domain.fresh (Attribute.domain attr) ~avoid:vs))
-            consts (List.init fresh Fun.id))
+          match next with
+          | Some v -> v :: unnamed_values (v :: taken) (n - 1)
+          | None -> []
+      in
+      Array.of_list (consts @ unnamed_values consts unnamed))
     (Array.of_list (Schema.attrs rel_schema))
 
-(* One compiled normal-form CFD: positions instead of names. *)
-type compiled = { k_tx : (int * Pattern.cell) list; k_a : int; k_ta : Pattern.cell }
+type vars = { rel_schema : Schema.t; cands : Value.t array array; offsets : int array; width : int }
 
-let compile rel_schema (nf : Cfd.nf) =
-  {
-    k_tx =
-      List.map2 (fun a c -> (Schema.position rel_schema a, c)) nf.Cfd.nf_x nf.nf_tx;
-    k_a = Schema.position rel_schema nf.nf_a;
-    k_ta = nf.nf_ta;
-  }
+let vars ~unnamed ~avoid cfds rel_schema =
+  let cands = candidates ~unnamed ~avoid cfds rel_schema in
+  let offsets = Array.make (Array.length cands) 0 in
+  let width = ref 0 in
+  Array.iteri
+    (fun i c ->
+      offsets.(i) <- !width;
+      width := !width + Array.length c)
+    cands;
+  { rel_schema; cands; offsets; width = !width }
 
-(* A single tuple t satisfies (X -> A, tp) iff t[X] ≍ tp[X] implies
-   t[A] ≍ tp[A] (the pair (t, t) trivially agrees everywhere). *)
-let tuple_ok compiled (assignment : Value.t option array) =
-  List.for_all
-    (fun k ->
-      let lhs_status =
-        (* true: matches; false: fails; unknown if any cell unassigned *)
-        List.fold_left
-          (fun acc (pos, cell) ->
-            match acc, assignment.(pos) with
-            | Some false, _ -> Some false
-            | _, None -> None
-            | Some true, Some v -> if Pattern.match_cell v cell then Some true else Some false
-            | None, Some _ -> None)
-          (Some true) k.k_tx
-      in
-      match lhs_status with
-      | Some false | None -> true (* not (yet) triggered: no constraint *)
-      | Some true -> (
-          match k.k_ta, assignment.(k.k_a) with
-          | Pattern.Wildcard, _ -> true
-          | Pattern.Const _, None -> true (* propagation will force it *)
-          | Pattern.Const c, Some v -> Value.equal v c))
-    compiled
+let var v ~tuple pos i = (tuple * v.width) + v.offsets.(pos) + i + 1
 
-(* Unit propagation: a triggered CFD with a constant RHS forces its
-   attribute.  Returns [None] on contradiction. *)
-let propagate compiled (assignment : Value.t option array) =
-  let changed = ref true in
-  let ok = ref true in
-  while !ok && !changed do
-    changed := false;
-    List.iter
-      (fun k ->
-        let triggered =
-          List.for_all
-            (fun (pos, cell) ->
-              match assignment.(pos) with
-              | Some v -> Pattern.match_cell v cell
-              | None -> false)
-            k.k_tx
-        in
-        if triggered then
-          match k.k_ta with
-          | Pattern.Wildcard -> ()
-          | Pattern.Const c -> (
-              match assignment.(k.k_a) with
-              | None ->
-                  assignment.(k.k_a) <- Some c;
-                  changed := true
-              | Some v -> if not (Value.equal v c) then ok := false))
-      compiled
-  done;
-  !ok
+let value_var v ~tuple attr value =
+  let pos = Schema.position v.rel_schema attr in
+  let c = v.cands.(pos) in
+  let rec go i = if Value.equal c.(i) value then var v ~tuple pos i else go (i + 1) in
+  go 0
 
-let witness_tuple ?(max_nodes = 2_000_000) schema ~rel sigma =
-  let rel_schema = Db_schema.find schema rel in
-  let sigma = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) sigma in
-  let cands = candidates ~fresh:1 sigma rel_schema in
-  let compiled = List.map (compile rel_schema) sigma in
-  let arity = Schema.arity rel_schema in
-  let nodes = ref 0 in
-  let rec search (assignment : Value.t option array) =
-    incr nodes;
-    if !nodes > max_nodes then raise Budget_exceeded;
-    Guard.tick ();
-    let snapshot = Array.copy assignment in
-    if not (propagate compiled assignment) then begin
-      Array.blit snapshot 0 assignment 0 arity;
-      None
-    end
-    else if not (tuple_ok compiled assignment) then begin
-      Array.blit snapshot 0 assignment 0 arity;
-      None
-    end
-    else
-      let rec next_unassigned i =
-        if i >= arity then None else if assignment.(i) = None then Some i else next_unassigned (i + 1)
-      in
-      match next_unassigned 0 with
-      | None -> Some (Tuple.make (List.map Option.get (Array.to_list assignment)))
-      | Some pos ->
-          let rec try_values = function
-            | [] ->
-                Array.blit snapshot 0 assignment 0 arity;
-                None
-            | v :: vs -> (
-                assignment.(pos) <- Some v;
-                match search assignment with
-                | Some _ as r -> r
-                | None ->
-                    assignment.(pos) <- None;
-                    try_values vs)
+(* One tuple's clauses: exactly one candidate per attribute, and per CFD
+   (X -> A, (tx || a)) the clause ¬tx[X1] ∨ ... ∨ x_{A,a}.  Every constant
+   of the CFDs is a candidate of its attribute, so each clause names
+   existing variables. *)
+let tuple_clauses v ~tuple cfds clauses =
+  let clauses = ref clauses in
+  Array.iteri
+    (fun pos c ->
+      let n = Array.length c in
+      clauses := List.init n (fun i -> var v ~tuple pos i) :: !clauses;
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          clauses := [ -var v ~tuple pos i; -var v ~tuple pos j ] :: !clauses
+        done
+      done)
+    v.cands;
+  (* a wildcard RHS is met by any single tuple *)
+  List.iter
+    (fun nf ->
+      match nf.Cfd.nf_ta with
+      | Pattern.Wildcard -> ()
+      | Pattern.Const a ->
+          let negs =
+            List.fold_left2
+              (fun acc attr p ->
+                match p with
+                | Pattern.Wildcard -> acc
+                | Pattern.Const c -> -value_var v ~tuple attr c :: acc)
+              [] nf.nf_x nf.nf_tx
           in
-          try_values cands.(pos)
+          clauses := (value_var v ~tuple nf.nf_a a :: negs) :: !clauses)
+    cfds;
+  !clauses
+
+let decode v model ~tuple =
+  Tuple.make
+    (Array.to_list
+       (Array.mapi
+          (fun pos c ->
+            let rec find i = if model.(var v ~tuple pos i) then c.(i) else find (i + 1) in
+            find 0)
+          v.cands))
+
+let witness_tuple ?(avoid = []) schema ~rel sigma =
+  let rel_schema = Db_schema.find schema rel in
+  let cfds = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) sigma in
+  let cnf, v =
+    Telemetry.with_span "sat.encode" (fun () ->
+        let v = vars ~unnamed:1 ~avoid cfds rel_schema in
+        (Cnf.make ~num_vars:v.width (tuple_clauses v ~tuple:0 cfds []), v))
   in
-  search (Array.make arity None)
+  match Solver.solve cnf with
+  | Solver.Unknown r ->
+      (* [None] means "definitely inconsistent" to callers (preProcessing
+         prunes the relation on it) — an undetermined SAT answer must never
+         be collapsed into it. *)
+      raise (Guard.Exhausted r)
+  | Solver.Unsat -> None
+  | Solver.Sat model -> Some (decode v model ~tuple:0)
 
-let consistent_rel ?max_nodes schema ~rel sigma =
-  Option.is_some (witness_tuple ?max_nodes schema ~rel sigma)
-
-(* A CFD-only Σ over a whole schema is consistent iff some relation can be
-   nonempty: empty relations vacuously satisfy their CFDs, and CFDs never
-   relate distinct relations. *)
-let consistent ?max_nodes schema sigma =
-  List.exists
-    (fun r -> consistent_rel ?max_nodes schema ~rel:(Schema.name r) sigma)
-    (Db_schema.relations schema)
+let consistent_rel schema ~rel sigma = Option.is_some (witness_tuple schema ~rel sigma)

@@ -1,9 +1,10 @@
 (* Minimal covers (Section 8, future work): remove from Σ every constraint
    implied by the rest.  Implication of CINDs is EXPTIME-complete and that
    of CFDs coNP-complete, so the greedy removal below is exact but
-   worst-case expensive; a per-call cap ([max_states], [max_nodes]) turns
-   it into the heuristic the paper anticipates — when a test hits its cap
-   the constraint is conservatively kept. *)
+   worst-case expensive.  CFD implication is a SAT call on a small CNF and
+   always decides; a per-call cap on CIND implication ([max_states]) turns
+   that half into the heuristic the paper anticipates — when a test hits
+   its cap the constraint is conservatively kept. *)
 
 let greedy ~implied items =
   let rec go kept = function
@@ -15,8 +16,8 @@ let greedy ~implied items =
   go [] items
 
 (* An [Undetermined] test keeps the constraint, but a spent ambient budget
-   must still surface as the exhaustion it is — only the procedures' own
-   local caps are the heuristic give-up. *)
+   must still surface as the exhaustion it is — only Implication's own
+   [max_states] cap is the heuristic give-up. *)
 let keep_or_reraise = function
   | Implication.Implied -> true
   | Implication.Not_implied -> false
@@ -24,15 +25,15 @@ let keep_or_reraise = function
       Guard.reraise_if_spent ();
       false
 
-let cind_cover ?(max_states = 20_000) schema sigma =
+let cind_cover schema sigma =
   let implied others psi =
-    keep_or_reraise (Implication.decide ~max_states schema ~sigma:others psi)
+    keep_or_reraise (Implication.decide ~max_states:20_000 schema ~sigma:others psi)
   in
   greedy ~implied sigma
 
-let cfd_cover ?(max_nodes = 200_000) schema sigma =
+let cfd_cover schema sigma =
   let implied others phi =
-    keep_or_reraise (Cfd_implication.decide ~max_nodes schema ~sigma:others phi)
+    keep_or_reraise (Cfd_implication.decide schema ~sigma:others phi)
   in
   greedy ~implied sigma
 

@@ -26,7 +26,7 @@
     setting.
 
     A run stops early only for an engine's own caps (the paper's K /
-    K_CFD, [max_states], [max_nodes], step limits — plain counts) or
+    K_CFD, [max_states], step limits — plain counts) or
     because the budget ran out.  A fuel budget can cut a run at any
     {!tick} site, so sweeping small fuel values is how the tests check
     that a cut-short run answers the unbudgeted verdict or a typed

@@ -37,7 +37,7 @@
     chronological level) and [sat.results_*], and the [sat.solve] and
     [sat.analyze] spans.
 
-    The test suite checks it against the exhaustive {!solve_brute}. *)
+    The test suite checks it against an exhaustive reference solver. *)
 
 type result =
   | Sat of bool array  (** model indexed by variable; index 0 is unused *)
@@ -47,8 +47,3 @@ type result =
 val solve : Cnf.t -> result
 (** Under an unlimited ambient budget the solver is complete and never
     answers [Unknown]. *)
-
-val solve_brute : Cnf.t -> result
-(** Exhaustive reference implementation for differential testing.  Returns
-    [Unknown Guard.Fuel] beyond its 24-variable capacity (a typed answer,
-    not an exception). *)

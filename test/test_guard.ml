@@ -92,7 +92,7 @@ let test_sat_degrades_never_lies () =
     let num_vars = 6 + Rng.int rng 8 in
     let cnf = random_cnf rng ~num_vars ~num_clauses:(4 * num_vars) in
     let truth =
-      match Solver.solve_brute cnf with
+      match Brute_sat.solve cnf with
       | Solver.Sat _ -> true
       | Solver.Unsat -> false
       | Solver.Unknown _ -> Alcotest.fail "brute force within its range"
@@ -111,7 +111,7 @@ let test_sat_degrades_never_lies () =
 
 let test_brute_force_cap () =
   let cnf = Cnf.make ~num_vars:25 [ [ 1 ] ] in
-  match Solver.solve_brute cnf with
+  match Brute_sat.solve cnf with
   | Solver.Unknown r -> check_reason "typed give-up" Guard.Fuel r
   | _ -> Alcotest.fail "brute force beyond 24 variables must answer Unknown"
 

@@ -96,7 +96,7 @@ let prop_checking_accepts_planted seed =
       | Checking.Inconsistent | Checking.Unknown _ -> false)
     [ Cfd_checking.Chase_backend; Cfd_checking.Sat_backend ]
 
-(* --- differential: SAT backend vs exact CFD consistency --------------------- *)
+(* --- differential: SAT backend vs the whole-domain search ------------------- *)
 
 let prop_sat_matches_exact seed =
   let schema, sigma = make_workload ~consistent:false seed in
@@ -104,7 +104,7 @@ let prop_sat_matches_exact seed =
   List.for_all
     (fun rel ->
       let rel = Conddep_relational.Schema.name rel in
-      let exact = Cfd_consistency.consistent_rel schema ~rel cfds in
+      let exact = Cfd_oracle.consistent_rel schema ~rel cfds in
       let sat = Cfd_checking.consistent_rel_sat schema cfds ~rel <> None in
       exact = sat)
     (Db_schema.relations schema)
@@ -121,8 +121,8 @@ let prop_chase_cfd_checking_sound seed =
         Cfd_checking.consistent_rel ~backend:Cfd_checking.Chase_backend ~k_cfd:20
           ~rng:(Rng.make (seed + 2)) schema cfds ~rel
       with
-      | Cfd_checking.Tuple _ -> Cfd_consistency.consistent_rel schema ~rel cfds
-      | Cfd_checking.No_tuple -> not (Cfd_consistency.consistent_rel schema ~rel cfds)
+      | Cfd_checking.Tuple _ -> Cfd_oracle.consistent_rel schema ~rel cfds
+      | Cfd_checking.No_tuple -> not (Cfd_oracle.consistent_rel schema ~rel cfds)
       | Cfd_checking.Gave_up -> true)
     (Db_schema.relations schema)
 
@@ -177,7 +177,7 @@ let named_values_case seed =
    whole domains answers, with a tuple that satisfies CFD(R). *)
 let prop_sat_named_values ~consistent ~inconsistent seed =
   let schema, cfds, avoid = named_values_case seed in
-  let exact = Cfd_consistency.consistent_rel schema ~rel:"r" cfds in
+  let exact = Cfd_oracle.consistent_rel schema ~rel:"r" cfds in
   incr (if exact then consistent else inconsistent);
   match Cfd_checking.consistent_rel_sat ~avoid schema cfds ~rel:"r" with
   | None -> not exact
@@ -197,6 +197,98 @@ let test_sat_named_values =
       run ();
       Fmt.pr "named values: %d consistent, %d inconsistent@." !consistent !inconsistent;
       check_bool "both verdicts occur" true (!consistent > 0 && !inconsistent > 0) )
+
+(* One relation of two to four attributes, each infinite (naming at most
+   the constants k0 and k1) or finite with one to four values, and two to
+   six CFDs over them.  The goals are a fresh CFD and every member of Σ
+   against the rest. *)
+let implication_case seed =
+  let rng = Rng.make seed in
+  let attr i =
+    let values =
+      if Rng.chance rng 0.3 then None
+      else Some (List.init (1 + Rng.int rng 4) (fun j -> Value.Str (Printf.sprintf "v%d" j)))
+    in
+    (Printf.sprintf "a%d" i, values)
+  in
+  let attrs = List.init (2 + Rng.int rng 3) attr in
+  let schema =
+    Db_schema.make
+      [
+        Conddep_relational.Schema.make "r"
+          (List.map
+             (fun (a, values) ->
+               Attribute.make a
+                 (match values with Some vs -> Domain.finite vs | None -> Domain.string_inf))
+             attrs);
+      ]
+  in
+  let cell values =
+    if Rng.bool rng then Pattern.Wildcard
+    else Pattern.Const (Rng.pick rng (Option.value values ~default:[ Value.Str "k0"; Value.Str "k1" ]))
+  in
+  let cfd k =
+    let a, values_a = Rng.pick rng attrs in
+    let x = List.filter (fun (b, _) -> b <> a && Rng.bool rng) attrs in
+    {
+      Cfd.nf_name = Printf.sprintf "c%d" k;
+      nf_rel = "r";
+      nf_x = List.map fst x;
+      nf_tx = List.map (fun (_, values) -> cell values) x;
+      nf_a = a;
+      nf_ta = cell values_a;
+    }
+  in
+  let sigma = List.init (2 + Rng.int rng 5) cfd in
+  let goals = (cfd 99, sigma) :: List.map (fun phi -> (phi, List.filter (( != ) phi) sigma)) sigma in
+  (schema, attrs, goals)
+
+(* The CNF decision answers exactly what enumerating every pair of tuples
+   answers, and without a budget it always decides. *)
+let prop_cfd_implication_matches_pairs ~seen seed =
+  let schema, attrs, goals = implication_case seed in
+  List.for_all
+    (fun (phi, sigma) ->
+      let named a =
+        List.filter_map
+          (fun (b, v) -> if b = a then Some v else None)
+          (List.concat_map Cfd.nf_constants (phi :: sigma))
+        |> List.sort_uniq Value.compare
+      in
+      List.iter
+        (fun (a, values) ->
+          Option.iter
+            (fun vs ->
+              let unnamed = List.length vs - List.length (named a) in
+              let count = if unnamed >= 2 then "2+" else string_of_int unnamed in
+              Hashtbl.replace seen (count ^ " unnamed") ())
+            values)
+        attrs;
+      let expected = Cfd_oracle.implies schema ~sigma phi in
+      let rhs = match phi.Cfd.nf_ta with Pattern.Wildcard -> "wildcard" | Pattern.Const _ -> "constant" in
+      Hashtbl.replace seen (Printf.sprintf "%s RHS %b" rhs expected) ();
+      match Cfd_implication.decide schema ~sigma phi with
+      | Implication.Implied -> expected
+      | Implication.Not_implied -> not expected
+      | Implication.Undetermined _ -> false)
+    goals
+
+let test_cfd_implication_matches_pairs =
+  let seen = Hashtbl.create 8 in
+  let name, speed, run =
+    qtest ~count:150 "CFD implication matches pair enumeration" seed_gen
+      (prop_cfd_implication_matches_pairs ~seen)
+  in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      List.iter
+        (fun case -> check_bool (case ^ " occurs") true (Hashtbl.mem seen case))
+        [
+          "0 unnamed"; "1 unnamed"; "2+ unnamed"; "wildcard RHS true"; "wildcard RHS false";
+          "constant RHS true"; "constant RHS false";
+        ] )
 
 (* --- normalization and satisfaction ----------------------------------------- *)
 
@@ -262,10 +354,7 @@ let prop_cfd_members_implied seed =
   let cfds = List.filteri (fun i _ -> i < 3) sigma.Sigma.ncfds in
   List.for_all
     (fun phi ->
-      match Cfd_implication.decide ~max_nodes:200_000 schema ~sigma:cfds phi with
-      | Implication.Implied -> true
-      | Implication.Not_implied -> false
-      | Implication.Undetermined _ -> QCheck.assume_fail ())
+      Cfd_implication.decide schema ~sigma:cfds phi = Implication.Implied)
     cfds
 
 (* Exact CIND implication agrees with proof-checked derivations: anything
@@ -557,8 +646,7 @@ let describe_checking = function
 (* A fuel budget can stop a run at any tick.  Whatever tick it stops at,
    the answer is the unbudgeted one, witness included, or Unknown — never
    a different verdict.  Checked for Checking with both backends, and for
-   implication; CFD implication costs ~70 ms a sweep, so only every
-   fourth seed runs it. *)
+   CIND and CFD implication. *)
 let prop_fuel_cut_verdicts seed =
   let schema, sigma =
     finite_workload ~seed ~relations:(2 + (seed mod 3))
@@ -589,11 +677,11 @@ let prop_fuel_cut_verdicts seed =
        goals
   &&
   match sigma.Sigma.ncfds with
-  | phi :: rest when seed mod 4 = 0 ->
+  | phi :: rest ->
       let rest = List.filteri (fun i _ -> i < 6) rest in
       agrees ~unknown:"undetermined"
         (implication (fun () ->
-             Cfd_implication.decide ~max_nodes:200_000 schema ~sigma:rest phi))
+             Cfd_implication.decide schema ~sigma:rest phi))
   | _ -> true
 
 let () =
@@ -627,6 +715,7 @@ let () =
           qtest ~count:30 "chase CFD_Checking sound" seed_gen
             prop_chase_cfd_checking_sound;
           test_sat_named_values;
+          test_cfd_implication_matches_pairs;
           qtest ~count:40 "fast detection agrees with reference" seed_gen
             prop_fast_detect_agrees;
           qtest ~count:40 "satisfaction agrees with the pairwise oracle" seed_gen

@@ -2,7 +2,7 @@ open Conddep_sat
 open Helpers
 
 (* The CDCL solver: hand-written cases, DIMACS round-trips, differential
-   property tests against the brute-force reference [Solver.solve_brute],
+   property tests against the brute-force reference [Brute_sat.solve],
    and observability of clause learning and backjumping. *)
 
 let satisfiable cnf =
@@ -87,7 +87,7 @@ let random_3cnf seed n =
   Cnf.make ~num_vars:n (List.init m (fun _ -> clause ()))
 
 let brute_satisfiable cnf =
-  match Solver.solve_brute cnf with
+  match Brute_sat.solve cnf with
   | Solver.Sat _ -> true
   | Solver.Unsat -> false
   | Solver.Unknown r -> Alcotest.failf "brute Unknown: %s" (Guard.reason_to_string r)
